@@ -1,0 +1,184 @@
+//! The Centralized baseline: every site forwards its raw readings to one
+//! server running one inference over the disjoint union of the per-site
+//! location spaces — the accuracy upper bound and the communication worst
+//! case.
+//!
+//! It is composed from the same parts as a federated site: one
+//! [`LocalStreams`] per site (remapped into the site's block of the global
+//! location space) feeding encoded uplink batches into one
+//! [`InferenceUnit`] over the block-diagonal read-rate table. Reader outages
+//! and rogue-reader clones therefore injure it exactly as they injure the
+//! federated sites. Crashes, shipment faults and clock skew do not apply —
+//! there are no inter-site shipments, the central server is assumed durable,
+//! and the uplink timestamps readings on ingestion rather than trusting the
+//! site clock.
+//!
+//! It is deliberately *not* a [`SiteState`](crate::site::SiteState) role: a
+//! server with no departures, no inbox and no checkpoint would make every
+//! one of those paths branch on which caller it serves.
+
+use crate::comm::MessageKind;
+use crate::driver::{DistributedOutcome, RunCtx};
+use crate::inference::InferenceUnit;
+use crate::ons::Ons;
+use crate::streams::LocalStreams;
+use crate::transport::TransportMode;
+use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, ReadRateTable};
+use rfid_wire::ControlMsg;
+use std::collections::BTreeMap;
+
+/// Block-diagonal global read-rate table: within a site the measured
+/// per-site table applies; across sites only stray background reads.
+fn global_read_rates(ctx: &RunCtx<'_>, site_locs: usize) -> ReadRateTable {
+    let sites = &ctx.chain.sites;
+    let locs = || (0..site_locs as u16).map(LocationId);
+    let background = locs()
+        .flat_map(|r| locs().map(move |a| sites[0].read_rates.rate(r, a)))
+        .fold(f64::INFINITY, f64::min)
+        .min(1e-4);
+    let mut global = ReadRateTable::uniform(sites.len() * site_locs, background);
+    for (s, site) in sites.iter().enumerate() {
+        let block = |l: LocationId| LocationId((s * site_locs) as u16 + l.0);
+        for r in locs() {
+            for a in locs() {
+                global.set(block(r), block(a), site.read_rates.rate(r, a));
+            }
+        }
+    }
+    global
+}
+
+/// One uplink batch's delivery: how many times it was transmitted and the
+/// epoch it got through, if it did.
+///
+/// The coordinator uplink runs the same reliable transport as the federated
+/// edges when the fault plan can lose messages, with its own loss draw —
+/// keyed by origin site, epoch and attempt; no round-trip term, no ack loss,
+/// and partitions do not apply (the uplink is assumed multipath) — and the
+/// shared backoff arithmetic. Otherwise every batch is one attempt that
+/// arrives at once.
+fn uplink_delivery(ctx: &RunCtx<'_>, site: u16, now: Epoch) -> (u32, Option<u32>) {
+    let config = ctx.config;
+    let Some(plan) = config
+        .faults
+        .as_ref()
+        .filter(|_| ctx.transport_mode == TransportMode::Reliable)
+    else {
+        return (1, Some(now.0));
+    };
+    let (mut send, mut k) = (now.0, 0u32);
+    loop {
+        if send > ctx.horizon {
+            return (k, None);
+        }
+        if !plan.forward_lost(site, now, k) {
+            return (k + 1, Some(send));
+        }
+        if config.transport.max_retries.is_some_and(|max| k >= max) {
+            return (k + 1, None);
+        }
+        send = send.saturating_add(config.transport.backoff_secs(k).max(1));
+        k += 1;
+    }
+}
+
+/// Replay the chain against the central server.
+pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
+    let chain = ctx.chain;
+    let num_sites = chain.sites.len();
+    let site_locs = chain.sites.first().map_or(0, |s| s.meta.num_locations);
+    assert!(
+        num_sites * site_locs <= u16::MAX as usize,
+        "global location space exceeds u16"
+    );
+    let mut unit = InferenceUnit::new(ctx, global_read_rates(ctx, site_locs));
+    let mut streams: Vec<LocalStreams<'_>> = (0..num_sites)
+        .map(|s| LocalStreams::new(ctx, s, (s * site_locs) as u16, 0))
+        .collect();
+    let acked = ctx.transport_mode == TransportMode::Reliable;
+    let mut uplink_seqs: Vec<u64> = vec![0; num_sites];
+    // Encoded batches by the epoch they reach the server.
+    let mut in_flight: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
+    let mut batch: Vec<RawReading> = Vec::new();
+    for t in 0..=ctx.horizon {
+        let now = Epoch(t);
+        // Raw-reading forwarding: each site sends the epoch's readings as
+        // one encoded batch message — what actually crosses the network.
+        // Delta encoding makes the batch far cheaper than per-reading
+        // framing.
+        for (site, stream) in streams.iter_mut().enumerate() {
+            batch.clear();
+            stream.drain(
+                now,
+                |sample| unit.processor.on_sensor(sample),
+                |reading| batch.push(reading),
+            );
+            if batch.is_empty() {
+                continue;
+            }
+            // The batch travels in `(time, tag, reader)` order with exact
+            // duplicates removed: a rogue clone is drained right after its
+            // original, and can coincide with a genuine reading.
+            batch.sort_unstable();
+            batch.dedup();
+            let payload = ctx.codec.encode_readings(&batch);
+            let (attempts, delivered) = uplink_delivery(ctx, site as u16, now);
+            let tally = &mut unit.tally;
+            for _ in 0..attempts {
+                tally.comm.record(MessageKind::RawReadings, payload.len());
+            }
+            if ctx.transport_mode.dedups() {
+                tally.transport.envelopes += 1;
+                tally.transport.transmissions += u64::from(attempts);
+                tally.transport.retransmissions += u64::from(attempts.saturating_sub(1));
+            }
+            // A delivered batch is ingested at its delivery epoch; an
+            // abandoned one never reaches the engine, degrading the central
+            // estimate.
+            let Some(at) = delivered else {
+                tally.transport.abandoned += 1;
+                continue;
+            };
+            if acked {
+                let ack = ControlMsg::Ack {
+                    from: num_sites as u16,
+                    to: site as u16,
+                    seq: uplink_seqs[site],
+                };
+                uplink_seqs[site] += 1;
+                let bytes = ctx.codec.encode_control(&ack).len();
+                tally.comm.record(MessageKind::Control, bytes);
+                tally.transport.acks += 1;
+            }
+            in_flight.entry(at).or_default().push(payload);
+        }
+        // The server ingests what reaches it now: batches retransmitted from
+        // earlier epochs that finally got through land before this epoch's
+        // fresh forwarding.
+        for payload in in_flight.remove(&t).into_iter().flatten() {
+            let decoded = ctx
+                .codec
+                .decode_readings(&payload)
+                .expect("in-process reading batch decodes");
+            for reading in decoded {
+                unit.engine.observe(reading);
+            }
+        }
+        unit.tick(ctx, now, |_| true);
+    }
+    unit.finalize(Epoch(ctx.horizon));
+
+    // Custody bookkeeping (no messages: the server knows everything).
+    let mut ons = Ons::new();
+    for tr in &chain.transfers {
+        ons.register(tr.tag, tr.to_site);
+    }
+    let mut containment = ContainmentMap::new();
+    for object in chain.objects() {
+        if let Some(container) = unit.engine.container_of(object) {
+            containment.set(object, container);
+        }
+    }
+    let alerts = unit.processor.alerts().to_vec();
+    unit.tally.into_outcome(containment, alerts, ons)
+}

@@ -79,6 +79,15 @@ impl TransportConfig {
             always_on: false,
         }
     }
+
+    /// The exponential backoff term before retransmission `k + 1`:
+    /// `min(rto_base_secs << k, rto_max_secs)`, saturating at the cap once
+    /// the shift would overflow.
+    pub(crate) fn backoff_secs(&self, k: u32) -> u32 {
+        self.rto_base_secs
+            .checked_shl(k)
+            .map_or(self.rto_max_secs, |b| b.min(self.rto_max_secs))
+    }
 }
 
 /// Configuration of a [`DistributedDriver`](crate::DistributedDriver) run.
@@ -100,12 +109,12 @@ pub struct DistributedConfig {
     /// Seconds between two pushes of enriched events into the query
     /// processors.
     pub event_stride_secs: u32,
-    /// Number of worker threads the federated driver shards sites across.
-    /// `1` (the default) replays every site sequentially on the calling
-    /// thread; any larger value distributes sites round-robin over up to
-    /// `num_workers` OS threads (capped at the site count), exchanging
-    /// shipments over channels with an epoch barrier. Results are
-    /// bit-identical to the sequential replay. Ignored by
+    /// Number of workers the scheduler shards the federated sites across,
+    /// clamped to `1..=sites`. Every count runs the same loop — sites
+    /// distributed round-robin, shipments exchanged over channels behind an
+    /// epoch barrier — and produces a bit-identical outcome; `1` (the
+    /// default) runs it on the calling thread with nothing spawned, `N`
+    /// adds `N - 1` scoped OS threads. Ignored by
     /// [`MigrationStrategy::Centralized`], which has a single engine.
     pub num_workers: usize,
     /// Wire representation of every cross-site payload (inference state,
@@ -128,8 +137,8 @@ pub struct DistributedConfig {
     /// Deterministic fault schedule injected into the run (site crashes with
     /// restore-from-checkpoint, reader outages, delayed and duplicated
     /// shipments). `None` (the default) runs fault-free. The plan is queried
-    /// identically by the sequential and parallel executors, so a faulty run
-    /// is still bit-identical across worker counts; crashes with zero
+    /// identically by every worker, so a faulty run is still bit-identical
+    /// across worker counts; crashes with zero
     /// downtime are additionally bit-identical to the uninterrupted run.
     /// [`MigrationStrategy::Centralized`] honours reader outages only.
     pub faults: Option<FaultPlan>,
@@ -217,7 +226,7 @@ mod tests {
         assert!(config.queries.is_empty());
         assert!(config.temperature.is_none());
         assert_eq!(config.event_stride_secs, 10);
-        assert_eq!(config.num_workers, 1, "sequential by default");
+        assert_eq!(config.num_workers, 1, "one worker by default");
         assert_eq!(DistributedConfig::default().with_workers(8).num_workers, 8);
         assert_eq!(config.wire_format, WireFormat::Binary, "compact by default");
         assert_eq!(

@@ -53,12 +53,16 @@
 
 #![warn(missing_docs)]
 
+mod centralized;
 pub mod comm;
 pub mod config;
 pub mod driver;
+mod inference;
 pub mod ons;
 pub mod oracle;
 mod parallel;
+mod site;
+mod streams;
 pub mod transport;
 
 pub use comm::{CommCost, MessageKind};

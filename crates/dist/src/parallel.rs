@@ -1,43 +1,44 @@
-//! Sharded, thread-per-site execution of the federated driver.
+//! The scheduler: the one loop that replays the federated sites, at any
+//! worker count.
 //!
 //! The paper's architectural point (Section 4) is that federated inference is
 //! *embarrassingly per-site*: each site owns its readers, its engine and its
 //! query processor, and the only cross-site traffic is the migrating state of
-//! dispatched objects. This module makes that independence real in the
-//! execution model:
+//! dispatched objects. The execution model is exactly that:
 //!
 //! ```text
-//!            run_parallel (coordinator)
+//!                     run (worker 0 is the calling thread)
 //!   ┌───────────────┬───────────────┬───────────────┐
 //!   worker 0        worker 1        worker 2          std::thread::scope
 //!   sites 0,3,6…    sites 1,4,7…    sites 2,5,8…      (round-robin shards)
-//!   │ ingest        │ ingest        │ ingest          per epoch t:
-//!   │ deliver(t)    │ deliver(t)    │ deliver(t)        arrivals
-//!   │ depart(t) ──msg──▶ mpsc ◀──msg── depart(t)        dispatches
+//!   │ maybe_crash   │               │                 per epoch t, per site:
+//!   │ before_exchange ──msg──▶ mpsc ◀──msg──            streams, arrivals, dispatch
 //!   ├───────────────┴──barrier──────┴───────────────┤  epoch-stride sync
-//!   │ drain inbox → zero-transit → step + feed events│  second pass + P4
+//!   │ drain channel → after_exchange → maybe_checkpoint  zero-transit, custody, step
 //!   └───────────────┬───────────────┬───────────────┘
-//!            merge_outcomes (comm, alerts, containment, ONS)
+//!            merge (tallies, alerts, containment, ONS)
 //! ```
 //!
-//! Determinism: each worker drives the same [`SiteState`] methods in the same
-//! per-epoch order as the sequential replay; custody is tracked by a local
-//! [`OnsTracker`] replica (a pure function of the static transfer schedule);
-//! and arrival batches are re-sorted into sequential generation order before
-//! import. The per-epoch barrier guarantees every shipment departing at epoch
-//! `t` is in its destination's channel before any worker processes the rest
-//! of epoch `t`; shipments a racing worker sends from epoch `t+1` early are
-//! buffered by arrival epoch, and [`SiteState::deliver`] holds zero-transit
-//! shipments back for the post-departure pass of their epoch. The merged
-//! [`DistributedOutcome`] is therefore bit-identical to the sequential
-//! driver's.
+//! One worker is this same loop on the calling thread — it sends to its own
+//! channel and a barrier of one never blocks — so "sequential" is a worker
+//! count, not a code path, and `1 == N` is a property of one function.
+//!
+//! Determinism: every worker drives the same two [`SiteState`] phase methods
+//! in the same per-epoch order; custody is tracked by a local [`OnsTracker`]
+//! replica (a pure function of the static transfer schedule); and arrival
+//! batches are re-sorted into generation order before import. The per-epoch
+//! barrier guarantees every shipment departing at epoch `t` is in its
+//! destination's channel before any worker processes the rest of epoch `t`;
+//! shipments a racing worker sends from epoch `t+1` early are buffered by
+//! arrival epoch, and the arrival pass holds zero-transit shipments back for
+//! the post-departure pass of their epoch. The merged [`DistributedOutcome`]
+//! is therefore bit-identical at every worker count.
 
-use crate::driver::{
-    merge_outcomes, DistributedDriver, DistributedOutcome, FederatedCtx, OnsTracker, ShipmentMsg,
-    SiteOutcome, SiteState,
-};
-use rfid_sim::ChainTrace;
-use rfid_types::{Epoch, TagId};
+use crate::driver::{DistributedOutcome, RunCtx};
+use crate::inference::Tally;
+use crate::site::{OnsTracker, ShipmentMsg, SiteOutcome, SiteState};
+use rfid_query::Alert;
+use rfid_types::{ContainmentMap, Epoch, TagId};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -119,60 +120,58 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Run the federated replay with sites sharded round-robin across
-/// `config.num_workers` threads (capped at the site count).
-pub(crate) fn run_parallel(driver: &DistributedDriver, chain: &ChainTrace) -> DistributedOutcome {
-    let num_sites = chain.sites.len();
-    let workers = driver.config().num_workers.min(num_sites);
-    if workers <= 1 || num_sites <= 1 {
-        return driver.run_federated(chain);
-    }
-
-    let ctx = FederatedCtx::new(driver, chain);
-    let objects = chain.objects();
-    let mut senders: Vec<Sender<ShipmentMsg>> = Vec::with_capacity(workers);
-    let mut receivers: Vec<Receiver<ShipmentMsg>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+/// Replay the federated run with sites sharded round-robin across
+/// `num_workers` workers (at least one, at most one per site).
+pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
+    let num_sites = ctx.chain.sites.len();
+    let workers = ctx.config.num_workers.min(num_sites).max(1);
+    let objects = ctx.chain.objects();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
     let barrier = EpochBarrier::new(workers);
 
-    let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(num_sites);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, rx) in receivers.into_iter().enumerate() {
-            let txs = senders.clone();
-            let (ctx, barrier, objects) = (&ctx, &barrier, objects.as_slice());
-            handles.push(
-                scope.spawn(move || worker_loop(w, workers, ctx, chain, rx, txs, barrier, objects)),
-            );
-        }
-        // The coordinator's sender clones die here so that every channel
-        // closes once its peers finish.
-        drop(senders);
+    let mut outcomes = std::thread::scope(|scope| {
+        let (barrier, objects) = (&barrier, objects.as_slice());
+        let mut receivers = receivers.into_iter().enumerate();
+        let (_, own_rx) = receivers.next().expect("at least one worker");
+        let handles: Vec<_> = receivers
+            .map(|(w, rx)| {
+                let txs = senders.clone();
+                scope.spawn(move || worker_loop(w, ctx, rx, txs, barrier, objects))
+            })
+            .collect();
+        let mut outcomes = worker_loop(0, ctx, own_rx, senders, barrier, objects);
         for handle in handles {
             match handle.join() {
                 Ok(worker_outcomes) => outcomes.extend(worker_outcomes),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
+        outcomes
     });
 
+    // Merge in ascending site order; alerts report in firing order.
+    outcomes.sort_by_key(|o| o.site);
+    let mut tally = Tally::default();
+    let mut alerts: Vec<Alert> = Vec::new();
+    let mut containment = ContainmentMap::new();
+    for outcome in outcomes {
+        tally.merge(outcome.tally);
+        alerts.extend(outcome.alerts);
+        for (object, container) in outcome.containment {
+            containment.set(object, container);
+        }
+    }
+    alerts.sort_by(|a, b| (a.at, &a.query, a.tag).cmp(&(b.at, &b.query, b.tag)));
     let mut ons = OnsTracker::new();
-    ons.advance(&chain.transfers, Epoch(ctx.horizon));
-    merge_outcomes(outcomes, ons.into_ons())
+    ons.advance(&ctx.chain.transfers, Epoch(ctx.horizon));
+    tally.into_outcome(containment, alerts, ons.into_ons())
 }
 
 /// One worker: drives the epoch loop for its shard of sites, exchanging
-/// shipments with the other workers over channels.
-#[allow(clippy::too_many_arguments)]
+/// shipments with the other workers (and itself) over channels.
 fn worker_loop<'a>(
     worker: usize,
-    workers: usize,
-    ctx: &FederatedCtx<'_>,
-    chain: &'a ChainTrace,
+    ctx: &'a RunCtx<'a>,
     rx: Receiver<ShipmentMsg>,
     txs: Vec<Sender<ShipmentMsg>>,
     barrier: &EpochBarrier,
@@ -180,67 +179,50 @@ fn worker_loop<'a>(
 ) -> Vec<SiteOutcome> {
     // If anything below panics, free the siblings blocked on the barrier.
     let _poison_guard = PoisonOnPanic(barrier);
+    let workers = txs.len();
     // Round-robin shard: worker w owns sites w, w+workers, w+2·workers, …
-    let mut sites: Vec<SiteState<'a>> = (worker..chain.sites.len())
+    let mut sites: Vec<SiteState<'a>> = (worker..ctx.chain.sites.len())
         .step_by(workers)
-        .map(|site| SiteState::new(ctx, chain, site))
+        .map(|site| SiteState::new(ctx, site))
         .collect();
     let mut ons = OnsTracker::new();
-    let mut outbound: Vec<ShipmentMsg> = Vec::new();
 
     for t in 0..=ctx.horizon {
         let now = Epoch(t);
-        // Scheduled faults first — identical to the sequential replay — then
-        // local streams and previously-buffered arrivals, then dispatches.
+        // Scheduled faults fire at the top of the epoch: a crash destroys
+        // the volatile state before any of this epoch's processing, and
+        // restore + replay happen here too.
         for site in sites.iter_mut() {
-            site.maybe_crash(ctx, chain, now);
-            site.ingest(now);
-            site.deliver(now);
-        }
-        for site in sites.iter_mut() {
-            site.depart(ctx, now, &mut outbound);
-        }
-        for msg in outbound.drain(..) {
-            let dest = msg.to.0 as usize % workers;
-            txs[dest]
-                .send(msg)
-                .expect("destination worker outlives the epoch loop");
+            site.maybe_crash(now);
+            site.before_exchange(now, |msg| {
+                txs[msg.to as usize % workers]
+                    .send(msg)
+                    .expect("destination worker outlives the epoch loop");
+            });
         }
         // Epoch-stride barrier: after it, every shipment departing at `t`
         // (from any worker) is in its destination worker's channel. A racing
         // worker may already have sent epoch t+1 departures — those carry
         // arrival epochs ≥ t+1, get buffered by arrival epoch, and if they
         // are zero-transit (arrive == depart == t+1) the arrival pass of
-        // t+1 holds them back for the post-departure pass, exactly where
-        // the sequential replay imports them.
+        // t+1 holds them back for the post-departure pass.
         barrier.wait();
         while let Ok(msg) = rx.try_recv() {
-            let local = msg.to.0 as usize / workers;
-            sites[local].receive(msg);
+            sites[msg.to as usize / workers].receive(msg);
         }
-        // Zero-transit deliveries, then the periodic step — against the
-        // custody replica as of this epoch's dispatches.
         for site in sites.iter_mut() {
-            site.deliver_zero_transit(now);
-        }
-        ons.advance(&chain.transfers, now);
-        for site in sites.iter_mut() {
-            site.step_and_feed(ctx, now, ons.get());
+            site.after_exchange(now, &mut ons);
             // Durability: cut a checkpoint at the policy boundary. The inbox
             // section is filtered to shipments departing ≤ `now`, so a racing
             // sibling's early epoch-(t+1) delivery cannot leak into it and
-            // checkpoint bytes match the sequential replay's.
+            // checkpoint bytes do not depend on the worker count.
             site.maybe_checkpoint(now);
         }
     }
 
-    let horizon = Epoch(ctx.horizon);
     sites
         .into_iter()
-        .map(|mut site| {
-            site.finalize(horizon);
-            site.into_outcome(objects, ons.get())
-        })
+        .map(|site| site.into_outcome(objects, ons.get()))
         .collect()
 }
 

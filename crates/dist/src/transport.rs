@@ -14,8 +14,8 @@
 //!   **retransmits** under deterministic epoch-based exponential backoff
 //!   until an ack is seen or the retry budget runs out ([`DeliveryPlan`]).
 //!
-//! Determinism is the whole design: both executors (sequential and
-//! parallel), and a crash-replaying site, must observe the *same* losses,
+//! Determinism is the whole design: every worker of the scheduler, at any
+//! worker count, and a crash-replaying site, must observe the *same* losses,
 //! retransmissions and arrival epochs. The entire ack/retransmit exchange is
 //! therefore computed sender-side at departure time as a pure function of the
 //! message key and the [`FaultPlan`]'s order-independent hash draws —
@@ -166,9 +166,9 @@ impl ReliableInbox {
 /// reaches the destination.
 ///
 /// Computed at departure time as a pure function of the message key, the
-/// [`FaultPlan`] and the [`TransportConfig`] — so the sequential executor,
-/// every parallel worker and a crash-replaying sender all derive the
-/// identical schedule.
+/// [`FaultPlan`] and the [`TransportConfig`] — so every worker, at any
+/// worker count, and a crash-replaying sender all derive the identical
+/// schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryPlan {
     /// Arrival epoch of every copy that survives loss and partitions, in
@@ -182,6 +182,16 @@ pub struct DeliveryPlan {
 }
 
 impl DeliveryPlan {
+    /// The one-attempt schedule of direct delivery: a single copy, arriving
+    /// at `arrive`, never retransmitted.
+    pub(crate) fn direct(arrive: Epoch) -> DeliveryPlan {
+        DeliveryPlan {
+            arrivals: vec![arrive],
+            attempts: 1,
+            abandoned: false,
+        }
+    }
+
     /// Simulate the delivery of one envelope on the edge `from → to`.
     ///
     /// `arrive` is the first-attempt arrival epoch (the physical transit,
@@ -240,11 +250,7 @@ impl DeliveryPlan {
             if config.max_retries.is_some_and(|max| k >= max) {
                 break;
             }
-            let backoff = config
-                .rto_base_secs
-                .checked_shl(k)
-                .map_or(config.rto_max_secs, |b| b.min(config.rto_max_secs));
-            send = send.saturating_add(rtt.saturating_add(backoff).max(1));
+            send = send.saturating_add(rtt.saturating_add(config.backoff_secs(k)).max(1));
             k += 1;
         }
         DeliveryPlan {

@@ -15,11 +15,11 @@
 //! With real downtime the outcome legitimately changes, but it must stay
 //! identical across executors and pass every invariant oracle.
 
+mod common;
+
+use common::assert_identical;
 use rfid_core::{InferenceConfig, MemoryBudget};
-use rfid_dist::{
-    assert_audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind,
-    MigrationStrategy,
-};
+use rfid_dist::{assert_audit, DistributedConfig, DistributedDriver, MigrationStrategy};
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig};
 use rfid_types::Epoch;
 
@@ -66,50 +66,6 @@ fn config(workers: usize) -> DistributedConfig {
     .with_checkpoints(CHECKPOINT_EVERY)
     .with_memory_budget(MemoryBudget::capped(128))
     .with_workers(workers)
-}
-
-/// Full field-by-field equality, *including* the chaos bookkeeping the
-/// plain crash harness does not know about: quarantine entries, memory
-/// counters, per-edge conservation ledgers and the transport totals.
-fn assert_identical(reference: &DistributedOutcome, other: &DistributedOutcome, label: &str) {
-    assert_eq!(
-        reference.containment, other.containment,
-        "{label}: containment diverged"
-    );
-    for kind in MessageKind::ALL {
-        assert_eq!(
-            reference.comm.bytes_of_kind(kind),
-            other.comm.bytes_of_kind(kind),
-            "{label}: bytes of {kind:?} diverged"
-        );
-        assert_eq!(
-            reference.comm.messages_of_kind(kind),
-            other.comm.messages_of_kind(kind),
-            "{label}: message count of {kind:?} diverged"
-        );
-    }
-    assert_eq!(reference.alerts, other.alerts, "{label}: alerts diverged");
-    assert_eq!(reference.ons, other.ons, "{label}: ONS custody diverged");
-    assert_eq!(
-        reference.inference_runs, other.inference_runs,
-        "{label}: inference-run count diverged"
-    );
-    assert_eq!(
-        reference.transport, other.transport,
-        "{label}: transport counters diverged"
-    );
-    assert_eq!(
-        reference.quarantine, other.quarantine,
-        "{label}: quarantine ledger diverged"
-    );
-    assert_eq!(
-        reference.memory, other.memory,
-        "{label}: memory counters diverged"
-    );
-    assert_eq!(
-        reference.ledgers, other.ledgers,
-        "{label}: per-edge conservation ledgers diverged"
-    );
 }
 
 #[test]

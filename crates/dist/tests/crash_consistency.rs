@@ -13,10 +13,12 @@
 //! still strict: the same [`FaultPlan`] produces the identical outcome across
 //! worker counts.
 
+mod common;
+
+use common::assert_identical;
 use rfid_core::InferenceConfig;
 use rfid_dist::{
-    DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind, MigrationStrategy,
-    WireFormat,
+    DistributedConfig, DistributedDriver, DistributedOutcome, MigrationStrategy, WireFormat,
 };
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig};
@@ -54,41 +56,6 @@ fn config(
         wire_format: format,
         ..Default::default()
     }
-}
-
-/// Field-by-field equality of two outcomes, excluding wall-clock (which a
-/// restore legitimately resets).
-fn assert_identical(reference: &DistributedOutcome, other: &DistributedOutcome, label: &str) {
-    assert_eq!(
-        reference.containment, other.containment,
-        "{label}: containment diverged"
-    );
-    for kind in MessageKind::ALL {
-        assert_eq!(
-            reference.comm.bytes_of_kind(kind),
-            other.comm.bytes_of_kind(kind),
-            "{label}: bytes of {kind:?} diverged"
-        );
-        assert_eq!(
-            reference.comm.messages_of_kind(kind),
-            other.comm.messages_of_kind(kind),
-            "{label}: message count of {kind:?} diverged"
-        );
-    }
-    assert_eq!(reference.alerts, other.alerts, "{label}: alerts diverged");
-    assert_eq!(
-        reference.query_state_shared_bytes, other.query_state_shared_bytes,
-        "{label}: shared query-state bytes diverged"
-    );
-    assert_eq!(
-        reference.query_state_unshared_bytes, other.query_state_unshared_bytes,
-        "{label}: unshared query-state bytes diverged"
-    );
-    assert_eq!(reference.ons, other.ons, "{label}: ONS custody diverged");
-    assert_eq!(
-        reference.inference_runs, other.inference_runs,
-        "{label}: inference-run count diverged"
-    );
 }
 
 fn run(chain: &ChainTrace, config: DistributedConfig) -> DistributedOutcome {

@@ -14,6 +14,8 @@
 //! * a partition outliving the horizon forces degraded mode: envelopes are
 //!   abandoned, the destination cold-starts, and the run still completes.
 
+mod common;
+
 use proptest::prelude::*;
 use rfid_core::InferenceConfig;
 use rfid_dist::{
@@ -148,21 +150,7 @@ proptest! {
                 .with_faults(plan),
         )
         .run(chain());
-        prop_assert_eq!(&sequential.containment, &parallel.containment);
-        prop_assert_eq!(&sequential.ons, &parallel.ons);
-        prop_assert_eq!(sequential.transport, parallel.transport);
-        for kind in MessageKind::ALL {
-            prop_assert_eq!(
-                sequential.comm.bytes_of_kind(kind),
-                parallel.comm.bytes_of_kind(kind),
-                "seed {}: bytes of {:?} diverged", seed, kind
-            );
-            prop_assert_eq!(
-                sequential.comm.messages_of_kind(kind),
-                parallel.comm.messages_of_kind(kind),
-                "seed {}: message count of {:?} diverged", seed, kind
-            );
-        }
+        common::assert_identical(&sequential, &parallel, &format!("seed {seed}, 1 vs N workers"));
         assert_at_most_once(&sequential, &format!("seed {seed}"));
     }
 }

@@ -9,6 +9,8 @@
 //! chain) every shipping strategy's total communication bill must drop by at
 //! least 2x versus JSON.
 
+mod common;
+
 use rfid_core::InferenceConfig;
 use rfid_dist::{
     CommCost, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind,
@@ -185,8 +187,6 @@ fn parallel_execution_agrees_with_sequential_in_both_formats() {
             ..Default::default()
         })
         .run(&chain);
-        assert_eq!(sequential.containment, parallel.containment, "{format}");
-        assert_eq!(sequential.comm, parallel.comm, "{format}");
-        assert_eq!(sequential.ons, parallel.ons, "{format}");
+        common::assert_identical(&sequential, &parallel, &format!("{format}, 1 vs 2 workers"));
     }
 }

@@ -18,10 +18,10 @@
 //! * [`query`] — CQL-style stream query processing (pattern matching,
 //!   hybrid queries, query-state sharing);
 //! * [`dist`] — distributed inference and query processing with state
-//!   migration and communication accounting; sites run sequentially or
-//!   sharded across worker threads (`DistributedConfig::num_workers`) with
-//!   bit-identical results, survive seeded chaos (crashes, loss,
-//!   partitions, poisoned payloads — see [`sim::ChaosPlan`]) and are
+//!   migration and communication accounting; one scheduler shards the
+//!   sites over any number of workers (`DistributedConfig::num_workers`)
+//!   with bit-identical results, and runs survive seeded chaos (crashes,
+//!   loss, partitions, poisoned payloads — see [`sim::ChaosPlan`]) and are
 //!   audited by invariant oracles over per-edge conservation ledgers;
 //! * [`wire`] — the compact binary wire codec every cross-site payload is
 //!   routed through (`DistributedConfig::wire_format`), with JSON retained
