@@ -3,10 +3,7 @@
 //! Every default-path kernel is bit-identical to its scalar twin (pinned by
 //! the unit tests in `crates/core/src/dense/kernels.rs`); these benches
 //! isolate the per-call wall-clock so kernel regressions show up without
-//! running the full `inference_dense` experiment. The reassociating
-//! `*_fast` variants (opt-in via `RfInferConfig::fast_math`) are measured
-//! too, labelled separately — they are *not* bit-identical and never run
-//! in the default configuration.
+//! running the full `inference_dense` experiment.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfid_core::dense::kernels;
@@ -111,9 +108,6 @@ fn bench_dot_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dot/strict", width), &width, |b, _| {
             b.iter(|| kernels::dot(black_box(&qs[0]), black_box(&row)))
         });
-        group.bench_with_input(BenchmarkId::new("dot/fast_math", width), &width, |b, _| {
-            b.iter(|| kernels::dot_fast(black_box(&qs[0]), black_box(&row)))
-        });
         group.bench_with_input(
             BenchmarkId::new("dot_many_shared/8-lane", width),
             &width,
@@ -136,13 +130,6 @@ fn bench_dot_kernels(c: &mut Criterion) {
                 })
             },
         );
-
-        group.bench_with_input(BenchmarkId::new("sum/strict", width), &width, |b, _| {
-            b.iter(|| black_box(&row).iter().sum::<f64>())
-        });
-        group.bench_with_input(BenchmarkId::new("sum/fast_math", width), &width, |b, _| {
-            b.iter(|| kernels::sum_fast(black_box(&row)))
-        });
     }
     group.finish();
 }

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rfid_core::{InferenceConfig, InferenceEngine};
-use rfid_query::{share_states, ExposureAutomaton, ObjectQueryState};
+use rfid_dist::{WireCodec, WireFormat};
+use rfid_query::{share_states_with, ExposureAutomaton, ObjectQueryState};
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
 use rfid_smurf::{SmurfStar, SmurfStarConfig};
 use rfid_types::{Epoch, TagId, Trace};
@@ -92,8 +93,12 @@ fn bench_state_sharing(c: &mut Criterion) {
             },
         })
         .collect();
+    let codec = WireCodec::new(WireFormat::Binary);
     c.bench_function("centroid_state_sharing_50_objects", |b| {
-        b.iter(|| share_states(&states).map(|bundle| bundle.wire_bytes()))
+        b.iter(|| {
+            share_states_with(&states, |s| codec.state_payload(s))
+                .map(|bundle| codec.encode_bundle(&bundle).len())
+        })
     });
 }
 

@@ -24,8 +24,7 @@ use rfid_bench::{
     degraded_measurements, degraded_table, fault_measurements, faults_json, faults_table, fig4,
     fig5a, fig5b, fig5c, fig5d, fig5e, fig5f, fig6a, fig6b, incremental_inference,
     infer_measurements, inference_dense_json, inference_dense_table, parallel_scaling, scalability,
-    table3, table4, table5, table_query, wire_formats_json, wire_formats_table, wire_measurements,
-    Scale,
+    table3, table4, table5, table_query, wire_json, wire_measurements, wire_table, Scale,
 };
 use rfid_eval::Series;
 use std::time::Instant;
@@ -117,10 +116,10 @@ fn run(name: &str, scale: Scale) {
         }
         "wire" => {
             let measurements = wire_measurements(scale);
-            println!("{}", wire_formats_table(&measurements));
+            println!("{}", wire_table(&measurements));
             let path =
                 std::env::var("BENCH_WIRE_OUT").unwrap_or_else(|_| "BENCH_wire.json".to_string());
-            match std::fs::write(&path, wire_formats_json(scale, &measurements)) {
+            match std::fs::write(&path, wire_json(scale, &measurements)) {
                 Ok(()) => eprintln!("[wire measurements written to {path}]"),
                 Err(err) => eprintln!("[failed to write {path}: {err}]"),
             }

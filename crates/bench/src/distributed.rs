@@ -5,7 +5,7 @@ use crate::Scale;
 use rfid_core::{InferenceConfig, MemoryBudget};
 use rfid_dist::{
     assert_audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind,
-    MigrationStrategy, WireFormat,
+    MigrationStrategy,
 };
 use rfid_eval::{Series, Table};
 use rfid_query::{Alert, ExposureQuery, QueryProcessor};
@@ -606,13 +606,11 @@ pub fn inference_dense_json(scale: Scale, measurements: &[InferMeasurement]) -> 
     out
 }
 
-/// One `(strategy, format)` measurement of the wire-format comparison.
+/// One per-strategy measurement of the wire-cost table.
 #[derive(Debug, Clone)]
 pub struct WireMeasurement {
     /// Migration strategy name.
     pub strategy: &'static str,
-    /// Wire format the run used.
-    pub format: WireFormat,
     /// Total bytes across all message kinds.
     pub total_bytes: usize,
     /// Bytes of migrated inference state.
@@ -629,14 +627,9 @@ pub struct WireMeasurement {
     pub accuracy: f64,
 }
 
-/// Wire-format comparison at the 8-site short-dwell reference scale: for
-/// every migration strategy, the full communication bill and whole-run
-/// wall-clock under `Json` versus `Binary` framing.
-///
-/// Both formats are asserted to produce identical containment, custody and
-/// message counts (the codec is pure representation; the full guarantee is
-/// pinned by `crates/dist/tests/wire_equivalence.rs`), so the table isolates
-/// the bytes-on-the-wire effect of the codec.
+/// Wire cost at the 8-site short-dwell reference scale: for every migration
+/// strategy, the full communication bill in encoded bytes and the whole-run
+/// wall-clock.
 pub fn wire_measurements(scale: Scale) -> Vec<WireMeasurement> {
     let chain = short_dwell_chain(scale, 8);
     let mut rows = Vec::new();
@@ -646,55 +639,35 @@ pub fn wire_measurements(scale: Scale) -> Vec<WireMeasurement> {
         ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
         ("Centralized", MigrationStrategy::Centralized),
     ] {
-        let mut per_format: Vec<(WireFormat, DistributedOutcome)> = Vec::new();
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let config = DistributedConfig {
-                strategy,
-                inference: InferenceConfig::default().without_change_detection(),
-                wire_format: format,
-                ..Default::default()
-            };
-            let started = Instant::now();
-            let outcome = DistributedDriver::new(config).run(&chain);
-            let wall_secs = started.elapsed().as_secs_f64();
-            rows.push(WireMeasurement {
-                strategy: name,
-                format,
-                total_bytes: outcome.comm.total_bytes(),
-                inference_bytes: outcome.comm.bytes_of_kind(MessageKind::InferenceState),
-                raw_bytes: outcome.comm.bytes_of_kind(MessageKind::RawReadings),
-                query_bytes: outcome.comm.bytes_of_kind(MessageKind::QueryState),
-                messages: outcome.comm.total_messages(),
-                wall_secs,
-                accuracy: 100.0 - chain_containment_error(&chain, &outcome),
-            });
-            per_format.push((format, outcome));
-        }
-        let (_, json) = &per_format[0];
-        let (_, binary) = &per_format[1];
-        assert_eq!(
-            json.containment, binary.containment,
-            "{name}: the wire format must not change the outcome"
-        );
-        assert_eq!(json.comm.total_messages(), binary.comm.total_messages());
-        assert_eq!(json.ons, binary.ons);
+        let config = DistributedConfig {
+            strategy,
+            inference: InferenceConfig::default().without_change_detection(),
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let outcome = DistributedDriver::new(config).run(&chain);
+        let wall_secs = started.elapsed().as_secs_f64();
+        rows.push(WireMeasurement {
+            strategy: name,
+            total_bytes: outcome.comm.total_bytes(),
+            inference_bytes: outcome.comm.bytes_of_kind(MessageKind::InferenceState),
+            raw_bytes: outcome.comm.bytes_of_kind(MessageKind::RawReadings),
+            query_bytes: outcome.comm.bytes_of_kind(MessageKind::QueryState),
+            messages: outcome.comm.total_messages(),
+            wall_secs,
+            accuracy: 100.0 - chain_containment_error(&chain, &outcome),
+        });
     }
     rows
 }
 
-/// The human-readable table of [`wire_measurements`].
-pub fn wire_formats(scale: Scale) -> Table {
-    wire_formats_table(&wire_measurements(scale))
-}
-
-/// Render pre-computed measurements as the comparison table (so one
+/// Render pre-computed measurements as the wire-cost table (so one
 /// measurement pass can feed both the table and `BENCH_wire.json`).
-pub fn wire_formats_table(measurements: &[WireMeasurement]) -> Table {
+pub fn wire_table(measurements: &[WireMeasurement]) -> Table {
     let mut table = Table::new(
-        "Wire-format comparison: Json vs Binary framing of all cross-site traffic",
+        "Wire cost: encoded bytes of all cross-site traffic per strategy",
         &[
             "strategy",
-            "format",
             "accuracy (%)",
             "total bytes",
             "inference",
@@ -707,7 +680,6 @@ pub fn wire_formats_table(measurements: &[WireMeasurement]) -> Table {
     for m in measurements {
         table.push_row(&[
             m.strategy.to_string(),
-            m.format.to_string(),
             format!("{:.1}", m.accuracy),
             m.total_bytes.to_string(),
             m.inference_bytes.to_string(),
@@ -720,22 +692,22 @@ pub fn wire_formats_table(measurements: &[WireMeasurement]) -> Table {
     table
 }
 
-/// The machine-readable companion of [`wire_formats`] — the contents of
+/// The machine-readable companion of [`wire_table`] — the contents of
 /// `BENCH_wire.json`, tracked across PRs so the perf trajectory stays
-/// visible. Hand-rendered JSON (stable key order, one row object per
-/// strategy/format pair).
-pub fn wire_formats_json(scale: Scale, measurements: &[WireMeasurement]) -> String {
+/// visible. Hand-rendered (stable key order, one row object per strategy);
+/// the constant `"format": "binary"` key keeps the rows comparable with the
+/// file's history, which also carried `json` rows.
+pub fn wire_json(scale: Scale, measurements: &[WireMeasurement]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
     out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
     out.push_str("  \"rows\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"format\": \"{}\", \"accuracy_pct\": {:.2}, \
+            "    {{\"strategy\": \"{}\", \"format\": \"binary\", \"accuracy_pct\": {:.2}, \
              \"total_bytes\": {}, \"inference_bytes\": {}, \"raw_bytes\": {}, \
              \"query_bytes\": {}, \"messages\": {}, \"wall_secs\": {:.3}}}{}\n",
             m.strategy,
-            m.format,
             m.accuracy,
             m.total_bytes,
             m.inference_bytes,
@@ -1601,38 +1573,24 @@ mod tests {
     }
 
     #[test]
-    fn wire_formats_binary_beats_json_for_every_shipping_strategy() {
+    fn wire_cost_orders_the_strategies_and_is_tracked() {
         let rows = wire_measurements(Scale::Smoke);
-        assert_eq!(rows.len(), 8, "four strategies x two formats");
-        for pair in rows.chunks(2) {
-            let (json, binary) = (&pair[0], &pair[1]);
-            assert_eq!(json.strategy, binary.strategy);
-            assert_eq!(json.format, WireFormat::Json);
-            assert_eq!(binary.format, WireFormat::Binary);
-            assert_eq!(
-                json.accuracy, binary.accuracy,
-                "{}: format must not move accuracy",
-                json.strategy
-            );
-            assert_eq!(json.messages, binary.messages);
-            if json.strategy == "None" {
-                assert_eq!(json.total_bytes, 0);
-                assert_eq!(binary.total_bytes, 0);
-            } else {
-                assert!(
-                    binary.total_bytes * 2 <= json.total_bytes,
-                    "{}: binary ({} B) must at least halve JSON ({} B)",
-                    json.strategy,
-                    binary.total_bytes,
-                    json.total_bytes
-                );
-            }
-        }
-        let table = wire_formats_table(&rows);
-        assert_eq!(table.rows.len(), 8);
-        let json_doc = wire_formats_json(Scale::Smoke, &rows);
+        let bytes: Vec<usize> = rows.iter().map(|r| r.total_bytes).collect();
+        assert_eq!(
+            rows.iter().map(|r| r.strategy).collect::<Vec<_>>(),
+            ["None", "CR-readings", "CollapsedWeights", "Centralized"]
+        );
+        assert_eq!(bytes[0], 0, "None ships nothing");
+        assert!(
+            0 < bytes[2] && bytes[2] < bytes[1],
+            "collapsed weights undercut CR readings ({bytes:?})"
+        );
+        assert_eq!(rows[0].messages, 0);
+        assert_eq!(rows[1].messages, rows[2].messages);
+        assert_eq!(wire_table(&rows).rows.len(), 4);
+        let json_doc = wire_json(Scale::Smoke, &rows);
         assert!(json_doc.contains("\"rows\": ["));
-        assert!(json_doc.contains("\"strategy\": \"Centralized\""));
+        assert!(json_doc.contains("\"strategy\": \"Centralized\", \"format\": \"binary\""));
         assert!(json_doc.trim_end().ends_with('}'));
     }
 

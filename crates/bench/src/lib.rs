@@ -26,19 +26,16 @@ pub use distributed::{
 pub use distributed::{
     fault_measurements, faults, faults_json, faults_table, fig5e, fig5f, incremental_inference,
     infer_measurements, inference_dense, inference_dense_json, inference_dense_table,
-    parallel_scaling, scalability, table5, table_query, wire_formats, wire_formats_json,
-    wire_formats_table, wire_measurements, FaultMeasurement, FaultStudy, InferMeasurement,
-    WireMeasurement,
+    parallel_scaling, scalability, table5, table_query, wire_json, wire_measurements, wire_table,
+    FaultMeasurement, FaultStudy, InferMeasurement, WireMeasurement,
 };
 pub use single_site::{
     evaluate_rfinfer, evaluate_smurf_star, fig4, fig5a, fig5b, fig5c, fig5d, fig6a, fig6b, table3,
     table4, SingleSiteEval,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// How large to make each experiment's workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scale {
     /// A few hundred tags, short traces — finishes in seconds; used by tests.
     Smoke,

@@ -22,10 +22,9 @@ use crate::likelihood::LikelihoodModel;
 use crate::rfinfer::ObjectEvidence;
 use rand::Rng;
 use rfid_types::{Epoch, LocationId, TagId};
-use serde::{Deserialize, Serialize};
 
 /// A detected containment change for one object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectedChange {
     /// The object whose containment changed.
     pub object: TagId,

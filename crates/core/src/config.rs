@@ -2,10 +2,9 @@
 
 use crate::rfinfer::RfInferConfig;
 use crate::truncate::TruncationPolicy;
-use serde::{Deserialize, Serialize};
 
 /// How the change-point detection threshold δ is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdPolicy {
     /// Use a fixed threshold value.
     Fixed(f64),
@@ -30,14 +29,14 @@ impl Default for ThresholdPolicy {
 }
 
 /// Configuration of change-point detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChangeDetectionConfig {
     /// Threshold selection policy.
     pub threshold: ThresholdPolicy,
 }
 
 /// Configuration of the streaming [`InferenceEngine`](crate::InferenceEngine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceConfig {
     /// Seconds between two inference runs (the paper's default is 300 s).
     pub period_secs: u32,
@@ -119,14 +118,6 @@ impl InferenceConfig {
     /// reference loops the equivalence tests compare against.
     pub fn with_vector_kernels(mut self, on: bool) -> Self {
         self.rfinfer.vector_kernels = on;
-        self
-    }
-
-    /// Opt into the reassociating `fast_math` kernels (multi-accumulator
-    /// sums/dots). **Not** bit-identical to the reference summation order;
-    /// off by default and excluded from the equivalence guarantees.
-    pub fn with_fast_math(mut self, on: bool) -> Self {
-        self.rfinfer.fast_math = on;
         self
     }
 

@@ -1231,13 +1231,7 @@ pub(crate) fn run_dense(
                             .zip(rows.chunks(kernels::LANES))
                         {
                             let mut vals = [0.0f64; kernels::LANES];
-                            if config.fast_math {
-                                for (v, q) in vals.iter_mut().zip(qch) {
-                                    *v = kernels::dot_fast(q, row);
-                                }
-                            } else {
-                                kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
-                            }
+                            kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
                             for (j, &l) in chunk.iter().enumerate() {
                                 let wk = &mut walkers[l as usize];
                                 let e = vals[j];
@@ -1556,13 +1550,7 @@ fn build_outcome(
                         qs[j] = &lane.v.qrows[lane.q_cur * nl..(lane.q_cur + 1) * nl];
                     }
                     let mut vals = [0.0f64; kernels::LANES];
-                    if rf.config.fast_math {
-                        for j in 0..chunk.len() {
-                            vals[j] = kernels::dot_fast(qs[j], row);
-                        }
-                    } else {
-                        kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
-                    }
+                    kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
                     for (j, &l) in chunk.iter().enumerate() {
                         flat_points[lanes[l as usize].off].push((t, vals[j]));
                     }

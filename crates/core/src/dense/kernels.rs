@@ -9,11 +9,9 @@
 //! [`max_log_weights`]); and the batched dot products of [`dot_batch`] give
 //! each candidate its own lane whose summation order over locations is
 //! exactly the scalar [`Posterior::expect_row`](crate::Posterior::expect_row)
-//! order. Anything that would
-//! reassociate a single running sum — splitting one dot product or one
-//! normalization sum into partial accumulators — lives in the `*_fast`
-//! kernels and is only reachable through the opt-in
-//! [`RfInferConfig::fast_math`](crate::RfInferConfig::fast_math) flag.
+//! order. Nothing here reassociates a single running sum — no dot product or
+//! normalization sum is split into partial accumulators (lint rule
+//! `float-exactness` keeps it that way).
 //!
 //! The portable kernels are written as fixed-width chunk loops that rustc
 //! autovectorizes on stable. On x86-64 an explicit AVX2 path (plain
@@ -332,43 +330,6 @@ pub fn argmax_ties_last(ws: &[f64]) -> Option<usize> {
     Some(best_at)
 }
 
-// ---------------------------------------------------------------------------
-// Reassociating kernels (opt-in via RfInferConfig::fast_math only)
-// ---------------------------------------------------------------------------
-
-/// Sum with [`LANES`] partial accumulators. **Reassociates** the addition
-/// order, so the result differs from the sequential sum in the last ULPs —
-/// only used when `fast_math` is enabled, and excluded from the equivalence
-/// tests.
-// EXACTNESS: reassociating (fast_math only)
-pub fn sum_fast(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let (chunks, rest) = xs.split_at(n - n % LANES);
-    let mut lanes = [0.0f64; LANES];
-    for x8 in chunks.chunks_exact(LANES) {
-        for l in 0..LANES {
-            lanes[l] += x8[l];
-        }
-    }
-    lanes.iter().sum::<f64>() + rest.iter().sum::<f64>()
-}
-
-/// Dot product with [`LANES`] partial accumulators — the `fast_math`
-/// counterpart of [`dot`]. **Reassociates**; see [`sum_fast`].
-// EXACTNESS: reassociating (fast_math only)
-pub fn dot_fast(q: &[f64], row: &[f64]) -> f64 {
-    let n = q.len().min(row.len());
-    let (qc, qr) = q[..n].split_at(n - n % LANES);
-    let (rc, rr) = row[..n].split_at(n - n % LANES);
-    let mut lanes = [0.0f64; LANES];
-    for (q8, r8) in qc.chunks_exact(LANES).zip(rc.chunks_exact(LANES)) {
-        for l in 0..LANES {
-            lanes[l] += q8[l] * r8[l];
-        }
-    }
-    lanes.iter().sum::<f64>() + qr.iter().zip(rr).map(|(q, v)| q * v).sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,20 +611,6 @@ mod tests {
             .map(|i| if i == 9 { f64::NAN } else { i as f64 })
             .collect();
         assert_eq!(argmax_ties_last(&nan_mid), Some(16));
-    }
-
-    #[test]
-    fn fast_kernels_stay_close_but_are_not_required_to_match() {
-        // The fast kernels reassociate: assert they agree to float tolerance
-        // (their contract) without pinning bits.
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 100] {
-            let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-            let seq_sum: f64 = xs.iter().sum();
-            assert!((sum_fast(&xs) - seq_sum).abs() <= 1e-9 * (1.0 + seq_sum.abs()));
-            let seq_dot = dot(&xs, &ys);
-            assert!((dot_fast(&xs, &ys) - seq_dot).abs() <= 1e-9 * (1.0 + seq_dot.abs()));
-        }
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -23,7 +23,6 @@ use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentMap, Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReadingBatch, TagId,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,7 +41,7 @@ use std::time::{Duration, Instant};
 /// `restore(snapshot)` after `snapshot()` round-trips bitwise: every
 /// subsequent inference run produces results identical to an engine that was
 /// never snapshotted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// The sparse observation store.
     pub store: Observations,

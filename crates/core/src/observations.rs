@@ -7,11 +7,10 @@
 //! same reader), which drives candidate pruning (Appendix A.3).
 
 use rfid_types::{Epoch, LocationId, RawReading, ReadingBatch, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The readers that detected one tag during one epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsAt {
     /// The epoch of the observation.
     pub epoch: Epoch,
@@ -20,7 +19,7 @@ pub struct ObsAt {
 }
 
 /// Sparse per-tag observation index built from raw readings.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {
     per_tag: BTreeMap<TagId, Vec<ObsAt>>,
 }

@@ -11,10 +11,9 @@
 
 use crate::likelihood::LikelihoodModel;
 use rfid_types::LocationId;
-use serde::{Deserialize, Serialize};
 
 /// A normalized distribution over the discrete set of locations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Posterior {
     probs: Vec<f64>,
 }

@@ -21,11 +21,10 @@ use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
 use crate::posterior::{container_posterior, Posterior};
 use rfid_types::{ContainmentMap, Epoch, LocationId, ObjectEvent, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs of the RFINFER algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RfInferConfig {
     /// Maximum number of candidate containers considered per object
     /// (candidate pruning, Appendix A.3). Ignored when
@@ -58,11 +57,6 @@ pub struct RfInferConfig {
     /// bytes are **bit-identical** with the flag on or off; off exists as
     /// the exactness reference the equivalence tests sweep.
     pub vector_kernels: bool,
-    /// Opt-in reassociating kernels (multi-accumulator sums and dot
-    /// products). Faster but **not** bit-identical to the reference
-    /// summation order — off by default and excluded from the equivalence
-    /// tests. Ignored unless `vector_kernels` is also on.
-    pub fast_math: bool,
 }
 
 impl Default for RfInferConfig {
@@ -74,7 +68,6 @@ impl Default for RfInferConfig {
             memoization: true,
             dense: true,
             vector_kernels: true,
-            fast_math: false,
         }
     }
 }
@@ -83,7 +76,7 @@ impl Default for RfInferConfig {
 /// inference state): for an object, a map from candidate container to the
 /// accumulated weight `w_co` computed elsewhere. The M-step simply adds these
 /// to the locally computed weights.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriorWeights {
     map: BTreeMap<TagId, BTreeMap<TagId, f64>>,
 }
@@ -160,7 +153,7 @@ impl PriorWeights {
 }
 
 /// Everything the M-step learned about one object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectEvidence {
     /// Candidate containers considered for this object (pruned set).
     pub candidates: Vec<TagId>,
@@ -208,7 +201,7 @@ impl ObjectEvidence {
 }
 
 /// The result of one RFINFER run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceOutcome {
     /// Inferred containment: each object mapped to its most likely container.
     pub containment: ContainmentMap,
@@ -301,7 +294,7 @@ impl InferenceOutcome {
 /// for it), which counts it in the dirty statistics without invalidating any
 /// cached per-epoch computation (priors are re-applied from scratch every
 /// run).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
     changed: BTreeMap<TagId, BTreeSet<Epoch>>,
 }
@@ -400,7 +393,7 @@ pub(crate) const MAX_CACHED_VARIANTS: usize = 4;
 /// epoch-sorted key vector plus one flat row arena holding every posterior's
 /// probability row back to back — so the dense solver walks and reuses the
 /// rows without touching a per-posterior allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedVariant {
     /// The member set the cached posteriors smooth over.
     pub members: Vec<TagId>,
@@ -472,7 +465,7 @@ impl Variant {
 /// per-epoch E-step posteriors keyed by the member set they smoothed over —
 /// together with the per-object point-evidence series computed against each
 /// variant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvidenceCache {
     pub(crate) containers: BTreeMap<TagId, Vec<CachedVariant>>,
 }
@@ -527,7 +520,7 @@ impl EvidenceCache {
 
 /// Work accounting of one inference run: how much of the E-step and M-step
 /// was reused from the cross-run cache versus computed fresh.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InferenceStats {
     /// Tags whose observations or imported state changed since the previous
     /// run (zero for a full recompute, which tracks no dirtiness).

@@ -16,12 +16,11 @@
 
 use crate::rfinfer::PriorWeights;
 use rfid_types::{RawReading, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Collapsed inference state for one object: one weight per candidate
 /// container plus the current containment estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollapsedState {
     /// The migrating object.
     pub object: TagId,
@@ -47,22 +46,11 @@ impl CollapsedState {
         }
         prior
     }
-
-    /// Serialize to JSON (used by the distributed layer when it needs an
-    /// inspectable payload; byte accounting uses [`Self::wire_bytes`]).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("collapsed state serializes")
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(json: &str) -> Result<CollapsedState, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 /// Critical-region inference state for one object: the retained raw readings
 /// of the object and its candidate containers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadingsState {
     /// The migrating object.
     pub object: TagId,
@@ -81,7 +69,7 @@ impl ReadingsState {
 }
 
 /// The inference state transferred for one object when it leaves a site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MigrationState {
     /// Transfer nothing.
     None,
@@ -139,12 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_state_round_trips_through_json_and_prior() {
-        let c = collapsed();
-        let json = c.to_json();
-        let back = CollapsedState::from_json(&json).unwrap();
-        assert_eq!(back, c);
-        let prior = c.to_prior();
+    fn collapsed_state_converts_to_prior() {
+        let prior = collapsed().to_prior();
         assert_eq!(prior.get(TagId::item(3), TagId::case(1)), -12.5);
         assert_eq!(prior.get(TagId::item(3), TagId::case(2)), -40.0);
         assert_eq!(prior.get(TagId::item(3), TagId::case(9)), 0.0);

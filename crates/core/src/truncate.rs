@@ -11,11 +11,10 @@
 
 use crate::rfinfer::{InferenceOutcome, ObjectEvidence};
 use rfid_types::{Epoch, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which history-truncation method to use between inference runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TruncationPolicy {
     /// Keep the entire history ("All" in Figure 5(a)).
     Full,
@@ -45,7 +44,7 @@ impl Default for TruncationPolicy {
 }
 
 /// The critical region found for one object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CriticalRegion {
     /// Inclusive start of the region.
     pub start: Epoch,
@@ -143,7 +142,7 @@ pub fn critical_region(
 
 /// The retention plan produced by a truncation policy: per tag, the inclusive
 /// epoch ranges worth keeping for the next inference run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetentionPlan {
     /// Ranges to keep per tag. Tags not listed keep only the recent history.
     pub per_tag: BTreeMap<TagId, Vec<(Epoch, Epoch)>>,
@@ -233,7 +232,7 @@ pub fn retention_plan(
 /// `max_observations`, old history beyond the [`TruncationPolicy`] is
 /// compacted into summary weights (the collapsed priors already produced by
 /// the inference) and cold evidence-cache entries are evicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Maximum number of retained `(tag, epoch)` observation entries before
     /// compaction kicks in. `usize::MAX` disables compaction entirely.
@@ -268,7 +267,7 @@ impl Default for MemoryBudget {
 /// Memory-pressure counters of one site (or, merged, a whole run). Persisted
 /// through `SiteCheckpoint` so crash-restore replays converge on the same
 /// values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Largest observation-store size ever seen (in `(tag, epoch)` entries).
     pub high_water: u64,

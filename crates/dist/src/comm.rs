@@ -5,10 +5,8 @@
 //! communication cost of a migration strategy and its breakdown (raw
 //! readings vs collapsed inference state vs query state vs ONS updates).
 
-use serde::{Deserialize, Serialize};
-
 /// The kinds of inter-site messages the distributed system exchanges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageKind {
     /// Raw readings shipped to a central server (the Centralized baseline)
     /// or inside critical-region migration state.
@@ -51,7 +49,7 @@ impl MessageKind {
 }
 
 /// Byte tallies per [`MessageKind`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommCost {
     bytes: [usize; MessageKind::KINDS],
     messages: [usize; MessageKind::KINDS],

@@ -6,7 +6,6 @@ use rfid_query::ExposureQuery;
 use rfid_sim::{FaultPlan, TemperatureModel};
 use rfid_types::TagId;
 use rfid_wire::WireFormat;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What travels with an object when it is dispatched to another site.
@@ -14,7 +13,7 @@ use std::collections::BTreeMap;
 /// These are the alternatives evaluated in Section 5.3 and Table 5 of the
 /// paper, from "ship nothing" to "ship every raw reading to a central
 /// server".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationStrategy {
     /// Transfer nothing; every site infers from scratch (the "None"
     /// baseline). No inter-site messages are sent at all.
@@ -41,7 +40,7 @@ pub enum MigrationStrategy {
 /// sequence-number/dedup machinery even on loss-free plans, which the
 /// equivalence tests use to pin that a reliable loss-free run is
 /// bit-identical to direct delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Base retransmission backoff added on top of the round-trip estimate;
     /// attempt `k` waits `rtt + min(rto_base_secs << k, rto_max_secs)`.
@@ -117,19 +116,17 @@ pub struct DistributedConfig {
     /// adds `N - 1` scoped OS threads. Ignored by
     /// [`MigrationStrategy::Centralized`], which has a single engine.
     pub num_workers: usize,
-    /// Wire representation of every cross-site payload (inference state,
-    /// raw-reading forwarding, query-state bundles). The compact
-    /// [`WireFormat::Binary`] codec is the default; [`WireFormat::Json`] is
-    /// retained for debugging and back-compat tests. Both formats produce
-    /// bit-identical accuracy, alerts and custody — only the bytes charged to
-    /// [`CommCost`](crate::CommCost) (and the encode wall-clock) differ.
+    /// Residue: [`WireFormat`] has one value, so this field configures
+    /// nothing. It is held, with no builder, because the frozen `benchmark/`
+    /// package names it in a struct literal (see "Wire axes" in
+    /// docs/INVARIANTS.md).
     pub wire_format: WireFormat,
     /// Checkpoint policy: every site cuts a durable
     /// [`SiteCheckpoint`](rfid_wire::SiteCheckpoint) at the end of each epoch
-    /// that is a positive multiple of this period (encoded in the run's
-    /// [`wire_format`](Self::wire_format)), and keeps only the newest one —
-    /// incoming shipments received after it live in a journal that each new
-    /// checkpoint compacts. `None` (the default) disables checkpointing.
+    /// that is a positive multiple of this period, and keeps only the newest
+    /// one — incoming shipments received after it live in a journal that
+    /// each new checkpoint compacts. `None` (the default) disables
+    /// checkpointing.
     /// Checkpoints alone never change a run's outcome; they only matter when
     /// a [`FaultPlan`] crash restores from one. Ignored by
     /// [`MigrationStrategy::Centralized`].
@@ -184,12 +181,6 @@ impl DistributedConfig {
         self
     }
 
-    /// Builder-style setter for the cross-site wire format.
-    pub fn with_wire_format(mut self, format: WireFormat) -> Self {
-        self.wire_format = format;
-        self
-    }
-
     /// Builder-style setter for the checkpoint period.
     pub fn with_checkpoints(mut self, every_secs: u32) -> Self {
         self.checkpoint_every_secs = Some(every_secs);
@@ -228,7 +219,6 @@ mod tests {
         assert_eq!(config.event_stride_secs, 10);
         assert_eq!(config.num_workers, 1, "one worker by default");
         assert_eq!(DistributedConfig::default().with_workers(8).num_workers, 8);
-        assert_eq!(config.wire_format, WireFormat::Binary, "compact by default");
         assert_eq!(
             config.checkpoint_every_secs, None,
             "no checkpoints by default"
@@ -268,12 +258,6 @@ mod tests {
             .with_faults(FaultPlan::scripted_crash(4, 1, rfid_types::Epoch(100), 0))
             .faults
             .is_some());
-        assert_eq!(
-            DistributedConfig::default()
-                .with_wire_format(WireFormat::Json)
-                .wire_format,
-            WireFormat::Json
-        );
     }
 
     #[test]

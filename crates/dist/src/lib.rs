@@ -20,9 +20,7 @@
 //! [`Ons`] records which site owns which tag. Every byte that crosses a site
 //! boundary is charged to a [`MessageKind`] in a [`CommCost`], which is how
 //! the Table 5 communication-cost comparison is produced. Every payload is
-//! encoded with the [`WireFormat`] selected by
-//! [`DistributedConfig::wire_format`] — the compact binary codec of
-//! `rfid-wire` by default, JSON for debugging — and the charged bytes are
+//! encoded with the binary codec of `rfid-wire`, and the charged bytes are
 //! the encoded lengths, not estimates.
 //!
 //! ## Example

@@ -8,14 +8,13 @@
 //! state from the moment of dispatch (state travels with the shipment).
 
 use rfid_types::{SiteId, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Wire size of one custody update: the tag id (8) plus the site id (2).
 pub const ONS_UPDATE_BYTES: usize = 10;
 
 /// Custody registry mapping each tag to the site that owns its state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ons {
     custody: BTreeMap<TagId, SiteId>,
 }

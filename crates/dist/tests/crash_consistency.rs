@@ -6,7 +6,7 @@
 //! run — same containment, same per-kind communication bytes and message
 //! counts, same alerts, same query-state sizes, same ONS custody, same
 //! inference-run count. This must hold at *every* checkpoint boundary, for
-//! every migration strategy, both wire formats, and both executors.
+//! every migration strategy and both executors.
 //!
 //! Lossy faults (reader outages, delivery delays/duplicates, crash downtime)
 //! intentionally change the outcome; for those the contract is weaker but
@@ -17,9 +17,7 @@ mod common;
 
 use common::assert_identical;
 use rfid_core::InferenceConfig;
-use rfid_dist::{
-    DistributedConfig, DistributedDriver, DistributedOutcome, MigrationStrategy, WireFormat,
-};
+use rfid_dist::{DistributedConfig, DistributedDriver, DistributedOutcome, MigrationStrategy};
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig};
 use rfid_types::Epoch;
@@ -35,11 +33,7 @@ fn smoke_chain() -> ChainTrace {
 
 /// The full-featured configuration: queries, temperatures and product
 /// properties, so a checkpoint carries engine state *and* query state.
-fn config(
-    chain: &ChainTrace,
-    strategy: MigrationStrategy,
-    format: WireFormat,
-) -> DistributedConfig {
+fn config(chain: &ChainTrace, strategy: MigrationStrategy) -> DistributedConfig {
     let mut properties = BTreeMap::new();
     for object in chain.objects() {
         properties.insert(object, "temperature-sensitive".to_string());
@@ -53,7 +47,6 @@ fn config(
         }],
         product_properties: properties,
         temperature: Some(rfid_sim::TemperatureModel::new([])),
-        wire_format: format,
         ..Default::default()
     }
 }
@@ -65,22 +58,10 @@ fn run(chain: &ChainTrace, config: DistributedConfig) -> DistributedOutcome {
 #[test]
 fn checkpoints_alone_never_change_the_outcome() {
     let chain = smoke_chain();
-    let plain = run(
-        &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        ),
-    );
+    let plain = run(&chain, config(&chain, MigrationStrategy::CollapsedWeights));
     let checkpointed = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY),
+        config(&chain, MigrationStrategy::CollapsedWeights).with_checkpoints(CHECKPOINT_EVERY),
     );
     assert_identical(&plain, &checkpointed, "checkpoints without faults");
 }
@@ -90,12 +71,7 @@ fn crash_at_every_checkpoint_boundary_is_lossless() {
     let chain = smoke_chain();
     let reference = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY),
+        config(&chain, MigrationStrategy::CollapsedWeights).with_checkpoints(CHECKPOINT_EVERY),
     );
     // Crash epochs: before the first checkpoint exists (restore from scratch,
     // full replay), then at every checkpoint boundary up to the horizon
@@ -107,13 +83,9 @@ fn crash_at_every_checkpoint_boundary_is_lossless() {
         let site = (i as u16) % SITES as u16;
         let crashed = run(
             &chain,
-            config(
-                &chain,
-                MigrationStrategy::CollapsedWeights,
-                WireFormat::Binary,
-            )
-            .with_checkpoints(CHECKPOINT_EVERY)
-            .with_faults(FaultPlan::scripted_crash(SITES as u16, site, Epoch(at), 0)),
+            config(&chain, MigrationStrategy::CollapsedWeights)
+                .with_checkpoints(CHECKPOINT_EVERY)
+                .with_faults(FaultPlan::scripted_crash(SITES as u16, site, Epoch(at), 0)),
         );
         assert_identical(
             &reference,
@@ -127,8 +99,7 @@ fn crash_at_every_checkpoint_boundary_is_lossless() {
 fn crash_recovery_is_lossless_for_every_strategy_format_and_executor() {
     let chain = smoke_chain();
     // Mid-period crash: the last checkpoint is 90 epochs old, so restore
-    // exercises a real replay tail, under every strategy, both formats and
-    // both executors.
+    // exercises a real replay tail, under every strategy and both executors.
     let crash = FaultPlan::scripted_crash(SITES as u16, 1, Epoch(450), 0);
     for strategy in [
         MigrationStrategy::None,
@@ -136,29 +107,27 @@ fn crash_recovery_is_lossless_for_every_strategy_format_and_executor() {
         MigrationStrategy::CollapsedWeights,
         MigrationStrategy::Centralized,
     ] {
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let label = format!("{strategy:?}/{format}");
-            let reference = run(&chain, config(&chain, strategy, format));
-            let crashed_sequential = run(
-                &chain,
-                config(&chain, strategy, format)
-                    .with_checkpoints(CHECKPOINT_EVERY)
-                    .with_faults(crash.clone()),
-            );
-            assert_identical(
-                &reference,
-                &crashed_sequential,
-                &format!("{label}/sequential"),
-            );
-            let crashed_parallel = run(
-                &chain,
-                config(&chain, strategy, format)
-                    .with_checkpoints(CHECKPOINT_EVERY)
-                    .with_faults(crash.clone())
-                    .with_workers(SITES as usize),
-            );
-            assert_identical(&reference, &crashed_parallel, &format!("{label}/parallel"));
-        }
+        let label = format!("{strategy:?}");
+        let reference = run(&chain, config(&chain, strategy));
+        let crashed_sequential = run(
+            &chain,
+            config(&chain, strategy)
+                .with_checkpoints(CHECKPOINT_EVERY)
+                .with_faults(crash.clone()),
+        );
+        assert_identical(
+            &reference,
+            &crashed_sequential,
+            &format!("{label}/sequential"),
+        );
+        let crashed_parallel = run(
+            &chain,
+            config(&chain, strategy)
+                .with_checkpoints(CHECKPOINT_EVERY)
+                .with_faults(crash.clone())
+                .with_workers(SITES as usize),
+        );
+        assert_identical(&reference, &crashed_parallel, &format!("{label}/parallel"));
     }
 }
 
@@ -178,28 +147,17 @@ fn stale_checkpoint_with_journaled_arrivals_converges() {
         "the chain must deliver shipments to site {site} between the \
          checkpoint and the crash, or the journal path goes untested"
     );
-    let reference = run(
-        &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        ),
-    );
+    let reference = run(&chain, config(&chain, MigrationStrategy::CollapsedWeights));
     let crashed = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(checkpoint_at)
-        .with_faults(FaultPlan::scripted_crash(
-            SITES as u16,
-            site,
-            Epoch(crash_at),
-            0,
-        )),
+        config(&chain, MigrationStrategy::CollapsedWeights)
+            .with_checkpoints(checkpoint_at)
+            .with_faults(FaultPlan::scripted_crash(
+                SITES as u16,
+                site,
+                Epoch(crash_at),
+                0,
+            )),
     );
     assert_identical(&reference, &crashed, "stale checkpoint + journal replay");
 }
@@ -218,36 +176,24 @@ fn lossy_fault_runs_are_identical_across_worker_counts() {
     assert!(!plan.is_quiet());
     let sequential = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY)
-        .with_faults(plan.clone()),
+        config(&chain, MigrationStrategy::CollapsedWeights)
+            .with_checkpoints(CHECKPOINT_EVERY)
+            .with_faults(plan.clone()),
     );
     let parallel = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY)
-        .with_faults(plan.clone())
-        .with_workers(SITES as usize),
+        config(&chain, MigrationStrategy::CollapsedWeights)
+            .with_checkpoints(CHECKPOINT_EVERY)
+            .with_faults(plan.clone())
+            .with_workers(SITES as usize),
     );
     assert_identical(&sequential, &parallel, "lossy plan, 1 vs 3 workers");
     let uneven = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY)
-        .with_faults(plan)
-        .with_workers(2),
+        config(&chain, MigrationStrategy::CollapsedWeights)
+            .with_checkpoints(CHECKPOINT_EVERY)
+            .with_faults(plan)
+            .with_workers(2),
     );
     assert_identical(&sequential, &uneven, "lossy plan, 1 vs 2 workers");
 }
@@ -264,23 +210,12 @@ fn downtime_degrades_but_does_not_destroy_accuracy() {
             .count() as f64
             / objects.len().max(1) as f64
     };
-    let reference = run(
-        &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        ),
-    );
+    let reference = run(&chain, config(&chain, MigrationStrategy::CollapsedWeights));
     let lossy = run(
         &chain,
-        config(
-            &chain,
-            MigrationStrategy::CollapsedWeights,
-            WireFormat::Binary,
-        )
-        .with_checkpoints(CHECKPOINT_EVERY)
-        .with_faults(FaultPlan::scripted_crash(SITES as u16, 1, Epoch(450), 120)),
+        config(&chain, MigrationStrategy::CollapsedWeights)
+            .with_checkpoints(CHECKPOINT_EVERY)
+            .with_faults(FaultPlan::scripted_crash(SITES as u16, 1, Epoch(450), 120)),
     );
     let (reference_acc, lossy_acc) = (accuracy(&reference), accuracy(&lossy));
     assert!(

@@ -2,8 +2,8 @@
 //! transport (sequence numbers assigned, receiver-side dedup active) is
 //! *bit-identical* to legacy direct delivery — same containment, same
 //! per-kind communication bytes, same alerts, same ONS — across every
-//! migration strategy, both wire formats, and both executors. Sequencing
-//! and dedup are pure bookkeeping until the network actually misbehaves.
+//! migration strategy and both executors. Sequencing and dedup are pure
+//! bookkeeping until the network actually misbehaves.
 
 mod common;
 
@@ -11,7 +11,6 @@ use common::{assert_identical, assert_identical_except, Field};
 use rfid_core::InferenceConfig;
 use rfid_dist::{
     audit, DistributedConfig, DistributedDriver, MessageKind, MigrationStrategy, TransportConfig,
-    WireFormat,
 };
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, ChaosPlan, FaultPlan, FaultPlanConfig, TemperatureModel};
@@ -28,12 +27,7 @@ const STRATEGIES: [MigrationStrategy; 4] = [
     MigrationStrategy::Centralized,
 ];
 
-fn config(
-    chain: &ChainTrace,
-    strategy: MigrationStrategy,
-    format: WireFormat,
-    workers: usize,
-) -> DistributedConfig {
+fn config(chain: &ChainTrace, strategy: MigrationStrategy, workers: usize) -> DistributedConfig {
     let mut properties = BTreeMap::new();
     for object in chain.objects() {
         properties.insert(object, "temperature-sensitive".to_string());
@@ -49,7 +43,6 @@ fn config(
         temperature: Some(TemperatureModel::new([])),
         ..Default::default()
     }
-    .with_wire_format(format)
     .with_workers(workers)
 }
 
@@ -61,67 +54,60 @@ fn loss_free_transport_is_bit_identical_to_direct_delivery() {
         always_on: true,
         ..TransportConfig::default()
     };
-    for format in [WireFormat::Binary, WireFormat::Json] {
-        for strategy in STRATEGIES {
-            let baseline = DistributedDriver::new(config(&chain, strategy, format, 1)).run(&chain);
-            assert_eq!(
-                baseline.transport,
-                Default::default(),
-                "{strategy:?}/{format:?}: the transport must stay Off by default"
-            );
-            let sequential =
-                DistributedDriver::new(config(&chain, strategy, format, 1).with_transport(on))
-                    .run(&chain);
-            let parallel = DistributedDriver::new(
-                config(&chain, strategy, format, chain.sites.len()).with_transport(on),
-            )
-            .run(&chain);
-            // What must not change is everything observable — accuracy,
-            // bytes, alerts, custody; the bookkeeping itself is new.
-            assert_identical_except(
-                &baseline,
-                &sequential,
-                &format!("{strategy:?}/{format:?}, direct vs sequenced"),
-                &[
-                    (Field::Transport, "the sequenced run counts its envelopes"),
-                    (
-                        Field::Ledgers,
-                        "only sequenced envelopes are booked per edge",
-                    ),
-                ],
-            );
-            assert_identical(
-                &sequential,
-                &parallel,
-                &format!("{strategy:?}/{format:?} sequenced, 1 vs N workers"),
-            );
-            // The transport really ran: payloads were sequenced and each was
-            // delivered exactly once on the first attempt — no acks on the
-            // wire (Control stays silent), nothing retransmitted, dropped,
-            // reconciled or abandoned.
-            let t = sequential.transport;
-            if strategy == MigrationStrategy::None {
-                // Nothing migrates: the transport has nothing to guard.
-                assert_eq!(t.envelopes, 0, "{strategy:?}/{format:?}");
-            } else {
-                assert!(
-                    t.envelopes > 0,
-                    "{strategy:?}/{format:?}: no envelopes were sequenced"
-                );
-            }
-            assert_eq!(t.transmissions, t.envelopes, "{strategy:?}/{format:?}");
-            assert_eq!(t.retransmissions, 0, "{strategy:?}/{format:?}");
-            assert_eq!(t.acks, 0, "{strategy:?}/{format:?}");
-            assert_eq!(t.duplicates_dropped, 0, "{strategy:?}/{format:?}");
-            assert_eq!(t.abandoned, 0, "{strategy:?}/{format:?}");
-            assert_eq!(t.stale_dropped, 0, "{strategy:?}/{format:?}");
-            assert_eq!(t.reconciled, 0, "{strategy:?}/{format:?}");
-            assert_eq!(
-                sequential.comm.bytes_of_kind(MessageKind::Control),
-                0,
-                "{strategy:?}/{format:?}: a loss-free run must put no control bytes on the wire"
-            );
+    for strategy in STRATEGIES {
+        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
+        assert_eq!(
+            baseline.transport,
+            Default::default(),
+            "{strategy:?}: the transport must stay Off by default"
+        );
+        let sequential =
+            DistributedDriver::new(config(&chain, strategy, 1).with_transport(on)).run(&chain);
+        let parallel =
+            DistributedDriver::new(config(&chain, strategy, chain.sites.len()).with_transport(on))
+                .run(&chain);
+        // What must not change is everything observable — accuracy,
+        // bytes, alerts, custody; the bookkeeping itself is new.
+        assert_identical_except(
+            &baseline,
+            &sequential,
+            &format!("{strategy:?}, direct vs sequenced"),
+            &[
+                (Field::Transport, "the sequenced run counts its envelopes"),
+                (
+                    Field::Ledgers,
+                    "only sequenced envelopes are booked per edge",
+                ),
+            ],
+        );
+        assert_identical(
+            &sequential,
+            &parallel,
+            &format!("{strategy:?} sequenced, 1 vs N workers"),
+        );
+        // The transport really ran: payloads were sequenced and each was
+        // delivered exactly once on the first attempt — no acks on the
+        // wire (Control stays silent), nothing retransmitted, dropped,
+        // reconciled or abandoned.
+        let t = sequential.transport;
+        if strategy == MigrationStrategy::None {
+            // Nothing migrates: the transport has nothing to guard.
+            assert_eq!(t.envelopes, 0, "{strategy:?}");
+        } else {
+            assert!(t.envelopes > 0, "{strategy:?}: no envelopes were sequenced");
         }
+        assert_eq!(t.transmissions, t.envelopes, "{strategy:?}");
+        assert_eq!(t.retransmissions, 0, "{strategy:?}");
+        assert_eq!(t.acks, 0, "{strategy:?}");
+        assert_eq!(t.duplicates_dropped, 0, "{strategy:?}");
+        assert_eq!(t.abandoned, 0, "{strategy:?}");
+        assert_eq!(t.stale_dropped, 0, "{strategy:?}");
+        assert_eq!(t.reconciled, 0, "{strategy:?}");
+        assert_eq!(
+            sequential.comm.bytes_of_kind(MessageKind::Control),
+            0,
+            "{strategy:?}: a loss-free run must put no control bytes on the wire"
+        );
     }
 }
 
@@ -136,10 +122,9 @@ fn a_calm_chaos_plan_is_bit_identical_to_direct_delivery() {
     let calm = ChaosPlan::calm(11, chain.sites.len() as u16, horizon);
     assert!(calm.plan().is_quiet(), "calm schedules carry no faults");
     for strategy in STRATEGIES {
-        let baseline =
-            DistributedDriver::new(config(&chain, strategy, WireFormat::Binary, 1)).run(&chain);
+        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
         let calmed = DistributedDriver::new(
-            config(&chain, strategy, WireFormat::Binary, 1).with_faults(calm.clone().into_plan()),
+            config(&chain, strategy, 1).with_faults(calm.clone().into_plan()),
         )
         .run(&chain);
         assert_identical(&baseline, &calmed, &format!("{strategy:?} calm chaos"));
@@ -175,12 +160,9 @@ fn a_quiet_fault_plan_keeps_the_transport_off() {
         horizon,
     ));
     for strategy in STRATEGIES {
-        let baseline =
-            DistributedDriver::new(config(&chain, strategy, WireFormat::Binary, 1)).run(&chain);
-        let quieted = DistributedDriver::new(
-            config(&chain, strategy, WireFormat::Binary, 1).with_faults(plan.clone()),
-        )
-        .run(&chain);
+        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
+        let quieted = DistributedDriver::new(config(&chain, strategy, 1).with_faults(plan.clone()))
+            .run(&chain);
         assert_identical(&baseline, &quieted, &format!("{strategy:?} quiet plan"));
         assert_eq!(
             quieted.transport,

@@ -1,7 +1,6 @@
 //! Accuracy metrics used throughout Section 5 / Appendix C of the paper.
 
 use rfid_types::{ContainmentChange, Epoch, GroundTruth, LocationId, TagId};
-use serde::{Deserialize, Serialize};
 
 /// Containment error rate (%): the fraction of evaluated objects whose
 /// inferred container differs from the true container at the evaluation
@@ -54,7 +53,7 @@ pub fn location_error(
 }
 
 /// Precision, recall and F-measure of a detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionRecall {
     /// Fraction of reported events that match a true event.
     pub precision: f64,
@@ -74,7 +73,7 @@ impl PrecisionRecall {
 }
 
 /// How detected containment changes are matched against true changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangeMatchConfig {
     /// Maximum difference, in seconds, between the reported change epoch and
     /// the true change epoch for the two to be considered the same event.

@@ -4,11 +4,10 @@
 //! paper's tables) or a set of [`Series`] (for its figures), in a stable
 //! plain-text format that `EXPERIMENTS.md` quotes directly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple column-aligned table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title (e.g. `"Table 5: communication costs (bytes)"`).
     pub title: String,
@@ -90,7 +89,7 @@ impl fmt::Display for Table {
 }
 
 /// A named series of `(x, y)` points — one line of a figure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Series label (e.g. `"Containment(CR)"`).
     pub name: String,

@@ -13,15 +13,6 @@ fn seeded_lane_sum(xs: &[f64]) -> f64 {
     lanes[0] + lanes[1] + lanes[2] + lanes[3]
 }
 
-// EXACTNESS: reassociating (fast_math only); exempt from the gate.
-fn fast_lane_sum(xs: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    for (i, x) in xs.iter().enumerate() {
-        lanes[i % 4] += x;
-    }
-    lanes.iter().sum()
-}
-
 fn integer_counts(slots: &[usize]) -> [u32; 4] {
     let mut fill = [0u32; 4];
     for &s in slots {

@@ -6,8 +6,7 @@
 //! workspace uses — identifiers, numbers, punctuation, plain/byte/raw
 //! strings with arbitrary `#` fences, char literals vs lifetimes, and
 //! *nested* block comments — and keeps comments in a separate side channel
-//! so rules can resolve `// SAFETY:` / `// EXACTNESS:` / `// LINT-ALLOW`
-//! annotations by line.
+//! so rules can resolve `// SAFETY:` / `// LINT-ALLOW` annotations by line.
 
 /// Classification of one code token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,7 +13,7 @@
 //! | `undocumented-unsafe` | everywhere | every `unsafe` carries a `SAFETY:` justification |
 //! | `panic-free-decode` | `crates/wire/src` | decode paths are `Result`-only: no unwrap/expect/panic!/indexing |
 //! | `nondeterministic-collections` | core/dist/wire/query | no `HashMap`/`HashSet` with the default `RandomState` |
-//! | `float-exactness` | dense solver files | no reassociating accumulation outside `// EXACTNESS:` fns |
+//! | `float-exactness` | dense solver files | no reassociating accumulation |
 //! | `no-wall-clock` | core/dist/wire/query | no `Instant::now`/`SystemTime::now` in solver/replay paths |
 //!
 //! The linter lexes Rust properly (nested block comments, raw strings, char

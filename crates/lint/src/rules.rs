@@ -45,9 +45,9 @@ pub const ALL_RULES: [&str; 6] = [
 /// an attribute or signature line between the comment and the keyword).
 const SAFETY_WINDOW: u32 = 3;
 
-/// How many lines above a `fn` the `EXACTNESS:` annotation may sit (doc
-/// comments in between are the norm).
-const EXACTNESS_WINDOW: u32 = 12;
+/// How many lines above an `unsafe fn` its `# Safety` doc section may sit
+/// (the rest of the doc comment in between is the norm).
+const SAFETY_DOC_WINDOW: u32 = 12;
 
 /// Run every rule whose scope covers `file`.
 pub fn run_all(file: &FileContext) -> Vec<Diagnostic> {
@@ -73,7 +73,7 @@ fn r1_undocumented_unsafe(file: &FileContext, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let documented = file.comment_near(tok.line, SAFETY_WINDOW, "SAFETY:")
-            || file.comment_near(tok.line, EXACTNESS_WINDOW, "# Safety");
+            || file.comment_near(tok.line, SAFETY_DOC_WINDOW, "# Safety");
         if documented {
             continue;
         }
@@ -308,8 +308,8 @@ fn generic_arg_count(file: &FileContext, open: usize) -> usize {
 /// must not reassociate floating-point accumulation. Flagged patterns:
 /// `.fold(` calls and `+=` into a local float-array accumulator
 /// (`let mut acc = [0.0f64; LANES]; … acc[l] += …`) — the multi-accumulator
-/// sum shape. Functions annotated `// EXACTNESS: reassociating` (the
-/// `fast_math`-only kernels) are exempt wholesale.
+/// sum shape. No function is exempt; an order-independent fold takes a
+/// per-line waiver with the argument.
 fn r4_float_exactness(file: &FileContext, out: &mut Vec<Diagnostic>) {
     const SCOPE: [&str; 3] = [
         "crates/core/src/dense.rs",
@@ -319,10 +319,6 @@ fn r4_float_exactness(file: &FileContext, out: &mut Vec<Diagnostic>) {
     if !SCOPE.contains(&file.path.as_str()) {
         return;
     }
-    let exempt = |idx: usize| {
-        file.enclosing_fn(idx)
-            .is_some_and(|f| file.comment_near(f.line, EXACTNESS_WINDOW, "EXACTNESS:"))
-    };
     // Pass 1: names of local float-array accumulators
     // (`let mut NAME = [<float literal>; …]`).
     let mut float_arrays: Vec<(String, usize)> = Vec::new();
@@ -349,7 +345,7 @@ fn r4_float_exactness(file: &FileContext, out: &mut Vec<Diagnostic>) {
     }
     // Pass 2: the two trigger patterns.
     for (i, tok) in file.tokens.iter().enumerate() {
-        if file.in_test_code(i) || exempt(i) {
+        if file.in_test_code(i) {
             continue;
         }
         // `.fold(`
@@ -364,8 +360,7 @@ fn r4_float_exactness(file: &FileContext, out: &mut Vec<Diagnostic>) {
                 &file.path,
                 tok.line,
                 "`.fold(…)` in an exactness-critical file; reassociating folds change results \
-                 — annotate the fn `// EXACTNESS:` if this is fast_math-only, or waive with the \
-                 order-independence argument"
+                 — waive with the order-independence argument if this one cannot"
                     .to_string(),
             ));
         }
@@ -566,9 +561,6 @@ mod tests {
         assert!(diags("crates/core/src/engine.rs", fold).is_empty());
         let lanes = "fn s(xs: &[f64]) -> f64 {\n let mut lanes = [0.0f64; 8];\n for x in xs { lanes[0] += x; }\n lanes.iter().sum()\n}";
         assert_eq!(diags("crates/core/src/dense/kernels.rs", lanes).len(), 1);
-        // EXACTNESS-annotated fns are exempt.
-        let annotated = format!("// EXACTNESS: reassociating (fast_math only)\n{lanes}");
-        assert!(diags("crates/core/src/dense/kernels.rs", &annotated).is_empty());
         // Integer counting sorts do not trip the accumulator pattern.
         let counts = "fn c(xs: &[u32]) {\n let mut fill = [0u32; 8];\n for &x in xs { fill[x as usize] += 1; }\n}";
         assert!(diags("crates/core/src/dense.rs", counts).is_empty());

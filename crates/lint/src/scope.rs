@@ -2,8 +2,8 @@
 //! regions, and the `// LINT-ALLOW(rule): reason` waiver map.
 //!
 //! The rules need three structural questions answered that raw tokens cannot:
-//! *which function am I in* (R2 exempts `encode_*` builders, R4 honours
-//! per-function `// EXACTNESS:` annotations), *am I in test-only code*
+//! *which function am I in* (R2 exempts `encode_*` builders), *am I in
+//! test-only code*
 //! (test modules assert panics and replicate scalar references on purpose),
 //! and *is this finding waived* (a `LINT-ALLOW` comment on the line or
 //! directly above it). All three are recovered with a single linear pass over
@@ -91,8 +91,8 @@ impl FileContext {
     }
 
     /// Whether a comment containing `needle` appears on `line` or within the
-    /// `window` lines directly above it (used for `SAFETY:` / `EXACTNESS:`
-    /// annotations; blank lines inside the window are tolerated).
+    /// `window` lines directly above it (used for `SAFETY:` annotations;
+    /// blank lines inside the window are tolerated).
     pub fn comment_near(&self, line: u32, window: u32, needle: &str) -> bool {
         self.comments
             .iter()
@@ -340,6 +340,6 @@ fn f() {
         let src = "// SAFETY: gated on runtime detection\nunsafe { work() }\n";
         let c = ctx(src);
         assert!(c.comment_near(2, 3, "SAFETY:"));
-        assert!(!c.comment_near(2, 3, "EXACTNESS:"));
+        assert!(!c.comment_near(2, 3, "FUZZ:"));
     }
 }

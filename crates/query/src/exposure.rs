@@ -10,11 +10,10 @@
 //!   temperature over 10 degrees for 10 hours" — uses inferred location only.
 
 use rfid_types::{Epoch, ObjectEvent, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An alert produced by an exposure query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// Name of the query that fired.
     pub query: String,
@@ -30,7 +29,7 @@ pub struct Alert {
 
 /// A parameterised hybrid monitoring query over object events and a
 /// temperature stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExposureQuery {
     /// Query name used in alerts (e.g. `"Q1"`).
     pub name: String,

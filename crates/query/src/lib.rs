@@ -35,6 +35,6 @@ pub mod windows;
 pub use exposure::{Alert, ExposureQuery};
 pub use pattern::{AutomatonState, ExposureAutomaton};
 pub use processor::{ProcessorSnapshot, QueryProcessor};
-pub use sharing::{share_states, share_states_with, SharedStateBundle, StateDelta};
+pub use sharing::{share_states_with, SharedStateBundle, StateDelta};
 pub use state::ObjectQueryState;
 pub use windows::{LatestByLocation, SlidingTimeWindow};

@@ -10,10 +10,9 @@
 //! query state enumerated in Appendix B.
 
 use rfid_types::Epoch;
-use serde::{Deserialize, Serialize};
 
 /// The state of one object's `SEQ(A+)` automaton.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum AutomatonState {
     /// No qualifying event seen since the last reset.
     #[default]
@@ -31,7 +30,7 @@ pub enum AutomatonState {
 }
 
 /// A completed match of the pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternMatch {
     /// Time of the first qualifying event.
     pub since: Epoch,
@@ -42,7 +41,7 @@ pub struct PatternMatch {
 }
 
 /// Per-object evaluator of `SEQ(A+)` with a duration condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExposureAutomaton {
     /// Required duration between the first and last qualifying event.
     duration_secs: u32,

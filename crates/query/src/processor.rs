@@ -13,7 +13,6 @@ use crate::pattern::ExposureAutomaton;
 use crate::state::ObjectQueryState;
 use crate::windows::LatestByLocation;
 use rfid_types::{ObjectEvent, SensorReading, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The complete durable state of a [`QueryProcessor`], produced by
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 /// target is constructed with the same registrations (the distributed driver
 /// registers a site's queries before restoring its state), and automaton
 /// durations are re-derived from them on restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorSnapshot {
     /// The latest sensor reading of every location, in location order.
     pub temperatures: Vec<SensorReading>,
@@ -141,14 +140,6 @@ impl QueryProcessor {
                 automaton: automaton.state().clone(),
             })
             .collect()
-    }
-
-    /// Total serialized size of one object's query state, in bytes.
-    pub fn state_bytes(&self, tag: TagId) -> usize {
-        self.export_state(tag)
-            .iter()
-            .map(ObjectQueryState::wire_bytes)
-            .sum()
     }
 
     /// Import query state for an object arriving from another site.
@@ -300,7 +291,6 @@ mod tests {
         assert!(site_a.alerts().is_empty(), "not exposed long enough yet");
         let state = site_a.export_state(TagId::item(1));
         assert_eq!(state.len(), 1);
-        assert!(site_a.state_bytes(TagId::item(1)) > 0);
         site_a.forget(TagId::item(1));
         assert_eq!(site_a.tracked_states(), 0);
 

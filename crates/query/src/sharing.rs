@@ -15,10 +15,9 @@
 
 use crate::state::ObjectQueryState;
 use rfid_types::TagId;
-use serde::{Deserialize, Serialize};
 
 /// A byte-level delta against the centroid payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDelta {
     /// The object this delta reconstructs.
     pub tag: TagId,
@@ -47,7 +46,7 @@ impl StateDelta {
 }
 
 /// A bundle of query states compressed against a centroid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedStateBundle {
     /// The centroid object's tag.
     pub centroid_tag: TagId,
@@ -69,6 +68,10 @@ impl SharedStateBundle {
     }
 
     /// Reconstruct every `(tag, payload)` in the bundle (centroid first).
+    ///
+    /// Applies each delta on its word, so it panics on one that does not fit
+    /// the centroid. Bundles built by [`share_states_with`] always fit, and
+    /// the wire decoder rejects any that would not.
     pub fn expand(&self) -> Vec<(TagId, Vec<u8>)> {
         let mut out = vec![(self.centroid_tag, self.centroid_bytes.clone())];
         for delta in &self.deltas {
@@ -88,12 +91,6 @@ impl SharedStateBundle {
         out
     }
 
-    /// Reconstruct the full [`ObjectQueryState`]s in the bundle, assuming
-    /// JSON payloads (see [`Self::expand_states_with`] for other codecs).
-    pub fn expand_states(&self) -> Result<Vec<ObjectQueryState>, serde_json::Error> {
-        self.expand_states_with(state_from_json_payload)
-    }
-
     /// Reconstruct the full [`ObjectQueryState`]s in the bundle using a
     /// caller-provided payload decoder — the inverse of the encoder the
     /// bundle was built with via [`share_states_with`].
@@ -106,26 +103,6 @@ impl SharedStateBundle {
             .map(|(tag, payload)| decode(tag, &payload))
             .collect()
     }
-}
-
-/// The default diffable payload of a query state — everything except the tag
-/// id, serialized as JSON. Kept public so alternative wire codecs can fall
-/// back to (or test against) the debuggable representation.
-pub fn json_payload(state: &ObjectQueryState) -> Vec<u8> {
-    serde_json::to_vec(&(&state.query, &state.automaton)).expect("payload serializes")
-}
-
-/// Rebuild an [`ObjectQueryState`] from its tag and a [`json_payload`].
-pub fn state_from_json_payload(
-    tag: TagId,
-    payload: &[u8],
-) -> Result<ObjectQueryState, serde_json::Error> {
-    let (query, automaton) = serde_json::from_slice(payload)?;
-    Ok(ObjectQueryState {
-        query,
-        tag,
-        automaton,
-    })
 }
 
 /// Byte distance between two serialized payloads: differing positions within
@@ -174,18 +151,11 @@ fn delta_against(centroid: &[u8], tag: TagId, payload: &[u8]) -> StateDelta {
 }
 
 /// Compress a group of per-object query states (typically the objects of one
-/// container) with centroid-based sharing over the default JSON payloads.
-///
-/// Returns `None` when the group is empty.
-pub fn share_states(states: &[ObjectQueryState]) -> Option<SharedStateBundle> {
-    share_states_with(states, json_payload)
-}
-
-/// Compress a group of per-object query states with centroid-based sharing,
-/// serializing each state's diffable payload with a caller-provided encoder
-/// (the compact binary wire codec, for instance). The byte-level diffing is
-/// representation-agnostic: it only needs payloads that are deterministic per
-/// state.
+/// container) with centroid-based sharing, serializing each state's diffable
+/// payload — everything except the tag id — with a caller-provided encoder
+/// (`rfid-wire`'s `WireCodec::state_payload` in the distributed layer). The
+/// byte-level diffing is representation-agnostic: it only needs payloads
+/// that are deterministic per state.
 ///
 /// Returns `None` when the group is empty.
 pub fn share_states_with<F>(states: &[ObjectQueryState], payload: F) -> Option<SharedStateBundle>
@@ -224,15 +194,9 @@ where
 }
 
 /// The total size of a group of states *without* sharing — the baseline the
-/// paper's Section 5.4 table compares against — under the default JSON
-/// representation.
-pub fn unshared_bytes(states: &[ObjectQueryState]) -> usize {
-    states.iter().map(ObjectQueryState::wire_bytes).sum()
-}
-
-/// The unshared baseline under a caller-provided per-state size measure, so
-/// the with/without-sharing comparison stays apples-to-apples when migration
-/// uses a different wire codec.
+/// paper's Section 5.4 table compares against — under a caller-provided
+/// per-state size measure, so the with/without-sharing comparison is made in
+/// the bytes migration actually ships.
 pub fn unshared_bytes_with<F>(states: &[ObjectQueryState], size: F) -> usize
 where
     F: Fn(&ObjectQueryState) -> usize,
@@ -260,18 +224,34 @@ mod tests {
         }
     }
 
+    /// A stand-in payload encoder (the real one lives downstream in
+    /// `rfid-wire`): the diffing only needs bytes that are deterministic per
+    /// state, and the `Debug` text of the tag-less part is.
+    fn payload(state: &ObjectQueryState) -> Vec<u8> {
+        format!("{:?}", (&state.query, &state.automaton)).into_bytes()
+    }
+
+    fn unshared(states: &[ObjectQueryState]) -> usize {
+        unshared_bytes_with(states, |s| 8 + payload(s).len())
+    }
+
+    /// Every state's payload comes back out of the bundle byte for byte.
+    fn assert_lossless(states: &[ObjectQueryState], bundle: &SharedStateBundle) {
+        let expanded = bundle.expand();
+        assert_eq!(expanded.len(), states.len());
+        for original in states {
+            let (_, recovered) = expanded.iter().find(|(t, _)| *t == original.tag).unwrap();
+            assert_eq!(recovered, &payload(original));
+        }
+    }
+
     #[test]
     fn sharing_is_lossless() {
         let states: Vec<ObjectQueryState> = (0..10)
             .map(|i| state(TagId::item(i), 100 + (i as u32 % 3), 8))
             .collect();
-        let bundle = share_states(&states).unwrap();
-        let expanded = bundle.expand_states().unwrap();
-        assert_eq!(expanded.len(), states.len());
-        for original in &states {
-            let recovered = expanded.iter().find(|s| s.tag == original.tag).unwrap();
-            assert_eq!(recovered, original);
-        }
+        let bundle = share_states_with(&states, payload).unwrap();
+        assert_lossless(&states, &bundle);
     }
 
     #[test]
@@ -279,9 +259,9 @@ mod tests {
         // 20 objects of the same case with identical exposure runs.
         let states: Vec<ObjectQueryState> =
             (0..20).map(|i| state(TagId::item(i), 100, 20)).collect();
-        let bundle = share_states(&states).unwrap();
+        let bundle = share_states_with(&states, payload).unwrap();
         let shared = bundle.wire_bytes();
-        let unshared = unshared_bytes(&states);
+        let unshared = unshared(&states);
         assert!(
             shared * 5 < unshared,
             "sharing should give at least 5x reduction ({shared} vs {unshared})"
@@ -299,23 +279,17 @@ mod tests {
                 automaton: AutomatonState::Idle,
             },
         ];
-        let bundle = share_states(&states).unwrap();
-        let expanded = bundle.expand_states().unwrap();
-        for original in &states {
-            assert_eq!(
-                expanded.iter().find(|s| s.tag == original.tag).unwrap(),
-                original
-            );
-        }
+        let bundle = share_states_with(&states, payload).unwrap();
+        assert_lossless(&states, &bundle);
         // the delta fallback caps the cost near the unshared size
-        assert!(bundle.wire_bytes() <= unshared_bytes(&states) + 64);
+        assert!(bundle.wire_bytes() <= unshared(&states) + 64);
     }
 
     #[test]
     fn empty_group_yields_none_and_single_state_has_no_deltas() {
-        assert!(share_states(&[]).is_none());
+        assert!(share_states_with(&[], payload).is_none());
         let one = [state(TagId::item(1), 0, 3)];
-        let bundle = share_states(&one).unwrap();
+        let bundle = share_states_with(&one, payload).unwrap();
         assert!(bundle.deltas.is_empty());
         assert_eq!(bundle.centroid_tag, TagId::item(1));
         assert_eq!(bundle.expand().len(), 1);

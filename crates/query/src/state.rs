@@ -9,10 +9,9 @@
 
 use crate::pattern::AutomatonState;
 use rfid_types::TagId;
-use serde::{Deserialize, Serialize};
 
 /// The migratable query state of one object for one registered query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectQueryState {
     /// The query this state belongs to.
     pub query: String,
@@ -20,71 +19,4 @@ pub struct ObjectQueryState {
     pub tag: TagId,
     /// The automaton state (including collected return values).
     pub automaton: AutomatonState,
-}
-
-impl ObjectQueryState {
-    /// Serialize to the byte representation used both for migration and for
-    /// the state-size accounting of Section 5.4.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("query state serializes")
-    }
-
-    /// Reconstruct from the byte representation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ObjectQueryState, serde_json::Error> {
-        serde_json::from_slice(bytes)
-    }
-
-    /// Size of the serialized state in bytes.
-    pub fn wire_bytes(&self) -> usize {
-        self.to_bytes().len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rfid_types::Epoch;
-
-    fn accumulating(tag: TagId, n: usize) -> ObjectQueryState {
-        ObjectQueryState {
-            query: "Q1".to_string(),
-            tag,
-            automaton: AutomatonState::Accumulating {
-                since: Epoch(100),
-                readings: (0..n)
-                    .map(|i| (Epoch(100 + i as u32 * 10), 21.0 + i as f64 * 0.1))
-                    .collect(),
-                fired: false,
-            },
-        }
-    }
-
-    #[test]
-    fn state_round_trips_through_bytes() {
-        let state = accumulating(TagId::item(7), 5);
-        let bytes = state.to_bytes();
-        assert_eq!(bytes.len(), state.wire_bytes());
-        let back = ObjectQueryState::from_bytes(&bytes).unwrap();
-        assert_eq!(back, state);
-    }
-
-    #[test]
-    fn idle_state_is_smaller_than_a_long_run() {
-        let idle = ObjectQueryState {
-            query: "Q1".to_string(),
-            tag: TagId::item(1),
-            automaton: AutomatonState::Idle,
-        };
-        let long = accumulating(TagId::item(1), 50);
-        assert!(idle.wire_bytes() < long.wire_bytes());
-        assert!(
-            long.wire_bytes() > 500,
-            "collected readings dominate the state size"
-        );
-    }
-
-    #[test]
-    fn corrupted_bytes_fail_to_parse() {
-        assert!(ObjectQueryState::from_bytes(b"not json").is_err());
-    }
 }

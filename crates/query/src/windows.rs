@@ -8,12 +8,11 @@
 //!   for bounded retention of per-object histories.
 
 use rfid_types::{Epoch, LocationId, SensorReading};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The latest sensor reading per location — the `[Partition By sensor
 /// Rows 1]` window of Query 1.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatestByLocation {
     latest: BTreeMap<LocationId, SensorReading>,
 }
@@ -64,7 +63,7 @@ impl LatestByLocation {
 }
 
 /// A sliding time-range window over timestamped items.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingTimeWindow<T> {
     range_secs: u32,
     items: Vec<(Epoch, T)>,

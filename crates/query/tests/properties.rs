@@ -1,8 +1,8 @@
-//! Property-based tests of the query layer: the pattern automaton, the
-//! query-state serialization and the centroid-based sharing scheme.
+//! Property-based tests of the query layer: the pattern automaton and the
+//! centroid-based sharing scheme.
 
 use proptest::prelude::*;
-use rfid_query::{share_states, AutomatonState, ExposureAutomaton, ObjectQueryState};
+use rfid_query::{share_states_with, AutomatonState, ExposureAutomaton, ObjectQueryState};
 use rfid_types::{Epoch, TagId};
 
 fn arb_state() -> impl Strategy<Value = ObjectQueryState> {
@@ -28,16 +28,14 @@ fn arb_state() -> impl Strategy<Value = ObjectQueryState> {
     )
 }
 
-proptest! {
-    /// Query state round-trips through its byte representation.
-    #[test]
-    fn query_state_roundtrip(state in arb_state()) {
-        let bytes = state.to_bytes();
-        prop_assert_eq!(bytes.len(), state.wire_bytes());
-        let back = ObjectQueryState::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, state);
-    }
+/// A stand-in payload encoder (the real one lives downstream in `rfid-wire`,
+/// whose round-trip suite covers sharing over it): the diffing only needs
+/// bytes that are deterministic per state.
+fn payload(state: &ObjectQueryState) -> Vec<u8> {
+    format!("{:?}", (&state.query, &state.automaton)).into_bytes()
+}
 
+proptest! {
     /// Centroid-based sharing is lossless for any group of states with
     /// distinct tags, and its size never exceeds the unshared total by more
     /// than a constant per-object overhead.
@@ -50,14 +48,14 @@ proptest! {
             .into_iter()
             .map(|(serial, mut s)| { s.tag = TagId::item(serial); s })
             .collect();
-        let bundle = share_states(&states).unwrap();
-        let expanded = bundle.expand_states().unwrap();
+        let bundle = share_states_with(&states, payload).unwrap();
+        let expanded = bundle.expand();
         prop_assert_eq!(expanded.len(), states.len());
         for original in &states {
-            let recovered = expanded.iter().find(|s| s.tag == original.tag).unwrap();
-            prop_assert_eq!(recovered, original);
+            let (_, recovered) = expanded.iter().find(|(t, _)| *t == original.tag).unwrap();
+            prop_assert_eq!(recovered, &payload(original));
         }
-        let unshared: usize = states.iter().map(ObjectQueryState::wire_bytes).sum();
+        let unshared: usize = states.iter().map(|s| payload(s).len()).sum();
         prop_assert!(bundle.wire_bytes() <= unshared + 32 * states.len());
     }
 

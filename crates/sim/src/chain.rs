@@ -22,12 +22,11 @@ use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentChange, ContainmentTimeline, Epoch, GroundTruth, SiteId, TagId, Trace, TraceMetadata,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An object (case or item) leaving one site for another: the trigger for
 /// state migration in the distributed system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectTransfer {
     /// The migrating tag.
     pub tag: TagId,

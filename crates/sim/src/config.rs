@@ -1,9 +1,7 @@
 //! Simulation parameters, mirroring Table 2 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// How shelves are scanned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShelfScanMode {
     /// One static reader per shelf, interrogating every `period_secs`
     /// seconds (Table 2: every 10 seconds).
@@ -30,7 +28,7 @@ impl ShelfScanMode {
 }
 
 /// Parameters of a single simulated warehouse (one site), following Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarehouseConfig {
     /// Trace length in seconds.
     pub length_secs: u32,
@@ -192,7 +190,7 @@ impl WarehouseConfig {
 /// arranged in a single-source DAG; pallets are injected at the source and
 /// move through a sequence of warehouses, dispatched round-robin to the
 /// successors of each node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainConfig {
     /// Per-warehouse configuration (shared by all warehouses).
     pub warehouse: WarehouseConfig,

@@ -35,14 +35,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rfid_types::{Epoch, TagId};
-use serde::{Deserialize, Serialize};
 
 /// Parameters from which a [`FaultPlan`] is generated.
 ///
 /// All probabilities are per independent trial: `crash_probability` and
 /// `outage_probability` per site, `delay_probability` and
 /// `duplicate_probability` per shipment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Master seed; everything else being equal, the same seed produces the
     /// same plan and the same per-shipment decisions.
@@ -145,7 +144,7 @@ impl FaultPlanConfig {
 }
 
 /// One scheduled site crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashFault {
     /// The site loses its volatile state at the *start* of this epoch,
     /// before ingesting anything.
@@ -165,7 +164,7 @@ impl CrashFault {
 
 /// One reader-outage burst: the site's readers report nothing in
 /// `from..=until`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// First silent epoch.
     pub from: Epoch,
@@ -183,7 +182,7 @@ impl OutageWindow {
 /// One tabulated partition window of a *directed* link: payloads sent
 /// `from_site → to_site` while the window covers the send epoch are lost
 /// (the reverse direction has its own independent window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Sending side of the dark link.
     pub from_site: u16,
@@ -203,7 +202,7 @@ impl PartitionWindow {
 }
 
 /// The faults scheduled for one site.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteFaults {
     /// At most one crash per run.
     pub crash: Option<CrashFault>,
@@ -216,7 +215,7 @@ pub struct SiteFaults {
 
 /// One entry of [`FaultPlan::events`] — the scheduled (per-site) faults in a
 /// canonical order, for pinning determinism in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A scheduled crash.
     Crash {
@@ -263,7 +262,7 @@ pub enum FaultEvent {
 /// pure functions of the shipment's `(from, to, tag, depart)` key, hashed
 /// into a fresh `ChaCha8` seed. Querying the plan never mutates it, so any
 /// number of workers asking in any order observe the same answers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     delay_probability: f64,

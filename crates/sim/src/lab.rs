@@ -26,11 +26,10 @@ use rfid_types::{
     ContainmentChange, ContainmentMap, ContainmentTimeline, Epoch, GroundTruth, TagId, Trace,
     TraceMetadata,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of one of the eight published lab traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LabTraceId {
     /// High read rate (0.85), limited overlap (0.25), stable containment.
     T1,
@@ -97,7 +96,7 @@ impl LabTraceId {
 }
 
 /// Configuration of the lab emulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabConfig {
     /// Which published trace to emulate.
     pub trace: LabTraceId,

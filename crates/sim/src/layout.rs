@@ -4,13 +4,12 @@
 
 use crate::config::{ShelfScanMode, WarehouseConfig};
 use rfid_types::{Epoch, LocationId, ReadRateTable};
-use serde::{Deserialize, Serialize};
 
 /// Role-annotated reader locations of one warehouse.
 ///
 /// Locations are numbered `0 = entry, 1 = belt, 2..2+S = shelves,
 /// 2+S = exit` where `S` is the number of shelves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarehouseLayout {
     num_shelves: u32,
     shelf_scan: ShelfScanMode,

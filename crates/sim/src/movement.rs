@@ -10,11 +10,10 @@ use crate::config::WarehouseConfig;
 use crate::layout::WarehouseLayout;
 use rand::Rng;
 use rfid_types::{Epoch, LocationId, TagId};
-use serde::{Deserialize, Serialize};
 
 /// The trajectory of one case (and, implicitly, the items packed in it)
 /// through one warehouse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseJourney {
     /// The case tag.
     pub case: TagId,
@@ -85,7 +84,7 @@ impl CaseJourney {
 
 /// Description of one pallet arriving at a warehouse: when it arrives and
 /// which cases (with items) it carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PalletArrival {
     /// The pallet tag.
     pub pallet: TagId,
@@ -193,7 +192,7 @@ pub fn source_arrivals(config: &WarehouseConfig, serials: &mut TagSerials) -> Ve
 
 /// Monotonic tag-serial allocator shared across warehouses of one simulated
 /// supply chain.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TagSerials {
     item: u64,
     case: u64,

@@ -12,12 +12,11 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rfid_types::{Epoch, LocationId, SensorReading};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Temperature model for a deployment: which locations are freezers and what
 /// the ambient temperature is elsewhere.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TemperatureModel {
     freezer_locations: BTreeSet<LocationId>,
     /// Mean temperature of non-freezer locations (°C).

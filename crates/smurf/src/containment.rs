@@ -11,11 +11,10 @@
 
 use crate::smoothing::{SmoothedTag, SmurfConfig, SmurfSmoother};
 use rfid_types::{ContainmentMap, Epoch, LocationId, ReadingBatch, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the SMURF* baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmurfStarConfig {
     /// Smoothing configuration.
     pub smurf: SmurfConfig,
@@ -38,7 +37,7 @@ impl Default for SmurfStarConfig {
 }
 
 /// A containment change reported by SMURF*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmurfChange {
     /// The item whose containment changed.
     pub object: TagId,
@@ -51,7 +50,7 @@ pub struct SmurfChange {
 }
 
 /// The output of one SMURF* run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SmurfStarOutcome {
     /// Final containment estimate per item.
     pub containment: ContainmentMap,

@@ -9,11 +9,10 @@
 //! the tag's location is estimated as the reader that read it most often.
 
 use rfid_types::{Epoch, LocationId, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of the SMURF smoother.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmurfConfig {
     /// Target failure probability δ of the completeness requirement: the
     /// window must be large enough that a present tag is missed entirely with
@@ -47,7 +46,7 @@ impl SmurfConfig {
 }
 
 /// Per-tag smoothed estimates produced by [`SmurfSmoother`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SmoothedTag {
     /// The adaptive window size chosen for the tag, in epochs.
     pub window: u32,

@@ -7,12 +7,11 @@
 //! the [`ContainmentTimeline`].
 
 use crate::ids::{Epoch, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A snapshot of containment relations: each object maps to its (single)
 /// immediate container.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContainmentMap {
     map: BTreeMap<TagId, TagId>,
 }
@@ -103,7 +102,7 @@ impl FromIterator<(TagId, TagId)> for ContainmentMap {
 
 /// A recorded change of containment: at `time`, `object` moved from
 /// `old_container` to `new_container` (either may be `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainmentChange {
     /// Epoch at which the change physically happened.
     pub time: Epoch,
@@ -118,7 +117,7 @@ pub struct ContainmentChange {
 /// The true containment relation as a function of time: an initial map plus a
 /// time-ordered list of changes. Supports efficient "containment as of epoch
 /// t" queries used by the evaluation harness and the change-point scorer.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ContainmentTimeline {
     initial: ContainmentMap,
     changes: Vec<ContainmentChange>,

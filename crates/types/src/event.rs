@@ -4,14 +4,13 @@
 //! hybrid queries of Section 2.
 
 use crate::ids::{Epoch, LocationId, TagId};
-use serde::{Deserialize, Serialize};
 
 /// One tuple of the enriched event stream `(time, tag id, location,
 /// container)` (Section 2), plus an optional product-property attribute.
 ///
 /// `container == None` means the inference engine believes the object is not
 /// currently inside any container (or it is itself a top-level container).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectEvent {
     /// Epoch of the event.
     pub time: Epoch,
@@ -61,7 +60,7 @@ impl ObjectEvent {
 ///
 /// Query 1 joins the RFID event stream with a temperature stream partitioned
 /// by sensor; we identify a sensor with the location it measures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReading {
     /// Epoch of the measurement.
     pub time: Epoch,
@@ -108,19 +107,5 @@ mod tests {
         assert_eq!(s.time, Epoch(10));
         assert_eq!(s.location, LocationId(3));
         assert!((s.value - 21.5).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn object_event_serde_roundtrip() {
-        let e = ObjectEvent::new(
-            Epoch(5),
-            TagId::item(9),
-            LocationId(2),
-            Some(TagId::case(4)),
-        )
-        .with_property("flammable");
-        let json = serde_json::to_string(&e).unwrap();
-        let back: ObjectEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 }

@@ -7,11 +7,10 @@
 //! exactly the assumption made in Appendix A.4 ("we know a priori which tags
 //! are container tags").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The packaging level encoded in a tag id (EPC tag-data-standard style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TagKind {
     /// A sellable unit, always packed inside a case.
     Item,
@@ -57,7 +56,7 @@ impl fmt::Display for TagKind {
 /// The two high bits carry the [`TagKind`]; the remaining 62 bits carry a
 /// serial number. Construct with [`TagId::new`] and query with
 /// [`TagId::kind`] / [`TagId::serial`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TagId(u64);
 
 impl TagId {
@@ -139,7 +138,7 @@ impl fmt::Display for TagId {
 /// The paper localizes objects "to the nearest reader", so reader identity
 /// and location identity are in one-to-one correspondence for static readers;
 /// [`ReaderId::location`] performs that mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReaderId(pub u16);
 
 impl ReaderId {
@@ -158,7 +157,7 @@ impl fmt::Display for ReaderId {
 /// A discrete location — the position of one static reader (Section 3.1:
 /// "we model locations as a discrete set R, which is the set of locations of
 /// all of the static readers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocationId(pub u16);
 
 impl LocationId {
@@ -180,7 +179,7 @@ impl fmt::Display for LocationId {
 }
 
 /// Identity of a site (warehouse / distribution center / hospital wing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u16);
 
 impl fmt::Display for SiteId {
@@ -191,9 +190,7 @@ impl fmt::Display for SiteId {
 
 /// A discrete time epoch (Section 3.1 discretizes time into epochs of, e.g.,
 /// one second). Epochs are measured in seconds since the start of a trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(pub u32);
 
 impl Epoch {

@@ -3,12 +3,11 @@
 //! index structures the inference engine needs.
 
 use crate::ids::{Epoch, ReaderId, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A single raw RFID observation: at epoch `time`, the reader `reader`
 /// successfully interrogated tag `tag`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RawReading {
     /// Epoch in which the interrogation happened.
     pub time: Epoch,
@@ -37,7 +36,7 @@ impl RawReading {
 /// the engine runs [RFINFER](https://doi.org/10.14778/1952376.1952380) over a
 /// batch that combines the critical region, the recent history and the new
 /// readings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReadingBatch {
     readings: Vec<RawReading>,
     sorted: bool,

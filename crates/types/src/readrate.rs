@@ -8,7 +8,6 @@
 //! same structure, which is exactly the assumption the paper makes.
 
 use crate::ids::LocationId;
-use serde::{Deserialize, Serialize};
 
 /// Dense `R × R` table of detection probabilities.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `r` reads a tag whose true location is `a` during one interrogation epoch.
 /// Probabilities are clamped away from exactly 0 and 1 so that the
 /// log-likelihood terms `log pi` and `log (1 - pi)` stay finite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadRateTable {
     num_locations: usize,
     /// Row-major: `rates[r * num_locations + a]`.

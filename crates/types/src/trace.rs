@@ -6,11 +6,10 @@ use crate::containment::ContainmentTimeline;
 use crate::ids::{Epoch, LocationId, TagId};
 use crate::reading::ReadingBatch;
 use crate::readrate::ReadRateTable;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Ground truth recorded by the simulator alongside the raw readings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// For every tag, the time-ordered list of `(epoch, location)` segments:
     /// the tag is at `location` from that epoch until the next segment (or
@@ -76,7 +75,7 @@ impl GroundTruth {
 
 /// How a trace was generated: the knobs of Table 2 (and of the lab traces)
 /// that experiments sweep over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceMetadata {
     /// Human-readable trace name (e.g. `"warehouse-rr0.8"`, `"T3"`).
     pub name: String,
@@ -115,7 +114,7 @@ impl TraceMetadata {
 
 /// A complete trace: raw readings, ground truth, the deployment's read-rate
 /// table, and generation metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Raw RFID readings in (time, tag, reader) order.
     pub readings: ReadingBatch,

@@ -14,17 +14,15 @@
 //! The binary body opens with one site-wide [`TagTable`] covering every tag
 //! mentioned anywhere in the checkpoint; all tag references are table
 //! indices, epoch sequences are zigzag deltas, and floats are raw IEEE-754
-//! bits. The JSON arm is the plain `serde_json` serialization (no header),
-//! like every other payload — note that, as with those payloads, JSON cannot
-//! represent non-finite floats, so a checkpoint carrying an infinite
-//! calibration threshold only round-trips through the binary format.
+//! bits — so a checkpoint carrying an infinite calibration threshold
+//! round-trips like any other.
 
 use crate::codec::{
     check_header, checked_delta, decode_automaton, encode_automaton, get_epoch, get_opt_tag,
     get_string, header, put_opt_tag,
 };
 use crate::primitives::{Reader, TagTable, Writer};
-use crate::{WireCodec, WireError, WireFormat};
+use crate::{WireCodec, WireError};
 use rfid_core::InferenceStats;
 use rfid_core::{
     CachedVariant, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache, InferenceOutcome,
@@ -32,10 +30,9 @@ use rfid_core::{
 };
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Payload-kind byte of a binary site checkpoint.
+/// Payload-kind byte of a site checkpoint.
 // FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
 pub(crate) const KIND_CHECKPOINT: u8 = 0x07;
 
@@ -46,7 +43,7 @@ pub(crate) const KIND_CHECKPOINT: u8 = 0x07;
 /// The migrated inference state stays in its *encoded* form (`inference`):
 /// the bytes were produced by the sender's codec and are decoded only when
 /// the shipment is delivered, so checkpointing never re-encodes them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingShipment {
     /// Epoch at which the shipment left its origin site.
     pub depart: Epoch,
@@ -72,7 +69,7 @@ pub struct PendingShipment {
 /// Durable dedup state of one incoming transport edge: every sequence number
 /// `<= watermark` has been delivered, plus a sparse set of out-of-order
 /// extras above it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeSeqs {
     /// The sending peer site.
     pub peer: u16,
@@ -87,7 +84,7 @@ pub struct EdgeSeqs {
 /// Invariants the transport tests pin: `delivered + abandoned == envelopes`
 /// where `delivered = envelopes - abandoned`, and
 /// `duplicates_dropped == arrivals - deliveries`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Logical payloads handed to the transport (one per shipment group
     /// member or forwarded batch).
@@ -141,7 +138,7 @@ impl TransportStats {
 /// One quarantined arrival: an envelope whose payload failed to decode at
 /// the receiver. Durable in the checkpoint so a crash-restore replay
 /// converges on the same quarantine ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineEntry {
     /// The sending peer site.
     pub from: u16,
@@ -161,7 +158,7 @@ pub struct QuarantineEntry {
 /// `sent_bytes == recv_bytes + undelivered_bytes` and
 /// `accepted == imported + stale + quarantined`
 /// — so no envelope is ever silently lost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdgeLedger {
     /// Origin site of the edge.
     pub from: u16,
@@ -231,8 +228,8 @@ impl EdgeLedger {
 /// Produced by the distributed driver's checkpoint policy and consumed on
 /// restore after a crash; also a first-class serialized artifact (kind
 /// `0x07`) that round-trips bitwise through [`WireCodec::encode_checkpoint`]
-/// / [`WireCodec::decode_checkpoint`] in both wire formats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// / [`WireCodec::decode_checkpoint`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteCheckpoint {
     /// The site this checkpoint belongs to.
     pub site: u16,
@@ -283,155 +280,145 @@ pub struct SiteCheckpoint {
 impl WireCodec {
     /// Encode a site checkpoint.
     pub fn encode_checkpoint(&self, checkpoint: &SiteCheckpoint) -> Vec<u8> {
-        match self.format() {
-            WireFormat::Json => serde_json::to_vec(checkpoint).expect("checkpoint serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_CHECKPOINT);
-                w.put_varint(u64::from(checkpoint.site));
-                w.put_varint(u64::from(checkpoint.at.0));
-                let table = collect_table(checkpoint);
-                table.encode(&mut w);
-                encode_engine(&mut w, &table, &checkpoint.engine);
-                encode_processor(&mut w, &table, &checkpoint.processor);
-                w.put_varint(checkpoint.reading_cursor);
-                w.put_varint(checkpoint.sensor_cursor);
-                w.put_varint(checkpoint.departure_cursor);
-                w.put_varint(checkpoint.inbox.len() as u64);
-                for shipment in &checkpoint.inbox {
-                    encode_shipment(&mut w, &table, shipment);
-                }
-                // Versioned arity: the kind count leads each comm array, so
-                // adding a kind never invalidates older checkpoints.
-                w.put_varint(checkpoint.comm_bytes.len() as u64);
-                for bytes in checkpoint.comm_bytes {
-                    w.put_varint(bytes);
-                }
-                for messages in checkpoint.comm_messages {
-                    w.put_varint(messages);
-                }
-                w.put_varint(checkpoint.shared_bytes);
-                w.put_varint(checkpoint.unshared_bytes);
-                w.put_varint(checkpoint.inference_runs);
-                encode_stats(&mut w, &checkpoint.stats);
-                w.put_varint(checkpoint.inbox_seqs.len() as u64);
-                for edge in &checkpoint.inbox_seqs {
-                    w.put_varint(u64::from(edge.peer));
-                    w.put_varint(edge.watermark);
-                    w.put_varint(edge.extras.len() as u64);
-                    for &seq in &edge.extras {
-                        w.put_varint(seq);
-                    }
-                }
-                encode_transport(&mut w, &checkpoint.transport);
-                w.put_varint(checkpoint.quarantine.len() as u64);
-                for entry in &checkpoint.quarantine {
-                    w.put_varint(u64::from(entry.from));
-                    w.put_varint(entry.seq);
-                    w.put_varint(u64::from(entry.physical.0));
-                }
-                encode_memory(&mut w, &checkpoint.memory);
-                w.put_varint(checkpoint.ledgers.len() as u64);
-                for ledger in &checkpoint.ledgers {
-                    encode_ledger(&mut w, ledger);
-                }
-                w.into_bytes()
+        let mut w = header(KIND_CHECKPOINT);
+        w.put_varint(u64::from(checkpoint.site));
+        w.put_varint(u64::from(checkpoint.at.0));
+        let table = collect_table(checkpoint);
+        table.encode(&mut w);
+        encode_engine(&mut w, &table, &checkpoint.engine);
+        encode_processor(&mut w, &table, &checkpoint.processor);
+        w.put_varint(checkpoint.reading_cursor);
+        w.put_varint(checkpoint.sensor_cursor);
+        w.put_varint(checkpoint.departure_cursor);
+        w.put_varint(checkpoint.inbox.len() as u64);
+        for shipment in &checkpoint.inbox {
+            encode_shipment(&mut w, &table, shipment);
+        }
+        // Versioned arity: the kind count leads each comm array, so
+        // adding a kind never invalidates older checkpoints.
+        w.put_varint(checkpoint.comm_bytes.len() as u64);
+        for bytes in checkpoint.comm_bytes {
+            w.put_varint(bytes);
+        }
+        for messages in checkpoint.comm_messages {
+            w.put_varint(messages);
+        }
+        w.put_varint(checkpoint.shared_bytes);
+        w.put_varint(checkpoint.unshared_bytes);
+        w.put_varint(checkpoint.inference_runs);
+        encode_stats(&mut w, &checkpoint.stats);
+        w.put_varint(checkpoint.inbox_seqs.len() as u64);
+        for edge in &checkpoint.inbox_seqs {
+            w.put_varint(u64::from(edge.peer));
+            w.put_varint(edge.watermark);
+            w.put_varint(edge.extras.len() as u64);
+            for &seq in &edge.extras {
+                w.put_varint(seq);
             }
         }
+        encode_transport(&mut w, &checkpoint.transport);
+        w.put_varint(checkpoint.quarantine.len() as u64);
+        for entry in &checkpoint.quarantine {
+            w.put_varint(u64::from(entry.from));
+            w.put_varint(entry.seq);
+            w.put_varint(u64::from(entry.physical.0));
+        }
+        encode_memory(&mut w, &checkpoint.memory);
+        w.put_varint(checkpoint.ledgers.len() as u64);
+        for ledger in &checkpoint.ledgers {
+            encode_ledger(&mut w, ledger);
+        }
+        w.into_bytes()
     }
 
     /// Decode a [`Self::encode_checkpoint`] message.
     pub fn decode_checkpoint(&self, bytes: &[u8]) -> Result<SiteCheckpoint, WireError> {
-        match self.format() {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_CHECKPOINT)?;
-                let site = get_u16(r.get_varint()?, "site index")?;
-                let at = get_epoch(cast_epoch(r.get_varint()?))?;
-                let table = TagTable::decode(&mut r)?;
-                let engine = decode_engine(&mut r, &table)?;
-                let processor = decode_processor(&mut r, &table)?;
-                let reading_cursor = r.get_varint()?;
-                let sensor_cursor = r.get_varint()?;
-                let departure_cursor = r.get_varint()?;
-                let count = r.get_varint()? as usize;
-                let mut inbox = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    inbox.push(decode_shipment(&mut r, &table)?);
-                }
-                let kinds = r.get_varint()? as usize;
-                if kinds > 5 {
-                    return Err(WireError::new(format!(
-                        "checkpoint declares {kinds} message kinds, this codec knows 5"
-                    )));
-                }
-                let mut comm_bytes = [0u64; 5];
-                for slot in comm_bytes.iter_mut().take(kinds) {
-                    *slot = r.get_varint()?;
-                }
-                let mut comm_messages = [0u64; 5];
-                for slot in comm_messages.iter_mut().take(kinds) {
-                    *slot = r.get_varint()?;
-                }
-                let shared_bytes = r.get_varint()?;
-                let unshared_bytes = r.get_varint()?;
-                let inference_runs = r.get_varint()?;
-                let stats = decode_stats(&mut r)?;
-                let edge_count = r.get_varint()? as usize;
-                let mut inbox_seqs = Vec::with_capacity(edge_count.min(1 << 16));
-                for _ in 0..edge_count {
-                    let peer = get_u16(r.get_varint()?, "edge peer")?;
-                    let watermark = r.get_varint()?;
-                    let extra_count = r.get_varint()? as usize;
-                    let mut extras = Vec::with_capacity(extra_count.min(1 << 16));
-                    for _ in 0..extra_count {
-                        extras.push(r.get_varint()?);
-                    }
-                    inbox_seqs.push(EdgeSeqs {
-                        peer,
-                        watermark,
-                        extras,
-                    });
-                }
-                let transport = decode_transport(&mut r)?;
-                let count = r.get_varint()? as usize;
-                let mut quarantine = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    quarantine.push(QuarantineEntry {
-                        from: get_u16(r.get_varint()?, "quarantine peer")?,
-                        seq: r.get_varint()?,
-                        physical: get_epoch(cast_epoch(r.get_varint()?))?,
-                    });
-                }
-                let memory = decode_memory(&mut r)?;
-                let count = r.get_varint()? as usize;
-                let mut ledgers = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    ledgers.push(decode_ledger(&mut r)?);
-                }
-                r.expect_exhausted()?;
-                Ok(SiteCheckpoint {
-                    site,
-                    at,
-                    engine,
-                    processor,
-                    reading_cursor,
-                    sensor_cursor,
-                    departure_cursor,
-                    inbox,
-                    comm_bytes,
-                    comm_messages,
-                    shared_bytes,
-                    unshared_bytes,
-                    inference_runs,
-                    stats,
-                    inbox_seqs,
-                    transport,
-                    quarantine,
-                    memory,
-                    ledgers,
-                })
-            }
+        let mut r = check_header(bytes, KIND_CHECKPOINT)?;
+        let site = get_u16(r.get_varint()?, "site index")?;
+        let at = get_epoch(cast_epoch(r.get_varint()?))?;
+        let table = TagTable::decode(&mut r)?;
+        let engine = decode_engine(&mut r, &table)?;
+        let processor = decode_processor(&mut r, &table)?;
+        let reading_cursor = r.get_varint()?;
+        let sensor_cursor = r.get_varint()?;
+        let departure_cursor = r.get_varint()?;
+        let count = r.get_varint()? as usize;
+        let mut inbox = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            inbox.push(decode_shipment(&mut r, &table)?);
         }
+        let kinds = r.get_varint()? as usize;
+        if kinds > 5 {
+            return Err(WireError::new(format!(
+                "checkpoint declares {kinds} message kinds, this codec knows 5"
+            )));
+        }
+        let mut comm_bytes = [0u64; 5];
+        for slot in comm_bytes.iter_mut().take(kinds) {
+            *slot = r.get_varint()?;
+        }
+        let mut comm_messages = [0u64; 5];
+        for slot in comm_messages.iter_mut().take(kinds) {
+            *slot = r.get_varint()?;
+        }
+        let shared_bytes = r.get_varint()?;
+        let unshared_bytes = r.get_varint()?;
+        let inference_runs = r.get_varint()?;
+        let stats = decode_stats(&mut r)?;
+        let edge_count = r.get_varint()? as usize;
+        let mut inbox_seqs = Vec::with_capacity(edge_count.min(1 << 16));
+        for _ in 0..edge_count {
+            let peer = get_u16(r.get_varint()?, "edge peer")?;
+            let watermark = r.get_varint()?;
+            let extra_count = r.get_varint()? as usize;
+            let mut extras = Vec::with_capacity(extra_count.min(1 << 16));
+            for _ in 0..extra_count {
+                extras.push(r.get_varint()?);
+            }
+            inbox_seqs.push(EdgeSeqs {
+                peer,
+                watermark,
+                extras,
+            });
+        }
+        let transport = decode_transport(&mut r)?;
+        let count = r.get_varint()? as usize;
+        let mut quarantine = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            quarantine.push(QuarantineEntry {
+                from: get_u16(r.get_varint()?, "quarantine peer")?,
+                seq: r.get_varint()?,
+                physical: get_epoch(cast_epoch(r.get_varint()?))?,
+            });
+        }
+        let memory = decode_memory(&mut r)?;
+        let count = r.get_varint()? as usize;
+        let mut ledgers = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            ledgers.push(decode_ledger(&mut r)?);
+        }
+        r.expect_exhausted()?;
+        Ok(SiteCheckpoint {
+            site,
+            at,
+            engine,
+            processor,
+            reading_cursor,
+            sensor_cursor,
+            departure_cursor,
+            inbox,
+            comm_bytes,
+            comm_messages,
+            shared_bytes,
+            unshared_bytes,
+            inference_runs,
+            stats,
+            inbox_seqs,
+            transport,
+            quarantine,
+            memory,
+            ledgers,
+        })
     }
 }
 
@@ -1226,15 +1213,9 @@ fn decode_shipment(r: &mut Reader<'_>, table: &TagTable) -> Result<PendingShipme
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireFormat;
     use rfid_query::AutomatonState;
     use rfid_types::ReaderId;
-
-    fn codecs() -> [WireCodec; 2] {
-        [
-            WireCodec::new(WireFormat::Binary),
-            WireCodec::new(WireFormat::Json),
-        ]
-    }
 
     /// A checkpoint exercising every section: observations, priors,
     /// containment, detected changes, a full outcome, dirty journal,
@@ -1421,25 +1402,9 @@ mod tests {
     #[test]
     fn checkpoints_round_trip_in_both_formats() {
         let checkpoint = sample();
-        for codec in codecs() {
-            let bytes = codec.encode_checkpoint(&checkpoint);
-            assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), checkpoint);
-        }
-    }
-
-    #[test]
-    fn binary_checkpoints_beat_json() {
-        let checkpoint = sample();
-        let binary = WireCodec::new(WireFormat::Binary)
-            .encode_checkpoint(&checkpoint)
-            .len();
-        let json = WireCodec::new(WireFormat::Json)
-            .encode_checkpoint(&checkpoint)
-            .len();
-        assert!(
-            binary * 2 < json,
-            "binary ({binary} B) should at least halve JSON ({json} B)"
-        );
+        let codec = WireCodec::new(WireFormat::Binary);
+        let bytes = codec.encode_checkpoint(&checkpoint);
+        assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), checkpoint);
     }
 
     #[test]
@@ -1479,10 +1444,9 @@ mod tests {
             memory: rfid_core::MemoryStats::default(),
             ledgers: Vec::new(),
         };
-        for codec in codecs() {
-            let bytes = codec.encode_checkpoint(&empty);
-            assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), empty);
-        }
+        let codec = WireCodec::new(WireFormat::Binary);
+        let bytes = codec.encode_checkpoint(&empty);
+        assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), empty);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! communication tables.
 
 use crate::codec::{check_header, header, WireCodec};
-use crate::{WireError, WireFormat};
+use crate::WireError;
 use rfid_types::Epoch;
-use serde::{Deserialize, Serialize};
 
 /// Payload-kind byte of a control message.
 // FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
@@ -21,7 +20,7 @@ const CONTROL_ACK: u8 = 0;
 const CONTROL_RESYNC: u8 = 1;
 
 /// One transport control message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlMsg {
     /// Acknowledges receipt of the payload carrying sequence number `seq` on
     /// the directed edge `from → to` (sent back `to → from`).
@@ -48,54 +47,44 @@ pub enum ControlMsg {
 impl WireCodec {
     /// Encode a transport control message.
     pub fn encode_control(&self, msg: &ControlMsg) -> Vec<u8> {
-        match self.format() {
-            WireFormat::Json => serde_json::to_vec(msg).expect("control message serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_CONTROL);
-                match msg {
-                    ControlMsg::Ack { from, to, seq } => {
-                        w.put_u8(CONTROL_ACK);
-                        w.put_varint(u64::from(*from));
-                        w.put_varint(u64::from(*to));
-                        w.put_varint(*seq);
-                    }
-                    ControlMsg::Resync { site, peer, since } => {
-                        w.put_u8(CONTROL_RESYNC);
-                        w.put_varint(u64::from(*site));
-                        w.put_varint(u64::from(*peer));
-                        w.put_varint(u64::from(since.0));
-                    }
-                }
-                w.into_bytes()
+        let mut w = header(KIND_CONTROL);
+        match msg {
+            ControlMsg::Ack { from, to, seq } => {
+                w.put_u8(CONTROL_ACK);
+                w.put_varint(u64::from(*from));
+                w.put_varint(u64::from(*to));
+                w.put_varint(*seq);
+            }
+            ControlMsg::Resync { site, peer, since } => {
+                w.put_u8(CONTROL_RESYNC);
+                w.put_varint(u64::from(*site));
+                w.put_varint(u64::from(*peer));
+                w.put_varint(u64::from(since.0));
             }
         }
+        w.into_bytes()
     }
 
     /// Decode a [`Self::encode_control`] message.
     pub fn decode_control(&self, bytes: &[u8]) -> Result<ControlMsg, WireError> {
-        match self.format() {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_CONTROL)?;
-                let msg = match r.get_u8()? {
-                    CONTROL_ACK => {
-                        let from = get_site(&mut r)?;
-                        let to = get_site(&mut r)?;
-                        let seq = r.get_varint()?;
-                        ControlMsg::Ack { from, to, seq }
-                    }
-                    CONTROL_RESYNC => {
-                        let site = get_site(&mut r)?;
-                        let peer = get_site(&mut r)?;
-                        let since = get_control_epoch(&mut r)?;
-                        ControlMsg::Resync { site, peer, since }
-                    }
-                    _ => return Err(WireError::new("unknown control variant")),
-                };
-                r.expect_exhausted()?;
-                Ok(msg)
+        let mut r = check_header(bytes, KIND_CONTROL)?;
+        let msg = match r.get_u8()? {
+            CONTROL_ACK => {
+                let from = get_site(&mut r)?;
+                let to = get_site(&mut r)?;
+                let seq = r.get_varint()?;
+                ControlMsg::Ack { from, to, seq }
             }
-        }
+            CONTROL_RESYNC => {
+                let site = get_site(&mut r)?;
+                let peer = get_site(&mut r)?;
+                let since = get_control_epoch(&mut r)?;
+                ControlMsg::Resync { site, peer, since }
+            }
+            _ => return Err(WireError::new("unknown control variant")),
+        };
+        r.expect_exhausted()?;
+        Ok(msg)
     }
 }
 
@@ -112,13 +101,7 @@ fn get_control_epoch(r: &mut crate::primitives::Reader<'_>) -> Result<Epoch, Wir
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn codecs() -> [WireCodec; 2] {
-        [
-            WireCodec::new(WireFormat::Binary),
-            WireCodec::new(WireFormat::Json),
-        ]
-    }
+    use crate::WireFormat;
 
     #[test]
     fn control_messages_round_trip_in_both_formats() {
@@ -144,11 +127,10 @@ mod tests {
                 since: Epoch(u32::MAX),
             },
         ];
-        for codec in codecs() {
-            for msg in &msgs {
-                let bytes = codec.encode_control(msg);
-                assert_eq!(&codec.decode_control(&bytes).unwrap(), msg);
-            }
+        let codec = WireCodec::new(WireFormat::Binary);
+        for msg in &msgs {
+            let bytes = codec.encode_control(msg);
+            assert_eq!(&codec.decode_control(&bytes).unwrap(), msg);
         }
     }
 
@@ -165,12 +147,6 @@ mod tests {
             "an ack should cost a handful of bytes, got {}",
             bytes.len()
         );
-        let json = WireCodec::new(WireFormat::Json).encode_control(&ControlMsg::Ack {
-            from: 2,
-            to: 5,
-            seq: 17,
-        });
-        assert!(bytes.len() < json.len());
     }
 
     #[test]

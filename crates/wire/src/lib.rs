@@ -8,8 +8,7 @@
 //! bytes — so the wire representation of the migrating state matters as much
 //! as *what* migrates. This crate provides a versioned binary format built
 //! from varint integers, zigzag delta-encoded epoch sequences, raw IEEE-754
-//! float bits, and per-message symbol tables for repeated tag ids, typically
-//! 2–5x smaller than the JSON representation and cheaper to produce.
+//! float bits, and per-message symbol tables for repeated tag ids.
 //!
 //! Four payload families are covered, one per cross-site
 //! [`MessageKind`](https://docs.rs/rfid-dist) of the distributed layer:
@@ -23,12 +22,11 @@
 //!   (engine + processor snapshots, cursors, inbox, accounting) framed as a
 //!   first-class payload so a checkpoint is also a serialized artifact.
 //!
-//! The [`WireFormat`] selects between [`WireFormat::Binary`] (the default of
-//! the distributed layer) and [`WireFormat::Json`] — plain, inspectable
-//! `serde_json` bytes kept for debugging and back-compat tests. Every
-//! encoding is bit-exact: `decode(encode(x)) == x` including `f64` bit
-//! patterns, so the two formats produce identical inference and query
-//! outcomes and differ only in bytes on the wire.
+//! Every encoding is bit-exact: `decode(encode(x)) == x` including `f64` bit
+//! patterns (round-trip proptests in `tests/roundtrip.rs`), and the bytes of
+//! one fully-populated value per payload kind are pinned in
+//! `tests/golden_bytes.rs`. To inspect a payload, print the decoded value
+//! with `{:#?}` — every payload type derives `Debug`.
 
 #![warn(missing_docs)]
 
@@ -43,28 +41,20 @@ pub use checkpoint::{
 pub use codec::{WireCodec, WIRE_VERSION};
 pub use control::ControlMsg;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire representation used for cross-site payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+///
+/// Residue: there is one format. The enum, `DistributedConfig::wire_format`
+/// and the parameter of [`WireCodec::new`] survive only because the frozen
+/// `benchmark/` package spells all three (see "Wire axes" in
+/// docs/INVARIANTS.md).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// Plain `serde_json` bytes — human-inspectable, kept for debugging and
-    /// back-compat tests.
-    Json,
     /// The compact binary format of [`codec`] (varints, delta-encoded
     /// epochs, per-message tag tables, one-byte version header).
     #[default]
     Binary,
-}
-
-impl fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireFormat::Json => write!(f, "json"),
-            WireFormat::Binary => write!(f, "binary"),
-        }
-    }
 }
 
 /// What went wrong while decoding, machine-matchable.
@@ -92,8 +82,6 @@ pub enum WireErrorKind {
     /// Structurally invalid content (bad table index, out-of-range enum
     /// discriminant, trailing bytes, …).
     Malformed,
-    /// The JSON fallback format failed to parse.
-    Json,
 }
 
 /// Decoding failure: corrupted, truncated, mis-versioned or mis-typed bytes.
@@ -155,12 +143,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<serde_json::Error> for WireError {
-    fn from(err: serde_json::Error) -> WireError {
-        WireError::with_kind(WireErrorKind::Json, format!("json payload: {err}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +150,6 @@ mod tests {
     #[test]
     fn binary_is_the_default_format() {
         assert_eq!(WireFormat::default(), WireFormat::Binary);
-        assert_eq!(WireFormat::Binary.to_string(), "binary");
-        assert_eq!(WireFormat::Json.to_string(), "json");
     }
 
     #[test]

@@ -8,30 +8,29 @@
 
 use proptest::prelude::*;
 use rfid_core::{CollapsedState, MigrationState, ReadingsState};
-use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta};
+use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::primitives::{Reader, TagTable, Writer};
 use rfid_wire::{WireCodec, WireErrorKind, WireFormat, WIRE_VERSION};
+use std::collections::BTreeMap;
 
-fn binary() -> WireCodec {
+fn codec() -> WireCodec {
     WireCodec::new(WireFormat::Binary)
 }
 
-fn both() -> [WireCodec; 2] {
-    [
-        WireCodec::new(WireFormat::Binary),
-        WireCodec::new(WireFormat::Json),
-    ]
-}
-
 /// Run every decoder over `bytes`; the only acceptable outcomes are `Ok` and
-/// `Err` — a panic fails the test by unwinding.
-fn decode_everything(codec: &WireCodec, bytes: &[u8]) {
+/// `Err` — a panic fails the test by unwinding. A bundle that decodes is also
+/// expanded: the decoder's contract is that whatever it lets through can be
+/// applied to the centroid without a bounds check.
+fn decode_everything(bytes: &[u8]) {
+    let codec = codec();
     let _ = codec.decode_readings(bytes);
     let _ = codec.decode_collapsed(bytes);
     let _ = codec.decode_migration(bytes);
     let _ = codec.decode_query_state(bytes);
-    let _ = codec.decode_bundle(bytes);
+    if let Ok(bundle) = codec.decode_bundle(bytes) {
+        let _ = bundle.expand();
+    }
     let _ = codec.decode_checkpoint(bytes);
     let _ = codec.decode_control(bytes);
     let _ = codec.state_from_payload(TagId::item(1), bytes);
@@ -121,41 +120,39 @@ fn arb_query_state() -> impl Strategy<Value = ObjectQueryState> {
         })
 }
 
+/// Bundles exactly as sharing builds them: every delta is the diff of one
+/// payload against the centroid, which is all the decoder accepts. The
+/// payloads are variations of one base string — a point edit, a cut, an
+/// appended tail — so edit, suffix and full-fallback deltas all occur.
 fn arb_bundle() -> impl Strategy<Value = SharedStateBundle> {
+    let variation = (
+        (0usize..48, any::<u8>()),
+        0usize..64,
+        prop::collection::vec(any::<u8>(), 0..12),
+    );
     (
-        arb_tag(),
-        prop::collection::vec(any::<u8>(), 0..32),
-        prop::collection::vec(
-            (
-                arb_tag(),
-                prop::collection::vec((0u32..4096, any::<u8>()), 0..8),
-                prop::collection::vec(any::<u8>(), 0..12),
-                0u32..8192,
-                prop::option::of(prop::collection::vec(any::<u8>(), 0..16)),
-            )
-                .prop_map(|(tag, mut edits, suffix, len, full)| {
-                    edits.sort_by_key(|&(pos, _)| pos);
-                    edits.dedup_by_key(|&mut (pos, _)| pos);
-                    let (edits, suffix) = if full.is_some() {
-                        (Vec::new(), Vec::new())
-                    } else {
-                        (edits, suffix)
-                    };
-                    StateDelta {
-                        tag,
-                        edits,
-                        suffix,
-                        len,
-                        full,
-                    }
-                }),
-            0..6,
-        ),
+        prop::collection::vec(any::<u8>(), 0..48),
+        prop::collection::btree_map(arb_tag(), variation, 1..9),
     )
-        .prop_map(|(centroid_tag, centroid_bytes, deltas)| SharedStateBundle {
-            centroid_tag,
-            centroid_bytes,
-            deltas,
+        .prop_map(|(base, variations)| {
+            let mut states = Vec::new();
+            let mut payloads = BTreeMap::new();
+            for (tag, ((at, byte), keep, tail)) in variations {
+                let mut bytes = base.clone();
+                if let Some(slot) = bytes.get_mut(at) {
+                    *slot = byte;
+                }
+                bytes.truncate(keep);
+                bytes.extend(tail);
+                payloads.insert(tag, bytes);
+                states.push(ObjectQueryState {
+                    query: String::new(),
+                    tag,
+                    automaton: AutomatonState::Idle,
+                });
+            }
+            rfid_query::share_states_with(&states, |s| payloads[&s.tag].clone())
+                .expect("at least one state")
         })
 }
 
@@ -304,13 +301,13 @@ fn arb_control() -> impl Strategy<Value = rfid_wire::ControlMsg> {
 
 fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        arb_readings().prop_map(|r| binary().encode_readings(&r)),
-        arb_collapsed().prop_map(|s| binary().encode_collapsed(&s)),
-        arb_migration().prop_map(|s| binary().encode_migration(&s)),
-        arb_query_state().prop_map(|s| binary().encode_query_state(&s)),
-        arb_bundle().prop_map(|b| binary().encode_bundle(&b)),
-        arb_checkpoint().prop_map(|c| binary().encode_checkpoint(&c)),
-        arb_control().prop_map(|m| binary().encode_control(&m)),
+        arb_readings().prop_map(|r| codec().encode_readings(&r)),
+        arb_collapsed().prop_map(|s| codec().encode_collapsed(&s)),
+        arb_migration().prop_map(|s| codec().encode_migration(&s)),
+        arb_query_state().prop_map(|s| codec().encode_query_state(&s)),
+        arb_bundle().prop_map(|b| codec().encode_bundle(&b)),
+        arb_checkpoint().prop_map(|c| codec().encode_checkpoint(&c)),
+        arb_control().prop_map(|m| codec().encode_control(&m)),
     ]
 }
 
@@ -322,13 +319,13 @@ proptest! {
         // and crucially never an abort.
         for cut in 0..bytes.len() {
             let prefix = &bytes[..cut];
-            prop_assert!(binary().decode_readings(prefix).is_err());
-            prop_assert!(binary().decode_collapsed(prefix).is_err());
-            prop_assert!(binary().decode_migration(prefix).is_err());
-            prop_assert!(binary().decode_query_state(prefix).is_err());
-            prop_assert!(binary().decode_bundle(prefix).is_err());
-            prop_assert!(binary().decode_checkpoint(prefix).is_err());
-            prop_assert!(binary().decode_control(prefix).is_err());
+            prop_assert!(codec().decode_readings(prefix).is_err());
+            prop_assert!(codec().decode_collapsed(prefix).is_err());
+            prop_assert!(codec().decode_migration(prefix).is_err());
+            prop_assert!(codec().decode_query_state(prefix).is_err());
+            prop_assert!(codec().decode_bundle(prefix).is_err());
+            prop_assert!(codec().decode_checkpoint(prefix).is_err());
+            prop_assert!(codec().decode_control(prefix).is_err());
         }
     }
 
@@ -342,34 +339,28 @@ proptest! {
             let at = idx as usize % mutated.len();
             mutated[at] ^= 1 << bit;
         }
-        for codec in both() {
-            decode_everything(&codec, &mutated);
-        }
+        decode_everything(&mutated);
     }
 
     #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        for codec in both() {
-            decode_everything(&codec, &bytes);
-        }
+        decode_everything(&bytes);
     }
 
     #[test]
     fn decoding_then_reencoding_is_stable(state in arb_collapsed()) {
-        for codec in both() {
-            let bytes = codec.encode_collapsed(&state);
-            let back = codec.decode_collapsed(&bytes).unwrap();
-            prop_assert_eq!(codec.encode_collapsed(&back), bytes.clone());
-        }
+        let codec = codec();
+        let bytes = codec.encode_collapsed(&state);
+        let back = codec.decode_collapsed(&bytes).unwrap();
+        prop_assert_eq!(codec.encode_collapsed(&back), bytes.clone());
     }
 
     #[test]
     fn reading_batches_reencode_stably(readings in arb_readings()) {
-        for codec in both() {
-            let bytes = codec.encode_readings(&readings);
-            let back = codec.decode_readings(&bytes).unwrap();
-            prop_assert_eq!(codec.encode_readings(&back), bytes.clone());
-        }
+        let codec = codec();
+        let bytes = codec.encode_readings(&readings);
+        let back = codec.decode_readings(&bytes).unwrap();
+        prop_assert_eq!(codec.encode_readings(&back), bytes.clone());
     }
 }
 
@@ -391,7 +382,7 @@ fn zigzag_delta_sum_overflow_is_an_error_not_an_abort() {
     w.put_varint(0); // reading 2: tag index
     w.put_zigzag(i64::MAX); // prev + delta wraps i64
     w.put_varint(0); // reader id
-    let err = binary()
+    let err = codec()
         .decode_readings(&w.into_bytes())
         .expect_err("overflowing epoch delta must be rejected");
     assert_eq!(err.kind(), WireErrorKind::LengthOverflow);
@@ -410,11 +401,84 @@ fn huge_length_prefixes_are_length_overflow_errors() {
     assert_eq!(err.kind(), WireErrorKind::LengthOverflow);
 }
 
+/// A bundle message with one hand-written delta against a three-byte
+/// centroid: `len`, then either the full payload or `(edits, suffix)`.
+fn bundle_with_delta(len: u64, full: Option<&[u8]>, edits: &[(i64, u8)], suffix: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(WIRE_VERSION);
+    w.put_u8(0x04); // KIND_BUNDLE
+    w.put_varint(TagId::item(1).raw());
+    w.put_bytes(&[1, 2, 3]); // centroid
+    w.put_varint(1); // one delta
+    w.put_varint(TagId::item(2).raw());
+    w.put_varint(len);
+    match full {
+        Some(full) => {
+            w.put_u8(1);
+            w.put_bytes(full);
+        }
+        None => {
+            w.put_u8(0);
+            w.put_varint(edits.len() as u64);
+            let mut prev = 0;
+            for &(pos, byte) in edits {
+                w.put_zigzag(pos - prev);
+                prev = pos;
+                w.put_u8(byte);
+            }
+            w.put_bytes(suffix);
+        }
+    }
+    w.into_bytes()
+}
+
+/// `SharedStateBundle::expand` resizes to `len`, indexes at every edit
+/// position and copies the suffix into the tail without checking any of
+/// them, so a delta the centroid cannot take has to die in the decoder: a
+/// ten-byte message must not be able to allocate 4 GiB or panic a site.
+#[test]
+fn deltas_the_centroid_cannot_take_are_malformed() {
+    let rejected = [
+        (
+            "a length with no bytes behind it",
+            bundle_with_delta(u64::from(u32::MAX), None, &[], &[]),
+        ),
+        (
+            "an edit past the reconstructed length",
+            bundle_with_delta(2, None, &[(2, 9)], &[]),
+        ),
+        (
+            "an edit past the centroid",
+            bundle_with_delta(5, None, &[(3, 9)], &[7, 7]),
+        ),
+        (
+            "an edit before the start",
+            bundle_with_delta(3, None, &[(-1, 9)], &[]),
+        ),
+        (
+            "a suffix longer than the payload",
+            bundle_with_delta(2, None, &[], &[7, 7, 7]),
+        ),
+        (
+            "a full payload of another length",
+            bundle_with_delta(4, Some(&[9, 9]), &[], &[]),
+        ),
+    ];
+    for (what, bytes) in rejected {
+        let err = codec().decode_bundle(&bytes).expect_err(what);
+        assert_eq!(err.kind(), WireErrorKind::Malformed, "{what}");
+    }
+    // The same builder with consistent fields decodes and expands.
+    let bundle = codec()
+        .decode_bundle(&bundle_with_delta(5, None, &[(0, 9), (2, 8)], &[7, 7]))
+        .unwrap();
+    assert_eq!(bundle.expand()[1], (TagId::item(2), vec![9, 2, 8, 7, 7]));
+}
+
 /// The chaos fault plan corrupts a poisoned envelope by flipping the high
-/// bit of byte 0 — in the binary format that ruins the version byte, in JSON
-/// the opening brace. Every payload kind must turn that into a typed
-/// [`WireError`] (quarantine input), never a panic and never a silent
-/// mis-decode. One case per wire payload kind, referenced by the `// FUZZ:`
+/// bit of byte 0, which ruins the version byte. Every payload kind must turn
+/// that into a typed [`WireError`] (quarantine input), never a panic and
+/// never a silent mis-decode. One case per wire payload kind, referenced by the `// FUZZ:`
 /// annotations next to the `KIND_*` constants (lint rule
 /// `wire-fuzz-coverage`).
 #[test]
@@ -424,129 +488,126 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
         tag: TagId::item(1),
         automaton: AutomatonState::Idle,
     };
-    for codec in both() {
-        let encodings: Vec<(&str, Vec<u8>)> = vec![
-            (
-                "KIND_MIGRATION",
-                codec.encode_migration(&MigrationState::None),
-            ),
-            (
-                "KIND_READINGS",
-                codec.encode_readings(&[RawReading::new(Epoch(1), TagId::item(1), ReaderId(0))]),
-            ),
-            ("KIND_QUERY_STATE", codec.encode_query_state(&state)),
-            (
-                "KIND_BUNDLE",
-                codec.encode_bundle(&SharedStateBundle {
-                    centroid_tag: TagId::item(1),
-                    centroid_bytes: vec![1, 2, 3],
-                    deltas: Vec::new(),
-                }),
-            ),
-            (
-                "KIND_COLLAPSED",
-                codec.encode_collapsed(&CollapsedState {
-                    object: TagId::item(1),
-                    weights: [(TagId::case(1), 0.0)].into_iter().collect(),
-                    container: Some(TagId::case(1)),
-                }),
-            ),
-            ("KIND_STATE_PAYLOAD", codec.state_payload(&state)),
-            (
-                "KIND_CONTROL",
-                codec.encode_control(&rfid_wire::ControlMsg::Ack {
-                    from: 0,
-                    to: 1,
-                    seq: 4,
-                }),
-            ),
-        ];
-        for (kind, bytes) in &encodings {
-            let mut poisoned = bytes.clone();
-            poisoned[0] ^= 0x80;
-            decode_everything(&codec, &poisoned);
-            assert!(
-                codec.decode_migration(&poisoned).is_err()
-                    && codec.decode_readings(&poisoned).is_err()
-                    && codec.decode_query_state(&poisoned).is_err()
-                    && codec.decode_bundle(&poisoned).is_err()
-                    && codec.decode_collapsed(&poisoned).is_err()
-                    && codec.state_from_payload(TagId::item(1), &poisoned).is_err()
-                    && codec.decode_control(&poisoned).is_err(),
-                "poisoned {kind} must not decode as any payload"
-            );
-        }
-    }
-    // KIND_CHECKPOINT travels through its own codec entry point.
-    for codec in both() {
-        let checkpoint = codec.encode_checkpoint(&{
-            use rfid_core::{DirtySet, EngineSnapshot, EvidenceCache, Observations, PriorWeights};
-            use rfid_query::ProcessorSnapshot;
-            use rfid_types::ContainmentMap;
-            rfid_wire::SiteCheckpoint {
-                site: 0,
-                at: Epoch(0),
-                engine: EngineSnapshot {
-                    store: Observations::new(),
-                    prior: PriorWeights::empty(),
-                    containment: ContainmentMap::new(),
-                    detected: Vec::new(),
-                    last_outcome: None,
-                    last_inference_at: None,
-                    threshold: None,
-                    dirty: DirtySet::new(),
-                    cache: EvidenceCache::new(),
-                },
-                processor: ProcessorSnapshot {
-                    temperatures: Vec::new(),
-                    automata: Vec::new(),
-                    alerts: Vec::new(),
-                },
-                reading_cursor: 0,
-                sensor_cursor: 0,
-                departure_cursor: 0,
-                inbox: Vec::new(),
-                comm_bytes: [0; 5],
-                comm_messages: [0; 5],
-                shared_bytes: 0,
-                unshared_bytes: 0,
-                inference_runs: 0,
-                stats: Default::default(),
-                inbox_seqs: Vec::new(),
-                transport: Default::default(),
-                quarantine: Vec::new(),
-                memory: Default::default(),
-                ledgers: Vec::new(),
-            }
-        });
-        let mut poisoned = checkpoint;
+    let codec = codec();
+    let encodings: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "KIND_MIGRATION",
+            codec.encode_migration(&MigrationState::None),
+        ),
+        (
+            "KIND_READINGS",
+            codec.encode_readings(&[RawReading::new(Epoch(1), TagId::item(1), ReaderId(0))]),
+        ),
+        ("KIND_QUERY_STATE", codec.encode_query_state(&state)),
+        (
+            "KIND_BUNDLE",
+            codec.encode_bundle(&SharedStateBundle {
+                centroid_tag: TagId::item(1),
+                centroid_bytes: vec![1, 2, 3],
+                deltas: Vec::new(),
+            }),
+        ),
+        (
+            "KIND_COLLAPSED",
+            codec.encode_collapsed(&CollapsedState {
+                object: TagId::item(1),
+                weights: [(TagId::case(1), 0.0)].into_iter().collect(),
+                container: Some(TagId::case(1)),
+            }),
+        ),
+        ("KIND_STATE_PAYLOAD", codec.state_payload(&state)),
+        (
+            "KIND_CONTROL",
+            codec.encode_control(&rfid_wire::ControlMsg::Ack {
+                from: 0,
+                to: 1,
+                seq: 4,
+            }),
+        ),
+    ];
+    for (kind, bytes) in &encodings {
+        let mut poisoned = bytes.clone();
         poisoned[0] ^= 0x80;
-        decode_everything(&codec, &poisoned);
+        decode_everything(&poisoned);
         assert!(
-            codec.decode_checkpoint(&poisoned).is_err(),
-            "poisoned KIND_CHECKPOINT must not decode"
+            codec.decode_migration(&poisoned).is_err()
+                && codec.decode_readings(&poisoned).is_err()
+                && codec.decode_query_state(&poisoned).is_err()
+                && codec.decode_bundle(&poisoned).is_err()
+                && codec.decode_collapsed(&poisoned).is_err()
+                && codec.state_from_payload(TagId::item(1), &poisoned).is_err()
+                && codec.decode_control(&poisoned).is_err(),
+            "poisoned {kind} must not decode as any payload"
         );
     }
+    // KIND_CHECKPOINT travels through its own codec entry point.
+    let checkpoint = codec.encode_checkpoint(&{
+        use rfid_core::{DirtySet, EngineSnapshot, EvidenceCache, Observations, PriorWeights};
+        use rfid_query::ProcessorSnapshot;
+        use rfid_types::ContainmentMap;
+        rfid_wire::SiteCheckpoint {
+            site: 0,
+            at: Epoch(0),
+            engine: EngineSnapshot {
+                store: Observations::new(),
+                prior: PriorWeights::empty(),
+                containment: ContainmentMap::new(),
+                detected: Vec::new(),
+                last_outcome: None,
+                last_inference_at: None,
+                threshold: None,
+                dirty: DirtySet::new(),
+                cache: EvidenceCache::new(),
+            },
+            processor: ProcessorSnapshot {
+                temperatures: Vec::new(),
+                automata: Vec::new(),
+                alerts: Vec::new(),
+            },
+            reading_cursor: 0,
+            sensor_cursor: 0,
+            departure_cursor: 0,
+            inbox: Vec::new(),
+            comm_bytes: [0; 5],
+            comm_messages: [0; 5],
+            shared_bytes: 0,
+            unshared_bytes: 0,
+            inference_runs: 0,
+            stats: Default::default(),
+            inbox_seqs: Vec::new(),
+            transport: Default::default(),
+            quarantine: Vec::new(),
+            memory: Default::default(),
+            ledgers: Vec::new(),
+        }
+    });
+    let mut poisoned = checkpoint;
+    poisoned[0] ^= 0x80;
+    decode_everything(&poisoned);
+    assert!(
+        codec.decode_checkpoint(&poisoned).is_err(),
+        "poisoned KIND_CHECKPOINT must not decode"
+    );
 }
 
 /// Truncation and bad headers surface as their own machine-matchable kinds.
 #[test]
 fn error_kinds_classify_truncation_and_headers() {
-    let valid = binary().encode_readings(&[RawReading::new(Epoch(3), TagId::item(1), ReaderId(0))]);
-    let err = binary().decode_readings(&valid[..1]).unwrap_err();
+    let valid = codec().encode_readings(&[RawReading::new(Epoch(3), TagId::item(1), ReaderId(0))]);
+    let err = codec().decode_readings(&valid[..1]).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::Truncated);
     let mut wrong_version = valid.clone();
     wrong_version[0] = WIRE_VERSION + 1;
-    let err = binary().decode_readings(&wrong_version).unwrap_err();
+    let err = codec().decode_readings(&wrong_version).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::BadHeader);
     // Valid header of the wrong payload kind.
-    let err = binary().decode_collapsed(&valid).unwrap_err();
+    let err = codec().decode_collapsed(&valid).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::BadHeader);
     // Checkpoints classify the same way: a readings payload is the wrong
     // kind, a truncated checkpoint is Truncated, a corrupted version byte is
     // BadHeader.
-    let err = binary().decode_checkpoint(&valid).unwrap_err();
+    let err = codec().decode_checkpoint(&valid).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::BadHeader);
-    let err = binary().decode_checkpoint(&valid[..1]).unwrap_err();
+    let err = codec().decode_checkpoint(&valid[..1]).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::Truncated);
 }

@@ -1,6 +1,6 @@
-//! Property tests: `decode(encode(x)) == x` for every payload type, in both
-//! wire formats, over arbitrary inputs — including empty payloads,
-//! single-entry payloads, and epochs at the `u32` wraparound boundary.
+//! Property tests: `decode(encode(x)) == x` for every payload type over
+//! arbitrary inputs — including empty payloads, single-entry payloads, and
+//! epochs at the `u32` wraparound boundary.
 
 use proptest::prelude::*;
 use rfid_core::{
@@ -8,20 +8,15 @@ use rfid_core::{
     InferenceOutcome, InferenceStats, MigrationState, ObjectEvidence, Observations, PriorWeights,
     ReadingsState,
 };
-use rfid_query::{
-    Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle, StateDelta,
-};
+use rfid_query::{Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, ReaderId, SensorReading, TagId};
 use rfid_wire::{
     ControlMsg, EdgeSeqs, PendingShipment, SiteCheckpoint, TransportStats, WireCodec, WireFormat,
 };
 use std::collections::BTreeMap;
 
-fn both() -> [WireCodec; 2] {
-    [
-        WireCodec::new(WireFormat::Binary),
-        WireCodec::new(WireFormat::Json),
-    ]
+fn codec() -> WireCodec {
+    WireCodec::new(WireFormat::Binary)
 }
 
 /// Any tag id: all three kinds, serials spanning the full 62-bit range.
@@ -98,45 +93,39 @@ fn arb_query_state() -> impl Strategy<Value = ObjectQueryState> {
     })
 }
 
-fn arb_delta() -> impl Strategy<Value = StateDelta> {
-    (
-        arb_tag(),
-        prop::collection::vec(((0u32..4096), any::<u8>()), 0..12),
-        prop::collection::vec(any::<u8>(), 0..16),
-        0u32..8192,
-        prop::option::of(prop::collection::vec(any::<u8>(), 0..32)),
-    )
-        .prop_map(|(tag, mut edits, suffix, len, full)| {
-            // Real deltas carry strictly ascending edit positions; mimic that
-            // (the codec tolerates any order, equality does not tolerate
-            // duplicates collapsing).
-            edits.sort_by_key(|&(pos, _)| pos);
-            edits.dedup_by_key(|&mut (pos, _)| pos);
-            let (edits, suffix) = if full.is_some() {
-                (Vec::new(), Vec::new())
-            } else {
-                (edits, suffix)
-            };
-            StateDelta {
-                tag,
-                edits,
-                suffix,
-                len,
-                full,
-            }
-        })
-}
-
+/// Bundles exactly as sharing builds them: every delta is the diff of one
+/// payload against the centroid, which is all the decoder accepts. The
+/// payloads are variations of one base string — a point edit, a cut, an
+/// appended tail — so edit, suffix and full-fallback deltas all occur.
 fn arb_bundle() -> impl Strategy<Value = SharedStateBundle> {
+    let variation = (
+        (0usize..48, any::<u8>()),
+        0usize..64,
+        prop::collection::vec(any::<u8>(), 0..12),
+    );
     (
-        arb_tag(),
         prop::collection::vec(any::<u8>(), 0..48),
-        prop::collection::vec(arb_delta(), 0..8),
+        prop::collection::btree_map(arb_tag(), variation, 1..9),
     )
-        .prop_map(|(centroid_tag, centroid_bytes, deltas)| SharedStateBundle {
-            centroid_tag,
-            centroid_bytes,
-            deltas,
+        .prop_map(|(base, variations)| {
+            let mut states = Vec::new();
+            let mut payloads = BTreeMap::new();
+            for (tag, ((at, byte), keep, tail)) in variations {
+                let mut bytes = base.clone();
+                if let Some(slot) = bytes.get_mut(at) {
+                    *slot = byte;
+                }
+                bytes.truncate(keep);
+                bytes.extend(tail);
+                payloads.insert(tag, bytes);
+                states.push(ObjectQueryState {
+                    query: String::new(),
+                    tag,
+                    automaton: AutomatonState::Idle,
+                });
+            }
+            rfid_query::share_states_with(&states, |s| payloads[&s.tag].clone())
+                .expect("at least one state")
         })
 }
 
@@ -156,59 +145,40 @@ fn collapsed_bits_equal(a: &CollapsedState, b: &CollapsedState) -> bool {
 proptest! {
     #[test]
     fn readings_round_trip(readings in arb_readings()) {
-        for codec in both() {
-            let bytes = codec.encode_readings(&readings);
-            prop_assert_eq!(codec.decode_readings(&bytes).unwrap(), readings.clone());
-        }
+        let codec = codec();
+        let bytes = codec.encode_readings(&readings);
+        prop_assert_eq!(codec.decode_readings(&bytes).unwrap(), readings.clone());
     }
 
     #[test]
     fn collapsed_round_trips_bitwise(state in arb_collapsed()) {
-        for codec in both() {
-            let bytes = codec.encode_collapsed(&state);
-            let back = codec.decode_collapsed(&bytes).unwrap();
-            prop_assert!(collapsed_bits_equal(&back, &state));
-        }
+        let codec = codec();
+        let bytes = codec.encode_collapsed(&state);
+        let back = codec.decode_collapsed(&bytes).unwrap();
+        prop_assert!(collapsed_bits_equal(&back, &state));
     }
 
     #[test]
     fn migration_state_round_trips(state in arb_migration()) {
-        for codec in both() {
-            let bytes = codec.encode_migration(&state);
-            prop_assert_eq!(codec.decode_migration(&bytes).unwrap(), state.clone());
-        }
+        let codec = codec();
+        let bytes = codec.encode_migration(&state);
+        prop_assert_eq!(codec.decode_migration(&bytes).unwrap(), state.clone());
     }
 
     #[test]
     fn query_state_round_trips(state in arb_query_state()) {
-        for codec in both() {
-            let bytes = codec.encode_query_state(&state);
-            prop_assert_eq!(codec.decode_query_state(&bytes).unwrap(), state.clone());
-            let payload = codec.state_payload(&state);
-            prop_assert_eq!(codec.state_from_payload(state.tag, &payload).unwrap(), state.clone());
-        }
+        let codec = codec();
+        let bytes = codec.encode_query_state(&state);
+        prop_assert_eq!(codec.decode_query_state(&bytes).unwrap(), state.clone());
+        let payload = codec.state_payload(&state);
+        prop_assert_eq!(codec.state_from_payload(state.tag, &payload).unwrap(), state.clone());
     }
 
     #[test]
     fn bundle_round_trips(bundle in arb_bundle()) {
-        for codec in both() {
-            let bytes = codec.encode_bundle(&bundle);
-            prop_assert_eq!(codec.decode_bundle(&bytes).unwrap(), bundle.clone());
-        }
-    }
-
-    #[test]
-    fn binary_never_loses_to_json_on_reading_batches(readings in arb_readings()) {
-        // Sorted batches are the wire case; binary must win whenever there is
-        // at least one reading (empty batches are a few header bytes).
-        let mut sorted = readings.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if !sorted.is_empty() {
-            let binary = WireCodec::new(WireFormat::Binary).encode_readings(&sorted);
-            let json = WireCodec::new(WireFormat::Json).encode_readings(&sorted);
-            prop_assert!(binary.len() < json.len());
-        }
+        let codec = codec();
+        let bytes = codec.encode_bundle(&bundle);
+        prop_assert_eq!(codec.decode_bundle(&bytes).unwrap(), bundle.clone());
     }
 
     #[test]
@@ -219,18 +189,17 @@ proptest! {
         let mut states = states;
         states.sort_by(|a, b| (a.tag, &a.query).cmp(&(b.tag, &b.query)));
         states.dedup_by(|a, b| (a.tag, &a.query) == (b.tag, &b.query));
-        for codec in both() {
-            let bundle = rfid_query::share_states_with(&states, |s| codec.state_payload(s)).unwrap();
-            let encoded = codec.encode_bundle(&bundle);
-            let decoded = codec.decode_bundle(&encoded).unwrap();
-            let expanded = decoded
-                .expand_states_with(|tag, payload| codec.state_from_payload(tag, payload))
-                .unwrap();
-            prop_assert_eq!(expanded.len(), states.len());
-            for original in &states {
-                let recovered = expanded.iter().find(|s| s.tag == original.tag && s.query == original.query).unwrap();
-                prop_assert_eq!(recovered, original);
-            }
+        let codec = codec();
+        let bundle = rfid_query::share_states_with(&states, |s| codec.state_payload(s)).unwrap();
+        let encoded = codec.encode_bundle(&bundle);
+        let decoded = codec.decode_bundle(&encoded).unwrap();
+        let expanded = decoded
+            .expand_states_with(|tag, payload| codec.state_from_payload(tag, payload))
+            .unwrap();
+        prop_assert_eq!(expanded.len(), states.len());
+        for original in &states {
+            let recovered = expanded.iter().find(|s| s.tag == original.tag && s.query == original.query).unwrap();
+            prop_assert_eq!(recovered, original);
         }
     }
 }
@@ -616,27 +585,25 @@ fn arb_control() -> impl Strategy<Value = ControlMsg> {
 proptest! {
     #[test]
     fn control_messages_round_trip(msg in arb_control()) {
-        for codec in both() {
-            let bytes = codec.encode_control(&msg);
-            prop_assert_eq!(codec.decode_control(&bytes).unwrap(), msg);
-            // Byte-stable: decode then re-encode reproduces the wire bytes.
-            prop_assert_eq!(codec.encode_control(&codec.decode_control(&bytes).unwrap()), bytes);
-        }
+        let codec = codec();
+        let bytes = codec.encode_control(&msg);
+        prop_assert_eq!(codec.decode_control(&bytes).unwrap(), msg);
+        // Byte-stable: decode then re-encode reproduces the wire bytes.
+        prop_assert_eq!(codec.encode_control(&codec.decode_control(&bytes).unwrap()), bytes);
     }
 }
 
 proptest! {
     #[test]
     fn checkpoints_round_trip_bitwise(checkpoint in arb_checkpoint()) {
-        for codec in both() {
-            let bytes = codec.encode_checkpoint(&checkpoint);
-            let back = codec.decode_checkpoint(&bytes).unwrap();
-            prop_assert_eq!(&back, &checkpoint);
-            // Bit-exactness beyond `PartialEq` (which conflates 0.0 and
-            // -0.0): re-encoding the decoded checkpoint must reproduce the
-            // original bytes, so every f64 bit pattern survived.
-            prop_assert_eq!(codec.encode_checkpoint(&back), bytes);
-        }
+        let codec = codec();
+        let bytes = codec.encode_checkpoint(&checkpoint);
+        let back = codec.decode_checkpoint(&bytes).unwrap();
+        prop_assert_eq!(&back, &checkpoint);
+        // Bit-exactness beyond `PartialEq` (which conflates 0.0 and
+        // -0.0): re-encoding the decoded checkpoint must reproduce the
+        // original bytes, so every f64 bit pattern survived.
+        prop_assert_eq!(codec.encode_checkpoint(&back), bytes);
     }
 }
 
@@ -712,10 +679,9 @@ fn checkpoint_epochs_survive_the_wraparound_boundary() {
         },
         ledgers: vec![rfid_wire::EdgeLedger::new(u16::MAX, 0)],
     };
-    for codec in both() {
-        let bytes = codec.encode_checkpoint(&checkpoint);
-        assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), checkpoint);
-    }
+    let codec = codec();
+    let bytes = codec.encode_checkpoint(&checkpoint);
+    assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), checkpoint);
 }
 
 /// Arbitrary migration state across all three variants.
@@ -737,39 +703,38 @@ fn arb_migration() -> impl Strategy<Value = MigrationState> {
 
 #[test]
 fn single_entry_and_empty_edge_cases() {
-    for codec in both() {
-        // Single reading at the epoch wraparound boundary.
-        let one = vec![RawReading::new(
-            Epoch(u32::MAX),
-            TagId::item(1),
-            ReaderId(0),
-        )];
-        assert_eq!(
-            codec.decode_readings(&codec.encode_readings(&one)).unwrap(),
-            one
-        );
-        // Empty batch.
-        assert_eq!(
-            codec.decode_readings(&codec.encode_readings(&[])).unwrap(),
-            vec![]
-        );
-        // Collapsed state with a single candidate and no container.
-        let single = CollapsedState {
-            object: TagId::item(1),
-            weights: BTreeMap::from([(TagId::case(1), -1.0)]),
-            container: None,
-        };
-        assert_eq!(
-            codec
-                .decode_collapsed(&codec.encode_collapsed(&single))
-                .unwrap(),
-            single
-        );
-        // MigrationState::None is a couple of bytes, not a payload.
-        let none = codec.encode_migration(&MigrationState::None);
-        assert!(none.len() <= 8);
-        assert_eq!(codec.decode_migration(&none).unwrap(), MigrationState::None);
-    }
+    let codec = codec();
+    // Single reading at the epoch wraparound boundary.
+    let one = vec![RawReading::new(
+        Epoch(u32::MAX),
+        TagId::item(1),
+        ReaderId(0),
+    )];
+    assert_eq!(
+        codec.decode_readings(&codec.encode_readings(&one)).unwrap(),
+        one
+    );
+    // Empty batch.
+    assert_eq!(
+        codec.decode_readings(&codec.encode_readings(&[])).unwrap(),
+        vec![]
+    );
+    // Collapsed state with a single candidate and no container.
+    let single = CollapsedState {
+        object: TagId::item(1),
+        weights: BTreeMap::from([(TagId::case(1), -1.0)]),
+        container: None,
+    };
+    assert_eq!(
+        codec
+            .decode_collapsed(&codec.encode_collapsed(&single))
+            .unwrap(),
+        single
+    );
+    // MigrationState::None is a couple of bytes, not a payload.
+    let none = codec.encode_migration(&MigrationState::None);
+    assert!(none.len() <= 8);
+    assert_eq!(codec.decode_migration(&none).unwrap(), MigrationState::None);
 }
 
 #[test]
@@ -780,8 +745,7 @@ fn epoch_wraparound_deltas_survive_unsorted_sequences() {
         RawReading::new(Epoch(0), TagId::item(1), ReaderId(1)),
         RawReading::new(Epoch(u32::MAX), TagId::case(1), ReaderId(u16::MAX)),
     ];
-    for codec in both() {
-        let bytes = codec.encode_readings(&readings);
-        assert_eq!(codec.decode_readings(&bytes).unwrap(), readings);
-    }
+    let codec = codec();
+    let bytes = codec.encode_readings(&readings);
+    assert_eq!(codec.decode_readings(&bytes).unwrap(), readings);
 }

@@ -23,9 +23,8 @@
 //!   with bit-identical results, and runs survive seeded chaos (crashes,
 //!   loss, partitions, poisoned payloads — see [`sim::ChaosPlan`]) and are
 //!   audited by invariant oracles over per-edge conservation ledgers;
-//! * [`wire`] — the compact binary wire codec every cross-site payload is
-//!   routed through (`DistributedConfig::wire_format`), with JSON retained
-//!   for debugging;
+//! * [`wire`] — the compact binary wire codec every cross-site payload and
+//!   checkpoint is routed through;
 //! * [`eval`] — evaluation metrics and table formatting.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
