@@ -17,16 +17,16 @@
 //! bits — so a checkpoint carrying an infinite calibration threshold
 //! round-trips like any other.
 
-use crate::codec::{
-    check_header, checked_delta, decode_automaton, encode_automaton, get_epoch, get_opt_tag,
-    get_string, header, put_opt_tag,
+use crate::codec::{message, parse};
+use crate::layout::{
+    counters, get_keyed, get_run, put_keyed, put_run, put_seq, wire_struct, Counters, Delta,
+    TagRefs, Wire,
 };
 use crate::primitives::{Reader, TagTable, Writer};
 use crate::{WireCodec, WireError};
-use rfid_core::InferenceStats;
 use rfid_core::{
     CachedVariant, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache, InferenceOutcome,
-    ObjectEvidence, Observations, PriorWeights,
+    InferenceStats, MemoryStats, ObjectEvidence, Observations, PriorWeights,
 };
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
@@ -117,16 +117,7 @@ pub struct TransportStats {
 impl TransportStats {
     /// Fold `other` into `self` (all counters are additive).
     pub fn merge(&mut self, other: &TransportStats) {
-        self.envelopes += other.envelopes;
-        self.transmissions += other.transmissions;
-        self.retransmissions += other.retransmissions;
-        self.acks += other.acks;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.reconciled += other.reconciled;
-        self.stale_dropped += other.stale_dropped;
-        self.abandoned += other.abandoned;
-        self.resyncs += other.resyncs;
-        self.quarantined += other.quarantined;
+        self.add_counters(other);
     }
 
     /// Envelopes that reached their destination at least once.
@@ -207,19 +198,7 @@ impl EdgeLedger {
 
     /// Fold `other` (a ledger of the same edge) into `self`.
     pub fn merge(&mut self, other: &EdgeLedger) {
-        self.envelopes += other.envelopes;
-        self.abandoned += other.abandoned;
-        self.sent_copies += other.sent_copies;
-        self.sent_bytes += other.sent_bytes;
-        self.recv_copies += other.recv_copies;
-        self.recv_bytes += other.recv_bytes;
-        self.accepted += other.accepted;
-        self.imported += other.imported;
-        self.stale += other.stale;
-        self.quarantined += other.quarantined;
-        self.undelivered += other.undelivered;
-        self.undelivered_bytes += other.undelivered_bytes;
-        self.dark_envelopes += other.dark_envelopes;
+        self.add_counters(other);
     }
 }
 
@@ -271,7 +250,7 @@ pub struct SiteCheckpoint {
     /// Quarantined poison arrivals, in acceptance order.
     pub quarantine: Vec<QuarantineEntry>,
     /// Memory-pressure counters accumulated so far.
-    pub memory: rfid_core::MemoryStats,
+    pub memory: MemoryStats,
     /// Per-directed-edge conservation ledgers this site contributed to, in
     /// ascending `(from, to)` order.
     pub ledgers: Vec<EdgeLedger>,
@@ -280,934 +259,182 @@ pub struct SiteCheckpoint {
 impl WireCodec {
     /// Encode a site checkpoint.
     pub fn encode_checkpoint(&self, checkpoint: &SiteCheckpoint) -> Vec<u8> {
-        let mut w = header(KIND_CHECKPOINT);
-        w.put_varint(u64::from(checkpoint.site));
-        w.put_varint(u64::from(checkpoint.at.0));
-        let table = collect_table(checkpoint);
-        table.encode(&mut w);
-        encode_engine(&mut w, &table, &checkpoint.engine);
-        encode_processor(&mut w, &table, &checkpoint.processor);
-        w.put_varint(checkpoint.reading_cursor);
-        w.put_varint(checkpoint.sensor_cursor);
-        w.put_varint(checkpoint.departure_cursor);
-        w.put_varint(checkpoint.inbox.len() as u64);
-        for shipment in &checkpoint.inbox {
-            encode_shipment(&mut w, &table, shipment);
-        }
-        // Versioned arity: the kind count leads each comm array, so
-        // adding a kind never invalidates older checkpoints.
-        w.put_varint(checkpoint.comm_bytes.len() as u64);
-        for bytes in checkpoint.comm_bytes {
-            w.put_varint(bytes);
-        }
-        for messages in checkpoint.comm_messages {
-            w.put_varint(messages);
-        }
-        w.put_varint(checkpoint.shared_bytes);
-        w.put_varint(checkpoint.unshared_bytes);
-        w.put_varint(checkpoint.inference_runs);
-        encode_stats(&mut w, &checkpoint.stats);
-        w.put_varint(checkpoint.inbox_seqs.len() as u64);
-        for edge in &checkpoint.inbox_seqs {
-            w.put_varint(u64::from(edge.peer));
-            w.put_varint(edge.watermark);
-            w.put_varint(edge.extras.len() as u64);
-            for &seq in &edge.extras {
-                w.put_varint(seq);
-            }
-        }
-        encode_transport(&mut w, &checkpoint.transport);
-        w.put_varint(checkpoint.quarantine.len() as u64);
-        for entry in &checkpoint.quarantine {
-            w.put_varint(u64::from(entry.from));
-            w.put_varint(entry.seq);
-            w.put_varint(u64::from(entry.physical.0));
-        }
-        encode_memory(&mut w, &checkpoint.memory);
-        w.put_varint(checkpoint.ledgers.len() as u64);
-        for ledger in &checkpoint.ledgers {
-            encode_ledger(&mut w, ledger);
-        }
-        w.into_bytes()
+        message(KIND_CHECKPOINT, checkpoint, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_checkpoint`] message.
     pub fn decode_checkpoint(&self, bytes: &[u8]) -> Result<SiteCheckpoint, WireError> {
-        let mut r = check_header(bytes, KIND_CHECKPOINT)?;
-        let site = get_u16(r.get_varint()?, "site index")?;
-        let at = get_epoch(cast_epoch(r.get_varint()?))?;
-        let table = TagTable::decode(&mut r)?;
-        let engine = decode_engine(&mut r, &table)?;
-        let processor = decode_processor(&mut r, &table)?;
-        let reading_cursor = r.get_varint()?;
-        let sensor_cursor = r.get_varint()?;
-        let departure_cursor = r.get_varint()?;
-        let count = r.get_varint()? as usize;
-        let mut inbox = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            inbox.push(decode_shipment(&mut r, &table)?);
-        }
-        let kinds = r.get_varint()? as usize;
-        if kinds > 5 {
-            return Err(WireError::new(format!(
-                "checkpoint declares {kinds} message kinds, this codec knows 5"
-            )));
-        }
-        let mut comm_bytes = [0u64; 5];
-        for slot in comm_bytes.iter_mut().take(kinds) {
-            *slot = r.get_varint()?;
-        }
-        let mut comm_messages = [0u64; 5];
-        for slot in comm_messages.iter_mut().take(kinds) {
-            *slot = r.get_varint()?;
-        }
-        let shared_bytes = r.get_varint()?;
-        let unshared_bytes = r.get_varint()?;
-        let inference_runs = r.get_varint()?;
-        let stats = decode_stats(&mut r)?;
-        let edge_count = r.get_varint()? as usize;
-        let mut inbox_seqs = Vec::with_capacity(edge_count.min(1 << 16));
-        for _ in 0..edge_count {
-            let peer = get_u16(r.get_varint()?, "edge peer")?;
-            let watermark = r.get_varint()?;
-            let extra_count = r.get_varint()? as usize;
-            let mut extras = Vec::with_capacity(extra_count.min(1 << 16));
-            for _ in 0..extra_count {
-                extras.push(r.get_varint()?);
-            }
-            inbox_seqs.push(EdgeSeqs {
-                peer,
-                watermark,
-                extras,
-            });
-        }
-        let transport = decode_transport(&mut r)?;
-        let count = r.get_varint()? as usize;
-        let mut quarantine = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            quarantine.push(QuarantineEntry {
-                from: get_u16(r.get_varint()?, "quarantine peer")?,
-                seq: r.get_varint()?,
-                physical: get_epoch(cast_epoch(r.get_varint()?))?,
-            });
-        }
-        let memory = decode_memory(&mut r)?;
-        let count = r.get_varint()? as usize;
-        let mut ledgers = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            ledgers.push(decode_ledger(&mut r)?);
-        }
-        r.expect_exhausted()?;
-        Ok(SiteCheckpoint {
-            site,
-            at,
-            engine,
-            processor,
-            reading_cursor,
-            sensor_cursor,
-            departure_cursor,
-            inbox,
-            comm_bytes,
-            comm_messages,
-            shared_bytes,
-            unshared_bytes,
-            inference_runs,
-            stats,
-            inbox_seqs,
-            transport,
-            quarantine,
-            memory,
-            ledgers,
-        })
+        parse(bytes, KIND_CHECKPOINT, TagRefs::Raw)
     }
-}
-
-/// The site-wide tag table: every tag mentioned anywhere in the checkpoint,
-/// collected once so all sections share indices.
-fn collect_table(checkpoint: &SiteCheckpoint) -> TagTable {
-    let mut tags: Vec<TagId> = Vec::new();
-    let engine = &checkpoint.engine;
-    tags.extend(engine.store.tags());
-    for object in engine.prior.objects() {
-        tags.push(object);
-        tags.extend(engine.prior.entries_for(object).map(|(c, _)| c));
-    }
-    for (object, container) in engine.containment.iter() {
-        tags.push(object);
-        tags.push(container);
-    }
-    for change in &engine.detected {
-        tags.push(change.object);
-        tags.extend(change.old_container);
-        tags.extend(change.new_container);
-    }
-    if let Some(outcome) = &engine.last_outcome {
-        for (object, container) in outcome.containment.iter() {
-            tags.push(object);
-            tags.push(container);
-        }
-        for (object, evidence) in &outcome.objects {
-            tags.push(*object);
-            tags.extend(evidence.candidates.iter().copied());
-            tags.extend(evidence.weights.keys().copied());
-            tags.extend(evidence.point_evidence.keys().copied());
-            tags.extend(evidence.assigned);
-        }
-        tags.extend(outcome.tag_locations.keys().copied());
-    }
-    for (tag, _) in engine.dirty.entries() {
-        tags.push(tag);
-    }
-    for (container, variants) in engine.cache.variants() {
-        tags.push(container);
-        for variant in variants {
-            tags.extend(variant.members.iter().copied());
-            tags.extend(variant.evidence.keys().copied());
-        }
-    }
-    for state in &checkpoint.processor.automata {
-        tags.push(state.tag);
-    }
-    for alert in &checkpoint.processor.alerts {
-        tags.push(alert.tag);
-    }
-    for shipment in &checkpoint.inbox {
-        tags.push(shipment.tag);
-        tags.extend(shipment.query.iter().map(|s| s.tag));
-    }
-    TagTable::from_tags(tags)
 }
 
 // ---------------------------------------------------------------------------
-// small shared pieces
+// The layout: every struct's fields in wire order, once.
 
-/// A `u64` varint that must fit `u16` (site and location indices).
-fn get_u16(raw: u64, what: &str) -> Result<u16, WireError> {
-    u16::try_from(raw).map_err(|_| WireError::new(format!("{what} out of u16 range")))
-}
+// The site-wide tag table sits after `at` (the `;`) and covers every tag
+// mentioned anywhere below it, so all sections share indices. The two comm
+// arrays share one arity prefix.
+wire_struct!(SiteCheckpoint: site, at;
+    engine, processor, reading_cursor, sensor_cursor, departure_cursor, inbox,
+    comm_bytes + comm_messages, shared_bytes, unshared_bytes, inference_runs, stats,
+    inbox_seqs, transport, quarantine, memory, ledgers);
+wire_struct!(EngineSnapshot: store, prior, containment, detected, last_outcome as Flag,
+    last_inference_at as Flag, threshold as Flag, dirty, cache);
+wire_struct!(DetectedChange: object, change_at, old_container, new_container, statistic);
+wire_struct!(InferenceOutcome: containment, objects, tag_locations as Delta, iterations,
+    num_locations);
+wire_struct!(ObjectEvidence: candidates, weights, point_evidence as Delta, assigned);
+wire_struct!(CachedVariant: members, epochs as Delta, qrows, evidence as Delta);
+wire_struct!(ProcessorSnapshot: temperatures, automata, alerts);
+wire_struct!(SensorReading: time, location, value);
+wire_struct!(Alert: query, tag, since, at, readings as Delta);
+wire_struct!(PendingShipment: depart, from, to, tag, arrive, seq, physical, inference as Flag,
+    query);
+wire_struct!(EdgeSeqs: peer, watermark, extras);
+wire_struct!(QuarantineEntry: from, seq, physical);
+wire_struct!(InferenceStats: dirty_tags, posteriors_reused, posteriors_computed, evidence_reused,
+    evidence_computed);
 
-/// Reinterpret an epoch varint for [`get_epoch`]'s range check: values past
-/// `i64::MAX` become negative and are rejected there, exactly like oversized
-/// epochs.
-fn cast_epoch(raw: u64) -> i64 {
-    raw as i64
-}
-
-fn encode_stats(w: &mut Writer, stats: &InferenceStats) {
-    w.put_varint(stats.dirty_tags as u64);
-    w.put_varint(stats.posteriors_reused as u64);
-    w.put_varint(stats.posteriors_computed as u64);
-    w.put_varint(stats.evidence_reused as u64);
-    w.put_varint(stats.evidence_computed as u64);
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Result<InferenceStats, WireError> {
-    Ok(InferenceStats {
-        dirty_tags: r.get_varint()? as usize,
-        posteriors_reused: r.get_varint()? as usize,
-        posteriors_computed: r.get_varint()? as usize,
-        evidence_reused: r.get_varint()? as usize,
-        evidence_computed: r.get_varint()? as usize,
-    })
-}
-
-/// Transport counters with a leading arity, like the comm arrays: counters
-/// appended in later versions read as zero from older checkpoints.
-fn encode_transport(w: &mut Writer, transport: &TransportStats) {
-    let counters = [
-        transport.envelopes,
-        transport.transmissions,
-        transport.retransmissions,
-        transport.acks,
-        transport.duplicates_dropped,
-        transport.reconciled,
-        transport.stale_dropped,
-        transport.abandoned,
-        transport.resyncs,
-        transport.quarantined,
-    ];
-    w.put_varint(counters.len() as u64);
-    for counter in counters {
-        w.put_varint(counter);
-    }
-}
-
-fn decode_transport(r: &mut Reader<'_>) -> Result<TransportStats, WireError> {
-    let arity = r.get_varint()? as usize;
-    if arity > 10 {
-        return Err(WireError::new(format!(
-            "checkpoint declares {arity} transport counters, this codec knows 10"
-        )));
-    }
-    let mut counters = [0u64; 10];
-    for slot in counters.iter_mut().take(arity) {
-        *slot = r.get_varint()?;
-    }
-    let [envelopes, transmissions, retransmissions, acks, duplicates_dropped, reconciled, stale_dropped, abandoned, resyncs, quarantined] =
-        counters;
-    Ok(TransportStats {
-        envelopes,
-        transmissions,
-        retransmissions,
-        acks,
-        duplicates_dropped,
-        reconciled,
-        stale_dropped,
-        abandoned,
-        resyncs,
-        quarantined,
-    })
-}
-
-/// Memory-pressure counters with a leading arity, like the transport block.
-fn encode_memory(w: &mut Writer, memory: &rfid_core::MemoryStats) {
-    let counters = [
-        memory.high_water,
-        memory.compactions,
-        memory.compacted_observations,
-        memory.evicted_cache_entries,
-    ];
-    w.put_varint(counters.len() as u64);
-    for counter in counters {
-        w.put_varint(counter);
-    }
-}
-
-fn decode_memory(r: &mut Reader<'_>) -> Result<rfid_core::MemoryStats, WireError> {
-    let arity = r.get_varint()? as usize;
-    if arity > 4 {
-        return Err(WireError::new(format!(
-            "checkpoint declares {arity} memory counters, this codec knows 4"
-        )));
-    }
-    let mut counters = [0u64; 4];
-    for slot in counters.iter_mut().take(arity) {
-        *slot = r.get_varint()?;
-    }
-    let [high_water, compactions, compacted_observations, evicted_cache_entries] = counters;
-    Ok(rfid_core::MemoryStats {
-        high_water,
-        compactions,
-        compacted_observations,
-        evicted_cache_entries,
-    })
-}
-
-/// One per-edge conservation ledger: the endpoint pair, then an
-/// arity-prefixed counter block so later versions can append counters.
-fn encode_ledger(w: &mut Writer, ledger: &EdgeLedger) {
-    w.put_varint(u64::from(ledger.from));
-    w.put_varint(u64::from(ledger.to));
-    let counters = [
-        ledger.envelopes,
-        ledger.abandoned,
-        ledger.sent_copies,
-        ledger.sent_bytes,
-        ledger.recv_copies,
-        ledger.recv_bytes,
-        ledger.accepted,
-        ledger.imported,
-        ledger.stale,
-        ledger.quarantined,
-        ledger.undelivered,
-        ledger.undelivered_bytes,
-        ledger.dark_envelopes,
-    ];
-    w.put_varint(counters.len() as u64);
-    for counter in counters {
-        w.put_varint(counter);
-    }
-}
-
-fn decode_ledger(r: &mut Reader<'_>) -> Result<EdgeLedger, WireError> {
-    let from = get_u16(r.get_varint()?, "ledger origin")?;
-    let to = get_u16(r.get_varint()?, "ledger destination")?;
-    let arity = r.get_varint()? as usize;
-    if arity > 13 {
-        return Err(WireError::new(format!(
-            "checkpoint declares {arity} ledger counters, this codec knows 13"
-        )));
-    }
-    let mut counters = [0u64; 13];
-    for slot in counters.iter_mut().take(arity) {
-        *slot = r.get_varint()?;
-    }
-    let [envelopes, abandoned, sent_copies, sent_bytes, recv_copies, recv_bytes, accepted, imported, stale, quarantined, undelivered, undelivered_bytes, dark_envelopes] =
-        counters;
-    Ok(EdgeLedger {
-        from,
-        to,
-        envelopes,
-        abandoned,
-        sent_copies,
-        sent_bytes,
-        recv_copies,
-        recv_bytes,
-        accepted,
-        imported,
-        stale,
-        quarantined,
-        undelivered,
-        undelivered_bytes,
-        dark_envelopes,
-    })
-}
-
-/// `(epoch, f64)` series: count, then per entry a zigzag epoch delta against
-/// the previous entry (starting from 0) and the raw float bits.
-fn put_series(w: &mut Writer, series: &[(Epoch, f64)]) {
-    w.put_varint(series.len() as u64);
-    let mut prev = 0i64;
-    for (epoch, value) in series {
-        w.put_zigzag(i64::from(epoch.0) - prev);
-        prev = i64::from(epoch.0);
-        w.put_f64(*value);
-    }
-}
-
-fn get_series(r: &mut Reader<'_>, what: &str) -> Result<Vec<(Epoch, f64)>, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut series = Vec::with_capacity(count.min(1 << 20));
-    let mut prev = 0i64;
-    for _ in 0..count {
-        let epoch = get_epoch(checked_delta(prev, r.get_zigzag()?, what)?)?;
-        prev = i64::from(epoch.0);
-        series.push((epoch, r.get_f64()?));
-    }
-    Ok(series)
-}
-
-/// Tag-keyed map of `(epoch, f64)` series (point evidence, cached evidence).
-fn put_series_map(w: &mut Writer, table: &TagTable, map: &BTreeMap<TagId, Vec<(Epoch, f64)>>) {
-    w.put_varint(map.len() as u64);
-    for (tag, series) in map {
-        w.put_varint(table.index_of(*tag));
-        put_series(w, series);
-    }
-}
-
-fn get_series_map(
-    r: &mut Reader<'_>,
-    table: &TagTable,
-    what: &str,
-) -> Result<BTreeMap<TagId, Vec<(Epoch, f64)>>, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut map = BTreeMap::new();
-    for _ in 0..count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let series = get_series(r, what)?;
-        map.insert(tag, series);
-    }
-    if map.len() != count {
-        return Err(WireError::new("duplicate tag in series map"));
-    }
-    Ok(map)
-}
-
-fn put_containment(w: &mut Writer, table: &TagTable, map: &ContainmentMap) {
-    w.put_varint(map.iter().count() as u64);
-    for (object, container) in map.iter() {
-        w.put_varint(table.index_of(object));
-        w.put_varint(table.index_of(container));
-    }
-}
-
-fn get_containment(r: &mut Reader<'_>, table: &TagTable) -> Result<ContainmentMap, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut map = ContainmentMap::new();
-    for _ in 0..count {
-        let object = table.tag_at(r.get_varint()?)?;
-        let container = table.tag_at(r.get_varint()?)?;
-        map.set(object, container);
-    }
-    Ok(map)
-}
-
-fn put_query_state(w: &mut Writer, table: &TagTable, state: &ObjectQueryState) {
-    w.put_bytes(state.query.as_bytes());
-    w.put_varint(table.index_of(state.tag));
-    encode_automaton(w, &state.automaton);
-}
-
-fn get_query_state(r: &mut Reader<'_>, table: &TagTable) -> Result<ObjectQueryState, WireError> {
-    let query = get_string(r)?;
-    let tag = table.tag_at(r.get_varint()?)?;
-    let automaton = decode_automaton(r)?;
-    Ok(ObjectQueryState {
-        query,
-        tag,
-        automaton,
-    })
-}
+// Counter blocks lead with their arity, so a counter appended here is one
+// more name in its list and older checkpoints still decode (zero-filled).
+counters!(TransportStats: envelopes, transmissions, retransmissions, acks, duplicates_dropped,
+    reconciled, stale_dropped, abandoned, resyncs, quarantined);
+counters!(MemoryStats: high_water, compactions, compacted_observations, evicted_cache_entries);
+counters!(EdgeLedger(from, to): envelopes, abandoned, sent_copies, sent_bytes, recv_copies,
+    recv_bytes, accepted, imported, stale, quarantined, undelivered, undelivered_bytes,
+    dark_envelopes);
 
 // ---------------------------------------------------------------------------
-// engine snapshot
+// Keyed stores that rebuild through their own API. Each is a tag-keyed
+// section (`put_keyed` / `get_keyed`, so a repeated key is rejected) whose
+// values are the shared runs and sequences.
 
-fn encode_engine(w: &mut Writer, table: &TagTable, engine: &EngineSnapshot) {
-    encode_store(w, table, &engine.store);
-    encode_prior(w, table, &engine.prior);
-    put_containment(w, table, &engine.containment);
-    encode_changes(w, table, &engine.detected);
-    match &engine.last_outcome {
-        Some(outcome) => {
-            w.put_u8(1);
-            encode_outcome(w, table, outcome);
-        }
-        None => w.put_u8(0),
-    }
-    match engine.last_inference_at {
-        Some(at) => {
-            w.put_u8(1);
-            w.put_varint(u64::from(at.0));
-        }
-        None => w.put_u8(0),
-    }
-    match engine.threshold {
-        Some(threshold) => {
-            w.put_u8(1);
-            w.put_f64(threshold);
-        }
-        None => w.put_u8(0),
-    }
-    encode_dirty(w, table, &engine.dirty);
-    encode_cache(w, table, &engine.cache);
-}
-
-fn decode_engine(r: &mut Reader<'_>, table: &TagTable) -> Result<EngineSnapshot, WireError> {
-    let store = decode_store(r, table)?;
-    let prior = decode_prior(r, table)?;
-    let containment = get_containment(r, table)?;
-    let detected = decode_changes(r, table)?;
-    let last_outcome = match r.get_u8()? {
-        0 => None,
-        1 => Some(decode_outcome(r, table)?),
-        _ => return Err(WireError::new("invalid outcome flag")),
-    };
-    let last_inference_at = match r.get_u8()? {
-        0 => None,
-        1 => Some(get_epoch(cast_epoch(r.get_varint()?))?),
-        _ => return Err(WireError::new("invalid inference-epoch flag")),
-    };
-    let threshold = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_f64()?),
-        _ => return Err(WireError::new("invalid threshold flag")),
-    };
-    let dirty = decode_dirty(r, table)?;
-    let cache = decode_cache(r, table)?;
-    Ok(EngineSnapshot {
-        store,
-        prior,
-        containment,
-        detected,
-        last_outcome,
-        last_inference_at,
-        threshold,
-        dirty,
-        cache,
-    })
-}
-
-fn encode_store(w: &mut Writer, table: &TagTable, store: &Observations) {
-    w.put_varint(store.tags().count() as u64);
-    for (tag, obs_list) in store.entries() {
-        w.put_varint(table.index_of(tag));
-        w.put_varint(obs_list.len() as u64);
-        let mut prev = 0i64;
-        for obs in obs_list {
-            w.put_zigzag(i64::from(obs.epoch.0) - prev);
-            prev = i64::from(obs.epoch.0);
-            w.put_varint(obs.readers.len() as u64);
-            for location in &obs.readers {
-                w.put_varint(u64::from(location.0));
-            }
-        }
-    }
-}
-
-fn decode_store(r: &mut Reader<'_>, table: &TagTable) -> Result<Observations, WireError> {
-    let mut store = Observations::new();
-    let tags = r.get_varint()? as usize;
-    for _ in 0..tags {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let count = r.get_varint()? as usize;
-        let mut prev = 0i64;
-        for _ in 0..count {
-            let epoch = get_epoch(checked_delta(prev, r.get_zigzag()?, "observation epoch")?)?;
-            prev = i64::from(epoch.0);
-            let readers = r.get_varint()? as usize;
-            for _ in 0..readers {
-                let location = LocationId(get_u16(r.get_varint()?, "location id")?);
-                store.insert(RawReading::new(epoch, tag, location.reader()));
-            }
-        }
-    }
-    Ok(store)
-}
-
-fn encode_prior(w: &mut Writer, table: &TagTable, prior: &PriorWeights) {
-    w.put_varint(prior.objects().count() as u64);
-    for object in prior.objects() {
-        w.put_varint(table.index_of(object));
-        w.put_varint(prior.entries_for(object).count() as u64);
-        for (container, weight) in prior.entries_for(object) {
-            w.put_varint(table.index_of(container));
-            w.put_f64(weight);
-        }
-    }
-}
-
-fn decode_prior(r: &mut Reader<'_>, table: &TagTable) -> Result<PriorWeights, WireError> {
-    let mut prior = PriorWeights::empty();
-    let objects = r.get_varint()? as usize;
-    for _ in 0..objects {
-        let object = table.tag_at(r.get_varint()?)?;
-        let count = r.get_varint()? as usize;
-        for _ in 0..count {
-            let container = table.tag_at(r.get_varint()?)?;
-            let weight = r.get_f64()?;
-            prior.set(object, container, weight);
-        }
-    }
-    Ok(prior)
-}
-
-fn encode_changes(w: &mut Writer, table: &TagTable, changes: &[DetectedChange]) {
-    w.put_varint(changes.len() as u64);
-    for change in changes {
-        w.put_varint(table.index_of(change.object));
-        w.put_varint(u64::from(change.change_at.0));
-        put_opt_tag(w, table, change.old_container);
-        put_opt_tag(w, table, change.new_container);
-        w.put_f64(change.statistic);
-    }
-}
-
-fn decode_changes(r: &mut Reader<'_>, table: &TagTable) -> Result<Vec<DetectedChange>, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut changes = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let object = table.tag_at(r.get_varint()?)?;
-        let change_at = get_epoch(cast_epoch(r.get_varint()?))?;
-        let old_container = get_opt_tag(r, table)?;
-        let new_container = get_opt_tag(r, table)?;
-        let statistic = r.get_f64()?;
-        changes.push(DetectedChange {
-            object,
-            change_at,
-            old_container,
-            new_container,
-            statistic,
+impl Wire for ContainmentMap {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        put_keyed(w, refs, self.len(), self.iter(), |container, w| {
+            container.put(w, refs)
         });
     }
-    Ok(changes)
-}
-
-fn encode_outcome(w: &mut Writer, table: &TagTable, outcome: &InferenceOutcome) {
-    put_containment(w, table, &outcome.containment);
-    w.put_varint(outcome.objects.len() as u64);
-    for (object, evidence) in &outcome.objects {
-        w.put_varint(table.index_of(*object));
-        w.put_varint(evidence.candidates.len() as u64);
-        for candidate in &evidence.candidates {
-            w.put_varint(table.index_of(*candidate));
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut map = ContainmentMap::new();
+        for (object, container) in get_keyed(r, refs, |r| TagId::get(r, refs))? {
+            map.set(object, container);
         }
-        w.put_varint(evidence.weights.len() as u64);
-        for (candidate, weight) in &evidence.weights {
-            w.put_varint(table.index_of(*candidate));
-            w.put_f64(*weight);
-        }
-        put_series_map(w, table, &evidence.point_evidence);
-        put_opt_tag(w, table, evidence.assigned);
+        Ok(map)
     }
-    w.put_varint(outcome.tag_locations.len() as u64);
-    for (tag, locations) in &outcome.tag_locations {
-        w.put_varint(table.index_of(*tag));
-        w.put_varint(locations.len() as u64);
-        let mut prev = 0i64;
-        for (epoch, location) in locations {
-            w.put_zigzag(i64::from(epoch.0) - prev);
-            prev = i64::from(epoch.0);
-            w.put_varint(u64::from(location.0));
-        }
-    }
-    w.put_varint(outcome.iterations as u64);
-    w.put_varint(outcome.num_locations as u64);
-}
-
-fn decode_outcome(r: &mut Reader<'_>, table: &TagTable) -> Result<InferenceOutcome, WireError> {
-    let containment = get_containment(r, table)?;
-    let object_count = r.get_varint()? as usize;
-    let mut objects = BTreeMap::new();
-    for _ in 0..object_count {
-        let object = table.tag_at(r.get_varint()?)?;
-        let candidate_count = r.get_varint()? as usize;
-        let mut candidates = Vec::with_capacity(candidate_count.min(1 << 16));
-        for _ in 0..candidate_count {
-            candidates.push(table.tag_at(r.get_varint()?)?);
-        }
-        let weight_count = r.get_varint()? as usize;
-        let mut weights = BTreeMap::new();
-        for _ in 0..weight_count {
-            let candidate = table.tag_at(r.get_varint()?)?;
-            let weight = r.get_f64()?;
-            weights.insert(candidate, weight);
-        }
-        if weights.len() != weight_count {
-            return Err(WireError::new("duplicate candidate in outcome weights"));
-        }
-        let point_evidence = get_series_map(r, table, "point-evidence epoch")?;
-        let assigned = get_opt_tag(r, table)?;
-        objects.insert(
-            object,
-            ObjectEvidence {
-                candidates,
-                weights,
-                point_evidence,
-                assigned,
-            },
-        );
-    }
-    if objects.len() != object_count {
-        return Err(WireError::new("duplicate object in outcome"));
-    }
-    let location_count = r.get_varint()? as usize;
-    let mut tag_locations = BTreeMap::new();
-    for _ in 0..location_count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let count = r.get_varint()? as usize;
-        let mut series = Vec::with_capacity(count.min(1 << 20));
-        let mut prev = 0i64;
-        for _ in 0..count {
-            let epoch = get_epoch(checked_delta(prev, r.get_zigzag()?, "location epoch")?)?;
-            prev = i64::from(epoch.0);
-            let location = LocationId(get_u16(r.get_varint()?, "location id")?);
-            series.push((epoch, location));
-        }
-        tag_locations.insert(tag, series);
-    }
-    if tag_locations.len() != location_count {
-        return Err(WireError::new("duplicate tag in location map"));
-    }
-    let iterations = r.get_varint()? as usize;
-    let num_locations = r.get_varint()? as usize;
-    Ok(InferenceOutcome {
-        containment,
-        objects,
-        tag_locations,
-        iterations,
-        num_locations,
-    })
-}
-
-fn encode_dirty(w: &mut Writer, table: &TagTable, dirty: &DirtySet) {
-    w.put_varint(dirty.num_tags() as u64);
-    for (tag, epochs) in dirty.entries() {
-        w.put_varint(table.index_of(tag));
-        w.put_varint(epochs.len() as u64);
-        let mut prev = 0i64;
-        for epoch in epochs {
-            w.put_zigzag(i64::from(epoch.0) - prev);
-            prev = i64::from(epoch.0);
-        }
+    fn tags(&self, out: &mut Vec<TagId>) {
+        self.iter()
+            .for_each(|(object, container)| out.extend([object, container]));
     }
 }
 
-fn decode_dirty(r: &mut Reader<'_>, table: &TagTable) -> Result<DirtySet, WireError> {
-    let mut dirty = DirtySet::new();
-    let tags = r.get_varint()? as usize;
-    for _ in 0..tags {
-        let tag = table.tag_at(r.get_varint()?)?;
-        dirty.mark(tag);
-        let count = r.get_varint()? as usize;
-        let mut prev = 0i64;
-        for _ in 0..count {
-            let epoch = get_epoch(checked_delta(prev, r.get_zigzag()?, "dirty epoch")?)?;
-            prev = i64::from(epoch.0);
-            dirty.record(tag, epoch);
-        }
-    }
-    Ok(dirty)
-}
-
-fn encode_cache(w: &mut Writer, table: &TagTable, cache: &EvidenceCache) {
-    w.put_varint(cache.variants().count() as u64);
-    for (container, variants) in cache.variants() {
-        w.put_varint(table.index_of(container));
-        w.put_varint(variants.len() as u64);
-        for variant in variants {
-            w.put_varint(variant.members.len() as u64);
-            for member in &variant.members {
-                w.put_varint(table.index_of(*member));
-            }
-            w.put_varint(variant.epochs.len() as u64);
-            let mut prev = 0i64;
-            for epoch in &variant.epochs {
-                w.put_zigzag(i64::from(epoch.0) - prev);
-                prev = i64::from(epoch.0);
-            }
-            w.put_varint(variant.qrows.len() as u64);
-            for row_value in &variant.qrows {
-                w.put_f64(*row_value);
-            }
-            put_series_map(w, table, &variant.evidence);
-        }
-    }
-}
-
-fn decode_cache(r: &mut Reader<'_>, table: &TagTable) -> Result<EvidenceCache, WireError> {
-    let mut cache = EvidenceCache::new();
-    let containers = r.get_varint()? as usize;
-    for _ in 0..containers {
-        let container = table.tag_at(r.get_varint()?)?;
-        let variant_count = r.get_varint()? as usize;
-        let mut variants = Vec::with_capacity(variant_count.min(1 << 8));
-        for _ in 0..variant_count {
-            let member_count = r.get_varint()? as usize;
-            let mut members = Vec::with_capacity(member_count.min(1 << 16));
-            for _ in 0..member_count {
-                members.push(table.tag_at(r.get_varint()?)?);
-            }
-            let epoch_count = r.get_varint()? as usize;
-            let mut epochs = Vec::with_capacity(epoch_count.min(1 << 20));
-            let mut prev = 0i64;
-            for _ in 0..epoch_count {
-                let epoch = get_epoch(checked_delta(prev, r.get_zigzag()?, "cache epoch")?)?;
-                prev = i64::from(epoch.0);
-                epochs.push(epoch);
-            }
-            let qrow_count = r.get_varint()? as usize;
-            let mut qrows = Vec::with_capacity(qrow_count.min(1 << 20));
-            for _ in 0..qrow_count {
-                qrows.push(r.get_f64()?);
-            }
-            let evidence = get_series_map(r, table, "cache-evidence epoch")?;
-            variants.push(CachedVariant {
-                members,
-                epochs,
-                qrows,
-                evidence,
+/// Per object, its own keyed section of `(container, weight)` priors.
+impl Wire for PriorWeights {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        let objects = self.objects().map(|object| (object, object));
+        put_keyed(w, refs, self.objects().count(), objects, |object, w| {
+            let len = self.entries_for(object).count();
+            put_keyed(w, refs, len, self.entries_for(object), |weight, w| {
+                weight.put(w, refs)
             });
-        }
-        cache.set_variants(container, variants);
-    }
-    Ok(cache)
-}
-
-// ---------------------------------------------------------------------------
-// processor snapshot
-
-fn encode_processor(w: &mut Writer, table: &TagTable, processor: &ProcessorSnapshot) {
-    w.put_varint(processor.temperatures.len() as u64);
-    for reading in &processor.temperatures {
-        w.put_varint(u64::from(reading.time.0));
-        w.put_varint(u64::from(reading.location.0));
-        w.put_f64(reading.value);
-    }
-    w.put_varint(processor.automata.len() as u64);
-    for state in &processor.automata {
-        put_query_state(w, table, state);
-    }
-    w.put_varint(processor.alerts.len() as u64);
-    for alert in &processor.alerts {
-        w.put_bytes(alert.query.as_bytes());
-        w.put_varint(table.index_of(alert.tag));
-        w.put_varint(u64::from(alert.since.0));
-        w.put_varint(u64::from(alert.at.0));
-        put_series(w, &alert.readings);
-    }
-}
-
-fn decode_processor(r: &mut Reader<'_>, table: &TagTable) -> Result<ProcessorSnapshot, WireError> {
-    let temperature_count = r.get_varint()? as usize;
-    let mut temperatures = Vec::with_capacity(temperature_count.min(1 << 16));
-    for _ in 0..temperature_count {
-        let time = get_epoch(cast_epoch(r.get_varint()?))?;
-        let location = LocationId(get_u16(r.get_varint()?, "location id")?);
-        let value = r.get_f64()?;
-        temperatures.push(SensorReading::new(time, location, value));
-    }
-    let automaton_count = r.get_varint()? as usize;
-    let mut automata = Vec::with_capacity(automaton_count.min(1 << 16));
-    for _ in 0..automaton_count {
-        automata.push(get_query_state(r, table)?);
-    }
-    let alert_count = r.get_varint()? as usize;
-    let mut alerts = Vec::with_capacity(alert_count.min(1 << 16));
-    for _ in 0..alert_count {
-        let query = get_string(r)?;
-        let tag = table.tag_at(r.get_varint()?)?;
-        let since = get_epoch(cast_epoch(r.get_varint()?))?;
-        let at = get_epoch(cast_epoch(r.get_varint()?))?;
-        let readings = get_series(r, "alert epoch")?;
-        alerts.push(Alert {
-            query,
-            tag,
-            since,
-            at,
-            readings,
         });
     }
-    Ok(ProcessorSnapshot {
-        temperatures,
-        automata,
-        alerts,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// inbox
-
-fn encode_shipment(w: &mut Writer, table: &TagTable, shipment: &PendingShipment) {
-    w.put_varint(u64::from(shipment.depart.0));
-    w.put_varint(u64::from(shipment.from));
-    w.put_varint(u64::from(shipment.to));
-    w.put_varint(table.index_of(shipment.tag));
-    w.put_varint(u64::from(shipment.arrive.0));
-    w.put_varint(shipment.seq);
-    w.put_varint(u64::from(shipment.physical.0));
-    match &shipment.inference {
-        Some(bytes) => {
-            w.put_u8(1);
-            w.put_bytes(bytes);
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut prior = PriorWeights::empty();
+        for (object, weights) in
+            get_keyed(r, refs, |r| <BTreeMap<TagId, f64> as Wire>::get(r, refs))?
+        {
+            for (container, weight) in weights {
+                prior.set(object, container, weight);
+            }
         }
-        None => w.put_u8(0),
+        Ok(prior)
     }
-    w.put_varint(shipment.query.len() as u64);
-    for state in &shipment.query {
-        put_query_state(w, table, state);
+    fn tags(&self, out: &mut Vec<TagId>) {
+        for object in self.objects() {
+            out.push(object);
+            out.extend(self.entries_for(object).map(|(container, _)| container));
+        }
     }
 }
 
-fn decode_shipment(r: &mut Reader<'_>, table: &TagTable) -> Result<PendingShipment, WireError> {
-    let depart = get_epoch(cast_epoch(r.get_varint()?))?;
-    let from = get_u16(r.get_varint()?, "origin site")?;
-    let to = get_u16(r.get_varint()?, "destination site")?;
-    let tag = table.tag_at(r.get_varint()?)?;
-    let arrive = get_epoch(cast_epoch(r.get_varint()?))?;
-    let seq = r.get_varint()?;
-    let physical = get_epoch(cast_epoch(r.get_varint()?))?;
-    let inference = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_bytes()?),
-        _ => return Err(WireError::new("invalid inference flag")),
-    };
-    let count = r.get_varint()? as usize;
-    let mut query = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        query.push(get_query_state(r, table)?);
+/// Per tag, a delta run of `(epoch, reader locations)`.
+impl Wire for Observations {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        put_keyed(w, refs, self.tags().count(), self.entries(), |list, w| {
+            let items = list.iter().map(|obs| (obs.epoch, &obs.readers));
+            put_run(w, Epoch(0), list.len(), items, |readers, w| {
+                readers.put(w, refs)
+            });
+        });
     }
-    Ok(PendingShipment {
-        depart,
-        from,
-        to,
-        tag,
-        arrive,
-        seq,
-        physical,
-        inference,
-        query,
-    })
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let runs = get_keyed(r, refs, |r| {
+            get_run(r, Epoch(0), |r| Vec::<LocationId>::get(r, refs))
+        })?;
+        let mut store = Observations::new();
+        for (tag, run) in runs {
+            for (epoch, locations) in run {
+                for location in locations {
+                    if !store.insert(RawReading::new(epoch, tag, location.reader())) {
+                        return Err(WireError::new("duplicate observation in the store"));
+                    }
+                }
+            }
+        }
+        Ok(store)
+    }
+    fn tags(&self, out: &mut Vec<TagId>) {
+        out.extend(Observations::tags(self));
+    }
+}
+
+/// Per tag, a bare epoch run (empty for a tag that was only marked).
+impl Wire for DirtySet {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        put_keyed(w, refs, self.num_tags(), self.entries(), |epochs, w| {
+            let items = epochs.iter().map(|epoch| (*epoch, ()));
+            put_run(w, Epoch(0), epochs.len(), items, |(), _| {});
+        });
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut dirty = DirtySet::new();
+        for (tag, epochs) in get_keyed(r, refs, |r| <Vec<Epoch> as Wire<Delta>>::get(r, refs))? {
+            dirty.mark(tag);
+            let declared = epochs.len();
+            dirty.record_all(tag, epochs);
+            if dirty.epochs_of(tag).map_or(0, |set| set.len()) != declared {
+                return Err(WireError::new("duplicate epoch in the dirty journal"));
+            }
+        }
+        Ok(dirty)
+    }
+    fn tags(&self, out: &mut Vec<TagId>) {
+        out.extend(self.entries().map(|(tag, _)| tag));
+    }
+}
+
+/// Per container, the sequence of its cached variants.
+impl Wire for EvidenceCache {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        let len = self.variants().count();
+        put_keyed(w, refs, len, self.variants(), |variants, w| {
+            put_seq(variants, w, refs)
+        });
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut cache = EvidenceCache::new();
+        for (container, variants) in get_keyed(r, refs, |r| Wire::get(r, refs))? {
+            cache.set_variants(container, variants);
+        }
+        Ok(cache)
+    }
+    fn tags(&self, out: &mut Vec<TagId>) {
+        for (container, variants) in self.variants() {
+            out.push(container);
+            variants.iter().for_each(|variant| variant.tags(out));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1449,12 +676,40 @@ mod tests {
         assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), empty);
     }
 
+    /// `merge` is derived from the same counter list as the encoding, so it
+    /// cannot skip a counter — and `{:?}` names every field, so a field
+    /// missing from that list would show up here as a zero.
+    #[test]
+    fn merge_doubles_every_counter_and_nothing_else() {
+        fn filled<T: Counters + std::fmt::Debug>(mut value: T) -> T {
+            for (i, slot) in value.counters_mut().enumerate() {
+                *slot = i as u64 + 1;
+            }
+            assert!(!format!("{value:?}").contains(": 0"), "{value:?}");
+            value
+        }
+        let stats = filled(TransportStats::default());
+        let mut merged = stats;
+        merged.merge(&stats);
+        let doubled: Vec<u64> = stats.counters().map(|c| 2 * c).collect();
+        assert_eq!(merged.counters().collect::<Vec<_>>(), doubled);
+
+        let ledger = filled(EdgeLedger::new(7, 9));
+        let mut merged = ledger;
+        merged.merge(&ledger);
+        let doubled: Vec<u64> = ledger.counters().map(|c| 2 * c).collect();
+        assert_eq!(merged.counters().collect::<Vec<_>>(), doubled);
+        assert_eq!((merged.from, merged.to), (7, 9));
+    }
+
     #[test]
     fn smaller_comm_arities_decode_zero_filled() {
         // A checkpoint written by a codec that knew only 4 message kinds and
         // no transport counters: the arity prefixes make it decode cleanly,
         // with the missing slots zero-filled.
-        let mut w = header(KIND_CHECKPOINT);
+        let mut w = Writer::new();
+        w.put_u8(crate::WIRE_VERSION);
+        w.put_u8(KIND_CHECKPOINT);
         w.put_varint(0); // site
         w.put_varint(0); // at
         TagTable::from_tags([]).encode(&mut w);

@@ -1,5 +1,5 @@
-//! The per-payload encoders and decoders of the binary wire format behind
-//! the [`WireCodec`] front end.
+//! The [`WireCodec`] front end: one `encode_*` / `decode_*` pair per payload
+//! kind, each a header plus one value of the crate-private `Wire` trait.
 //!
 //! ## Message layout
 //!
@@ -17,23 +17,32 @@
 //! | `0x07` | [`crate::checkpoint::SiteCheckpoint`] | site-wide tag table + engine/processor snapshots + durability bookkeeping |
 //! | `0x08` | [`crate::ControlMsg`] | transport control: ack / anti-entropy resync |
 //!
-//! Bodies are built from the primitives of [`crate::primitives`]: unsigned
-//! varints, zigzag varints for deltas, raw IEEE-754 bits for floats, and one
-//! sorted per-message [`TagTable`] wherever tags repeat. Epoch sequences are
-//! delta-encoded against the previous entry (zigzag, so unsorted sequences
-//! still round-trip); sorted sequences — the common case — cost one byte per
-//! epoch.
+//! ## One declaration per type
+//!
+//! A type's layout is written down once, as its `Wire` impl (`layout.rs`):
+//! `put`, `get` and `tags` (what the message's [`TagTable`] must hold) live
+//! together. Leaves (varints, raw-bits `f64`, table-indexed tags) and
+//! container shapes (counted sequences, tag-keyed maps that reject a repeated
+//! key, flag-byte options, zigzag epoch-delta runs, arity-prefixed counter
+//! blocks) are implemented once each; a struct is one `wire_struct!` line
+//! naming its fields in wire order, from which all three walks are generated.
+//! Adding a checkpoint counter is therefore one name appended to a
+//! `counters!` list: the block's arity prefix grows by one, an older
+//! checkpoint still decodes with the new counter zero, and `merge` picks it
+//! up from the same list.
 //!
 //! All encodings are *bit-exact*: `decode(encode(x))` reproduces `x`
 //! including `f64` bit patterns, so routing live state through the codec can
 //! never change an inference or query outcome.
 
+use crate::layout::{
+    get_counted, get_run, narrow, put_readings, put_run, wire_struct, Delta, Flag, TagRefs, Wire,
+};
 use crate::primitives::{Reader, TagTable, Writer};
 use crate::{WireError, WireFormat};
 use rfid_core::{CollapsedState, MigrationState, ReadingsState};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta};
-use rfid_types::{Epoch, RawReading, ReaderId, TagId};
-use std::collections::BTreeMap;
+use rfid_types::{RawReading, TagId};
 
 /// Version byte every message starts with.
 pub const WIRE_VERSION: u8 = 1;
@@ -53,13 +62,6 @@ const KIND_BUNDLE: u8 = 0x04;
 const KIND_COLLAPSED: u8 = 0x05;
 // FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
 const KIND_STATE_PAYLOAD: u8 = 0x06;
-
-const MIGRATION_NONE: u8 = 0;
-const MIGRATION_COLLAPSED: u8 = 1;
-const MIGRATION_READINGS: u8 = 2;
-
-const AUTOMATON_IDLE: u8 = 0;
-const AUTOMATON_ACCUMULATING: u8 = 1;
 
 /// Encoder/decoder of the binary wire format.
 ///
@@ -96,47 +98,22 @@ impl WireCodec {
 
     /// Encode the inference state migrating with one object.
     pub fn encode_migration(&self, state: &MigrationState) -> Vec<u8> {
-        let mut w = header(KIND_MIGRATION);
-        match state {
-            MigrationState::None => w.put_u8(MIGRATION_NONE),
-            MigrationState::Collapsed(collapsed) => {
-                w.put_u8(MIGRATION_COLLAPSED);
-                encode_collapsed_body(&mut w, collapsed);
-            }
-            MigrationState::Readings(readings) => {
-                w.put_u8(MIGRATION_READINGS);
-                encode_readings_state_body(&mut w, readings);
-            }
-        }
-        w.into_bytes()
+        message(KIND_MIGRATION, state, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_migration`] message.
     pub fn decode_migration(&self, bytes: &[u8]) -> Result<MigrationState, WireError> {
-        let mut r = check_header(bytes, KIND_MIGRATION)?;
-        let state = match r.get_u8()? {
-            MIGRATION_NONE => MigrationState::None,
-            MIGRATION_COLLAPSED => MigrationState::Collapsed(decode_collapsed_body(&mut r)?),
-            MIGRATION_READINGS => MigrationState::Readings(decode_readings_state_body(&mut r)?),
-            _ => return Err(WireError::new("unknown migration-state variant")),
-        };
-        r.expect_exhausted()?;
-        Ok(state)
+        parse(bytes, KIND_MIGRATION, TagRefs::Raw)
     }
 
     /// Encode one object's collapsed inference state.
     pub fn encode_collapsed(&self, state: &CollapsedState) -> Vec<u8> {
-        let mut w = header(KIND_COLLAPSED);
-        encode_collapsed_body(&mut w, state);
-        w.into_bytes()
+        message(KIND_COLLAPSED, state, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_collapsed`] message.
     pub fn decode_collapsed(&self, bytes: &[u8]) -> Result<CollapsedState, WireError> {
-        let mut r = check_header(bytes, KIND_COLLAPSED)?;
-        let state = decode_collapsed_body(&mut r)?;
-        r.expect_exhausted()?;
-        Ok(state)
+        parse(bytes, KIND_COLLAPSED, TagRefs::Raw)
     }
 
     /// Encode a batch of raw readings (the centralized forwarding payload),
@@ -145,7 +122,7 @@ impl WireCodec {
         let mut w = header(KIND_READINGS);
         let table = TagTable::from_tags(readings.iter().map(|r| r.tag));
         table.encode(&mut w);
-        encode_reading_seq(&mut w, &table, readings);
+        put_readings(readings, &mut w, TagRefs::Table(&table));
         w.into_bytes()
     }
 
@@ -153,72 +130,57 @@ impl WireCodec {
     pub fn decode_readings(&self, bytes: &[u8]) -> Result<Vec<RawReading>, WireError> {
         let mut r = check_header(bytes, KIND_READINGS)?;
         let table = TagTable::decode(&mut r)?;
-        let readings = decode_reading_seq(&mut r, &table)?;
+        let readings = Wire::<Delta>::get(&mut r, TagRefs::Table(&table))?;
         r.expect_exhausted()?;
         Ok(readings)
     }
 
     /// Encode one object's query state for one query.
     pub fn encode_query_state(&self, state: &ObjectQueryState) -> Vec<u8> {
-        let mut w = header(KIND_QUERY_STATE);
-        w.put_bytes(state.query.as_bytes());
-        w.put_varint(state.tag.raw());
-        encode_automaton(&mut w, &state.automaton);
-        w.into_bytes()
+        message(KIND_QUERY_STATE, state, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_query_state`] message.
     pub fn decode_query_state(&self, bytes: &[u8]) -> Result<ObjectQueryState, WireError> {
-        let mut r = check_header(bytes, KIND_QUERY_STATE)?;
-        let query = get_string(&mut r)?;
-        let tag = TagId::from_raw(r.get_varint()?);
-        let automaton = decode_automaton(&mut r)?;
-        r.expect_exhausted()?;
-        Ok(ObjectQueryState {
-            query,
-            tag,
-            automaton,
-        })
+        parse(bytes, KIND_QUERY_STATE, TagRefs::Raw)
     }
 
     /// Encode a centroid-compressed query-state bundle.
     pub fn encode_bundle(&self, bundle: &SharedStateBundle) -> Vec<u8> {
-        let mut w = header(KIND_BUNDLE);
-        w.put_varint(bundle.centroid_tag.raw());
-        w.put_bytes(&bundle.centroid_bytes);
-        w.put_varint(bundle.deltas.len() as u64);
-        for delta in &bundle.deltas {
-            encode_delta(&mut w, delta);
-        }
-        w.into_bytes()
+        message(KIND_BUNDLE, bundle, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_bundle`] message.
+    ///
+    /// [`SharedStateBundle::expand`] resizes, indexes and copies on each
+    /// delta's word, so only the shapes sharing can produce are let through:
+    /// a full payload of the declared length, or edits inside the common
+    /// prefix plus exactly the bytes past the centroid's end.
     pub fn decode_bundle(&self, bytes: &[u8]) -> Result<SharedStateBundle, WireError> {
-        let mut r = check_header(bytes, KIND_BUNDLE)?;
-        let centroid_tag = TagId::from_raw(r.get_varint()?);
-        let centroid_bytes = r.get_bytes()?;
-        let count = r.get_varint()? as usize;
-        let mut deltas = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            deltas.push(decode_delta(&mut r, centroid_bytes.len())?);
+        let bundle: SharedStateBundle = parse(bytes, KIND_BUNDLE, TagRefs::Raw)?;
+        let centroid_len = bundle.centroid_bytes.len();
+        for delta in &bundle.deltas {
+            let len = delta.len as usize;
+            let fits = match &delta.full {
+                Some(full) => full.len() == len,
+                None => {
+                    let common = len.min(centroid_len);
+                    delta.suffix.len() == len.saturating_sub(centroid_len)
+                        && delta.edits.iter().all(|&(pos, _)| (pos as usize) < common)
+                }
+            };
+            if !fits {
+                return Err(WireError::new("delta does not fit its centroid"));
+            }
         }
-        r.expect_exhausted()?;
-        Ok(SharedStateBundle {
-            centroid_tag,
-            centroid_bytes,
-            deltas,
-        })
+        Ok(bundle)
     }
 
     /// The diffable (tag-less) payload of one query state — what
     /// centroid-based sharing diffs against the centroid (plug into
     /// [`rfid_query::share_states_with`]).
     pub fn state_payload(&self, state: &ObjectQueryState) -> Vec<u8> {
-        let mut w = header(KIND_STATE_PAYLOAD);
-        w.put_bytes(state.query.as_bytes());
-        encode_automaton(&mut w, &state.automaton);
-        w.into_bytes()
+        message(KIND_STATE_PAYLOAD, state, TagRefs::Implied(state.tag))
     }
 
     /// Rebuild an [`ObjectQueryState`] from its tag and a
@@ -229,26 +191,18 @@ impl WireCodec {
         tag: TagId,
         payload: &[u8],
     ) -> Result<ObjectQueryState, WireError> {
-        let mut r = check_header(payload, KIND_STATE_PAYLOAD)?;
-        let query = get_string(&mut r)?;
-        let automaton = decode_automaton(&mut r)?;
-        r.expect_exhausted()?;
-        Ok(ObjectQueryState {
-            query,
-            tag,
-            automaton,
-        })
+        parse(payload, KIND_STATE_PAYLOAD, TagRefs::Implied(tag))
     }
 }
 
-pub(crate) fn header(kind: u8) -> Writer {
+fn header(kind: u8) -> Writer {
     let mut w = Writer::new();
     w.put_u8(WIRE_VERSION);
     w.put_u8(kind);
     w
 }
 
-pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireError> {
+fn check_header(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireError> {
     let mut r = Reader::new(bytes);
     let version = r.get_u8()?;
     if version != WIRE_VERSION {
@@ -265,273 +219,136 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireErr
     Ok(r)
 }
 
-pub(crate) fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    String::from_utf8(r.get_bytes()?).map_err(|_| WireError::new("string is not valid UTF-8"))
+/// One whole message: the header, then `value`.
+pub(crate) fn message(kind: u8, value: &impl Wire, refs: TagRefs<'_>) -> Vec<u8> {
+    let mut w = header(kind);
+    value.put(&mut w, refs);
+    w.into_bytes()
 }
 
-pub(crate) fn get_epoch(raw: i64) -> Result<Epoch, WireError> {
-    u32::try_from(raw)
-        .map(Epoch)
-        .map_err(|_| WireError::new("epoch out of u32 range"))
+/// Read back a [`message`], consuming `bytes` exactly.
+pub(crate) fn parse<T: Wire>(bytes: &[u8], kind: u8, refs: TagRefs<'_>) -> Result<T, WireError> {
+    let mut r = check_header(bytes, kind)?;
+    let value = T::get(&mut r, refs)?;
+    r.expect_exhausted()?;
+    Ok(value)
 }
 
-/// Accumulate one zigzag delta onto a running base without wrapping: a
-/// hostile message can place each individual delta in range while their sum
-/// overflows `i64` (an abort under `overflow-checks`, silent wrap without).
-pub(crate) fn checked_delta(base: i64, delta: i64, what: &str) -> Result<i64, WireError> {
-    base.checked_add(delta)
-        .ok_or_else(|| WireError::length_overflow(what))
-}
+// Both inference states open with their own tag table (the `;`).
+wire_struct!(CollapsedState: ; object, container, weights);
+wire_struct!(ReadingsState: ; object, container, readings as Delta);
+wire_struct!(ObjectQueryState: query, tag, automaton);
+wire_struct!(SharedStateBundle: centroid_tag, centroid_bytes, deltas);
 
-/// Optional tag reference against a table: `0` for `None`, `1 + index`
-/// otherwise.
-pub(crate) fn put_opt_tag(w: &mut Writer, table: &TagTable, tag: Option<TagId>) {
-    match tag {
-        None => w.put_varint(0),
-        Some(t) => w.put_varint(1 + table.index_of(t)),
-    }
-}
-
-pub(crate) fn get_opt_tag(
-    r: &mut Reader<'_>,
-    table: &TagTable,
-) -> Result<Option<TagId>, WireError> {
-    match r.get_varint()? {
-        0 => Ok(None),
-        n => Ok(Some(table.tag_at(n - 1)?)),
-    }
-}
-
-fn encode_collapsed_body(w: &mut Writer, state: &CollapsedState) {
-    let table = TagTable::from_tags(
-        std::iter::once(state.object)
-            .chain(state.weights.keys().copied())
-            .chain(state.container),
-    );
-    table.encode(w);
-    w.put_varint(table.index_of(state.object));
-    put_opt_tag(w, &table, state.container);
-    w.put_varint(state.weights.len() as u64);
-    for (&tag, &weight) in &state.weights {
-        w.put_varint(table.index_of(tag));
-        w.put_f64(weight);
-    }
-}
-
-fn decode_collapsed_body(r: &mut Reader<'_>) -> Result<CollapsedState, WireError> {
-    let table = TagTable::decode(r)?;
-    let object = table.tag_at(r.get_varint()?)?;
-    let container = get_opt_tag(r, &table)?;
-    let count = r.get_varint()? as usize;
-    let mut weights = BTreeMap::new();
-    for _ in 0..count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let weight = r.get_f64()?;
-        weights.insert(tag, weight);
-    }
-    if weights.len() != count {
-        return Err(WireError::new("duplicate candidate in collapsed weights"));
-    }
-    Ok(CollapsedState {
-        object,
-        weights,
-        container,
-    })
-}
-
-fn encode_readings_state_body(w: &mut Writer, state: &ReadingsState) {
-    let table = TagTable::from_tags(
-        std::iter::once(state.object)
-            .chain(state.container)
-            .chain(state.readings.iter().map(|r| r.tag)),
-    );
-    table.encode(w);
-    w.put_varint(table.index_of(state.object));
-    put_opt_tag(w, &table, state.container);
-    encode_reading_seq(w, &table, &state.readings);
-}
-
-fn decode_readings_state_body(r: &mut Reader<'_>) -> Result<ReadingsState, WireError> {
-    let table = TagTable::decode(r)?;
-    let object = table.tag_at(r.get_varint()?)?;
-    let container = get_opt_tag(r, &table)?;
-    let readings = decode_reading_seq(r, &table)?;
-    Ok(ReadingsState {
-        object,
-        readings,
-        container,
-    })
-}
-
-/// Order-preserving reading sequence: per reading a tag-table index, the
-/// epoch as a zigzag delta against the previous reading's epoch, and the
-/// reader id. Time-sorted runs — the overwhelmingly common layout — cost one
-/// byte of delta per reading; tag-grouped exports pay one longer (negative)
-/// delta per group boundary.
-fn encode_reading_seq(w: &mut Writer, table: &TagTable, readings: &[RawReading]) {
-    w.put_varint(readings.len() as u64);
-    let mut prev_epoch = 0i64;
-    for reading in readings {
-        w.put_varint(table.index_of(reading.tag));
-        w.put_zigzag(i64::from(reading.time.0) - prev_epoch);
-        prev_epoch = i64::from(reading.time.0);
-        w.put_varint(u64::from(reading.reader.0));
-    }
-}
-
-fn decode_reading_seq(r: &mut Reader<'_>, table: &TagTable) -> Result<Vec<RawReading>, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut readings = Vec::with_capacity(count.min(1 << 20));
-    let mut prev_epoch = 0i64;
-    for _ in 0..count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let epoch = get_epoch(checked_delta(prev_epoch, r.get_zigzag()?, "reading epoch")?)?;
-        prev_epoch = i64::from(epoch.0);
-        let reader = r.get_varint()?;
-        let reader = u16::try_from(reader)
-            .map(ReaderId)
-            .map_err(|_| WireError::new("reader id out of u16 range"))?;
-        readings.push(RawReading::new(epoch, tag, reader));
-    }
-    Ok(readings)
-}
-
-pub(crate) fn encode_automaton(w: &mut Writer, automaton: &AutomatonState) {
-    match automaton {
-        AutomatonState::Idle => w.put_u8(AUTOMATON_IDLE),
-        AutomatonState::Accumulating {
-            since,
-            readings,
-            fired,
-        } => {
-            w.put_u8(AUTOMATON_ACCUMULATING);
-            w.put_varint(u64::from(since.0));
-            w.put_u8(u8::from(*fired));
-            w.put_varint(readings.len() as u64);
-            // Collected readings are in observation order, almost always
-            // ascending from `since`; delta-encode against the previous one.
-            let mut prev_epoch = i64::from(since.0);
-            for (epoch, value) in readings {
-                w.put_zigzag(i64::from(epoch.0) - prev_epoch);
-                prev_epoch = i64::from(epoch.0);
-                w.put_f64(*value);
+impl Wire for MigrationState {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        match self {
+            MigrationState::None => w.put_u8(0),
+            MigrationState::Collapsed(collapsed) => {
+                w.put_u8(1);
+                collapsed.put(w, refs);
             }
+            MigrationState::Readings(readings) => {
+                w.put_u8(2);
+                readings.put(w, refs);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            0 => Ok(MigrationState::None),
+            1 => Wire::get(r, refs).map(MigrationState::Collapsed),
+            2 => Wire::get(r, refs).map(MigrationState::Readings),
+            _ => Err(WireError::new("unknown migration-state variant")),
         }
     }
 }
 
-pub(crate) fn decode_automaton(r: &mut Reader<'_>) -> Result<AutomatonState, WireError> {
-    match r.get_u8()? {
-        AUTOMATON_IDLE => Ok(AutomatonState::Idle),
-        AUTOMATON_ACCUMULATING => {
-            let since = get_epoch(r.get_varint()? as i64)?;
-            let fired = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::new("invalid fired flag")),
-            };
-            let count = r.get_varint()? as usize;
-            let mut readings = Vec::with_capacity(count.min(1 << 20));
-            let mut prev_epoch = i64::from(since.0);
-            for _ in 0..count {
-                let epoch = get_epoch(checked_delta(
-                    prev_epoch,
-                    r.get_zigzag()?,
-                    "automaton epoch",
-                )?)?;
-                prev_epoch = i64::from(epoch.0);
-                readings.push((epoch, r.get_f64()?));
-            }
-            Ok(AutomatonState::Accumulating {
+/// `Idle` is a bare variant byte. A run is its start, the fired flag and the
+/// collected readings — in observation order, almost always ascending from
+/// `since`, so their epoch deltas chain from `since` rather than from zero.
+impl Wire for AutomatonState {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        match self {
+            AutomatonState::Idle => w.put_u8(0),
+            AutomatonState::Accumulating {
                 since,
                 readings,
                 fired,
-            })
+            } => {
+                w.put_u8(1);
+                since.put(w, refs);
+                fired.put(w, refs);
+                let items = readings.iter().map(|(epoch, value)| (*epoch, value));
+                put_run(w, *since, readings.len(), items, |v, w| v.put(w, refs));
+            }
         }
-        _ => Err(WireError::new("unknown automaton variant")),
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            0 => Ok(AutomatonState::Idle),
+            1 => {
+                let since = Wire::get(r, refs)?;
+                let fired = Wire::get(r, refs)?;
+                let readings = get_run(r, since, |r| f64::get(r, refs))?;
+                Ok(AutomatonState::Accumulating {
+                    since,
+                    readings,
+                    fired,
+                })
+            }
+            _ => Err(WireError::new("unknown automaton variant")),
+        }
     }
 }
 
-fn encode_delta(w: &mut Writer, delta: &StateDelta) {
-    w.put_varint(delta.tag.raw());
-    w.put_varint(u64::from(delta.len));
-    match &delta.full {
-        Some(full) => {
-            w.put_u8(1);
-            w.put_bytes(full);
-        }
-        None => {
-            w.put_u8(0);
-            w.put_varint(delta.edits.len() as u64);
-            // Edit positions ascend (they are produced by a forward scan);
-            // zigzag deltas keep arbitrary orders decodable all the same.
-            let mut prev_pos = 0i64;
-            for &(pos, byte) in &delta.edits {
-                w.put_zigzag(i64::from(pos) - prev_pos);
-                prev_pos = i64::from(pos);
+/// The declared length, then either the full payload (flag `1`) or, after
+/// flag `0`, the byte edits against the centroid and the suffix past its end.
+/// Edit positions ascend (a forward scan produces them); zigzag deltas keep
+/// arbitrary orders decodable all the same.
+impl Wire for StateDelta {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        self.tag.put(w, refs);
+        self.len.put(w, refs);
+        Wire::<Flag>::put(&self.full, w, refs);
+        if self.full.is_none() {
+            self.edits.len().put(w, refs);
+            let mut prev = 0i64;
+            for &(pos, byte) in &self.edits {
+                w.put_zigzag(i64::from(pos) - prev);
+                prev = i64::from(pos);
                 w.put_u8(byte);
             }
-            w.put_bytes(&delta.suffix);
+            self.suffix.put(w, refs);
         }
     }
-}
-
-/// Decode one delta and check it against the centroid it will be applied
-/// to. [`SharedStateBundle::expand`] resizes, indexes and copies on the
-/// delta's word, so only the shapes sharing can produce are let through: a
-/// full payload of the declared length, or edits inside the common prefix
-/// plus exactly the bytes past the centroid's end.
-fn decode_delta(r: &mut Reader<'_>, centroid_len: usize) -> Result<StateDelta, WireError> {
-    let tag = TagId::from_raw(r.get_varint()?);
-    let len = u32::try_from(r.get_varint()?)
-        .map_err(|_| WireError::new("delta length out of u32 range"))?;
-    let payload_len = len as usize;
-    match r.get_u8()? {
-        1 => {
-            let full = r.get_bytes()?;
-            if full.len() != payload_len {
-                return Err(WireError::new("full delta disagrees with its length"));
-            }
-            Ok(StateDelta {
-                tag,
-                edits: Vec::new(),
-                suffix: Vec::new(),
-                len,
-                full: Some(full),
-            })
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut delta = StateDelta {
+            tag: Wire::get(r, refs)?,
+            len: Wire::get(r, refs)?,
+            full: Wire::<Flag>::get(r, refs)?,
+            edits: Vec::new(),
+            suffix: Vec::new(),
+        };
+        if delta.full.is_none() {
+            let mut prev = 0i64;
+            delta.edits = get_counted(r, |r| {
+                prev = prev
+                    .checked_add(r.get_zigzag()?)
+                    .ok_or_else(|| WireError::length_overflow("edit position"))?;
+                Ok((narrow(prev, "edit position")?, r.get_u8()?))
+            })?;
+            delta.suffix = Wire::get(r, refs)?;
         }
-        0 => {
-            let count = r.get_varint()? as usize;
-            let mut edits = Vec::with_capacity(count.min(1 << 20));
-            let common = payload_len.min(centroid_len) as i64;
-            let mut prev_pos = 0i64;
-            for _ in 0..count {
-                let pos = checked_delta(prev_pos, r.get_zigzag()?, "edit position")?;
-                prev_pos = pos;
-                if !(0..common).contains(&pos) {
-                    return Err(WireError::new("edit position outside the common prefix"));
-                }
-                edits.push((pos as u32, r.get_u8()?));
-            }
-            let suffix = r.get_bytes()?;
-            if suffix.len() != payload_len.saturating_sub(centroid_len) {
-                return Err(WireError::new("delta suffix disagrees with its length"));
-            }
-            Ok(StateDelta {
-                tag,
-                edits,
-                suffix,
-                len,
-                full: None,
-            })
-        }
-        _ => Err(WireError::new("invalid delta flag")),
+        Ok(delta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_types::{Epoch, ReaderId};
+    use std::collections::BTreeMap;
 
     fn codec() -> WireCodec {
         WireCodec::new(WireFormat::Binary)

@@ -8,16 +8,15 @@
 //! payload (kind `0x08`), so their bytes are charged and visible in the
 //! communication tables.
 
-use crate::codec::{check_header, header, WireCodec};
+use crate::codec::{message, parse, WireCodec};
+use crate::layout::{wire_enum, TagRefs, Wire};
+use crate::primitives::{Reader, Writer};
 use crate::WireError;
 use rfid_types::Epoch;
 
 /// Payload-kind byte of a control message.
 // FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
 pub(crate) const KIND_CONTROL: u8 = 0x08;
-
-const CONTROL_ACK: u8 = 0;
-const CONTROL_RESYNC: u8 = 1;
 
 /// One transport control message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,58 +43,21 @@ pub enum ControlMsg {
     },
 }
 
+wire_enum!(ControlMsg {
+    0 = Ack { from, to, seq },
+    1 = Resync { site, peer, since }
+});
+
 impl WireCodec {
     /// Encode a transport control message.
     pub fn encode_control(&self, msg: &ControlMsg) -> Vec<u8> {
-        let mut w = header(KIND_CONTROL);
-        match msg {
-            ControlMsg::Ack { from, to, seq } => {
-                w.put_u8(CONTROL_ACK);
-                w.put_varint(u64::from(*from));
-                w.put_varint(u64::from(*to));
-                w.put_varint(*seq);
-            }
-            ControlMsg::Resync { site, peer, since } => {
-                w.put_u8(CONTROL_RESYNC);
-                w.put_varint(u64::from(*site));
-                w.put_varint(u64::from(*peer));
-                w.put_varint(u64::from(since.0));
-            }
-        }
-        w.into_bytes()
+        message(KIND_CONTROL, msg, TagRefs::Raw)
     }
 
     /// Decode a [`Self::encode_control`] message.
     pub fn decode_control(&self, bytes: &[u8]) -> Result<ControlMsg, WireError> {
-        let mut r = check_header(bytes, KIND_CONTROL)?;
-        let msg = match r.get_u8()? {
-            CONTROL_ACK => {
-                let from = get_site(&mut r)?;
-                let to = get_site(&mut r)?;
-                let seq = r.get_varint()?;
-                ControlMsg::Ack { from, to, seq }
-            }
-            CONTROL_RESYNC => {
-                let site = get_site(&mut r)?;
-                let peer = get_site(&mut r)?;
-                let since = get_control_epoch(&mut r)?;
-                ControlMsg::Resync { site, peer, since }
-            }
-            _ => return Err(WireError::new("unknown control variant")),
-        };
-        r.expect_exhausted()?;
-        Ok(msg)
+        parse(bytes, KIND_CONTROL, TagRefs::Raw)
     }
-}
-
-fn get_site(r: &mut crate::primitives::Reader<'_>) -> Result<u16, WireError> {
-    u16::try_from(r.get_varint()?).map_err(|_| WireError::new("site id out of u16 range"))
-}
-
-fn get_control_epoch(r: &mut crate::primitives::Reader<'_>) -> Result<Epoch, WireError> {
-    u32::try_from(r.get_varint()?)
-        .map(Epoch)
-        .map_err(|_| WireError::new("epoch out of u32 range"))
 }
 
 #[cfg(test)]

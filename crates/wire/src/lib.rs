@@ -10,29 +10,31 @@
 //! from varint integers, zigzag delta-encoded epoch sequences, raw IEEE-754
 //! float bits, and per-message symbol tables for repeated tag ids.
 //!
-//! Four payload families are covered, one per cross-site
-//! [`MessageKind`](https://docs.rs/rfid-dist) of the distributed layer:
+//! Eight payload kinds are covered (`0x01`–`0x08`, tabulated in [`codec`]):
+//! migration state ([`rfid_core::MigrationState`]) and its collapsed form
+//! ([`rfid_core::CollapsedState`]), centralized raw-reading batches,
+//! per-object query state ([`rfid_query::ObjectQueryState`]) with its tag-less
+//! sharing payload, centroid-shared bundles
+//! ([`rfid_query::SharedStateBundle`]), site checkpoints ([`SiteCheckpoint`],
+//! a site's complete durable state as one serialized artifact) and transport
+//! control messages ([`ControlMsg`]).
 //!
-//! * collapsed weights and critical-region readings
-//!   ([`rfid_core::MigrationState`], [`rfid_core::CollapsedState`]);
-//! * centralized raw-reading forwarding (`&[RawReading]` batches);
-//! * query-state bundles ([`rfid_query::SharedStateBundle`],
-//!   [`rfid_query::ObjectQueryState`]);
-//! * site checkpoints ([`SiteCheckpoint`]) — a site's complete durable state
-//!   (engine + processor snapshots, cursors, inbox, accounting) framed as a
-//!   first-class payload so a checkpoint is also a serialized artifact.
+//! The layout of every type is declared once — a leaf impl, a container
+//! impl or a one-line field list — and its encoder, decoder and tag
+//! collection are all derived from that declaration (see [`codec`]).
 //!
 //! Every encoding is bit-exact: `decode(encode(x)) == x` including `f64` bit
 //! patterns (round-trip proptests in `tests/roundtrip.rs`), and the bytes of
-//! one fully-populated value per payload kind are pinned in
-//! `tests/golden_bytes.rs`. To inspect a payload, print the decoded value
-//! with `{:#?}` — every payload type derives `Debug`.
+//! a fully-populated and an all-empty value per payload kind are pinned in
+//! `tests/golden_bytes.rs` and `tests/golden_bytes_minimal.rs`. To inspect a
+//! payload, print the decoded value with `{:#?}`.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod codec;
 pub mod control;
+mod layout;
 pub mod primitives;
 
 pub use checkpoint::{

@@ -6,17 +6,15 @@
 //! This is the runtime half of the `panic-free-decode` invariant; the static
 //! half is enforced by `rfid-lint` over `crates/wire/src`.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
-use rfid_core::{CollapsedState, MigrationState, ReadingsState};
+use rfid_core::{CollapsedState, MigrationState};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::primitives::{Reader, TagTable, Writer};
-use rfid_wire::{WireCodec, WireErrorKind, WireFormat, WIRE_VERSION};
-use std::collections::BTreeMap;
-
-fn codec() -> WireCodec {
-    WireCodec::new(WireFormat::Binary)
-}
+use rfid_wire::{WireErrorKind, WIRE_VERSION};
 
 /// Run every decoder over `bytes`; the only acceptable outcomes are `Ok` and
 /// `Err` — a panic fails the test by unwinding. A bundle that decodes is also
@@ -36,269 +34,7 @@ fn decode_everything(bytes: &[u8]) {
     let _ = codec.state_from_payload(TagId::item(1), bytes);
 }
 
-fn arb_tag() -> impl Strategy<Value = TagId> {
-    (0u64..3, prop_oneof![0u64..200, Just((1u64 << 62) - 1)]).prop_map(
-        |(kind, serial)| match kind {
-            0 => TagId::item(serial),
-            1 => TagId::case(serial),
-            _ => TagId::pallet(serial),
-        },
-    )
-}
-
-fn arb_epoch() -> impl Strategy<Value = Epoch> {
-    prop_oneof![
-        (0u32..5000).prop_map(Epoch),
-        Just(Epoch(u32::MAX)),
-        Just(Epoch(0)),
-    ]
-}
-
-fn arb_weight() -> impl Strategy<Value = f64> {
-    prop_oneof![-1e6f64..1e6, Just(0.0f64), Just(-0.0f64), Just(-1e-300f64)]
-}
-
-fn arb_readings() -> impl Strategy<Value = Vec<RawReading>> {
-    prop::collection::vec(
-        (arb_epoch(), arb_tag(), 0u16..u16::MAX)
-            .prop_map(|(time, tag, reader)| RawReading::new(time, tag, ReaderId(reader))),
-        0..40,
-    )
-}
-
-fn arb_collapsed() -> impl Strategy<Value = CollapsedState> {
-    (
-        arb_tag(),
-        prop::collection::btree_map(arb_tag(), arb_weight(), 0..10),
-        prop::option::of(arb_tag()),
-    )
-        .prop_map(|(object, weights, container)| CollapsedState {
-            object,
-            weights,
-            container,
-        })
-}
-
-fn arb_migration() -> impl Strategy<Value = MigrationState> {
-    prop_oneof![
-        Just(MigrationState::None),
-        arb_collapsed().prop_map(MigrationState::Collapsed),
-        (arb_tag(), arb_readings(), prop::option::of(arb_tag())).prop_map(
-            |(object, readings, container)| {
-                MigrationState::Readings(ReadingsState {
-                    object,
-                    readings,
-                    container,
-                })
-            }
-        ),
-    ]
-}
-
-fn arb_query_state() -> impl Strategy<Value = ObjectQueryState> {
-    (
-        0u32..4,
-        arb_tag(),
-        prop_oneof![
-            Just(AutomatonState::Idle),
-            (
-                arb_epoch(),
-                prop::collection::vec((arb_epoch(), arb_weight()), 0..15),
-                any::<bool>(),
-            )
-                .prop_map(|(since, readings, fired)| AutomatonState::Accumulating {
-                    since,
-                    readings,
-                    fired,
-                }),
-        ],
-    )
-        .prop_map(|(q, tag, automaton)| ObjectQueryState {
-            query: format!("Q{q}"),
-            tag,
-            automaton,
-        })
-}
-
-/// Bundles exactly as sharing builds them: every delta is the diff of one
-/// payload against the centroid, which is all the decoder accepts. The
-/// payloads are variations of one base string — a point edit, a cut, an
-/// appended tail — so edit, suffix and full-fallback deltas all occur.
-fn arb_bundle() -> impl Strategy<Value = SharedStateBundle> {
-    let variation = (
-        (0usize..48, any::<u8>()),
-        0usize..64,
-        prop::collection::vec(any::<u8>(), 0..12),
-    );
-    (
-        prop::collection::vec(any::<u8>(), 0..48),
-        prop::collection::btree_map(arb_tag(), variation, 1..9),
-    )
-        .prop_map(|(base, variations)| {
-            let mut states = Vec::new();
-            let mut payloads = BTreeMap::new();
-            for (tag, ((at, byte), keep, tail)) in variations {
-                let mut bytes = base.clone();
-                if let Some(slot) = bytes.get_mut(at) {
-                    *slot = byte;
-                }
-                bytes.truncate(keep);
-                bytes.extend(tail);
-                payloads.insert(tag, bytes);
-                states.push(ObjectQueryState {
-                    query: String::new(),
-                    tag,
-                    automaton: AutomatonState::Idle,
-                });
-            }
-            rfid_query::share_states_with(&states, |s| payloads[&s.tag].clone())
-                .expect("at least one state")
-        })
-}
-
-/// A small but fully-populated checkpoint: every section non-empty, so
-/// truncation and bit-flip sweeps cross section boundaries.
-fn arb_checkpoint() -> impl Strategy<Value = rfid_wire::SiteCheckpoint> {
-    use rfid_core::{
-        CachedVariant, DirtySet, EngineSnapshot, EvidenceCache, Observations, PriorWeights,
-    };
-    use rfid_query::ProcessorSnapshot;
-    use rfid_types::{ContainmentMap, LocationId, SensorReading};
-    (
-        arb_readings(),
-        prop::collection::vec((arb_tag(), arb_tag(), arb_weight()), 0..6),
-        prop::collection::vec((arb_tag(), arb_epoch()), 0..6),
-        arb_query_state(),
-        (arb_epoch(), 0u16..16, arb_tag(), arb_epoch()),
-    )
-        .prop_map(
-            |(readings, priors, records, state, (depart, to, tag, arrive))| {
-                let mut store = Observations::new();
-                for reading in &readings {
-                    store.insert(*reading);
-                }
-                let mut prior = PriorWeights::empty();
-                let mut containment = ContainmentMap::new();
-                for (object, container, weight) in priors {
-                    prior.set(object, container, weight);
-                    containment.set(object, container);
-                }
-                let mut dirty = DirtySet::new();
-                for (dirty_tag, epoch) in records {
-                    dirty.record(dirty_tag, epoch);
-                }
-                let mut cache = EvidenceCache::new();
-                cache.set_variants(
-                    tag,
-                    vec![CachedVariant {
-                        members: vec![tag],
-                        epochs: vec![depart],
-                        qrows: vec![0.5, -0.5],
-                        evidence: [(tag, vec![(depart, 1.0)])].into_iter().collect(),
-                    }],
-                );
-                rfid_wire::SiteCheckpoint {
-                    site: 3,
-                    at: arrive,
-                    engine: EngineSnapshot {
-                        store,
-                        prior,
-                        containment,
-                        detected: Vec::new(),
-                        last_outcome: None,
-                        last_inference_at: Some(arrive),
-                        threshold: Some(4.5),
-                        dirty,
-                        cache,
-                    },
-                    processor: ProcessorSnapshot {
-                        temperatures: vec![SensorReading::new(depart, LocationId(1), 20.5)],
-                        automata: vec![state.clone()],
-                        alerts: Vec::new(),
-                    },
-                    reading_cursor: readings.len() as u64,
-                    sensor_cursor: 1,
-                    departure_cursor: 0,
-                    inbox: vec![rfid_wire::PendingShipment {
-                        depart,
-                        from: 0,
-                        to,
-                        tag,
-                        arrive,
-                        seq: 9,
-                        physical: arrive,
-                        inference: Some(vec![7, 7, 7]),
-                        query: vec![state],
-                    }],
-                    comm_bytes: [1, 2, 3, 4, 5],
-                    comm_messages: [1, 1, 1, 1, 1],
-                    shared_bytes: 10,
-                    unshared_bytes: 20,
-                    inference_runs: 2,
-                    stats: Default::default(),
-                    inbox_seqs: vec![rfid_wire::EdgeSeqs {
-                        peer: to,
-                        watermark: 4,
-                        extras: vec![6, 9],
-                    }],
-                    transport: rfid_wire::TransportStats {
-                        envelopes: 3,
-                        transmissions: 5,
-                        retransmissions: 2,
-                        acks: 3,
-                        duplicates_dropped: 1,
-                        reconciled: 1,
-                        stale_dropped: 0,
-                        abandoned: 0,
-                        resyncs: 1,
-                        quarantined: 1,
-                    },
-                    quarantine: vec![rfid_wire::QuarantineEntry {
-                        from: 0,
-                        seq: 9,
-                        physical: arrive,
-                    }],
-                    memory: rfid_core::MemoryStats {
-                        high_water: 12,
-                        compactions: 1,
-                        compacted_observations: 4,
-                        evicted_cache_entries: 1,
-                    },
-                    ledgers: vec![rfid_wire::EdgeLedger {
-                        from: 0,
-                        to,
-                        envelopes: 3,
-                        abandoned: 0,
-                        sent_copies: 4,
-                        sent_bytes: 64,
-                        recv_copies: 4,
-                        recv_bytes: 64,
-                        accepted: 3,
-                        imported: 2,
-                        stale: 0,
-                        quarantined: 1,
-                        undelivered: 1,
-                        undelivered_bytes: 16,
-                        dark_envelopes: 0,
-                    }],
-                }
-            },
-        )
-}
-
 /// Valid binary encodings of every payload family, for mutation.
-fn arb_control() -> impl Strategy<Value = rfid_wire::ControlMsg> {
-    prop_oneof![
-        (0u16..64, 0u16..64, any::<u64>()).prop_map(|(from, to, seq)| rfid_wire::ControlMsg::Ack {
-            from,
-            to,
-            seq
-        }),
-        (0u16..64, 0u16..64, arb_epoch())
-            .prop_map(|(site, peer, since)| rfid_wire::ControlMsg::Resync { site, peer, since }),
-    ]
-}
-
 fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         arb_readings().prop_map(|r| codec().encode_readings(&r)),
@@ -475,6 +211,100 @@ fn deltas_the_centroid_cannot_take_are_malformed() {
     assert_eq!(bundle.expand()[1], (TagId::item(2), vec![9, 2, 8, 7, 7]));
 }
 
+/// A hand-written checkpoint over the two-tag table `[case 1, item 1]`:
+/// every section empty except the engine's five tag-keyed stores, whose
+/// bodies the caller writes.
+fn checkpoint_with_keyed_sections(sections: [&dyn Fn(&mut Writer); 5]) -> Vec<u8> {
+    let [store, prior, containment, dirty, cache] = sections;
+    let mut w = Writer::new();
+    w.put_u8(WIRE_VERSION);
+    w.put_u8(0x07); // KIND_CHECKPOINT
+    w.put_varint(0); // site
+    w.put_varint(0); // at
+    TagTable::from_tags([TagId::case(1), TagId::item(1)]).encode(&mut w);
+    store(&mut w);
+    prior(&mut w);
+    containment(&mut w);
+    w.put_varint(0); // detected changes
+    for _ in 0..3 {
+        w.put_u8(0); // no outcome, no inference epoch, no threshold
+    }
+    dirty(&mut w);
+    cache(&mut w);
+    // Processor (3), cursors (3), inbox, comm arity, shared/unshared/runs (3),
+    // inference stats (5), edge seqs, transport arity, quarantine, memory
+    // arity, ledgers: all empty or zero.
+    for _ in 0..21 {
+        w.put_varint(0);
+    }
+    w.into_bytes()
+}
+
+/// A tag-keyed section that declares two entries must yield two: a repeated
+/// key is `Malformed` in every section alike. The five stores that rebuild
+/// through their own API used to let the second entry overwrite (or merge
+/// into) the first. One directed case per section; the same bodies under
+/// distinct keys decode.
+#[test]
+fn duplicate_keys_are_malformed_in_every_keyed_section() {
+    type Section = fn(&mut Writer, u64);
+    let empty: Section = |w, _| w.put_varint(0);
+    let sections: [(&str, Section); 5] = [
+        ("observation store", |w, second| {
+            w.put_varint(2);
+            for (key, epoch_delta) in [(0, 0), (second, 1)] {
+                w.put_varint(key);
+                w.put_varint(1); // one observation
+                w.put_zigzag(epoch_delta);
+                w.put_varint(1); // heard by one reader
+                w.put_varint(0); // at location 0
+            }
+        }),
+        ("prior weights", |w, second| {
+            w.put_varint(2);
+            for (key, weight) in [(0, 1.0), (second, 2.0)] {
+                w.put_varint(key);
+                w.put_varint(1); // one candidate container
+                w.put_varint(0);
+                w.put_f64(weight);
+            }
+        }),
+        ("containment", |w, second| {
+            w.put_varint(2);
+            for key in [0, second] {
+                w.put_varint(key);
+                w.put_varint(0); // container
+            }
+        }),
+        ("dirty journal", |w, second| {
+            w.put_varint(2);
+            for key in [0, second] {
+                w.put_varint(key);
+                w.put_varint(0); // marked, no epochs
+            }
+        }),
+        ("evidence cache", |w, second| {
+            w.put_varint(2);
+            for key in [0, second] {
+                w.put_varint(key);
+                w.put_varint(0); // no variants
+            }
+        }),
+    ];
+    for (at, (what, section)) in sections.iter().enumerate() {
+        let build = |second: u64| {
+            let body = |w: &mut Writer| section(w, second);
+            let blank = |w: &mut Writer| empty(w, 0);
+            let mut bodies: [&dyn Fn(&mut Writer); 5] = [&blank; 5];
+            bodies[at] = &body;
+            checkpoint_with_keyed_sections(bodies)
+        };
+        codec().decode_checkpoint(&build(1)).expect(what);
+        let err = codec().decode_checkpoint(&build(0)).expect_err(what);
+        assert_eq!(err.kind(), WireErrorKind::Malformed, "{what}");
+    }
+}
+
 /// The chaos fault plan corrupts a poisoned envelope by flipping the high
 /// bit of byte 0, which ruins the version byte. Every payload kind must turn
 /// that into a typed [`WireError`] (quarantine input), never a panic and
@@ -541,46 +371,7 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
         );
     }
     // KIND_CHECKPOINT travels through its own codec entry point.
-    let checkpoint = codec.encode_checkpoint(&{
-        use rfid_core::{DirtySet, EngineSnapshot, EvidenceCache, Observations, PriorWeights};
-        use rfid_query::ProcessorSnapshot;
-        use rfid_types::ContainmentMap;
-        rfid_wire::SiteCheckpoint {
-            site: 0,
-            at: Epoch(0),
-            engine: EngineSnapshot {
-                store: Observations::new(),
-                prior: PriorWeights::empty(),
-                containment: ContainmentMap::new(),
-                detected: Vec::new(),
-                last_outcome: None,
-                last_inference_at: None,
-                threshold: None,
-                dirty: DirtySet::new(),
-                cache: EvidenceCache::new(),
-            },
-            processor: ProcessorSnapshot {
-                temperatures: Vec::new(),
-                automata: Vec::new(),
-                alerts: Vec::new(),
-            },
-            reading_cursor: 0,
-            sensor_cursor: 0,
-            departure_cursor: 0,
-            inbox: Vec::new(),
-            comm_bytes: [0; 5],
-            comm_messages: [0; 5],
-            shared_bytes: 0,
-            unshared_bytes: 0,
-            inference_runs: 0,
-            stats: Default::default(),
-            inbox_seqs: Vec::new(),
-            transport: Default::default(),
-            quarantine: Vec::new(),
-            memory: Default::default(),
-            ledgers: Vec::new(),
-        }
-    });
+    let checkpoint = codec.encode_checkpoint(&empty_checkpoint());
     let mut poisoned = checkpoint;
     poisoned[0] ^= 0x80;
     decode_everything(&poisoned);
