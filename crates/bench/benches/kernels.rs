@@ -3,7 +3,8 @@
 //! Every default-path kernel is bit-identical to its scalar twin (pinned by
 //! the unit tests in `crates/core/src/dense/kernels.rs`); these benches
 //! isolate the per-call wall-clock so kernel regressions show up without
-//! running the full `inference_dense` experiment.
+//! running a whole distributed workload (`benchmark/` owns end-to-end
+//! `core.infer_*` time).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfid_core::dense::kernels;

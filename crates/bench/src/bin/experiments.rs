@@ -10,10 +10,9 @@
 //! The `wire` experiment additionally writes its measurements as
 //! machine-readable JSON to `BENCH_wire.json` (override the path with the
 //! `BENCH_WIRE_OUT` environment variable), so the communication-cost
-//! trajectory is tracked across PRs; the `inference_dense` experiment does
-//! the same for solver wall-clock via `BENCH_infer.json` /
-//! `BENCH_INFER_OUT`, the `faults` experiment for fault-degradation
-//! tables via `BENCH_faults.json` / `BENCH_FAULTS_OUT`, the `degraded`
+//! trajectory is tracked across PRs; the `faults` experiment does the same
+//! for fault-degradation tables via `BENCH_faults.json` /
+//! `BENCH_FAULTS_OUT`, the `degraded`
 //! experiment for transport loss/partition degradation via
 //! `BENCH_degraded.json` / `BENCH_DEGRADED_OUT`, and the `chaos` soak
 //! (every fault family at once, all invariant oracles asserted) via
@@ -22,9 +21,8 @@
 use rfid_bench::{
     chaos_json, chaos_measurements, chaos_memory_table, chaos_table, degraded_json,
     degraded_measurements, degraded_table, fault_measurements, faults_json, faults_table, fig4,
-    fig5a, fig5b, fig5c, fig5d, fig5e, fig5f, fig6a, fig6b, incremental_inference,
-    infer_measurements, inference_dense_json, inference_dense_table, parallel_scaling, scalability,
-    table3, table4, table5, table_query, wire_json, wire_measurements, wire_table, Scale,
+    fig5a, fig5b, fig5c, fig5d, fig5e, fig5f, fig6a, fig6b, parallel_scaling, scalability, table3,
+    table4, table5, table_query, wire_json, wire_measurements, wire_table, Scale,
 };
 use rfid_eval::Series;
 use std::time::Instant;
@@ -45,8 +43,6 @@ const ALL: &[&str] = &[
     "table_query",
     "scalability",
     "parallel_scaling",
-    "incremental_inference",
-    "inference_dense",
     "wire",
     "faults",
     "degraded",
@@ -103,17 +99,6 @@ fn run(name: &str, scale: Scale) {
         "table_query" => println!("{}", table_query(scale)),
         "scalability" => println!("{}", scalability(scale)),
         "parallel_scaling" => println!("{}", parallel_scaling(scale)),
-        "incremental_inference" => println!("{}", incremental_inference(scale)),
-        "inference_dense" => {
-            let measurements = infer_measurements(scale);
-            println!("{}", inference_dense_table(&measurements));
-            let path =
-                std::env::var("BENCH_INFER_OUT").unwrap_or_else(|_| "BENCH_infer.json".to_string());
-            match std::fs::write(&path, inference_dense_json(scale, &measurements)) {
-                Ok(()) => eprintln!("[inference measurements written to {path}]"),
-                Err(err) => eprintln!("[failed to write {path}: {err}]"),
-            }
-        }
         "wire" => {
             let measurements = wire_measurements(scale);
             println!("{}", wire_table(&measurements));

@@ -287,8 +287,8 @@ pub fn table_query(scale: Scale) -> Table {
     table
 }
 
-/// The wide short-dwell chain of the `parallel_scaling` and
-/// `incremental_inference` experiments: `sites` warehouses with short shelf
+/// The wide short-dwell chain of the `parallel_scaling`, `wire`, `faults`,
+/// `degraded` and `chaos` experiments: `sites` warehouses with short shelf
 /// dwells (60–180 s) and a fast injection cadence (120 s), so pallets reach
 /// the deep sites of the DAG within the horizon and every site stays busy.
 /// At `Scale::Default` with 8 sites this is the CHANGES.md reference scale:
@@ -361,249 +361,6 @@ pub fn parallel_scaling(scale: Scale) -> Table {
         ]);
     }
     table
-}
-
-/// Incremental inference: per-site inference wall-clock of full per-run
-/// RFINFER recomputes versus dirty-set scheduled incremental runs, at the
-/// 8-site short-dwell scale, for every migration strategy.
-///
-/// Both modes produce bit-identical outcomes (asserted here on containment
-/// and communication; `crates/dist/tests/parallel_determinism.rs` and the
-/// `crates/core` proptests pin the full guarantee) — the table isolates the
-/// pure cost of re-deriving evidence the dirty journal proves unchanged.
-/// "posterior reuse" / "evidence reuse" are the fractions of E-step
-/// posterior and point-evidence evaluations served from the cross-run cache.
-pub fn incremental_inference(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "Incremental inference: per-site inference wall-clock, full recompute vs dirty-set cached",
-        &[
-            "strategy",
-            "runs",
-            "full (s)",
-            "incremental (s)",
-            "speedup",
-            "posterior reuse",
-            "evidence reuse",
-        ],
-    );
-    let chain = short_dwell_chain(scale, 8);
-    let mut total_full = 0.0;
-    let mut total_incremental = 0.0;
-    for (name, strategy) in [
-        ("None", MigrationStrategy::None),
-        ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-        ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-        ("Centralized", MigrationStrategy::Centralized),
-    ] {
-        let config = |incremental: bool| DistributedConfig {
-            strategy,
-            inference: InferenceConfig::default()
-                .without_change_detection()
-                .with_incremental(incremental),
-            ..Default::default()
-        };
-        let full = DistributedDriver::new(config(false)).run(&chain);
-        let incremental = DistributedDriver::new(config(true)).run(&chain);
-        assert_eq!(
-            full.containment, incremental.containment,
-            "incremental inference must not change the outcome"
-        );
-        assert_eq!(full.comm, incremental.comm);
-        assert_eq!(full.inference_runs, incremental.inference_runs);
-        let full_secs = full.inference_wall.as_secs_f64();
-        let incr_secs = incremental.inference_wall.as_secs_f64();
-        total_full += full_secs;
-        total_incremental += incr_secs;
-        table.push_row(&[
-            name.to_string(),
-            full.inference_runs.to_string(),
-            format!("{full_secs:.2}"),
-            format!("{incr_secs:.2}"),
-            format!("{:.2}x", full_secs / incr_secs.max(1e-9)),
-            format!(
-                "{:.0}%",
-                100.0 * incremental.inference_stats.posterior_reuse_fraction()
-            ),
-            format!(
-                "{:.0}%",
-                100.0 * incremental.inference_stats.evidence_reuse_fraction()
-            ),
-        ]);
-    }
-    table.push_row(&[
-        "TOTAL".to_string(),
-        String::new(),
-        format!("{total_full:.2}"),
-        format!("{total_incremental:.2}"),
-        format!("{:.2}x", total_full / total_incremental.max(1e-9)),
-        String::new(),
-        String::new(),
-    ]);
-    table
-}
-
-/// One per-strategy measurement of the tree-vs-dense solver comparison.
-#[derive(Debug, Clone)]
-pub struct InferMeasurement {
-    /// Migration strategy name.
-    pub strategy: &'static str,
-    /// Inference runs executed across all sites (identical for both solvers).
-    pub runs: usize,
-    /// Summed per-site inference wall-clock of the tree reference solver,
-    /// seconds (incremental mode, as in PR 3).
-    pub tree_secs: f64,
-    /// Summed per-site inference wall-clock of the dense-interned solver,
-    /// seconds (incremental mode, the default).
-    pub dense_secs: f64,
-    /// Fraction of E-step posteriors served from the cross-run cache
-    /// (identical for both solvers — they replay the same reuse decisions).
-    pub posterior_reuse: f64,
-    /// Fraction of point-evidence values served from the cache.
-    pub evidence_reuse: f64,
-    /// Which dense EM kernel path produced `dense_secs`: `"vector"` for the
-    /// chunk-of-8 lane kernels (the default), `"scalar"` when they are
-    /// disabled. Both paths are bit-identical; only the wall-clock differs.
-    pub kernel: &'static str,
-}
-
-/// Dense-solver comparison at the 8-site short-dwell reference scale: for
-/// every migration strategy, the summed per-site inference wall-clock of the
-/// `BTreeMap`-keyed tree reference versus the dense-interned columnar solver,
-/// both running incrementally (so the dense gain compounds with — rather than
-/// replaces — the dirty-set cache).
-///
-/// Both solvers are asserted to produce identical containment, communication
-/// totals, run counts and reuse counters (the full bit-identity guarantee is
-/// pinned by the `dense_solver_matches_tree_reference` proptest and the dist
-/// determinism suite), so the table isolates pure solver cost.
-pub fn infer_measurements(scale: Scale) -> Vec<InferMeasurement> {
-    let chain = short_dwell_chain(scale, 8);
-    let mut rows = Vec::new();
-    for (name, strategy) in [
-        ("None", MigrationStrategy::None),
-        ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-        ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-        ("Centralized", MigrationStrategy::Centralized),
-    ] {
-        let config = |dense: bool| DistributedConfig {
-            strategy,
-            inference: InferenceConfig::default()
-                .without_change_detection()
-                .with_dense(dense),
-            ..Default::default()
-        };
-        let tree = DistributedDriver::new(config(false)).run(&chain);
-        let dense = DistributedDriver::new(config(true)).run(&chain);
-        assert_eq!(
-            tree.containment, dense.containment,
-            "{name}: the dense solver must not change the outcome"
-        );
-        assert_eq!(tree.comm, dense.comm);
-        assert_eq!(tree.inference_runs, dense.inference_runs);
-        assert_eq!(
-            tree.inference_stats, dense.inference_stats,
-            "{name}: both solvers replay the same reuse decisions"
-        );
-        let kernel = if config(true).inference.rfinfer.vector_kernels {
-            "vector"
-        } else {
-            "scalar"
-        };
-        rows.push(InferMeasurement {
-            strategy: name,
-            runs: tree.inference_runs,
-            tree_secs: tree.inference_wall.as_secs_f64(),
-            dense_secs: dense.inference_wall.as_secs_f64(),
-            posterior_reuse: dense.inference_stats.posterior_reuse_fraction(),
-            evidence_reuse: dense.inference_stats.evidence_reuse_fraction(),
-            kernel,
-        });
-    }
-    rows
-}
-
-/// The human-readable table of [`infer_measurements`].
-pub fn inference_dense(scale: Scale) -> Table {
-    inference_dense_table(&infer_measurements(scale))
-}
-
-/// Render pre-computed measurements as the comparison table (so one
-/// measurement pass can feed both the table and `BENCH_infer.json`).
-pub fn inference_dense_table(measurements: &[InferMeasurement]) -> Table {
-    let mut table = Table::new(
-        "Dense-interned solver: per-site inference wall-clock, tree reference vs dense (both incremental)",
-        &[
-            "strategy",
-            "runs",
-            "tree (s)",
-            "dense (s)",
-            "speedup",
-            "posterior reuse",
-            "evidence reuse",
-        ],
-    );
-    let mut total_tree = 0.0;
-    let mut total_dense = 0.0;
-    for m in measurements {
-        total_tree += m.tree_secs;
-        total_dense += m.dense_secs;
-        table.push_row(&[
-            m.strategy.to_string(),
-            m.runs.to_string(),
-            format!("{:.2}", m.tree_secs),
-            format!("{:.2}", m.dense_secs),
-            format!("{:.2}x", m.tree_secs / m.dense_secs.max(1e-9)),
-            format!("{:.0}%", 100.0 * m.posterior_reuse),
-            format!("{:.0}%", 100.0 * m.evidence_reuse),
-        ]);
-    }
-    table.push_row(&[
-        "TOTAL".to_string(),
-        String::new(),
-        format!("{total_tree:.2}"),
-        format!("{total_dense:.2}"),
-        format!("{:.2}x", total_tree / total_dense.max(1e-9)),
-        String::new(),
-        String::new(),
-    ]);
-    table
-}
-
-/// The machine-readable companion of [`inference_dense`] — the contents of
-/// `BENCH_infer.json`, tracked across PRs so the inference-perf trajectory
-/// stays visible alongside `BENCH_wire.json`. Hand-rendered JSON (stable key
-/// order, one row object per strategy).
-pub fn inference_dense_json(scale: Scale, measurements: &[InferMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
-    out.push_str("  \"metric\": \"summed per-site inference wall-clock (s), incremental runs\",\n");
-    let total_tree: f64 = measurements.iter().map(|m| m.tree_secs).sum();
-    let total_dense: f64 = measurements.iter().map(|m| m.dense_secs).sum();
-    out.push_str(&format!(
-        "  \"total_tree_secs\": {total_tree:.3}, \"total_dense_secs\": {total_dense:.3}, \
-         \"total_speedup\": {:.3},\n",
-        total_tree / total_dense.max(1e-9)
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"kernel\": \"{}\", \"runs\": {}, \"tree_secs\": {:.3}, \
-             \"dense_secs\": {:.3}, \"speedup\": {:.3}, \"posterior_reuse\": {:.3}, \
-             \"evidence_reuse\": {:.3}}}{}\n",
-            m.strategy,
-            m.kernel,
-            m.runs,
-            m.tree_secs,
-            m.dense_secs,
-            m.tree_secs / m.dense_secs.max(1e-9),
-            m.posterior_reuse,
-            m.evidence_reuse,
-            if i + 1 == measurements.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One per-strategy measurement of the wire-cost table.
@@ -883,9 +640,8 @@ pub fn faults_table(study: &FaultStudy) -> Table {
 }
 
 /// The machine-readable companion of [`faults`] — the contents of
-/// `BENCH_faults.json`, tracked across PRs alongside `BENCH_wire.json` and
-/// `BENCH_infer.json`. Hand-rendered JSON (stable key order, one row object
-/// per strategy).
+/// `BENCH_faults.json`, tracked across PRs alongside `BENCH_wire.json`.
+/// Hand-rendered JSON (stable key order, one row object per strategy).
 pub fn faults_json(scale: Scale, study: &FaultStudy) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
@@ -1525,51 +1281,6 @@ mod tests {
         );
         assert!(row[3].parse::<f64>().unwrap() > 0.0);
         assert!(row[4].parse::<f64>().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn incremental_inference_reuses_work_without_changing_outcomes() {
-        // the function itself asserts full == incremental on every row
-        let table = incremental_inference(Scale::Smoke);
-        assert_eq!(table.headers.len(), 7);
-        assert_eq!(table.rows.len(), 5, "four strategies plus the total row");
-        for row in &table.rows[..4] {
-            assert!(row[1].parse::<usize>().unwrap() > 0, "engines must run");
-            // wall-clock cells are 2-decimal formatted and may round to 0.00
-            // on fast hardware — only require them to be well-formed
-            assert!(row[3].parse::<f64>().unwrap() >= 0.0);
-            let reuse: f64 = row[5].trim_end_matches('%').parse().unwrap();
-            assert!(
-                reuse > 0.0,
-                "incremental mode must reuse cached posteriors ({row:?})"
-            );
-        }
-        assert_eq!(table.rows[4][0], "TOTAL");
-    }
-
-    #[test]
-    fn inference_dense_is_outcome_identical_and_tracked() {
-        // the function itself asserts tree == dense on every row
-        let rows = infer_measurements(Scale::Smoke);
-        assert_eq!(rows.len(), 4, "one row per strategy");
-        for m in &rows {
-            assert!(m.runs > 0, "engines must run");
-            assert!(m.tree_secs >= 0.0 && m.dense_secs >= 0.0);
-            assert!(
-                m.posterior_reuse > 0.0,
-                "incremental runs must reuse cached posteriors ({m:?})"
-            );
-        }
-        let table = inference_dense_table(&rows);
-        assert_eq!(table.headers.len(), 7);
-        assert_eq!(table.rows.len(), 5, "four strategies plus the total row");
-        assert_eq!(table.rows[4][0], "TOTAL");
-        let json = inference_dense_json(Scale::Smoke, &rows);
-        assert!(json.contains("\"rows\": ["));
-        assert!(json.contains("\"strategy\": \"Centralized\""));
-        assert!(json.contains("\"kernel\": \"vector\""));
-        assert!(json.contains("\"total_speedup\""));
-        assert!(json.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -24,10 +24,9 @@ pub use distributed::{
     DegradedStudy,
 };
 pub use distributed::{
-    fault_measurements, faults, faults_json, faults_table, fig5e, fig5f, incremental_inference,
-    infer_measurements, inference_dense, inference_dense_json, inference_dense_table,
-    parallel_scaling, scalability, table5, table_query, wire_json, wire_measurements, wire_table,
-    FaultMeasurement, FaultStudy, InferMeasurement, WireMeasurement,
+    fault_measurements, faults, faults_json, faults_table, fig5e, fig5f, parallel_scaling,
+    scalability, table5, table_query, wire_json, wire_measurements, wire_table, FaultMeasurement,
+    FaultStudy, WireMeasurement,
 };
 pub use single_site::{
     evaluate_rfinfer, evaluate_smurf_star, fig4, fig5a, fig5b, fig5c, fig5d, fig6a, fig6b, table3,

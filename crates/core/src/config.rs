@@ -50,11 +50,6 @@ pub struct InferenceConfig {
     /// Change-point detection; `None` disables it (stable-containment
     /// deployments).
     pub change_detection: Option<ChangeDetectionConfig>,
-    /// Whether periodic runs reuse the cross-run evidence cache
-    /// ([`RfInfer::run_incremental`](crate::RfInfer::run_incremental))
-    /// instead of recomputing from scratch. Either way the outcome is
-    /// bit-identical; incremental runs are just faster. On by default.
-    pub incremental: bool,
     /// RNG seed used for threshold calibration.
     pub seed: u64,
 }
@@ -67,7 +62,6 @@ impl Default for InferenceConfig {
             truncation: TruncationPolicy::default(),
             rfinfer: RfInferConfig::default(),
             change_detection: Some(ChangeDetectionConfig::default()),
-            incremental: true,
             seed: 23,
         }
     }
@@ -98,29 +92,6 @@ impl InferenceConfig {
         self
     }
 
-    /// Enable or disable incremental (cached-evidence) inference runs.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Select the solver: dense-interned columnar EM (`true`, the default)
-    /// or the `BTreeMap`-keyed reference solver (`false`). Both are
-    /// bit-identical; the tree solver exists as the equivalence-testing and
-    /// benchmarking baseline.
-    pub fn with_dense(mut self, dense: bool) -> Self {
-        self.rfinfer.dense = dense;
-        self
-    }
-
-    /// Enable or disable the dense solver's chunk-of-8 vector kernels.
-    /// Outcomes are bit-identical either way; `false` selects the scalar
-    /// reference loops the equivalence tests compare against.
-    pub fn with_vector_kernels(mut self, on: bool) -> Self {
-        self.rfinfer.vector_kernels = on;
-        self
-    }
-
     /// Use a fixed change-point threshold.
     pub fn with_fixed_threshold(mut self, delta: f64) -> Self {
         self.change_detection = Some(ChangeDetectionConfig {
@@ -139,8 +110,6 @@ mod tests {
         let c = InferenceConfig::default();
         assert_eq!(c.period_secs, 300);
         assert_eq!(c.recent_history_secs, 600);
-        assert!(c.incremental, "incremental runs are the default");
-        assert!(!c.clone().with_incremental(false).incremental);
         assert!(c.change_detection.is_some());
         assert!(matches!(
             c.truncation,

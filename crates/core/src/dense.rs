@@ -1,15 +1,15 @@
-//! Dense-interned columnar RFINFER — the default solver behind
-//! [`RfInfer::run`](crate::RfInfer::run).
+//! Dense-interned columnar RFINFER — the one solver behind
+//! [`RfInfer::run`](crate::RfInfer::run) and its siblings.
 //!
-//! The reference solver (`RfInfer::run_tree`) keys every piece of EM state by
-//! sparse 64-bit [`TagId`]s in `BTreeMap`s: each E-step posterior, each
-//! point-evidence append and each M-step weight update pays a tree walk plus
-//! an allocation. This module removes all of that from the inner loops with
-//! one idea: **a per-run interning pass**. At the top of a run every live tag
-//! (objects, observed containers, prior-named candidate containers) is
-//! interned into a contiguous `u32` index, every distinct per-epoch reader
-//! set into a reader-set id, and from then on the EM runs entirely over flat
-//! `Vec`-indexed arenas:
+//! The test-only reference solver (`crate::reference`) keys every piece of
+//! EM state by sparse 64-bit [`TagId`]s in `BTreeMap`s: each E-step
+//! posterior, each point-evidence append and each M-step weight update pays
+//! a tree walk plus an allocation. This module removes all of that from the
+//! inner loops with one idea: **a per-run interning pass**. At the top of a
+//! run every live tag (objects, observed containers, prior-named candidate
+//! containers) is interned into a contiguous `u32` index, every distinct
+//! per-epoch reader set into a reader-set id, and from then on the EM runs
+//! entirely over flat `Vec`-indexed arenas:
 //!
 //! * candidate sets, co-location weight rows and prior weights live in flat
 //!   arenas aligned by candidate position (`cand_arena` / `weights`),
@@ -20,6 +20,11 @@
 //! * every `(reader set, location)` log-likelihood is computed once per run
 //!   in a memoized [`ReaderSetTable`] row and reused by both the posterior
 //!   and the point-evidence evaluations,
+//! * the inner loops run through the chunk-of-8 [`kernels`] — lane-parallel
+//!   loglik row fills, in-place log-sum-exp normalization, batched
+//!   point-evidence dot products (one lane per candidate) and an
+//!   epoch-indexed candidate-pruning pass — which vectorize across
+//!   locations/candidates only, never across the terms of one accumulator,
 //! * all of it backed by [`DenseScratch`] buffers the engine keeps alive
 //!   across runs, so the streaming steady state allocates almost nothing.
 //!
@@ -33,27 +38,23 @@
 //! candidate ranking, same initial assignment, same variant memoization and
 //! cross-run reuse decisions, same floating-point summation order — so its
 //! results are **bit-identical** to the tree solver's, pinned by the
-//! `dense_solver_matches_tree_reference` proptest and the distributed
-//! determinism suite.
+//! `dense_solver_matches_tree_reference` proptest and
+//! `tests/solver_equivalence.rs`.
 
 pub mod kernels;
 
 use crate::likelihood::ReaderSetTable;
-use crate::observations::{ObsAt, Observations};
-use crate::posterior::{
-    container_posterior_row_into, container_posterior_row_into_vector, expect_row_of, Posterior,
-};
+use crate::observations::ObsAt;
+use crate::posterior::{container_posterior_row_into_vector, Posterior};
 use crate::rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
-    PrevSeries, RfInfer, MAX_CACHED_VARIANTS,
+    RfInfer, MAX_CACHED_VARIANTS,
 };
 use rfid_types::{ContainmentMap, Epoch, LocationId, TagId};
 use std::collections::{BTreeMap, HashMap};
 
 /// Sentinel for "no index" in dense `u32` columns.
 const NONE_IDX: u32 = u32::MAX;
-
-// TEMPORARY profiling section counters (nanos).
 
 /// One point-evidence series: `(epoch, e_co)` in epoch order.
 type Series = Vec<(Epoch, f64)>;
@@ -127,36 +128,36 @@ pub struct DenseScratch {
     cursors: Vec<u32>,
     /// Sorted invalid epochs of the current container (dirty union).
     invalid: Vec<Epoch>,
-    /// Vector-path scratch: one probability row, reused by every in-place
+    /// One probability row, reused by every in-place
     /// normalization that only needs the MAP location (no `Posterior`
     /// allocation per epoch).
     row_scratch: Vec<f64>,
-    /// Vector-path scratch: gathered weights of one argmax scan, in
+    /// Gathered weights of one argmax scan, in
     /// ascending-container (`cand_sorted`) order.
     argmax_buf: Vec<f64>,
-    /// Vector-path scratch: per-reader-set location bitmask (bit `r` set
+    /// Per-reader-set location bitmask (bit `r` set
     /// when reader `r` fired). Exact only when every reader id fits the
     /// mask width; see `set_mask_exact`.
     set_masks: Vec<u128>,
     /// Whether the matching `set_masks` entry covers every reader of the
     /// set (readers with ids ≥ 128 fall back to a list intersection).
     set_mask_exact: Vec<bool>,
-    /// Vector-path scratch: container observation events `(epoch,
+    /// Container observation events `(epoch,
     /// all-containers position, reader-set id)`, epoch-sorted.
     colo_cont_events: Vec<(Epoch, u32, u32)>,
-    /// Vector-path scratch: object observation events `(epoch, object
+    /// Object observation events `(epoch, object
     /// position, reader-set id)`, epoch-sorted.
     colo_obj_events: Vec<(Epoch, u32, u32)>,
-    /// Vector-path scratch: object × container co-location count matrix,
+    /// Object × container co-location count matrix,
     /// row-major by object position.
     colo_matrix: Vec<u32>,
-    /// Vector-path scratch: lane indices computing a dot product at the
+    /// Lane indices computing a dot product at the
     /// current epoch of one transposed M-step walk.
     active: Vec<u32>,
-    /// Vector-path scratch: epoch-presence bitset of one slot's needed-epoch
+    /// Epoch-presence bitset of one slot's needed-epoch
     /// dedup, indexed by epoch offset from the run's earliest epoch.
     seen: Vec<u64>,
-    /// Vector-path scratch: the distinct epochs of one slot, pre-sort.
+    /// The distinct epochs of one slot, pre-sort.
     uniq: Vec<Epoch>,
 }
 
@@ -351,24 +352,10 @@ fn count_members(
 /// Argmax over one object's weight row, iterating candidates in ascending
 /// container order with later ties winning — the reference's `BTreeMap`
 /// iteration + `max_by` semantics. `range` is the object's flat candidate
-/// range; returns the winning container index.
-fn argmax_weight(s: &DenseScratch, range: std::ops::Range<usize>) -> u32 {
-    let mut best: Option<(u32, f64)> = None;
-    for &p in &s.cand_sorted[range.clone()] {
-        let flat = range.start + p as usize;
-        let w = s.weights[flat];
-        if best.is_none_or(|(_, bw)| w >= bw) {
-            best = Some((s.cand_arena[flat], w));
-        }
-    }
-    best.map(|(ci, _)| ci).unwrap_or(NONE_IDX)
-}
-
-/// Vector-path [`argmax_weight`]: gather the weights in `cand_sorted`
-/// order into a reusable buffer and scan them with the chunked
-/// [`kernels::argmax_ties_last`] — same iteration order, same `>=`
-/// later-ties-win rule, so the winner is identical for every input.
-fn argmax_weight_vector(
+/// range; the weights are gathered in `cand_sorted` order into a reusable
+/// buffer and scanned with the chunked [`kernels::argmax_ties_last`]. Returns
+/// the winning container index.
+fn argmax_weight(
     cand_sorted: &[u32],
     cand_arena: &[u32],
     weights: &[f64],
@@ -386,15 +373,16 @@ fn argmax_weight_vector(
         .unwrap_or(NONE_IDX)
 }
 
-/// Epoch-indexed co-location counting for the vector path's candidate
-/// pruning: instead of one merge-join per (object, container) pair — the
-/// scalar [`Observations::candidate_indices_dense`] walk, quadratic in the
-/// tag universe — group *all* observation events by epoch once and touch
-/// only the (object, container) pairs that actually share an epoch.
+/// Epoch-indexed co-location counting for candidate pruning: instead of one
+/// merge-join per (object, container) pair — the reference's
+/// [`Observations::colocation_counts_into`](crate::Observations::colocation_counts_into)
+/// walk, quadratic in the tag universe — group *all* observation events by
+/// epoch once and touch only the (object, container) pairs that actually
+/// share an epoch.
 /// Reader-set overlap is resolved through per-set location bitmasks
 /// (`any shared reader` ⇔ `mask ∩ mask ≠ ∅` — exact whenever reader ids fit
 /// the mask, with a list-intersection fallback when they don't), so the
-/// resulting counts equal the scalar `colocated_epochs` counts exactly.
+/// resulting counts equal the reference's exactly.
 ///
 /// Fills `s.colo_matrix` row-major by object position over
 /// `s.all_containers` columns.
@@ -530,7 +518,7 @@ fn sort_dedup_bitmap(
 }
 
 /// Run the dense-interned EM. Control flow and floating-point summation
-/// order mirror `RfInfer::run_tree` exactly; see the module docs.
+/// order mirror the reference solver's exactly; see the module docs.
 pub(crate) fn run_dense(
     rf: &RfInfer<'_>,
     mut incr: Option<(&mut EvidenceCache, &DirtySet)>,
@@ -612,11 +600,7 @@ pub(crate) fn run_dense(
         }
         s.set_start.push(s.set_ids.len() as u32);
     }
-    if config.vector_kernels {
-        model.fill_reader_set_table_vector(set_readers.iter().copied(), &mut s.table);
-    } else {
-        model.fill_reader_set_table(set_readers.iter().copied(), &mut s.table);
-    }
+    model.fill_reader_set_table_vector(set_readers.iter().copied(), &mut s.table);
 
     // ---- Objects / containers ----------------------------------------
     s.objects.clear();
@@ -634,16 +618,10 @@ pub(crate) fn run_dense(
     let num_objects = s.objects.len();
 
     // ---- Candidate pruning -------------------------------------------
-    // Container columns for the dense co-location ranking.
-    let container_columns: Vec<(u32, &[ObsAt])> = s
-        .all_containers
-        .iter()
-        .map(|&ci| (ci, obs_of[ci as usize]))
-        .collect();
-    // Vector path: one epoch-indexed counting pass over all observation
-    // events replaces the per-(object, container) merge joins; the counts —
-    // and therefore the selected candidates — are identical.
-    if config.vector_kernels && config.candidate_pruning {
+    // One epoch-indexed counting pass over all observation events replaces
+    // the reference's per-(object, container) merge joins; the counts — and
+    // therefore the selected candidates — are identical.
+    if config.candidate_pruning {
         fill_colocation_matrix(s, &obs_of, &set_readers);
     }
     s.cand_arena.clear();
@@ -653,32 +631,22 @@ pub(crate) fn run_dense(
         s.cand_start.push(s.cand_arena.len() as u32);
         let start = s.cand_arena.len();
         if config.candidate_pruning {
-            if config.vector_kernels {
-                let nc = s.all_containers.len();
-                s.colo_counts.clear();
-                for cpos in 0..nc {
-                    let count = s.colo_matrix[k * nc + cpos];
-                    if count > 0 {
-                        s.colo_counts.push((s.all_containers[cpos], count as usize));
-                    }
+            let nc = s.all_containers.len();
+            s.colo_counts.clear();
+            for cpos in 0..nc {
+                let count = s.colo_matrix[k * nc + cpos];
+                if count > 0 {
+                    s.colo_counts.push((s.all_containers[cpos], count as usize));
                 }
-                s.colo_counts
-                    .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                s.cand_arena.extend(
-                    s.colo_counts
-                        .iter()
-                        .take(config.candidate_limit)
-                        .map(|&(c, _)| c),
-                );
-            } else {
-                Observations::candidate_indices_dense(
-                    obs_of[oi as usize],
-                    &container_columns,
-                    config.candidate_limit,
-                    &mut s.colo_counts,
-                    &mut s.cand_arena,
-                );
             }
+            s.colo_counts
+                .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            s.cand_arena.extend(
+                s.colo_counts
+                    .iter()
+                    .take(config.candidate_limit)
+                    .map(|&(c, _)| c),
+            );
         } else {
             s.cand_arena.extend_from_slice(&s.all_containers);
         }
@@ -794,7 +762,7 @@ pub(crate) fn run_dense(
     s.epochs_len.clear();
     // Epoch span of the run, for the bitset dedup (the arena holds every
     // observed epoch, so min/max bound every slot's segment).
-    let dedup_base = if config.vector_kernels {
+    let dedup_base = {
         let base = s.epochs_arena.iter().copied().min().unwrap_or(Epoch(0));
         let max = s.epochs_arena.iter().copied().max().unwrap_or(base);
         let span = max.since(base) as usize + 1;
@@ -807,8 +775,6 @@ pub(crate) fn run_dense(
         } else {
             None
         }
-    } else {
-        None
     };
     for slot in 0..num_rel {
         let start = s.epochs_start[slot] as usize;
@@ -1012,19 +978,11 @@ pub(crate) fn run_dense(
                     }
                     // The posterior normalizes directly onto the arena tail —
                     // no per-posterior allocation.
-                    if config.vector_kernels {
-                        container_posterior_row_into_vector(
-                            base_row,
-                            member_rows.iter().copied(),
-                            &mut qrows,
-                        );
-                    } else {
-                        container_posterior_row_into(
-                            base_row,
-                            member_rows.iter().copied(),
-                            &mut qrows,
-                        );
-                    }
+                    container_posterior_row_into_vector(
+                        base_row,
+                        member_rows.iter().copied(),
+                        &mut qrows,
+                    );
                 }
                 epochs_vec.push(t);
             }
@@ -1059,17 +1017,13 @@ pub(crate) fn run_dense(
                         .is_none_or(|v| v.updated_iter < iter)
                 });
                 if untouched {
-                    s.new_assign[k] = if config.vector_kernels {
-                        argmax_weight_vector(
-                            &s.cand_sorted,
-                            &s.cand_arena,
-                            &s.weights,
-                            range,
-                            &mut s.argmax_buf,
-                        )
-                    } else {
-                        argmax_weight(s, range)
-                    };
+                    s.new_assign[k] = argmax_weight(
+                        &s.cand_sorted,
+                        &s.cand_arena,
+                        &s.weights,
+                        range,
+                        &mut s.argmax_buf,
+                    );
                     continue;
                 }
             }
@@ -1077,303 +1031,189 @@ pub(crate) fn run_dense(
             let o_obs = obs_of[oi as usize];
             let o_sets = &s.set_ids
                 [s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-            if config.vector_kernels {
-                // Lane-parallel M-step (the transposed walk): classify every
-                // candidate once, then drive all candidates that need the
-                // per-epoch walk through ONE pass over the object's
-                // observations — one lane per candidate accumulator. Each
-                // lane keeps the scalar walk's exact sequence of reuse
-                // decisions, dot products and additions (prior first, then
-                // epoch order), and no value flows between lanes, so every
-                // weight is bit-identical; only the interleaving across
-                // candidates changes. The shared work — the o_obs cursor,
-                // the dirty test and the object's loglik row — is paid once
-                // per epoch instead of once per (candidate, epoch).
-                let o_clean = o_dirty.is_none_or(|d| d.is_empty());
-                debug_assert!(walkers.is_empty());
-                for flat in range.clone() {
-                    let ci = s.cand_arena[flat];
-                    let slot = s.slot_of[ci as usize] as usize;
-                    let mut w = s.prior_w[flat];
-                    if let Some(variant) = current[slot].as_mut() {
-                        if let Some(series) = find_series(&variant.evidence, oi) {
-                            // Same variant as an earlier iteration: identical
-                            // inputs, identical series and summation order.
+            // Lane-parallel M-step (the transposed walk): classify every
+            // candidate once, then drive all candidates that need the
+            // per-epoch walk through ONE pass over the object's
+            // observations — one lane per candidate accumulator. Each
+            // lane keeps the exact sequence of reuse decisions, dot
+            // products and additions (prior first, then epoch order) of the
+            // reference's one-candidate-at-a-time walk, and no value flows
+            // between lanes, so every weight is bit-identical; only the
+            // interleaving across candidates changes. The shared work — the
+            // o_obs cursor, the dirty test and the object's loglik row — is
+            // paid once per epoch instead of once per (candidate, epoch).
+            let o_clean = o_dirty.is_none_or(|d| d.is_empty());
+            debug_assert!(walkers.is_empty());
+            for flat in range.clone() {
+                let ci = s.cand_arena[flat];
+                let slot = s.slot_of[ci as usize] as usize;
+                let mut w = s.prior_w[flat];
+                if let Some(variant) = current[slot].as_mut() {
+                    if let Some(series) = find_series(&variant.evidence, oi) {
+                        // Same variant as an earlier iteration: identical
+                        // inputs, identical series and summation order.
+                        stats.evidence_reused += series.len();
+                        for &(_, e) in series {
+                            w += e;
+                        }
+                    } else {
+                        // Whole-series fast path: the variant's
+                        // posteriors all came from the cache and the
+                        // object is clean.
+                        let moved = (incremental && variant.fully_reused && o_clean)
+                            .then(|| take_prev_series(&mut variant.prev_evidence, oi))
+                            .flatten();
+                        if let Some(series) = moved {
                             stats.evidence_reused += series.len();
-                            for &(_, e) in series {
+                            for &(_, e) in &series {
                                 w += e;
                             }
-                        } else {
-                            // Whole-series fast path: the variant's
-                            // posteriors all came from the cache and the
-                            // object is clean.
-                            let moved = (incremental && variant.fully_reused && o_clean)
-                                .then(|| take_prev_series(&mut variant.prev_evidence, oi))
-                                .flatten();
-                            if let Some(series) = moved {
-                                stats.evidence_reused += series.len();
-                                for &(_, e) in &series {
-                                    w += e;
-                                }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            } else {
-                                walkers.push(MWalker {
-                                    flat: flat as u32,
-                                    slot: slot as u32,
-                                    w,
-                                    series: if incremental {
-                                        Vec::with_capacity(o_obs.len())
-                                    } else {
-                                        Vec::new()
-                                    },
-                                    q_cur: 0,
-                                    r_cur: 0,
-                                    prev_pos: 0,
-                                    done: false,
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                    s.weights[flat] = w;
-                }
-                if !walkers.is_empty() {
-                    // Bind each lane's inputs once — the posterior series,
-                    // the reuse epochs and the previous run's series are
-                    // shared borrows of `current`, so the walk reads flat
-                    // slices instead of chasing through the variant on
-                    // every epoch. (Distinct candidates name distinct
-                    // slots; the variants themselves are only mutated
-                    // after the walk, when the lanes are drained.)
-                    let lane_refs: Vec<MLaneRefs<'_>> = walkers
-                        .iter()
-                        .map(|wk| {
-                            let v = current[wk.slot as usize].as_ref().expect("walker variant");
-                            (
-                                v.epochs.as_slice(),
-                                v.qrows.as_slice(),
-                                v.reused.as_slice(),
-                                prev_series(&v.prev_evidence, oi),
-                            )
-                        })
-                        .collect();
-                    let mut rows: Vec<&[f64]> = Vec::with_capacity(walkers.len());
-                    let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
-                    for (pos, obs_at) in o_obs.iter().enumerate() {
-                        let t = obs_at.epoch;
-                        // The dirty test depends only on (object, epoch):
-                        // hoisted out of the per-candidate walks. Same
-                        // monotone cursor, same boolean per epoch.
-                        let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
-                            while it.peek().is_some_and(|dt| **dt < t) {
-                                it.next();
-                            }
-                            it.peek().is_some_and(|dt| **dt == t)
-                        });
-                        s.active.clear();
-                        rows.clear();
-                        let mut all_done = true;
-                        for (l, (wk, refs)) in walkers.iter_mut().zip(&lane_refs).enumerate() {
-                            if wk.done {
-                                continue;
-                            }
-                            let (epochs, qrows, reused, prev) = *refs;
-                            while wk.q_cur < epochs.len() && epochs[wk.q_cur] < t {
-                                wk.q_cur += 1;
-                            }
-                            if wk.q_cur >= epochs.len() {
-                                wk.done = true;
-                                continue;
-                            }
-                            all_done = false;
-                            if epochs[wk.q_cur] != t {
-                                continue;
-                            }
-                            while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
-                                wk.r_cur += 1;
-                            }
-                            if reused.get(wk.r_cur) == Some(&t) && !o_dirty_here {
-                                if let Some(series) = prev {
-                                    while wk.prev_pos < series.len() && series[wk.prev_pos].0 < t {
-                                        wk.prev_pos += 1;
-                                    }
-                                    if let Some(&(pt, e)) = series.get(wk.prev_pos) {
-                                        if pt == t {
-                                            stats.evidence_reused += 1;
-                                            wk.series.push((t, e));
-                                            wk.w += e;
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                            stats.evidence_computed += 1;
-                            s.active.push(l as u32);
-                            rows.push(&qrows[wk.q_cur * nl..(wk.q_cur + 1) * nl]);
-                        }
-                        if all_done {
-                            break;
-                        }
-                        if s.active.is_empty() {
-                            continue;
-                        }
-                        // Point-evidence dots of every active lane against
-                        // the object's loglik row at this epoch — the row is
-                        // loaded once and shared across the lanes.
-                        let row = s.table.row(o_sets[pos]);
-                        for (chunk, qch) in s
-                            .active
-                            .chunks(kernels::LANES)
-                            .zip(rows.chunks(kernels::LANES))
-                        {
-                            let mut vals = [0.0f64; kernels::LANES];
-                            kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
-                            for (j, &l) in chunk.iter().enumerate() {
-                                let wk = &mut walkers[l as usize];
-                                let e = vals[j];
-                                if incremental {
-                                    wk.series.push((t, e));
-                                }
-                                wk.w += e;
-                            }
-                        }
-                    }
-                    for wk in walkers.drain(..) {
-                        if incremental {
-                            let v = current[wk.slot as usize].as_mut().expect("walker variant");
                             debug_assert!(
-                                v.evidence.last().is_none_or(|e| e.0 < oi),
+                                variant.evidence.last().is_none_or(|e| e.0 < oi),
                                 "evidence pushed out of object order"
                             );
-                            v.evidence.push((oi, wk.series));
+                            variant.evidence.push((oi, series));
+                        } else {
+                            walkers.push(MWalker {
+                                flat: flat as u32,
+                                slot: slot as u32,
+                                w,
+                                series: if incremental {
+                                    Vec::with_capacity(o_obs.len())
+                                } else {
+                                    Vec::new()
+                                },
+                                q_cur: 0,
+                                r_cur: 0,
+                                prev_pos: 0,
+                                done: false,
+                            });
+                            continue;
                         }
-                        s.weights[wk.flat as usize] = wk.w;
                     }
                 }
-            } else {
-                for flat in range.clone() {
-                    let ci = s.cand_arena[flat];
-                    let mut w = s.prior_w[flat];
-                    if let Some(variant) = current[s.slot_of[ci as usize] as usize].as_mut() {
-                        if let Some(series) = find_series(&variant.evidence, oi) {
-                            // Same variant as an earlier iteration: identical
-                            // inputs, identical series and summation order.
-                            stats.evidence_reused += series.len();
-                            for &(_, e) in series {
-                                w += e;
-                            }
-                        } else if incremental {
-                            // Whole-series fast path: the variant's posteriors
-                            // all came from the cache and the object is clean.
-                            let o_clean = o_dirty.is_none_or(|d| d.is_empty());
-                            let moved = (variant.fully_reused && o_clean)
-                                .then(|| take_prev_series(&mut variant.prev_evidence, oi))
-                                .flatten();
-                            if let Some(series) = moved {
-                                stats.evidence_reused += series.len();
-                                for &(_, e) in &series {
-                                    w += e;
+                s.weights[flat] = w;
+            }
+            if !walkers.is_empty() {
+                // Bind each lane's inputs once — the posterior series,
+                // the reuse epochs and the previous run's series are
+                // shared borrows of `current`, so the walk reads flat
+                // slices instead of chasing through the variant on
+                // every epoch. (Distinct candidates name distinct
+                // slots; the variants themselves are only mutated
+                // after the walk, when the lanes are drained.)
+                let lane_refs: Vec<MLaneRefs<'_>> = walkers
+                    .iter()
+                    .map(|wk| {
+                        let v = current[wk.slot as usize].as_ref().expect("walker variant");
+                        (
+                            v.epochs.as_slice(),
+                            v.qrows.as_slice(),
+                            v.reused.as_slice(),
+                            prev_series(&v.prev_evidence, oi),
+                        )
+                    })
+                    .collect();
+                let mut rows: Vec<&[f64]> = Vec::with_capacity(walkers.len());
+                let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
+                for (pos, obs_at) in o_obs.iter().enumerate() {
+                    let t = obs_at.epoch;
+                    // The dirty test depends only on (object, epoch):
+                    // hoisted out of the per-candidate walks. Same
+                    // monotone cursor, same boolean per epoch.
+                    let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
+                        while it.peek().is_some_and(|dt| **dt < t) {
+                            it.next();
+                        }
+                        it.peek().is_some_and(|dt| **dt == t)
+                    });
+                    s.active.clear();
+                    rows.clear();
+                    let mut all_done = true;
+                    for (l, (wk, refs)) in walkers.iter_mut().zip(&lane_refs).enumerate() {
+                        if wk.done {
+                            continue;
+                        }
+                        let (epochs, qrows, reused, prev) = *refs;
+                        while wk.q_cur < epochs.len() && epochs[wk.q_cur] < t {
+                            wk.q_cur += 1;
+                        }
+                        if wk.q_cur >= epochs.len() {
+                            wk.done = true;
+                            continue;
+                        }
+                        all_done = false;
+                        if epochs[wk.q_cur] != t {
+                            continue;
+                        }
+                        while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
+                            wk.r_cur += 1;
+                        }
+                        if reused.get(wk.r_cur) == Some(&t) && !o_dirty_here {
+                            if let Some(series) = prev {
+                                while wk.prev_pos < series.len() && series[wk.prev_pos].0 < t {
+                                    wk.prev_pos += 1;
                                 }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            } else {
-                                // Per-epoch path: lockstep walk over the
-                                // object's observations, the variant's sorted
-                                // posterior series, its reuse set, the dirty
-                                // set and the previous series.
-                                let mut prev =
-                                    PrevSeries::new(prev_series(&variant.prev_evidence, oi));
-                                let mut series = Vec::with_capacity(o_obs.len());
-                                let mut q_cur = 0usize;
-                                let mut r_cur = 0usize;
-                                let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
-                                for (pos, obs_at) in o_obs.iter().enumerate() {
-                                    let t = obs_at.epoch;
-                                    while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t
-                                    {
-                                        q_cur += 1;
-                                    }
-                                    let Some(&qt) = variant.epochs.get(q_cur) else {
-                                        break;
-                                    };
-                                    if qt != t {
+                                if let Some(&(pt, e)) = series.get(wk.prev_pos) {
+                                    if pt == t {
+                                        stats.evidence_reused += 1;
+                                        wk.series.push((t, e));
+                                        wk.w += e;
                                         continue;
                                     }
-                                    while r_cur < variant.reused.len() && variant.reused[r_cur] < t
-                                    {
-                                        r_cur += 1;
-                                    }
-                                    let posterior_reused = variant.reused.get(r_cur) == Some(&t);
-                                    let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
-                                        while it.peek().is_some_and(|dt| **dt < t) {
-                                            it.next();
-                                        }
-                                        it.peek().is_some_and(|dt| **dt == t)
-                                    });
-                                    let reusable = posterior_reused && !o_dirty_here;
-                                    let e = match reusable.then(|| prev.lookup(t)).flatten() {
-                                        Some(e) => {
-                                            stats.evidence_reused += 1;
-                                            e
-                                        }
-                                        None => {
-                                            stats.evidence_computed += 1;
-                                            expect_row_of(
-                                                &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                                s.table.row(o_sets[pos]),
-                                            )
-                                        }
-                                    };
-                                    series.push((t, e));
-                                    w += e;
-                                }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            }
-                        } else {
-                            // Full recompute: lockstep walk, memoized rows.
-                            let mut q_cur = 0usize;
-                            for (pos, obs_at) in o_obs.iter().enumerate() {
-                                let t = obs_at.epoch;
-                                while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
-                                    q_cur += 1;
-                                }
-                                if let Some(&qt) = variant.epochs.get(q_cur) {
-                                    if qt == t {
-                                        stats.evidence_computed += 1;
-                                        w += expect_row_of(
-                                            &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                            s.table.row(o_sets[pos]),
-                                        );
-                                    }
                                 }
                             }
                         }
+                        stats.evidence_computed += 1;
+                        s.active.push(l as u32);
+                        rows.push(&qrows[wk.q_cur * nl..(wk.q_cur + 1) * nl]);
                     }
-                    s.weights[flat] = w;
+                    if all_done {
+                        break;
+                    }
+                    if s.active.is_empty() {
+                        continue;
+                    }
+                    // Point-evidence dots of every active lane against
+                    // the object's loglik row at this epoch — the row is
+                    // loaded once and shared across the lanes.
+                    let row = s.table.row(o_sets[pos]);
+                    for (chunk, qch) in s
+                        .active
+                        .chunks(kernels::LANES)
+                        .zip(rows.chunks(kernels::LANES))
+                    {
+                        let mut vals = [0.0f64; kernels::LANES];
+                        kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
+                        for (j, &l) in chunk.iter().enumerate() {
+                            let wk = &mut walkers[l as usize];
+                            let e = vals[j];
+                            if incremental {
+                                wk.series.push((t, e));
+                            }
+                            wk.w += e;
+                        }
+                    }
+                }
+                for wk in walkers.drain(..) {
+                    if incremental {
+                        let v = current[wk.slot as usize].as_mut().expect("walker variant");
+                        debug_assert!(
+                            v.evidence.last().is_none_or(|e| e.0 < oi),
+                            "evidence pushed out of object order"
+                        );
+                        v.evidence.push((oi, wk.series));
+                    }
+                    s.weights[wk.flat as usize] = wk.w;
                 }
             }
-            s.new_assign[k] = if config.vector_kernels {
-                argmax_weight_vector(
-                    &s.cand_sorted,
-                    &s.cand_arena,
-                    &s.weights,
-                    range,
-                    &mut s.argmax_buf,
-                )
-            } else {
-                argmax_weight(s, range)
-            };
+            s.new_assign[k] = argmax_weight(
+                &s.cand_sorted,
+                &s.cand_arena,
+                &s.weights,
+                range,
+                &mut s.argmax_buf,
+            );
         }
 
         let converged = s.new_assign == s.assign;
@@ -1466,7 +1306,7 @@ fn build_outcome(
         // One points list per candidate, indexed by offset within `range`.
         let mut flat_points: Vec<Vec<(Epoch, f64)>> = Vec::new();
         flat_points.resize_with(range.len(), Vec::new);
-        // Lanes of the transposed recompute walk (vector path): one per
+        // Lanes of the transposed recompute walk: one per
         // candidate whose series must be re-derived from the final
         // posteriors.
         struct BLane<'v> {
@@ -1483,32 +1323,11 @@ fn build_outcome(
                         stats.evidence_reused += series.len();
                         flat_points[off] = series.clone();
                     }
-                    _ if rf.config.vector_kernels => lanes.push(BLane {
+                    _ => lanes.push(BLane {
                         off,
                         q_cur: 0,
                         v: variant,
                     }),
-                    _ => {
-                        let mut q_cur = 0usize;
-                        for (pos, obs_at) in o_obs.iter().enumerate() {
-                            let t = obs_at.epoch;
-                            while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
-                                q_cur += 1;
-                            }
-                            if let Some(&qt) = variant.epochs.get(q_cur) {
-                                if qt == t {
-                                    stats.evidence_computed += 1;
-                                    flat_points[off].push((
-                                        t,
-                                        expect_row_of(
-                                            &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                            s.table.row(o_sets[pos]),
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
                 }
             }
         }
@@ -1516,8 +1335,8 @@ fn build_outcome(
             // Same transposed walk as the M-step: one pass over the
             // object's observations drives every lane, the loglik row is
             // loaded once per epoch and shared, and each lane's points
-            // accumulate in epoch order — the scalar walk's exact values
-            // in the scalar walk's exact order.
+            // accumulate in epoch order — the per-candidate walk's exact
+            // values in its exact order.
             for (pos, obs_at) in o_obs.iter().enumerate() {
                 let t = obs_at.epoch;
                 s.active.clear();
@@ -1643,18 +1462,13 @@ fn build_outcome(
             .iter()
             .enumerate()
             .map(|(pos, obs_at)| {
-                let loc = if rf.config.vector_kernels {
-                    // Normalize into the reusable scratch row instead of
-                    // allocating a posterior per epoch; same kernel, same
-                    // later-ties-win MAP scan, identical location.
-                    s.row_scratch.clear();
-                    s.row_scratch.extend_from_slice(s.table.row(o_sets[pos]));
-                    kernels::exp_normalize(&mut s.row_scratch);
-                    Posterior::map_location_of_row(&s.row_scratch)
-                } else {
-                    Posterior::from_log_weights(s.table.row(o_sets[pos]).to_vec()).map_location()
-                };
-                (obs_at.epoch, loc)
+                // Normalize into the reusable scratch row instead of
+                // allocating a posterior per epoch; same later-ties-win MAP
+                // scan as `Posterior::map_location`, identical location.
+                s.row_scratch.clear();
+                s.row_scratch.extend_from_slice(s.table.row(o_sets[pos]));
+                kernels::exp_normalize(&mut s.row_scratch);
+                (obs_at.epoch, Posterior::map_location_of_row(&s.row_scratch))
             })
             .collect();
         if !locs.is_empty() {

@@ -1,17 +1,18 @@
-//! Chunk-of-8 `f64` kernels behind the dense EM's vector path.
+//! Chunk-of-8 `f64` kernels behind the dense EM's inner loops.
 //!
-//! Every kernel here obeys one design rule, which is what lets the vector
-//! path stay **bit-identical to the scalar reference without an opt-in**:
+//! Every kernel here obeys one design rule, which is what keeps the dense
+//! solver **bit-identical to the tree reference** (`crate::reference`):
 //! lanes run *across locations or across candidates*, never across the terms
 //! of a single accumulator. Elementwise operations (row adds, the
 //! subtract-max before `exp`, the divide-by-sum) are embarrassingly lane
 //! parallel; the set-max of the log-sum-exp trick is order-independent (see
 //! [`max_log_weights`]); and the batched dot products of [`dot_batch`] give
 //! each candidate its own lane whose summation order over locations is
-//! exactly the scalar [`Posterior::expect_row`](crate::Posterior::expect_row)
-//! order. Nothing here reassociates a single running sum — no dot product or
-//! normalization sum is split into partial accumulators (lint rule
-//! `float-exactness` keeps it that way).
+//! exactly that of [`Posterior::expect`](crate::Posterior::expect) (spelled
+//! out here as [`dot`]). Nothing here reassociates a single running sum — no
+//! dot product or normalization sum is split into partial accumulators (lint
+//! rule `float-exactness` keeps it that way). Each kernel's unit test pins it
+//! to the plain scalar loop it replaces, bit for bit.
 //!
 //! The portable kernels are written as fixed-width chunk loops that rustc
 //! autovectorizes on stable. On x86-64 an explicit AVX2 path (plain

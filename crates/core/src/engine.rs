@@ -123,8 +123,8 @@ pub struct InferenceReport {
 /// }
 /// engine.run_inference(Epoch(10));
 /// assert_eq!(engine.container_of(TagId::item(1)), Some(TagId::case(1)));
-/// // The default configuration runs incrementally: a second run with no new
-/// // readings reuses every cached posterior.
+/// // Runs are incremental: a second run with no new readings reuses every
+/// // cached posterior.
 /// let report = engine.run_inference(Epoch(20));
 /// assert_eq!(report.stats.posteriors_computed, 0);
 /// ```
@@ -206,11 +206,33 @@ impl InferenceEngine {
 
     /// Run RFINFER (plus change-point detection and history truncation) now.
     ///
-    /// With [`InferenceConfig::incremental`] set (the default) the run reuses
-    /// the cross-run evidence cache for every tag the dirty journal proves
-    /// unchanged; otherwise it recomputes from scratch. The two modes produce
-    /// bit-identical reports (up to wall-clock and reuse counters).
+    /// The run is incremental: it reuses the cross-run evidence cache for
+    /// every tag the dirty journal proves unchanged, which is bit-identical
+    /// to recomputing from scratch (up to wall-clock and reuse counters).
     pub fn run_inference(&mut self, now: Epoch) -> InferenceReport {
+        self.run_inference_with(now, |infer, cache, dirty, scratch| {
+            infer.run_incremental_with_scratch(cache, dirty, scratch)
+        })
+    }
+
+    /// [`Self::run_inference`] with the solver call supplied by the caller:
+    /// `solve` receives the configured [`RfInfer`], the engine's evidence
+    /// cache, the dirty journal taken for this run and the dense scratch.
+    /// This is the one seam through which the equivalence tests run the
+    /// reference solver (`rfid_core::reference`) or a full recompute
+    /// inside an otherwise unchanged engine; the product only ever passes the
+    /// dense incremental run.
+    #[doc(hidden)]
+    pub fn run_inference_with(
+        &mut self,
+        now: Epoch,
+        solve: impl FnOnce(
+            &RfInfer<'_>,
+            &mut EvidenceCache,
+            &DirtySet,
+            &mut DenseScratch,
+        ) -> (InferenceOutcome, InferenceStats),
+    ) -> InferenceReport {
         // LINT-ALLOW(no-wall-clock): feeds only InferenceStats::elapsed, which never branches inference; logical time is the `now: Epoch` argument
         let started = Instant::now();
         // Calibrate the change threshold up front (it is lazy and needs
@@ -220,23 +242,10 @@ impl InferenceEngine {
         } else {
             f64::INFINITY
         };
-        let rfinfer = self.config.rfinfer.clone();
-        let (mut outcome, stats) = if self.config.incremental {
-            let dirty = std::mem::take(&mut self.dirty);
-            RfInfer::with_prior(&self.model, &self.store, &self.prior)
-                .with_config(rfinfer)
-                .run_incremental_with_scratch(&mut self.cache, &dirty, &mut self.scratch)
-        } else {
-            // Keep the journal and cache empty so a later switch to
-            // incremental mode starts from a clean slate instead of a stale
-            // one.
-            self.dirty.clear();
-            self.cache.clear();
-            let outcome = RfInfer::with_prior(&self.model, &self.store, &self.prior)
-                .with_config(rfinfer)
-                .run_with_scratch(&mut self.scratch);
-            (outcome, InferenceStats::default())
-        };
+        let dirty = std::mem::take(&mut self.dirty);
+        let infer = RfInfer::with_prior(&self.model, &self.store, &self.prior)
+            .with_config(self.config.rfinfer.clone());
+        let (mut outcome, stats) = solve(&infer, &mut self.cache, &dirty, &mut self.scratch);
 
         // Containment estimates: the M-step assignment for every object this
         // run examined. Objects the run did not see (e.g. an estimate

@@ -21,7 +21,7 @@
 //! | [`likelihood`]   | §3.1, Eq. 1 | per-tag observation likelihoods under the read-rate model `pi(r, a)` |
 //! | [`posterior`]    | §3.2, Eq. 4 | the E-step posterior over a container's location |
 //! | [`rfinfer`]      | §3.2, Alg. 1 | the EM algorithm, co-location weights (Eq. 5), point evidence (Eq. 7) |
-//! | [`dense`]        | App. A.3 | the default dense-interned columnar EM solver (bit-identical to the reference) |
+//! | [`dense`]        | App. A.3 | the dense-interned columnar EM solver behind `RfInfer::run*` (bit-identical to the test-only tree reference) |
 //! | [`changepoint`]  | §3.3, App. A.2 | GLR change-point statistic and offline threshold calibration |
 //! | [`truncate`]     | §4.1 | critical-region history truncation and the simpler window/full policies |
 //! | [`state`]        | §4.1 | collapsed / critical-region migration state |
@@ -64,6 +64,8 @@ pub mod engine;
 pub mod likelihood;
 pub mod observations;
 pub mod posterior;
+#[doc(hidden)]
+pub mod reference;
 pub mod rfinfer;
 pub mod state;
 pub mod truncate;
@@ -74,7 +76,7 @@ pub use dense::DenseScratch;
 pub use engine::{EngineSnapshot, ImportSummary, InferenceEngine, InferenceReport};
 pub use likelihood::{LikelihoodModel, ReaderSetTable};
 pub use observations::{ObsAt, Observations};
-pub use posterior::{container_posterior, container_posterior_rows, Posterior};
+pub use posterior::{container_posterior, Posterior};
 pub use rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
     PriorWeights, RfInfer, RfInferConfig,

@@ -113,28 +113,15 @@ impl LikelihoodModel {
     /// location `a` in ascending order, so an inference run evaluates each
     /// distinct reader set exactly once however many epochs repeat it.
     ///
-    /// `rows` is cleared and refilled (capacity is reused across runs); use
-    /// [`ReaderSetTable::row`] to index it.
-    pub fn fill_reader_set_table<'s>(
-        &self,
-        sets: impl IntoIterator<Item = &'s [LocationId]>,
-        table: &mut ReaderSetTable,
-    ) {
-        table.rows.clear();
-        table.num_locations = self.num_locations();
-        for readers in sets {
-            for at in self.locations() {
-                table.rows.push(self.tag_loglik(readers, at));
-            }
-        }
-    }
-
-    /// Vector-path variant of [`Self::fill_reader_set_table`]: each row
-    /// starts as a copy of the all-miss row and gains one lane-parallel
+    /// Each row starts as a copy of the all-miss row and gains one
+    /// lane-parallel
     /// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows)
     /// of the firing reader's correction row, in reader order. Per location
-    /// that is the same addition sequence as [`Self::tag_loglik`], so the
-    /// table is bit-identical to the scalar fill.
+    /// that is the same addition sequence as [`Self::tag_loglik`], so every
+    /// entry is bit-identical to calling it.
+    ///
+    /// `rows` is cleared and refilled (capacity is reused across runs); use
+    /// [`ReaderSetTable::row`] to index it.
     pub fn fill_reader_set_table_vector<'s>(
         &self,
         sets: impl IntoIterator<Item = &'s [LocationId]>,
@@ -157,7 +144,8 @@ impl LikelihoodModel {
 }
 
 /// A run-scoped memo of per-location log-likelihood rows, one row per
-/// interned reader set — filled by [`LikelihoodModel::fill_reader_set_table`]
+/// interned reader set — filled by
+/// [`LikelihoodModel::fill_reader_set_table_vector`]
 /// and held (capacity and all) in the engine's dense scratch across runs.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderSetTable {
@@ -267,7 +255,7 @@ mod tests {
         ];
         let mut table = ReaderSetTable::default();
         assert!(table.is_empty());
-        m.fill_reader_set_table(sets.iter().map(|s| s.as_slice()), &mut table);
+        m.fill_reader_set_table_vector(sets.iter().map(|s| s.as_slice()), &mut table);
         assert_eq!(table.len(), 3);
         assert!(!table.is_empty());
         for (i, set) in sets.iter().enumerate() {
@@ -281,7 +269,7 @@ mod tests {
         assert_eq!(m.all_miss_row(), table.row(0), "empty set == all-miss row");
         assert_eq!(m.all_miss_row().len(), m.num_locations());
         // refilling reuses the buffer and replaces the contents
-        m.fill_reader_set_table(std::iter::once(&sets[1][..]), &mut table);
+        m.fill_reader_set_table_vector(std::iter::once(&sets[1][..]), &mut table);
         assert_eq!(table.len(), 1);
         assert_eq!(table.row(0)[0], m.tag_loglik(&sets[1], LocationId(0)));
     }

@@ -203,49 +203,6 @@ impl Observations {
         }
     }
 
-    /// Dense variant of [`Self::colocation_counts_into`]: count, for each
-    /// pre-resolved container column `(index, observations)`, the epochs at
-    /// which it shared a reader with `object_obs`. Pushes `(index, count)`
-    /// pairs in column order, omitting zeros — when the columns are supplied
-    /// in ascending tag order (the interner's order), the result matches
-    /// [`Self::colocation_counts`] with tags replaced by their dense indices,
-    /// and no per-object tree iteration remains.
-    pub fn colocation_counts_dense(
-        object_obs: &[ObsAt],
-        containers: &[(u32, &[ObsAt])],
-        counts: &mut Vec<(u32, usize)>,
-    ) {
-        counts.clear();
-        if object_obs.is_empty() {
-            return;
-        }
-        for &(index, obs_list) in containers {
-            let count = colocated_epochs(object_obs, obs_list);
-            if count > 0 {
-                counts.push((index, count));
-            }
-        }
-    }
-
-    /// Dense variant of [`Self::candidate_containers_with`]: rank the
-    /// container columns by co-location count (most frequent first, ties by
-    /// ascending index) and **append** the top `limit` indices to `out` —
-    /// unlike `scratch`, `out` is deliberately *not* cleared, because the
-    /// caller is building one flat candidate arena across many objects.
-    /// With columns in ascending tag order this selects exactly the
-    /// candidates of [`Self::candidate_containers`], as dense indices.
-    pub fn candidate_indices_dense(
-        object_obs: &[ObsAt],
-        containers: &[(u32, &[ObsAt])],
-        limit: usize,
-        scratch: &mut Vec<(u32, usize)>,
-        out: &mut Vec<u32>,
-    ) {
-        Self::colocation_counts_dense(object_obs, containers, scratch);
-        scratch.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.extend(scratch.iter().take(limit).map(|&(c, _)| c));
-    }
-
     /// The `limit` containers most frequently co-located with `object`
     /// (candidate pruning, Appendix A.3), most frequent first.
     pub fn candidate_containers(&self, object: TagId, limit: usize) -> Vec<TagId> {
@@ -514,47 +471,6 @@ mod tests {
                 (TagId::case(2), 2)
             ]
         );
-    }
-
-    /// The dense colocation/candidate variants agree with the tag-keyed ones
-    /// once tags are replaced by their positions in an ascending container
-    /// column list.
-    #[test]
-    fn dense_colocation_matches_tag_keyed_counts() {
-        let obs = sample();
-        let containers: Vec<TagId> = obs.containers();
-        let columns: Vec<(u32, &[ObsAt])> = containers
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u32, obs.obs_for(c)))
-            .collect();
-        let mut dense = Vec::new();
-        Observations::colocation_counts_dense(obs.obs_for(TagId::item(1)), &columns, &mut dense);
-        let keyed = obs.colocation_counts(TagId::item(1));
-        let mapped: Vec<(TagId, usize)> = dense
-            .iter()
-            .map(|&(i, n)| (containers[i as usize], n))
-            .collect();
-        assert_eq!(mapped, keyed);
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        Observations::candidate_indices_dense(
-            obs.obs_for(TagId::item(1)),
-            &columns,
-            1,
-            &mut scratch,
-            &mut out,
-        );
-        let keyed_cands = obs.candidate_containers(TagId::item(1), 1);
-        assert_eq!(
-            out.iter()
-                .map(|&i| containers[i as usize])
-                .collect::<Vec<_>>(),
-            keyed_cands
-        );
-        // An unobserved object yields no columns hits.
-        Observations::colocation_counts_dense(&[], &columns, &mut dense);
-        assert!(dense.is_empty());
     }
 
     #[test]

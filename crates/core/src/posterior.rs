@@ -37,16 +37,6 @@ impl Posterior {
         Posterior { probs }
     }
 
-    /// Vector-path variant of [`Self::from_log_weights`], normalizing
-    /// through the chunk-of-8 kernels
-    /// ([`kernels::exp_normalize`](crate::dense::kernels::exp_normalize)):
-    /// chunked max, scalar libm `exp` per lane, sequential sum, vectorized
-    /// divide. Bit-identical to the scalar constructor for every input.
-    pub fn from_log_weights_vector(mut log_weights: Vec<f64>) -> Posterior {
-        crate::dense::kernels::exp_normalize(&mut log_weights);
-        Posterior { probs: log_weights }
-    }
-
     /// [`Self::map_location`] over a borrowed probability row (ascending
     /// location order), without materializing a `Posterior`: the same
     /// later-ties-win `max_by` scan, so the result is identical for any row
@@ -115,15 +105,6 @@ impl Posterior {
     pub fn expect<F: FnMut(LocationId) -> f64>(&self, mut f: F) -> f64 {
         self.iter().map(|(a, q)| q * f(a)).sum()
     }
-
-    /// [`Self::expect`] over a precomputed per-location value row (ascending
-    /// location order, the layout of
-    /// [`ReaderSetTable::row`](crate::likelihood::ReaderSetTable::row)):
-    /// `sum_a q(a) row[a]`, summed in the same order as `expect`, so the
-    /// result is bit-identical to evaluating the function per location.
-    pub fn expect_row(&self, row: &[f64]) -> f64 {
-        expect_row_of(&self.probs, row)
-    }
 }
 
 /// Normalize a row of unnormalized log-weights in place (the body of
@@ -152,13 +133,6 @@ pub fn normalize_log_weights(log_weights: &mut [f64]) {
     }
 }
 
-/// [`Posterior::expect_row`] over a borrowed probability row — the same
-/// zipped multiply-accumulate in the same order, so the result is
-/// bit-identical for rows taken out of a posterior arena.
-pub fn expect_row_of(q: &[f64], row: &[f64]) -> f64 {
-    q.iter().zip(row).map(|(q, v)| q * v).sum()
-}
-
 /// Compute the E-step posterior for one container at one epoch.
 ///
 /// * `container_readers` — readers that detected the container this epoch
@@ -183,69 +157,18 @@ pub fn container_posterior(
     Posterior::from_log_weights(log_weights)
 }
 
-/// [`container_posterior`] over precomputed log-likelihood rows: the base row
-/// is the container's loglik row at this epoch (the all-miss row when it was
-/// not read), and each member contributes its own row. Per location the
-/// addends accumulate in member order — the same sequence of floating-point
-/// additions as the per-location loop of [`container_posterior`], so the
-/// result is bit-identical.
-pub fn container_posterior_rows<'r>(
-    base_row: &[f64],
-    member_rows: impl Iterator<Item = &'r [f64]>,
-) -> Posterior {
-    let mut log_weights = base_row.to_vec();
-    for row in member_rows {
-        for (lw, v) in log_weights.iter_mut().zip(row) {
-            *lw += v;
-        }
-    }
-    Posterior::from_log_weights(log_weights)
-}
-
-/// Vector-path variant of [`container_posterior_rows`]: the member rows
-/// accumulate through the lane-parallel
-/// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows)
-/// (elementwise, member order preserved per location) and the normalization
-/// runs in place through [`Posterior::from_log_weights_vector`]. Bit-identical
-/// to the scalar variant for every input.
-pub fn container_posterior_rows_vector<'r>(
-    base_row: &[f64],
-    member_rows: impl Iterator<Item = &'r [f64]>,
-) -> Posterior {
-    let mut log_weights = base_row.to_vec();
-    for row in member_rows {
-        crate::dense::kernels::add_assign_rows(&mut log_weights, row);
-    }
-    Posterior::from_log_weights_vector(log_weights)
-}
-
-/// [`container_posterior_rows`] writing its normalized row onto the tail of a
-/// posterior arena instead of materializing a `Posterior`: appends the base
-/// row, accumulates each member row elementwise in member order, then
-/// normalizes the tail in place. The exact operation sequence of the
-/// allocating variant, so the stored row is bit-identical.
-pub fn container_posterior_row_into<'r>(
-    base_row: &[f64],
-    member_rows: impl Iterator<Item = &'r [f64]>,
-    out: &mut Vec<f64>,
-) {
-    let start = out.len();
-    out.extend_from_slice(base_row);
-    let tail = &mut out[start..];
-    for row in member_rows {
-        for (lw, v) in tail.iter_mut().zip(row) {
-            *lw += v;
-        }
-    }
-    normalize_log_weights(tail);
-}
-
-/// Vector-path variant of [`container_posterior_row_into`]: member rows
-/// accumulate through the lane-parallel
-/// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows) and
-/// the tail normalizes through
-/// [`kernels::exp_normalize`](crate::dense::kernels::exp_normalize).
-/// Bit-identical to the scalar variant for every input.
+/// [`container_posterior`] over precomputed log-likelihood rows, writing its
+/// normalized row onto the tail of a posterior arena instead of
+/// materializing a `Posterior`: the base row is the container's loglik row
+/// at this epoch (the all-miss row when it was not read) and each member
+/// contributes its own row, accumulated in member order through the
+/// lane-parallel
+/// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows); the
+/// tail then normalizes in place through
+/// [`kernels::exp_normalize`](crate::dense::kernels::exp_normalize). Per
+/// location that is the same sequence of floating-point additions as the
+/// per-location loop of [`container_posterior`], so the stored row is
+/// bit-identical to that posterior's.
 pub fn container_posterior_row_into_vector<'r>(
     base_row: &[f64],
     member_rows: impl Iterator<Item = &'r [f64]>,
@@ -333,8 +256,6 @@ mod tests {
         let p = Posterior::from_log_weights(vec![0.0, 0.0]);
         let e = p.expect(|a| if a == LocationId(0) { 2.0 } else { 4.0 });
         assert!((e - 3.0).abs() < 1e-12);
-        // the row variant is the same sum in the same order
-        assert_eq!(p.expect_row(&[2.0, 4.0]), e);
     }
 
     /// The rows-based posterior is bit-identical to the per-location loop of
@@ -362,11 +283,14 @@ mod tests {
                         &[m1.as_deref(), m2.as_deref()],
                     );
                     let member_rows = [row_of(m1.as_deref()), row_of(m2.as_deref())];
-                    let dense = container_posterior_rows(
+                    // Onto a non-empty arena, so the tail offset is exercised.
+                    let mut arena = vec![f64::NAN; 3];
+                    container_posterior_row_into_vector(
                         &row_of(container.as_deref()),
                         member_rows.iter().map(|r| r.as_slice()),
+                        &mut arena,
                     );
-                    assert_eq!(dense, reference);
+                    assert_eq!(&arena[3..], reference.probs());
                 }
             }
         }

@@ -5,12 +5,176 @@
 
 use proptest::prelude::*;
 use rfid_core::{
-    change_statistic, container_posterior, CollapsedState, InferenceConfig, InferenceEngine,
-    LikelihoodModel, MemoryBudget, MemoryStats, MigrationState, Observations, Posterior,
-    ReadingsState, RetentionPlan, RfInfer, RfInferConfig, TruncationPolicy,
+    change_statistic, container_posterior, reference, CollapsedState, InferenceConfig,
+    InferenceEngine, InferenceReport, InferenceStats, LikelihoodModel, MemoryBudget, MemoryStats,
+    MigrationState, Observations, Posterior, ReadingsState, RetentionPlan, RfInfer, RfInferConfig,
+    TruncationPolicy,
 };
 use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, ReadingBatch, TagId};
 use std::collections::BTreeMap;
+
+/// How one engine of the solver-equivalence matrix runs its inference: the
+/// product call, or — through the hidden `run_inference_with` seam — the tree
+/// reference and/or a full recompute that bypasses the cross-run cache.
+#[derive(Debug, Clone, Copy)]
+enum Solve {
+    Product,
+    TreeIncr,
+    DenseFull,
+    TreeFull,
+}
+
+impl Solve {
+    fn run(self, engine: &mut InferenceEngine, now: Epoch) -> InferenceReport {
+        match self {
+            Solve::Product => engine.run_inference(now),
+            Solve::TreeIncr => engine.run_inference_with(now, |infer, cache, dirty, _| {
+                reference::run_tree(infer, Some((cache, dirty)))
+            }),
+            Solve::DenseFull => engine.run_inference_with(now, |infer, cache, _, scratch| {
+                cache.clear();
+                (infer.run_with_scratch(scratch), InferenceStats::default())
+            }),
+            Solve::TreeFull => engine.run_inference_with(now, |infer, cache, _, _| {
+                cache.clear();
+                reference::run_tree(infer, None)
+            }),
+        }
+    }
+}
+
+/// One step of an equivalence interleaving: `(kind, dt, object serial,
+/// container serial, reader)`.
+type Op = (u8, u32, u64, u64, u16);
+
+fn equivalence_engine() -> InferenceEngine {
+    InferenceEngine::new(
+        InferenceConfig::default()
+            .with_period(10)
+            .with_recent_history(25)
+            .with_fixed_threshold(5.0),
+        ReadRateTable::diagonal(3, 0.8, 1e-4),
+    )
+}
+
+/// Apply one op identically to every engine. Returns `false` when the op is
+/// an inference run, which the caller executes (each engine its own way) and
+/// compares.
+fn feed(engines: &mut [InferenceEngine], now: Epoch, (kind, dt, obj, cont, reader): Op) -> bool {
+    let object = TagId::item(obj);
+    let container = TagId::case(cont);
+    for engine in engines.iter_mut() {
+        match kind {
+            // co-located readings: object travels with a container
+            0 | 1 => {
+                engine.observe(RawReading::new(now, object, ReaderId(reader)));
+                engine.observe(RawReading::new(now, container, ReaderId(reader)));
+            }
+            // stray reading of the object alone
+            2 => engine.observe(RawReading::new(now, object, ReaderId(reader))),
+            // collapsed-weights import from a previous site
+            3 => engine.import_state(MigrationState::Collapsed(CollapsedState {
+                object,
+                weights: BTreeMap::from([
+                    (container, 0.0),
+                    (TagId::case((cont + 1) % 3), -(dt as f64) * 3.0),
+                ]),
+                container: Some(container),
+            })),
+            // critical-region readings import (historical epochs)
+            4 => {
+                let from = now.minus(8);
+                let readings = [object, container]
+                    .into_iter()
+                    .flat_map(|tag| {
+                        (0..4u32).map(move |k| RawReading::new(from.plus(k), tag, ReaderId(reader)))
+                    })
+                    .collect();
+                engine.import_state(MigrationState::Readings(ReadingsState {
+                    object,
+                    readings,
+                    container: Some(container),
+                }));
+            }
+            // the object's state was shipped elsewhere
+            5 => engine.forget(object),
+            // the site compacts under a small memory budget
+            6 => engine.enforce_budget(
+                MemoryBudget::capped(6 + 4 * reader as usize),
+                now,
+                &mut MemoryStats::default(),
+            ),
+            // the site crashes and restores its last checkpoint
+            7 => {
+                let snapshot = engine.snapshot();
+                engine.restore(snapshot);
+            }
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// Run inference on every engine (each through its own `Solve`) and require
+/// everything a driver can observe to equal the first engine's, bit for bit.
+fn run_and_compare(
+    engines: &mut [InferenceEngine],
+    matrix: &[Solve],
+    now: Epoch,
+    object: TagId,
+    op: usize,
+) -> Vec<InferenceReport> {
+    let reports: Vec<InferenceReport> = engines
+        .iter_mut()
+        .zip(matrix)
+        .map(|(engine, solve)| solve.run(engine, now))
+        .collect();
+    for (k, solve) in matrix.iter().enumerate().skip(1) {
+        assert_eq!(
+            reports[0].outcome, reports[k].outcome,
+            "{solve:?} outcome diverged at op {op} (epoch {now:?})"
+        );
+        assert_eq!(
+            reports[0].changes, reports[k].changes,
+            "{solve:?} changes diverged at op {op}"
+        );
+        assert_eq!(
+            reports[0].retained_observations,
+            reports[k].retained_observations
+        );
+        assert_eq!(engines[0].containment(), engines[k].containment());
+        assert_eq!(
+            engines[0].export_collapsed(object),
+            engines[k].export_collapsed(object)
+        );
+        assert_eq!(
+            engines[0].export_readings(object),
+            engines[k].export_readings(object)
+        );
+    }
+    reports
+}
+
+/// Feed `ops` to one engine per `matrix` entry, running and comparing all of
+/// them at every inference op and once more after the whole interleaving;
+/// `after_run` sees each compared set of reports and the op index.
+fn drive(matrix: &[Solve], ops: &[Op], mut after_run: impl FnMut(&[InferenceReport], usize)) {
+    let mut engines: Vec<InferenceEngine> = matrix.iter().map(|_| equivalence_engine()).collect();
+    let mut now = Epoch(0);
+    for (i, &op) in ops.iter().enumerate() {
+        now = now.plus(op.1);
+        if feed(&mut engines, now, op) || engines[0].stored_observations() == 0 {
+            continue;
+        }
+        after_run(
+            &run_and_compare(&mut engines, matrix, now, TagId::item(op.2), i),
+            i,
+        );
+    }
+    if engines[0].stored_observations() > 0 {
+        run_and_compare(&mut engines, matrix, now.plus(1), TagId::item(0), ops.len());
+    }
+}
 
 fn naive_loglik(rates: &ReadRateTable, readers: &[LocationId], at: LocationId) -> f64 {
     rates
@@ -121,273 +285,41 @@ proptest! {
         prop_assert!(outcome.iterations >= 1);
     }
 
-    /// The dense-interned columnar solver is bit-identical to the
-    /// `BTreeMap`-keyed tree reference under arbitrary interleavings of
-    /// observations, collapsed-state and critical-region-readings imports,
-    /// forgets and inference runs — with the cross-run cache (`incremental`)
-    /// both on and off, with the chunk-of-8 vector kernels both on and off,
-    /// and with change-point detection (whose truncations feed the dirty
-    /// journal) active throughout.
+    /// The product solver (dense, vector kernels, incremental) is bit-identical
+    /// to the `BTreeMap`-keyed tree reference under arbitrary interleavings
+    /// of every dirty-journal producer a driver reaches — observations,
+    /// collapsed-state and critical-region-readings imports, forgets, budget
+    /// compactions, snapshot restores and inference runs — with the cross-run
+    /// cache both used and bypassed, and with change-point detection (whose
+    /// truncations feed the dirty journal) active throughout.
     #[test]
     fn dense_solver_matches_tree_reference(
         ops in prop::collection::vec(
-            (0u8..8, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
+            (0u8..10, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
             30..120,
         ),
     ) {
-        let config = InferenceConfig::default()
-            .with_period(10)
-            .with_recent_history(25)
-            .with_fixed_threshold(5.0);
-        // Six engines fed identically: {dense, tree} × {incremental, full},
-        // plus the dense pair again with the vector kernels disabled — the
-        // scalar dense path is the exactness reference for the chunk-of-8
-        // kernels, so all six must agree bitwise.
-        let rates = ReadRateTable::diagonal(3, 0.8, 1e-4);
-        let mut engines = [
-            InferenceEngine::new(config.clone().with_dense(true), rates.clone()),
-            InferenceEngine::new(config.clone().with_dense(false), rates.clone()),
-            InferenceEngine::new(
-                config.clone().with_dense(true).with_incremental(false),
-                rates.clone(),
-            ),
-            InferenceEngine::new(
-                config.clone().with_dense(false).with_incremental(false),
-                rates.clone(),
-            ),
-            InferenceEngine::new(
-                config.clone().with_dense(true).with_vector_kernels(false),
-                rates.clone(),
-            ),
-            InferenceEngine::new(
-                config
-                    .with_dense(true)
-                    .with_vector_kernels(false)
-                    .with_incremental(false),
-                rates,
-            ),
-        ];
-        let mut now = Epoch(0);
-
-        for (i, &(kind, dt, obj, cont, reader)) in ops.iter().enumerate() {
-            now = now.plus(dt);
-            let object = TagId::item(obj);
-            let container = TagId::case(cont);
-            match kind {
-                0 | 1 => {
-                    for engine in engines.iter_mut() {
-                        engine.observe(RawReading::new(now, object, ReaderId(reader)));
-                        engine.observe(RawReading::new(now, container, ReaderId(reader)));
-                    }
-                }
-                2 => {
-                    for engine in engines.iter_mut() {
-                        engine.observe(RawReading::new(now, object, ReaderId(reader)));
-                    }
-                }
-                3 => {
-                    let state = CollapsedState {
-                        object,
-                        weights: BTreeMap::from([
-                            (container, 0.0),
-                            (TagId::case((cont + 1) % 3), -(dt as f64) * 3.0),
-                        ]),
-                        container: Some(container),
-                    };
-                    for engine in engines.iter_mut() {
-                        engine.import_state(MigrationState::Collapsed(state.clone()));
-                    }
-                }
-                4 => {
-                    let from = now.minus(8);
-                    let readings: Vec<RawReading> = (0..4u32)
-                        .map(|k| RawReading::new(from.plus(k), object, ReaderId(reader)))
-                        .chain((0..4u32).map(|k| {
-                            RawReading::new(from.plus(k), container, ReaderId(reader))
-                        }))
-                        .collect();
-                    let state = ReadingsState {
-                        object,
-                        readings,
-                        container: Some(container),
-                    };
-                    for engine in engines.iter_mut() {
-                        engine.import_state(MigrationState::Readings(state.clone()));
-                    }
-                }
-                5 => {
-                    for engine in engines.iter_mut() {
-                        engine.forget(object);
-                    }
-                }
-                _ => {
-                    if engines[0].stored_observations() == 0 {
-                        continue;
-                    }
-                    let reports: Vec<_> = engines
-                        .iter_mut()
-                        .map(|engine| engine.run_inference(now))
-                        .collect();
-                    let dense_incr = &reports[0];
-                    for (label, other) in
-                        [("tree-incr", &reports[1]), ("dense-full", &reports[2]),
-                         ("tree-full", &reports[3]),
-                         ("dense-incr-scalar", &reports[4]),
-                         ("dense-full-scalar", &reports[5])]
-                    {
-                        prop_assert_eq!(&dense_incr.outcome, &other.outcome,
-                            "{} outcome diverged at op {} (epoch {:?})", label, i, now);
-                        prop_assert_eq!(&dense_incr.changes, &other.changes,
-                            "{} changes diverged at op {}", label, i);
-                        prop_assert_eq!(
-                            dense_incr.retained_observations,
-                            other.retained_observations
-                        );
-                    }
-                    // The incremental solvers replay the same reuse
-                    // decisions, so their accounting matches exactly too —
-                    // the vector kernels must not change what gets reused.
-                    prop_assert_eq!(reports[0].stats, reports[1].stats,
-                        "dense-incr vs tree-incr reuse counters diverged at op {}", i);
-                    prop_assert_eq!(reports[0].stats, reports[4].stats,
-                        "dense-incr vs dense-incr-scalar reuse counters diverged at op {}", i);
-                    prop_assert_eq!(engines[0].containment(), engines[1].containment());
-                    prop_assert_eq!(engines[0].containment(), engines[2].containment());
-                    prop_assert_eq!(
-                        engines[0].export_collapsed(object),
-                        engines[1].export_collapsed(object)
-                    );
-                    prop_assert_eq!(
-                        engines[0].export_readings(object),
-                        engines[1].export_readings(object)
-                    );
-                }
-            }
-        }
-        // final run: every solver must agree after the whole interleaving
-        if engines[0].stored_observations() > 0 {
-            let final_at = now.plus(1);
-            let reports: Vec<_> = engines
-                .iter_mut()
-                .map(|engine| engine.run_inference(final_at))
-                .collect();
-            for other in &reports[1..] {
-                prop_assert_eq!(&reports[0].outcome, &other.outcome);
-            }
-            prop_assert_eq!(engines[0].containment(), engines[3].containment());
-        }
+        // Four engines fed identically: {dense, tree} × {incremental, full}.
+        let matrix = [Solve::Product, Solve::TreeIncr, Solve::DenseFull, Solve::TreeFull];
+        drive(&matrix, &ops, |reports, i| {
+            // The incremental solvers replay the same reuse decisions, so
+            // their accounting matches exactly too.
+            prop_assert_eq!(reports[0].stats, reports[1].stats,
+                "dense-incr vs tree-incr reuse counters diverged at op {}", i);
+        });
     }
 
     /// Incremental RFINFER is bit-identical to a from-scratch full recompute
-    /// under arbitrary interleavings of observations, collapsed-state and
-    /// critical-region-readings imports, forgets and inference runs — with
-    /// change-point detection (and its history truncation) active, so
-    /// change-point truncations feed the dirty journal too.
+    /// under the same arbitrary interleavings — the two-engine slice of the
+    /// matrix above, through the product solver only.
     #[test]
     fn incremental_engine_matches_full_recompute(
         ops in prop::collection::vec(
-            (0u8..8, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
+            (0u8..10, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
             30..120,
         ),
     ) {
-        let config = InferenceConfig::default()
-            .with_period(10)
-            .with_recent_history(25)
-            .with_fixed_threshold(5.0);
-        let rates = ReadRateTable::diagonal(3, 0.8, 1e-4);
-        let mut full = InferenceEngine::new(config.clone().with_incremental(false), rates.clone());
-        let mut incremental = InferenceEngine::new(config, rates);
-        let mut now = Epoch(0);
-
-        for (i, &(kind, dt, obj, cont, reader)) in ops.iter().enumerate() {
-            now = now.plus(dt);
-            let object = TagId::item(obj);
-            let container = TagId::case(cont);
-            match kind {
-                // co-located readings: object travels with a container
-                0 | 1 => {
-                    for engine in [&mut full, &mut incremental] {
-                        engine.observe(RawReading::new(now, object, ReaderId(reader)));
-                        engine.observe(RawReading::new(now, container, ReaderId(reader)));
-                    }
-                }
-                // stray reading of the object alone
-                2 => {
-                    for engine in [&mut full, &mut incremental] {
-                        engine.observe(RawReading::new(now, object, ReaderId(reader)));
-                    }
-                }
-                // collapsed-weights import from a previous site
-                3 => {
-                    let state = CollapsedState {
-                        object,
-                        weights: BTreeMap::from([
-                            (container, 0.0),
-                            (TagId::case((cont + 1) % 3), -(dt as f64) * 3.0),
-                        ]),
-                        container: Some(container),
-                    };
-                    for engine in [&mut full, &mut incremental] {
-                        engine.import_state(MigrationState::Collapsed(state.clone()));
-                    }
-                }
-                // critical-region readings import (historical epochs)
-                4 => {
-                    let from = now.minus(8);
-                    let readings: Vec<RawReading> = (0..4u32)
-                        .map(|k| RawReading::new(from.plus(k), object, ReaderId(reader)))
-                        .chain((0..4u32).map(|k| {
-                            RawReading::new(from.plus(k), container, ReaderId(reader))
-                        }))
-                        .collect();
-                    let state = ReadingsState {
-                        object,
-                        readings,
-                        container: Some(container),
-                    };
-                    for engine in [&mut full, &mut incremental] {
-                        engine.import_state(MigrationState::Readings(state.clone()));
-                    }
-                }
-                // the object's state was shipped elsewhere
-                5 => {
-                    for engine in [&mut full, &mut incremental] {
-                        engine.forget(object);
-                    }
-                }
-                // explicit inference run at the current epoch
-                _ => {
-                    if full.stored_observations() == 0 {
-                        continue;
-                    }
-                    let report_full = full.run_inference(now);
-                    let report_incr = incremental.run_inference(now);
-                    prop_assert_eq!(&report_full.outcome, &report_incr.outcome,
-                        "outcomes diverged at op {} (epoch {:?})", i, now);
-                    prop_assert_eq!(&report_full.changes, &report_incr.changes);
-                    prop_assert_eq!(
-                        report_full.retained_observations,
-                        report_incr.retained_observations
-                    );
-                    prop_assert_eq!(full.containment(), incremental.containment());
-                    prop_assert_eq!(
-                        full.export_collapsed(object),
-                        incremental.export_collapsed(object)
-                    );
-                    prop_assert_eq!(
-                        full.export_readings(object),
-                        incremental.export_readings(object)
-                    );
-                }
-            }
-        }
-        // final run: both engines must agree after the whole interleaving
-        if full.stored_observations() > 0 {
-            let report_full = full.run_inference(now.plus(1));
-            let report_incr = incremental.run_inference(now.plus(1));
-            prop_assert_eq!(&report_full.outcome, &report_incr.outcome);
-            prop_assert_eq!(full.containment(), incremental.containment());
-        }
+        drive(&[Solve::Product, Solve::DenseFull], &ops, |_, _| {});
     }
 
     /// `RetentionPlan::ranges_for` always yields ascending, disjoint,

@@ -1,0 +1,170 @@
+//! Directed product-vs-reference checks the proptests cannot reach: the two
+//! input-selected fallbacks inside the dense solver, and one trace at a
+//! realistic location count.
+//!
+//! The product is `RfInfer::run_incremental` / `InferenceEngine::run_inference`
+//! (dense, vector kernels); the reference is `rfid_core::reference::run_tree`.
+//! Outcomes and reuse counters must be equal bit for bit.
+
+use rfid_core::{
+    reference, DirtySet, EvidenceCache, InferenceConfig, InferenceEngine, LikelihoodModel,
+    Observations, RfInfer, RfInferConfig,
+};
+use rfid_sim::{WarehouseConfig, WarehouseSimulator};
+use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId};
+
+/// Feed `batches` one after another into an observation store, solving after
+/// each batch with the product and with the tree reference (each against its
+/// own cross-run cache), and require equal outcomes and equal stats.
+fn assert_product_matches_reference(
+    model: &LikelihoodModel,
+    config: RfInferConfig,
+    batches: &[Vec<RawReading>],
+) {
+    let mut obs = Observations::new();
+    let mut product_cache = EvidenceCache::new();
+    let mut reference_cache = EvidenceCache::new();
+    for (run, batch) in batches.iter().enumerate() {
+        let mut dirty = DirtySet::new();
+        for &reading in batch {
+            if obs.insert(reading) {
+                dirty.record(reading.tag, reading.time);
+            }
+        }
+        let infer = RfInfer::new(model, &obs).with_config(config.clone());
+        let product = infer.run_incremental(&mut product_cache, &dirty);
+        let tree = reference::run_tree(&infer, Some((&mut reference_cache, &dirty)));
+        assert_eq!(product.0, tree.0, "outcome diverged at run {run}");
+        assert_eq!(product.1, tree.1, "reuse counters diverged at run {run}");
+        assert_eq!(
+            product_cache, reference_cache,
+            "cache diverged at run {run}"
+        );
+        assert!(
+            !product.0.containment.is_empty(),
+            "run {run} inferred nothing"
+        );
+    }
+}
+
+/// An item travelling with `case(1)` at `reader`, next to a decoy case that
+/// shares the reader only every third epoch.
+fn co_travel(epochs: impl Iterator<Item = u32>, reader: u16, decoy_reader: u16) -> Vec<RawReading> {
+    epochs
+        .flat_map(|t| {
+            let decoy = if t % 3 == 0 { reader } else { decoy_reader };
+            [
+                RawReading::new(Epoch(t), TagId::item(1), ReaderId(reader)),
+                RawReading::new(Epoch(t), TagId::case(1), ReaderId(reader)),
+                RawReading::new(Epoch(t), TagId::case(2), ReaderId(decoy)),
+            ]
+        })
+        .collect()
+}
+
+/// Two observed epochs more than `1 << 24` apart push the needed-epoch dedup
+/// off its presence bitmap (`sort_dedup_bitmap`) onto the plain sort
+/// (`sort_dedup`).
+#[test]
+fn epoch_span_beyond_the_bitmap_guard_matches_the_reference() {
+    let model = LikelihoodModel::new(ReadRateTable::diagonal(3, 0.8, 1e-4));
+    let far = (1u32 << 24) + 100;
+    assert_product_matches_reference(
+        &model,
+        RfInferConfig::default(),
+        &[
+            co_travel(0..6, 0, 1),
+            co_travel(far..far + 6, 1, 2),
+            co_travel(far + 6..far + 9, 2, 0),
+        ],
+    );
+}
+
+/// A reader id ≥ 128 does not fit the `u128` location mask of the
+/// co-location counting pass, which then decides reader-set overlap by list
+/// intersection. Candidate pruning keeps one candidate, so a miscounted pair
+/// changes the candidate set and with it the outcome.
+#[test]
+fn reader_ids_beyond_the_mask_width_match_the_reference() {
+    let model = LikelihoodModel::new(ReadRateTable::diagonal(131, 0.8, 1e-4));
+    let config = RfInferConfig {
+        candidate_limit: 1,
+        ..Default::default()
+    };
+    // A second item is read by a low and a high reader in the same epoch, so
+    // inexact sets meet exact ones on both sides of the overlap test.
+    let mut mixed = co_travel(6..12, 130, 5);
+    for t in 6..12u32 {
+        for reader in [5, 129] {
+            mixed.push(RawReading::new(Epoch(t), TagId::item(2), ReaderId(reader)));
+        }
+        mixed.push(RawReading::new(Epoch(t), TagId::case(3), ReaderId(129)));
+    }
+    assert_product_matches_reference(&model, config, &[co_travel(0..6, 129, 130), mixed]);
+}
+
+/// One warehouse trace over 11 reader locations — a full 8-lane chunk plus a
+/// 3-lane remainder in every row kernel — streamed through a product engine
+/// and a reference engine with change detection on; every periodic report
+/// must agree.
+#[test]
+fn warehouse_trace_matches_the_reference_every_period() {
+    let sim = WarehouseSimulator::new(
+        WarehouseConfig::default()
+            .with_length(1500)
+            .with_items_per_case(5)
+            .with_cases_per_pallet(2)
+            .with_anomaly_interval(400)
+            .with_seed(5),
+    );
+    assert!(sim.config().num_locations() >= 9);
+    let trace = sim.generate();
+    let mut readings = trace.readings.readings_unordered().to_vec();
+    readings.sort_unstable();
+
+    let engine = || InferenceEngine::new(InferenceConfig::default(), trace.read_rates.clone());
+    let (mut product, mut tree) = (engine(), engine());
+    let mut cursor = 0usize;
+    let mut runs = 0usize;
+    let mut reused = 0usize;
+    let mut changes = 0usize;
+    for t in 0..=trace.meta.length {
+        let now = Epoch(t);
+        while cursor < readings.len() && readings[cursor].time <= now {
+            product.observe(readings[cursor]);
+            tree.observe(readings[cursor]);
+            cursor += 1;
+        }
+        let Some(report) = product.step(now) else {
+            continue;
+        };
+        assert!(tree.due(now));
+        let expected = tree.run_inference_with(now, |infer, cache, dirty, _| {
+            reference::run_tree(infer, Some((cache, dirty)))
+        });
+        assert_eq!(
+            report.outcome, expected.outcome,
+            "outcome diverged at {now:?}"
+        );
+        assert_eq!(
+            report.changes, expected.changes,
+            "changes diverged at {now:?}"
+        );
+        assert_eq!(
+            report.stats, expected.stats,
+            "reuse counters diverged at {now:?}"
+        );
+        assert_eq!(report.retained_observations, expected.retained_observations);
+        assert_eq!(product.containment(), tree.containment());
+        runs += 1;
+        reused += report.stats.posteriors_reused;
+        changes += report.changes.len();
+    }
+    assert!(runs >= 4, "the trace must span several inference periods");
+    assert!(reused > 0, "later periods must reuse cached posteriors");
+    assert!(
+        changes > 0,
+        "the injected anomalies must trip change detection"
+    );
+    assert_eq!(product.snapshot(), tree.snapshot());
+}

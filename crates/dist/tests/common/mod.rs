@@ -11,8 +11,6 @@ use rfid_dist::{DistributedOutcome, MessageKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(dead_code)] // each suite names only the exemptions it needs
 pub enum Field {
-    /// `inference_stats`: dirty-set sizes and cache-reuse counters.
-    InferenceStats,
     /// `transport`: envelopes, retransmissions, acks, dedup drops, ….
     Transport,
     /// `ledgers`: the per-edge conservation ledgers.
@@ -63,12 +61,10 @@ pub fn assert_identical_except(
         reference.inference_runs, other.inference_runs,
         "{label}: inference-run count diverged"
     );
-    if checked(Field::InferenceStats) {
-        assert_eq!(
-            reference.inference_stats, other.inference_stats,
-            "{label}: dirty-set and reuse counters diverged"
-        );
-    }
+    assert_eq!(
+        reference.inference_stats, other.inference_stats,
+        "{label}: dirty-set and reuse counters diverged"
+    );
     if checked(Field::Transport) {
         assert_eq!(
             reference.transport, other.transport,

@@ -3,13 +3,14 @@
 //! counts, same alerts, same query-state sizes, same ONS, same inference,
 //! transport and memory counters — across every migration strategy. One
 //! worker (the loop on the calling thread) is the reference only by
-//! convention; `1 == N` is a property of one function. Likewise, incremental
-//! (cached-evidence) inference — the default — must be bit-identical to a
-//! full per-run recompute, at any worker count.
+//! convention; `1 == N` is a property of one function. That includes the
+//! cache-reuse accounting of incremental inference (that incremental equals
+//! a full recompute is pinned where the solver lives: the `rfid-core`
+//! equivalence proptests and `solver_equivalence.rs`).
 
 mod common;
 
-use common::{assert_identical, assert_identical_except, Field};
+use common::assert_identical;
 use rfid_core::InferenceConfig;
 use rfid_dist::{DistributedConfig, DistributedDriver, MigrationStrategy};
 use rfid_query::ExposureQuery;
@@ -49,32 +50,13 @@ fn incremental_inference_is_bit_identical_to_full_recompute() {
         MigrationStrategy::CollapsedWeights,
         MigrationStrategy::Centralized,
     ] {
-        let mut full_config = config(&chain, strategy, 1);
-        full_config.inference.incremental = false;
-        let full = DistributedDriver::new(full_config).run(&chain);
-        assert_eq!(
-            full.inference_stats,
-            Default::default(),
-            "{strategy:?}: full recompute must not touch the cache"
-        );
-        let recomputed = [(
-            Field::InferenceStats,
-            "a full recompute reuses nothing, so it counts nothing",
-        )];
-        // Incremental on one worker (the default configuration).
         let incremental = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
-        assert_identical_except(
-            &full,
-            &incremental,
-            &format!("{strategy:?} incremental"),
-            &recomputed,
-        );
         assert!(
             incremental.inference_stats.posteriors_reused > 0,
-            "{strategy:?}: incremental mode must actually reuse cached posteriors"
+            "{strategy:?}: periodic runs must actually reuse cached posteriors"
         );
-        // Incremental with one worker per site: the reuse accounting is part
-        // of the strict comparison.
+        // One worker per site: the reuse accounting is part of the strict
+        // comparison.
         let parallel =
             DistributedDriver::new(config(&chain, strategy, chain.sites.len())).run(&chain);
         assert_identical(
