@@ -1,30 +1,26 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--scale smoke|default|paper] [experiment...]
+//! experiments [--scale smoke|default|paper] [--out-dir DIR] [experiment...]
 //! ```
 //!
 //! With no experiment names, every experiment is run. Results are printed as
-//! plain-text tables / series; `EXPERIMENTS.md` records one full run.
+//! plain-text tables / series; `docs/EXPERIMENTS.md` records one full run.
 //!
-//! The `wire` experiment additionally writes its measurements as
-//! machine-readable JSON to `BENCH_wire.json` (override the path with the
-//! `BENCH_WIRE_OUT` environment variable), so the communication-cost
-//! trajectory is tracked across PRs; the `faults` experiment does the same
-//! for fault-degradation tables via `BENCH_faults.json` /
-//! `BENCH_FAULTS_OUT`, the `degraded`
-//! experiment for transport loss/partition degradation via
-//! `BENCH_degraded.json` / `BENCH_DEGRADED_OUT`, and the `chaos` soak
-//! (every fault family at once, all invariant oracles asserted) via
-//! `BENCH_chaos.json` / `BENCH_CHAOS_OUT`.
+//! The four tracked experiments — `wire` (communication cost), `faults`
+//! (fault degradation), `degraded` (transport loss / partitions) and `chaos`
+//! (every fault family at once, all invariant oracles asserted) — each
+//! build one [`Report`]. With `--out-dir DIR` its JSON is also written to
+//! `DIR/BENCH_<experiment>.json`; the checked-in files are
+//! `--scale default --out-dir .`. Without the flag nothing is written.
 
+use rfid_bench::report::{Report, Section};
 use rfid_bench::{
-    chaos_json, chaos_measurements, chaos_memory_table, chaos_table, degraded_json,
-    degraded_measurements, degraded_table, fault_measurements, faults_json, faults_table, fig4,
-    fig5a, fig5b, fig5c, fig5d, fig5e, fig5f, fig6a, fig6b, parallel_scaling, scalability, table3,
-    table4, table5, table_query, wire_json, wire_measurements, wire_table, Scale,
+    chaos, degraded, faults, fig4, fig5a, fig5b, fig5c, fig5d, fig5e, fig5f, fig6a, fig6b,
+    parallel_scaling, scalability, table3, table4, table5, table_query, wire, Scale,
 };
 use rfid_eval::Series;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const ALL: &[&str] = &[
@@ -57,7 +53,25 @@ fn print_series(title: &str, series: &[Series]) {
     println!();
 }
 
-fn run(name: &str, scale: Scale) {
+/// Print a tracked report's tables and, under `--out-dir`, write its JSON.
+fn emit(report: &Report, out_dir: Option<&Path>) {
+    for section in &report.sections {
+        println!("{}", section.table());
+    }
+    let Some(dir) = out_dir else { return };
+    let path = dir.join(format!("BENCH_{}.json", report.experiment));
+    if let Err(err) = std::fs::write(&path, report.json()) {
+        eprintln!("failed to write {}: {err}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!(
+        "[{} report written to {}]",
+        report.experiment,
+        path.display()
+    );
+}
+
+fn run(name: &str, scale: Scale, out_dir: Option<&Path>) {
     let started = Instant::now();
     match name {
         "fig4" => print_series(
@@ -99,60 +113,24 @@ fn run(name: &str, scale: Scale) {
         "table_query" => println!("{}", table_query(scale)),
         "scalability" => println!("{}", scalability(scale)),
         "parallel_scaling" => println!("{}", parallel_scaling(scale)),
-        "wire" => {
-            let measurements = wire_measurements(scale);
-            println!("{}", wire_table(&measurements));
-            let path =
-                std::env::var("BENCH_WIRE_OUT").unwrap_or_else(|_| "BENCH_wire.json".to_string());
-            match std::fs::write(&path, wire_json(scale, &measurements)) {
-                Ok(()) => eprintln!("[wire measurements written to {path}]"),
-                Err(err) => eprintln!("[failed to write {path}: {err}]"),
-            }
-        }
-        "faults" => {
-            let study = fault_measurements(scale);
-            println!("{}", faults_table(&study));
-            let path = std::env::var("BENCH_FAULTS_OUT")
-                .unwrap_or_else(|_| "BENCH_faults.json".to_string());
-            match std::fs::write(&path, faults_json(scale, &study)) {
-                Ok(()) => eprintln!("[fault measurements written to {path}]"),
-                Err(err) => eprintln!("[failed to write {path}: {err}]"),
-            }
-        }
-        "degraded" => {
-            let study = degraded_measurements(scale);
-            println!("{}", degraded_table(&study));
-            let path = std::env::var("BENCH_DEGRADED_OUT")
-                .unwrap_or_else(|_| "BENCH_degraded.json".to_string());
-            match std::fs::write(&path, degraded_json(scale, &study)) {
-                Ok(()) => eprintln!("[degradation measurements written to {path}]"),
-                Err(err) => eprintln!("[failed to write {path}: {err}]"),
-            }
-        }
+        "wire" => emit(&wire(scale), out_dir),
+        "faults" => emit(&faults(scale), out_dir),
+        "degraded" => emit(&degraded(scale), out_dir),
         "chaos" => {
-            let study = chaos_measurements(scale);
-            println!("{}", chaos_table(&study));
-            println!("{}", chaos_memory_table(&study));
-            let quarantined: u64 = study.soak.iter().map(|m| m.quarantined).sum();
-            let resyncs: u64 = study.soak.iter().map(|m| m.resyncs).sum();
-            let evicted: u64 = study.memory.iter().map(|m| m.evicted_cache_entries).sum();
+            let report = chaos(scale);
+            emit(&report, out_dir);
+            let (soak, memory) = (&report.sections[0], &report.sections[1]);
+            let total = |section: &Section, key| section.ints(key).iter().sum::<u64>();
             eprintln!(
-                "[chaos soak: {} runs, {quarantined} envelopes quarantined, \
-                 {resyncs} resyncs, {evicted} cache entries evicted under budget; \
-                 every run passed all invariant oracles]",
-                study.soak.len() * 2 + study.memory.len(),
+                "[chaos soak: {} runs, {} envelopes quarantined, {} resyncs, \
+                 {} cache entries evicted under budget; every run passed all invariant oracles]",
+                soak.rows().len() * 2 + memory.rows().len(),
+                total(soak, "quarantined"),
+                total(soak, "resyncs"),
+                total(memory, "evicted_cache_entries"),
             );
-            let path =
-                std::env::var("BENCH_CHAOS_OUT").unwrap_or_else(|_| "BENCH_chaos.json".to_string());
-            match std::fs::write(&path, chaos_json(scale, &study)) {
-                Ok(()) => eprintln!("[chaos measurements written to {path}]"),
-                Err(err) => eprintln!("[failed to write {path}: {err}]"),
-            }
         }
-        other => {
-            eprintln!("unknown experiment '{other}'. known: {}", ALL.join(", "));
-            std::process::exit(2);
-        }
+        other => unreachable!("main checks '{other}' against ALL"),
     }
     eprintln!(
         "[{name} finished in {:.1}s]\n",
@@ -160,11 +138,14 @@ fn run(name: &str, scale: Scale) {
     );
 }
 
+const USAGE: &str =
+    "usage: experiments [--scale smoke|default|paper] [--out-dir DIR] [experiment...]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Default;
+    let mut out_dir: Option<PathBuf> = None;
     let mut names: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         if arg == "--scale" {
             let value = iter.next().unwrap_or_default();
@@ -172,19 +153,29 @@ fn main() {
                 eprintln!("unknown scale '{value}' (use smoke, default or paper)");
                 std::process::exit(2);
             });
+        } else if arg == "--out-dir" {
+            out_dir = Some(PathBuf::from(iter.next().unwrap_or_else(|| {
+                eprintln!("--out-dir needs a directory\n{USAGE}");
+                std::process::exit(2);
+            })));
         } else if arg == "--help" || arg == "-h" {
-            println!("usage: experiments [--scale smoke|default|paper] [experiment...]");
+            println!("{USAGE}");
             println!("experiments: {}", ALL.join(", "));
             return;
         } else {
             names.push(arg);
         }
     }
+    // Reject a misspelt name before the first (minutes-long) experiment runs.
+    if let Some(unknown) = names.iter().find(|name| !ALL.contains(&name.as_str())) {
+        eprintln!("unknown experiment '{unknown}'. known: {}", ALL.join(", "));
+        std::process::exit(2);
+    }
     if names.is_empty() {
         names = ALL.iter().map(|s| s.to_string()).collect();
     }
     println!("# Reproduction experiments (scale: {scale:?})\n");
     for name in names {
-        run(&name, scale);
+        run(&name, scale, out_dir.as_deref());
     }
 }

@@ -1,6 +1,11 @@
 //! Distributed experiments: Figures 5(e)–5(f), Table 5, the query-state
 //! table of Section 5.4 and the scalability study of Section 5.3.
 
+use crate::report::{
+    Field,
+    Kind::{self, Int, Text},
+    Report, Section,
+};
 use crate::Scale;
 use rfid_core::{InferenceConfig, MemoryBudget};
 use rfid_dist::{
@@ -306,6 +311,62 @@ pub fn short_dwell_chain(scale: Scale, sites: u32) -> ChainTrace {
     )
 }
 
+/// The migration strategies every tracked experiment sweeps, in row order.
+const STRATEGIES: [(&str, MigrationStrategy); 4] = [
+    ("None", MigrationStrategy::None),
+    ("CR-readings", MigrationStrategy::CriticalRegionReadings),
+    ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
+    ("Centralized", MigrationStrategy::Centralized),
+];
+
+/// What every tracked file records as its workload: [`short_dwell_chain`]
+/// with 8 sites.
+const REFERENCE: &str = "8-site short-dwell chain, seed 97, 2400 s";
+
+/// A percentage: one decimal in the table, two in the tracked JSON.
+const PCT: Kind = Kind::Float(1, 2);
+
+/// `strategy` on `workers` workers without change detection — the config
+/// every run on the [`short_dwell_chain`] starts from.
+fn reference_config(strategy: MigrationStrategy, workers: usize) -> DistributedConfig {
+    DistributedConfig {
+        strategy,
+        inference: InferenceConfig::default().without_change_detection(),
+        num_workers: workers,
+        ..Default::default()
+    }
+}
+
+/// Containment accuracy (%) of `outcome` against the chain's ground truth.
+fn accuracy(chain: &ChainTrace, outcome: &DistributedOutcome) -> f64 {
+    100.0 - chain_containment_error(chain, outcome)
+}
+
+/// Run `config(workers)` sequentially and with one worker per site and
+/// require the two outcomes identical — containment, communication, custody,
+/// transport counters, quarantine entries, memory counters and per-edge
+/// conservation ledgers — so a tracked table measures the injected faults,
+/// never the executor. Returns `[sequential, parallel]`.
+fn run_on_both_executors(
+    chain: &ChainTrace,
+    label: &str,
+    config: impl Fn(usize) -> DistributedConfig,
+) -> [DistributedOutcome; 2] {
+    let sequential = DistributedDriver::new(config(1)).run(chain);
+    let parallel = DistributedDriver::new(config(8)).run(chain);
+    assert_eq!(
+        sequential.containment, parallel.containment,
+        "{label}: the fault plan must injure both executors identically"
+    );
+    assert_eq!(sequential.comm, parallel.comm, "{label}");
+    assert_eq!(sequential.ons, parallel.ons, "{label}");
+    assert_eq!(sequential.transport, parallel.transport, "{label}");
+    assert_eq!(sequential.quarantine, parallel.quarantine, "{label}");
+    assert_eq!(sequential.memory, parallel.memory, "{label}");
+    assert_eq!(sequential.ledgers, parallel.ledgers, "{label}");
+    [sequential, parallel]
+}
+
 /// Parallel scale-out: sequential vs sharded thread-per-site wall-clock of
 /// the federated driver on a wide chain — 8–16 sites with short shelf dwells
 /// and a fast injection cadence, so pallets reach the deep sites of the DAG
@@ -334,12 +395,7 @@ pub fn parallel_scaling(scale: Scale) -> Table {
     };
     for &sites in site_counts {
         let chain = short_dwell_chain(scale, sites);
-        let config = |workers: usize| DistributedConfig {
-            strategy: MigrationStrategy::CollapsedWeights,
-            inference: InferenceConfig::default().without_change_detection(),
-            num_workers: workers,
-            ..Default::default()
-        };
+        let config = |workers| reference_config(MigrationStrategy::CollapsedWeights, workers);
         let started = Instant::now();
         let sequential = DistributedDriver::new(config(1)).run(&chain);
         let seq_secs = started.elapsed().as_secs_f64();
@@ -363,184 +419,61 @@ pub fn parallel_scaling(scale: Scale) -> Table {
     table
 }
 
-/// One per-strategy measurement of the wire-cost table.
-#[derive(Debug, Clone)]
-pub struct WireMeasurement {
-    /// Migration strategy name.
-    pub strategy: &'static str,
-    /// Total bytes across all message kinds.
-    pub total_bytes: usize,
-    /// Bytes of migrated inference state.
-    pub inference_bytes: usize,
-    /// Bytes of forwarded raw readings (Centralized only).
-    pub raw_bytes: usize,
-    /// Bytes of migrated query state.
-    pub query_bytes: usize,
-    /// Total inter-site messages.
-    pub messages: usize,
-    /// Whole-run wall-clock, seconds.
-    pub wall_secs: f64,
-    /// Containment accuracy (%) against ground truth.
-    pub accuracy: f64,
-}
-
 /// Wire cost at the 8-site short-dwell reference scale: for every migration
-/// strategy, the full communication bill in encoded bytes and the whole-run
-/// wall-clock.
-pub fn wire_measurements(scale: Scale) -> Vec<WireMeasurement> {
+/// strategy, the full communication bill in encoded bytes — the contents of
+/// `BENCH_wire.json`. The constant `"format": "binary"` key keeps the rows
+/// comparable with the file's history, which also carried `json` rows.
+/// Wall-clock of the same runs is `benchmark/`'s `run_wall_cu`, not a column
+/// here, so the file is a pure function of the seed.
+pub fn wire(scale: Scale) -> Report {
     let chain = short_dwell_chain(scale, 8);
-    let mut rows = Vec::new();
-    for (name, strategy) in [
-        ("None", MigrationStrategy::None),
-        ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-        ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-        ("Centralized", MigrationStrategy::Centralized),
-    ] {
-        let config = DistributedConfig {
-            strategy,
-            inference: InferenceConfig::default().without_change_detection(),
-            ..Default::default()
-        };
-        let started = Instant::now();
-        let outcome = DistributedDriver::new(config).run(&chain);
-        let wall_secs = started.elapsed().as_secs_f64();
-        rows.push(WireMeasurement {
-            strategy: name,
-            total_bytes: outcome.comm.total_bytes(),
-            inference_bytes: outcome.comm.bytes_of_kind(MessageKind::InferenceState),
-            raw_bytes: outcome.comm.bytes_of_kind(MessageKind::RawReadings),
-            query_bytes: outcome.comm.bytes_of_kind(MessageKind::QueryState),
-            messages: outcome.comm.total_messages(),
-            wall_secs,
-            accuracy: 100.0 - chain_containment_error(&chain, &outcome),
-        });
-    }
-    rows
-}
-
-/// Render pre-computed measurements as the wire-cost table (so one
-/// measurement pass can feed both the table and `BENCH_wire.json`).
-pub fn wire_table(measurements: &[WireMeasurement]) -> Table {
-    let mut table = Table::new(
+    let mut rows = Section::new(
+        "rows",
         "Wire cost: encoded bytes of all cross-site traffic per strategy",
-        &[
-            "strategy",
-            "accuracy (%)",
-            "total bytes",
-            "inference",
-            "raw readings",
-            "query state",
-            "messages",
-            "run wall (s)",
-        ],
     );
-    for m in measurements {
-        table.push_row(&[
-            m.strategy.to_string(),
-            format!("{:.1}", m.accuracy),
-            m.total_bytes.to_string(),
-            m.inference_bytes.to_string(),
-            m.raw_bytes.to_string(),
-            m.query_bytes.to_string(),
-            m.messages.to_string(),
-            format!("{:.2}", m.wall_secs),
+    for (name, strategy) in STRATEGIES {
+        let outcome = DistributedDriver::new(reference_config(strategy, 1)).run(&chain);
+        let comm = &outcome.comm;
+        let bytes = |kind| comm.bytes_of_kind(kind);
+        #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+        rows.push(vec![
+            Field::new("strategy",     "strategy",        Text, name),
+            Field::new(None,           "format",          Text, "binary"),
+            Field::new("accuracy (%)", "accuracy_pct",    PCT,  accuracy(&chain, &outcome)),
+            Field::new("total bytes",  "total_bytes",     Int,  comm.total_bytes()),
+            Field::new("inference",    "inference_bytes", Int,  bytes(MessageKind::InferenceState)),
+            Field::new("raw readings", "raw_bytes",       Int,  bytes(MessageKind::RawReadings)),
+            Field::new("query state",  "query_bytes",     Int,  bytes(MessageKind::QueryState)),
+            Field::new("messages",     "messages",        Int,  comm.total_messages()),
         ]);
     }
-    table
-}
-
-/// The machine-readable companion of [`wire_table`] — the contents of
-/// `BENCH_wire.json`, tracked across PRs so the perf trajectory stays
-/// visible. Hand-rendered (stable key order, one row object per strategy);
-/// the constant `"format": "binary"` key keeps the rows comparable with the
-/// file's history, which also carried `json` rows.
-pub fn wire_json(scale: Scale, measurements: &[WireMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"format\": \"binary\", \"accuracy_pct\": {:.2}, \
-             \"total_bytes\": {}, \"inference_bytes\": {}, \"raw_bytes\": {}, \
-             \"query_bytes\": {}, \"messages\": {}, \"wall_secs\": {:.3}}}{}\n",
-            m.strategy,
-            m.accuracy,
-            m.total_bytes,
-            m.inference_bytes,
-            m.raw_bytes,
-            m.query_bytes,
-            m.messages,
-            m.wall_secs,
-            if i + 1 == measurements.len() { "" } else { "," }
-        ));
+    Report {
+        experiment: "wire",
+        scale,
+        reference: REFERENCE,
+        metric: None,
+        plan: None,
+        sections: vec![rows],
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One per-strategy measurement of the fault-degradation study.
-#[derive(Debug, Clone)]
-pub struct FaultMeasurement {
-    /// Migration strategy name.
-    pub strategy: &'static str,
-    /// Containment accuracy (%) of the fault-free run.
-    pub baseline_accuracy: f64,
-    /// Containment accuracy (%) under the lossy fault plan.
-    pub faulted_accuracy: f64,
-    /// Total bytes on the wire without faults.
-    pub baseline_bytes: usize,
-    /// Total bytes on the wire under the fault plan (duplicated deliveries
-    /// are charged once; outage-dropped readings never ship).
-    pub faulted_bytes: usize,
-    /// Inter-site messages without faults.
-    pub baseline_messages: usize,
-    /// Inter-site messages under the fault plan.
-    pub faulted_messages: usize,
-}
-
-impl FaultMeasurement {
-    /// Accuracy lost to the faults, in percentage points.
-    pub fn degradation(&self) -> f64 {
-        self.baseline_accuracy - self.faulted_accuracy
-    }
-}
-
-/// The full fault-degradation study: the plan that was injected plus one
-/// [`FaultMeasurement`] per migration strategy.
-#[derive(Debug, Clone)]
-pub struct FaultStudy {
-    /// Seed of the generated [`FaultPlan`].
-    pub seed: u64,
-    /// Checkpoint cadence of the faulted runs, seconds.
-    pub checkpoint_every_secs: u32,
-    /// Scheduled site crashes in the plan.
-    pub crashes: usize,
-    /// Scheduled reader-outage bursts in the plan.
-    pub outages: usize,
-    /// Per-shipment delivery-delay probability.
-    pub delay_probability: f64,
-    /// Per-shipment duplicate-delivery probability.
-    pub duplicate_probability: f64,
-    /// One row per migration strategy.
-    pub measurements: Vec<FaultMeasurement>,
 }
 
 /// Fault-degradation study at the 8-site short-dwell reference scale: for
 /// every migration strategy, containment accuracy and communication cost of
 /// the fault-free run versus a run under a seeded lossy [`FaultPlan`] —
 /// reader-outage bursts, delayed and duplicated deliveries, and site crashes
-/// with real downtime, restored from periodic checkpoints.
+/// with real downtime, restored from periodic checkpoints. The contents of
+/// `BENCH_faults.json`.
 ///
 /// Every faulted run is executed both sequentially and with one worker per
-/// site and asserted bit-identical (containment, communication, custody), so
-/// the table measures the *faults*, never the executor. Zero-downtime crashes
-/// would not show up at all — the crash-consistency suite pins that recovery
-/// from a checkpoint plus journal replay is lossless — so the plan uses
-/// crashes with downtime, which lose the down window's readings. The
-/// `Centralized` baseline runs on a single engine with no per-site volatile
-/// state, so only reader outages (not crashes or delivery faults) degrade it.
-pub fn fault_measurements(scale: Scale) -> FaultStudy {
+/// site and asserted bit-identical, so the table measures the *faults*,
+/// never the executor. Zero-downtime crashes would not show up at all — the
+/// crash-consistency suite pins that recovery from a checkpoint plus journal
+/// replay is lossless — so the plan uses crashes with downtime, which lose
+/// the down window's readings. Faulted bytes charge duplicated deliveries
+/// once, and outage-dropped readings never ship. The `Centralized` baseline
+/// runs on a single engine with no per-site volatile state, so only reader
+/// outages (not crashes or delivery faults) degrade it.
+pub fn faults(scale: Scale) -> Report {
     let chain = short_dwell_chain(scale, 8);
     let horizon = chain.sites[0].meta.length;
     let fault_config = FaultPlanConfig {
@@ -549,190 +482,73 @@ pub fn fault_measurements(scale: Scale) -> FaultStudy {
         ..FaultPlanConfig::lossy(presets::REFERENCE_SEED, 8, horizon)
     };
     let plan = FaultPlan::generate(&fault_config);
-    let checkpoint_every = 300;
-    let (crashes, outages) = plan.events().iter().fold((0, 0), |(c, o), e| match e {
-        rfid_sim::FaultEvent::Crash { .. } => (c + 1, o),
-        rfid_sim::FaultEvent::Outage { .. } => (c, o + 1),
-        _ => (c, o),
-    });
-    let mut measurements = Vec::new();
-    for (name, strategy) in [
-        ("None", MigrationStrategy::None),
-        ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-        ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-        ("Centralized", MigrationStrategy::Centralized),
-    ] {
-        let base_config = |workers: usize| DistributedConfig {
-            strategy,
-            inference: InferenceConfig::default().without_change_detection(),
-            num_workers: workers,
-            ..Default::default()
-        };
-        let faulted_config = |workers: usize| {
-            base_config(workers)
+    let checkpoint_every: u32 = 300;
+    let (crashes, outages) = plan
+        .events()
+        .iter()
+        .fold((0u32, 0u32), |(c, o), e| match e {
+            rfid_sim::FaultEvent::Crash { .. } => (c + 1, o),
+            rfid_sim::FaultEvent::Outage { .. } => (c, o + 1),
+            _ => (c, o),
+        });
+    let mut rows = Section::new(
+        "rows",
+        "Fault degradation: accuracy and communication under a seeded lossy fault plan",
+    );
+    for (name, strategy) in STRATEGIES {
+        let baseline = DistributedDriver::new(reference_config(strategy, 1)).run(&chain);
+        let [faulted, _] = run_on_both_executors(&chain, name, |workers| {
+            reference_config(strategy, workers)
                 .with_checkpoints(checkpoint_every)
                 .with_faults(plan.clone())
-        };
-        let baseline = DistributedDriver::new(base_config(1)).run(&chain);
-        let faulted = DistributedDriver::new(faulted_config(1)).run(&chain);
-        let faulted_parallel = DistributedDriver::new(faulted_config(8)).run(&chain);
-        assert_eq!(
-            faulted.containment, faulted_parallel.containment,
-            "{name}: the fault plan must injure both executors identically"
-        );
-        assert_eq!(faulted.comm, faulted_parallel.comm);
-        assert_eq!(faulted.ons, faulted_parallel.ons);
-        measurements.push(FaultMeasurement {
-            strategy: name,
-            baseline_accuracy: 100.0 - chain_containment_error(&chain, &baseline),
-            faulted_accuracy: 100.0 - chain_containment_error(&chain, &faulted),
-            baseline_bytes: baseline.comm.total_bytes(),
-            faulted_bytes: faulted.comm.total_bytes(),
-            baseline_messages: baseline.comm.total_messages(),
-            faulted_messages: faulted.comm.total_messages(),
         });
-    }
-    FaultStudy {
-        seed: fault_config.seed,
-        checkpoint_every_secs: checkpoint_every,
-        crashes,
-        outages,
-        delay_probability: fault_config.delay_probability,
-        duplicate_probability: fault_config.duplicate_probability,
-        measurements,
-    }
-}
-
-/// The human-readable table of [`fault_measurements`].
-pub fn faults(scale: Scale) -> Table {
-    faults_table(&fault_measurements(scale))
-}
-
-/// Render a pre-computed study as the degradation table (so one measurement
-/// pass can feed both the table and `BENCH_faults.json`).
-pub fn faults_table(study: &FaultStudy) -> Table {
-    let mut table = Table::new(
-        "Fault degradation: accuracy and communication under a seeded lossy fault plan",
-        &[
-            "strategy",
-            "baseline acc (%)",
-            "faulted acc (%)",
-            "degradation (pp)",
-            "baseline bytes",
-            "faulted bytes",
-            "baseline msgs",
-            "faulted msgs",
-        ],
-    );
-    for m in &study.measurements {
-        table.push_row(&[
-            m.strategy.to_string(),
-            format!("{:.1}", m.baseline_accuracy),
-            format!("{:.1}", m.faulted_accuracy),
-            format!("{:.1}", m.degradation()),
-            m.baseline_bytes.to_string(),
-            m.faulted_bytes.to_string(),
-            m.baseline_messages.to_string(),
-            m.faulted_messages.to_string(),
+        let (base_acc, fault_acc) = (accuracy(&chain, &baseline), accuracy(&chain, &faulted));
+        let (base, fault) = (&baseline.comm, &faulted.comm);
+        #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+        rows.push(vec![
+            Field::new("strategy",         "strategy",              Text, name),
+            Field::new("baseline acc (%)", "baseline_accuracy_pct", PCT,  base_acc),
+            Field::new("faulted acc (%)",  "faulted_accuracy_pct",  PCT,  fault_acc),
+            Field::new("degradation (pp)", "degradation_pp",        PCT,  base_acc - fault_acc),
+            Field::new("baseline bytes",   "baseline_bytes",        Int,  base.total_bytes()),
+            Field::new("faulted bytes",    "faulted_bytes",         Int,  fault.total_bytes()),
+            Field::new("baseline msgs",    "baseline_messages",     Int,  base.total_messages()),
+            Field::new("faulted msgs",     "faulted_messages",      Int,  fault.total_messages()),
         ]);
     }
-    table
-}
-
-/// The machine-readable companion of [`faults`] — the contents of
-/// `BENCH_faults.json`, tracked across PRs alongside `BENCH_wire.json`.
-/// Hand-rendered JSON (stable key order, one row object per strategy).
-pub fn faults_json(scale: Scale, study: &FaultStudy) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
-    out.push_str(
-        "  \"metric\": \"containment accuracy (%) and comm cost, fault-free vs lossy plan\",\n",
-    );
-    out.push_str(&format!(
-        "  \"plan\": {{\"seed\": {}, \"checkpoint_every_secs\": {}, \"crashes\": {}, \
-         \"outages\": {}, \"delay_probability\": {:.3}, \"duplicate_probability\": {:.3}}},\n",
-        study.seed,
-        study.checkpoint_every_secs,
-        study.crashes,
-        study.outages,
-        study.delay_probability,
-        study.duplicate_probability,
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, m) in study.measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"baseline_accuracy_pct\": {:.2}, \
-             \"faulted_accuracy_pct\": {:.2}, \"degradation_pp\": {:.2}, \
-             \"baseline_bytes\": {}, \"faulted_bytes\": {}, \"baseline_messages\": {}, \
-             \"faulted_messages\": {}}}{}\n",
-            m.strategy,
-            m.baseline_accuracy,
-            m.faulted_accuracy,
-            m.degradation(),
-            m.baseline_bytes,
-            m.faulted_bytes,
-            m.baseline_messages,
-            m.faulted_messages,
-            if i + 1 == study.measurements.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
+    let probability = Kind::Float(3, 3);
+    #[rustfmt::skip] // one plan member per line: JSON key, kind, value
+    let recorded_plan = vec![
+        Field::new(None, "seed",                  Int,         fault_config.seed),
+        Field::new(None, "checkpoint_every_secs", Int,         checkpoint_every),
+        Field::new(None, "crashes",               Int,         crashes),
+        Field::new(None, "outages",               Int,         outages),
+        Field::new(None, "delay_probability",     probability, fault_config.delay_probability),
+        Field::new(None, "duplicate_probability", probability, fault_config.duplicate_probability),
+    ];
+    Report {
+        experiment: "faults",
+        scale,
+        reference: REFERENCE,
+        metric: Some("containment accuracy (%) and comm cost, fault-free vs lossy plan"),
+        plan: Some(recorded_plan),
+        sections: vec![rows],
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One scenario × strategy row of the transport-degradation study.
-#[derive(Debug, Clone)]
-pub struct DegradedMeasurement {
-    /// Fault scenario label (`loss 0.00` … `loss 0.30`, `partition 0<->1`).
-    pub scenario: String,
-    /// Migration strategy name.
-    pub strategy: &'static str,
-    /// Containment accuracy (%) under the scenario.
-    pub accuracy: f64,
-    /// Total bytes on the wire, *including* the Control overhead of acks,
-    /// retransmissions and resyncs.
-    pub total_bytes: usize,
-    /// Bytes charged to [`MessageKind::Control`] alone.
-    pub control_bytes: usize,
-    /// Payload copies sent beyond each envelope's first attempt.
-    pub retransmissions: u64,
-    /// Duplicate copies discarded by receiver-side dedup.
-    pub duplicates_dropped: u64,
-    /// Late state messages merged into an already-cold-started engine.
-    pub reconciled: u64,
-    /// Envelopes given up on — the destination stayed in degraded mode.
-    pub abandoned: u64,
-}
-
-/// The full transport-degradation study: one row per scenario × strategy.
-#[derive(Debug, Clone)]
-pub struct DegradedStudy {
-    /// Seed of the generated loss plans.
-    pub seed: u64,
-    /// The swept per-attempt loss rates.
-    pub loss_rates: Vec<f64>,
-    /// All measurements, scenario-major.
-    pub rows: Vec<DegradedMeasurement>,
 }
 
 /// Transport-degradation study at the 8-site short-dwell reference scale:
-/// containment accuracy and total communication (now including the Control
-/// bytes of acks and the payload bytes of retransmissions) for every
-/// migration strategy, as the per-attempt loss rate sweeps {0, 0.05, 0.15,
-/// 0.30} (ack losses at half the payload rate), plus one scripted scenario
-/// that partitions the 0 ↔ 1 link for the entire horizon so the destination
-/// demonstrably runs in degraded mode.
+/// containment accuracy and total communication (including the Control
+/// bytes of acks and resyncs and the payload bytes of retransmissions) for
+/// every migration strategy, as the per-attempt loss rate sweeps {0, 0.05,
+/// 0.15, 0.30} (ack losses at half the payload rate), plus one scripted
+/// scenario that partitions the 0 ↔ 1 link for the entire horizon so the
+/// destination demonstrably runs in degraded mode. The contents of
+/// `BENCH_degraded.json`.
 ///
-/// As with [`fault_measurements`], every faulted run is executed both
-/// sequentially and with one worker per site and asserted bit-identical —
-/// the loss/ack/partition draws are pure functions of message keys, so the
-/// table measures the *network*, never the executor.
-pub fn degraded_measurements(scale: Scale) -> DegradedStudy {
+/// As with [`faults`], every run is executed on both executors and asserted
+/// bit-identical — the loss/ack/partition draws are pure functions of
+/// message keys, so the table measures the *network*, never the executor.
+pub fn degraded(scale: Scale) -> Report {
     let chain = short_dwell_chain(scale, 8);
     let horizon = chain.sites[0].meta.length;
     let loss_rates = vec![0.0, 0.05, 0.15, 0.30];
@@ -755,191 +571,47 @@ pub fn degraded_measurements(scale: Scale) -> DegradedStudy {
         "partition 0<->1".to_string(),
         FaultPlan::scripted_partition(8, 0, 1, Epoch(0), Epoch(horizon)),
     ));
-    let mut rows = Vec::new();
+    let mut rows = Section::new(
+        "rows",
+        "Transport degradation: accuracy and communication under message loss and partitions",
+    );
     for (scenario, plan) in &scenarios {
-        for (name, strategy) in [
-            ("None", MigrationStrategy::None),
-            ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-            ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-            ("Centralized", MigrationStrategy::Centralized),
-        ] {
-            let config = |workers: usize| {
-                DistributedConfig {
-                    strategy,
-                    inference: InferenceConfig::default().without_change_detection(),
-                    num_workers: workers,
-                    ..Default::default()
-                }
-                .with_faults(plan.clone())
-            };
-            let faulted = DistributedDriver::new(config(1)).run(&chain);
-            let faulted_parallel = DistributedDriver::new(config(8)).run(&chain);
-            assert_eq!(
-                faulted.containment, faulted_parallel.containment,
-                "{scenario}/{name}: the loss schedule must injure both executors identically"
-            );
-            assert_eq!(faulted.comm, faulted_parallel.comm, "{scenario}/{name}");
-            assert_eq!(faulted.ons, faulted_parallel.ons, "{scenario}/{name}");
-            assert_eq!(
-                faulted.transport, faulted_parallel.transport,
-                "{scenario}/{name}"
-            );
-            rows.push(DegradedMeasurement {
-                scenario: scenario.clone(),
-                strategy: name,
-                accuracy: 100.0 - chain_containment_error(&chain, &faulted),
-                total_bytes: faulted.comm.total_bytes(),
-                control_bytes: faulted.comm.bytes_of_kind(MessageKind::Control),
-                retransmissions: faulted.transport.retransmissions,
-                duplicates_dropped: faulted.transport.duplicates_dropped,
-                reconciled: faulted.transport.reconciled,
-                abandoned: faulted.transport.abandoned,
+        for (name, strategy) in STRATEGIES {
+            let label = format!("{scenario}/{name}");
+            let [run, _] = run_on_both_executors(&chain, &label, |workers| {
+                reference_config(strategy, workers).with_faults(plan.clone())
             });
+            let (comm, stats) = (&run.comm, run.transport);
+            let control = comm.bytes_of_kind(MessageKind::Control);
+            #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+            rows.push(vec![
+                Field::new("scenario",      "scenario",           Text, scenario.as_str()),
+                Field::new("strategy",      "strategy",           Text, name),
+                Field::new("accuracy (%)",  "accuracy_pct",       PCT,  accuracy(&chain, &run)),
+                Field::new("total bytes",   "total_bytes",        Int,  comm.total_bytes()),
+                Field::new("control bytes", "control_bytes",      Int,  control),
+                Field::new("retx",          "retransmissions",    Int,  stats.retransmissions),
+                Field::new("dedup drops",   "duplicates_dropped", Int,  stats.duplicates_dropped),
+                Field::new("reconciled",    "reconciled",         Int,  stats.reconciled),
+                Field::new("abandoned",     "abandoned",          Int,  stats.abandoned),
+            ]);
         }
     }
-    DegradedStudy {
-        seed: presets::REFERENCE_SEED,
-        loss_rates,
-        rows,
+    Report {
+        experiment: "degraded",
+        scale,
+        reference: REFERENCE,
+        metric: Some(
+            "containment accuracy (%) and comm cost (incl. Control) under transport loss \
+             and partitions",
+        ),
+        plan: Some(vec![
+            Field::new(None, "seed", Int, presets::REFERENCE_SEED),
+            Field::new(None, "loss_rates", Kind::Float(2, 2), loss_rates),
+            Field::new(None, "partition", Text, "0<->1 for the whole horizon"),
+        ]),
+        sections: vec![rows],
     }
-}
-
-/// The human-readable table of [`degraded_measurements`].
-pub fn degraded(scale: Scale) -> Table {
-    degraded_table(&degraded_measurements(scale))
-}
-
-/// Render a pre-computed study as the degradation table (so one measurement
-/// pass can feed both the table and `BENCH_degraded.json`).
-pub fn degraded_table(study: &DegradedStudy) -> Table {
-    let mut table = Table::new(
-        "Transport degradation: accuracy and communication under message loss and partitions",
-        &[
-            "scenario",
-            "strategy",
-            "accuracy (%)",
-            "total bytes",
-            "control bytes",
-            "retx",
-            "dedup drops",
-            "reconciled",
-            "abandoned",
-        ],
-    );
-    for m in &study.rows {
-        table.push_row(&[
-            m.scenario.clone(),
-            m.strategy.to_string(),
-            format!("{:.1}", m.accuracy),
-            m.total_bytes.to_string(),
-            m.control_bytes.to_string(),
-            m.retransmissions.to_string(),
-            m.duplicates_dropped.to_string(),
-            m.reconciled.to_string(),
-            m.abandoned.to_string(),
-        ]);
-    }
-    table
-}
-
-/// The machine-readable companion of [`degraded`] — the contents of
-/// `BENCH_degraded.json`, tracked across PRs alongside `BENCH_faults.json`.
-/// Hand-rendered JSON (stable key order, one row object per scenario ×
-/// strategy).
-pub fn degraded_json(scale: Scale, study: &DegradedStudy) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
-    out.push_str(
-        "  \"metric\": \"containment accuracy (%) and comm cost (incl. Control) under \
-         transport loss and partitions\",\n",
-    );
-    out.push_str(&format!(
-        "  \"plan\": {{\"seed\": {}, \"loss_rates\": [{}], \
-         \"partition\": \"0<->1 for the whole horizon\"}},\n",
-        study.seed,
-        study
-            .loss_rates
-            .iter()
-            .map(|r| format!("{r:.2}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, m) in study.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"strategy\": \"{}\", \"accuracy_pct\": {:.2}, \
-             \"total_bytes\": {}, \"control_bytes\": {}, \"retransmissions\": {}, \
-             \"duplicates_dropped\": {}, \"reconciled\": {}, \"abandoned\": {}}}{}\n",
-            m.scenario,
-            m.strategy,
-            m.accuracy,
-            m.total_bytes,
-            m.control_bytes,
-            m.retransmissions,
-            m.duplicates_dropped,
-            m.reconciled,
-            m.abandoned,
-            if i + 1 == study.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One schedule × strategy row of the chaos soak.
-#[derive(Debug, Clone)]
-pub struct ChaosMeasurement {
-    /// Index of the schedule within the soak sweep.
-    pub schedule: usize,
-    /// Per-schedule derived seed.
-    pub seed: u64,
-    /// Migration strategy name.
-    pub strategy: &'static str,
-    /// Containment accuracy (%) under the chaos schedule.
-    pub accuracy: f64,
-    /// Total bytes on the wire, including Control overhead.
-    pub total_bytes: usize,
-    /// Poisoned envelopes diverted into the quarantine ledger.
-    pub quarantined: u64,
-    /// Anti-entropy resync requests sent after quarantines.
-    pub resyncs: u64,
-    /// Envelopes given up on (degraded-mode cold starts).
-    pub abandoned: u64,
-    /// Duplicate copies discarded by receiver-side dedup.
-    pub duplicates_dropped: u64,
-    /// High-water mark of the per-site observation stores.
-    pub memory_high_water: u64,
-}
-
-/// One budget row of the accuracy-vs-memory-budget sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosMemoryMeasurement {
-    /// Budget label (`unbounded` or the observation cap).
-    pub budget: String,
-    /// Containment accuracy (%) under the budget.
-    pub accuracy: f64,
-    /// High-water mark of the observation stores.
-    pub high_water: u64,
-    /// Budget-driven compaction passes.
-    pub compactions: u64,
-    /// Observation entries collapsed into summary priors.
-    pub compacted_observations: u64,
-    /// Cold evidence-cache containers evicted.
-    pub evicted_cache_entries: u64,
-}
-
-/// The full chaos soak: schedule × strategy rows plus the memory sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosStudy {
-    /// Master seed the per-schedule seeds derive from.
-    pub master_seed: u64,
-    /// Checkpoint cadence of every run, seconds.
-    pub checkpoint_every_secs: u32,
-    /// One row per schedule × strategy.
-    pub soak: Vec<ChaosMeasurement>,
-    /// Accuracy-vs-budget rows (schedule 0, `CollapsedWeights`).
-    pub memory: Vec<ChaosMemoryMeasurement>,
 }
 
 /// Chaos soak at the 8-site short-dwell reference scale: a
@@ -947,234 +619,104 @@ pub struct ChaosStudy {
 /// schedules — crashes with downtime restored from checkpoints, reader
 /// outages, delivery delay/duplication, transmission and ack loss, link
 /// partitions, corrupted wire bytes, rogue tag readings and per-site clock
-/// skew, all at once — driven through every migration strategy.
+/// skew, all at once — driven through every migration strategy. The contents
+/// of `BENCH_chaos.json`.
 ///
-/// Every run is executed both sequentially and with one worker per site and
-/// asserted bit-identical *including* the chaos bookkeeping (quarantine
-/// entries, memory counters, per-edge conservation ledgers), and every
-/// outcome must pass the full invariant-oracle battery of
-/// [`rfid_dist::audit`] — a soak that cannot account for every envelope
-/// aborts instead of producing a table. A second sweep holds the schedule
-/// fixed and tightens the per-site memory budget, measuring what graceful
-/// degradation under memory pressure costs in accuracy.
-pub fn chaos_measurements(scale: Scale) -> ChaosStudy {
+/// Every soak run is executed on both executors and asserted bit-identical
+/// *including* the chaos bookkeeping (quarantine entries, memory counters,
+/// per-edge conservation ledgers), and every outcome must pass the full
+/// invariant-oracle battery of [`rfid_dist::audit`] — a soak that cannot
+/// account for every envelope aborts instead of producing a table. A second
+/// section holds schedule 0 fixed and tightens the per-site memory budget
+/// under `CollapsedWeights`, measuring what graceful degradation under
+/// memory pressure costs in accuracy.
+pub fn chaos(scale: Scale) -> Report {
     let chain = short_dwell_chain(scale, 8);
     let horizon = chain.sites[0].meta.length;
     let schedules = match scale {
         Scale::Smoke => 2,
         _ => 3,
     };
-    let checkpoint_every = 300;
+    let checkpoint_every: u32 = 300;
     let plans = ChaosPlan::schedule(presets::REFERENCE_SEED, schedules, 8, horizon);
-    let mut soak = Vec::new();
+    let mut soak = Section::new(
+        "soak",
+        "Chaos soak: every fault family at once, all invariant oracles asserted",
+    );
     for (i, chaos) in plans.iter().enumerate() {
-        for (name, strategy) in [
-            ("None", MigrationStrategy::None),
-            ("CR-readings", MigrationStrategy::CriticalRegionReadings),
-            ("CollapsedWeights", MigrationStrategy::CollapsedWeights),
-            ("Centralized", MigrationStrategy::Centralized),
-        ] {
-            let config = |workers: usize| {
-                DistributedConfig {
-                    strategy,
-                    inference: InferenceConfig::default().without_change_detection(),
-                    num_workers: workers,
-                    ..Default::default()
-                }
-                .with_checkpoints(checkpoint_every)
-                // An unbounded budget never compacts but does track the
-                // high-water observation count, so the soak table can report
-                // peak memory pressure per strategy.
-                .with_memory_budget(MemoryBudget::unbounded())
-                .with_faults(chaos.plan().clone())
-            };
-            let sequential = DistributedDriver::new(config(1)).run(&chain);
-            let parallel = DistributedDriver::new(config(8)).run(&chain);
+        for (name, strategy) in STRATEGIES {
             let label = format!("schedule {i}/{name}");
-            assert_eq!(
-                sequential.containment, parallel.containment,
-                "{label}: the chaos schedule must injure both executors identically"
-            );
-            assert_eq!(sequential.comm, parallel.comm, "{label}");
-            assert_eq!(sequential.ons, parallel.ons, "{label}");
-            assert_eq!(sequential.transport, parallel.transport, "{label}");
-            assert_eq!(sequential.quarantine, parallel.quarantine, "{label}");
-            assert_eq!(sequential.memory, parallel.memory, "{label}");
-            assert_eq!(sequential.ledgers, parallel.ledgers, "{label}");
-            assert_audit(&chain, &sequential);
-            assert_audit(&chain, &parallel);
-            soak.push(ChaosMeasurement {
-                schedule: i,
-                seed: chaos.config().seed,
-                strategy: name,
-                accuracy: 100.0 - chain_containment_error(&chain, &sequential),
-                total_bytes: sequential.comm.total_bytes(),
-                quarantined: sequential.transport.quarantined,
-                resyncs: sequential.transport.resyncs,
-                abandoned: sequential.transport.abandoned,
-                duplicates_dropped: sequential.transport.duplicates_dropped,
-                memory_high_water: sequential.memory.high_water,
+            let runs = run_on_both_executors(&chain, &label, |workers| {
+                reference_config(strategy, workers)
+                    .with_checkpoints(checkpoint_every)
+                    // An unbounded budget never compacts but does track the
+                    // high-water observation count, so the soak table can
+                    // report peak memory pressure per strategy.
+                    .with_memory_budget(MemoryBudget::unbounded())
+                    .with_faults(chaos.plan().clone())
             });
+            for outcome in &runs {
+                assert_audit(&chain, outcome);
+            }
+            let [run, _] = runs;
+            let stats = run.transport;
+            #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+            soak.push(vec![
+                Field::new("schedule",       "schedule",           Int,  i),
+                Field::new(None,             "seed",               Int,  chaos.config().seed),
+                Field::new("strategy",       "strategy",           Text, name),
+                Field::new("accuracy (%)",   "accuracy_pct",       PCT,  accuracy(&chain, &run)),
+                Field::new("total bytes",    "total_bytes",        Int,  run.comm.total_bytes()),
+                Field::new("quarantined",    "quarantined",        Int,  stats.quarantined),
+                Field::new("resyncs",        "resyncs",            Int,  stats.resyncs),
+                Field::new("abandoned",      "abandoned",          Int,  stats.abandoned),
+                Field::new("dedup drops",    "duplicates_dropped", Int,  stats.duplicates_dropped),
+                Field::new("mem high-water", "memory_high_water",  Int,  run.memory.high_water),
+            ]);
         }
     }
-    let budgets = [
-        ("unbounded".to_string(), MemoryBudget::unbounded()),
-        ("4096".to_string(), MemoryBudget::capped(4096)),
-        ("1024".to_string(), MemoryBudget::capped(1024)),
-        ("256".to_string(), MemoryBudget::capped(256)),
-    ];
-    let mut memory = Vec::new();
-    for (label, budget) in budgets {
-        let outcome = DistributedDriver::new(
-            DistributedConfig {
-                strategy: MigrationStrategy::CollapsedWeights,
-                inference: InferenceConfig::default().without_change_detection(),
-                ..Default::default()
-            }
+    let mut memory = Section::new(
+        "memory",
+        "Graceful degradation: accuracy vs per-site memory budget (schedule 0, CollapsedWeights)",
+    );
+    for (label, budget) in [
+        ("unbounded", MemoryBudget::unbounded()),
+        ("4096", MemoryBudget::capped(4096)),
+        ("1024", MemoryBudget::capped(1024)),
+        ("256", MemoryBudget::capped(256)),
+    ] {
+        let config = reference_config(MigrationStrategy::CollapsedWeights, 1)
             .with_checkpoints(checkpoint_every)
             .with_faults(plans[0].plan().clone())
-            .with_memory_budget(budget),
-        )
-        .run(&chain);
+            .with_memory_budget(budget);
+        let outcome = DistributedDriver::new(config).run(&chain);
         assert_audit(&chain, &outcome);
-        memory.push(ChaosMemoryMeasurement {
-            budget: label,
-            accuracy: 100.0 - chain_containment_error(&chain, &outcome),
-            high_water: outcome.memory.high_water,
-            compactions: outcome.memory.compactions,
-            compacted_observations: outcome.memory.compacted_observations,
-            evicted_cache_entries: outcome.memory.evicted_cache_entries,
-        });
-    }
-    ChaosStudy {
-        master_seed: presets::REFERENCE_SEED,
-        checkpoint_every_secs: checkpoint_every,
-        soak,
-        memory,
-    }
-}
-
-/// The human-readable tables of [`chaos_measurements`].
-pub fn chaos(scale: Scale) -> (Table, Table) {
-    let study = chaos_measurements(scale);
-    (chaos_table(&study), chaos_memory_table(&study))
-}
-
-/// Render the soak rows (so one measurement pass can feed both tables and
-/// `BENCH_chaos.json`).
-pub fn chaos_table(study: &ChaosStudy) -> Table {
-    let mut table = Table::new(
-        "Chaos soak: every fault family at once, all invariant oracles asserted",
-        &[
-            "schedule",
-            "strategy",
-            "accuracy (%)",
-            "total bytes",
-            "quarantined",
-            "resyncs",
-            "abandoned",
-            "dedup drops",
-            "mem high-water",
-        ],
-    );
-    for m in &study.soak {
-        table.push_row(&[
-            m.schedule.to_string(),
-            m.strategy.to_string(),
-            format!("{:.1}", m.accuracy),
-            m.total_bytes.to_string(),
-            m.quarantined.to_string(),
-            m.resyncs.to_string(),
-            m.abandoned.to_string(),
-            m.duplicates_dropped.to_string(),
-            m.memory_high_water.to_string(),
+        let mem = outcome.memory;
+        #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+        memory.push(vec![
+            Field::new("budget (obs)",  "budget",                 Text, label),
+            Field::new("accuracy (%)",  "accuracy_pct",           PCT,  accuracy(&chain, &outcome)),
+            Field::new("high-water",    "high_water",             Int,  mem.high_water),
+            Field::new("compactions",   "compactions",            Int,  mem.compactions),
+            Field::new("compacted obs", "compacted_observations", Int,  mem.compacted_observations),
+            Field::new("evicted cache", "evicted_cache_entries",  Int,  mem.evicted_cache_entries),
         ]);
     }
-    table
-}
-
-/// Render the accuracy-vs-memory-budget sweep of [`chaos_measurements`].
-pub fn chaos_memory_table(study: &ChaosStudy) -> Table {
-    let mut table = Table::new(
-        "Graceful degradation: accuracy vs per-site memory budget (schedule 0, CollapsedWeights)",
-        &[
-            "budget (obs)",
-            "accuracy (%)",
-            "high-water",
-            "compactions",
-            "compacted obs",
-            "evicted cache",
-        ],
-    );
-    for m in &study.memory {
-        table.push_row(&[
-            m.budget.clone(),
-            format!("{:.1}", m.accuracy),
-            m.high_water.to_string(),
-            m.compactions.to_string(),
-            m.compacted_observations.to_string(),
-            m.evicted_cache_entries.to_string(),
-        ]);
+    Report {
+        experiment: "chaos",
+        scale,
+        reference: REFERENCE,
+        metric: Some(
+            "containment accuracy (%) and degradation counters under full-fault chaos \
+             schedules, all invariant oracles asserted",
+        ),
+        plan: Some(vec![
+            Field::new(None, "master_seed", Int, presets::REFERENCE_SEED),
+            Field::new(None, "schedules", Int, plans.len()),
+            Field::new(None, "checkpoint_every_secs", Int, checkpoint_every),
+        ]),
+        sections: vec![soak, memory],
     }
-    table
-}
-
-/// The machine-readable companion of [`chaos`] — the contents of
-/// `BENCH_chaos.json`, tracked across PRs alongside `BENCH_degraded.json`.
-/// Hand-rendered JSON (stable key order).
-pub fn chaos_json(scale: Scale, study: &ChaosStudy) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"reference\": \"8-site short-dwell chain, seed 97, 2400 s\",\n");
-    out.push_str(
-        "  \"metric\": \"containment accuracy (%) and degradation counters under full-fault \
-         chaos schedules, all invariant oracles asserted\",\n",
-    );
-    out.push_str(&format!(
-        "  \"plan\": {{\"master_seed\": {}, \"schedules\": {}, \
-         \"checkpoint_every_secs\": {}}},\n",
-        study.master_seed,
-        study.soak.len() / 4,
-        study.checkpoint_every_secs,
-    ));
-    out.push_str("  \"soak\": [\n");
-    for (i, m) in study.soak.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"schedule\": {}, \"seed\": {}, \"strategy\": \"{}\", \
-             \"accuracy_pct\": {:.2}, \"total_bytes\": {}, \"quarantined\": {}, \
-             \"resyncs\": {}, \"abandoned\": {}, \"duplicates_dropped\": {}, \
-             \"memory_high_water\": {}}}{}\n",
-            m.schedule,
-            m.seed,
-            m.strategy,
-            m.accuracy,
-            m.total_bytes,
-            m.quarantined,
-            m.resyncs,
-            m.abandoned,
-            m.duplicates_dropped,
-            m.memory_high_water,
-            if i + 1 == study.soak.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"memory\": [\n");
-    for (i, m) in study.memory.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"budget\": \"{}\", \"accuracy_pct\": {:.2}, \"high_water\": {}, \
-             \"compactions\": {}, \"compacted_observations\": {}, \
-             \"evicted_cache_entries\": {}}}{}\n",
-            m.budget,
-            m.accuracy,
-            m.high_water,
-            m.compactions,
-            m.compacted_observations,
-            m.evicted_cache_entries,
-            if i + 1 == study.memory.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Section 5.3 scalability: wall-clock time of distributed inference as the
@@ -1228,6 +770,7 @@ pub fn scalability(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{cell, Cell};
 
     #[test]
     fn fig5e_cr_tracks_centralized_and_beats_none_on_average() {
@@ -1283,55 +826,166 @@ mod tests {
         assert!(row[4].parse::<f64>().unwrap() > 0.0);
     }
 
+    fn assert_percentages(section: &Section, key: &str) {
+        for value in section.column(key) {
+            let Cell::Float(pct) = value else {
+                panic!("{key}: {value:?} is not a float")
+            };
+            assert!((0.0..=100.0).contains(&pct), "{key}: {pct}");
+        }
+    }
+
     #[test]
     fn wire_cost_orders_the_strategies_and_is_tracked() {
-        let rows = wire_measurements(Scale::Smoke);
-        let bytes: Vec<usize> = rows.iter().map(|r| r.total_bytes).collect();
+        let report = wire(Scale::Smoke);
+        let rows = &report.sections[0];
+        let bytes = rows.ints("total_bytes");
         assert_eq!(
-            rows.iter().map(|r| r.strategy).collect::<Vec<_>>(),
-            ["None", "CR-readings", "CollapsedWeights", "Centralized"]
+            rows.column("strategy"),
+            ["None", "CR-readings", "CollapsedWeights", "Centralized"].map(Cell::from)
         );
         assert_eq!(bytes[0], 0, "None ships nothing");
         assert!(
             0 < bytes[2] && bytes[2] < bytes[1],
             "collapsed weights undercut CR readings ({bytes:?})"
         );
-        assert_eq!(rows[0].messages, 0);
-        assert_eq!(rows[1].messages, rows[2].messages);
-        assert_eq!(wire_table(&rows).rows.len(), 4);
-        let json_doc = wire_json(Scale::Smoke, &rows);
+        let messages = rows.ints("messages");
+        assert_eq!(messages[0], 0);
+        assert_eq!(messages[1], messages[2]);
+        assert_eq!(rows.table().rows.len(), 4);
+        let json_doc = report.json();
         assert!(json_doc.contains("\"rows\": ["));
         assert!(json_doc.contains("\"strategy\": \"Centralized\", \"format\": \"binary\""));
         assert!(json_doc.trim_end().ends_with('}'));
+        assert!(
+            !json_doc.contains("wall"),
+            "the tracked file is a pure function of the seed"
+        );
     }
 
     #[test]
     fn fault_study_is_executor_deterministic_and_tracked() {
         // the function itself asserts sequential == parallel on every
         // faulted row
-        let study = fault_measurements(Scale::Smoke);
-        assert_eq!(study.measurements.len(), 4, "one row per strategy");
+        let report = faults(Scale::Smoke);
+        let rows = &report.sections[0];
+        assert_eq!(rows.rows().len(), STRATEGIES.len(), "one row per strategy");
+        let plan = report.plan.as_ref().expect("the injected plan is recorded");
         assert!(
-            study.crashes + study.outages > 0,
+            [cell(plan, "crashes"), cell(plan, "outages")] != [&Cell::Int(0); 2],
             "the lossy preset must schedule site-level faults"
         );
-        for m in &study.measurements {
-            assert!((0.0..=100.0).contains(&m.baseline_accuracy), "{m:?}");
-            assert!((0.0..=100.0).contains(&m.faulted_accuracy), "{m:?}");
-            if m.strategy == "None" {
-                assert_eq!(m.baseline_bytes, 0);
+        assert_percentages(rows, "baseline_accuracy_pct");
+        assert_percentages(rows, "faulted_accuracy_pct");
+        let baseline_bytes = rows.ints("baseline_bytes");
+        for (i, (strategy, _)) in STRATEGIES.into_iter().enumerate() {
+            if strategy == "None" {
+                assert_eq!(baseline_bytes[i], 0);
             } else {
-                assert!(m.baseline_bytes > 0, "{}: strategies must ship", m.strategy);
+                assert!(baseline_bytes[i] > 0, "{strategy}: strategies must ship");
             }
         }
-        let table = faults_table(&study);
+        let table = rows.table();
         assert_eq!(table.headers.len(), 8);
         assert_eq!(table.rows.len(), 4);
-        let json = faults_json(Scale::Smoke, &study);
+        let json = report.json();
         assert!(json.contains("\"plan\": {"));
         assert!(json.contains("\"strategy\": \"Centralized\""));
         assert!(json.contains("\"degradation_pp\""));
         assert!(json.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn degraded_study_sweeps_every_scenario_and_is_tracked() {
+        // the function itself asserts sequential == parallel on every row
+        let report = degraded(Scale::Smoke);
+        let rows = &report.sections[0];
+        let scenario = rows.column("scenario");
+        let mut scenarios = scenario.clone();
+        scenarios.dedup();
+        assert_eq!(scenarios.len(), 5, "four loss rates plus the partition");
+        assert_eq!(rows.rows().len(), scenarios.len() * STRATEGIES.len());
+        assert_percentages(rows, "accuracy_pct");
+        let total = rows.ints("total_bytes");
+        let control = rows.ints("control_bytes");
+        let retransmissions = rows.ints("retransmissions");
+        let abandoned = rows.ints("abandoned");
+        for (i, strategy) in rows.column("strategy").into_iter().enumerate() {
+            let name = STRATEGIES[i % STRATEGIES.len()].0;
+            assert_eq!(strategy, name.into());
+            let label = format!("{:?}/{name}", scenario[i]);
+            assert!(
+                control[i] <= total[i],
+                "{label}: Control is part of the total"
+            );
+            if name == "None" {
+                assert_eq!(total[i], 0, "{label}: None ships nothing to lose");
+            } else if scenario[i] == "loss 0.00".into() {
+                assert_eq!((control[i], retransmissions[i]), (0, 0), "{label}");
+            } else if scenario[i] == "loss 0.30".into() {
+                assert!(retransmissions[i] > 0 && control[i] > 0, "{label}");
+            } else if scenario[i] == "partition 0<->1".into() && name != "Centralized" {
+                // Centralized uplinks go site -> server, never over 0 <-> 1
+                assert!(abandoned[i] > 0, "{label}: the cut link must give up");
+            }
+        }
+        assert_eq!(rows.table().headers.len(), 9);
+        let json = report.json();
+        assert!(json.contains("\"loss_rates\": [0.00, 0.05, 0.15, 0.30]"));
+        assert!(json.contains("\"scenario\": \"partition 0<->1\", \"strategy\": \"None\""));
+    }
+
+    #[test]
+    fn chaos_soak_is_audited_and_tracked() {
+        // the function itself asserts sequential == parallel and runs the
+        // invariant oracles on every soak row
+        let report = chaos(Scale::Smoke);
+        let soak = &report.sections[0];
+        let plan = report.plan.as_ref().expect("the soak plan is recorded");
+        assert_eq!(cell(plan, "schedules"), &Cell::Int(2));
+        assert_eq!(soak.rows().len(), 2 * STRATEGIES.len());
+        let mut seeds = soak.ints("seed");
+        seeds.dedup();
+        assert_eq!(seeds.len(), 2, "one derived seed per schedule");
+        assert_percentages(soak, "accuracy_pct");
+        let bytes = soak.ints("total_bytes");
+        let (schedule, high_water) = (soak.ints("schedule"), soak.ints("memory_high_water"));
+        for (i, strategy) in soak.column("strategy").into_iter().enumerate() {
+            let name = STRATEGIES[i % STRATEGIES.len()].0;
+            assert_eq!(strategy, name.into());
+            assert_eq!(schedule[i] as usize, i / STRATEGIES.len());
+            assert!(high_water[i] > 0, "{name}");
+            if name == "None" {
+                // no inference state ships, so there is no payload envelope
+                // to poison, give up on or deduplicate — only resync requests
+                let envelopes = ["quarantined", "abandoned", "duplicates_dropped"];
+                assert!(envelopes.iter().all(|key| soak.ints(key)[i] == 0));
+                assert!(bytes[i] < bytes[i + 2], "None undercuts CollapsedWeights");
+            }
+        }
+        assert!(
+            soak.ints("quarantined").iter().sum::<u64>() > 0,
+            "the soak must corrupt at least one envelope"
+        );
+        assert_eq!(soak.table().headers.len(), 9, "the seed is JSON-only");
+
+        let memory = &report.sections[1];
+        assert_eq!(
+            memory.column("budget"),
+            ["unbounded", "4096", "1024", "256"].map(Cell::from)
+        );
+        assert_percentages(memory, "accuracy_pct");
+        let high_water = memory.ints("high_water");
+        assert!(
+            high_water.windows(2).all(|w| w[1] <= w[0]),
+            "{high_water:?}"
+        );
+        let compactions = memory.ints("compactions");
+        assert_eq!(compactions[0], 0, "unbounded never compacts");
+        assert!(compactions[3] > 0, "256 must compact");
+        let json = report.json();
+        assert!(json.contains("\"soak\": [") && json.contains("\"memory\": ["));
+        assert!(json.contains("\"plan\": {\"master_seed\": 97, \"schedules\": 2, "));
     }
 
     #[test]

@@ -8,25 +8,20 @@
 //! Every experiment accepts a [`Scale`] so that the same code can run as a
 //! quick smoke test (CI) or at a size closer to the paper's setup. Results
 //! are returned as [`rfid_eval::Table`]s and [`rfid_eval::Series`], which the
-//! binary prints and `EXPERIMENTS.md` quotes.
+//! binary prints and `docs/EXPERIMENTS.md` quotes. The four tracked
+//! experiments ([`wire`], [`faults`], [`degraded`], [`chaos`]) return a
+//! [`report::Report`] instead: one declaration that renders both their
+//! tables and, under the binary's `--out-dir`, the checked-in
+//! `BENCH_<experiment>.json`.
 
 #![warn(missing_docs)]
 
 pub mod distributed;
+pub mod report;
 pub mod single_site;
 
 pub use distributed::{
-    chaos, chaos_json, chaos_measurements, chaos_memory_table, chaos_table, ChaosMeasurement,
-    ChaosMemoryMeasurement, ChaosStudy,
-};
-pub use distributed::{
-    degraded, degraded_json, degraded_measurements, degraded_table, DegradedMeasurement,
-    DegradedStudy,
-};
-pub use distributed::{
-    fault_measurements, faults, faults_json, faults_table, fig5e, fig5f, parallel_scaling,
-    scalability, table5, table_query, wire_json, wire_measurements, wire_table, FaultMeasurement,
-    FaultStudy, WireMeasurement,
+    chaos, degraded, faults, fig5e, fig5f, parallel_scaling, scalability, table5, table_query, wire,
 };
 pub use single_site::{
     evaluate_rfinfer, evaluate_smurf_star, fig4, fig5a, fig5b, fig5c, fig5d, fig6a, fig6b, table3,

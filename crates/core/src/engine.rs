@@ -374,11 +374,6 @@ impl InferenceEngine {
         self.last_outcome.as_deref()
     }
 
-    /// A shared handle to the most recent outcome (no deep copy).
-    pub fn last_outcome_shared(&self) -> Option<Arc<InferenceOutcome>> {
-        self.last_outcome.clone()
-    }
-
     /// The epoch of the most recent inference run, if one has happened — the
     /// scheduling anchor the distributed driver's per-site workers use to
     /// space out departure-forced runs and to skip a redundant final refresh.

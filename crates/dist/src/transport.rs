@@ -1,10 +1,10 @@
 //! Reliable-delivery transport for cross-site payloads.
 //!
-//! The seed drivers delivered every [`ShipmentMsg`](crate::driver) directly:
-//! a message handed to the destination's inbox was guaranteed to arrive. A
-//! [`FaultPlan`] with loss probabilities or link partitions breaks that
-//! assumption, so this module adds the classic reliable-channel machinery on
-//! top of the same inbox exchange:
+//! Without this module a site's `ShipmentMsg` (`site/shipments.rs`) is
+//! delivered directly: a message handed to the destination's inbox is
+//! guaranteed to arrive. A [`FaultPlan`] with loss probabilities or link
+//! partitions breaks that assumption, so this module adds the classic
+//! reliable-channel machinery on top of the same inbox exchange:
 //!
 //! * every cross-site payload travels on a **per-edge sequence-numbered
 //!   channel** ([`EdgeSequencer`]);
@@ -28,7 +28,7 @@
 //!
 //! | mode | when | behavior |
 //! |---|---|---|
-//! | [`Off`] | no plan, or a plan without transport faults | exact seed behavior: direct delivery, duplicated copies imported twice |
+//! | [`Off`] | no plan, or a plan without transport faults | direct delivery, duplicated copies imported twice |
 //! | [`Optimistic`] | [`TransportConfig::always_on`] on a loss-free plan | sequence numbers + dedup active, acks elided (zero control bytes) |
 //! | [`Reliable`] | the plan can lose payloads or partition links | full seq/ack/retransmit/dedup with control-byte accounting |
 //!

@@ -30,7 +30,6 @@
 //!   spurious antenna, and a skewed site observes its RFID feed late by a
 //!   tabulated per-site offset.
 
-use crate::chain::ChainTrace;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -656,26 +655,6 @@ impl FaultPlan {
                 .sites
                 .iter()
                 .all(|f| f.crash.is_none() && f.outages.is_empty() && f.clock_skew_secs == 0)
-    }
-
-    /// Check the plan against a generated trace: every shipment-delay draw
-    /// for the trace's transfers, plus the event list. Used by tests to pin
-    /// that two plans behave identically on a concrete workload.
-    pub fn trace_decisions(&self, chain: &ChainTrace) -> Vec<(TagId, Epoch, u32, bool)> {
-        chain
-            .transfers
-            .iter()
-            .map(|t| {
-                let from = t.from_site.0;
-                let to = t.to_site.0;
-                (
-                    t.tag,
-                    t.depart,
-                    self.shipment_delay_secs(from, to, t.tag, t.depart),
-                    self.shipment_duplicated(from, to, t.tag, t.depart),
-                )
-            })
-            .collect()
     }
 
     fn shipment_rng(&self, from: u16, to: u16, tag: TagId, depart: Epoch, salt: u64) -> ChaCha8Rng {

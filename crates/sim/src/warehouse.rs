@@ -102,14 +102,6 @@ impl WarehouseSimulator {
         }
     }
 
-    /// Case journeys for an externally supplied arrival schedule (used by the
-    /// chain simulator to learn departure times).
-    pub fn journeys_for(&self, arrivals: &[PalletArrival], seed_offset: u64) -> Vec<CaseJourney> {
-        let layout = self.layout();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x9e37 ^ seed_offset);
-        build_journeys(&self.config, &layout, arrivals, &mut rng)
-    }
-
     fn trajectories(
         &self,
         journeys: &[CaseJourney],

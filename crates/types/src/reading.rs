@@ -68,13 +68,6 @@ impl ReadingBatch {
         self.readings.push(reading);
     }
 
-    /// Append all readings from another batch.
-    pub fn extend_from(&mut self, other: &ReadingBatch) {
-        for r in &other.readings {
-            self.push(*r);
-        }
-    }
-
     /// Sort readings by (time, tag, reader) and deduplicate exact duplicates.
     pub fn ensure_sorted(&mut self) {
         if !self.sorted {
