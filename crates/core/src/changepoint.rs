@@ -12,11 +12,12 @@
 //!
 //! The generalized-likelihood-ratio statistic `Δ_o(T)` is the difference
 //! between the best change hypothesis and the null hypothesis (the paper's
-//! Eq. 6 up to sign — see DESIGN.md), and a change is flagged when it exceeds
-//! a threshold δ. δ is calibrated offline by sampling observation sequences
-//! from the model itself (which by construction contain no change point) and
-//! taking the largest statistic seen — any larger value observed online is
-//! then unlikely to be a false positive.
+//! Eq. 6 up to sign: oriented so that a larger value is stronger evidence of
+//! a change), and a change is flagged when it exceeds a threshold δ. δ is
+//! calibrated offline by sampling observation sequences from the model itself
+//! (which by construction contain no change point) and taking the largest
+//! statistic seen — any larger value observed online is then unlikely to be a
+//! false positive.
 
 use crate::likelihood::LikelihoodModel;
 use crate::rfinfer::ObjectEvidence;

@@ -51,7 +51,7 @@ use crate::rfinfer::{
     RfInfer, MAX_CACHED_VARIANTS,
 };
 use rfid_types::{ContainmentMap, Epoch, LocationId, TagId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Sentinel for "no index" in dense `u32` columns.
 const NONE_IDX: u32 = u32::MAX;
@@ -222,6 +222,14 @@ type MLaneRefs<'v> = (
     &'v [Epoch],
     Option<&'v [(Epoch, f64)]>,
 );
+
+/// The run-scoped reader-set interner: reader list → dense set id.
+#[expect(
+    clippy::disallowed_types,
+    reason = "names an explicit deterministic hasher and is never iterated: interned ids depend only on insertion order"
+)]
+type ReaderSetInterner<'a> =
+    std::collections::HashMap<&'a [LocationId], u32, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Multiplicative word hasher for the run-scoped reader-set interner (the
 /// fx-hash recipe: rotate, xor, multiply by a golden-ratio-derived odd
@@ -585,8 +593,7 @@ pub(crate) fn run_dense(
     s.set_start.clear();
     let mut set_readers: Vec<&[LocationId]> = Vec::new();
     {
-        let mut interner: HashMap<&[LocationId], u32, std::hash::BuildHasherDefault<FxHasher>> =
-            HashMap::default();
+        let mut interner = ReaderSetInterner::default();
         for list in &obs_of {
             s.set_start.push(s.set_ids.len() as u32);
             for o in *list {

@@ -6,13 +6,14 @@
 //! of a single accumulator. Elementwise operations (row adds, the
 //! subtract-max before `exp`, the divide-by-sum) are embarrassingly lane
 //! parallel; the set-max of the log-sum-exp trick is order-independent (see
-//! [`max_log_weights`]); and the batched dot products of [`dot_batch`] give
-//! each candidate its own lane whose summation order over locations is
-//! exactly that of [`Posterior::expect`](crate::Posterior::expect) (spelled
-//! out here as [`dot`]). Nothing here reassociates a single running sum — no
-//! dot product or normalization sum is split into partial accumulators (lint
-//! rule `float-exactness` keeps it that way). Each kernel's unit test pins it
-//! to the plain scalar loop it replaces, bit for bit.
+//! [`max_log_weights`]); and the batched dot products of [`dot_many_shared`]
+//! give each candidate its own accumulator whose summation order over
+//! locations is exactly that of
+//! [`Posterior::expect`](crate::Posterior::expect) (spelled out here as
+//! [`dot`]). Nothing here reassociates a single running sum — no dot product
+//! or normalization sum is split into partial accumulators. Each kernel's
+//! unit test pins it to the plain scalar loop it replaces, bit for bit, which
+//! is what keeps it that way (docs/INVARIANTS.md, R4).
 //!
 //! The portable kernels are written as fixed-width chunk loops that rustc
 //! autovectorizes on stable. On x86-64 an explicit AVX2 path (plain
@@ -188,7 +189,10 @@ pub fn max_log_weights(xs: &[f64]) -> f64 {
             lanes[l] = lanes[l].max(x8[l]);
         }
     }
-    // LINT-ALLOW(float-exactness): reduces the lane maxima; `f64::max` is order-independent for every reachable input (see the doc comment's argument)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reduces the lane maxima; `f64::max` is order-independent for every reachable input (see the doc comment's argument)"
+    )]
     let mut max = lanes.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     for &x in rest {
         max = max.max(x);
@@ -220,48 +224,9 @@ pub fn exp_normalize(row: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 /// One point-evidence dot product, in the scalar reference order — the
-/// summation order every lane of [`dot_batch`] replicates.
+/// summation order every lane of [`dot_many_shared`] replicates.
 pub fn dot(q: &[f64], row: &[f64]) -> f64 {
     q.iter().zip(row).map(|(q, v)| q * v).sum()
-}
-
-/// Up to [`LANES`] independent dot products evaluated in lockstep:
-/// `out[l] = dot(qs[l], rows[l])`.
-///
-/// This is the lane-per-candidate kernel of the M-step: each lane keeps its
-/// own accumulator and walks locations in exactly the scalar [`dot`] order,
-/// so every output is bit-identical to calling [`dot`] per lane — the lanes
-/// only break the single serial multiply-add dependency chain (the dominant
-/// cost of evidence evaluation) into `LANES` independent ones.
-pub fn dot_batch(qs: &[&[f64]], rows: &[&[f64]], out: &mut [f64]) {
-    debug_assert_eq!(qs.len(), rows.len());
-    debug_assert!(out.len() >= qs.len());
-    let mut lane = 0usize;
-    while lane + LANES <= qs.len() {
-        let q8: &[&[f64]] = &qs[lane..lane + LANES];
-        let r8: &[&[f64]] = &rows[lane..lane + LANES];
-        let n = q8[0].len();
-        // `Iterator::sum::<f64>()` folds from `-0.0`; start every lane there
-        // so zero-sign behaviour matches the scalar dot bitwise.
-        let mut acc = [-0.0f64; LANES];
-        if q8.iter().all(|q| q.len() == n) && r8.iter().all(|r| r.len() >= n) {
-            for a in 0..n {
-                for l in 0..LANES {
-                    // LINT-ALLOW(float-exactness): each lane owns one whole dot product in scalar term order; no single sum is ever split across lanes
-                    acc[l] += q8[l][a] * r8[l][a];
-                }
-            }
-            out[lane..lane + LANES].copy_from_slice(&acc);
-        } else {
-            for l in 0..LANES {
-                out[lane + l] = dot(q8[l], r8[l]);
-            }
-        }
-        lane += LANES;
-    }
-    for l in lane..qs.len() {
-        out[l] = dot(qs[l], rows[l]);
-    }
 }
 
 /// Up to [`LANES`] dot products against one **shared** row:
@@ -389,6 +354,10 @@ mod tests {
         rows
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scalar reference fold that `max_log_weights` is compared against, bitwise"
+    )]
     fn scalar_max(xs: &[f64]) -> f64 {
         xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
@@ -507,46 +476,6 @@ mod tests {
                     "copied test reference drifted from posterior::normalize_log_weights, lane {i} of case {case:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn dot_batch_matches_scalar_dots_bitwise() {
-        let rows = cases();
-        // Build lane batches of every width 0..=17 from consecutive cases of
-        // equal length, paired with a second operand derived from each.
-        for width in 0..=17usize {
-            for n in [0usize, 1, 7, 8, 9, 16, 17] {
-                let qs_owned: Vec<Vec<f64>> = (0..width)
-                    .map(|l| {
-                        (0..n)
-                            .map(|i| ((i + l * 11) % 13) as f64 * 0.7 - 3.0)
-                            .collect()
-                    })
-                    .collect();
-                let rows_owned: Vec<Vec<f64>> = (0..width)
-                    .map(|l| (0..n).map(|i| -(((i * 5 + l) % 19) as f64) * 1.1).collect())
-                    .collect();
-                let qs: Vec<&[f64]> = qs_owned.iter().map(|v| v.as_slice()).collect();
-                let vrows: Vec<&[f64]> = rows_owned.iter().map(|v| v.as_slice()).collect();
-                let mut out = vec![0.0f64; width];
-                dot_batch(&qs, &vrows, &mut out);
-                for l in 0..width {
-                    let want = dot(qs[l], vrows[l]);
-                    assert_eq!(out[l].to_bits(), want.to_bits(), "lane {l} width {width}");
-                }
-            }
-        }
-        // Pathological lanes: -inf and NaN-adjacent operands.
-        for case in rows.iter().filter(|c| !c.is_empty()) {
-            let q: Vec<f64> = case.iter().map(|&x| (x * 0.01).exp()).collect();
-            let qs = [q.as_slice(), q.as_slice()];
-            let vrows = [case.as_slice(), case.as_slice()];
-            let mut out = [0.0f64; 2];
-            dot_batch(&qs, &vrows, &mut out);
-            let want = dot(&q, case);
-            assert_eq!(out[0].to_bits(), want.to_bits());
-            assert_eq!(out[1].to_bits(), want.to_bits());
         }
     }
 

@@ -128,14 +128,6 @@ impl Observations {
         self.per_tag.iter().map(|(t, v)| (*t, v.as_slice()))
     }
 
-    /// Observations of one tag restricted to the inclusive epoch range.
-    pub fn obs_between(&self, tag: TagId, from: Epoch, to: Epoch) -> &[ObsAt] {
-        let all = self.obs_for(tag);
-        let lo = all.partition_point(|o| o.epoch < from);
-        let hi = all.partition_point(|o| o.epoch <= to);
-        &all[lo..hi]
-    }
-
     /// The readers that detected `tag` at exactly epoch `t`, if any.
     pub fn readers_at(&self, tag: TagId, t: Epoch) -> Option<&[LocationId]> {
         let all = self.obs_for(tag);
@@ -245,14 +237,6 @@ impl Observations {
             }
         }
         removed
-    }
-
-    /// Drop every observation (for all tags) strictly older than `cutoff`.
-    pub fn retain_since(&mut self, cutoff: Epoch) {
-        self.per_tag.retain(|_, list| {
-            list.retain(|o| o.epoch >= cutoff);
-            !list.is_empty()
-        });
     }
 
     /// The set of epochs at which any of the given tags was observed.
@@ -422,6 +406,7 @@ mod tests {
         assert!(!obs.insert(read(3, TagId::item(1), 1)), "duplicate reading");
         assert_eq!(obs.len(), before);
         assert_eq!(obs.readers_at(TagId::item(1), Epoch(3)).unwrap().len(), 2);
+        assert!(obs.readers_at(TagId::item(1), Epoch(5)).is_none());
         assert!(obs.insert(read(9, TagId::item(1), 1)), "new epoch");
         assert!(obs.insert(read(9, TagId::item(1), 2)), "new reader");
     }
@@ -474,16 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_between_slices_by_epoch() {
-        let obs = sample();
-        let item = TagId::item(1);
-        assert_eq!(obs.obs_between(item, Epoch(2), Epoch(3)).len(), 2);
-        assert_eq!(obs.obs_between(item, Epoch(0), Epoch(0)).len(), 0);
-        assert_eq!(obs.obs_between(item, Epoch(1), Epoch(1)).len(), 1);
-        assert!(obs.readers_at(item, Epoch(5)).is_none());
-    }
-
-    #[test]
     fn objects_and_containers_are_classified() {
         let obs = sample();
         assert_eq!(obs.objects(), vec![TagId::item(1)]);
@@ -530,15 +505,6 @@ mod tests {
         assert!(obs
             .retain_ranges_for(TagId::item(1), &[(Epoch(0), Epoch(9))])
             .is_empty());
-    }
-
-    #[test]
-    fn retain_since_prunes_globally() {
-        let mut obs = sample();
-        obs.retain_since(Epoch(3));
-        assert_eq!(obs.last_epoch(), Some(Epoch(3)));
-        assert_eq!(obs.first_epoch(), Some(Epoch(3)));
-        assert!(obs.obs_for(TagId::case(1)).is_empty());
     }
 
     #[test]

@@ -113,10 +113,13 @@ impl Posterior {
 /// uniform fallback when everything underflowed.
 pub fn normalize_log_weights(log_weights: &mut [f64]) {
     assert!(!log_weights.is_empty(), "need at least one location");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this fold IS the scalar reference order that the dense kernels must reproduce; `f64::max` is order-independent here besides"
+    )]
     let max = log_weights
         .iter()
         .copied()
-        // LINT-ALLOW(float-exactness): this fold IS the scalar reference order that the dense kernels must reproduce; `f64::max` is order-independent here besides
         .fold(f64::NEG_INFINITY, f64::max);
     for lw in log_weights.iter_mut() {
         *lw = (*lw - max).exp();

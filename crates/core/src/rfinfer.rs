@@ -167,18 +167,6 @@ impl ObjectEvidence {
             })
             .unwrap_or_default()
     }
-
-    /// The best and second-best candidate weights, if at least two candidates
-    /// exist. Used by history truncation to decide whether the evidence is
-    /// decisive.
-    pub fn weight_margin(&self) -> Option<f64> {
-        let mut ws: Vec<f64> = self.weights.values().copied().collect();
-        if ws.len() < 2 {
-            return None;
-        }
-        ws.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        Some(ws[0] - ws[1])
-    }
 }
 
 /// The result of one RFINFER run.
@@ -772,7 +760,6 @@ mod tests {
         assert_eq!(cum.len(), real.len());
         let total: f64 = real.iter().map(|(_, e)| e).sum();
         assert!((cum.last().unwrap().1 - total).abs() < 1e-9);
-        assert!(evidence.weight_margin().unwrap() > 0.0);
     }
 
     #[test]

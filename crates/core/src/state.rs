@@ -31,13 +31,6 @@ pub struct CollapsedState {
 }
 
 impl CollapsedState {
-    /// Approximate wire size in bytes: the object id (8), the optional
-    /// container id (9) and one (tag, f64) entry per candidate (16 each).
-    /// This is what the communication-cost accounting of Table 5 charges.
-    pub fn wire_bytes(&self) -> usize {
-        8 + 9 + 16 * self.weights.len()
-    }
-
     /// Convert into prior weights consumable by [`crate::RfInfer`].
     pub fn to_prior(&self) -> PriorWeights {
         let mut prior = PriorWeights::empty();
@@ -61,13 +54,6 @@ pub struct ReadingsState {
     pub container: Option<TagId>,
 }
 
-impl ReadingsState {
-    /// Approximate wire size in bytes.
-    pub fn wire_bytes(&self) -> usize {
-        8 + 9 + self.readings.len() * RawReading::WIRE_BYTES
-    }
-}
-
 /// The inference state transferred for one object when it leaves a site.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MigrationState {
@@ -88,21 +74,11 @@ impl MigrationState {
             MigrationState::Readings(s) => Some(s.object),
         }
     }
-
-    /// Approximate number of bytes this state costs to transfer.
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            MigrationState::None => 0,
-            MigrationState::Collapsed(s) => s.wire_bytes(),
-            MigrationState::Readings(s) => s.wire_bytes(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_types::{Epoch, ReaderId};
 
     fn collapsed() -> CollapsedState {
         CollapsedState {
@@ -110,20 +86,6 @@ mod tests {
             weights: BTreeMap::from([(TagId::case(1), -12.5), (TagId::case(2), -40.0)]),
             container: Some(TagId::case(1)),
         }
-    }
-
-    #[test]
-    fn collapsed_state_is_tiny_compared_to_readings() {
-        let c = collapsed();
-        assert_eq!(c.wire_bytes(), 8 + 9 + 32);
-        let r = ReadingsState {
-            object: TagId::item(3),
-            readings: (0..100)
-                .map(|t| RawReading::new(Epoch(t), TagId::item(3), ReaderId(0)))
-                .collect(),
-            container: Some(TagId::case(1)),
-        };
-        assert!(r.wire_bytes() > 10 * c.wire_bytes());
     }
 
     #[test]
@@ -136,17 +98,14 @@ mod tests {
 
     #[test]
     fn migration_state_accessors() {
-        assert_eq!(MigrationState::None.wire_bytes(), 0);
         assert_eq!(MigrationState::None.object(), None);
         let c = MigrationState::Collapsed(collapsed());
         assert_eq!(c.object(), Some(TagId::item(3)));
-        assert!(c.wire_bytes() > 0);
         let r = MigrationState::Readings(ReadingsState {
             object: TagId::item(4),
             readings: vec![],
             container: None,
         });
         assert_eq!(r.object(), Some(TagId::item(4)));
-        assert_eq!(r.wire_bytes(), 17);
     }
 }

@@ -57,11 +57,6 @@ impl CriticalRegion {
     pub fn contains(&self, t: Epoch) -> bool {
         t >= self.start && t <= self.end
     }
-
-    /// Length of the region in seconds.
-    pub fn len_secs(&self) -> u32 {
-        self.end.since(self.start)
-    }
 }
 
 /// Search one object's point evidence for its critical region: the most
@@ -329,7 +324,7 @@ mod tests {
             cr.start <= Epoch(110) && cr.end >= Epoch(100),
             "region {cr:?} should overlap the belt period"
         );
-        assert!(cr.len_secs() <= 20);
+        assert!(cr.end.since(cr.start) <= 20);
         assert!(cr.end <= Epoch(130));
     }
 

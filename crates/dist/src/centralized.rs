@@ -32,6 +32,10 @@ use std::collections::BTreeMap;
 fn global_read_rates(ctx: &RunCtx<'_>, site_locs: usize) -> ReadRateTable {
     let sites = &ctx.chain.sites;
     let locs = || (0..site_locs as u16).map(LocationId);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a minimum, not a sum: no rounding to reassociate, and the nested ranges fix the visiting order"
+    )]
     let background = locs()
         .flat_map(|r| locs().map(move |a| sites[0].read_rates.rate(r, a)))
         .fold(f64::INFINITY, f64::min)

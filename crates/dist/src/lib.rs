@@ -50,6 +50,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Determinism gates (docs/INVARIANTS.md, R3–R5): the lists live in the root
+// clippy.toml.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 mod centralized;
 pub mod comm;

@@ -24,6 +24,9 @@
 //! Section 4.2 ([`sharing`]) compresses the states of co-contained objects.
 
 #![warn(missing_docs)]
+// Determinism gates (docs/INVARIANTS.md, R3–R5): the lists live in the root
+// clippy.toml.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod exposure;
 pub mod pattern;

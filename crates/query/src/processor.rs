@@ -123,11 +123,6 @@ impl QueryProcessor {
         &self.alerts
     }
 
-    /// Alerts emitted by a specific query.
-    pub fn alerts_for(&self, query: &str) -> Vec<&Alert> {
-        self.alerts.iter().filter(|a| a.query == query).collect()
-    }
-
     /// Export the query state of one object for every registered query
     /// (only queries for which the object has state are returned).
     pub fn export_state(&self, tag: TagId) -> Vec<ObjectQueryState> {
@@ -243,7 +238,7 @@ mod tests {
         assert_eq!(alert.since, Epoch(0));
         assert!(alert.at.0 > 100);
         assert!(alert.readings.iter().all(|(_, v)| *v > 0.0));
-        assert_eq!(qp.alerts_for("Q1").len(), 1);
+        assert_eq!(qp.alerts(), alerts);
     }
 
     #[test]
@@ -355,8 +350,12 @@ mod tests {
         for t in (0..=120).step_by(10) {
             qp.on_event(&event(t, 0, None));
         }
-        assert_eq!(qp.alerts_for("Q1").len(), 1);
-        assert_eq!(qp.alerts_for("Q2").len(), 1);
+        let fired: Vec<&str> = qp.alerts().iter().map(|a| a.query.as_str()).collect();
+        assert_eq!(
+            fired,
+            ["Q2", "Q1"],
+            "one alert each, shorter duration first"
+        );
         assert_eq!(qp.tracked_states(), 2);
         assert_eq!(qp.queries().len(), 2);
     }

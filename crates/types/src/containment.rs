@@ -190,13 +190,6 @@ impl ContainmentTimeline {
         }
         current
     }
-
-    /// Whether any change affects `object` within the inclusive epoch range.
-    pub fn changed_in(&self, object: TagId, from: Epoch, to: Epoch) -> bool {
-        self.changes
-            .iter()
-            .any(|c| c.object == object && c.time >= from && c.time <= to)
-    }
 }
 
 #[cfg(test)]
@@ -272,8 +265,6 @@ mod tests {
         assert_eq!(tl.container_at(item(2), Epoch(25)), None);
         assert_eq!(tl.at(Epoch(5)).len(), 2);
         assert_eq!(tl.at(Epoch(25)).len(), 1);
-        assert!(tl.changed_in(item(1), Epoch(0), Epoch(15)));
-        assert!(!tl.changed_in(item(1), Epoch(11), Epoch(15)));
         assert_eq!(tl.changes_for(item(2)).len(), 1);
     }
 

@@ -23,8 +23,10 @@ impl RawReading {
         RawReading { time, tag, reader }
     }
 
-    /// Approximate wire size of one reading in bytes, used for the
-    /// communication-cost accounting of Table 5 (time: 4, tag: 8, reader: 2).
+    /// Size of one reading under flat fixed-width framing (time: 4, tag: 8,
+    /// reader: 2): the baseline the codec's batch encoding and the
+    /// Centralized byte count are tested against. No accounting charges it —
+    /// every counted byte is a byte the codec produced.
     pub const WIRE_BYTES: usize = 14;
 }
 
@@ -158,23 +160,6 @@ impl ReadingBatch {
         self.readings
             .retain(|r| ranges.iter().any(|&(lo, hi)| r.time >= lo && r.time <= hi));
     }
-
-    /// Extract the sub-batch of readings belonging to the given tags.
-    pub fn filter_tags(&self, tags: &BTreeSet<TagId>) -> ReadingBatch {
-        ReadingBatch::from_readings(
-            self.readings
-                .iter()
-                .copied()
-                .filter(|r| tags.contains(&r.tag))
-                .collect(),
-        )
-    }
-
-    /// Approximate wire size of the batch in bytes (for communication-cost
-    /// accounting when raw readings are shipped between sites).
-    pub fn wire_bytes(&self) -> usize {
-        self.readings.len() * RawReading::WIRE_BYTES
-    }
 }
 
 impl FromIterator<RawReading> for ReadingBatch {
@@ -255,18 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_tags_extracts_subset() {
-        let item = TagId::item(1);
-        let other = TagId::item(2);
-        let batch: ReadingBatch = vec![r(0, item, 0), r(1, other, 0), r(2, item, 1)]
-            .into_iter()
-            .collect();
-        let subset = batch.filter_tags(&BTreeSet::from([item]));
-        assert_eq!(subset.len(), 2);
-        assert!(subset.readings_unordered().iter().all(|x| x.tag == item));
-    }
-
-    #[test]
     fn sorted_readings_borrows_only_when_already_ordered() {
         let sorted: ReadingBatch = vec![r(1, TagId::item(1), 0), r(2, TagId::item(1), 0)]
             .into_iter()
@@ -280,11 +253,5 @@ mod tests {
         assert!(unsorted.sorted_readings().is_none());
         unsorted.ensure_sorted();
         assert_eq!(unsorted.sorted_readings().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn wire_bytes_scale_with_len() {
-        let batch: ReadingBatch = (0..7).map(|t| r(t, TagId::item(1), 0)).collect();
-        assert_eq!(batch.wire_bytes(), 7 * RawReading::WIRE_BYTES);
     }
 }

@@ -17,7 +17,7 @@
 //! bits — so a checkpoint carrying an infinite calibration threshold
 //! round-trips like any other.
 
-use crate::codec::{message, parse};
+use crate::codec::{message, parse, KIND_CHECKPOINT};
 use crate::layout::{
     counters, get_keyed, get_run, put_keyed, put_run, put_seq, wire_struct, Counters, Delta,
     TagRefs, Wire,
@@ -31,10 +31,6 @@ use rfid_core::{
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
 use std::collections::BTreeMap;
-
-/// Payload-kind byte of a site checkpoint.
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-pub(crate) const KIND_CHECKPOINT: u8 = 0x07;
 
 /// One shipment that had arrived at (or was in flight toward) a site when
 /// its checkpoint was cut: the durable form of the driver's in-memory

@@ -47,21 +47,30 @@ use rfid_types::{RawReading, TagId};
 /// Version byte every message starts with.
 pub const WIRE_VERSION: u8 = 1;
 
-// Every payload kind carries a corrupted-bytes fuzz case in
-// `tests/fuzz.rs::corrupted_byte_zero_is_a_typed_error_for_every_kind`
-// (enforced by the `wire-fuzz-coverage` lint rule).
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_MIGRATION: u8 = 0x01;
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_READINGS: u8 = 0x02;
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_QUERY_STATE: u8 = 0x03;
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_BUNDLE: u8 = 0x04;
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_COLLAPSED: u8 = 0x05;
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-const KIND_STATE_PAYLOAD: u8 = 0x06;
+/// Declares the payload-kind bytes (byte 1 of every message) once: the
+/// `KIND_*` constants the codecs use, and the [`KINDS`] list that
+/// `tests/fuzz.rs::corrupted_byte_zero_is_a_typed_error_for_every_kind`
+/// must match entry for entry — a kind added here without a corrupted-bytes
+/// case there fails that test.
+macro_rules! payload_kinds {
+    ($($name:ident = $byte:literal,)*) => {
+        $(pub(crate) const $name: u8 = $byte;)*
+        /// Every payload kind, in declaration order.
+        #[doc(hidden)]
+        pub const KINDS: &[(&str, u8)] = &[$((stringify!($name), $byte)),*];
+    };
+}
+
+payload_kinds! {
+    KIND_MIGRATION = 0x01,
+    KIND_READINGS = 0x02,
+    KIND_QUERY_STATE = 0x03,
+    KIND_BUNDLE = 0x04,
+    KIND_COLLAPSED = 0x05,
+    KIND_STATE_PAYLOAD = 0x06,
+    KIND_CHECKPOINT = 0x07,
+    KIND_CONTROL = 0x08,
+}
 
 /// Encoder/decoder of the binary wire format.
 ///

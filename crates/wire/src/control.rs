@@ -8,15 +8,11 @@
 //! payload (kind `0x08`), so their bytes are charged and visible in the
 //! communication tables.
 
-use crate::codec::{message, parse, WireCodec};
+use crate::codec::{message, parse, WireCodec, KIND_CONTROL};
 use crate::layout::{wire_enum, TagRefs, Wire};
 use crate::primitives::{Reader, Writer};
 use crate::WireError;
 use rfid_types::Epoch;
-
-/// Payload-kind byte of a control message.
-// FUZZ: corrupted_byte_zero_is_a_typed_error_for_every_kind
-pub(crate) const KIND_CONTROL: u8 = 0x08;
 
 /// One transport control message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

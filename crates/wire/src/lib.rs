@@ -30,6 +30,22 @@
 //! payload, print the decoded value with `{:#?}`.
 
 #![warn(missing_docs)]
+// Determinism gates (docs/INVARIANTS.md, R3–R5): the lists live in the root
+// clippy.toml.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+// R2: bytes from another site are data, never an abort. The whole crate is in
+// scope, encode side included; `#[cfg(test)]` code is exempted by the
+// `allow-*-in-tests` switches of clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
 
 pub mod checkpoint;
 pub mod codec;
@@ -91,8 +107,9 @@ pub enum WireErrorKind {
 /// Encoding never fails; decoding validates the version header, the payload
 /// kind, every length prefix and every table index before building a value.
 /// Decoding *never panics* — arbitrary bytes from a peer surface as one of
-/// the [`WireErrorKind`]s (machine-checked by the `panic-free-decode` rule
-/// of `rfid-lint` and fuzzed in `tests/fuzz.rs`).
+/// the [`WireErrorKind`]s (the clippy lints denied at the top of this crate
+/// keep panicking constructs out of it, and `tests/fuzz.rs` drives every
+/// decoder with hostile bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     kind: WireErrorKind,

@@ -209,10 +209,13 @@ impl TagTable {
     /// # Panics
     /// Panics if the tag was not part of the builder input — that is a codec
     /// bug, not a data error.
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side lookup over the builder's own input; a miss is a codec bug, documented under # Panics above"
+    )]
     pub fn index_of(&self, tag: TagId) -> u64 {
         self.sorted
             .binary_search(&tag)
-            // LINT-ALLOW(panic-free-decode): encode-side lookup over the builder's own input; a miss is a codec bug, documented under # Panics above
             .expect("tag was interned when the table was built") as u64
     }
 

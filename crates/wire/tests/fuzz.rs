@@ -3,8 +3,9 @@
 //! to panic. Valid encodings must additionally be *stable*: decoding and
 //! re-encoding reproduces the original bytes.
 //!
-//! This is the runtime half of the `panic-free-decode` invariant; the static
-//! half is enforced by `rfid-lint` over `crates/wire/src`.
+//! This is the runtime half of the panic-free-decode invariant (R2 in
+//! docs/INVARIANTS.md); the static half is the set of clippy lints denied at
+//! the top of `crates/wire/src/lib.rs`.
 
 mod common;
 
@@ -13,6 +14,7 @@ use proptest::prelude::*;
 use rfid_core::{CollapsedState, MigrationState};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
+use rfid_wire::codec::KINDS;
 use rfid_wire::primitives::{Reader, TagTable, Writer};
 use rfid_wire::{WireErrorKind, WIRE_VERSION};
 
@@ -308,9 +310,9 @@ fn duplicate_keys_are_malformed_in_every_keyed_section() {
 /// The chaos fault plan corrupts a poisoned envelope by flipping the high
 /// bit of byte 0, which ruins the version byte. Every payload kind must turn
 /// that into a typed [`WireError`] (quarantine input), never a panic and
-/// never a silent mis-decode. One case per wire payload kind, referenced by the `// FUZZ:`
-/// annotations next to the `KIND_*` constants (lint rule
-/// `wire-fuzz-coverage`).
+/// never a silent mis-decode. One case per declared payload kind: the kind
+/// bytes of the encodings below must be exactly [`KINDS`], so declaring a new
+/// kind without adding its corrupted-bytes case here fails this test.
 #[test]
 fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
     let state = ObjectQueryState {
@@ -347,6 +349,10 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
         ),
         ("KIND_STATE_PAYLOAD", codec.state_payload(&state)),
         (
+            "KIND_CHECKPOINT",
+            codec.encode_checkpoint(&empty_checkpoint()),
+        ),
+        (
             "KIND_CONTROL",
             codec.encode_control(&rfid_wire::ControlMsg::Ack {
                 from: 0,
@@ -355,6 +361,11 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
             }),
         ),
     ];
+    let covered: Vec<(&str, u8)> = encodings.iter().map(|(kind, b)| (*kind, b[1])).collect();
+    assert_eq!(
+        covered, KINDS,
+        "one corrupted-bytes case per declared payload kind, in declaration order"
+    );
     for (kind, bytes) in &encodings {
         let mut poisoned = bytes.clone();
         poisoned[0] ^= 0x80;
@@ -366,19 +377,11 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
                 && codec.decode_bundle(&poisoned).is_err()
                 && codec.decode_collapsed(&poisoned).is_err()
                 && codec.state_from_payload(TagId::item(1), &poisoned).is_err()
+                && codec.decode_checkpoint(&poisoned).is_err()
                 && codec.decode_control(&poisoned).is_err(),
             "poisoned {kind} must not decode as any payload"
         );
     }
-    // KIND_CHECKPOINT travels through its own codec entry point.
-    let checkpoint = codec.encode_checkpoint(&empty_checkpoint());
-    let mut poisoned = checkpoint;
-    poisoned[0] ^= 0x80;
-    decode_everything(&poisoned);
-    assert!(
-        codec.decode_checkpoint(&poisoned).is_err(),
-        "poisoned KIND_CHECKPOINT must not decode"
-    );
 }
 
 /// Truncation and bad headers surface as their own machine-matchable kinds.
