@@ -346,7 +346,10 @@ fn accuracy(chain: &ChainTrace, outcome: &DistributedOutcome) -> f64 {
 /// require the two outcomes identical — containment, communication, custody,
 /// transport counters, quarantine entries, memory counters and per-edge
 /// conservation ledgers — so a tracked table measures the injected faults,
-/// never the executor. Returns `[sequential, parallel]`.
+/// never the executor. Both outcomes must also pass the full invariant-oracle
+/// battery of [`rfid_dist::audit`]: a run that cannot account for every
+/// envelope aborts instead of producing a row. Returns
+/// `[sequential, parallel]`.
 fn run_on_both_executors(
     chain: &ChainTrace,
     label: &str,
@@ -364,6 +367,8 @@ fn run_on_both_executors(
     assert_eq!(sequential.quarantine, parallel.quarantine, "{label}");
     assert_eq!(sequential.memory, parallel.memory, "{label}");
     assert_eq!(sequential.ledgers, parallel.ledgers, "{label}");
+    assert_audit(chain, &sequential);
+    assert_audit(chain, &parallel);
     [sequential, parallel]
 }
 
@@ -470,7 +475,9 @@ pub fn wire(scale: Scale) -> Report {
 /// crash-consistency suite pins that recovery from a checkpoint plus journal
 /// replay is lossless — so the plan uses crashes with downtime, which lose
 /// the down window's readings. Faulted bytes charge duplicated deliveries
-/// once, and outage-dropped readings never ship. The `Centralized` baseline
+/// once — the receiver's dedup drops the second copy (`dedup drops`), and
+/// state delayed past its object is merged late (`reconciled`) — and
+/// outage-dropped readings never ship. The `Centralized` baseline
 /// runs on a single engine with no per-site volatile state, so only reader
 /// outages (not crashes or delivery faults) degrade it.
 pub fn faults(scale: Scale) -> Report {
@@ -504,6 +511,7 @@ pub fn faults(scale: Scale) -> Report {
         });
         let (base_acc, fault_acc) = (accuracy(&chain, &baseline), accuracy(&chain, &faulted));
         let (base, fault) = (&baseline.comm, &faulted.comm);
+        let stats = faulted.transport;
         #[rustfmt::skip] // one column per line: header, JSON key, kind, value
         rows.push(vec![
             Field::new("strategy",         "strategy",              Text, name),
@@ -514,6 +522,8 @@ pub fn faults(scale: Scale) -> Report {
             Field::new("faulted bytes",    "faulted_bytes",         Int,  fault.total_bytes()),
             Field::new("baseline msgs",    "baseline_messages",     Int,  base.total_messages()),
             Field::new("faulted msgs",     "faulted_messages",      Int,  fault.total_messages()),
+            Field::new("dedup drops",      "faulted_duplicates_dropped", Int, stats.duplicates_dropped),
+            Field::new("reconciled",       "faulted_reconciled",    Int,  stats.reconciled),
         ]);
     }
     let probability = Kind::Float(3, 3);
@@ -646,7 +656,7 @@ pub fn chaos(scale: Scale) -> Report {
     for (i, chaos) in plans.iter().enumerate() {
         for (name, strategy) in STRATEGIES {
             let label = format!("schedule {i}/{name}");
-            let runs = run_on_both_executors(&chain, &label, |workers| {
+            let [run, _] = run_on_both_executors(&chain, &label, |workers| {
                 reference_config(strategy, workers)
                     .with_checkpoints(checkpoint_every)
                     // An unbounded budget never compacts but does track the
@@ -655,10 +665,6 @@ pub fn chaos(scale: Scale) -> Report {
                     .with_memory_budget(MemoryBudget::unbounded())
                     .with_faults(chaos.plan().clone())
             });
-            for outcome in &runs {
-                assert_audit(&chain, outcome);
-            }
-            let [run, _] = runs;
             let stats = run.transport;
             #[rustfmt::skip] // one column per line: header, JSON key, kind, value
             soak.push(vec![
@@ -878,15 +884,25 @@ mod tests {
         assert_percentages(rows, "baseline_accuracy_pct");
         assert_percentages(rows, "faulted_accuracy_pct");
         let baseline_bytes = rows.ints("baseline_bytes");
+        let absorbed = [
+            rows.ints("faulted_duplicates_dropped"),
+            rows.ints("faulted_reconciled"),
+        ];
         for (i, (strategy, _)) in STRATEGIES.into_iter().enumerate() {
             if strategy == "None" {
                 assert_eq!(baseline_bytes[i], 0);
             } else {
                 assert!(baseline_bytes[i] > 0, "{strategy}: strategies must ship");
             }
+            // Only envelopes crossing a federated edge can be duplicated or
+            // delayed, and the receiver must be seen absorbing both.
+            let federated = strategy == "CR-readings" || strategy == "CollapsedWeights";
+            for counts in &absorbed {
+                assert_eq!(counts[i] > 0, federated, "{strategy}");
+            }
         }
         let table = rows.table();
-        assert_eq!(table.headers.len(), 8);
+        assert_eq!(table.headers.len(), 10);
         assert_eq!(table.rows.len(), 4);
         let json = report.json();
         assert!(json.contains("\"plan\": {"));

@@ -404,16 +404,6 @@ impl EvidenceCache {
         EvidenceCache::default()
     }
 
-    /// Number of cached per-epoch posteriors, across all variants of all
-    /// containers.
-    pub fn cached_posteriors(&self) -> usize {
-        self.containers
-            .values()
-            .flat_map(|variants| variants.iter())
-            .map(|v| v.epochs.len())
-            .sum()
-    }
-
     /// All `(container, variants)` entries in ascending container order —
     /// the checkpoint codec's view of the cache.
     pub fn variants(&self) -> impl Iterator<Item = (TagId, &[CachedVariant])> {
@@ -818,7 +808,6 @@ mod tests {
             stats1.posteriors_reused, 0,
             "cold cache has nothing to reuse"
         );
-        assert!(cache.cached_posteriors() > 0);
 
         // New readings arrive; only they should be recomputed.
         for t in 6..9u32 {
@@ -860,8 +849,6 @@ mod tests {
         assert_eq!(clamped.len(), 2, "changes past the cutoff are ignored");
         d.clear();
         assert!(d.is_empty());
-        let empty = EvidenceCache::new();
-        assert_eq!(empty.cached_posteriors(), 0);
     }
 
     #[test]

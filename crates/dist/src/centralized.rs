@@ -131,11 +131,9 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
             for _ in 0..attempts {
                 tally.comm.record(MessageKind::RawReadings, payload.len());
             }
-            if ctx.transport_mode.dedups() {
-                tally.transport.envelopes += 1;
-                tally.transport.transmissions += u64::from(attempts);
-                tally.transport.retransmissions += u64::from(attempts.saturating_sub(1));
-            }
+            tally.transport.envelopes += 1;
+            tally.transport.transmissions += u64::from(attempts);
+            tally.transport.retransmissions += u64::from(attempts.saturating_sub(1));
             // A delivered batch is ingested at its delivery epoch; an
             // abandoned one never reaches the engine, degrading the central
             // estimate.

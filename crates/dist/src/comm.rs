@@ -17,9 +17,10 @@ pub enum MessageKind {
     QueryState,
     /// Object-name-service custody updates (which site holds which tag).
     OnsUpdate,
-    /// Reliable-transport control traffic: acks and anti-entropy resync
-    /// requests. Only charged when the transport's ack/retransmit machinery
-    /// is active (a fault plan with loss or partitions).
+    /// Transport control traffic: acks and anti-entropy resync requests.
+    /// Only charged when the run's fault plan can lose a payload (loss,
+    /// corruption or partitions), which is what switches the ack/retransmit
+    /// exchange on; every other run sends none.
     Control,
 }
 

@@ -32,14 +32,12 @@ pub enum MigrationStrategy {
     Centralized,
 }
 
-/// Tuning of the reliable-delivery transport (see `crate::transport`).
+/// Retransmission tuning of the transport (see `crate::transport`).
 ///
-/// The transport activates automatically when the run's
-/// [`FaultPlan`] can lose payloads or partition links
-/// ([`FaultPlan::has_transport_faults`]); `always_on` forces the
-/// sequence-number/dedup machinery even on loss-free plans, which the
-/// equivalence tests use to pin that a reliable loss-free run is
-/// bit-identical to direct delivery.
+/// Only read when the run's [`FaultPlan`] can lose payloads or partition
+/// links ([`FaultPlan::has_transport_faults`]), which is what switches the
+/// ack/retransmit exchange on; sequencing and dedup run on every run and
+/// have nothing to tune.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Base retransmission backoff added on top of the round-trip estimate;
@@ -51,9 +49,6 @@ pub struct TransportConfig {
     /// retries until the horizon (the "retry budget ∞" of the equivalence
     /// proptests).
     pub max_retries: Option<u32>,
-    /// Run the sequence-number/dedup machinery even when the fault plan is
-    /// loss-free (acks are elided, so the byte accounting is unchanged).
-    pub always_on: bool,
 }
 
 impl Default for TransportConfig {
@@ -62,7 +57,6 @@ impl Default for TransportConfig {
             rto_base_secs: 30,
             rto_max_secs: 480,
             max_retries: Some(5),
-            always_on: false,
         }
     }
 }
@@ -75,7 +69,6 @@ impl TransportConfig {
             rto_base_secs: 15,
             rto_max_secs: 120,
             max_retries: None,
-            always_on: false,
         }
     }
 
@@ -139,9 +132,8 @@ pub struct DistributedConfig {
     /// downtime are additionally bit-identical to the uninterrupted run.
     /// [`MigrationStrategy::Centralized`] honours reader outages only.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery transport tuning. Inert unless the fault plan has
-    /// transport faults (loss/partitions/corruption) or
-    /// [`always_on`](TransportConfig::always_on) is set.
+    /// Retransmission tuning. Inert unless the fault plan has transport
+    /// faults (loss/partitions/corruption).
     pub transport: TransportConfig,
     /// Per-site memory budget: once a site's retained observation history
     /// exceeds the cap, old epochs are collapsed into summary prior weights
@@ -233,20 +225,16 @@ mod tests {
         );
         assert_eq!(config.transport, TransportConfig::default());
         assert_eq!(config.transport.max_retries, Some(5));
-        assert!(!config.transport.always_on);
         assert_eq!(
             TransportConfig::persistent().max_retries,
             None,
             "persistent transport never gives up"
         );
-        assert!(
+        assert_eq!(
             DistributedConfig::default()
-                .with_transport(TransportConfig {
-                    always_on: true,
-                    ..TransportConfig::default()
-                })
-                .transport
-                .always_on
+                .with_transport(TransportConfig::persistent())
+                .transport,
+            TransportConfig::persistent()
         );
         assert_eq!(
             DistributedConfig::default()

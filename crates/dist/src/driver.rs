@@ -64,9 +64,9 @@ pub struct DistributedOutcome {
     /// Dirty-set sizes and cache-reuse counters, summed across all runs of
     /// all engines.
     pub inference_stats: InferenceStats,
-    /// Reliable-transport counters (envelopes, retransmissions, dedup drops,
-    /// degraded-mode abandonments, …) summed across sites. All zero when the
-    /// transport is [`TransportMode::Off`].
+    /// Transport counters (envelopes, retransmissions, dedup drops,
+    /// degraded-mode abandonments, …) summed across sites. Zero only when
+    /// nothing migrates (the `None` strategy).
     pub transport: TransportStats,
     /// Every poisoned envelope quarantined during the run, tagged with the
     /// site that quarantined it, in `(site, from, seq)` order. Empty unless
@@ -78,10 +78,10 @@ pub struct DistributedOutcome {
     /// whenever a budget is configured, even an unbounded one).
     pub memory: MemoryStats,
     /// Per-directed-edge conservation ledgers, sender and receiver halves
-    /// merged, sorted by `(from, to)`. Empty when the transport is
-    /// [`TransportMode::Off`] (and for the centralized strategy, whose
-    /// uplink has no per-edge bookkeeping). The invariant oracles in
-    /// [`crate::oracle`] audit these.
+    /// merged, sorted by `(from, to)`: one per edge that carried an
+    /// envelope, so empty under the `None` strategy (and for the centralized
+    /// strategy, whose uplink has no per-edge bookkeeping). The invariant
+    /// oracles in [`crate::oracle`] audit these.
     pub ledgers: Vec<EdgeLedger>,
 }
 
@@ -104,7 +104,7 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) stride: u32,
     /// Encoder/decoder for every cross-site payload.
     pub(crate) codec: WireCodec,
-    /// How much of the reliable-delivery machinery this run engages.
+    /// Whether this run's envelopes are acked and retransmitted.
     pub(crate) transport_mode: TransportMode,
 }
 

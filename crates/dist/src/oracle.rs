@@ -109,8 +109,8 @@ fn edge_conservation(outcome: &DistributedOutcome) -> Result<(), Violation> {
 }
 
 /// The ledgers and the global transport counters are booked on different
-/// code paths; their sums must agree. Skipped when no ledger exists (the
-/// direct-delivery path and the centralized uplink keep no per-edge books).
+/// code paths; their sums must agree. Skipped when no ledger exists (nothing
+/// migrated, or the centralized uplink, which keeps no per-edge books).
 fn transport_cross_check(outcome: &DistributedOutcome) -> Result<(), Violation> {
     if outcome.ledgers.is_empty() {
         return Ok(());
@@ -155,8 +155,8 @@ fn transport_cross_check(outcome: &DistributedOutcome) -> Result<(), Violation> 
             ));
         }
     }
-    // A reliable receiver acks every arriving copy (acks == 0 means the
-    // optimistic ack-free mode, where the equation does not apply).
+    // A reliable receiver acks every arriving copy (acks == 0 is a run whose
+    // plan can lose nothing, which sends none: the equation does not apply).
     if t.acks > 0 {
         let recv: u64 = outcome.ledgers.iter().map(|l| l.recv_copies).sum();
         if recv != t.acks {
@@ -272,7 +272,19 @@ mod tests {
     #[test]
     fn a_fault_free_run_passes_every_oracle() {
         let (chain, outcome) = outcome_under(None);
-        assert!(outcome.ledgers.is_empty(), "direct path keeps no ledgers");
+        assert!(
+            !outcome.ledgers.is_empty(),
+            "every run books per-edge ledgers"
+        );
+        for ledger in &outcome.ledgers {
+            // Nothing lost, duplicated, stale or poisoned: each half of the
+            // edge's books equals the other.
+            assert!(ledger.envelopes > 0, "{ledger:?}");
+            assert_eq!(ledger.envelopes, ledger.accepted, "{ledger:?}");
+            assert_eq!(ledger.accepted, ledger.imported, "{ledger:?}");
+            assert_eq!(ledger.sent_copies, ledger.recv_copies, "{ledger:?}");
+            assert_eq!(ledger.sent_bytes, ledger.recv_bytes, "{ledger:?}");
+        }
         audit(&chain, &outcome).unwrap();
     }
 

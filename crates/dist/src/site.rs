@@ -85,7 +85,7 @@ pub(crate) struct SiteState<'a> {
     departure_cursor: usize,
     /// Shipments awaiting their arrival epoch, keyed by it.
     inbox: BTreeMap<Epoch, Vec<ShipmentMsg>>,
-    /// Outbound per-destination sequence counters (transport on only).
+    /// Outbound per-destination sequence counters.
     seqs: EdgeSequencer,
     /// Receiver-side dedup state, one [`ReliableInbox`] per inbound edge.
     dedup: BTreeMap<u16, ReliableInbox>,

@@ -98,10 +98,9 @@ impl<'a> SiteState<'a> {
         // persisted: both are pure functions of the already-processed
         // departure prefix (the envelope predicate asserted in `depart`), so
         // the restore recomputes them and the tail replay extends them.
-        let assigns_seqs = self.ctx.transport_mode.dedups() && self.ctx.migrates_state;
         for tr in &self.departures[..self.departure_cursor] {
             self.forgotten.insert(tr.tag, tr.depart);
-            if assigns_seqs && tr.tag.is_object() {
+            if self.ctx.migrates_state && tr.tag.is_object() {
                 self.seqs.next(tr.to_site.0);
             }
         }

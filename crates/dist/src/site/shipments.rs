@@ -25,10 +25,10 @@ const FORCED_RUN_SPACING_SECS: u32 = 150;
 /// crate's [`PendingShipment`] as is, so the inbox section of a checkpoint
 /// is the in-memory inbox, not a field-by-field translation of it.
 ///
-/// * `seq` — reliable-transport sequence number on the `from → to` edge;
-///   every retransmitted copy of one envelope carries the same number, which
-///   is how the receiver deduplicates. Always 0 when the transport is off or
-///   the envelope carries nothing.
+/// * `seq` — sequence number on the `from → to` edge; every retransmitted
+///   or fault-duplicated copy of one envelope carries the same number, which
+///   is how the receiver deduplicates. Always 0 when the message carries
+///   nothing.
 /// * `physical` — epoch the *object* reaches `to` per the trace; unlike
 ///   `arrive`, never stretched by delivery faults or retransmission. A copy
 ///   with `arrive > physical` is late state merged into an engine that
@@ -49,9 +49,8 @@ pub(super) fn order_key(msg: &ShipmentMsg) -> (Epoch, u16, u16, TagId) {
     (msg.depart, msg.from, msg.to, msg.tag)
 }
 
-/// Whether this message carries anything the transport must deliver
-/// reliably; empty envelopes (the `None` strategy, container tags) skip the
-/// sequence/ack machinery entirely.
+/// Whether this message carries anything to deliver; empty ones (the `None`
+/// strategy, container tags) have nothing to sequence, import or book.
 fn is_envelope(msg: &ShipmentMsg) -> bool {
     msg.inference.is_some() || !msg.query.is_empty()
 }
@@ -120,97 +119,87 @@ impl SiteState<'_> {
         self.unit.tally.transport.resyncs += 1;
     }
 
-    /// Import a batch in generation order.
+    /// Import a batch in generation order. Every envelope passes the same
+    /// gauntlet — ledger, dedup, staleness guard, decode — before anything
+    /// reaches the engine or the query processor.
     pub(super) fn import(&mut self, mut batch: Vec<ShipmentMsg>) {
         batch.sort_by_key(order_key);
         let me = self.site as u16;
-        let mode = self.ctx.transport_mode;
-        for msg in batch {
+        let acked = self.ctx.transport_mode == TransportMode::Reliable;
+        for msg in batch.into_iter().filter(is_envelope) {
             let peer = msg.from;
-            let guarded = is_envelope(&msg) && mode.dedups();
-            if guarded {
-                let entry = self.unit.tally.ledger(peer, me);
-                entry.recv_copies += 1;
-                entry.recv_bytes += payload_len(&msg);
-                if mode == TransportMode::Reliable {
-                    // The receiver acks every arriving copy — duplicates
-                    // included, since the sender may be retransmitting
-                    // precisely because an earlier ack was lost. Real encoded
-                    // bytes, booked at the ack sender.
-                    self.send_control(&ControlMsg::Ack {
-                        from: me,
-                        to: peer,
-                        seq: msg.seq,
-                    });
-                    self.unit.tally.transport.acks += 1;
-                }
-                // At-most-once delivery: retransmitted (and fault-duplicated)
-                // copies of a sequence number never reach the engine twice.
-                if !self.dedup.entry(peer).or_default().accept(msg.seq) {
-                    self.unit.tally.transport.duplicates_dropped += 1;
-                    continue;
-                }
-                self.unit.tally.ledger(peer, me).accepted += 1;
-                // Staleness guard: if the tag already departed this site
-                // after the physical arrival this copy belongs to, its state
-                // would resurrect a forwarded object — drop it.
-                if self
-                    .forgotten
-                    .get(&msg.tag)
-                    .is_some_and(|&gone| gone > msg.physical)
-                {
-                    self.unit.tally.transport.stale_dropped += 1;
-                    self.unit.tally.ledger(peer, me).stale += 1;
-                    continue;
-                }
+            let entry = self.unit.tally.ledger(peer, me);
+            entry.recv_copies += 1;
+            entry.recv_bytes += payload_len(&msg);
+            if acked {
+                // The receiver acks every arriving copy — duplicates
+                // included, since the sender may be retransmitting
+                // precisely because an earlier ack was lost. Real encoded
+                // bytes, booked at the ack sender.
+                self.send_control(&ControlMsg::Ack {
+                    from: me,
+                    to: peer,
+                    seq: msg.seq,
+                });
+                self.unit.tally.transport.acks += 1;
+            }
+            // At-most-once delivery: retransmitted (and fault-duplicated)
+            // copies of a sequence number never reach the engine twice —
+            // imported state is *added* to the local prior, so a second
+            // import would double it.
+            if !self.dedup.entry(peer).or_default().accept(msg.seq) {
+                self.unit.tally.transport.duplicates_dropped += 1;
+                continue;
+            }
+            self.unit.tally.ledger(peer, me).accepted += 1;
+            // Staleness guard: if the tag already departed this site
+            // after the physical arrival this copy belongs to, its state
+            // would resurrect a forwarded object — drop it.
+            if self
+                .forgotten
+                .get(&msg.tag)
+                .is_some_and(|&gone| gone > msg.physical)
+            {
+                self.unit.tally.transport.stale_dropped += 1;
+                self.unit.tally.ledger(peer, me).stale += 1;
+                continue;
             }
             if let Some(payload) = &msg.inference {
-                match self.ctx.codec.decode_migration(payload) {
-                    Ok(state) => {
-                        if guarded && msg.arrive > msg.physical {
-                            // Degraded-mode reconciliation: the object itself
-                            // arrived earlier and was cold-started from local
-                            // readings; merge the late migration state through
-                            // the dirty-set journal so incremental inference
-                            // re-runs it exactly.
-                            let summary = self.unit.engine.import_late_state(state);
-                            if summary.merged() {
-                                self.unit.tally.transport.reconciled += 1;
-                            }
-                        } else {
-                            self.unit.engine.import_state(state);
-                        }
+                let Ok(state) = self.ctx.codec.decode_migration(payload) else {
+                    // Poison quarantine: a corrupted payload is a typed
+                    // decode error, never a panic. The whole envelope is
+                    // suspect, so its query state is dropped too and the
+                    // receiver degrades to None-semantics for this object
+                    // (cold-started from local readings). A reliable
+                    // receiver additionally asks the sender for
+                    // anti-entropy resync.
+                    let entry = QuarantineEntry {
+                        from: peer,
+                        seq: msg.seq,
+                        physical: msg.physical,
+                    };
+                    self.unit.tally.quarantine.push((SiteId(me), entry));
+                    self.unit.tally.transport.quarantined += 1;
+                    self.unit.tally.ledger(peer, me).quarantined += 1;
+                    if acked {
+                        self.request_resync(peer, msg.physical);
                     }
-                    Err(_) if guarded => {
-                        // Poison quarantine: a corrupted payload is a typed
-                        // decode error, never a panic. The whole envelope is
-                        // suspect, so its query state is dropped too and the
-                        // receiver degrades to None-semantics for this object
-                        // (cold-started from local readings). A reliable
-                        // receiver additionally asks the sender for
-                        // anti-entropy resync.
-                        let entry = QuarantineEntry {
-                            from: peer,
-                            seq: msg.seq,
-                            physical: msg.physical,
-                        };
-                        self.unit.tally.quarantine.push((SiteId(me), entry));
-                        self.unit.tally.transport.quarantined += 1;
-                        self.unit.tally.ledger(peer, me).quarantined += 1;
-                        if mode == TransportMode::Reliable {
-                            self.request_resync(peer, msg.physical);
-                        }
-                        continue;
-                    }
-                    Err(err) => panic!("in-process shipment payload decodes: {err}"),
+                    continue;
+                };
+                // State merges through the dirty-set journal whenever it
+                // lands, so incremental inference re-runs it exactly. A copy
+                // that lands after the object itself (delayed, or a
+                // retransmission) finds it already cold-started from local
+                // readings: degraded-mode reconciliation.
+                let summary = self.unit.engine.import_late_state(state);
+                if msg.arrive > msg.physical && summary.merged() {
+                    self.unit.tally.transport.reconciled += 1;
                 }
             }
             if !msg.query.is_empty() {
                 self.unit.processor.import_state(msg.query);
             }
-            if guarded {
-                self.unit.tally.ledger(peer, me).imported += 1;
-            }
+            self.unit.tally.ledger(peer, me).imported += 1;
         }
     }
 
@@ -330,20 +319,20 @@ impl SiteState<'_> {
                     inference,
                     query,
                 };
-                // Only envelopes with a payload ride the sequenced channel
-                // (crash restore rebuilds the sequence counters from exactly
-                // this predicate, so it must stay a pure function of the
-                // strategy and the tag).
+                // Every envelope rides the sequenced channel (crash restore
+                // rebuilds the sequence counters from exactly this predicate,
+                // so it must stay a pure function of the strategy and the
+                // tag).
                 debug_assert_eq!(
                     is_envelope(&msg),
                     ctx.migrates_state && tag.is_object(),
                     "envelope predicate drifted from the seq-rebuild rule"
                 );
-                let sequenced = is_envelope(&msg) && ctx.transport_mode.dedups();
+                let sequenced = is_envelope(&msg);
                 // Delivery: which attempts are transmitted and when each
-                // surviving copy arrives. Direct delivery and the optimistic
-                // transport are the one-attempt schedule.
-                let mut delivery = DeliveryPlan::direct(msg.arrive);
+                // surviving copy arrives — one attempt unless the plan can
+                // lose it.
+                let mut delivery = DeliveryPlan::one_attempt(msg.arrive);
                 if sequenced {
                     msg.seq = self.seqs.next(to);
                     // Poison injection: a corrupted link flips a bit in the
@@ -371,11 +360,12 @@ impl SiteState<'_> {
                         );
                     }
                 }
-                // A fault-duplicated copy rides along with the first arrival.
-                // An abandoned envelope has no arrivals at all — the retry
-                // budget ran out (or the partition outlived the horizon), so
-                // the destination never sees this state and cold-starts the
-                // physically-arrived object: degraded mode.
+                // A fault-duplicated copy rides along with the first arrival,
+                // for the receiver's dedup to drop. An abandoned envelope has
+                // no arrivals at all — the retry budget ran out (or the
+                // partition outlived the horizon), so the destination never
+                // sees this state and cold-starts the physically-arrived
+                // object: degraded mode.
                 let mut arrivals = delivery.arrivals;
                 if let Some(&first) = arrivals.first().filter(|_| duplicated) {
                     arrivals.insert(0, first);
@@ -459,10 +449,8 @@ impl SiteState<'_> {
     /// an envelope that never got through.
     pub(super) fn book_undelivered(&mut self) {
         let me = self.site as u16;
-        for msg in std::mem::take(&mut self.inbox).into_values().flatten() {
-            if !(is_envelope(&msg) && self.ctx.transport_mode.dedups()) {
-                continue;
-            }
+        let leftover = std::mem::take(&mut self.inbox).into_values().flatten();
+        for msg in leftover.filter(is_envelope) {
             let fresh = self.dedup.entry(msg.from).or_default().accept(msg.seq);
             let entry = self.unit.tally.ledger(msg.from, me);
             entry.undelivered += 1;

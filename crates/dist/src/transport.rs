@@ -1,18 +1,20 @@
-//! Reliable-delivery transport for cross-site payloads.
+//! The one delivery path for cross-site payloads.
 //!
-//! Without this module a site's `ShipmentMsg` (`site/shipments.rs`) is
-//! delivered directly: a message handed to the destination's inbox is
-//! guaranteed to arrive. A [`FaultPlan`] with loss probabilities or link
-//! partitions breaks that assumption, so this module adds the classic
-//! reliable-channel machinery on top of the same inbox exchange:
+//! Migrated state is *added* to the receiver's own
+//! (`PriorWeights::merge`), so delivery must be at-most-once on every run,
+//! not only on the ones whose [`FaultPlan`] loses messages. Every
+//! `ShipmentMsg` (`site/shipments.rs`) that carries state therefore always
+//! travels the same way:
 //!
-//! * every cross-site payload travels on a **per-edge sequence-numbered
-//!   channel** ([`EdgeSequencer`]);
+//! * on a **per-edge sequence-numbered channel** ([`EdgeSequencer`]);
 //! * the receiver **deduplicates** by sequence number ([`ReliableInbox`]) so
-//!   retransmitted (or fault-duplicated) copies are ingested at most once;
-//! * the receiver **acks** every arriving copy, and the sender
-//!   **retransmits** under deterministic epoch-based exponential backoff
-//!   until an ack is seen or the retry budget runs out ([`DeliveryPlan`]).
+//!   retransmitted (or fault-duplicated) copies are ingested at most once,
+//!   guards against stale state, quarantines undecodable payloads and books
+//!   its half of the edge's conservation ledger;
+//! * when the plan can lose payloads, the receiver additionally **acks**
+//!   every arriving copy, and the sender **retransmits** under deterministic
+//!   epoch-based exponential backoff until an ack is seen or the retry
+//!   budget runs out ([`DeliveryPlan`]).
 //!
 //! Determinism is the whole design: every worker of the scheduler, at any
 //! worker count, and a crash-replaying site, must observe the *same* losses,
@@ -24,15 +26,15 @@
 //! then runs against real arriving copies, so the at-most-once guarantee is
 //! enforced where it matters, not assumed.
 //!
-//! Three [`TransportMode`]s keep the legacy paths bit-identical:
+//! The only thing decided per run is whether the ack/retransmit exchange
+//! runs, and that is read off the input, never off an option
+//! ([`TransportMode`]; docs/INVARIANTS.md § "Transport axes"):
 //!
-//! | mode | when | behavior |
+//! | mode | when | what it adds to the shared path |
 //! |---|---|---|
-//! | [`Off`] | no plan, or a plan without transport faults | direct delivery, duplicated copies imported twice |
-//! | [`Optimistic`] | [`TransportConfig::always_on`] on a loss-free plan | sequence numbers + dedup active, acks elided (zero control bytes) |
-//! | [`Reliable`] | the plan can lose payloads or partition links | full seq/ack/retransmit/dedup with control-byte accounting |
+//! | [`Optimistic`] | no plan, or a plan that cannot lose a payload (delay/duplicate-only included) | nothing: one attempt per envelope, zero control bytes |
+//! | [`Reliable`] | the plan can lose, corrupt or partition | acks, retransmission, resync, all charged as control/payload bytes |
 //!
-//! [`Off`]: TransportMode::Off
 //! [`Optimistic`]: TransportMode::Optimistic
 //! [`Reliable`]: TransportMode::Reliable
 
@@ -44,37 +46,41 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub use rfid_wire::TransportStats;
 
-/// How much of the reliable-delivery machinery a run engages.
+/// Whether a run's envelopes are acknowledged and retransmitted. Sequencing,
+/// dedup, the staleness guard, quarantine and the edge ledgers run in both
+/// modes; the mode is derived from the fault plan, not configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
-    /// Direct delivery, exactly the pre-transport behavior. No sequence
-    /// numbers are assigned, no dedup runs, fault-duplicated copies are
-    /// imported twice.
-    Off,
-    /// Sequence numbers and receiver dedup are active but acks are elided —
-    /// the loss-free fast path [`TransportConfig::always_on`] forces, used to
-    /// pin that a reliable loss-free run is bit-identical to direct delivery
-    /// (including per-kind byte tallies: zero control bytes).
+    /// Ack-free: nothing in the plan can lose a payload, so every envelope
+    /// is one attempt and no [`MessageKind::Control`](crate::MessageKind::Control)
+    /// byte is sent — a fault-free run keeps the paper's Table 5 totals.
     Optimistic,
     /// The full protocol: retransmission under deterministic backoff, acks
-    /// charged as [`MessageKind::Control`](crate::MessageKind::Control)
-    /// traffic, dedup, degraded-mode abandonment.
+    /// and resyncs charged as
+    /// [`MessageKind::Control`](crate::MessageKind::Control) traffic,
+    /// degraded-mode abandonment.
     Reliable,
 }
 
 impl TransportMode {
-    /// Resolve the mode for a run from its fault plan and transport tuning.
-    pub fn resolve(plan: Option<&FaultPlan>, config: &TransportConfig) -> TransportMode {
-        match plan {
-            Some(plan) if plan.has_transport_faults() => TransportMode::Reliable,
-            _ if config.always_on => TransportMode::Optimistic,
-            _ => TransportMode::Off,
+    /// The mode of a run: [`Reliable`](TransportMode::Reliable) exactly when
+    /// its plan [`has_transport_faults`](FaultPlan::has_transport_faults).
+    /// The second parameter is residue — ignored, held because the frozen
+    /// `benchmark/` package passes it (docs/INVARIANTS.md § "Residue").
+    pub fn resolve(plan: Option<&FaultPlan>, _config: &TransportConfig) -> TransportMode {
+        if plan.is_some_and(FaultPlan::has_transport_faults) {
+            TransportMode::Reliable
+        } else {
+            TransportMode::Optimistic
         }
     }
 
-    /// Whether receivers assign/deduplicate sequence numbers in this mode.
+    /// Residue: constantly `true` — every mode sequences and deduplicates.
+    /// Held for the frozen `benchmark/` package, which still asks
+    /// (docs/INVARIANTS.md § "Residue").
+    #[doc(hidden)]
     pub fn dedups(self) -> bool {
-        self != TransportMode::Off
+        true
     }
 }
 
@@ -101,12 +107,6 @@ impl EdgeSequencer {
         let seq = *counter;
         *counter += 1;
         seq
-    }
-
-    /// Drop all counters (crash restore rebuilds them from the departure
-    /// prefix).
-    pub fn clear(&mut self) {
-        self.next.clear();
     }
 }
 
@@ -182,9 +182,9 @@ pub struct DeliveryPlan {
 }
 
 impl DeliveryPlan {
-    /// The one-attempt schedule of direct delivery: a single copy, arriving
-    /// at `arrive`, never retransmitted.
-    pub(crate) fn direct(arrive: Epoch) -> DeliveryPlan {
+    /// The one-attempt schedule of ack-free delivery: a single copy,
+    /// arriving at `arrive`, never retransmitted.
+    pub(crate) fn one_attempt(arrive: Epoch) -> DeliveryPlan {
         DeliveryPlan {
             arrivals: vec![arrive],
             attempts: 1,
@@ -195,7 +195,7 @@ impl DeliveryPlan {
     /// Simulate the delivery of one envelope on the edge `from → to`.
     ///
     /// `arrive` is the first-attempt arrival epoch (the physical transit,
-    /// plus any legacy delay fault, which therefore stretches every
+    /// plus any delay fault, which therefore stretches every
     /// attempt's transit identically). Attempt `k` is transmitted at
     /// `s_k` where `s_0 = depart` and `s_{k+1} = s_k + rtt +
     /// min(rto_base · 2^k, rto_max)`; it is lost iff the plan's loss draw
@@ -273,41 +273,20 @@ mod tests {
     #[test]
     fn mode_resolution_matches_the_plan() {
         let config = TransportConfig::default();
-        assert_eq!(TransportMode::resolve(None, &config), TransportMode::Off);
+        let ack_free = TransportMode::Optimistic;
+        assert_eq!(TransportMode::resolve(None, &config), ack_free);
         let quiet = FaultPlan::generate(&FaultPlanConfig::quiet(7, 4, 3600));
-        assert_eq!(
-            TransportMode::resolve(Some(&quiet), &config),
-            TransportMode::Off,
-            "a plan without transport faults keeps the legacy direct path"
-        );
+        assert_eq!(TransportMode::resolve(Some(&quiet), &config), ack_free);
         let lossy = FaultPlan::generate(&FaultPlanConfig::lossy(7, 4, 3600));
         assert_eq!(
             TransportMode::resolve(Some(&lossy), &config),
-            TransportMode::Off,
-            "delay/dup-only plans predate the transport and stay direct"
-        );
-        let always = TransportConfig {
-            always_on: true,
-            ..TransportConfig::default()
-        };
-        assert_eq!(
-            TransportMode::resolve(None, &always),
-            TransportMode::Optimistic
+            ack_free,
+            "delay and duplication lose nothing: dedup absorbs them without acks"
         );
         assert_eq!(
-            TransportMode::resolve(Some(&quiet), &always),
-            TransportMode::Optimistic
+            TransportMode::resolve(Some(&unreliable_plan(7)), &config),
+            TransportMode::Reliable
         );
-        let unreliable = unreliable_plan(7);
-        for cfg in [&config, &always] {
-            assert_eq!(
-                TransportMode::resolve(Some(&unreliable), cfg),
-                TransportMode::Reliable
-            );
-        }
-        assert!(TransportMode::Reliable.dedups());
-        assert!(TransportMode::Optimistic.dedups());
-        assert!(!TransportMode::Off.dedups());
     }
 
     #[test]
@@ -317,8 +296,6 @@ mod tests {
         assert_eq!(seqs.next(1), 1);
         assert_eq!(seqs.next(2), 0, "edges are independent channels");
         assert_eq!(seqs.next(1), 2);
-        seqs.clear();
-        assert_eq!(seqs.next(1), 0);
     }
 
     #[test]

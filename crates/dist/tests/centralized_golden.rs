@@ -97,7 +97,11 @@ fn fault_free_centralized_outcome_is_pinned() {
     let outcome = DistributedDriver::new(config(&chain)).run(&chain);
     let expected = Golden {
         comm: [(234_277, 2_541), (0, 0), (0, 0), (0, 0), (0, 0)],
-        transport: TransportStats::default(),
+        transport: TransportStats {
+            envelopes: 2_541,
+            transmissions: 2_541,
+            ..TransportStats::default()
+        },
         memory: MemoryStats::default(),
         inference_runs: 7,
         inference_stats: InferenceStats {

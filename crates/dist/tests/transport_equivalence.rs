@@ -1,23 +1,29 @@
-//! The headline transport invariant: a loss-free run through the reliable
-//! transport (sequence numbers assigned, receiver-side dedup active) is
-//! *bit-identical* to legacy direct delivery — same containment, same
-//! per-kind communication bytes, same alerts, same ONS — across every
-//! migration strategy and both executors. Sequencing and dedup are pure
-//! bookkeeping until the network actually misbehaves.
+//! What the one delivery path guarantees when the network loses nothing:
+//!
+//! * a loss-free run sequences every envelope, delivers each exactly once on
+//!   the first attempt and puts no `Control` byte on the wire;
+//! * a fault plan that injects nothing (a calm `ChaosPlan`, a quiet
+//!   `FaultPlan`) is the no-plan run, field for field — bookkeeping included;
+//! * duplicated and delayed deliveries are absorbed by the receiver: a
+//!   duplicate never reaches the engine a second time (migrated weights are
+//!   *added*, so it would double them), a late copy is reconciled and
+//!   counted — across every migration strategy and worker count.
 
 mod common;
 
 use common::{assert_identical, assert_identical_except, Field};
 use rfid_core::InferenceConfig;
 use rfid_dist::{
-    audit, DistributedConfig, DistributedDriver, MessageKind, MigrationStrategy, TransportConfig,
+    audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind, MigrationStrategy,
 };
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, ChaosPlan, FaultPlan, FaultPlanConfig, TemperatureModel};
 use std::collections::BTreeMap;
 
 fn smoke_chain() -> ChainTrace {
-    presets::smoke_chain(1800, 3, None)
+    let chain = presets::smoke_chain(1800, 3, None);
+    assert!(!chain.transfers.is_empty(), "the chain must see migrations");
+    chain
 }
 
 const STRATEGIES: [MigrationStrategy; 4] = [
@@ -27,12 +33,25 @@ const STRATEGIES: [MigrationStrategy; 4] = [
     MigrationStrategy::Centralized,
 ];
 
-fn config(chain: &ChainTrace, strategy: MigrationStrategy, workers: usize) -> DistributedConfig {
+/// The strategies whose envelopes cross federated edges.
+fn migrates(strategy: MigrationStrategy) -> bool {
+    matches!(
+        strategy,
+        MigrationStrategy::CriticalRegionReadings | MigrationStrategy::CollapsedWeights
+    )
+}
+
+fn run(
+    chain: &ChainTrace,
+    strategy: MigrationStrategy,
+    workers: usize,
+    plan: Option<&FaultPlan>,
+) -> DistributedOutcome {
     let mut properties = BTreeMap::new();
     for object in chain.objects() {
         properties.insert(object, "temperature-sensitive".to_string());
     }
-    DistributedConfig {
+    let config = DistributedConfig {
         strategy,
         inference: InferenceConfig::default().without_change_detection(),
         queries: vec![ExposureQuery {
@@ -41,54 +60,35 @@ fn config(chain: &ChainTrace, strategy: MigrationStrategy, workers: usize) -> Di
         }],
         product_properties: properties,
         temperature: Some(TemperatureModel::new([])),
+        faults: plan.cloned(),
         ..Default::default()
     }
-    .with_workers(workers)
+    .with_workers(workers);
+    DistributedDriver::new(config).run(chain)
+}
+
+fn quiet(chain: &ChainTrace) -> FaultPlanConfig {
+    FaultPlanConfig::quiet(7, chain.sites.len() as u16, chain.sites[0].meta.length)
+}
+
+fn assert_audited(chain: &ChainTrace, outcome: &DistributedOutcome, label: &str) {
+    audit(chain, outcome).unwrap_or_else(|violation| panic!("{label}: {violation}"));
 }
 
 #[test]
-fn loss_free_transport_is_bit_identical_to_direct_delivery() {
+fn a_loss_free_run_delivers_every_envelope_once_and_sends_no_acks() {
     let chain = smoke_chain();
-    assert!(!chain.transfers.is_empty(), "the chain must see migrations");
-    let on = TransportConfig {
-        always_on: true,
-        ..TransportConfig::default()
-    };
     for strategy in STRATEGIES {
-        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
-        assert_eq!(
-            baseline.transport,
-            Default::default(),
-            "{strategy:?}: the transport must stay Off by default"
-        );
-        let sequential =
-            DistributedDriver::new(config(&chain, strategy, 1).with_transport(on)).run(&chain);
-        let parallel =
-            DistributedDriver::new(config(&chain, strategy, chain.sites.len()).with_transport(on))
-                .run(&chain);
-        // What must not change is everything observable — accuracy,
-        // bytes, alerts, custody; the bookkeeping itself is new.
-        assert_identical_except(
-            &baseline,
-            &sequential,
-            &format!("{strategy:?}, direct vs sequenced"),
-            &[
-                (Field::Transport, "the sequenced run counts its envelopes"),
-                (
-                    Field::Ledgers,
-                    "only sequenced envelopes are booked per edge",
-                ),
-            ],
-        );
+        let sequential = run(&chain, strategy, 1, None);
+        let parallel = run(&chain, strategy, chain.sites.len(), None);
         assert_identical(
             &sequential,
             &parallel,
-            &format!("{strategy:?} sequenced, 1 vs N workers"),
+            &format!("{strategy:?}, 1 vs N workers"),
         );
-        // The transport really ran: payloads were sequenced and each was
-        // delivered exactly once on the first attempt — no acks on the
-        // wire (Control stays silent), nothing retransmitted, dropped,
-        // reconciled or abandoned.
+        // Payloads were sequenced and each was delivered exactly once on the
+        // first attempt — no acks on the wire (Control stays silent),
+        // nothing retransmitted, dropped, reconciled or abandoned.
         let t = sequential.transport;
         if strategy == MigrationStrategy::None {
             // Nothing migrates: the transport has nothing to guard.
@@ -108,66 +108,95 @@ fn loss_free_transport_is_bit_identical_to_direct_delivery() {
             0,
             "{strategy:?}: a loss-free run must put no control bytes on the wire"
         );
+        if migrates(strategy) {
+            let imported: u64 = sequential.ledgers.iter().map(|l| l.imported).sum();
+            assert_eq!(imported, t.envelopes, "{strategy:?}");
+        }
+        assert_audited(&chain, &sequential, &format!("{strategy:?}"));
+    }
+}
+
+/// A plan that injects nothing is the no-plan run: every field equal —
+/// transport counters and ledgers included — and not one ack sent.
+fn assert_no_op_plan(chain: &ChainTrace, plan: &FaultPlan, label: &str) {
+    assert!(plan.is_quiet(), "{label}: the plan carries no faults");
+    for strategy in STRATEGIES {
+        let baseline = run(chain, strategy, 1, None);
+        let planned = run(chain, strategy, 1, Some(plan));
+        assert_identical(&baseline, &planned, &format!("{strategy:?} {label}"));
+        assert_eq!(planned.transport.acks, 0, "{strategy:?} {label}");
+        assert!(planned.quarantine.is_empty(), "{strategy:?} {label}");
+        assert_audited(chain, &planned, &format!("{strategy:?} {label}"));
     }
 }
 
 #[test]
-fn a_calm_chaos_plan_is_bit_identical_to_direct_delivery() {
-    // The chaos orchestrator with every fault family disabled is the
-    // identity schedule: outcomes match the no-plan run field by field, the
-    // transport stays asleep, no per-edge ledgers or quarantine entries are
-    // booked — and the run still clears the full invariant-oracle battery.
+fn a_calm_chaos_plan_is_identical_to_no_plan() {
     let chain = smoke_chain();
     let horizon = chain.sites[0].meta.length;
     let calm = ChaosPlan::calm(11, chain.sites.len() as u16, horizon);
-    assert!(calm.plan().is_quiet(), "calm schedules carry no faults");
+    assert_no_op_plan(&chain, calm.plan(), "calm chaos");
+}
+
+#[test]
+fn a_quiet_fault_plan_is_identical_to_no_plan() {
+    let chain = smoke_chain();
+    let plan = FaultPlan::generate(&quiet(&chain));
+    assert_no_op_plan(&chain, &plan, "quiet plan");
+}
+
+#[test]
+fn duplicate_delivery_is_invisible_to_inference() {
+    let chain = smoke_chain();
+    let plan = FaultPlan::generate(&FaultPlanConfig {
+        duplicate_probability: 1.0,
+        ..quiet(&chain)
+    });
     for strategy in STRATEGIES {
-        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
-        let calmed = DistributedDriver::new(
-            config(&chain, strategy, 1).with_faults(calm.clone().into_plan()),
-        )
-        .run(&chain);
-        assert_identical(&baseline, &calmed, &format!("{strategy:?} calm chaos"));
-        assert_eq!(
-            calmed.transport,
-            Default::default(),
-            "{strategy:?}: a calm chaos plan must not wake the transport"
-        );
-        assert!(
-            calmed.ledgers.is_empty(),
-            "{strategy:?}: the direct path keeps no per-edge ledgers"
-        );
-        assert!(
-            calmed.quarantine.is_empty(),
-            "{strategy:?}: nothing to quarantine on a calm run"
-        );
-        audit(&chain, &calmed).unwrap_or_else(|violation| {
-            panic!("{strategy:?}: calm chaos run failed an oracle: {violation}")
-        });
+        let baseline = run(&chain, strategy, 1, None);
+        for workers in [1, chain.sites.len()] {
+            let label = format!("{strategy:?}, every delivery duplicated, {workers} workers");
+            let duplicated = run(&chain, strategy, workers, Some(&plan));
+            assert_identical_except(
+                &baseline,
+                &duplicated,
+                &label,
+                &[
+                    (Field::Transport, "the dropped duplicates are counted"),
+                    (Field::Ledgers, "the second copies are booked as sent"),
+                ],
+            );
+            let t = duplicated.transport;
+            assert_eq!(t.envelopes, baseline.transport.envelopes, "{label}");
+            if migrates(strategy) {
+                assert!(t.envelopes > 0, "{label}");
+                assert_eq!(t.duplicates_dropped, t.envelopes, "{label}");
+            } else {
+                assert_eq!(t.duplicates_dropped, 0, "{label}");
+            }
+            assert_audited(&chain, &duplicated, &label);
+        }
     }
 }
 
 #[test]
-fn a_quiet_fault_plan_keeps_the_transport_off() {
-    // A plan with no loss, no ack loss and no partitions — even combined
-    // with `always_on: false` — must leave the legacy direct-delivery path
-    // byte-exact (this is what keeps the `faults` benchmark stable).
+fn delayed_delivery_is_reconciled_and_accounted() {
     let chain = smoke_chain();
-    let horizon = chain.sites[0].meta.length;
-    let plan = FaultPlan::generate(&FaultPlanConfig::quiet(
-        7,
-        chain.sites.len() as u16,
-        horizon,
-    ));
+    let plan = FaultPlan::generate(&FaultPlanConfig {
+        delay_probability: 1.0,
+        delay_max_secs: 120,
+        ..quiet(&chain)
+    });
     for strategy in STRATEGIES {
-        let baseline = DistributedDriver::new(config(&chain, strategy, 1)).run(&chain);
-        let quieted = DistributedDriver::new(config(&chain, strategy, 1).with_faults(plan.clone()))
-            .run(&chain);
-        assert_identical(&baseline, &quieted, &format!("{strategy:?} quiet plan"));
+        let sequential = run(&chain, strategy, 1, Some(&plan));
+        let parallel = run(&chain, strategy, chain.sites.len(), Some(&plan));
+        let label = format!("{strategy:?}, every delivery delayed");
+        assert_identical(&sequential, &parallel, &format!("{label}, 1 vs N workers"));
         assert_eq!(
-            quieted.transport,
-            Default::default(),
-            "{strategy:?}: a quiet plan must not wake the transport"
+            sequential.transport.reconciled > 0,
+            migrates(strategy),
+            "{label}: state landing after its object is a counted reconciliation"
         );
+        assert_audited(&chain, &sequential, &label);
     }
 }

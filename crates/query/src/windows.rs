@@ -102,14 +102,6 @@ impl<T> SlidingTimeWindow<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// The span (seconds) between the oldest and newest retained items.
-    pub fn span_secs(&self) -> u32 {
-        match (self.items.first(), self.items.last()) {
-            (Some((first, _)), Some((last, _))) => last.since(*first),
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,12 +126,12 @@ mod tests {
     #[test]
     fn sliding_window_evicts_old_items() {
         let mut w: SlidingTimeWindow<u32> = SlidingTimeWindow::new(10);
+        assert!(w.is_empty());
         for t in 0..20u32 {
             w.insert(Epoch(t), t);
         }
         assert_eq!(w.len(), 11, "items within the last 10 seconds inclusive");
         assert!(w.items().all(|(t, _)| t.0 >= 9));
-        assert_eq!(w.span_secs(), 10);
     }
 
     #[test]
@@ -150,12 +142,5 @@ mod tests {
         w.insert(Epoch(10), "ancient");
         assert_eq!(w.len(), 2);
         assert!(w.items().all(|(_, v)| *v != "ancient"));
-    }
-
-    #[test]
-    fn empty_window_reports_zero_span() {
-        let w: SlidingTimeWindow<u8> = SlidingTimeWindow::new(5);
-        assert!(w.is_empty());
-        assert_eq!(w.span_secs(), 0);
     }
 }

@@ -13,7 +13,7 @@
 //! The `chaos` soak in `rfid-bench` drives a whole [`schedule`] of these
 //! plans through all four migration strategies with the invariant oracles of
 //! `rfid-dist` asserted on every run; [`ChaosPlan::calm`] is the identity
-//! schedule the bit-identity test pins against the direct delivery path.
+//! schedule the bit-identity test pins against the run with no plan.
 //!
 //! [`schedule`]: ChaosPlan::schedule
 
@@ -51,8 +51,8 @@ impl ChaosPlan {
     }
 
     /// The identity schedule: the chaos machinery engaged with every fault
-    /// family off. A calm run must be bit-identical to the direct path —
-    /// this is the hook `transport_equivalence.rs` pins.
+    /// family off. A calm run must be bit-identical to the run with no plan
+    /// — this is the hook `transport_equivalence.rs` pins.
     pub fn calm(seed: u64, num_sites: u16, horizon_secs: u32) -> ChaosPlan {
         ChaosPlan::from_config(FaultPlanConfig::quiet(seed, num_sites, horizon_secs))
     }

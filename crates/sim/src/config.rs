@@ -113,12 +113,6 @@ impl WarehouseConfig {
         self
     }
 
-    /// Builder-style setter for the overlap rate OR.
-    pub fn with_overlap_rate(mut self, or: f64) -> Self {
-        self.overlap_rate = or;
-        self
-    }
-
     /// Builder-style setter for the anomaly interval FA.
     pub fn with_anomaly_interval(mut self, secs: u32) -> Self {
         self.anomaly_interval = Some(secs);
@@ -262,14 +256,12 @@ mod tests {
         let c = WarehouseConfig::default()
             .with_length(600)
             .with_read_rate(0.6)
-            .with_overlap_rate(0.2)
             .with_anomaly_interval(20)
             .with_seed(99)
             .with_items_per_case(5)
             .with_cases_per_pallet(4);
         assert_eq!(c.length_secs, 600);
         assert!((c.read_rate - 0.6).abs() < 1e-12);
-        assert!((c.overlap_rate - 0.2).abs() < 1e-12);
         assert_eq!(c.anomaly_interval, Some(20));
         assert_eq!(c.seed, 99);
         assert_eq!(c.items_per_case, 5);

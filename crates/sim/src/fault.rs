@@ -113,7 +113,8 @@ impl FaultPlanConfig {
 
     /// The lossy preset used by the `faults` experiment: no crashes, but
     /// reader outages and delayed/duplicated shipments on every site. No
-    /// transport faults — the legacy direct-delivery path stays byte-exact.
+    /// transport faults: nothing is lost, so the run sends no acks and the
+    /// receivers' dedup and late-state reconciliation absorb both draws.
     pub fn lossy(seed: u64, num_sites: u16, horizon_secs: u32) -> FaultPlanConfig {
         FaultPlanConfig {
             crash_probability: 0.0,
@@ -580,27 +581,14 @@ impl FaultPlan {
     }
 
     /// Whether the plan can lose payloads at all — the trigger for the
-    /// reliable transport's ack/retransmit machinery. Corruption counts:
-    /// a poisoned envelope is quarantined, which only the sequenced
-    /// (Reliable) path can recover from via `Resync` anti-entropy.
+    /// transport's ack/retransmit machinery. Corruption counts: a poisoned
+    /// envelope is quarantined, and recovering it takes the `Resync`
+    /// anti-entropy only an ack-bearing receiver sends.
     pub fn has_transport_faults(&self) -> bool {
         self.loss_probability > 0.0
             || self.ack_loss_probability > 0.0
             || self.corruption_probability > 0.0
             || !self.partitions.is_empty()
-    }
-
-    /// All partition windows of the directed link `from → to`, in start
-    /// order.
-    pub fn link_partitions(&self, from: u16, to: u16) -> Vec<PartitionWindow> {
-        let mut windows: Vec<PartitionWindow> = self
-            .partitions
-            .iter()
-            .filter(|w| w.from_site == from && w.to_site == to)
-            .copied()
-            .collect();
-        windows.sort_by_key(|w| w.from);
-        windows
     }
 
     /// The scheduled (site-level) faults in canonical order: by site, crashes
@@ -917,7 +905,6 @@ mod tests {
         assert!(!plan.link_partitioned(1, 2, Epoch(299)));
         assert!(!plan.link_partitioned(2, 1, Epoch(601)));
         assert!(!plan.link_partitioned(0, 1, Epoch(400)));
-        assert_eq!(plan.link_partitions(1, 2).len(), 1);
         assert_eq!(plan.events().len(), 2, "one window per direction");
         // Loss draws stay quiet on a scripted partition plan.
         assert!(!plan.message_lost(1, 2, TagId::item(1), Epoch(10), 0));
@@ -931,7 +918,7 @@ mod tests {
         let lossy = lossy_plan(5);
         assert!(
             !lossy.has_transport_faults(),
-            "lossy preset must keep the legacy direct-delivery byte behavior"
+            "delay and duplication lose nothing, so the lossy preset needs no acks"
         );
         assert!(!lossy.message_lost(0, 1, TagId::item(1), Epoch(5), 0));
         assert!(!lossy.ack_lost(0, 1, TagId::item(1), Epoch(5), 0));

@@ -225,11 +225,6 @@ impl TagSerials {
         self.pallet += 1;
         t
     }
-
-    /// Number of item tags allocated so far.
-    pub fn items_allocated(&self) -> u64 {
-        self.item
-    }
 }
 
 #[cfg(test)]
@@ -345,6 +340,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.kind(), rfid_types::TagKind::Item);
         assert_eq!(c.kind(), rfid_types::TagKind::Case);
-        assert_eq!(s.items_allocated(), 2);
     }
 }

@@ -98,19 +98,6 @@ impl ReadRateTable {
             .sum()
     }
 
-    /// Return a copy of the table with every entry multiplied by
-    /// `(1 + error)` (clamped). Models imperfect read-rate calibration.
-    pub fn perturbed(&self, error: f64) -> ReadRateTable {
-        ReadRateTable {
-            num_locations: self.num_locations,
-            rates: self
-                .rates
-                .iter()
-                .map(|p| clamp(p * (1.0 + error)))
-                .collect(),
-        }
-    }
-
     fn index(&self, reader: LocationId, at: LocationId) -> usize {
         let (r, a) = (reader.index(), at.index());
         assert!(
@@ -151,15 +138,6 @@ mod tests {
         let a = LocationId(2);
         let manual: f64 = (0..3).map(|r| t.log_miss(LocationId(r), a)).sum();
         assert!((t.log_all_miss(a) - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perturbed_scales_rates() {
-        let t = ReadRateTable::diagonal(2, 0.8, 0.1);
-        let p = t.perturbed(0.1);
-        assert!((p.rate(LocationId(0), LocationId(0)) - 0.88).abs() < 1e-9);
-        let q = t.perturbed(10.0);
-        assert!(q.rate(LocationId(0), LocationId(0)) <= MAX_RATE);
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct PendingShipment {
     pub tag: TagId,
     /// Epoch at which the shipment arrives.
     pub arrive: Epoch,
-    /// Per-edge transport sequence number (0 when the transport is off).
+    /// Per-edge transport sequence number (0 when the shipment carries no
+    /// state).
     pub seq: u64,
     /// Epoch at which the physical object arrives; `arrive` is when the
     /// *state message* is delivered, which trails it under retransmission.
