@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks of the surrounding pipeline: trace generation,
-//! the SMURF* baseline, the streaming engine, the pattern matcher, and
-//! centroid-based query-state sharing.
+//! the SMURF* baseline, the streaming engine, the pattern matcher,
+//! centroid-based query-state sharing, and the critical-region migration
+//! path of one shipment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rfid_core::{InferenceConfig, InferenceEngine};
+use rfid_core::{InferenceConfig, InferenceEngine, MigrationState};
 use rfid_dist::{WireCodec, WireFormat};
 use rfid_query::{share_states_with, ExposureAutomaton, ObjectQueryState};
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
 use rfid_smurf::{SmurfStar, SmurfStarConfig};
-use rfid_types::{Epoch, TagId, Trace};
+use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId, Trace};
+use std::collections::BTreeSet;
 
 fn small_trace() -> Trace {
     WarehouseSimulator::new(
@@ -102,12 +104,65 @@ fn bench_state_sharing(c: &mut Criterion) {
     });
 }
 
+/// One physical shipment under `CriticalRegionReadings`: 3 cases of 20 items
+/// read together for 120 s, so every item names all three cases as
+/// candidates and the per-shipment tag dedup has 59 repeats of each to skip.
+fn bench_migration_path(c: &mut Criterion) {
+    let config = InferenceConfig::default()
+        .with_period(120)
+        .without_change_detection();
+    let rates = ReadRateTable::diagonal(2, 0.8, 1e-4);
+    let items: Vec<TagId> = (0..60).map(TagId::item).collect();
+    let tags: Vec<TagId> = items
+        .iter()
+        .copied()
+        .chain((0..3).map(TagId::case))
+        .collect();
+    let mut origin = InferenceEngine::new(config.clone(), rates.clone());
+    for t in 0..120 {
+        for &tag in &tags {
+            origin.observe(RawReading::new(Epoch(t), tag, ReaderId(0)));
+        }
+    }
+    origin.run_inference(Epoch(120));
+    let codec = WireCodec::new(WireFormat::Binary);
+    let mut group = c.benchmark_group("migration_path");
+    group.sample_size(10);
+    group.bench_function("one_shipment_3_cases_60_objects", |b| {
+        b.iter(|| {
+            // The goods reach the destination's reader before their state
+            // does: the import lands behind one local reading per tag.
+            let mut destination = InferenceEngine::new(config.clone(), rates.clone());
+            for &tag in &tags {
+                destination.observe(RawReading::new(Epoch(180), tag, ReaderId(1)));
+            }
+            let mut shipped = BTreeSet::new();
+            let mut bytes = 0;
+            for &item in &items {
+                let state = origin.export_readings_for_shipment(item, &mut shipped);
+                let payload = codec.encode_migration(&MigrationState::Readings(state));
+                bytes += payload.len();
+                let state = codec.decode_migration(&payload).expect("just encoded");
+                destination.import_state(state);
+            }
+            // `forget` runs on the destination's copy of the same lists, so
+            // the origin stays whole for the next iteration.
+            for &tag in &tags {
+                destination.forget(tag);
+            }
+            (bytes, destination.stored_observations())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_trace_generation,
     bench_smurf_star,
     bench_streaming_engine,
     bench_pattern_matcher,
-    bench_state_sharing
+    bench_state_sharing,
+    bench_migration_path
 );
 criterion_main!(benches);

@@ -23,6 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentMap, Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReadingBatch, TagId,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,7 +74,8 @@ pub struct ImportSummary {
     pub object: Option<TagId>,
     /// Collapsed co-location weights merged into the prior.
     pub weights: usize,
-    /// Critical-region readings re-observed into the store.
+    /// Critical-region readings that changed the store: a reading the store
+    /// already held is not counted.
     pub readings: usize,
 }
 
@@ -456,15 +458,33 @@ impl InferenceEngine {
     /// readings plus those of its candidate containers (Section 4.1,
     /// *Truncating History*).
     pub fn export_readings(&self, object: TagId) -> ReadingsState {
-        let mut tags = vec![object];
-        if let Some(outcome) = &self.last_outcome {
-            if let Some(evidence) = outcome.objects.get(&object) {
-                tags.extend(evidence.candidates.iter().copied());
-            }
-        }
+        self.export_readings_for_shipment(object, &mut BTreeSet::new())
+    }
+
+    /// [`Self::export_readings`] for one object of a shipment: a tag already
+    /// in `shipped` (a candidate an earlier object carried) is skipped before
+    /// any reading is materialised, and every tag exported joins the set.
+    /// While neither the store nor the last outcome changes between the
+    /// calls sharing a set, a tag's readings are the same whichever object
+    /// names it, so this is exactly reading-level dedup across the shipment.
+    pub fn export_readings_for_shipment(
+        &self,
+        object: TagId,
+        shipped: &mut BTreeSet<TagId>,
+    ) -> ReadingsState {
+        let candidates = self
+            .last_outcome
+            .as_ref()
+            .and_then(|o| o.objects.get(&object))
+            .map_or(&[][..], |e| &e.candidates);
         let mut readings = Vec::new();
-        for tag in tags {
-            for obs in self.store.obs_for(tag) {
+        for &tag in std::iter::once(&object).chain(candidates) {
+            if !shipped.insert(tag) {
+                continue;
+            }
+            let list = self.store.obs_for(tag);
+            readings.reserve(list.iter().map(|o| o.readers.len()).sum());
+            for obs in list {
                 for reader in &obs.readers {
                     readings.push(RawReading::new(obs.epoch, tag, reader.reader()));
                 }
@@ -509,14 +529,20 @@ impl InferenceEngine {
                     readings: 0,
                 }
             }
-            MigrationState::Readings(readings) => {
+            MigrationState::Readings(mut readings) => {
                 if let Some(container) = readings.container {
                     self.containment.set(readings.object, container);
                 }
                 self.dirty.mark(readings.object);
-                let count = readings.readings.len();
-                for r in readings.readings {
-                    self.observe(r);
+                // One store merge and one journal entry per run of
+                // consecutive same-tag readings (exports lay a payload out
+                // tag by tag; any other order only means shorter runs).
+                let mut count = 0;
+                for run in readings.readings.chunk_by_mut(|a, b| a.tag == b.tag) {
+                    let tag = run[0].tag;
+                    let (changed, added) = self.store.insert_run(tag, run);
+                    self.dirty.record_all(tag, changed);
+                    count += added;
                 }
                 ImportSummary {
                     object: Some(readings.object),
@@ -530,7 +556,7 @@ impl InferenceEngine {
     /// Forget everything about a tag (used when an object permanently leaves
     /// a site and its state has been shipped elsewhere).
     pub fn forget(&mut self, tag: TagId) {
-        let removed = self.store.retain_ranges_for(tag, &[]);
+        let removed = self.store.remove_tag(tag);
         self.dirty.record_all(tag, removed);
     }
 
@@ -876,6 +902,20 @@ mod tests {
 
         // A no-op migration merges nothing.
         assert!(!degraded.import_late_state(MigrationState::None).merged());
+
+        // `readings` counts what changed the store, not the payload: the
+        // same critical-region state imported twice (a payload that also
+        // repeats a reading) merges both times and adds nothing the second.
+        let mut state = origin.export_readings(TagId::item(1));
+        let distinct = state.readings.len();
+        state.readings.push(state.readings[0]);
+        let state = MigrationState::Readings(state);
+        let first = degraded.import_late_state(state.clone());
+        assert_eq!((first.object, first.weights), (Some(TagId::item(1)), 0));
+        assert_eq!(first.readings, distinct);
+        let second = degraded.import_late_state(state);
+        assert!(second.merged());
+        assert_eq!(second.readings, 0);
     }
 
     #[test]

@@ -76,28 +76,38 @@ impl Observations {
         }
     }
 
-    /// Merge every reading of another index into this one.
+    /// Merge a run of readings of one tag — in any order, duplicates
+    /// included; sorted in place — into the index.
     ///
-    /// Equivalent to replaying `other` reading by reading through
-    /// [`Self::insert`] — the resulting index is identical, so callers that
-    /// journal dirtiness can treat every `(tag, epoch)` of `other` as
-    /// potentially changed — but runs in `O(n + m)` per tag instead of
-    /// `O(m · n)`: a tag absent from this index is adopted wholesale, a
-    /// batch of strictly newer epochs (the append-only case of streaming
-    /// ingestion) is appended in one `extend`, and interleaved ranges fall
-    /// back to a single sorted two-list merge with no per-entry `Vec::insert`
-    /// shifting.
-    pub fn merge(&mut self, other: &Observations) {
-        for (tag, list) in &other.per_tag {
-            match self.per_tag.entry(*tag) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(list.clone());
+    /// Equivalent to replaying the run through [`Self::insert`], but the
+    /// tag's list is resolved once and merged in `O(n + m)` rather than
+    /// searched and shifted per reading. Returns what `insert` reports one
+    /// `bool` at a time: the epochs at which the tag's observations changed,
+    /// ascending, and the number of readings not already present.
+    pub fn insert_run(&mut self, tag: TagId, run: &mut [RawReading]) -> (Vec<Epoch>, usize) {
+        debug_assert!(run.iter().all(|r| r.tag == tag), "a run is one tag's");
+        if run.is_empty() {
+            return (Vec::new(), 0);
+        }
+        // With the tag fixed, `RawReading`'s order is (epoch, reader) — the
+        // order exports produce, which the sort detects in one pass.
+        run.sort_unstable();
+        let mut src: Vec<ObsAt> = Vec::new();
+        for r in run {
+            let loc = r.reader.location();
+            match src.last_mut() {
+                Some(last) if last.epoch == r.time => {
+                    if last.readers.last() != Some(&loc) {
+                        last.readers.push(loc);
+                    }
                 }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    merge_obs_lists(slot.get_mut(), list);
-                }
+                _ => src.push(ObsAt {
+                    epoch: r.time,
+                    readers: vec![loc],
+                }),
             }
         }
+        merge_obs_lists(self.per_tag.entry(tag).or_default(), src)
     }
 
     /// All tags with at least one observation.
@@ -239,6 +249,13 @@ impl Observations {
         removed
     }
 
+    /// Drop every observation of one tag; returns the removed epochs, as
+    /// `retain_ranges_for(tag, &[])` would.
+    pub fn remove_tag(&mut self, tag: TagId) -> Vec<Epoch> {
+        let list = self.per_tag.remove(&tag).unwrap_or_default();
+        list.into_iter().map(|o| o.epoch).collect()
+    }
+
     /// The set of epochs at which any of the given tags was observed.
     pub fn epochs_of(&self, tags: &[TagId]) -> BTreeSet<Epoch> {
         let mut set = BTreeSet::new();
@@ -280,48 +297,57 @@ fn colocated_epochs(object_obs: &[ObsAt], obs_list: &[ObsAt]) -> usize {
 /// Merge one tag's sorted observation list into another, preserving the
 /// per-epoch sorted, de-duplicated reader lists. `dst` and `src` are both in
 /// strictly ascending epoch order (the invariant [`Observations::insert`]
-/// maintains).
-fn merge_obs_lists(dst: &mut Vec<ObsAt>, src: &[ObsAt]) {
-    if src.is_empty() {
-        return;
-    }
-    // Append-only fast path: every incoming epoch is newer than everything
-    // stored — the common case when batches arrive in time order.
-    match dst.last() {
-        None => {
-            dst.extend(src.iter().cloned());
-            return;
+/// maintains). Returns the epochs of `dst` that changed, ascending, and the
+/// number of `(epoch, reader)` pairs added.
+fn merge_obs_lists(dst: &mut Vec<ObsAt>, mut src: Vec<ObsAt>) -> (Vec<Epoch>, usize) {
+    let (Some(first), Some(last)) = (src.first(), src.last()) else {
+        return (Vec::new(), 0);
+    };
+    // Disjoint fast paths: the run lies wholly after what is stored (or
+    // nothing is) or wholly before it — migrated history landing behind the
+    // first local readings. Every incoming observation is new either way.
+    let after = dst.last().is_none_or(|o| first.epoch > o.epoch);
+    let before = dst.first().is_some_and(|o| last.epoch < o.epoch);
+    if after || before {
+        let changed = src.iter().map(|o| o.epoch).collect();
+        let added = src.iter().map(|o| o.readers.len()).sum();
+        if before || dst.is_empty() {
+            src.append(dst);
+            *dst = src;
+        } else {
+            dst.append(&mut src);
         }
-        Some(last) if src[0].epoch > last.epoch => {
-            dst.extend(src.iter().cloned());
-            return;
-        }
-        _ => {}
+        return (changed, added);
     }
+    let mut changed = Vec::new();
+    let mut added = 0usize;
     let old = std::mem::take(dst);
     dst.reserve(old.len() + src.len());
     let mut a = old.into_iter().peekable();
-    let mut b = src.iter().peekable();
+    let mut b = src.into_iter().peekable();
     loop {
         match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => match x.epoch.cmp(&y.epoch) {
-                std::cmp::Ordering::Less => dst.push(a.next().expect("peeked")),
-                std::cmp::Ordering::Greater => dst.push(b.next().expect("peeked").clone()),
-                std::cmp::Ordering::Equal => {
-                    let mut obs = a.next().expect("peeked");
-                    merge_sorted_readers(&mut obs.readers, &b.next().expect("peeked").readers);
-                    dst.push(obs);
+            (Some(x), Some(y)) if x.epoch < y.epoch => dst.push(a.next().expect("peeked")),
+            (Some(x), Some(y)) if x.epoch == y.epoch => {
+                let mut obs = a.next().expect("peeked");
+                let had = obs.readers.len();
+                merge_sorted_readers(&mut obs.readers, &b.next().expect("peeked").readers);
+                if obs.readers.len() > had {
+                    changed.push(obs.epoch);
+                    added += obs.readers.len() - had;
                 }
-            },
-            (Some(_), None) => {
+                dst.push(obs);
+            }
+            (_, Some(_)) => {
+                let obs = b.next().expect("peeked");
+                changed.push(obs.epoch);
+                added += obs.readers.len();
+                dst.push(obs);
+            }
+            (_, None) => {
                 dst.extend(a);
-                return;
+                return (changed, added);
             }
-            (None, Some(_)) => {
-                dst.extend(b.cloned());
-                return;
-            }
-            (None, None) => return,
         }
     }
 }
@@ -507,20 +533,43 @@ mod tests {
             .is_empty());
     }
 
+    /// Whole-tag removal is `retain_ranges_for(tag, &[])` by another route:
+    /// same removed epochs, same index afterwards — for a tag with
+    /// observations, one already removed and one never seen.
+    #[test]
+    fn remove_tag_matches_retaining_no_range() {
+        for tag in [TagId::item(1), TagId::case(2), TagId::item(42)] {
+            let mut whole = sample();
+            let mut ranged = sample();
+            for _ in 0..2 {
+                assert_eq!(whole.remove_tag(tag), ranged.retain_ranges_for(tag, &[]));
+                assert_eq!(whole, ranged);
+            }
+            assert!(whole.obs_for(tag).is_empty());
+        }
+        let mut obs = sample();
+        assert_eq!(
+            obs.remove_tag(TagId::item(1)),
+            vec![Epoch(1), Epoch(2), Epoch(3)]
+        );
+    }
+
     #[test]
     fn merge_combines_indexes() {
         let mut a = Observations::new();
         a.insert(read(1, TagId::item(1), 0));
-        let mut b = Observations::new();
-        b.insert(read(2, TagId::item(1), 1));
-        b.insert(read(1, TagId::item(1), 0)); // overlap
-        a.merge(&b);
+        let mut run = [
+            read(2, TagId::item(1), 1),
+            read(1, TagId::item(1), 0), // overlap
+        ];
+        assert_eq!(a.insert_run(TagId::item(1), &mut run), (vec![Epoch(2)], 1));
         assert_eq!(a.obs_for(TagId::item(1)).len(), 2);
     }
 
-    /// The batch merge (vacant-tag adoption, append-only extension, and the
-    /// general interleaved two-list merge) must produce exactly the index
-    /// that reading-by-reading insertion produces.
+    /// The run merge (vacant-tag adoption, append-only extension, and the
+    /// general interleaved two-list merge) must produce exactly the index,
+    /// the changed epochs and the new-reading count that reading-by-reading
+    /// insertion produces — whatever the order of the run.
     #[test]
     fn merge_matches_insert_by_insert_reference() {
         // A deterministic little generator is enough to hit every path:
@@ -535,8 +584,8 @@ mod tests {
         };
         for _ in 0..50 {
             let mut base = Observations::new();
-            let mut incoming = Observations::new();
             let mut reference = Observations::new();
+            let mut incoming: BTreeMap<TagId, Vec<RawReading>> = BTreeMap::new();
             for _ in 0..60 {
                 let r = read(
                     (next() % 20) as u32,
@@ -551,43 +600,53 @@ mod tests {
                     base.insert(r);
                     reference.insert(r);
                 } else {
-                    incoming.insert(r);
+                    incoming.entry(r.tag).or_default().push(r);
                 }
             }
-            // the reference replays `incoming` through insert()
-            for (tag, list) in &incoming.per_tag {
-                for obs in list {
-                    for reader in &obs.readers {
-                        reference.insert(RawReading::new(obs.epoch, *tag, reader.reader()));
+            for (tag, run) in &mut incoming {
+                // the reference replays the (unsorted, duplicated) run
+                // through insert()
+                let mut changed = BTreeSet::new();
+                let mut added = 0;
+                for r in run.iter() {
+                    if reference.insert(*r) {
+                        changed.insert(r.time);
+                        added += 1;
                     }
                 }
+                let changed: Vec<Epoch> = changed.into_iter().collect();
+                assert_eq!(base.insert_run(*tag, run), (changed, added));
             }
-            base.merge(&incoming);
             assert_eq!(base.per_tag, reference.per_tag);
         }
     }
 
     #[test]
     fn merge_append_only_and_vacant_fast_paths() {
+        let item = TagId::item(1);
         let mut a = Observations::new();
-        a.insert(read(1, TagId::item(1), 0));
-        a.insert(read(2, TagId::item(1), 1));
-        let mut b = Observations::new();
+        a.insert(read(1, item, 0));
+        a.insert(read(2, item, 1));
         // strictly newer epochs for an existing tag → append path
-        b.insert(read(5, TagId::item(1), 0));
-        b.insert(read(6, TagId::item(1), 2));
+        let mut newer = [read(5, item, 0), read(6, item, 2)];
+        assert_eq!(
+            a.insert_run(item, &mut newer),
+            (vec![Epoch(5), Epoch(6)], 2)
+        );
         // unseen tag → adoption path
-        b.insert(read(3, TagId::case(7), 1));
-        a.merge(&b);
-        assert_eq!(a.obs_for(TagId::item(1)).len(), 4);
+        let mut unseen = [read(3, TagId::case(7), 1)];
+        assert_eq!(
+            a.insert_run(TagId::case(7), &mut unseen),
+            (vec![Epoch(3)], 1)
+        );
+        assert_eq!(a.obs_for(item).len(), 4);
         assert_eq!(a.obs_for(TagId::case(7)).len(), 1);
-        // merging an empty index is a no-op; merging into empty adopts all
-        let before = a.len();
-        a.merge(&Observations::new());
-        assert_eq!(a.len(), before);
-        let mut fresh = Observations::new();
-        fresh.merge(&a);
-        assert_eq!(fresh.per_tag, a.per_tag);
+        // an empty run is a no-op that leaves no empty list behind; a replayed
+        // run changes nothing
+        let before = a.clone();
+        assert_eq!(a.insert_run(TagId::case(9), &mut []), (Vec::new(), 0));
+        assert_eq!(a.insert_run(item, &mut newer), (Vec::new(), 0));
+        assert_eq!(a, before);
     }
 
     #[test]

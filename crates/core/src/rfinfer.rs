@@ -282,11 +282,17 @@ impl DirtySet {
 
     /// Record a batch of changed epochs for one tag. A no-op when `epochs`
     /// is empty, so callers can pass the removal list of
-    /// [`Observations::retain_ranges_for`] unconditionally.
+    /// [`Observations::retain_ranges_for`] unconditionally. A tag with no
+    /// epochs journaled yet takes the batch as one bulk-built set.
     pub fn record_all<I: IntoIterator<Item = Epoch>>(&mut self, tag: TagId, epochs: I) {
         let mut iter = epochs.into_iter().peekable();
         if iter.peek().is_some() {
-            self.changed.entry(tag).or_default().extend(iter);
+            let set = self.changed.entry(tag).or_default();
+            if set.is_empty() {
+                *set = iter.collect();
+            } else {
+                set.extend(iter);
+            }
         }
     }
 

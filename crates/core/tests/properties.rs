@@ -11,7 +11,8 @@ use rfid_core::{
     TruncationPolicy,
 };
 use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, ReadingBatch, TagId};
-use std::collections::BTreeMap;
+use rfid_wire::{WireCodec, WireFormat};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How one engine of the solver-equivalence matrix runs its inference: the
 /// product call, or — through the hidden `run_inference_with` seam — the tree
@@ -176,6 +177,22 @@ fn drive(matrix: &[Solve], ops: &[Op], mut after_run: impl FnMut(&[InferenceRepo
     }
 }
 
+/// The shipment rule the driver used before exports deduplicated by tag:
+/// export every object on its own and drop each reading an earlier object of
+/// the shipment already carried.
+fn export_deduplicating_readings(
+    engine: &InferenceEngine,
+    shipment: &[TagId],
+) -> Vec<ReadingsState> {
+    let mut shipped: BTreeSet<RawReading> = BTreeSet::new();
+    let export = |&object| {
+        let mut state = engine.export_readings(object);
+        state.readings.retain(|r| shipped.insert(*r));
+        state
+    };
+    shipment.iter().map(export).collect()
+}
+
 fn naive_loglik(rates: &ReadRateTable, readers: &[LocationId], at: LocationId) -> f64 {
     rates
         .locations()
@@ -320,6 +337,98 @@ proptest! {
         ),
     ) {
         drive(&[Solve::Product, Solve::DenseFull], &ops, |_, _| {});
+    }
+
+    /// One shipment's critical-region exports, deduplicated by tag before
+    /// anything is materialised, are byte for byte the payloads the old rule
+    /// produced (one-object exports filtered reading by reading) — with
+    /// objects of one case sharing candidates, an object the last run never
+    /// saw, a candidate whose observations are gone, an object that never
+    /// existed and an object dispatched twice all on the same shipment.
+    #[test]
+    fn shipment_export_matches_reading_level_dedup(
+        co_located in prop::collection::vec((0u32..40, 0u64..4, 0u64..3, 0u16..3), 20..120),
+        late_reader in 0u16..3,
+        order in prop::collection::vec(0u64..6, 2..10),
+    ) {
+        let mut engine = equivalence_engine();
+        for &(t, obj, cont, reader) in &co_located {
+            engine.observe(RawReading::new(Epoch(t), TagId::item(obj), ReaderId(reader)));
+            engine.observe(RawReading::new(Epoch(t), TagId::case(cont), ReaderId(reader)));
+        }
+        let report = engine.run_inference(Epoch(40));
+        // Item 4 is read only after the run (stored, but no outcome entry),
+        // item 5 never; the most popular candidate loses its observations.
+        engine.observe(RawReading::new(Epoch(41), TagId::item(4), ReaderId(late_reader)));
+        let mut popularity: BTreeMap<TagId, usize> = BTreeMap::new();
+        for evidence in report.outcome.objects.values() {
+            for &candidate in &evidence.candidates {
+                *popularity.entry(candidate).or_default() += 1;
+            }
+        }
+        if let Some((&shared, _)) = popularity.iter().max_by_key(|(_, &n)| n) {
+            engine.forget(shared);
+        }
+
+        let shipment: Vec<TagId> = order.iter().map(|&o| TagId::item(o)).collect();
+        let codec = WireCodec::new(WireFormat::Binary);
+        let mut shipped = BTreeSet::new();
+        for (object, old) in shipment.iter().zip(export_deduplicating_readings(&engine, &shipment)) {
+            let new = engine.export_readings_for_shipment(*object, &mut shipped);
+            prop_assert_eq!(
+                codec.encode_migration(&MigrationState::Readings(new)),
+                codec.encode_migration(&MigrationState::Readings(old)),
+                "payload of {:?} in shipment {:?}", object, shipment
+            );
+        }
+    }
+
+    /// Importing critical-region readings run by run leaves the engine in
+    /// exactly the state — store, dirty journal, containment, everything a
+    /// snapshot holds — that observing the payload reading by reading left
+    /// it in, and reports how many readings were new: for payloads in export
+    /// order and shuffled, with duplicates, several readers per epoch, tags
+    /// interleaved, and epochs before, among and after what the engine holds.
+    #[test]
+    fn import_by_runs_matches_observing_each_reading(
+        local in prop::collection::vec((0u32..40, 0u64..3, any::<bool>(), 0u16..3), 0..60),
+        ran in any::<bool>(),
+        payload in prop::collection::vec((0u32..60, 0u64..3, any::<bool>(), 0u16..3), 0..80),
+        export_order in any::<bool>(),
+    ) {
+        let tag = |serial: u64, is_case: bool| if is_case { TagId::case(serial) } else { TagId::item(serial) };
+        let mut by_runs = equivalence_engine();
+        for &(t, serial, is_case, reader) in &local {
+            by_runs.observe(RawReading::new(Epoch(t), tag(serial, is_case), ReaderId(reader)));
+        }
+        if ran && !local.is_empty() {
+            by_runs.run_inference(Epoch(40));
+        }
+        let mut one_by_one = equivalence_engine();
+        one_by_one.restore(by_runs.snapshot());
+
+        let mut readings: Vec<RawReading> = payload
+            .iter()
+            .map(|&(t, serial, is_case, reader)| RawReading::new(Epoch(t), tag(serial, is_case), ReaderId(reader)))
+            .collect();
+        if export_order {
+            readings.sort_by_key(|r| (r.tag, r.time, r.reader));
+        }
+        let mut store = by_runs.snapshot().store;
+        let fresh = readings.iter().filter(|r| store.insert(**r)).count();
+
+        let state = |readings| MigrationState::Readings(ReadingsState {
+            object: TagId::item(0),
+            readings,
+            container: Some(TagId::case(1)),
+        });
+        let summary = by_runs.import_late_state(state(readings.clone()));
+        one_by_one.import_state(state(Vec::new()));
+        for r in readings {
+            one_by_one.observe(r);
+        }
+        prop_assert_eq!(summary.readings, fresh);
+        prop_assert_eq!(by_runs.snapshot(), one_by_one.snapshot());
     }
 
     /// `RetentionPlan::ranges_for` always yields ascending, disjoint,

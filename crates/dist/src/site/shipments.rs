@@ -12,7 +12,7 @@ use crate::transport::{DeliveryPlan, TransportMode};
 use rfid_core::MigrationState;
 use rfid_query::sharing::unshared_bytes_with;
 use rfid_query::{share_states_with, ObjectQueryState};
-use rfid_types::{Epoch, RawReading, SiteId, TagId};
+use rfid_types::{Epoch, SiteId, TagId};
 use rfid_wire::{ControlMsg, PendingShipment, QuarantineEntry};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -255,11 +255,13 @@ impl SiteState<'_> {
             // reliable transport the bundle rides on every retransmission, so
             // it is charged once per the slowest envelope's attempt count.
             let mut group_attempts = 1u32;
-            // Readings already on this shipment: a migrating object re-ships
-            // its candidate containers' critical-region readings, and objects
-            // of one case share those candidates, so without per-shipment
-            // dedup the same container readings travel once per object.
-            let mut shipped_readings: BTreeSet<RawReading> = BTreeSet::new();
+            // Tags whose readings are already on this shipment: objects of
+            // one case share candidate containers, whose critical-region
+            // readings would otherwise travel once per object. Nothing
+            // mutates the engine's store or outcome before the `forget` loop
+            // that ends the group, which is what makes skipping a tag exactly
+            // reading-level dedup.
+            let mut shipped_tags: BTreeSet<TagId> = BTreeSet::new();
             for &tag in &tags {
                 // Inference state: objects carry state, containers are
                 // re-localized from their own readings at the next site.
@@ -271,11 +273,11 @@ impl SiteState<'_> {
                         MigrationStrategy::CollapsedWeights => {
                             MigrationState::Collapsed(self.unit.engine.export_collapsed(tag))
                         }
-                        MigrationStrategy::CriticalRegionReadings => {
-                            let mut readings = self.unit.engine.export_readings(tag);
-                            readings.readings.retain(|r| shipped_readings.insert(*r));
-                            MigrationState::Readings(readings)
-                        }
+                        MigrationStrategy::CriticalRegionReadings => MigrationState::Readings(
+                            self.unit
+                                .engine
+                                .export_readings_for_shipment(tag, &mut shipped_tags),
+                        ),
                         MigrationStrategy::Centralized => unreachable!(),
                     }
                 };
