@@ -1,32 +1,86 @@
 //! # rfid-bench
 //!
-//! The benchmark harness: one function per table and figure of the paper's
-//! evaluation (Section 5 and Appendix C), shared by the `experiments` binary
-//! and the integration tests, plus criterion micro-benchmarks (in
-//! `benches/`).
+//! The benchmark harness: the tables and figures of the paper's evaluation
+//! (Section 5 and Appendix C) and the repo's four extension studies, shared
+//! by the `experiments` binary and the integration tests, plus criterion
+//! micro-benchmarks (in `benches/`).
 //!
-//! Every experiment accepts a [`Scale`] so that the same code can run as a
-//! quick smoke test (CI) or at a size closer to the paper's setup. Results
-//! are returned as [`rfid_eval::Table`]s and [`rfid_eval::Series`], which the
-//! binary prints and `docs/EXPERIMENTS.md` quotes. The four tracked
-//! experiments ([`wire`], [`faults`], [`degraded`], [`chaos`]) return a
-//! [`report::Report`] instead: one declaration that renders both their
-//! tables and, under the binary's `--out-dir`, the checked-in
-//! `BENCH_<experiment>.json`.
+//! Every experiment accepts a [`Scale`], so the same code runs as a quick
+//! smoke test (CI) or at a size closer to the paper's setup, and returns a
+//! [`report::Report`]: one declaration per column renders both the tables
+//! the binary prints and, under its `--out-dir`, the checked-in
+//! `BENCH_<experiment>.json`. [`EXPERIMENTS`] names them all; [`paper()`] is
+//! the paper's whole Section 5 as one tracked report, closed by the paper's
+//! claims judged against its own columns.
 
 #![warn(missing_docs)]
 
 pub mod distributed;
+pub mod paper;
 pub mod report;
 pub mod single_site;
 
 pub use distributed::{
-    chaos, degraded, faults, fig5e, fig5f, parallel_scaling, scalability, table5, table_query, wire,
+    chaos, degraded, faults, fig5e_fig5f, parallel_scaling, scalability, table5, table_query, wire,
 };
+pub use paper::paper;
 pub use single_site::{
-    evaluate_rfinfer, evaluate_smurf_star, fig4, fig5a, fig5b, fig5c, fig5d, fig6a, fig6b, table3,
-    table4, SingleSiteEval,
+    evaluate_rfinfer, evaluate_smurf_star, fig4, fig5a_fig6a, fig5b_fig6b, fig5c, fig5d,
+    table3_table4, SingleSiteEval,
 };
+
+use report::{Kind, Report, Section};
+
+/// An experiment: its whole output at one scale.
+pub type Experiment = fn(Scale) -> Report;
+
+/// Every name the `experiments` binary accepts. The names before `paper` are
+/// its parts — each runs the sweep that carries that figure or table, so two
+/// figures of one sweep share a function; `paper` onward is what runs when
+/// no name is given.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig4", fig4),
+    ("fig5a", fig5a_fig6a),
+    ("fig5b", fig5b_fig6b),
+    ("fig5c", fig5c),
+    ("fig5d", fig5d),
+    ("fig5e", fig5e_fig5f),
+    ("fig5f", fig5e_fig5f),
+    ("fig6a", fig5a_fig6a),
+    ("fig6b", fig5b_fig6b),
+    ("table3", table3_table4),
+    ("table4", table3_table4),
+    ("table5", table5),
+    ("table_query", table_query),
+    ("paper", paper),
+    ("scalability", scalability),
+    ("parallel_scaling", parallel_scaling),
+    ("wire", wire),
+    ("faults", faults),
+    ("degraded", degraded),
+    ("chaos", chaos),
+];
+
+/// A percentage: one decimal in the table, two in the JSON.
+const PCT: Kind = Kind::Float(1, 2);
+/// Three decimals: a line of a figure, or a wall-clock in seconds.
+const MILLI: Kind = Kind::Float(3, 3);
+/// A read rate.
+const RATE: Kind = Kind::Float(1, 1);
+
+/// The report of some of the paper's figures and tables on their simulated
+/// workloads.
+fn figures(experiment: &'static str, scale: Scale, sections: Vec<Section>) -> Report {
+    Report {
+        experiment,
+        scale,
+        reference: "per section: warehouse traces (seed 71), supply chains (seed 97), \
+                    lab traces T1-T8, the evidence scenario",
+        metric: None,
+        plan: None,
+        sections,
+    }
+}
 
 /// How large to make each experiment's workload.
 #[derive(Debug, Clone, Copy, PartialEq)]

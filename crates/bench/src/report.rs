@@ -1,11 +1,13 @@
-//! The one report type behind every tracked experiment.
+//! The one output type of every experiment.
 //!
-//! A study function pushes rows of [`Field`]s into a [`Section`]; each field
-//! is written once, as one expression naming its table header, its JSON key,
-//! its [`Kind`] and its value. [`Section::table`] renders the text table and
+//! An experiment pushes rows of [`Field`]s into a [`Section`]; each field is
+//! written once, as one expression naming its table header, its JSON key, its
+//! [`Kind`] and its value. [`Section::table`] renders the text table and
 //! [`Report::json`] the checked-in `BENCH_<experiment>.json` from those same
 //! fields, so a tracked column is added, renamed or dropped by editing one
-//! line (`docs/EXPERIMENTS.md` lists every column).
+//! line (`docs/EXPERIMENTS.md` lists every column). A figure is a section
+//! with one x column and one column per line of the plot; a wall-clock is a
+//! column without a key, so it prints and is never written.
 
 use crate::Scale;
 use rfid_eval::Table;
@@ -17,6 +19,8 @@ pub enum Kind {
     Text,
     /// An exact unsigned count, printed in full (never through a float).
     Int,
+    /// A verdict, `true` or `false`.
+    Bool,
     /// A float, or a bracketed list of floats, at a fixed number of
     /// decimals: `Float(in the text table, in JSON)`.
     Float(usize, usize),
@@ -29,6 +33,8 @@ pub enum Cell {
     Text(String),
     /// A [`Kind::Int`] value.
     Int(u64),
+    /// A [`Kind::Bool`] value.
+    Bool(bool),
     /// A [`Kind::Float`] value.
     Float(f64),
     /// A list in a [`Kind::Float`] column, every element at its precision.
@@ -44,7 +50,7 @@ macro_rules! cell_from {
         }
     )*};
 }
-cell_from!(&str => Text, String => Text, u32 => Int, u64 => Int, f64 => Float, Vec<f64> => Floats);
+cell_from!(&str => Text, String => Text, u32 => Int, u64 => Int, bool => Bool, f64 => Float, Vec<f64> => Floats);
 
 impl From<usize> for Cell {
     fn from(value: usize) -> Cell {
@@ -78,6 +84,7 @@ impl Field {
         let fits = match &cell {
             Cell::Text(text) => kind == Kind::Text && !text.contains(['"', '\\', '\n']),
             Cell::Int(_) => kind == Kind::Int,
+            Cell::Bool(_) => kind == Kind::Bool,
             Cell::Float(_) | Cell::Floats(_) => matches!(kind, Kind::Float(..)),
         };
         assert!(
@@ -96,12 +103,13 @@ impl Field {
         let decimals = match self.kind {
             Kind::Float(_, decimals) if json => decimals,
             Kind::Float(decimals, _) => decimals,
-            Kind::Text | Kind::Int => 0,
+            Kind::Text | Kind::Int | Kind::Bool => 0,
         };
         match &self.cell {
             Cell::Text(text) if json => format!("\"{text}\""),
             Cell::Text(text) => text.clone(),
             Cell::Int(n) => n.to_string(),
+            Cell::Bool(b) => b.to_string(),
             Cell::Float(x) => format!("{x:.decimals$}"),
             Cell::Floats(xs) => {
                 let xs: Vec<String> = xs.iter().map(|x| format!("{x:.decimals$}")).collect();
@@ -128,7 +136,7 @@ fn object(row: &[Field]) -> String {
     format!("{{{}}}", members.join(", "))
 }
 
-/// One tracked row set.
+/// One row set: a table or a figure.
 #[derive(Debug, Clone)]
 pub struct Section {
     /// Key of the section's row array in the JSON document.
@@ -174,6 +182,21 @@ impl Section {
         self.column(key).into_iter().map(int).collect()
     }
 
+    /// The [`Kind::Float`] column keyed `key`, as numbers.
+    pub fn floats(&self, key: &str) -> Vec<f64> {
+        let float = |cell| match cell {
+            Cell::Float(x) => x,
+            other => panic!("{}.{key}: {other:?} is not a float", self.key),
+        };
+        self.column(key).into_iter().map(float).collect()
+    }
+
+    /// Whether any column declares a JSON key.
+    pub fn is_tracked(&self) -> bool {
+        let first = self.rows.first().map_or(&[][..], Vec::as_slice);
+        first.iter().any(|field| field.key.is_some())
+    }
+
     /// The text table: every column that declares a header.
     pub fn table(&self) -> Table {
         let first = self.rows.first().map_or(&[][..], Vec::as_slice);
@@ -188,7 +211,8 @@ impl Section {
     }
 }
 
-/// One tracked experiment: what `BENCH_<experiment>.json` records.
+/// What one experiment returns: what the binary prints and what
+/// `BENCH_<experiment>.json` records.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment name; the file is `BENCH_<experiment>.json`.
@@ -202,12 +226,19 @@ pub struct Report {
     /// The injected plan, if any: one row of JSON-only fields, written
     /// inline as the `"plan"` object.
     pub plan: Option<Vec<Field>>,
-    /// The tracked row sets, in file order.
+    /// The row sets, in print and file order.
     pub sections: Vec<Section>,
 }
 
 impl Report {
-    /// The JSON document: stable key order, one row object per line.
+    /// The section keyed `key`.
+    pub fn section(&self, key: &str) -> &Section {
+        let section = self.sections.iter().find(|section| section.key == key);
+        section.unwrap_or_else(|| panic!("{}: no section keyed {key:?}", self.experiment))
+    }
+
+    /// The JSON document: stable key order, one row object per line. A
+    /// section without a keyed column is left out.
     pub fn json(&self) -> String {
         let mut members = vec![
             format!("\"scale\": \"{:?}\"", self.scale),
@@ -219,7 +250,7 @@ impl Report {
         if let Some(plan) = &self.plan {
             members.push(format!("\"plan\": {}", object(plan)));
         }
-        for section in &self.sections {
+        for section in self.sections.iter().filter(|section| section.is_tracked()) {
             let rows: Vec<String> = section
                 .rows
                 .iter()
@@ -232,10 +263,20 @@ impl Report {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const PCT: Kind = Kind::Float(1, 2);
+
+    /// The column under `header`: how a test reads a wall-clock, which has
+    /// no key.
+    pub(crate) fn by_header(section: &Section, header: &str) -> Vec<Cell> {
+        let cell = |row: &Vec<Field>| {
+            let field = row.iter().find(|field| field.header == Some(header));
+            field.expect("a column under the header").cell.clone()
+        };
+        section.rows().iter().map(cell).collect()
+    }
 
     fn hand_built() -> Report {
         let mut alpha = Section::new("rows", "Alpha");
@@ -310,6 +351,64 @@ mod tests {
             .filter(|line| !line.contains("\"metric\"") && !line.contains("\"plan\""))
             .collect();
         assert_eq!(report.json(), without);
+    }
+
+    #[test]
+    fn a_figure_is_a_section_and_its_wall_clock_is_never_written() {
+        let mut figure = Section::new("fig", "Figure: error (%) vs read rate");
+        let mut timing = Section::new("timing", "Figure: time (s) vs read rate");
+        for (x, full, cr, secs, per_delta) in [
+            (0.6, 0.0, 2.1333, 0.4567, vec![79.4, 85.0]),
+            (1.0, 0.0, 0.0, 1.25, vec![88.0, 91.26]),
+        ] {
+            figure.push(vec![
+                Field::new("read rate", "read_rate", Kind::Float(1, 1), x),
+                Field::new("Containment(All)", "all_error_pct", Kind::Float(3, 3), full),
+                Field::new("Containment(CR)", "cr_error_pct", Kind::Float(3, 3), cr),
+                Field::new("time (s)", None, Kind::Float(2, 2), secs),
+                Field::new("per delta", "per_delta_f_pct", Kind::Float(0, 2), per_delta),
+                Field::new("ok", "ok", Kind::Bool, cr <= full),
+            ]);
+            timing.push(vec![
+                Field::new("read rate", None, Kind::Float(1, 1), x),
+                Field::new("time (s)", None, Kind::Float(2, 2), secs),
+            ]);
+        }
+        assert!(figure.is_tracked() && !timing.is_tracked());
+        assert_eq!(
+            by_header(&timing, "time (s)"),
+            [0.4567, 1.25].map(Cell::from)
+        );
+        assert_eq!(figure.floats("cr_error_pct"), [2.1333, 0.0]);
+        assert_eq!(
+            figure.table().to_string(),
+            "## Figure: error (%) vs read rate\n\
+             read rate  Containment(All)  Containment(CR)  time (s)  per delta  ok   \n\
+             ---------  ----------------  ---------------  --------  ---------  -----\n\
+             0.6        0.000             2.133            0.46      [79, 85]   false\n\
+             1.0        0.000             0.000            1.25      [88, 91]   true \n"
+        );
+        let report = Report {
+            experiment: "unit",
+            scale: Scale::Default,
+            reference: "one figure, one wall-clock section",
+            metric: None,
+            plan: None,
+            sections: vec![figure, timing],
+        };
+        assert_eq!(report.section("timing").rows().len(), 2);
+        assert_eq!(
+            report.json(),
+            r#"{
+  "scale": "Default",
+  "reference": "one figure, one wall-clock section",
+  "fig": [
+    {"read_rate": 0.6, "all_error_pct": 0.000, "cr_error_pct": 2.133, "per_delta_f_pct": [79.40, 85.00], "ok": false},
+    {"read_rate": 1.0, "all_error_pct": 0.000, "cr_error_pct": 0.000, "per_delta_f_pct": [88.00, 91.26], "ok": true}
+  ]
+}
+"#
+        );
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Single-site experiments: Figures 4, 5(a)–5(d), 6(a)–6(b) and Tables 3–4.
+//! Sweeps that are the same work are one function: the read-rate sweep is
+//! Figures 5(a) + 6(a), the trace-length sweep 5(b) + 6(b), and one change
+//! trace per read rate Tables 3 + 4.
 
-use crate::Scale;
+use crate::report::{
+    Field,
+    Kind::{self, Int, Text},
+    Report, Section,
+};
+use crate::{figures, Scale, MILLI, PCT, RATE};
 use rfid_core::{
     InferenceConfig, InferenceEngine, LikelihoodModel, Observations, RfInfer, TruncationPolicy,
 };
-use rfid_eval::{changes_f_measure, metrics::ReportedChange, ChangeMatchConfig, Series, Table};
+use rfid_eval::{changes_f_measure, metrics::ReportedChange, ChangeMatchConfig};
 use rfid_sim::{EvidenceScenario, LabConfig, LabTraceId, WarehouseConfig, WarehouseSimulator};
 use rfid_smurf::{SmurfStar, SmurfStarConfig};
 use rfid_types::{Epoch, TagId, Trace};
@@ -106,22 +114,11 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
         .count();
     let location_error = 100.0 * wrong as f64 / evaluated as f64;
 
-    // Change-detection F-measure.
-    let reported: Vec<ReportedChange> = engine
-        .detected_changes()
-        .iter()
-        .map(|c| ReportedChange {
-            object: c.object,
-            change_at: c.change_at,
-            new_container: c.new_container,
-        })
-        .collect();
-    let f_measure = changes_f_measure(
-        trace.truth.containment.changes(),
-        &reported,
-        ChangeMatchConfig::default(),
-    )
-    .f_measure();
+    let detected = engine.detected_changes().iter();
+    let f_measure = change_f_measure(
+        trace,
+        detected.map(|c| (c.object, c.change_at, c.new_container)),
+    );
 
     SingleSiteEval {
         containment_error,
@@ -158,21 +155,11 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     }
     let location_error = 100.0 * wrong as f64 / evaluated.max(1) as f64;
 
-    let reported: Vec<ReportedChange> = outcome
-        .changes
-        .iter()
-        .map(|c| ReportedChange {
-            object: c.object,
-            change_at: c.change_at,
-            new_container: c.new_container,
-        })
-        .collect();
-    let f_measure = changes_f_measure(
-        trace.truth.containment.changes(),
-        &reported,
-        ChangeMatchConfig::default(),
-    )
-    .f_measure();
+    let reported = outcome.changes.iter();
+    let f_measure = change_f_measure(
+        trace,
+        reported.map(|c| (c.object, c.change_at, c.new_container)),
+    );
 
     SingleSiteEval {
         containment_error,
@@ -182,283 +169,278 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     }
 }
 
-fn cr_config() -> InferenceConfig {
-    InferenceConfig::default().without_change_detection()
+/// F-measure (%) of the reported `(object, change epoch, new container)`
+/// changes against the trace's true containment changes.
+fn change_f_measure(
+    trace: &Trace,
+    reported: impl Iterator<Item = (TagId, Epoch, Option<TagId>)>,
+) -> f64 {
+    let reported: Vec<ReportedChange> = reported
+        .map(|(object, change_at, new_container)| ReportedChange {
+            object,
+            change_at,
+            new_container,
+        })
+        .collect();
+    let truth = trace.truth.containment.changes();
+    changes_f_measure(truth, &reported, ChangeMatchConfig::default()).f_measure()
 }
 
-fn full_config() -> InferenceConfig {
-    InferenceConfig::default()
-        .with_truncation(TruncationPolicy::Full)
-        .without_change_detection()
+/// The three history-truncation methods the paper compares, change
+/// detection off: `[All, W1200, CR]`.
+fn truncation_methods() -> [InferenceConfig; 3] {
+    [
+        TruncationPolicy::Full,
+        TruncationPolicy::Window { window_secs: 1200 },
+        TruncationPolicy::default(),
+    ]
+    .map(|policy| {
+        InferenceConfig::default()
+            .with_truncation(policy)
+            .without_change_detection()
+    })
 }
 
-fn window_config(secs: u32) -> InferenceConfig {
-    InferenceConfig::default()
-        .with_truncation(TruncationPolicy::Window { window_secs: secs })
-        .without_change_detection()
+/// The change-detection trace: one containment change every `interval`
+/// seconds at read rate `rr`.
+fn change_trace(scale: Scale, rr: f64, interval: u32) -> Trace {
+    let mut config = base_config(scale, rr, scale.change_trace_secs());
+    config.anomaly_interval = Some(interval);
+    WarehouseSimulator::new(config).generate()
 }
 
 /// Figure 4: point and cumulative evidence of co-location for the three
-/// candidate containers (R, NRC, NRNC) of the evidence scenario.
-pub fn fig4(_scale: Scale) -> Vec<Series> {
+/// candidate containers (R, NRC, NRNC) of the evidence scenario, one row per
+/// epoch the object was observed at.
+pub fn fig4(scale: Scale) -> Report {
     let (trace, tags) = EvidenceScenario::default().generate();
     let model = LikelihoodModel::new(trace.read_rates.clone());
     let obs = Observations::from_batch(&trace.readings);
     let outcome = RfInfer::new(&model, &obs).run();
     let evidence = &outcome.objects[&tags.object];
-
-    let mut series = Vec::new();
-    for (label, container) in [("R", tags.real), ("NRC", tags.nrc), ("NRNC", tags.nrnc)] {
-        let mut point = Series::new(format!("point-evidence {label}"));
-        for &(t, e) in evidence
-            .point_evidence
-            .get(&container)
-            .into_iter()
-            .flatten()
-        {
-            point.push(t.0 as f64, e);
-        }
-        let mut cumulative = Series::new(format!("cumulative-evidence {label}"));
-        for (t, e) in evidence.cumulative_evidence(container) {
-            cumulative.push(t.0 as f64, e);
-        }
-        series.push(point);
-        series.push(cumulative);
+    // per candidate: the point evidence and its running sum, epoch by epoch
+    let lines = [tags.real, tags.nrc, tags.nrnc].map(|container| {
+        let point = evidence.point_evidence.get(&container);
+        (
+            point.cloned().unwrap_or_default(),
+            evidence.cumulative_evidence(container),
+        )
+    });
+    let mut section = Section::new(
+        "fig4",
+        "Figure 4: point / cumulative evidence of co-location (R, NRC, NRNC)",
+    );
+    for (i, &(epoch, _)) in lines[0].0.iter().enumerate() {
+        let point = |line: usize| {
+            let (at, evidence) = lines[line].0[i];
+            assert_eq!(at, epoch, "every candidate has evidence at every epoch");
+            evidence
+        };
+        let sum = |line: usize| lines[line].1[i].1;
+        #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+        section.push(vec![
+            Field::new("epoch",           "epoch",           Int,   epoch.0),
+            Field::new("point R",         "point_r",         MILLI, point(0)),
+            Field::new("point NRC",       "point_nrc",       MILLI, point(1)),
+            Field::new("point NRNC",      "point_nrnc",      MILLI, point(2)),
+            Field::new("cumulative R",    "cumulative_r",    MILLI, sum(0)),
+            Field::new("cumulative NRC",  "cumulative_nrc",  MILLI, sum(1)),
+            Field::new("cumulative NRNC", "cumulative_nrnc", MILLI, sum(2)),
+        ]);
     }
-    series
+    figures("fig4", scale, vec![section])
 }
 
-/// Figure 5(a): containment/location error of the All / W1200 / CR methods
-/// as the read rate varies (stable containment).
-pub fn fig5a(scale: Scale) -> Vec<Series> {
-    let mut all = Series::new("Containment(All)");
-    let mut window = Series::new("Containment(W1200)");
-    let mut cr = Series::new("Containment(CR)");
-    let mut loc = Series::new("Location(CR)");
-    for &rr in &[0.6, 0.7, 0.8, 0.9, 1.0] {
+/// Figures 5(a) and 6(a) from one read-rate sweep over stable-containment
+/// traces: containment / location error of the All / W1200 / CR methods, and
+/// the two errors of the basic algorithm (All, full history) on their own.
+pub fn fig5a_fig6a(scale: Scale) -> Report {
+    let mut fig5a = Section::new(
+        "fig5a",
+        "Figure 5(a): error (%) vs read rate — All / W1200 / CR",
+    );
+    let mut fig6a = Section::new(
+        "fig6a",
+        "Figure 6(a): basic algorithm error (%) vs read rate",
+    );
+    for rr in [0.6, 0.7, 0.8, 0.9, 1.0] {
         let trace = WarehouseSimulator::new(base_config(scale, rr, scale.trace_secs())).generate();
-        let e_all = evaluate_rfinfer(&trace, full_config());
-        let e_window = evaluate_rfinfer(&trace, window_config(1200));
-        let e_cr = evaluate_rfinfer(&trace, cr_config());
-        all.push(rr, e_all.containment_error);
-        window.push(rr, e_window.containment_error);
-        cr.push(rr, e_cr.containment_error);
-        loc.push(rr, e_cr.location_error);
+        let [all, window, cr] = truncation_methods().map(|config| evaluate_rfinfer(&trace, config));
+        #[rustfmt::skip] // one column per line: header, JSON key, kind, value
+        fig5a.push(vec![
+            Field::new("read rate",          "read_rate",             RATE,  rr),
+            Field::new("Containment(All)",   "all_error_pct",         MILLI, all.containment_error),
+            Field::new("Containment(W1200)", "w1200_error_pct",       MILLI, window.containment_error),
+            Field::new("Containment(CR)",    "cr_error_pct",          MILLI, cr.containment_error),
+            Field::new("Location(CR)",       "cr_location_error_pct", MILLI, cr.location_error),
+        ]);
+        #[rustfmt::skip]
+        fig6a.push(vec![
+            Field::new("read rate",   "read_rate",          RATE,  rr),
+            Field::new("Containment", "error_pct",          MILLI, all.containment_error),
+            Field::new("Location",    "location_error_pct", MILLI, all.location_error),
+        ]);
     }
-    vec![all, window, cr, loc]
+    figures("fig5a_fig6a", scale, vec![fig5a, fig6a])
 }
 
-/// Figure 5(b): total inference time of the All / W1200 / CR methods as the
-/// trace length varies.
-pub fn fig5b(scale: Scale) -> Vec<Series> {
-    let mut all = Series::new("Inference(All)");
-    let mut window = Series::new("Inference(W1200)");
-    let mut cr = Series::new("Inference(CR)");
+/// Figures 5(b) and 6(b) from one trace-length sweep at read rate 0.8: total
+/// inference time (a wall-clock: printed, never written) and containment
+/// error of the All / W1200 / CR methods.
+pub fn fig5b_fig6b(scale: Scale) -> Report {
+    let mut fig5b = Section::new(
+        "fig5b",
+        "Figure 5(b): inference time (s) vs trace length — All / W1200 / CR",
+    );
+    let mut fig6b = Section::new(
+        "fig6b",
+        "Figure 6(b): containment error (%) vs trace length — All / W1200 / CR",
+    );
     let lengths: &[u32] = match scale {
         Scale::Smoke => &[600, 1200],
         _ => &[600, 1200, 1800, 2400, 3000, 3600],
     };
     for &len in lengths {
         let trace = WarehouseSimulator::new(base_config(scale, 0.8, len)).generate();
-        all.push(
-            len as f64,
-            evaluate_rfinfer(&trace, full_config())
-                .inference_time
-                .as_secs_f64(),
-        );
-        window.push(
-            len as f64,
-            evaluate_rfinfer(&trace, window_config(1200))
-                .inference_time
-                .as_secs_f64(),
-        );
-        cr.push(
-            len as f64,
-            evaluate_rfinfer(&trace, cr_config())
-                .inference_time
-                .as_secs_f64(),
-        );
+        let [all, window, cr] = truncation_methods().map(|config| evaluate_rfinfer(&trace, config));
+        let secs = |eval: SingleSiteEval| eval.inference_time.as_secs_f64();
+        #[rustfmt::skip]
+        fig5b.push(vec![
+            Field::new("trace (s)",        None, Int,   len),
+            Field::new("Inference(All)",   None, MILLI, secs(all)),
+            Field::new("Inference(W1200)", None, MILLI, secs(window)),
+            Field::new("Inference(CR)",    None, MILLI, secs(cr)),
+        ]);
+        #[rustfmt::skip]
+        fig6b.push(vec![
+            Field::new("trace (s)",          "trace_secs",      Int,   len),
+            Field::new("Containment(All)",   "all_error_pct",   MILLI, all.containment_error),
+            Field::new("Containment(W1200)", "w1200_error_pct", MILLI, window.containment_error),
+            Field::new("Containment(CR)",    "cr_error_pct",    MILLI, cr.containment_error),
+        ]);
     }
-    vec![all, window, cr]
+    figures("fig5b_fig6b", scale, vec![fig5b, fig6b])
 }
 
 /// Figure 5(c): F-measure of containment-change detection versus the
-/// containment-change interval, for RFINFER (H̄ = 500) and SMURF*.
-pub fn fig5c(scale: Scale) -> Vec<Series> {
-    let mut series = Vec::new();
-    for &rr in &[0.8, 0.7] {
-        let mut ours = Series::new(format!("RR={rr} H=500"));
-        let mut smurf = Series::new(format!("RR={rr} SMURF*"));
-        let intervals: &[u32] = match scale {
-            Scale::Smoke => &[60, 120],
-            _ => &[20, 40, 60, 80, 100, 120],
-        };
-        for &interval in intervals {
-            let mut config = base_config(scale, rr, scale.change_trace_secs());
-            config.anomaly_interval = Some(interval);
-            let trace = WarehouseSimulator::new(config).generate();
-            let ours_eval =
-                evaluate_rfinfer(&trace, InferenceConfig::default().with_recent_history(500));
-            ours.push(interval as f64, ours_eval.f_measure);
-            smurf.push(interval as f64, evaluate_smurf_star(&trace).f_measure);
-        }
-        series.push(ours);
-        series.push(smurf);
+/// containment-change interval at read rates 0.8 and 0.7, for RFINFER
+/// (H̄ = 500) and SMURF*.
+pub fn fig5c(scale: Scale) -> Report {
+    let mut section = Section::new(
+        "fig5c",
+        "Figure 5(c): change-detection F-measure (%) vs change interval — RFINFER vs SMURF*",
+    );
+    let intervals: &[u32] = match scale {
+        Scale::Smoke => &[60, 120],
+        _ => &[20, 40, 60, 80, 100, 120],
+    };
+    for &interval in intervals {
+        let [(ours_08, smurf_08), (ours_07, smurf_07)] = [0.8, 0.7].map(|rr| {
+            let trace = change_trace(scale, rr, interval);
+            let config = InferenceConfig::default().with_recent_history(500);
+            let ours = evaluate_rfinfer(&trace, config).f_measure;
+            (ours, evaluate_smurf_star(&trace).f_measure)
+        });
+        #[rustfmt::skip]
+        section.push(vec![
+            Field::new("interval (s)", "interval_secs",     Int,   interval),
+            Field::new("RR=0.8 H=500", "rfinfer_rr08_f_pct", MILLI, ours_08),
+            Field::new("RR=0.8 SMURF*", "smurf_rr08_f_pct",  MILLI, smurf_08),
+            Field::new("RR=0.7 H=500", "rfinfer_rr07_f_pct", MILLI, ours_07),
+            Field::new("RR=0.7 SMURF*", "smurf_rr07_f_pct",  MILLI, smurf_07),
+        ]);
     }
-    series
+    figures("fig5c", scale, vec![section])
 }
 
 /// Figure 5(d): containment and location error of RFINFER and SMURF* on the
 /// lab traces T1–T8.
-pub fn fig5d(_scale: Scale) -> Table {
-    let mut table = Table::new(
-        "Figure 5(d): lab traces — error rates (%)",
-        &[
-            "trace",
-            "RFINFER cont.",
-            "RFINFER loc.",
-            "SMURF* cont.",
-            "SMURF* loc.",
-        ],
-    );
+pub fn fig5d(scale: Scale) -> Report {
+    let mut section = Section::new("fig5d", "Figure 5(d): lab traces — error rates (%)");
     for trace_id in LabTraceId::ALL {
         let trace = LabConfig::published(trace_id).generate();
-        let ours = evaluate_rfinfer(
-            &trace,
-            InferenceConfig::default()
-                .with_period(300)
-                .with_recent_history(600),
-        );
+        let config = InferenceConfig::default()
+            .with_period(300)
+            .with_recent_history(600);
+        let ours = evaluate_rfinfer(&trace, config);
         let smurf = evaluate_smurf_star(&trace);
-        table.push_row(&[
-            trace_id.label().to_string(),
-            format!("{:.1}", ours.containment_error),
-            format!("{:.1}", ours.location_error),
-            format!("{:.1}", smurf.containment_error),
-            format!("{:.1}", smurf.location_error),
+        #[rustfmt::skip]
+        section.push(vec![
+            Field::new("trace",         "trace",                      Text, trace_id.label()),
+            Field::new("RFINFER cont.", "rfinfer_error_pct",          PCT,  ours.containment_error),
+            Field::new("RFINFER loc.",  "rfinfer_location_error_pct", PCT,  ours.location_error),
+            Field::new("SMURF* cont.",  "smurf_error_pct",            PCT,  smurf.containment_error),
+            Field::new("SMURF* loc.",   "smurf_location_error_pct",   PCT,  smurf.location_error),
         ]);
     }
-    table
+    figures("fig5d", scale, vec![section])
 }
 
-/// Figure 6(a): error of the basic algorithm (full history) as the read rate
-/// varies.
-pub fn fig6a(scale: Scale) -> Vec<Series> {
-    let mut containment = Series::new("Containment");
-    let mut location = Series::new("Location");
-    for &rr in &[0.6, 0.7, 0.8, 0.9, 1.0] {
-        let trace = WarehouseSimulator::new(base_config(scale, rr, scale.trace_secs())).generate();
-        let eval = evaluate_rfinfer(&trace, full_config());
-        containment.push(rr, eval.containment_error);
-        location.push(rr, eval.location_error);
-    }
-    vec![containment, location]
-}
-
-/// Figure 6(b): containment error of the All / W1200 / CR methods as the
-/// trace length varies.
-pub fn fig6b(scale: Scale) -> Vec<Series> {
-    let mut all = Series::new("Containment(All)");
-    let mut window = Series::new("Containment(W1200)");
-    let mut cr = Series::new("Containment(CR)");
-    let lengths: &[u32] = match scale {
-        Scale::Smoke => &[600, 1200],
-        _ => &[600, 1200, 1800, 2400, 3000, 3600],
-    };
-    for &len in lengths {
-        let trace = WarehouseSimulator::new(base_config(scale, 0.8, len)).generate();
-        all.push(
-            len as f64,
-            evaluate_rfinfer(&trace, full_config()).containment_error,
-        );
-        window.push(
-            len as f64,
-            evaluate_rfinfer(&trace, window_config(1200)).containment_error,
-        );
-        cr.push(
-            len as f64,
-            evaluate_rfinfer(&trace, cr_config()).containment_error,
-        );
-    }
-    vec![all, window, cr]
-}
-
-/// Table 3: F-measure of change detection for fixed thresholds δ and for the
-/// offline-calibrated threshold, across read rates.
-pub fn table3(scale: Scale) -> Table {
-    let deltas = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
-    let mut headers: Vec<String> = vec!["read rate".to_string()];
-    headers.extend(deltas.iter().map(|d| format!("δ={d}")));
-    headers.push("calibrated".to_string());
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
+/// Tables 3 and 4 from one change-detection trace per read rate (a change
+/// every 60 s): the F-measure for fixed thresholds δ and for the
+/// offline-calibrated threshold, and the F-measure and inference time (a
+/// wall-clock: printed, never written) for different recent-history sizes H̄.
+pub fn table3_table4(scale: Scale) -> Report {
+    let mut table3 = Section::new(
+        "table3",
         "Table 3: change-detection F-measure (%) vs threshold δ",
-        &headers_ref,
     );
-
-    let rates: &[f64] = match scale {
-        Scale::Smoke => &[0.7],
-        _ => &[0.6, 0.7, 0.8, 0.9],
-    };
-    for &rr in rates {
-        let mut config = base_config(scale, rr, scale.change_trace_secs());
-        config.anomaly_interval = Some(60);
-        let trace = WarehouseSimulator::new(config).generate();
-        let mut row = vec![format!("{rr:.1}")];
-        for &delta in &deltas {
-            let eval = evaluate_rfinfer(
-                &trace,
-                InferenceConfig::default().with_fixed_threshold(delta),
-            );
-            row.push(format!("{:.0}", eval.f_measure));
-        }
-        let calibrated = evaluate_rfinfer(&trace, InferenceConfig::default());
-        row.push(format!("{:.0}", calibrated.f_measure));
-        table.push_row(&row);
-    }
-    table
-}
-
-/// Table 4: F-measure and inference time of change detection for different
-/// recent-history sizes H̄ and read rates.
-pub fn table4(scale: Scale) -> Table {
-    let mut table = Table::new(
+    let mut table4 = Section::new(
+        "table4",
         "Table 4: change detection vs recent-history size H̄",
-        &["read rate", "H̄ (s)", "F-measure (%)", "time (s)"],
     );
-    let rates: &[f64] = match scale {
-        Scale::Smoke => &[0.8],
-        _ => &[0.6, 0.7, 0.8, 0.9],
-    };
-    let histories: &[u32] = match scale {
-        Scale::Smoke => &[300, 600],
-        _ => &[300, 400, 500, 600, 700, 800, 900],
+    let whole = Kind::Float(0, 2);
+    let deltas: Vec<f64> = (1..=10).map(|step| f64::from(step) * 10.0).collect();
+    let (rates, histories): (&[f64], &[u32]) = match scale {
+        Scale::Smoke => (&[0.8], &[300, 600]),
+        _ => (&[0.6, 0.7, 0.8, 0.9], &[300, 400, 500, 600, 700, 800, 900]),
     };
     for &rr in rates {
-        let mut config = base_config(scale, rr, scale.change_trace_secs());
-        config.anomaly_interval = Some(60);
-        let trace = WarehouseSimulator::new(config).generate();
+        let trace = change_trace(scale, rr, 60);
+        let default = InferenceConfig::default();
+        let fixed = deltas.iter().map(|&delta| {
+            evaluate_rfinfer(&trace, default.clone().with_fixed_threshold(delta)).f_measure
+        });
+        let fixed: Vec<f64> = fixed.collect();
+        let best_fixed = fixed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let calibrated = evaluate_rfinfer(&trace, default.clone());
+        #[rustfmt::skip]
+        table3.push(vec![
+            Field::new("read rate",           "read_rate",        RATE,              rr),
+            Field::new(None,                  "deltas",           Kind::Float(0, 0), deltas.clone()),
+            Field::new("δ = 10, 20, .., 100", "fixed_f_pct",      whole,             fixed),
+            Field::new("best fixed",          "best_fixed_f_pct", whole,             best_fixed),
+            Field::new("calibrated",          "calibrated_f_pct", whole,             calibrated.f_measure),
+        ]);
         for &h in histories {
-            let eval = evaluate_rfinfer(&trace, InferenceConfig::default().with_recent_history(h));
-            table.push_row(&[
-                format!("{rr:.1}"),
-                h.to_string(),
-                format!("{:.0}", eval.f_measure),
-                format!("{:.2}", eval.inference_time.as_secs_f64()),
+            // the default H̄ under the calibrated threshold is Table 3's run
+            let eval = if h == default.recent_history_secs {
+                calibrated
+            } else {
+                evaluate_rfinfer(&trace, default.clone().with_recent_history(h))
+            };
+            #[rustfmt::skip]
+            table4.push(vec![
+                Field::new("read rate",     "read_rate",    RATE,  rr),
+                Field::new("H̄ (s)",         "history_secs", Int,   h),
+                Field::new("F-measure (%)", "f_pct",        whole, eval.f_measure),
+                Field::new("time (s)",      None,           MILLI, eval.inference_time.as_secs_f64()),
             ]);
         }
     }
-    table
+    figures("table3_table4", scale, vec![table3, table4])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{tests::by_header, Cell};
 
     #[test]
     fn rfinfer_beats_smurf_star_on_a_noisy_trace() {
         let trace = WarehouseSimulator::new(base_config(Scale::Smoke, 0.7, 900)).generate();
-        let ours = evaluate_rfinfer(&trace, cr_config());
+        let [_, _, cr] = truncation_methods();
+        let ours = evaluate_rfinfer(&trace, cr);
         let smurf = evaluate_smurf_star(&trace);
         assert!(ours.containment_error <= smurf.containment_error + 1e-9);
         assert!(
@@ -471,18 +453,13 @@ mod tests {
 
     #[test]
     fn fig4_evidence_separates_the_real_container_in_the_belt_region() {
-        let series = fig4(Scale::Smoke);
-        assert_eq!(series.len(), 6);
-        let cum_r = series
-            .iter()
-            .find(|s| s.name == "cumulative-evidence R")
-            .unwrap();
-        let cum_nrnc = series
-            .iter()
-            .find(|s| s.name == "cumulative-evidence NRNC")
-            .unwrap();
-        let final_r = cum_r.points.last().unwrap().1;
-        let final_nrnc = cum_nrnc.points.last().unwrap().1;
+        let report = fig4(Scale::Smoke);
+        let section = report.section("fig4");
+        assert_eq!(section.table().headers.len(), 7, "epoch and six lines");
+        let epochs = section.ints("epoch");
+        assert!(epochs.windows(2).all(|pair| pair[0] < pair[1]));
+        let final_r = *section.floats("cumulative_r").last().unwrap();
+        let final_nrnc = *section.floats("cumulative_nrnc").last().unwrap();
         assert!(
             final_r > final_nrnc,
             "the real container must accumulate more evidence ({final_r} vs {final_nrnc})"
@@ -491,26 +468,33 @@ mod tests {
 
     #[test]
     fn fig6a_error_decreases_with_read_rate() {
-        let series = fig6a(Scale::Smoke);
-        let containment = &series[0];
-        let at_low = containment.y_at(0.6).unwrap();
-        let at_high = containment.y_at(1.0).unwrap();
+        let report = fig5a_fig6a(Scale::Smoke);
+        let fig6a = report.section("fig6a");
+        assert_eq!(fig6a.floats("read_rate"), [0.6, 0.7, 0.8, 0.9, 1.0]);
+        let containment = fig6a.floats("error_pct");
+        let (at_low, at_high) = (containment[0], containment[4]);
         assert!(
             at_high <= at_low + 1e-9,
             "error should not grow with read rate"
         );
         // at perfect read rate containment inference is essentially perfect
         assert!(at_high < 5.0);
-        let location = &series[1];
-        assert!(location.y_at(0.8).unwrap() < 10.0);
+        assert!(fig6a.floats("location_error_pct")[2] < 10.0);
+        // Figure 6(a) is the full-history line of Figure 5(a): one run, two sections
+        assert_eq!(containment, report.section("fig5a").floats("all_error_pct"));
     }
 
     #[test]
     fn fig5b_cr_inference_is_not_slower_than_full_history() {
-        let series = fig5b(Scale::Smoke);
-        let all = series.iter().find(|s| s.name == "Inference(All)").unwrap();
-        let cr = series.iter().find(|s| s.name == "Inference(CR)").unwrap();
-        let longest = all.points.last().unwrap().0;
-        assert!(cr.y_at(longest).unwrap() <= all.y_at(longest).unwrap() * 1.5 + 0.05);
+        let report = fig5b_fig6b(Scale::Smoke);
+        let fig5b = report.section("fig5b");
+        let secs = |header| match by_header(fig5b, header).last() {
+            Some(Cell::Float(secs)) => *secs,
+            other => panic!("{header}: {other:?} is not a wall-clock"),
+        };
+        assert!(secs("Inference(CR)") <= secs("Inference(All)") * 1.5 + 0.05);
+        assert!(!fig5b.is_tracked());
+        assert!(!report.json().contains("fig5b"), "time is never written");
+        assert_eq!(report.section("fig6b").ints("trace_secs"), [600, 1200]);
     }
 }

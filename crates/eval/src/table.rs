@@ -1,8 +1,7 @@
-//! Lightweight table / series formatting for the experiment harness.
-//!
-//! Every experiment binary prints its results as either a [`Table`] (for the
-//! paper's tables) or a set of [`Series`] (for its figures), in a stable
-//! plain-text format that `EXPERIMENTS.md` quotes directly.
+//! The column-aligned text renderer of the experiment harness: every section
+//! of an `rfid_bench::report::Report` — a table of the paper or a figure, one
+//! row per x value — prints through [`Table`], in a stable plain-text format
+//! that `EXPERIMENTS.md` quotes directly.
 
 use std::fmt;
 
@@ -38,16 +37,6 @@ impl Table {
             .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -61,70 +50,20 @@ impl Table {
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "## {}", self.title)?;
         let widths = self.widths();
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
+        let line = |cells: &[String]| -> String {
+            let padded = cells.iter().zip(&widths);
+            let padded: Vec<String> = padded
+                .map(|(cell, width)| format!("{cell:<width$}"))
+                .collect();
+            padded.join("  ")
         };
-        writeln!(f, "{}", fmt_row(&self.headers))?;
-        writeln!(
-            f,
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        )?;
+        let rule: Vec<String> = widths.iter().map(|width| "-".repeat(*width)).collect();
+        writeln!(f, "## {}", self.title)?;
+        writeln!(f, "{}", line(&self.headers))?;
+        writeln!(f, "{}", line(&rule))?;
         for row in &self.rows {
-            writeln!(f, "{}", fmt_row(row))?;
-        }
-        Ok(())
-    }
-}
-
-/// A named series of `(x, y)` points — one line of a figure.
-#[derive(Debug, Clone, Default)]
-pub struct Series {
-    /// Series label (e.g. `"Containment(CR)"`).
-    pub name: String,
-    /// Data points.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Create an empty series.
-    pub fn new(name: impl Into<String>) -> Series {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// The y value at the given x, if present.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(px, _)| (px - x).abs() < 1e-9)
-            .map(|(_, y)| *y)
-    }
-}
-
-impl fmt::Display for Series {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:", self.name)?;
-        for (x, y) in &self.points {
-            write!(f, " ({x:.3}, {y:.3})")?;
+            writeln!(f, "{}", line(row))?;
         }
         Ok(())
     }
@@ -139,8 +78,7 @@ mod tests {
         let mut t = Table::new("Demo", &["method", "error (%)"]);
         t.push_row(&["CR", "2.3"]);
         t.push_row(&["All history", "2.5"]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
         let text = t.to_string();
         assert!(text.contains("## Demo"));
         assert!(text.contains("method"));
@@ -154,17 +92,5 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new("Demo", &["a", "b"]);
         t.push_row(&["only one"]);
-    }
-
-    #[test]
-    fn series_stores_and_looks_up_points() {
-        let mut s = Series::new("Containment(CR)");
-        s.push(0.6, 6.5);
-        s.push(0.8, 2.1);
-        assert_eq!(s.y_at(0.8), Some(2.1));
-        assert_eq!(s.y_at(0.7), None);
-        let text = s.to_string();
-        assert!(text.starts_with("Containment(CR):"));
-        assert!(text.contains("(0.600, 6.500)"));
     }
 }

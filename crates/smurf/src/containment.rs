@@ -119,10 +119,10 @@ impl SmurfStar {
             .copied()
             .filter(|t| t.is_object())
             .collect();
-        let cases: Vec<TagId> = locations
-            .keys()
-            .copied()
-            .filter(|t| t.is_container())
+        let cases: Vec<(TagId, &SmoothedTag)> = locations
+            .iter()
+            .filter(|(tag, _)| tag.is_container())
+            .map(|(tag, smoothed)| (*tag, smoothed))
             .collect();
         let mut containment = ContainmentMap::new();
         let mut changes = Vec::new();
@@ -143,8 +143,8 @@ impl SmurfStar {
                 if let Some(item_loc) = item_smoothed.location_at(t) {
                     let cs: Vec<TagId> = cases
                         .iter()
-                        .copied()
-                        .filter(|c| locations[c].location_at(t) == Some(item_loc))
+                        .filter(|(_, case)| case.location_at(t) == Some(item_loc))
+                        .map(|(tag, _)| *tag)
                         .collect();
                     colocated_at.push((t, cs));
                 }
@@ -154,55 +154,16 @@ impl SmurfStar {
                 continue;
             }
 
-            // Overall most co-located case (default containment).
-            let overall = rank_cases(colocated_at.iter().flat_map(|(_, cs)| cs.iter().copied()));
-            let default_container = overall.first().copied();
-
-            // 3. Change detection: scan candidate change times.
-            let mut detected: Option<SmurfChange> = None;
-            let n = colocated_at.len();
-            for split in 1..n {
-                let before = rank_cases(
-                    colocated_at[..split]
-                        .iter()
-                        .flat_map(|(_, cs)| cs.iter().copied()),
-                );
-                let after = rank_cases(
-                    colocated_at[split..]
-                        .iter()
-                        .flat_map(|(_, cs)| cs.iter().copied()),
-                );
-                let (Some(&best_before), Some(&best_after)) = (before.first(), after.first())
-                else {
-                    continue;
-                };
-                if best_before == best_after {
-                    continue;
-                }
-                let top_before: BTreeSet<TagId> =
-                    before.iter().take(self.config.top_k).copied().collect();
-                let top_after: BTreeSet<TagId> =
-                    after.iter().take(self.config.top_k).copied().collect();
-                if top_before.is_disjoint(&top_after) {
-                    detected = Some(SmurfChange {
-                        object: item,
-                        change_at: colocated_at[split].0,
-                        old_container: Some(best_before),
-                        new_container: Some(best_after),
-                    });
-                    break;
-                }
-            }
-
-            match detected {
+            match scan_for_change(item, &colocated_at, self.config.top_k) {
                 Some(change) => {
                     if let Some(new_container) = change.new_container {
                         containment.set(item, new_container);
                     }
                     changes.push(change);
                 }
+                // Default containment: the overall most co-located case.
                 None => {
-                    if let Some(c) = default_container {
+                    if let Some(&c) = rank_cases(&count_cases(&colocated_at)).first() {
                         containment.set(item, c);
                     }
                 }
@@ -217,16 +178,63 @@ impl SmurfStar {
     }
 }
 
-/// Rank cases by how often they appear in the iterator, most frequent first
-/// (ties broken by tag id for determinism).
-fn rank_cases(colocations: impl Iterator<Item = TagId>) -> Vec<TagId> {
-    let mut counts: BTreeMap<TagId, usize> = BTreeMap::new();
-    for c in colocations {
-        *counts.entry(c).or_insert(0) += 1;
+/// How many of `samples` each case is co-located in.
+fn count_cases(samples: &[(Epoch, Vec<TagId>)]) -> BTreeMap<TagId, usize> {
+    let mut counts = BTreeMap::new();
+    for case in samples.iter().flat_map(|(_, cases)| cases) {
+        *counts.entry(*case).or_insert(0) += 1;
     }
-    let mut ranked: Vec<(TagId, usize)> = counts.into_iter().collect();
+    counts
+}
+
+/// Rank cases by their co-location count, most frequent first (ties broken
+/// by tag id for determinism).
+fn rank_cases(counts: &BTreeMap<TagId, usize>) -> Vec<TagId> {
+    let mut ranked: Vec<(TagId, usize)> = counts.iter().map(|(c, n)| (*c, *n)).collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.into_iter().map(|(c, _)| c).collect()
+}
+
+/// Change detection: the first candidate change time whose best case before
+/// differs from the best case after with disjoint top-k sets on either side.
+/// The counts on both sides are kept running — each split moves one sample
+/// from `after` to `before` — so the scan is linear in the samples.
+fn scan_for_change(
+    item: TagId,
+    colocated_at: &[(Epoch, Vec<TagId>)],
+    top_k: usize,
+) -> Option<SmurfChange> {
+    let mut before: BTreeMap<TagId, usize> = BTreeMap::new();
+    let mut after = count_cases(colocated_at);
+    for split in 1..colocated_at.len() {
+        for case in &colocated_at[split - 1].1 {
+            *before.entry(*case).or_insert(0) += 1;
+            let left = after.get_mut(case).expect("`after` counted every sample");
+            *left -= 1;
+            // a case ranks on a side only while it has a sample there
+            if *left == 0 {
+                after.remove(case);
+            }
+        }
+        let (before, after) = (rank_cases(&before), rank_cases(&after));
+        let (Some(&best_before), Some(&best_after)) = (before.first(), after.first()) else {
+            continue;
+        };
+        if best_before == best_after {
+            continue;
+        }
+        let top_before: BTreeSet<TagId> = before.iter().take(top_k).copied().collect();
+        let top_after: BTreeSet<TagId> = after.iter().take(top_k).copied().collect();
+        if top_before.is_disjoint(&top_after) {
+            return Some(SmurfChange {
+                object: item,
+                change_at: colocated_at[split].0,
+                old_container: Some(best_before),
+                new_container: Some(best_after),
+            });
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -322,6 +330,78 @@ mod tests {
         let outcome = SmurfStar::default().run(&batch(readings));
         assert!(outcome.changes.is_empty());
         assert_eq!(outcome.container_of(TagId::item(1)), Some(TagId::case(1)));
+    }
+
+    /// The scan as first written: every candidate split re-ranks both sides
+    /// from scratch. Quadratic, and the rule [`scan_for_change`] must keep.
+    fn scan_by_recounting(
+        item: TagId,
+        colocated_at: &[(Epoch, Vec<TagId>)],
+        top_k: usize,
+    ) -> Option<SmurfChange> {
+        for split in 1..colocated_at.len() {
+            let before = rank_cases(&count_cases(&colocated_at[..split]));
+            let after = rank_cases(&count_cases(&colocated_at[split..]));
+            let (Some(&best_before), Some(&best_after)) = (before.first(), after.first()) else {
+                continue;
+            };
+            if best_before == best_after {
+                continue;
+            }
+            let top_before: BTreeSet<TagId> = before.iter().take(top_k).copied().collect();
+            let top_after: BTreeSet<TagId> = after.iter().take(top_k).copied().collect();
+            if top_before.is_disjoint(&top_after) {
+                return Some(SmurfChange {
+                    object: item,
+                    change_at: colocated_at[split].0,
+                    old_container: Some(best_before),
+                    new_container: Some(best_after),
+                });
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn running_counts_scan_matches_the_recounting_scan() {
+        let samples = |cases_at: &dyn Fn(u32) -> Vec<u64>| -> Vec<(Epoch, Vec<TagId>)> {
+            (0..60u32)
+                .map(|i| {
+                    let cases = cases_at(i).into_iter().map(TagId::case).collect();
+                    (Epoch(i * 5), cases)
+                })
+                .collect()
+        };
+        let traces = [
+            // a change around sample 28, through a stretch with nothing co-located
+            samples(&|i| match i {
+                0..=27 => vec![1, 3],
+                28..=29 => vec![],
+                _ => vec![2, 4],
+            }),
+            // no change: case 1 throughout, case 2 on and off
+            samples(&|i| if i % 3 == 0 { vec![1, 2] } else { vec![1] }),
+            // tied counts on both sides: the tag id decides every ranking, and
+            // the winner of the tie changes as samples cross the split
+            samples(&|i| match i {
+                0..=19 => vec![5, 6, 7, 8],
+                20..=39 => vec![1 + u64::from(i % 4), 5 + u64::from(i % 4)],
+                _ => vec![1, 2, 3, 4],
+            }),
+        ];
+        let item = TagId::item(1);
+        for (trace, changes) in traces.iter().zip([true, false, true]) {
+            for top_k in [1, 3] {
+                let scanned = scan_for_change(item, trace, top_k);
+                assert_eq!(scanned, scan_by_recounting(item, trace, top_k));
+                assert_eq!(scanned.is_some(), changes, "top_k {top_k}: {scanned:?}");
+            }
+        }
+        // the first split with cases 1 and 3 gone from the after side
+        assert_eq!(
+            scan_for_change(item, &traces[0], 3).map(|c| c.change_at),
+            Some(Epoch(28 * 5))
+        );
     }
 
     #[test]
