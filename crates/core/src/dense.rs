@@ -600,7 +600,7 @@ pub(crate) fn run_dense(
                 let next = set_readers.len() as u32;
                 let id = *interner.entry(o.readers.as_slice()).or_insert(next);
                 if id == next {
-                    set_readers.push(&o.readers);
+                    set_readers.push(o.readers.as_slice());
                 }
                 s.set_ids.push(id);
             }
@@ -897,12 +897,12 @@ pub(crate) fn run_dense(
             s.invalid.clear();
             if let Some(d) = dirty {
                 if !prev_epochs.is_empty() {
-                    let union = d.union_for_until(
+                    d.union_for_until(
                         std::iter::once(s.tags[ci as usize])
                             .chain(members.iter().map(|&m| s.tags[m as usize])),
                         prev_epochs.last().copied(),
+                        &mut s.invalid,
                     );
-                    s.invalid.extend(union);
                 }
             }
             let needed_range =

@@ -17,7 +17,7 @@ use crate::rfinfer::{
     DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, PriorWeights, RfInfer,
 };
 use crate::state::{CollapsedState, MigrationState, ReadingsState};
-use crate::truncate::{retention_plan, MemoryBudget, MemoryStats, RetentionPlan};
+use crate::truncate::{retention_plan, MemoryBudget, MemoryStats};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rfid_types::{
@@ -290,10 +290,10 @@ impl InferenceEngine {
                     }
                     evidence.assigned = change.new_container;
                 }
-                let removed = self
-                    .store
-                    .retain_ranges_for(change.object, &[(change.change_at, now)]);
-                self.dirty.record_all(change.object, removed);
+                let keep = [(change.change_at, now)];
+                self.dirty.record_with(change.object, |removed| {
+                    self.store.retain_ranges_for(change.object, &keep, removed)
+                });
             }
             self.detected.extend(changes.iter().cloned());
         }
@@ -308,10 +308,12 @@ impl InferenceEngine {
             self.config.recent_history_secs,
         );
         let tags: Vec<TagId> = self.store.tags().collect();
+        let mut ranges = Vec::new();
         for tag in tags {
-            let ranges = plan.ranges_for(tag, now);
-            let removed = self.store.retain_ranges_for(tag, &ranges);
-            self.dirty.record_all(tag, removed);
+            plan.ranges_into(tag, now, &mut ranges);
+            self.dirty.record_with(tag, |removed| {
+                self.store.retain_ranges_for(tag, &ranges, removed)
+            });
         }
 
         // Share the outcome instead of cloning it: the engine and the report
@@ -485,7 +487,7 @@ impl InferenceEngine {
             let list = self.store.obs_for(tag);
             readings.reserve(list.iter().map(|o| o.readers.len()).sum());
             for obs in list {
-                for reader in &obs.readers {
+                for reader in obs.readers.iter() {
                     readings.push(RawReading::new(obs.epoch, tag, reader.reader()));
                 }
             }
@@ -540,9 +542,9 @@ impl InferenceEngine {
                 let mut count = 0;
                 for run in readings.readings.chunk_by_mut(|a, b| a.tag == b.tag) {
                     let tag = run[0].tag;
-                    let (changed, added) = self.store.insert_run(tag, run);
-                    self.dirty.record_all(tag, changed);
-                    count += added;
+                    count += self
+                        .dirty
+                        .record_with(tag, |changed| self.store.insert_run(tag, run, changed));
                 }
                 ImportSummary {
                     object: Some(readings.object),
@@ -556,8 +558,8 @@ impl InferenceEngine {
     /// Forget everything about a tag (used when an object permanently leaves
     /// a site and its state has been shipped elsewhere).
     pub fn forget(&mut self, tag: TagId) {
-        let removed = self.store.remove_tag(tag);
-        self.dirty.record_all(tag, removed);
+        self.dirty
+            .record_with(tag, |removed| self.store.remove_tag(tag, removed));
     }
 
     /// Enforce a per-site memory budget on the retained history.
@@ -585,26 +587,24 @@ impl InferenceEngine {
         // Objects keeping their full history are left untouched — folding is
         // additive, so it must happen at most once per compaction pass.
         let mut removed_total: u64 = 0;
-        let mut folded = std::collections::BTreeSet::new();
+        let mut folded = BTreeSet::new();
         let mut window = self.config.recent_history_secs;
         loop {
-            let plan = RetentionPlan {
-                per_tag: std::collections::BTreeMap::new(),
-                recent_from: now.minus(window),
-            };
+            // The retention plan with no per-tag ranges: every tag keeps
+            // only the window.
+            let keep = [(now.minus(window), now)];
             let tags: Vec<TagId> = self.store.tags().collect();
             for tag in tags {
-                let ranges = plan.ranges_for(tag, now);
-                let removed = self.store.retain_ranges_for(tag, &ranges);
-                if !removed.is_empty() && tag.is_object() && folded.insert(tag) {
+                let removed = self.dirty.record_with(tag, |removed| {
+                    self.store.retain_ranges_for(tag, &keep, removed)
+                });
+                if removed > 0 && tag.is_object() && folded.insert(tag) {
                     let collapsed = self.export_collapsed(tag);
                     if !collapsed.weights.is_empty() {
                         self.prior.merge(&collapsed.to_prior());
                     }
-                    self.dirty.mark(tag);
                 }
-                removed_total += removed.len() as u64;
-                self.dirty.record_all(tag, removed);
+                removed_total += removed as u64;
             }
             if self.store.len() <= budget.max_observations || window == 0 {
                 break;

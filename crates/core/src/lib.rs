@@ -77,7 +77,7 @@ pub use config::{ChangeDetectionConfig, InferenceConfig, ThresholdPolicy};
 pub use dense::DenseScratch;
 pub use engine::{EngineSnapshot, ImportSummary, InferenceEngine, InferenceReport};
 pub use likelihood::{LikelihoodModel, ReaderSetTable};
-pub use observations::{ObsAt, Observations};
+pub use observations::{ObsAt, Observations, ReaderSet};
 pub use posterior::{container_posterior, Posterior};
 pub use rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,

@@ -8,20 +8,153 @@
 
 use rfid_types::{Epoch, LocationId, RawReading, ReadingBatch, TagId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::ops::Deref;
+
+/// A sorted, de-duplicated set of reader locations, stored inline up to
+/// [`ReaderSet::INLINE`] readers and on the heap only beyond that.
+///
+/// The benchmark's reference chains read a tag by one to three readers per
+/// epoch, so an inline set makes recording a reading allocation-free and
+/// cloning a store a flat copy. Dereferences to the sorted slice.
+#[derive(Clone)]
+pub struct ReaderSet(Repr);
+
+/// Either form holds its readers in `ids[..len]`; a spilled set doubles its
+/// boxed slice when full, so building one reader by reader stays linear.
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        ids: [LocationId; ReaderSet::INLINE],
+    },
+    Spilled {
+        len: u32,
+        ids: Box<[LocationId]>,
+    },
+}
+
+impl ReaderSet {
+    /// Readers held inline: as many `u16` location ids as fit beside the
+    /// discriminant and a length byte in the 24 bytes the spilled form (a
+    /// boxed slice and its length) takes, so an [`ObsAt`] stays 32 bytes.
+    pub const INLINE: usize = 11;
+
+    /// The empty set.
+    pub fn new() -> ReaderSet {
+        ReaderSet(Repr::Inline {
+            len: 0,
+            ids: [LocationId(0); ReaderSet::INLINE],
+        })
+    }
+
+    /// The set of one reader: what every new `(tag, epoch)` starts as.
+    pub(crate) fn one(loc: LocationId) -> ReaderSet {
+        let mut ids = [LocationId(0); ReaderSet::INLINE];
+        ids[0] = loc;
+        ReaderSet(Repr::Inline { len: 1, ids })
+    }
+
+    /// The readers, ascending.
+    pub fn as_slice(&self) -> &[LocationId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Spilled { len, ids } => &ids[..*len as usize],
+        }
+    }
+
+    /// Add a reader; returns whether it was new. Appending past the largest
+    /// reader — the order runs and exports produce — needs no search.
+    pub fn insert(&mut self, loc: LocationId) -> bool {
+        let len = self.len();
+        let at = match self.as_slice() {
+            [.., last] if *last < loc => len,
+            readers => match readers.binary_search(&loc) {
+                Ok(_) => return false,
+                Err(at) => at,
+            },
+        };
+        let capacity = match &self.0 {
+            Repr::Inline { ids, .. } => ids.len(),
+            Repr::Spilled { ids, .. } => ids.len(),
+        };
+        if len == capacity {
+            let mut grown = vec![LocationId(0); 2 * len].into_boxed_slice();
+            grown[..len].copy_from_slice(self.as_slice());
+            // At most 65,536 distinct `u16` locations: the length fits.
+            let len = len as u32;
+            self.0 = Repr::Spilled { len, ids: grown };
+        }
+        let ids: &mut [LocationId] = match &mut self.0 {
+            Repr::Inline { len, ids } => {
+                *len += 1;
+                ids
+            }
+            Repr::Spilled { len, ids } => {
+                *len += 1;
+                ids
+            }
+        };
+        ids.copy_within(at..len, at + 1);
+        ids[at] = loc;
+        true
+    }
+
+    /// Add every reader of a sorted slice; returns how many were new.
+    pub(crate) fn union_with(&mut self, other: &[LocationId]) -> usize {
+        let mut added = 0;
+        for &loc in other {
+            added += usize::from(self.insert(loc));
+        }
+        added
+    }
+}
+
+impl Default for ReaderSet {
+    fn default() -> ReaderSet {
+        ReaderSet::new()
+    }
+}
+
+impl Deref for ReaderSet {
+    type Target = [LocationId];
+    fn deref(&self) -> &[LocationId] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for ReaderSet {
+    fn eq(&self, other: &ReaderSet) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ReaderSet {}
+
+impl fmt::Debug for ReaderSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
 
 /// The readers that detected one tag during one epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsAt {
     /// The epoch of the observation.
     pub epoch: Epoch,
-    /// Sorted, de-duplicated list of reader locations that detected the tag.
-    pub readers: Vec<LocationId>,
+    /// Sorted, de-duplicated set of reader locations that detected the tag.
+    pub readers: ReaderSet,
 }
+
+// The solvers walk per-tag `ObsAt` slices epoch by epoch; two per cache line.
+const _: () = assert!(std::mem::size_of::<ObsAt>() <= 32);
 
 /// Sparse per-tag observation index built from raw readings.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {
     per_tag: BTreeMap<TagId, Vec<ObsAt>>,
+    /// Number of `(tag, epoch)` entries over all of `per_tag`.
+    len: usize,
 }
 
 impl Observations {
@@ -56,21 +189,16 @@ impl Observations {
             _ => entry.binary_search_by_key(&reading.time, |o| o.epoch),
         };
         match pos {
-            Ok(at) => match entry[at].readers.binary_search(&loc) {
-                Ok(_) => false,
-                Err(pos) => {
-                    entry[at].readers.insert(pos, loc);
-                    true
-                }
-            },
+            Ok(at) => entry[at].readers.insert(loc),
             Err(at) => {
                 entry.insert(
                     at,
                     ObsAt {
                         epoch: reading.time,
-                        readers: vec![loc],
+                        readers: ReaderSet::one(loc),
                     },
                 );
+                self.len += 1;
                 true
             }
         }
@@ -81,13 +209,19 @@ impl Observations {
     ///
     /// Equivalent to replaying the run through [`Self::insert`], but the
     /// tag's list is resolved once and merged in `O(n + m)` rather than
-    /// searched and shifted per reading. Returns what `insert` reports one
-    /// `bool` at a time: the epochs at which the tag's observations changed,
-    /// ascending, and the number of readings not already present.
-    pub fn insert_run(&mut self, tag: TagId, run: &mut [RawReading]) -> (Vec<Epoch>, usize) {
+    /// searched and shifted per reading. Appends to `changed` what `insert`
+    /// reports one `bool` at a time — the epochs at which the tag's
+    /// observations changed, ascending — and returns the number of readings
+    /// not already present.
+    pub fn insert_run(
+        &mut self,
+        tag: TagId,
+        run: &mut [RawReading],
+        changed: &mut Vec<Epoch>,
+    ) -> usize {
         debug_assert!(run.iter().all(|r| r.tag == tag), "a run is one tag's");
         if run.is_empty() {
-            return (Vec::new(), 0);
+            return 0;
         }
         // With the tag fixed, `RawReading`'s order is (epoch, reader) — the
         // order exports produce, which the sort detects in one pass.
@@ -97,17 +231,17 @@ impl Observations {
             let loc = r.reader.location();
             match src.last_mut() {
                 Some(last) if last.epoch == r.time => {
-                    if last.readers.last() != Some(&loc) {
-                        last.readers.push(loc);
-                    }
+                    last.readers.insert(loc);
                 }
                 _ => src.push(ObsAt {
                     epoch: r.time,
-                    readers: vec![loc],
+                    readers: ReaderSet::one(loc),
                 }),
             }
         }
-        merge_obs_lists(self.per_tag.entry(tag).or_default(), src)
+        let (entries, added) = merge_obs_lists(self.per_tag.entry(tag).or_default(), src, changed);
+        self.len += entries;
+        added
     }
 
     /// All tags with at least one observation.
@@ -146,9 +280,9 @@ impl Observations {
             .map(|idx| all[idx].readers.as_slice())
     }
 
-    /// Number of distinct (tag, epoch) observations.
+    /// Number of distinct (tag, epoch) observations, kept as a running count.
     pub fn len(&self) -> usize {
-        self.per_tag.values().map(|v| v.len()).sum()
+        self.len
     }
 
     /// Whether the index is empty.
@@ -227,33 +361,43 @@ impl Observations {
 
     /// Drop, for the given tag, every observation outside the union of the
     /// provided inclusive epoch ranges. Used by per-object history
-    /// truncation. Returns the epochs whose observations were removed, so
-    /// incremental inference can invalidate exactly the affected cache
-    /// entries.
-    pub fn retain_ranges_for(&mut self, tag: TagId, ranges: &[(Epoch, Epoch)]) -> Vec<Epoch> {
-        let mut removed = Vec::new();
-        if let Some(list) = self.per_tag.get_mut(&tag) {
-            list.retain(|o| {
-                let keep = ranges
-                    .iter()
-                    .any(|&(lo, hi)| o.epoch >= lo && o.epoch <= hi);
-                if !keep {
-                    removed.push(o.epoch);
-                }
-                keep
-            });
-            if list.is_empty() {
-                self.per_tag.remove(&tag);
+    /// truncation. Appends the epochs whose observations were removed to
+    /// `removed`, ascending, so incremental inference can invalidate exactly
+    /// the affected cache entries, and returns how many there were.
+    pub fn retain_ranges_for(
+        &mut self,
+        tag: TagId,
+        ranges: &[(Epoch, Epoch)],
+        removed: &mut Vec<Epoch>,
+    ) -> usize {
+        let Some(list) = self.per_tag.get_mut(&tag) else {
+            return 0;
+        };
+        let before = list.len();
+        list.retain(|o| {
+            let keep = ranges
+                .iter()
+                .any(|&(lo, hi)| o.epoch >= lo && o.epoch <= hi);
+            if !keep {
+                removed.push(o.epoch);
             }
+            keep
+        });
+        let gone = before - list.len();
+        self.len -= gone;
+        if list.is_empty() {
+            self.per_tag.remove(&tag);
         }
-        removed
+        gone
     }
 
-    /// Drop every observation of one tag; returns the removed epochs, as
-    /// `retain_ranges_for(tag, &[])` would.
-    pub fn remove_tag(&mut self, tag: TagId) -> Vec<Epoch> {
-        let list = self.per_tag.remove(&tag).unwrap_or_default();
-        list.into_iter().map(|o| o.epoch).collect()
+    /// Drop every observation of one tag, appending the removed epochs to
+    /// `removed` as `retain_ranges_for(tag, &[], removed)` would.
+    pub fn remove_tag(&mut self, tag: TagId, removed: &mut Vec<Epoch>) {
+        if let Some(list) = self.per_tag.remove(&tag) {
+            self.len -= list.len();
+            removed.extend(list.iter().map(|o| o.epoch));
+        }
     }
 
     /// The set of epochs at which any of the given tags was observed.
@@ -295,13 +439,17 @@ fn colocated_epochs(object_obs: &[ObsAt], obs_list: &[ObsAt]) -> usize {
 }
 
 /// Merge one tag's sorted observation list into another, preserving the
-/// per-epoch sorted, de-duplicated reader lists. `dst` and `src` are both in
-/// strictly ascending epoch order (the invariant [`Observations::insert`]
-/// maintains). Returns the epochs of `dst` that changed, ascending, and the
-/// number of `(epoch, reader)` pairs added.
-fn merge_obs_lists(dst: &mut Vec<ObsAt>, mut src: Vec<ObsAt>) -> (Vec<Epoch>, usize) {
+/// per-epoch reader sets. `dst` and `src` are both in strictly ascending
+/// epoch order (the invariant [`Observations::insert`] maintains). Appends
+/// the epochs of `dst` that changed to `changed`, ascending, and returns the
+/// number of epochs `dst` gained and of `(epoch, reader)` pairs added.
+fn merge_obs_lists(
+    dst: &mut Vec<ObsAt>,
+    mut src: Vec<ObsAt>,
+    changed: &mut Vec<Epoch>,
+) -> (usize, usize) {
     let (Some(first), Some(last)) = (src.first(), src.last()) else {
-        return (Vec::new(), 0);
+        return (0, 0);
     };
     // Disjoint fast paths: the run lies wholly after what is stored (or
     // nothing is) or wholly before it — migrated history landing behind the
@@ -309,7 +457,8 @@ fn merge_obs_lists(dst: &mut Vec<ObsAt>, mut src: Vec<ObsAt>) -> (Vec<Epoch>, us
     let after = dst.last().is_none_or(|o| first.epoch > o.epoch);
     let before = dst.first().is_some_and(|o| last.epoch < o.epoch);
     if after || before {
-        let changed = src.iter().map(|o| o.epoch).collect();
+        changed.extend(src.iter().map(|o| o.epoch));
+        let entries = src.len();
         let added = src.iter().map(|o| o.readers.len()).sum();
         if before || dst.is_empty() {
             src.append(dst);
@@ -317,9 +466,9 @@ fn merge_obs_lists(dst: &mut Vec<ObsAt>, mut src: Vec<ObsAt>) -> (Vec<Epoch>, us
         } else {
             dst.append(&mut src);
         }
-        return (changed, added);
+        return (entries, added);
     }
-    let mut changed = Vec::new();
+    let mut entries = 0usize;
     let mut added = 0usize;
     let old = std::mem::take(dst);
     dst.reserve(old.len() + src.len());
@@ -330,61 +479,24 @@ fn merge_obs_lists(dst: &mut Vec<ObsAt>, mut src: Vec<ObsAt>) -> (Vec<Epoch>, us
             (Some(x), Some(y)) if x.epoch < y.epoch => dst.push(a.next().expect("peeked")),
             (Some(x), Some(y)) if x.epoch == y.epoch => {
                 let mut obs = a.next().expect("peeked");
-                let had = obs.readers.len();
-                merge_sorted_readers(&mut obs.readers, &b.next().expect("peeked").readers);
-                if obs.readers.len() > had {
+                let gained = obs.readers.union_with(&b.next().expect("peeked").readers);
+                if gained > 0 {
                     changed.push(obs.epoch);
-                    added += obs.readers.len() - had;
+                    added += gained;
                 }
                 dst.push(obs);
             }
             (_, Some(_)) => {
                 let obs = b.next().expect("peeked");
                 changed.push(obs.epoch);
+                entries += 1;
                 added += obs.readers.len();
                 dst.push(obs);
             }
             (_, None) => {
                 dst.extend(a);
-                return (changed, added);
+                return (entries, added);
             }
-        }
-    }
-}
-
-/// Union two sorted, de-duplicated reader lists into the first.
-fn merge_sorted_readers(dst: &mut Vec<LocationId>, src: &[LocationId]) {
-    if src.is_empty() {
-        return;
-    }
-    // Disjoint-suffix fast path.
-    if dst.last().is_none_or(|last| src[0] > *last) {
-        dst.extend_from_slice(src);
-        return;
-    }
-    let old = std::mem::take(dst);
-    dst.reserve(old.len() + src.len());
-    let mut a = old.into_iter().peekable();
-    let mut b = src.iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => dst.push(a.next().expect("peeked")),
-                std::cmp::Ordering::Greater => dst.push(*b.next().expect("peeked")),
-                std::cmp::Ordering::Equal => {
-                    dst.push(a.next().expect("peeked"));
-                    b.next();
-                }
-            },
-            (Some(_), None) => {
-                dst.extend(a);
-                return;
-            }
-            (None, Some(_)) => {
-                dst.extend(b.copied());
-                return;
-            }
-            (None, None) => return,
         }
     }
 }
@@ -419,10 +531,32 @@ mod tests {
         assert_eq!(item.len(), 3);
         assert_eq!(item[0].epoch, Epoch(1));
         assert_eq!(item[2].epoch, Epoch(3));
-        assert_eq!(item[2].readers, vec![LocationId(1), LocationId(2)]);
+        assert_eq!(*item[2].readers, [LocationId(1), LocationId(2)]);
         assert_eq!(obs.len(), 3 + 2 + 2);
         assert_eq!(obs.first_epoch(), Some(Epoch(1)));
         assert_eq!(obs.last_epoch(), Some(Epoch(3)));
+    }
+
+    /// Past the inline capacity a reader set spills to the heap (and grows
+    /// there twice over) and stays sorted, de-duplicated and equal to the
+    /// same set built in another order.
+    #[test]
+    fn reader_set_spills_past_its_inline_capacity() {
+        let n = 4 * ReaderSet::INLINE as u16 + 3;
+        let mut up = ReaderSet::new();
+        let mut down = ReaderSet::new();
+        for k in 0..n {
+            assert!(up.insert(LocationId(2 * k)));
+            assert!(down.insert(LocationId(2 * (n - 1 - k))));
+        }
+        assert!(!up.insert(LocationId(4)), "duplicate after the spill");
+        assert!(down.insert(LocationId(5)), "middle insert after the spill");
+        assert!(down.insert(LocationId(1)), "front insert after the spill");
+        assert_eq!(up.union_with(&[LocationId(1), LocationId(5)]), 2);
+        assert_eq!(up, down);
+        assert_eq!(up.len(), usize::from(n) + 2);
+        assert!(up.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ReaderSet::one(LocationId(7)).as_slice(), [LocationId(7)]);
     }
 
     #[test]
@@ -455,7 +589,7 @@ mod tests {
         let list = obs.obs_for(tag);
         let epochs: Vec<Epoch> = list.iter().map(|o| o.epoch).collect();
         assert_eq!(epochs, vec![Epoch(2), Epoch(10), Epoch(15), Epoch(20)]);
-        assert_eq!(list[2].readers, vec![LocationId(1), LocationId(2)]);
+        assert_eq!(*list[2].readers, [LocationId(1), LocationId(2)]);
         // A replay in any order produces the same index.
         let mut replay = Observations::new();
         for r in [
@@ -520,17 +654,27 @@ mod tests {
     #[test]
     fn retain_ranges_for_prunes_one_tag_only() {
         let mut obs = sample();
-        let removed = obs.retain_ranges_for(TagId::item(1), &[(Epoch(3), Epoch(3))]);
+        let mut removed = Vec::new();
+        let item = TagId::item(1);
+        assert_eq!(
+            obs.retain_ranges_for(item, &[(Epoch(3), Epoch(3))], &mut removed),
+            2
+        );
         assert_eq!(removed, vec![Epoch(1), Epoch(2)]);
-        assert_eq!(obs.obs_for(TagId::item(1)).len(), 1);
+        assert_eq!(obs.obs_for(item).len(), 1);
         assert_eq!(obs.obs_for(TagId::case(1)).len(), 2, "other tags untouched");
-        let removed = obs.retain_ranges_for(TagId::item(1), &[(Epoch(9), Epoch(9))]);
+        assert_eq!(obs.len(), 1 + 2 + 2);
+        removed.clear();
+        obs.retain_ranges_for(item, &[(Epoch(9), Epoch(9))], &mut removed);
         assert_eq!(removed, vec![Epoch(3)]);
-        assert!(obs.obs_for(TagId::item(1)).is_empty());
-        assert!(!obs.objects().contains(&TagId::item(1)));
-        assert!(obs
-            .retain_ranges_for(TagId::item(1), &[(Epoch(0), Epoch(9))])
-            .is_empty());
+        assert!(obs.obs_for(item).is_empty());
+        assert!(!obs.objects().contains(&item));
+        removed.clear();
+        assert_eq!(
+            obs.retain_ranges_for(item, &[(Epoch(0), Epoch(9))], &mut removed),
+            0
+        );
+        assert!(removed.is_empty());
     }
 
     /// Whole-tag removal is `retain_ranges_for(tag, &[])` by another route:
@@ -542,16 +686,19 @@ mod tests {
             let mut whole = sample();
             let mut ranged = sample();
             for _ in 0..2 {
-                assert_eq!(whole.remove_tag(tag), ranged.retain_ranges_for(tag, &[]));
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                whole.remove_tag(tag, &mut a);
+                ranged.retain_ranges_for(tag, &[], &mut b);
+                assert_eq!(a, b);
                 assert_eq!(whole, ranged);
             }
             assert!(whole.obs_for(tag).is_empty());
         }
         let mut obs = sample();
-        assert_eq!(
-            obs.remove_tag(TagId::item(1)),
-            vec![Epoch(1), Epoch(2), Epoch(3)]
-        );
+        let mut removed = vec![Epoch(0)];
+        obs.remove_tag(TagId::item(1), &mut removed);
+        assert_eq!(removed, vec![Epoch(0), Epoch(1), Epoch(2), Epoch(3)]);
+        assert_eq!(obs.len(), 2 + 2);
     }
 
     #[test]
@@ -562,8 +709,11 @@ mod tests {
             read(2, TagId::item(1), 1),
             read(1, TagId::item(1), 0), // overlap
         ];
-        assert_eq!(a.insert_run(TagId::item(1), &mut run), (vec![Epoch(2)], 1));
+        let mut changed = Vec::new();
+        assert_eq!(a.insert_run(TagId::item(1), &mut run, &mut changed), 1);
+        assert_eq!(changed, vec![Epoch(2)]);
         assert_eq!(a.obs_for(TagId::item(1)).len(), 2);
+        assert_eq!(a.len(), 2);
     }
 
     /// The run merge (vacant-tag adoption, append-only extension, and the
@@ -606,18 +756,20 @@ mod tests {
             for (tag, run) in &mut incoming {
                 // the reference replays the (unsorted, duplicated) run
                 // through insert()
-                let mut changed = BTreeSet::new();
+                let mut expected = BTreeSet::new();
                 let mut added = 0;
                 for r in run.iter() {
                     if reference.insert(*r) {
-                        changed.insert(r.time);
+                        expected.insert(r.time);
                         added += 1;
                     }
                 }
-                let changed: Vec<Epoch> = changed.into_iter().collect();
-                assert_eq!(base.insert_run(*tag, run), (changed, added));
+                let expected: Vec<Epoch> = expected.into_iter().collect();
+                let mut changed = Vec::new();
+                assert_eq!(base.insert_run(*tag, run, &mut changed), added);
+                assert_eq!(changed, expected);
             }
-            assert_eq!(base.per_tag, reference.per_tag);
+            assert_eq!(base, reference);
         }
     }
 
@@ -629,23 +781,24 @@ mod tests {
         a.insert(read(2, item, 1));
         // strictly newer epochs for an existing tag → append path
         let mut newer = [read(5, item, 0), read(6, item, 2)];
-        assert_eq!(
-            a.insert_run(item, &mut newer),
-            (vec![Epoch(5), Epoch(6)], 2)
-        );
+        let mut changed = Vec::new();
+        assert_eq!(a.insert_run(item, &mut newer, &mut changed), 2);
+        assert_eq!(changed, vec![Epoch(5), Epoch(6)]);
         // unseen tag → adoption path
         let mut unseen = [read(3, TagId::case(7), 1)];
-        assert_eq!(
-            a.insert_run(TagId::case(7), &mut unseen),
-            (vec![Epoch(3)], 1)
-        );
+        changed.clear();
+        assert_eq!(a.insert_run(TagId::case(7), &mut unseen, &mut changed), 1);
+        assert_eq!(changed, vec![Epoch(3)]);
         assert_eq!(a.obs_for(item).len(), 4);
         assert_eq!(a.obs_for(TagId::case(7)).len(), 1);
+        assert_eq!(a.len(), 5);
         // an empty run is a no-op that leaves no empty list behind; a replayed
         // run changes nothing
         let before = a.clone();
-        assert_eq!(a.insert_run(TagId::case(9), &mut []), (Vec::new(), 0));
-        assert_eq!(a.insert_run(item, &mut newer), (Vec::new(), 0));
+        changed.clear();
+        assert_eq!(a.insert_run(TagId::case(9), &mut [], &mut changed), 0);
+        assert_eq!(a.insert_run(item, &mut newer, &mut changed), 0);
+        assert!(changed.is_empty());
         assert_eq!(a, before);
     }
 

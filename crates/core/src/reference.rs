@@ -230,13 +230,14 @@ pub fn run_tree(
             // Changes after the cached horizon cannot invalidate
             // anything (the cache has no entries there), so clamp the
             // union to it.
-            let invalid: BTreeSet<Epoch> = match dirty {
-                Some(d) if !prev_per_epoch.is_empty() => d.union_for_until(
+            let mut invalid: Vec<Epoch> = Vec::new();
+            if let Some(d) = dirty.filter(|_| !prev_per_epoch.is_empty()) {
+                d.union_for_until(
                     std::iter::once(c).chain(members.iter().copied()),
                     prev_per_epoch.last().map(|&(t, _)| t),
-                ),
-                _ => BTreeSet::new(),
-            };
+                    &mut invalid,
+                );
+            }
             let needed = needed_epochs.get(&c);
             // Whole-variant fast path: the previous run's variant covers
             // exactly the needed epochs and none of them is dirty — take

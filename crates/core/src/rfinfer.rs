@@ -21,7 +21,7 @@ use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
 use rfid_types::{ContainmentMap, Epoch, LocationId, ObjectEvent, TagId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Tuning knobs of the RFINFER algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,9 +263,13 @@ impl InferenceOutcome {
 /// for it), which counts it in the dirty statistics without invalidating any
 /// cached per-epoch computation (priors are re-applied from scratch every
 /// run).
+///
+/// Each dirty tag holds one sorted, de-duplicated `Vec<Epoch>`: readings
+/// arrive in time order, so recording one is a push (or nothing, when the
+/// epoch is the last one journaled).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
-    changed: BTreeMap<TagId, BTreeSet<Epoch>>,
+    changed: BTreeMap<TagId, Vec<Epoch>>,
 }
 
 impl DirtySet {
@@ -277,23 +281,47 @@ impl DirtySet {
     /// Record that `tag`'s observations changed at `epoch` (inserted or
     /// removed).
     pub fn record(&mut self, tag: TagId, epoch: Epoch) {
-        self.changed.entry(tag).or_default().insert(epoch);
+        let epochs = self.changed.entry(tag).or_default();
+        match epochs.last() {
+            Some(&last) if last == epoch => {}
+            Some(&last) if last > epoch => {
+                if let Err(at) = epochs.binary_search(&epoch) {
+                    epochs.insert(at, epoch);
+                }
+            }
+            _ => epochs.push(epoch),
+        }
     }
 
-    /// Record a batch of changed epochs for one tag. A no-op when `epochs`
-    /// is empty, so callers can pass the removal list of
-    /// [`Observations::retain_ranges_for`] unconditionally. A tag with no
-    /// epochs journaled yet takes the batch as one bulk-built set.
+    /// Record a batch of changed epochs for one tag, in any order. A no-op
+    /// when `epochs` is empty.
     pub fn record_all<I: IntoIterator<Item = Epoch>>(&mut self, tag: TagId, epochs: I) {
-        let mut iter = epochs.into_iter().peekable();
-        if iter.peek().is_some() {
-            let set = self.changed.entry(tag).or_default();
-            if set.is_empty() {
-                *set = iter.collect();
-            } else {
-                set.extend(iter);
-            }
+        self.record_with(tag, |journal| journal.extend(epochs));
+    }
+
+    /// Let `fill` append changed epochs of `tag` straight onto its journal —
+    /// how a store mutation that reports epochs through a `&mut Vec<Epoch>`
+    /// (e.g. [`Observations::retain_ranges_for`]) journals them without an
+    /// intermediate list — and return what `fill` returns. Appending nothing
+    /// leaves the journal as it was; appended epochs may come in any order.
+    pub(crate) fn record_with<R>(
+        &mut self,
+        tag: TagId,
+        fill: impl FnOnce(&mut Vec<Epoch>) -> R,
+    ) -> R {
+        if let Some(epochs) = self.changed.get_mut(&tag) {
+            let from = epochs.len();
+            let out = fill(epochs);
+            settle(epochs, from);
+            return out;
         }
+        let mut epochs = Vec::new();
+        let out = fill(&mut epochs);
+        if !epochs.is_empty() {
+            settle(&mut epochs, 0);
+            self.changed.insert(tag, epochs);
+        }
+        out
     }
 
     /// Mark a tag dirty without naming epochs (state other than observations
@@ -302,9 +330,9 @@ impl DirtySet {
         self.changed.entry(tag).or_default();
     }
 
-    /// The changed epochs of one tag, if it is dirty.
-    pub fn epochs_of(&self, tag: TagId) -> Option<&BTreeSet<Epoch>> {
-        self.changed.get(&tag)
+    /// The changed epochs of one tag, ascending, if it is dirty.
+    pub fn epochs_of(&self, tag: TagId) -> Option<&[Epoch]> {
+        self.changed.get(&tag).map(Vec::as_slice)
     }
 
     /// Number of dirty tags.
@@ -317,43 +345,61 @@ impl DirtySet {
         self.changed.is_empty()
     }
 
-    /// Union of the changed epochs of all the given tags — the epochs at
-    /// which a cached posterior over exactly these tags is invalid.
-    pub fn union_for<I: IntoIterator<Item = TagId>>(&self, tags: I) -> BTreeSet<Epoch> {
-        self.union_for_until(tags, None)
-    }
-
-    /// Like [`Self::union_for`], but ignoring changes after `cutoff`. Used
-    /// when the consumer's cache holds nothing newer than `cutoff` anyway —
-    /// in the streaming steady state almost every change is a new reading
-    /// past the previous run's horizon, so the clamp keeps the union tiny.
+    /// Fill `union` (cleared first) with the union of the changed epochs of
+    /// all the given tags, ascending — the epochs at which a cached
+    /// posterior over exactly these tags is invalid — ignoring changes after
+    /// `cutoff`. The clamp is for a consumer whose cache holds nothing newer
+    /// than `cutoff` anyway: in the streaming steady state almost every
+    /// change is a new reading past the previous run's horizon, so it keeps
+    /// the union tiny.
     pub fn union_for_until<I: IntoIterator<Item = TagId>>(
         &self,
         tags: I,
         cutoff: Option<Epoch>,
-    ) -> BTreeSet<Epoch> {
-        let mut union = BTreeSet::new();
+        union: &mut Vec<Epoch>,
+    ) {
+        union.clear();
+        let mut sources = 0;
         for tag in tags {
             if let Some(epochs) = self.changed.get(&tag) {
-                match cutoff {
-                    Some(cutoff) => union.extend(epochs.range(..=cutoff).copied()),
-                    None => union.extend(epochs.iter().copied()),
+                let end = cutoff.map_or(epochs.len(), |c| epochs.partition_point(|&t| t <= c));
+                if end > 0 {
+                    union.extend_from_slice(&epochs[..end]);
+                    sources += 1;
                 }
             }
         }
-        union
+        if sources > 1 {
+            settle(union, 0);
+        }
     }
 
-    /// All `(tag, changed epochs)` entries in ascending tag order — the
-    /// checkpoint codec's view of the journal. A tag marked via
-    /// [`Self::mark`] appears with an empty epoch set.
-    pub fn entries(&self) -> impl Iterator<Item = (TagId, &BTreeSet<Epoch>)> {
-        self.changed.iter().map(|(t, e)| (*t, e))
+    /// All `(tag, changed epochs)` entries in ascending tag order, epochs
+    /// ascending — the checkpoint codec's view of the journal. A tag marked
+    /// via [`Self::mark`] appears with no epochs.
+    pub fn entries(&self) -> impl Iterator<Item = (TagId, &[Epoch])> {
+        self.changed.iter().map(|(t, e)| (*t, e.as_slice()))
     }
 
     /// Forget all recorded changes.
     pub fn clear(&mut self) {
         self.changed.clear();
+    }
+}
+
+/// Restore a journal list to ascending and duplicate-free after epochs were
+/// appended from index `from` on. Appends past the last epoch — new readings,
+/// removals of a tag not yet journaled — are already in order and cost one
+/// check; otherwise the list is two or more sorted runs (history imported
+/// behind newer readings, truncation behind a change point), which the
+/// run-detecting stable sort merges.
+fn settle(epochs: &mut Vec<Epoch>, from: usize) {
+    if epochs[from.saturating_sub(1)..]
+        .windows(2)
+        .any(|pair| pair[0] >= pair[1])
+    {
+        epochs.sort();
+        epochs.dedup();
     }
 }
 
@@ -849,10 +895,15 @@ mod tests {
         assert_eq!(d.epochs_of(TagId::item(1)).unwrap().len(), 3);
         assert!(d.epochs_of(TagId::case(9)).unwrap().is_empty());
         assert!(d.epochs_of(TagId::item(2)).is_none());
-        let union = d.union_for([TagId::item(1), TagId::case(9), TagId::item(5)]);
-        assert_eq!(union.len(), 3);
-        let clamped = d.union_for_until([TagId::item(1)], Some(Epoch(5)));
-        assert_eq!(clamped.len(), 2, "changes past the cutoff are ignored");
+        let mut union = vec![Epoch(99)];
+        d.union_for_until(
+            [TagId::item(1), TagId::case(9), TagId::item(5)],
+            None,
+            &mut union,
+        );
+        assert_eq!(union, [Epoch(3), Epoch(5), Epoch(7)]);
+        d.union_for_until([TagId::item(1)], Some(Epoch(5)), &mut union);
+        assert_eq!(union.len(), 2, "changes past the cutoff are ignored");
         d.clear();
         assert!(d.is_empty());
     }

@@ -151,18 +151,33 @@ impl RetentionPlan {
     /// inclusive ranges — the result never contains an empty range and no
     /// two ranges overlap or touch.
     pub fn ranges_for(&self, tag: TagId, now: Epoch) -> Vec<(Epoch, Epoch)> {
-        let mut ranges = self.per_tag.get(&tag).cloned().unwrap_or_default();
-        ranges.push((self.recent_from.min(now), now));
-        ranges.sort_unstable();
-        let mut merged: Vec<(Epoch, Epoch)> = Vec::with_capacity(ranges.len());
-        for &(lo, hi) in ranges.iter() {
-            match merged.last_mut() {
-                Some(last) if lo <= last.1.plus(1) => last.1 = last.1.max(hi),
-                _ => merged.push((lo, hi)),
-            }
-        }
-        merged
+        let mut ranges = Vec::new();
+        self.ranges_into(tag, now, &mut ranges);
+        ranges
     }
+
+    /// [`Self::ranges_for`] into a reusable buffer (cleared first), so a
+    /// truncation pass over every stored tag allocates once, not per tag.
+    pub fn ranges_into(&self, tag: TagId, now: Epoch, ranges: &mut Vec<(Epoch, Epoch)>) {
+        ranges.clear();
+        if let Some(own) = self.per_tag.get(&tag) {
+            ranges.extend_from_slice(own);
+        }
+        ranges.push((self.recent_from.min(now), now));
+        merge_ranges(ranges);
+    }
+}
+
+/// Sort inclusive ranges and merge, in place, those that overlap or touch.
+fn merge_ranges(ranges: &mut Vec<(Epoch, Epoch)>) {
+    ranges.sort_unstable();
+    ranges.dedup_by(|next, kept| {
+        let joins = next.0 <= kept.1.plus(1);
+        if joins {
+            kept.1 = kept.1.max(next.1);
+        }
+        joins
+    });
 }
 
 /// Build a retention plan from an inference outcome.
@@ -203,17 +218,7 @@ pub fn retention_plan(
                 }
             }
             // Merge overlapping ranges per tag to keep the plan small.
-            for ranges in per_tag.values_mut() {
-                ranges.sort_unstable();
-                let mut merged: Vec<(Epoch, Epoch)> = Vec::with_capacity(ranges.len());
-                for &(lo, hi) in ranges.iter() {
-                    match merged.last_mut() {
-                        Some(last) if lo <= last.1.plus(1) => last.1 = last.1.max(hi),
-                        _ => merged.push((lo, hi)),
-                    }
-                }
-                *ranges = merged;
-            }
+            per_tag.values_mut().for_each(merge_ranges);
             RetentionPlan {
                 per_tag,
                 recent_from: now.minus(recent_secs),

@@ -26,7 +26,7 @@ use crate::primitives::{Reader, TagTable, Writer};
 use crate::{WireCodec, WireError};
 use rfid_core::{
     CachedVariant, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache, InferenceOutcome,
-    InferenceStats, MemoryStats, ObjectEvidence, Observations, PriorWeights,
+    InferenceStats, MemoryStats, ObjectEvidence, Observations, PriorWeights, ReaderSet,
 };
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
@@ -355,6 +355,23 @@ impl Wire for PriorWeights {
     }
 }
 
+/// A counted sequence of reader locations. A reader listed twice is the
+/// duplicate observation it would decode to.
+impl Wire for ReaderSet {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        put_seq(self.as_slice(), w, refs);
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let mut set = ReaderSet::new();
+        for _ in 0..usize::get(r, TagRefs::Raw)? {
+            if !set.insert(LocationId::get(r, refs)?) {
+                return Err(WireError::new("duplicate observation in the store"));
+            }
+        }
+        Ok(set)
+    }
+}
+
 /// Per tag, a delta run of `(epoch, reader locations)`.
 impl Wire for Observations {
     fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
@@ -367,12 +384,12 @@ impl Wire for Observations {
     }
     fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
         let runs = get_keyed(r, refs, |r| {
-            get_run(r, Epoch(0), |r| Vec::<LocationId>::get(r, refs))
+            get_run(r, Epoch(0), |r| ReaderSet::get(r, refs))
         })?;
         let mut store = Observations::new();
         for (tag, run) in runs {
             for (epoch, locations) in run {
-                for location in locations {
+                for location in locations.iter() {
                     if !store.insert(RawReading::new(epoch, tag, location.reader())) {
                         return Err(WireError::new("duplicate observation in the store"));
                     }

@@ -11,12 +11,12 @@ mod common;
 
 use common::*;
 use proptest::prelude::*;
-use rfid_core::{CollapsedState, MigrationState};
+use rfid_core::{CollapsedState, MigrationState, ReaderSet};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::codec::KINDS;
 use rfid_wire::primitives::{Reader, TagTable, Writer};
-use rfid_wire::{WireErrorKind, WIRE_VERSION};
+use rfid_wire::{WireError, WireErrorKind, WIRE_VERSION};
 
 /// Run every decoder over `bytes`; the only acceptable outcomes are `Ok` and
 /// `Err` — a panic fails the test by unwinding. A bundle that decodes is also
@@ -304,6 +304,91 @@ fn duplicate_keys_are_malformed_in_every_keyed_section() {
         codec().decode_checkpoint(&build(1)).expect(what);
         let err = codec().decode_checkpoint(&build(0)).expect_err(what);
         assert_eq!(err.kind(), WireErrorKind::Malformed, "{what}");
+    }
+}
+
+/// Decode a checkpoint whose only non-empty section is the observation store
+/// (`at` 0) or the dirty journal (`at` 3), written by `body`.
+fn decode_with_section(at: usize, body: &dyn Fn(&mut Writer)) -> Result<(), WireError> {
+    let blank = |w: &mut Writer| w.put_varint(0);
+    let mut bodies: [&dyn Fn(&mut Writer); 5] = [&blank; 5];
+    bodies[at] = body;
+    codec()
+        .decode_checkpoint(&checkpoint_with_keyed_sections(bodies))
+        .map(|_| ())
+}
+
+/// A store section for the tag at table index 1: per observation its epoch
+/// delta and its readers.
+fn store_section<'a>(observations: &'a [(i64, &'a [u64])]) -> impl Fn(&mut Writer) + 'a {
+    move |w| {
+        w.put_varint(1);
+        w.put_varint(1);
+        w.put_varint(observations.len() as u64);
+        for (delta, readers) in observations {
+            w.put_zigzag(*delta);
+            w.put_varint(readers.len() as u64);
+            readers.iter().for_each(|&reader| w.put_varint(reader));
+        }
+    }
+}
+
+/// A store that names one `(tag, epoch, reader)` twice — a reader repeated
+/// in one epoch's set, inline or past the spill, or one epoch listed twice —
+/// is malformed: the encoder writes each reading once.
+#[test]
+fn duplicate_observations_are_malformed() {
+    let spilled: Vec<u64> = (0..ReaderSet::INLINE as u64 + 2).collect();
+    let mut spilled_dup = spilled.clone();
+    spilled_dup.push(4);
+    let accepted: [&[(i64, &[u64])]; 3] = [
+        &[(5, &[0, 2])],
+        &[(5, &[0]), (1, &[0])],
+        &[(5, &spilled), (1, &[0])],
+    ];
+    for observations in accepted {
+        decode_with_section(0, &store_section(observations)).expect("distinct readings");
+    }
+    let rejected: [&[(i64, &[u64])]; 4] = [
+        &[(5, &[2, 2])],
+        &[(5, &[2, 0, 2])],
+        &[(5, &spilled_dup)],
+        &[(5, &[0]), (0, &[1, 0])],
+    ];
+    for observations in rejected {
+        let err = decode_with_section(0, &store_section(observations)).unwrap_err();
+        assert_eq!(err.kind(), WireErrorKind::Malformed);
+        assert!(
+            err.to_string()
+                .ends_with("duplicate observation in the store"),
+            "{observations:?}: {err}"
+        );
+    }
+}
+
+/// A journal run that repeats an epoch is malformed; distinct epochs decode
+/// in any order.
+#[test]
+fn duplicate_journal_epochs_are_malformed() {
+    let journal = |deltas: &'static [i64]| {
+        move |w: &mut Writer| {
+            w.put_varint(1);
+            w.put_varint(1);
+            w.put_varint(deltas.len() as u64);
+            deltas.iter().for_each(|&delta| w.put_zigzag(delta));
+        }
+    };
+    for deltas in [&[4, 3][..], &[7, -3], &[]] {
+        decode_with_section(3, &journal(deltas)).expect("distinct epochs");
+    }
+    for deltas in [&[4, 0][..], &[4, 3, -3], &[9, -5, 5]] {
+        let err = decode_with_section(3, &journal(deltas)).unwrap_err();
+        assert_eq!(err.kind(), WireErrorKind::Malformed);
+        assert!(
+            err.to_string()
+                .ends_with("duplicate epoch in the dirty journal"),
+            "{deltas:?}: {err}"
+        );
     }
 }
 

@@ -8,7 +8,7 @@ use common::*;
 use proptest::prelude::*;
 use rfid_core::{
     CollapsedState, DirtySet, EngineSnapshot, EvidenceCache, InferenceStats, MigrationState,
-    Observations, PriorWeights,
+    Observations, PriorWeights, ReaderSet,
 };
 use rfid_query::ProcessorSnapshot;
 use rfid_types::{ContainmentMap, Epoch, RawReading, ReaderId, TagId};
@@ -190,6 +190,30 @@ fn checkpoint_epochs_survive_the_wraparound_boundary() {
     let codec = codec();
     let bytes = codec.encode_checkpoint(&checkpoint);
     assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), checkpoint);
+}
+
+/// A store holding a reader set past its inline capacity (spilled to the
+/// heap), built in descending reader order, round-trips and re-encodes to
+/// the same bytes.
+#[test]
+fn checkpoint_round_trips_a_spilled_reader_set() {
+    let wide = ReaderSet::INLINE as u16 + 2;
+    let mut store = Observations::new();
+    for reader in (0..wide).rev() {
+        store.insert(RawReading::new(Epoch(9), TagId::item(1), ReaderId(reader)));
+    }
+    store.insert(RawReading::new(Epoch(4), TagId::item(1), ReaderId(3)));
+    assert_eq!(
+        store.readers_at(TagId::item(1), Epoch(9)).map(<[_]>::len),
+        Some(usize::from(wide))
+    );
+    let mut checkpoint = empty_checkpoint();
+    checkpoint.engine.store = store;
+    let codec = codec();
+    let bytes = codec.encode_checkpoint(&checkpoint);
+    let back = codec.decode_checkpoint(&bytes).unwrap();
+    assert_eq!(back, checkpoint);
+    assert_eq!(codec.encode_checkpoint(&back), bytes);
 }
 
 #[test]
