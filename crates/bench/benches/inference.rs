@@ -86,11 +86,10 @@ fn bench_changepoint_and_truncation(c: &mut Criterion) {
     let model = LikelihoodModel::new(trace.read_rates.clone());
     let obs = Observations::from_batch(&trace.readings);
     let outcome = RfInfer::new(&model, &obs).run();
-    let evidence: Vec<_> = outcome.objects.values().cloned().collect();
     c.bench_function("change_point_statistic_per_object", |b| {
         b.iter(|| {
-            evidence
-                .iter()
+            outcome
+                .objects()
                 .filter_map(change_statistic)
                 .map(|s| s.delta)
                 .sum::<f64>()
@@ -98,8 +97,8 @@ fn bench_changepoint_and_truncation(c: &mut Criterion) {
     });
     c.bench_function("critical_region_search_per_object", |b| {
         b.iter(|| {
-            evidence
-                .iter()
+            outcome
+                .objects()
                 .filter_map(|e| critical_region(e, 60, 3.0))
                 .count()
         })

@@ -60,25 +60,26 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
     // was observed — mirroring how the paper's event stream is evaluated.
     let mut sample_locations = |report: &rfid_core::InferenceReport, from: Epoch, to: Epoch| {
         const STRIDE: usize = 5;
-        for (tag, entries) in &report.outcome.tag_locations {
+        for (tag, entries) in report.outcome.locations() {
             for (t, _) in entries
                 .iter()
                 .filter(|(t, _)| *t > from && *t <= to)
                 .step_by(STRIDE)
             {
-                location_samples.push((*tag, *t, report.outcome.location_of(*tag, *t)));
+                location_samples.push((tag, *t, report.outcome.location_of(tag, *t)));
             }
         }
-        for (object, evidence) in &report.outcome.objects {
-            let Some(series) = evidence.point_evidence.values().next() else {
+        for evidence in report.outcome.objects() {
+            let Some((_, series)) = evidence.series().next() else {
                 continue;
             };
+            let object = evidence.object();
             for (t, _) in series
                 .iter()
                 .filter(|(t, _)| *t > from && *t <= to)
                 .step_by(STRIDE)
             {
-                location_samples.push((*object, *t, report.outcome.location_of(*object, *t)));
+                location_samples.push((object, *t, report.outcome.location_of(object, *t)));
             }
         }
     };
@@ -217,14 +218,13 @@ pub fn fig4(scale: Scale) -> Report {
     let model = LikelihoodModel::new(trace.read_rates.clone());
     let obs = Observations::from_batch(&trace.readings);
     let outcome = RfInfer::new(&model, &obs).run();
-    let evidence = &outcome.objects[&tags.object];
+    let evidence = outcome
+        .object(tags.object)
+        .expect("the scenario's object is observed");
     // per candidate: the point evidence and its running sum, epoch by epoch
     let lines = [tags.real, tags.nrc, tags.nrnc].map(|container| {
-        let point = evidence.point_evidence.get(&container);
-        (
-            point.cloned().unwrap_or_default(),
-            evidence.cumulative_evidence(container),
-        )
+        let point = evidence.point_evidence(container).unwrap_or_default();
+        (point, evidence.cumulative_evidence(container))
     });
     let mut section = Section::new(
         "fig4",

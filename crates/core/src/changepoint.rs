@@ -19,10 +19,12 @@
 //! statistic seen — any larger value observed online is then unlikely to be a
 //! false positive.
 
+use crate::config::ThresholdPolicy;
 use crate::likelihood::LikelihoodModel;
-use crate::rfinfer::ObjectEvidence;
+use crate::rfinfer::{InferenceOutcome, ObjectEvidence};
 use rand::Rng;
-use rfid_types::{Epoch, LocationId, TagId};
+use rfid_types::{Epoch, LocationId, ReadRateTable, TagId};
+use std::sync::Mutex;
 
 /// A detected containment change for one object.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,47 +57,46 @@ pub struct ChangeStatistic {
 }
 
 /// Compute the change-point statistic for one object from the point evidence
-/// produced by RFINFER. Returns `None` when the object has fewer than two
-/// candidate containers or fewer than two observations (no split possible).
-pub fn change_statistic(evidence: &ObjectEvidence) -> Option<ChangeStatistic> {
-    let candidates: Vec<TagId> = evidence.point_evidence.keys().copied().collect();
-    if candidates.is_empty() {
-        return None;
-    }
+/// produced by RFINFER. Returns `None` when the object has no candidate with
+/// point evidence or fewer than two observations (no split possible).
+pub fn change_statistic(evidence: ObjectEvidence<'_>) -> Option<ChangeStatistic> {
+    change_statistic_with(evidence, &mut Vec::new())
+}
+
+/// [`change_statistic`] over a reusable prefix-sum buffer, so a pass over
+/// every object of an outcome allocates once.
+fn change_statistic_with(
+    evidence: ObjectEvidence<'_>,
+    prefix: &mut Vec<f64>,
+) -> Option<ChangeStatistic> {
     // All candidates share the same observation epochs (the object's).
-    let epochs: Vec<Epoch> = evidence
-        .point_evidence
-        .values()
-        .next()
-        .map(|v| v.iter().map(|&(t, _)| t).collect())
-        .unwrap_or_default();
+    let (_, epochs) = evidence.series().next()?;
     let n = epochs.len();
     if n < 2 {
         return None;
     }
 
-    // Prefix sums of point evidence per candidate: prefix[c][k] = sum of the
-    // first k observations' evidence.
-    let mut prefix: Vec<Vec<f64>> = Vec::with_capacity(candidates.len());
-    for c in &candidates {
-        let points = &evidence.point_evidence[c];
-        let mut sums = Vec::with_capacity(n + 1);
+    // Prefix sums of point evidence per candidate, row-major with stride
+    // n + 1: row c holds at k the sum of the first k observations' evidence.
+    // A candidate may (rarely) miss some epochs if its posterior was not
+    // computed there; its row is padded so indexing stays consistent.
+    prefix.clear();
+    let mut candidates = 0;
+    for (_, points) in evidence.series() {
         let mut acc = 0.0;
-        sums.push(0.0);
-        for &(_, e) in points {
+        prefix.push(0.0);
+        for &(_, e) in points.iter().take(n) {
             acc += e;
-            sums.push(acc);
+            prefix.push(acc);
         }
-        // A candidate may (rarely) miss some epochs if its posterior was not
-        // computed there; pad so indexing stays consistent.
-        while sums.len() < n + 1 {
-            sums.push(acc);
-        }
-        prefix.push(sums);
+        prefix.resize(prefix.len() + n - points.len().min(n), acc);
+        candidates += 1;
     }
+    let at = |ci: usize, k: usize| prefix[ci * (n + 1) + k];
+    let container = |ci: usize| evidence.series().nth(ci).map(|(c, _)| c);
 
-    let best_total = (0..candidates.len())
-        .map(|ci| (ci, prefix[ci][n]))
+    let best_total = (0..candidates)
+        .map(|ci| (ci, at(ci, n)))
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap();
 
@@ -103,28 +104,30 @@ pub fn change_statistic(evidence: &ObjectEvidence) -> Option<ChangeStatistic> {
     // best suffix candidate.
     let mut best = ChangeStatistic {
         delta: f64::NEG_INFINITY,
-        split_at: epochs[0],
+        split_at: epochs[0].0,
         prefix_container: None,
         suffix_container: None,
     };
-    for k in 1..n {
-        let (pre_ci, pre_score) = (0..candidates.len())
-            .map(|ci| (ci, prefix[ci][k]))
+    let mut best_pair = None;
+    for (k, &(split_at, _)) in epochs.iter().enumerate().skip(1) {
+        let (pre_ci, pre_score) = (0..candidates)
+            .map(|ci| (ci, at(ci, k)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        let (suf_ci, suf_score) = (0..candidates.len())
-            .map(|ci| (ci, prefix[ci][n] - prefix[ci][k]))
+        let (suf_ci, suf_score) = (0..candidates)
+            .map(|ci| (ci, at(ci, n) - at(ci, k)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
         let delta = pre_score + suf_score - best_total.1;
         if delta > best.delta {
-            best = ChangeStatistic {
-                delta,
-                split_at: epochs[k],
-                prefix_container: Some(candidates[pre_ci]),
-                suffix_container: Some(candidates[suf_ci]),
-            };
+            best.delta = delta;
+            best.split_at = split_at;
+            best_pair = Some((pre_ci, suf_ci));
         }
+    }
+    if let Some((pre_ci, suf_ci)) = best_pair {
+        best.prefix_container = container(pre_ci);
+        best.suffix_container = container(suf_ci);
     }
     Some(best)
 }
@@ -132,16 +135,14 @@ pub fn change_statistic(evidence: &ObjectEvidence) -> Option<ChangeStatistic> {
 /// Run change-point detection over every object of an inference outcome.
 /// Objects whose statistic exceeds `threshold` are reported, each with the
 /// suffix container as its new containment estimate.
-pub fn detect_changes(
-    objects: &std::collections::BTreeMap<TagId, ObjectEvidence>,
-    threshold: f64,
-) -> Vec<DetectedChange> {
+pub fn detect_changes(outcome: &InferenceOutcome, threshold: f64) -> Vec<DetectedChange> {
     let mut changes = Vec::new();
-    for (&object, evidence) in objects {
-        if let Some(stat) = change_statistic(evidence) {
+    let mut prefix = Vec::new();
+    for evidence in outcome.objects() {
+        if let Some(stat) = change_statistic_with(evidence, &mut prefix) {
             if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
                 changes.push(DetectedChange {
-                    object,
+                    object: evidence.object(),
                     change_at: stat.split_at,
                     old_container: stat.prefix_container,
                     new_container: stat.suffix_container,
@@ -151,6 +152,43 @@ pub fn detect_changes(
         }
     }
     changes
+}
+
+/// Calibrated thresholds shared by the engines of one run.
+///
+/// A calibration is a pure function of the read-rate table, the calibration
+/// policy and the seed, so engines sharing a memo
+/// ([`InferenceEngine::share_thresholds`](crate::InferenceEngine::share_thresholds))
+/// calibrate each distinct triple once between them, still lazily. Values
+/// enter only by calibration: a memo cannot inject a threshold.
+#[derive(Debug, Default)]
+pub struct ThresholdMemo {
+    calibrated: Mutex<Vec<(ReadRateTable, ThresholdPolicy, u64, f64)>>,
+}
+
+impl ThresholdMemo {
+    /// The threshold calibrated for `(rates, policy, seed)`, running
+    /// `calibrate` if no engine sharing the memo has yet. The lock is held
+    /// through the calibration, so engines racing for one key calibrate once.
+    pub(crate) fn get_or_calibrate(
+        &self,
+        (rates, policy, seed): (&ReadRateTable, ThresholdPolicy, u64),
+        calibrate: impl FnOnce() -> f64,
+    ) -> f64 {
+        let mut memo = self
+            .calibrated
+            .lock()
+            .expect("a calibration panicked while holding the threshold memo");
+        let key = |k: &&(ReadRateTable, ThresholdPolicy, u64, f64)| {
+            (&k.0, k.1, k.2) == (rates, policy, seed)
+        };
+        if let Some(&(.., delta)) = memo.iter().find(key) {
+            return delta;
+        }
+        let delta = calibrate();
+        memo.push((rates.clone(), policy, seed, delta));
+        delta
+    }
 }
 
 /// Offline calibration of the detection threshold δ (Section 3.3).
@@ -258,7 +296,7 @@ impl ThresholdCalibrator {
             }
             let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
             let outcome = RfInfer::new(model, &obs).run();
-            if let Some(evidence) = outcome.objects.get(&object) {
+            if let Some(evidence) = outcome.object(object) {
                 if let Some(stat) = change_statistic(evidence) {
                     worst = worst.max(stat.delta);
                 }
@@ -276,7 +314,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rfid_types::{RawReading, ReadRateTable, ReaderId, ReadingBatch};
-    use std::collections::BTreeMap;
 
     fn model(n: usize) -> LikelihoodModel {
         LikelihoodModel::new(ReadRateTable::diagonal(n, 0.8, 1e-4))
@@ -314,7 +351,7 @@ mod tests {
     fn statistic_is_large_when_containment_changed() {
         let m = model(2);
         let outcome = RfInfer::new(&m, &obs_with_change()).run();
-        let stat = change_statistic(&outcome.objects[&TagId::item(1)]).unwrap();
+        let stat = change_statistic(outcome.object(TagId::item(1)).unwrap()).unwrap();
         assert!(
             stat.delta > 10.0,
             "clear change should score high, got {}",
@@ -329,7 +366,7 @@ mod tests {
     fn statistic_is_small_without_a_change() {
         let m = model(2);
         let outcome = RfInfer::new(&m, &obs_without_change()).run();
-        let stat = change_statistic(&outcome.objects[&TagId::item(1)]).unwrap();
+        let stat = change_statistic(outcome.object(TagId::item(1)).unwrap()).unwrap();
         assert!(
             stat.delta.abs() < 1.0,
             "no change: statistic stays near zero, got {}",
@@ -343,30 +380,28 @@ mod tests {
         let with = RfInfer::new(&m, &obs_with_change()).run();
         let without = RfInfer::new(&m, &obs_without_change()).run();
         let threshold = 5.0;
-        let found = detect_changes(&with.objects, threshold);
+        let found = detect_changes(&with, threshold);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].object, TagId::item(1));
         assert_eq!(found[0].new_container, Some(TagId::case(2)));
         assert!(found[0].statistic >= threshold);
-        assert!(detect_changes(&without.objects, threshold).is_empty());
+        assert!(detect_changes(&without, threshold).is_empty());
     }
 
     #[test]
     fn statistic_requires_candidates_and_multiple_observations() {
-        let empty = ObjectEvidence {
-            candidates: vec![],
-            weights: BTreeMap::new(),
-            point_evidence: BTreeMap::new(),
-            assigned: None,
-        };
-        assert!(change_statistic(&empty).is_none());
-        let single = ObjectEvidence {
-            candidates: vec![TagId::case(1)],
-            weights: BTreeMap::new(),
-            point_evidence: BTreeMap::from([(TagId::case(1), vec![(Epoch(0), -1.0)])]),
-            assigned: Some(TagId::case(1)),
-        };
-        assert!(change_statistic(&single).is_none());
+        let mut outcome = InferenceOutcome::new(1, 2);
+        outcome
+            .push_object(TagId::item(0), None, None, &[])
+            .unwrap();
+        let series = [(Epoch(0), -1.0)];
+        let single = [(TagId::case(1), 0.0, &series[..])];
+        let case = Some(TagId::case(1));
+        outcome
+            .push_object(TagId::item(1), case, case, &single)
+            .unwrap();
+        assert!(change_statistic(outcome.object(TagId::item(0)).unwrap()).is_none());
+        assert!(change_statistic(outcome.object(TagId::item(1)).unwrap()).is_none());
     }
 
     #[test]
@@ -382,11 +417,11 @@ mod tests {
         assert!(delta > 0.0);
         // A genuine change scores above the calibrated threshold...
         let with = RfInfer::new(&m, &obs_with_change()).run();
-        let stat = change_statistic(&with.objects[&TagId::item(1)]).unwrap();
+        let stat = change_statistic(with.object(TagId::item(1)).unwrap()).unwrap();
         assert!(stat.delta > delta);
         // ...and a stable object scores below it.
         let without = RfInfer::new(&m, &obs_without_change()).run();
-        let stat = change_statistic(&without.objects[&TagId::item(1)]).unwrap();
+        let stat = change_statistic(without.object(TagId::item(1)).unwrap()).unwrap();
         assert!(stat.delta < delta);
     }
 

@@ -29,10 +29,11 @@
 //!   across runs, so the streaming steady state allocates almost nothing.
 //!
 //! Interned indices are **run-scoped**: they are assigned fresh each run from
-//! the ascending tag order, and nothing outside the run ever sees one. Only
-//! the run boundary converts back to the `TagId`-keyed
-//! [`InferenceOutcome`] / [`EvidenceCache`] types, so the public API, the
-//! wire formats and the incremental dirty-set machinery are untouched.
+//! the ascending tag order, and nothing outside the run ever sees one. What
+//! leaves the run names tags, not indices: the [`InferenceOutcome`] arenas,
+//! filled from the final variants row by row (each candidate's series is
+//! copied out of the variant the M-step stored it in, never re-derived), and
+//! the [`EvidenceCache`] variants that seed the next incremental run.
 //!
 //! The solver replays the exact control flow of the reference EM — same
 //! candidate ranking, same initial assignment, same variant memoization and
@@ -47,10 +48,10 @@ use crate::likelihood::ReaderSetTable;
 use crate::observations::ObsAt;
 use crate::posterior::{container_posterior_row_into_vector, Posterior};
 use crate::rfinfer::{
-    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
+    CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectRow,
     RfInfer, MAX_CACHED_VARIANTS,
 };
-use rfid_types::{ContainmentMap, Epoch, LocationId, TagId};
+use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
 /// Sentinel for "no index" in dense `u32` columns.
@@ -159,7 +160,14 @@ pub struct DenseScratch {
     seen: Vec<u64>,
     /// The distinct epochs of one slot, pre-sort.
     uniq: Vec<Epoch>,
+    /// Per-epoch bucket offsets of the co-location counting sort.
+    epoch_buckets: Vec<u32>,
 }
+
+/// Largest epoch span the epoch-indexed passes (the needed-epoch bitmap and
+/// the co-location buckets) index directly; a store spanning more falls back
+/// to comparison sorts. Spans are bounded by the retained history.
+const EPOCH_SPAN_GUARD: usize = 1 << 24;
 
 /// A previous run's cached variant, re-interned into this run's indices.
 struct PrevVariant {
@@ -201,7 +209,7 @@ struct MWalker {
     slot: u32,
     /// Accumulating co-location weight (prior already added).
     w: f64,
-    /// Evidence series under construction (incremental mode only).
+    /// Evidence series under construction.
     series: Series,
     /// Cursor into the variant's per-epoch posterior series.
     q_cur: usize,
@@ -209,8 +217,6 @@ struct MWalker {
     r_cur: usize,
     /// Cursor into the previous run's series for this pair.
     prev_pos: usize,
-    /// The posterior series is exhausted; the lane contributes nothing more.
-    done: bool,
 }
 
 /// The shared borrows one M-step lane reads during the transposed walk:
@@ -417,30 +423,24 @@ fn fill_colocation_matrix(
     }
 
     // Epoch-sorted event lists, containers and objects separately.
-    s.colo_cont_events.clear();
-    for (cpos, &ci) in s.all_containers.iter().enumerate() {
-        let base = s.set_start[ci as usize];
-        for (off, obs_at) in obs_of[ci as usize].iter().enumerate() {
-            s.colo_cont_events.push((
-                obs_at.epoch,
-                cpos as u32,
-                s.set_ids[(base + off as u32) as usize],
-            ));
-        }
-    }
-    s.colo_cont_events.sort_unstable_by_key(|e| e.0);
-    s.colo_obj_events.clear();
-    for (kpos, &oi) in s.objects.iter().enumerate() {
-        let base = s.set_start[oi as usize];
-        for (off, obs_at) in obs_of[oi as usize].iter().enumerate() {
-            s.colo_obj_events.push((
-                obs_at.epoch,
-                kpos as u32,
-                s.set_ids[(base + off as u32) as usize],
-            ));
-        }
-    }
-    s.colo_obj_events.sort_unstable_by_key(|e| e.0);
+    let (sets, starts) = (&s.set_ids[..], &s.set_start[..]);
+    let buckets = &mut s.epoch_buckets;
+    fill_by_epoch(
+        &mut s.colo_cont_events,
+        &s.all_containers,
+        obs_of,
+        sets,
+        starts,
+        buckets,
+    );
+    fill_by_epoch(
+        &mut s.colo_obj_events,
+        &s.objects,
+        obs_of,
+        sets,
+        starts,
+        buckets,
+    );
 
     // Lockstep walk over shared epochs; each co-located (object, container)
     // event pair bumps one matrix cell.
@@ -478,6 +478,53 @@ fn fill_colocation_matrix(
                 j = j_end;
             }
         }
+    }
+}
+
+/// Fill `events` with `(epoch, position in tags, reader-set id)` for every
+/// observation of `tags`, in epoch order: each event goes straight into its
+/// epoch's bucket (a counting sort) when the epoch span fits
+/// [`EPOCH_SPAN_GUARD`], and the list is comparison-sorted above it. The
+/// lockstep walk needs only the epoch order — match counts do not depend on
+/// the order within an epoch.
+fn fill_by_epoch(
+    events: &mut Vec<(Epoch, u32, u32)>,
+    tags: &[u32],
+    obs_of: &[&[ObsAt]],
+    set_ids: &[u32],
+    set_start: &[u32],
+    buckets: &mut Vec<u32>,
+) {
+    let lists = || tags.iter().map(|&i| obs_of[i as usize]);
+    let first = lists().filter_map(|l| l.first()).map(|o| o.epoch).min();
+    let last = lists().filter_map(|l| l.last()).map(|o| o.epoch).max();
+    let first = first.unwrap_or(Epoch(0));
+    let span = last.map_or(0, |last| last.since(first) as usize + 1);
+    let all = tags.iter().enumerate().flat_map(|(pos, &i)| {
+        let sets = &set_ids[set_start[i as usize] as usize..];
+        let list = obs_of[i as usize].iter().zip(sets);
+        list.map(move |(o, &set)| (o.epoch, pos as u32, set))
+    });
+    events.clear();
+    if span > EPOCH_SPAN_GUARD {
+        events.extend(all);
+        return events.sort_unstable_by_key(|e| e.0);
+    }
+    // Count each epoch offset into the bucket after its own, then prefix-sum
+    // so bucket `i` starts where offset `i` goes.
+    buckets.clear();
+    buckets.resize(span + 1, 0);
+    for o in lists().flatten() {
+        buckets[o.epoch.since(first) as usize + 1] += 1;
+    }
+    for i in 1..buckets.len() {
+        buckets[i] += buckets[i - 1];
+    }
+    events.resize(buckets[span] as usize, (Epoch(0), 0, 0));
+    for event in all {
+        let at = &mut buckets[event.0.since(first) as usize];
+        events[*at as usize] = event;
+        *at += 1;
     }
 }
 
@@ -546,7 +593,6 @@ pub(crate) fn run_dense(
         dirty = Some(*d);
         stats.dirty_tags = d.num_tags();
     }
-    let incremental = dirty.is_some();
 
     let s = &mut *scratch;
 
@@ -773,9 +819,7 @@ pub(crate) fn run_dense(
         let base = s.epochs_arena.iter().copied().min().unwrap_or(Epoch(0));
         let max = s.epochs_arena.iter().copied().max().unwrap_or(base);
         let span = max.since(base) as usize + 1;
-        // Epoch spans are bounded by the retained history; fall back to the
-        // plain sort if a pathological store says otherwise.
-        if span <= (1 << 24) {
+        if span <= EPOCH_SPAN_GUARD {
             s.seen.clear();
             s.seen.resize(span.div_ceil(64), 0);
             Some(base)
@@ -1017,7 +1061,7 @@ pub(crate) fn run_dense(
             // this iteration ⇒ last iteration's weight row is
             // bit-identical; re-derive only the argmax, in ascending
             // container order.
-            if incremental && iter > 0 {
+            if iter > 0 {
                 let untouched = s.cand_arena[range.clone()].iter().all(|&ci| {
                     current[s.slot_of[ci as usize] as usize]
                         .as_ref()
@@ -1067,7 +1111,7 @@ pub(crate) fn run_dense(
                         // Whole-series fast path: the variant's
                         // posteriors all came from the cache and the
                         // object is clean.
-                        let moved = (incremental && variant.fully_reused && o_clean)
+                        let moved = (variant.fully_reused && o_clean)
                             .then(|| take_prev_series(&mut variant.prev_evidence, oi))
                             .flatten();
                         if let Some(series) = moved {
@@ -1085,15 +1129,10 @@ pub(crate) fn run_dense(
                                 flat: flat as u32,
                                 slot: slot as u32,
                                 w,
-                                series: if incremental {
-                                    Vec::with_capacity(o_obs.len())
-                                } else {
-                                    Vec::new()
-                                },
+                                series: Vec::with_capacity(o_obs.len()),
                                 q_cur: 0,
                                 r_cur: 0,
                                 prev_pos: 0,
-                                done: false,
                             });
                             continue;
                         }
@@ -1108,20 +1147,30 @@ pub(crate) fn run_dense(
                 // slices instead of chasing through the variant on
                 // every epoch. (Distinct candidates name distinct
                 // slots; the variants themselves are only mutated
-                // after the walk, when the lanes are drained.)
-                let lane_refs: Vec<MLaneRefs<'_>> = walkers
-                    .iter()
-                    .map(|wk| {
-                        let v = current[wk.slot as usize].as_ref().expect("walker variant");
-                        (
-                            v.epochs.as_slice(),
-                            v.qrows.as_slice(),
-                            v.reused.as_slice(),
-                            prev_series(&v.prev_evidence, oi),
-                        )
-                    })
-                    .collect();
-                let mut rows: Vec<&[f64]> = Vec::with_capacity(walkers.len());
+                // after the walk, when the lanes are drained.) An object
+                // has a handful of candidates, so the bindings live on the
+                // stack; only an unusually wide row spills.
+                let refs_of = |wk: &MWalker| -> MLaneRefs<'_> {
+                    let v = current[wk.slot as usize].as_ref().expect("walker variant");
+                    (
+                        v.epochs.as_slice(),
+                        v.qrows.as_slice(),
+                        v.reused.as_slice(),
+                        prev_series(&v.prev_evidence, oi),
+                    )
+                };
+                let mut inline: [MLaneRefs<'_>; 2 * kernels::LANES] =
+                    [(&[], &[], &[], None); 2 * kernels::LANES];
+                let spilled: Vec<MLaneRefs<'_>>;
+                let lane_refs: &[MLaneRefs<'_>] = if walkers.len() <= inline.len() {
+                    for (refs, wk) in inline.iter_mut().zip(&walkers) {
+                        *refs = refs_of(wk);
+                    }
+                    &inline[..walkers.len()]
+                } else {
+                    spilled = walkers.iter().map(refs_of).collect();
+                    &spilled
+                };
                 let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
                 for (pos, obs_at) in o_obs.iter().enumerate() {
                     let t = obs_at.epoch;
@@ -1135,24 +1184,15 @@ pub(crate) fn run_dense(
                         it.peek().is_some_and(|dt| **dt == t)
                     });
                     s.active.clear();
-                    rows.clear();
-                    let mut all_done = true;
-                    for (l, (wk, refs)) in walkers.iter_mut().zip(&lane_refs).enumerate() {
-                        if wk.done {
-                            continue;
-                        }
-                        let (epochs, qrows, reused, prev) = *refs;
-                        while wk.q_cur < epochs.len() && epochs[wk.q_cur] < t {
+                    for (l, (wk, refs)) in walkers.iter_mut().zip(lane_refs).enumerate() {
+                        let (epochs, _, reused, prev) = *refs;
+                        // A candidate's needed epochs hold every epoch its
+                        // objects were observed at, so the cursor always
+                        // lands on `t`.
+                        while epochs[wk.q_cur] < t {
                             wk.q_cur += 1;
                         }
-                        if wk.q_cur >= epochs.len() {
-                            wk.done = true;
-                            continue;
-                        }
-                        all_done = false;
-                        if epochs[wk.q_cur] != t {
-                            continue;
-                        }
+                        debug_assert_eq!(epochs[wk.q_cur], t);
                         while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
                             wk.r_cur += 1;
                         }
@@ -1173,10 +1213,6 @@ pub(crate) fn run_dense(
                         }
                         stats.evidence_computed += 1;
                         s.active.push(l as u32);
-                        rows.push(&qrows[wk.q_cur * nl..(wk.q_cur + 1) * nl]);
-                    }
-                    if all_done {
-                        break;
                     }
                     if s.active.is_empty() {
                         continue;
@@ -1185,32 +1221,29 @@ pub(crate) fn run_dense(
                     // the object's loglik row at this epoch — the row is
                     // loaded once and shared across the lanes.
                     let row = s.table.row(o_sets[pos]);
-                    for (chunk, qch) in s
-                        .active
-                        .chunks(kernels::LANES)
-                        .zip(rows.chunks(kernels::LANES))
-                    {
+                    for chunk in s.active.chunks(kernels::LANES) {
+                        let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
+                        for (q, &l) in qs.iter_mut().zip(chunk) {
+                            let at = walkers[l as usize].q_cur * nl;
+                            *q = &lane_refs[l as usize].1[at..at + nl];
+                        }
                         let mut vals = [0.0f64; kernels::LANES];
-                        kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
+                        kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
                         for (j, &l) in chunk.iter().enumerate() {
                             let wk = &mut walkers[l as usize];
                             let e = vals[j];
-                            if incremental {
-                                wk.series.push((t, e));
-                            }
+                            wk.series.push((t, e));
                             wk.w += e;
                         }
                     }
                 }
                 for wk in walkers.drain(..) {
-                    if incremental {
-                        let v = current[wk.slot as usize].as_mut().expect("walker variant");
-                        debug_assert!(
-                            v.evidence.last().is_none_or(|e| e.0 < oi),
-                            "evidence pushed out of object order"
-                        );
-                        v.evidence.push((oi, wk.series));
-                    }
+                    let v = current[wk.slot as usize].as_mut().expect("walker variant");
+                    debug_assert!(
+                        v.evidence.last().is_none_or(|e| e.0 < oi),
+                        "evidence pushed out of object order"
+                    );
+                    v.evidence.push((oi, wk.series));
                     s.weights[wk.flat as usize] = wk.w;
                 }
             }
@@ -1230,16 +1263,8 @@ pub(crate) fn run_dense(
         }
     }
 
-    // ---- Run boundary: convert back to TagId-keyed results -----------
-    let outcome = build_outcome(
-        rf,
-        s,
-        &obs_of,
-        &current,
-        iterations,
-        incremental,
-        &mut stats,
-    );
+    // ---- Run boundary: fill the outcome arenas ------------------------
+    let outcome = build_outcome(rf, s, &obs_of, &current, iterations, &mut stats);
 
     // Refill the cache: the final variant of every container first, then
     // recently retired ones (most recent first), deduplicated by member
@@ -1280,132 +1305,77 @@ pub(crate) fn run_dense(
     (outcome, stats)
 }
 
-/// Convert the dense EM state into the public `TagId`-keyed
-/// [`InferenceOutcome`] — the only place interned indices are translated
-/// back.
-#[allow(clippy::too_many_arguments)]
+/// Build the outcome from the dense EM state — the only place interned
+/// indices are translated back. Every arena is appended in row order:
+/// candidate slots in ascending container order (the `cand_sorted` order)
+/// with their final weights, each slot's series copied straight out of its
+/// final variant, and the location runs in one ascending pass over the tag
+/// universe. The candidate and point-evidence arenas are sized exactly up
+/// front: every candidate's series has one point per observation of its
+/// object.
 fn build_outcome(
     rf: &RfInfer<'_>,
     s: &mut DenseScratch,
     obs_of: &[&[ObsAt]],
     current: &[Option<DVariant>],
     iterations: usize,
-    incremental: bool,
     stats: &mut InferenceStats,
 ) -> InferenceOutcome {
     let model = rf.model;
     let nl = model.num_locations();
     let num_objects = s.objects.len();
     let num_rel = s.rel.len();
-
-    // Point evidence per (object, candidate) from the final posteriors; in
-    // incremental mode the final M-step iteration already stored every
-    // series, so the builder clones instead of re-deriving.
-    let mut objects_map: BTreeMap<TagId, ObjectEvidence> = BTreeMap::new();
+    let points = (0..num_objects).map(|k| {
+        let candidates = s.cand_start[k + 1] - s.cand_start[k];
+        candidates as usize * obs_of[s.objects[k] as usize].len()
+    });
+    let mut out = InferenceOutcome {
+        objects: Vec::with_capacity(num_objects),
+        candidates: Vec::with_capacity(s.cand_arena.len()),
+        ranked: vec![0; s.cand_arena.len()],
+        evidence: Vec::with_capacity(points.sum()),
+        iterations,
+        num_locations: nl,
+        ..InferenceOutcome::default()
+    };
     for k in 0..num_objects {
         let oi = s.objects[k];
         let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
-        let o_obs = obs_of[oi as usize];
-        let o_sets =
-            &s.set_ids[s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-        let mut point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>> = BTreeMap::new();
-        let mut weights: BTreeMap<TagId, f64> = BTreeMap::new();
-        // One points list per candidate, indexed by offset within `range`.
-        let mut flat_points: Vec<Vec<(Epoch, f64)>> = Vec::new();
-        flat_points.resize_with(range.len(), Vec::new);
-        // Lanes of the transposed recompute walk: one per
-        // candidate whose series must be re-derived from the final
-        // posteriors.
-        struct BLane<'v> {
-            off: usize,
-            q_cur: usize,
-            v: &'v DVariant,
-        }
-        let mut lanes: Vec<BLane<'_>> = Vec::new();
-        for (off, flat) in range.clone().enumerate() {
+        let base = out.candidates.len();
+        for (slot, &rank) in s.cand_sorted[range.clone()].iter().enumerate() {
+            let flat = range.start + rank as usize;
             let ci = s.cand_arena[flat];
-            if let Some(variant) = current[s.slot_of[ci as usize] as usize].as_ref() {
-                match find_series(&variant.evidence, oi) {
-                    Some(series) if incremental => {
-                        stats.evidence_reused += series.len();
-                        flat_points[off] = series.clone();
-                    }
-                    _ => lanes.push(BLane {
-                        off,
-                        q_cur: 0,
-                        v: variant,
-                    }),
-                }
-            }
-        }
-        if !lanes.is_empty() {
-            // Same transposed walk as the M-step: one pass over the
-            // object's observations drives every lane, the loglik row is
-            // loaded once per epoch and shared, and each lane's points
-            // accumulate in epoch order — the per-candidate walk's exact
-            // values in its exact order.
-            for (pos, obs_at) in o_obs.iter().enumerate() {
-                let t = obs_at.epoch;
-                s.active.clear();
-                let mut all_done = true;
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let epochs = &lane.v.epochs;
-                    while lane.q_cur < epochs.len() && epochs[lane.q_cur] < t {
-                        lane.q_cur += 1;
-                    }
-                    if lane.q_cur >= epochs.len() {
-                        continue;
-                    }
-                    all_done = false;
-                    if epochs[lane.q_cur] == t {
-                        stats.evidence_computed += 1;
-                        s.active.push(l as u32);
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                if s.active.is_empty() {
-                    continue;
-                }
-                let row = s.table.row(o_sets[pos]);
-                for chunk in s.active.chunks(kernels::LANES) {
-                    let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
-                    for (j, &l) in chunk.iter().enumerate() {
-                        let lane = &lanes[l as usize];
-                        qs[j] = &lane.v.qrows[lane.q_cur * nl..(lane.q_cur + 1) * nl];
-                    }
-                    let mut vals = [0.0f64; kernels::LANES];
-                    kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
-                    for (j, &l) in chunk.iter().enumerate() {
-                        flat_points[lanes[l as usize].off].push((t, vals[j]));
-                    }
-                }
-            }
-        }
-        for (off, flat) in range.clone().enumerate() {
-            let ci = s.cand_arena[flat];
-            point_evidence.insert(s.tags[ci as usize], std::mem::take(&mut flat_points[off]));
-            weights.insert(s.tags[ci as usize], s.weights[flat]);
+            out.ranked[base + rank as usize] = slot as u32;
+            // The final M-step iteration stored every series against the
+            // final variant (an object it skipped kept the series of an
+            // earlier one against the same variant).
+            let variant = current[s.slot_of[ci as usize] as usize]
+                .as_ref()
+                .expect("every candidate's container has a variant");
+            let series = find_series(&variant.evidence, oi)
+                .expect("the M-step stores every candidate's series");
+            stats.evidence_reused += series.len();
+            let start = out.evidence.len() as u32;
+            out.evidence.extend_from_slice(series);
+            out.candidates.push(Candidate {
+                container: s.tags[ci as usize],
+                weight: s.weights[flat],
+                series: (start, out.evidence.len() as u32),
+            });
         }
         let assigned = (s.assign[k] != NONE_IDX).then(|| s.tags[s.assign[k] as usize]);
-        objects_map.insert(
-            s.tags[oi as usize],
-            ObjectEvidence {
-                candidates: s.cand_arena[range]
-                    .iter()
-                    .map(|&ci| s.tags[ci as usize])
-                    .collect(),
-                weights,
-                point_evidence,
-                assigned,
-            },
-        );
+        out.objects.push(ObjectRow {
+            object: s.tags[oi as usize],
+            container: assigned,
+            assigned,
+            slots: (base as u32, out.candidates.len() as u32),
+        });
     }
 
     // Location estimates: containers from their posteriors at informative
-    // epochs only. Members come from the *final* assignment (it may have
-    // moved after the last E-step), recounted into the member arena.
+    // epochs only; objects with no assigned container from their own
+    // readings. Members come from the *final* assignment (it may have moved
+    // after the last E-step), recounted into the member arena.
     count_members(
         &s.assign,
         &s.objects,
@@ -1415,86 +1385,66 @@ fn build_outcome(
         &mut s.member_arena,
         num_rel,
     );
-
-    let mut tag_locations: BTreeMap<TagId, Vec<(Epoch, LocationId)>> = BTreeMap::new();
-    for (slot, current_slot) in current.iter().enumerate() {
-        let Some(variant) = current_slot.as_ref() else {
-            continue;
-        };
-        let ci = s.rel[slot];
-        let own = obs_of[ci as usize];
-        let members =
-            &s.member_arena[s.member_start[slot] as usize..s.member_start[slot + 1] as usize];
-        let mut own_cur = 0usize;
-        s.cursors.clear();
-        s.cursors.resize(members.len(), 0);
-        let mut locs: Vec<(Epoch, LocationId)> = Vec::new();
-        for (&t, q) in variant.epochs.iter().zip(variant.qrows.chunks_exact(nl)) {
-            while own_cur < own.len() && own[own_cur].epoch < t {
-                own_cur += 1;
-            }
-            let mut informative = own_cur < own.len() && own[own_cur].epoch == t;
-            for (mi, &m) in members.iter().enumerate() {
-                let list = obs_of[m as usize];
-                let mut cur = s.cursors[mi] as usize;
-                while cur < list.len() && list[cur].epoch < t {
-                    cur += 1;
-                }
-                s.cursors[mi] = cur as u32;
-                if !informative && cur < list.len() && list[cur].epoch == t {
-                    informative = true;
-                }
-            }
-            if informative {
-                // The later-ties-win scan of `Posterior::map_location`, over
-                // the arena row directly.
-                locs.push((t, Posterior::map_location_of_row(q)));
-            }
-        }
-        if !locs.is_empty() {
-            tag_locations.insert(s.tags[ci as usize], locs);
-        }
-    }
-    // Objects with no assigned container fall back to their own readings
-    // (the memoized row *is* the log-weight vector of that posterior).
-    for k in 0..num_objects {
-        if s.assign[k] != NONE_IDX {
-            continue;
-        }
-        let oi = s.objects[k];
-        let o_obs = obs_of[oi as usize];
-        let o_sets =
-            &s.set_ids[s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-        let locs: Vec<(Epoch, LocationId)> = o_obs
-            .iter()
-            .enumerate()
-            .map(|(pos, obs_at)| {
-                // Normalize into the reusable scratch row instead of
-                // allocating a posterior per epoch; same later-ties-win MAP
-                // scan as `Posterior::map_location`, identical location.
+    let mut k = 0usize;
+    for (i, &tag) in s.tags.iter().enumerate() {
+        let start = out.locations.len();
+        let is_row = s.objects.get(k) == Some(&(i as u32));
+        let unassigned = is_row && s.assign[k] == NONE_IDX;
+        k += usize::from(is_row);
+        let slot = s.slot_of[i] as usize;
+        let variant = (s.slot_of[i] != NONE_IDX)
+            .then(|| current[slot].as_ref())
+            .flatten();
+        if unassigned {
+            // The memoized row *is* the log-weight vector of the object's
+            // own posterior: normalize it into the reusable scratch row and
+            // take the later-ties-win MAP scan of `Posterior::map_location`.
+            let o_sets = &s.set_ids[s.set_start[i] as usize..s.set_start[i + 1] as usize];
+            for (obs_at, &set) in obs_of[i].iter().zip(o_sets) {
                 s.row_scratch.clear();
-                s.row_scratch.extend_from_slice(s.table.row(o_sets[pos]));
+                s.row_scratch.extend_from_slice(s.table.row(set));
                 kernels::exp_normalize(&mut s.row_scratch);
-                (obs_at.epoch, Posterior::map_location_of_row(&s.row_scratch))
-            })
-            .collect();
-        if !locs.is_empty() {
-            tag_locations.insert(s.tags[oi as usize], locs);
+                out.locations
+                    .push((obs_at.epoch, Posterior::map_location_of_row(&s.row_scratch)));
+            }
+        } else if let Some(variant) = variant {
+            let own = obs_of[i];
+            let members =
+                &s.member_arena[s.member_start[slot] as usize..s.member_start[slot + 1] as usize];
+            let mut own_cur = 0usize;
+            s.cursors.clear();
+            s.cursors.resize(members.len(), 0);
+            for (&t, q) in variant.epochs.iter().zip(variant.qrows.chunks_exact(nl)) {
+                while own_cur < own.len() && own[own_cur].epoch < t {
+                    own_cur += 1;
+                }
+                let mut informative = own_cur < own.len() && own[own_cur].epoch == t;
+                for (mi, &m) in members.iter().enumerate() {
+                    let list = obs_of[m as usize];
+                    let mut cur = s.cursors[mi] as usize;
+                    while cur < list.len() && list[cur].epoch < t {
+                        cur += 1;
+                    }
+                    s.cursors[mi] = cur as u32;
+                    if !informative && cur < list.len() && list[cur].epoch == t {
+                        informative = true;
+                    }
+                }
+                if informative {
+                    // The later-ties-win scan of `Posterior::map_location`,
+                    // over the arena row directly.
+                    out.locations.push((t, Posterior::map_location_of_row(q)));
+                }
+            }
+        }
+        if out.locations.len() > start {
+            out.located
+                .push((tag, (start as u32, out.locations.len() as u32)));
         }
     }
-
-    let mut containment = ContainmentMap::new();
-    for k in 0..num_objects {
-        if s.assign[k] != NONE_IDX {
-            containment.set(s.tags[s.objects[k] as usize], s.tags[s.assign[k] as usize]);
-        }
-    }
-
-    InferenceOutcome {
-        containment,
-        objects: objects_map,
-        tag_locations,
-        iterations,
-        num_locations: model.num_locations(),
-    }
+    // The outcome lives until the next run: drop the growth slack of the
+    // one pair of arenas whose size is known only once filled.
+    out.located.shrink_to_fit();
+    out.locations.shrink_to_fit();
+    out
 }

@@ -8,7 +8,7 @@
 //! estimates plus the enriched event stream. It also exports and imports the
 //! per-object migration state used by the distributed layer.
 
-use crate::changepoint::{detect_changes, DetectedChange, ThresholdCalibrator};
+use crate::changepoint::{detect_changes, DetectedChange, ThresholdCalibrator, ThresholdMemo};
 use crate::config::{InferenceConfig, ThresholdPolicy};
 use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
@@ -23,7 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentMap, Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReadingBatch, TagId,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,6 +148,8 @@ pub struct InferenceEngine {
     /// reader-set loglik table), kept across runs so the streaming steady
     /// state reuses capacity instead of reallocating.
     scratch: DenseScratch,
+    /// Thresholds calibrated by engines this one shares calibrations with.
+    thresholds: Option<Arc<ThresholdMemo>>,
 }
 
 impl InferenceEngine {
@@ -167,7 +169,16 @@ impl InferenceEngine {
             dirty: DirtySet::new(),
             cache: EvidenceCache::new(),
             scratch: DenseScratch::default(),
+            thresholds: None,
         }
+    }
+
+    /// Calibrate the change-point threshold through `memo`: engines sharing
+    /// one memo whose read-rate table, policy and seed agree run the
+    /// calibration once between them. The threshold this engine ends up with
+    /// is the one it would have calibrated alone.
+    pub fn share_thresholds(&mut self, memo: Arc<ThresholdMemo>) {
+        self.thresholds = Some(memo);
     }
 
     /// The engine configuration.
@@ -247,6 +258,9 @@ impl InferenceEngine {
         } else {
             f64::INFINITY
         };
+        // Nothing reads the previous outcome once a run starts: freeing it
+        // first keeps one outcome per engine alive, not two.
+        self.last_outcome = None;
         let dirty = std::mem::take(&mut self.dirty);
         let infer = RfInfer::with_prior(&self.model, &self.store, &self.prior)
             .with_config(self.config.rfinfer.clone());
@@ -256,11 +270,11 @@ impl InferenceEngine {
         // run examined. Objects the run did not see (e.g. an estimate
         // imported from another site for an object with no local readings
         // yet) keep their previous containment rather than being wiped.
-        for (&object, evidence) in &outcome.objects {
-            match evidence.assigned {
-                Some(container) => self.containment.set(object, container),
+        for evidence in outcome.objects() {
+            match evidence.assigned() {
+                Some(container) => self.containment.set(evidence.object(), container),
                 None => {
-                    self.containment.remove(object);
+                    self.containment.remove(evidence.object());
                 }
             }
         }
@@ -268,7 +282,7 @@ impl InferenceEngine {
         // ...refined by change-point detection (Section 3.3 / Appendix A.2).
         let mut changes = Vec::new();
         if self.config.change_detection.is_some() {
-            changes = detect_changes(&outcome.objects, threshold);
+            changes = detect_changes(&outcome, threshold);
             for change in &changes {
                 if let Some(new_container) = change.new_container {
                     self.containment.set(change.object, new_container);
@@ -279,17 +293,7 @@ impl InferenceEngine {
                 // co-location becomes the suffix sum of point evidence, and
                 // data before the change point is disregarded in subsequent
                 // runs so the same change is not flagged twice.
-                if let Some(evidence) = outcome.objects.get_mut(&change.object) {
-                    for (c, series) in &evidence.point_evidence {
-                        let suffix: f64 = series
-                            .iter()
-                            .filter(|(t, _)| *t >= change.change_at)
-                            .map(|(_, e)| e)
-                            .sum();
-                        evidence.weights.insert(*c, suffix);
-                    }
-                    evidence.assigned = change.new_container;
-                }
+                outcome.apply_change(change.object, change.change_at, change.new_container);
                 let keep = [(change.change_at, now)];
                 self.dirty.record_with(change.object, |removed| {
                     self.store.retain_ranges_for(change.object, &keep, removed)
@@ -361,9 +365,9 @@ impl InferenceEngine {
             return Vec::new();
         };
         outcome
-            .objects
-            .keys()
-            .filter_map(|&object| {
+            .objects()
+            .filter_map(|evidence| {
+                let object = evidence.object();
                 self.location_of(object, t).map(|loc| {
                     ObjectEvent::new(t, object, loc, self.containment.container_of(object))
                 })
@@ -409,14 +413,23 @@ impl InferenceEngine {
         }
         let value = match self.config.change_detection.map(|c| c.threshold) {
             Some(ThresholdPolicy::Fixed(delta)) => delta,
-            Some(ThresholdPolicy::Calibrated { samples, epochs }) => {
-                let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-                ThresholdCalibrator {
-                    samples,
-                    epochs,
-                    ..Default::default()
+            Some(policy @ ThresholdPolicy::Calibrated { samples, epochs }) => {
+                let seed = self.config.seed;
+                let calibrate = || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let calibrator = ThresholdCalibrator {
+                        samples,
+                        epochs,
+                        ..Default::default()
+                    };
+                    calibrator.calibrate(&self.model, &mut rng)
+                };
+                match &self.thresholds {
+                    Some(memo) => {
+                        memo.get_or_calibrate((self.model.rates(), policy, seed), calibrate)
+                    }
+                    None => calibrate(),
                 }
-                .calibrate(&self.model, &mut rng)
             }
             None => f64::INFINITY,
         };
@@ -433,11 +446,11 @@ impl InferenceEngine {
     /// container from this site, while this site's rejected decoys keep their
     /// penalty (docs/ARCHITECTURE.md, "Migration strategies").
     pub fn export_collapsed(&self, object: TagId) -> CollapsedState {
-        let mut weights = self
+        let mut weights: BTreeMap<TagId, f64> = self
             .last_outcome
             .as_ref()
-            .and_then(|o| o.objects.get(&object))
-            .map(|e| e.weights.clone())
+            .and_then(|o| o.object(object))
+            .map(|e| e.weights().collect())
             .unwrap_or_default();
         #[expect(
             clippy::disallowed_methods,
@@ -474,13 +487,10 @@ impl InferenceEngine {
         object: TagId,
         shipped: &mut BTreeSet<TagId>,
     ) -> ReadingsState {
-        let candidates = self
-            .last_outcome
-            .as_ref()
-            .and_then(|o| o.objects.get(&object))
-            .map_or(&[][..], |e| &e.candidates);
+        let evidence = self.last_outcome.as_ref().and_then(|o| o.object(object));
+        let candidates = evidence.into_iter().flat_map(|e| e.candidates());
         let mut readings = Vec::new();
-        for &tag in std::iter::once(&object).chain(candidates) {
+        for tag in std::iter::once(object).chain(candidates) {
             if !shipped.insert(tag) {
                 continue;
             }
@@ -965,6 +975,44 @@ mod tests {
         assert_eq!(live_report.stats, restored_report.stats);
         assert_eq!(live_report.changes, restored_report.changes);
         assert_eq!(live.snapshot(), restored.snapshot());
+    }
+
+    /// Engines sharing a memo end up exactly where engines calibrating alone
+    /// do, table by table — a memo that handed one table's threshold to
+    /// another would show as a snapshot mismatch — and an engine that never
+    /// runs inference still has no threshold.
+    #[test]
+    fn shared_calibrations_match_independent_ones_per_table() {
+        let memo = Arc::new(ThresholdMemo::default());
+        let tables = [
+            ReadRateTable::diagonal(5, 0.6, 1e-2),
+            ReadRateTable::diagonal(3, 0.5, 5e-2),
+        ];
+        let mut thresholds = Vec::new();
+        for table in tables {
+            let engine = |shared: bool| {
+                let mut engine =
+                    InferenceEngine::new(InferenceConfig::default().with_period(10), table.clone());
+                if shared {
+                    engine.share_thresholds(Arc::clone(&memo));
+                }
+                engine
+            };
+            let mut alone = engine(false);
+            let mut first = engine(true);
+            let mut second = engine(true);
+            let idle = engine(true);
+            for engine in [&mut alone, &mut first, &mut second] {
+                feed_co_travel(engine, 0, 20, 0);
+                engine.run_inference(Epoch(20));
+            }
+            assert!(alone.threshold().is_some());
+            assert_eq!(first.snapshot(), alone.snapshot());
+            assert_eq!(second.snapshot(), alone.snapshot());
+            assert_eq!(idle.snapshot().threshold, None, "calibration stays lazy");
+            thresholds.push(alone.threshold());
+        }
+        assert_ne!(thresholds[0], thresholds[1], "the tables calibrate apart");
     }
 
     #[test]

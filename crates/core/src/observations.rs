@@ -290,36 +290,10 @@ impl Observations {
         self.per_tag.is_empty()
     }
 
-    /// The earliest observed epoch.
-    pub fn first_epoch(&self) -> Option<Epoch> {
-        self.per_tag
-            .values()
-            .filter_map(|v| v.first().map(|o| o.epoch))
-            .min()
-    }
-
-    /// The latest observed epoch.
-    pub fn last_epoch(&self) -> Option<Epoch> {
-        self.per_tag
-            .values()
-            .filter_map(|v| v.last().map(|o| o.epoch))
-            .max()
-    }
-
-    /// Count, for each container, the number of epochs at which it was read
-    /// by the *same reader in the same epoch* as `object` — the co-location
-    /// signal that seeds containment inference and candidate pruning. The
-    /// result is sorted by tag, ascending, and omits zero counts.
-    pub fn colocation_counts(&self, object: TagId) -> Vec<(TagId, usize)> {
-        let mut counts = Vec::new();
-        self.colocation_counts_into(object, &mut counts);
-        counts
-    }
-
-    /// [`Self::colocation_counts`] into a reusable buffer: `counts` is
-    /// cleared and refilled, so a caller ranking candidates for thousands of
-    /// objects per inference run pays for one allocation, not one tree
-    /// rebuild per object.
+    /// Fill `counts` (cleared first) with, for each container, the number of
+    /// epochs at which it was read by the *same reader in the same epoch* as
+    /// `object` — the co-location signal that seeds containment inference and
+    /// candidate pruning — sorted by tag, ascending, without zero counts.
     pub fn colocation_counts_into(&self, object: TagId, counts: &mut Vec<(TagId, usize)>) {
         counts.clear();
         let object_obs = self.obs_for(object);
@@ -340,14 +314,8 @@ impl Observations {
     }
 
     /// The `limit` containers most frequently co-located with `object`
-    /// (candidate pruning, Appendix A.3), most frequent first.
-    pub fn candidate_containers(&self, object: TagId, limit: usize) -> Vec<TagId> {
-        let mut scratch = Vec::new();
-        self.candidate_containers_with(object, limit, &mut scratch)
-    }
-
-    /// [`Self::candidate_containers`] with a caller-owned scratch buffer for
-    /// the intermediate counts, reusable across objects of one inference run.
+    /// (candidate pruning, Appendix A.3), most frequent first, counted in a
+    /// caller-owned scratch buffer reusable across the objects of one run.
     pub fn candidate_containers_with(
         &self,
         object: TagId,
@@ -533,8 +501,6 @@ mod tests {
         assert_eq!(item[2].epoch, Epoch(3));
         assert_eq!(*item[2].readers, [LocationId(1), LocationId(2)]);
         assert_eq!(obs.len(), 3 + 2 + 2);
-        assert_eq!(obs.first_epoch(), Some(Epoch(1)));
-        assert_eq!(obs.last_epoch(), Some(Epoch(3)));
     }
 
     /// Past the inline capacity a reader set spills to the heap (and grows
@@ -628,24 +594,18 @@ mod tests {
     #[test]
     fn colocation_counts_require_same_epoch_and_reader() {
         let obs = sample();
-        let counts = obs.colocation_counts(TagId::item(1));
+        let mut counts = vec![(TagId::item(9), 99)];
+        obs.colocation_counts_into(TagId::item(1), &mut counts);
         // case1 co-located with item1 at epochs 1 and 2 (reader 0); case2
         // co-located only at epoch 3 (reader 1) — at epoch 2 they were read
         // by different readers. Sorted by tag, ascending.
         assert_eq!(counts, vec![(TagId::case(1), 2), (TagId::case(2), 1)]);
-        let cands = obs.candidate_containers(TagId::item(1), 1);
+        let mut scratch = Vec::new();
+        let cands = obs.candidate_containers_with(TagId::item(1), 1, &mut scratch);
         assert_eq!(cands, vec![TagId::case(1)]);
-        let cands2 = obs.candidate_containers(TagId::item(1), 5);
-        assert_eq!(cands2.len(), 2);
-        // The reusable-buffer variant agrees and refills the scratch.
-        let mut scratch = vec![(TagId::item(9), 99)];
-        assert_eq!(
-            obs.candidate_containers_with(TagId::item(1), 5, &mut scratch),
-            cands2
-        );
+        let cands2 = obs.candidate_containers_with(TagId::item(1), 5, &mut scratch);
+        assert_eq!(cands2, vec![TagId::case(1), TagId::case(2)]);
         assert_eq!(scratch.len(), 2);
-        obs.colocation_counts_into(TagId::item(1), &mut scratch);
-        assert_eq!(scratch, counts);
         // An unobserved object yields no candidates and an emptied buffer.
         obs.colocation_counts_into(TagId::item(42), &mut scratch);
         assert!(scratch.is_empty());

@@ -12,10 +12,10 @@
 
 use crate::posterior::{container_posterior, Posterior};
 use crate::rfinfer::{
-    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
-    RfInfer, MAX_CACHED_VARIANTS,
+    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, RfInfer,
+    MAX_CACHED_VARIANTS,
 };
-use rfid_types::{ContainmentMap, Epoch, LocationId, TagId};
+use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Working state of one container during an EM run.
@@ -122,7 +122,7 @@ pub fn run_tree(
         } else {
             all_containers.clone()
         };
-        for c in infer.prior.containers_for(o) {
+        for (c, _) in infer.prior.entries_for(o) {
             if !cands.contains(&c) {
                 cands.push(c);
             }
@@ -517,9 +517,9 @@ fn build_outcome(
     // In incremental mode the final M-step iteration already computed
     // (and stored) every series against exactly these posteriors, so the
     // builder clones them instead of re-deriving each expectation.
-    let mut objects = BTreeMap::new();
+    let mut outcome = InferenceOutcome::new(iterations, infer.model.num_locations());
     for (&o, cands) in candidates {
-        let mut point_evidence = BTreeMap::new();
+        let mut point_evidence = Vec::with_capacity(cands.len());
         for &c in cands {
             let mut points = Vec::new();
             if let Some(variant) = current.get(&c) {
@@ -541,17 +541,17 @@ fn build_outcome(
                     }
                 }
             }
-            point_evidence.insert(c, points);
+            point_evidence.push(points);
         }
-        objects.insert(
-            o,
-            ObjectEvidence {
-                candidates: cands.clone(),
-                weights: weights.get(&o).cloned().unwrap_or_default(),
-                point_evidence,
-                assigned: assignment.get(&o).copied(),
-            },
-        );
+        let rows: Vec<_> = cands
+            .iter()
+            .zip(&point_evidence)
+            .map(|(&c, points)| (c, weights[&o][&c], points.as_slice()))
+            .collect();
+        let assigned = assignment.get(&o).copied();
+        outcome
+            .push_object(o, assigned, assigned, &rows)
+            .expect("objects iterate ascending, candidates are distinct");
     }
 
     // Location estimates: containers from their posteriors — but only at
@@ -602,16 +602,10 @@ fn build_outcome(
         }
     }
 
-    let mut containment = ContainmentMap::new();
-    for (o, c) in assignment {
-        containment.set(*o, *c);
+    for (tag, locs) in &tag_locations {
+        outcome
+            .push_locations(*tag, locs)
+            .expect("tags iterate ascending, runs are non-empty");
     }
-
-    InferenceOutcome {
-        containment,
-        objects,
-        tag_locations,
-        iterations,
-        num_locations: infer.model.num_locations(),
-    }
+    outcome
 }

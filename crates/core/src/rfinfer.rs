@@ -20,7 +20,7 @@
 use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
-use rfid_types::{ContainmentMap, Epoch, LocationId, ObjectEvent, TagId};
+use rfid_types::{Epoch, LocationId, ObjectEvent, TagId};
 use std::collections::BTreeMap;
 
 /// Tuning knobs of the RFINFER algorithm.
@@ -95,17 +95,8 @@ impl PriorWeights {
             .unwrap_or(0.0)
     }
 
-    /// Containers with prior information for the given object.
-    pub fn containers_for(&self, object: TagId) -> Vec<TagId> {
-        self.map
-            .get(&object)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// The `(container, weight)` priors of one object in ascending container
-    /// order, without allocating — the dense path's view of
-    /// [`Self::containers_for`].
+    /// order.
     pub fn entries_for(&self, object: TagId) -> impl Iterator<Item = (TagId, f64)> + '_ {
         self.map
             .get(&object)
@@ -133,66 +124,289 @@ impl PriorWeights {
     }
 }
 
-/// Everything the M-step learned about one object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObjectEvidence {
-    /// Candidate containers considered for this object (pruned set).
-    pub candidates: Vec<TagId>,
-    /// Total co-location weight `w_co` per candidate (Eq. 5), including any
-    /// prior weight.
-    pub weights: BTreeMap<TagId, f64>,
-    /// Point evidence `e_co(t)` (Eq. 7) per candidate, at every epoch the
-    /// object was observed, in epoch order.
-    pub point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>>,
-    /// The container chosen by the M-step (argmax weight), if any candidate
-    /// existed.
-    pub assigned: Option<TagId>,
+/// One object row of an [`InferenceOutcome`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ObjectRow {
+    pub(crate) object: TagId,
+    /// The run's containment estimate; change-point refinement leaves it.
+    pub(crate) container: Option<TagId>,
+    /// The M-step's choice, overwritten by a detected change.
+    pub(crate) assigned: Option<TagId>,
+    /// The row's slots in the candidate arena.
+    pub(crate) slots: (u32, u32),
 }
 
-impl ObjectEvidence {
-    /// Cumulative evidence `E_co(t)` for one candidate: the running sum of
-    /// point evidence up to and including each epoch.
-    pub fn cumulative_evidence(&self, container: TagId) -> Vec<(Epoch, f64)> {
-        let mut total = 0.0;
-        self.point_evidence
-            .get(&container)
-            .map(|points| {
-                points
-                    .iter()
-                    .map(|&(t, e)| {
-                        total += e;
-                        (t, total)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
+/// One candidate slot of an object row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Candidate {
+    pub(crate) container: TagId,
+    /// Total co-location weight `w_co` (Eq. 5), prior included.
+    pub(crate) weight: f64,
+    /// The candidate's series in the point-evidence arena.
+    pub(crate) series: (u32, u32),
 }
 
-/// The result of one RFINFER run.
-#[derive(Debug, Clone, PartialEq)]
+/// A candidate as [`InferenceOutcome::push_object`] takes it: the container,
+/// its weight and its point evidence.
+type RankedCandidate<'e> = (TagId, f64, &'e [(Epoch, f64)]);
+
+/// An arena range as slice indices.
+fn span((start, end): (u32, u32)) -> std::ops::Range<usize> {
+    start as usize..end as usize
+}
+
+/// An arena length as a range bound, or the refusal of a row too large.
+fn offset(len: usize) -> Result<u32, &'static str> {
+    u32::try_from(len).map_err(|_| "an arena outgrew its u32 offsets")
+}
+
+/// The result of one RFINFER run, stored as arenas read through accessors.
+///
+/// * **Object rows**, ascending by object: the run's container, the assigned
+///   container (change-point detection may overwrite it) and a range of
+///   candidate slots.
+/// * **Candidate slots**, ascending by container within a row: the
+///   co-location weight and a range of the point-evidence arena. A parallel
+///   column holds each row's slot offsets in pruned (ranked) order, the
+///   order export ships candidates in.
+/// * **Point evidence**: every series back to back, one `(epoch, e_co)` arena.
+/// * **Location runs**, ascending by tag: a range of one `(epoch, location)`
+///   arena per tag with an estimate.
+///
+/// Every constructor fills the arenas in this order, so two outcomes are
+/// equal exactly when they hold the same rows — what the equivalence suites
+/// and the checkpoint round trip compare. A candidate without point evidence
+/// owns an empty range; a tag without an estimate has no run.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InferenceOutcome {
-    /// Inferred containment: each object mapped to its most likely container.
-    pub containment: ContainmentMap,
-    /// Per-object evidence (weights, point evidence, candidates).
-    pub objects: BTreeMap<TagId, ObjectEvidence>,
-    /// MAP location estimates per tag and epoch. For containers these come
-    /// from the E-step posterior; for objects without an assigned container
-    /// they come from the object's own readings.
-    pub tag_locations: BTreeMap<TagId, Vec<(Epoch, LocationId)>>,
+    pub(crate) objects: Vec<ObjectRow>,
+    pub(crate) candidates: Vec<Candidate>,
+    pub(crate) ranked: Vec<u32>,
+    pub(crate) evidence: Vec<(Epoch, f64)>,
+    pub(crate) located: Vec<(TagId, (u32, u32))>,
+    pub(crate) locations: Vec<(Epoch, LocationId)>,
     /// Number of EM iterations executed before convergence.
     pub iterations: usize,
     /// Number of discrete locations in the model.
     pub num_locations: usize,
 }
 
+/// Everything the M-step learned about one object: a view of its row.
+#[derive(Debug, Clone, Copy)]
+pub struct ObjectEvidence<'a> {
+    row: ObjectRow,
+    slots: &'a [Candidate],
+    ranked: &'a [u32],
+    evidence: &'a [(Epoch, f64)],
+}
+
+impl<'a> ObjectEvidence<'a> {
+    /// The object.
+    pub fn object(&self) -> TagId {
+        self.row.object
+    }
+
+    /// The container chosen by the M-step (argmax weight), if any candidate
+    /// existed — or the one a detected change moved the object to.
+    pub fn assigned(&self) -> Option<TagId> {
+        self.row.assigned
+    }
+
+    /// Candidate containers considered for this object (pruned set), in
+    /// ranked order.
+    pub fn candidates(&self) -> impl ExactSizeIterator<Item = TagId> + 'a {
+        let slots = self.slots;
+        self.ranked
+            .iter()
+            .map(move |&at| slots[at as usize].container)
+    }
+
+    /// Total co-location weight `w_co` per candidate (Eq. 5), including any
+    /// prior weight, in ascending container order.
+    pub fn weights(&self) -> impl ExactSizeIterator<Item = (TagId, f64)> + 'a {
+        self.slots.iter().map(|slot| (slot.container, slot.weight))
+    }
+
+    /// Point evidence `e_co(t)` (Eq. 7) of every candidate that has any, in
+    /// ascending container order: one value per epoch the object was
+    /// observed at, in epoch order.
+    pub fn series(&self) -> impl Iterator<Item = (TagId, &'a [(Epoch, f64)])> + 'a {
+        let evidence = self.evidence;
+        self.slots
+            .iter()
+            .map(move |slot| (slot.container, &evidence[span(slot.series)]))
+            .filter(|(_, series)| !series.is_empty())
+    }
+
+    /// The point-evidence series of one candidate, if it has one.
+    pub fn point_evidence(&self, container: TagId) -> Option<&'a [(Epoch, f64)]> {
+        self.series().find(|&(c, _)| c == container).map(|(_, s)| s)
+    }
+
+    /// Cumulative evidence `E_co(t)` for one candidate: the running sum of
+    /// point evidence up to and including each epoch.
+    pub fn cumulative_evidence(&self, container: TagId) -> Vec<(Epoch, f64)> {
+        let mut total = 0.0;
+        let points = self.point_evidence(container).unwrap_or_default();
+        points
+            .iter()
+            .map(|&(t, e)| {
+                total += e;
+                (t, total)
+            })
+            .collect()
+    }
+}
+
 impl InferenceOutcome {
+    /// An outcome with no rows, to be filled with [`Self::push_object`] and
+    /// [`Self::push_locations`].
+    pub fn new(iterations: usize, num_locations: usize) -> InferenceOutcome {
+        InferenceOutcome {
+            iterations,
+            num_locations,
+            ..InferenceOutcome::default()
+        }
+    }
+
+    /// Append the row of `object`, which must sort after every row already
+    /// pushed. `candidates` lists `(container, weight, point evidence)` in
+    /// ranked order, each container once; `container` is the run's
+    /// containment estimate and `assigned` the M-step's (possibly
+    /// change-refined) choice.
+    pub fn push_object(
+        &mut self,
+        object: TagId,
+        container: Option<TagId>,
+        assigned: Option<TagId>,
+        candidates: &[RankedCandidate<'_>],
+    ) -> Result<(), &'static str> {
+        if self.objects.last().is_some_and(|row| row.object >= object) {
+            return Err("object rows out of order or repeated");
+        }
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_unstable_by_key(|&at| candidates[at].0);
+        if order
+            .windows(2)
+            .any(|p| candidates[p[0]].0 == candidates[p[1]].0)
+        {
+            return Err("a candidate listed twice");
+        }
+        let base = self.candidates.len();
+        self.ranked.resize(base + order.len(), 0);
+        for (slot, &at) in order.iter().enumerate() {
+            let (container, weight, series) = candidates[at];
+            let start = offset(self.evidence.len())?;
+            self.evidence.extend_from_slice(series);
+            let series = (start, offset(self.evidence.len())?);
+            self.candidates.push(Candidate {
+                container,
+                weight,
+                series,
+            });
+            self.ranked[base + at] = slot as u32;
+        }
+        let slots = (offset(base)?, offset(self.candidates.len())?);
+        let row = ObjectRow {
+            object,
+            container,
+            assigned,
+            slots,
+        };
+        self.objects.push(row);
+        Ok(())
+    }
+
+    /// Append the MAP location estimates of `tag`, which must sort after
+    /// every tag already located; a tag without estimates has no run.
+    pub fn push_locations(
+        &mut self,
+        tag: TagId,
+        run: &[(Epoch, LocationId)],
+    ) -> Result<(), &'static str> {
+        if self.located.last().is_some_and(|&(last, _)| last >= tag) {
+            return Err("location runs out of order or repeated");
+        }
+        if run.is_empty() {
+            return Err("an empty location run");
+        }
+        let start = offset(self.locations.len())?;
+        self.locations.extend_from_slice(run);
+        self.located
+            .push((tag, (start, offset(self.locations.len())?)));
+        Ok(())
+    }
+
+    /// Every object row, ascending by object.
+    pub fn objects(&self) -> impl ExactSizeIterator<Item = ObjectEvidence<'_>> {
+        self.objects.iter().map(|&row| self.view(row))
+    }
+
+    /// The row of one object, if the run examined it.
+    pub fn object(&self, object: TagId) -> Option<ObjectEvidence<'_>> {
+        Some(self.view(self.objects[self.row_of(object)?]))
+    }
+
+    fn view(&self, row: ObjectRow) -> ObjectEvidence<'_> {
+        ObjectEvidence {
+            row,
+            slots: &self.candidates[span(row.slots)],
+            ranked: &self.ranked[span(row.slots)],
+            evidence: &self.evidence,
+        }
+    }
+
+    /// The run's containment estimate, `(object, container)` ascending.
+    pub fn containment(&self) -> impl Iterator<Item = (TagId, TagId)> + '_ {
+        let rows = self.objects.iter();
+        rows.filter_map(|row| Some((row.object, row.container?)))
+    }
+
+    /// Every location run, `(tag, estimates)` ascending by tag: for
+    /// containers the estimates come from the E-step posterior; for objects
+    /// without an assigned container, from the object's own readings.
+    pub fn locations(&self) -> impl Iterator<Item = (TagId, &[(Epoch, LocationId)])> {
+        let runs = self.located.iter();
+        runs.map(|&(tag, run)| (tag, &self.locations[span(run)]))
+    }
+
+    /// The MAP location estimates of one tag, empty when it has none.
+    pub fn locations_of(&self, tag: TagId) -> &[(Epoch, LocationId)] {
+        match self.located.binary_search_by_key(&tag, |&(t, _)| t) {
+            Ok(i) => &self.locations[span(self.located[i].1)],
+            Err(_) => &[],
+        }
+    }
+
+    fn row_of(&self, object: TagId) -> Option<usize> {
+        self.objects
+            .binary_search_by_key(&object, |row| row.object)
+            .ok()
+    }
+
+    /// Refine one object after a change detected at `change_at` (Appendix
+    /// A.2): each candidate's weight becomes the suffix sum of its point
+    /// evidence from the change on, and the object moves to `new_container`.
+    pub(crate) fn apply_change(&mut self, object: TagId, at: Epoch, new_container: Option<TagId>) {
+        let Some(k) = self.row_of(object) else {
+            return;
+        };
+        for slot in &mut self.candidates[span(self.objects[k].slots)] {
+            let series = &self.evidence[span(slot.series)];
+            if !series.is_empty() {
+                let suffix = series.iter().filter(|(t, _)| *t >= at).map(|(_, e)| e);
+                slot.weight = suffix.sum();
+            }
+        }
+        self.objects[k].assigned = new_container;
+    }
+
     /// The location estimate for `tag` at epoch `t`: the estimate at the
     /// nearest epoch for which a posterior was computed. Objects inherit the
     /// location of their inferred container (smoothing over containment).
     pub fn location_of(&self, tag: TagId, t: Epoch) -> Option<LocationId> {
         let lookup = |key: TagId| -> Option<LocationId> {
-            let locs = self.tag_locations.get(&key)?;
+            let locs = self.locations_of(key);
             if locs.is_empty() {
                 return None;
             }
@@ -212,7 +426,7 @@ impl InferenceOutcome {
             Some(best.1)
         };
         if tag.is_object() {
-            if let Some(container) = self.containment.container_of(tag) {
+            if let Some(container) = self.container_of(tag) {
                 if let Some(loc) = lookup(container) {
                     return Some(loc);
                 }
@@ -223,33 +437,25 @@ impl InferenceOutcome {
 
     /// The inferred container of an object.
     pub fn container_of(&self, object: TagId) -> Option<TagId> {
-        self.containment.container_of(object)
+        self.objects[self.row_of(object)?].container
     }
 
     /// The co-location weight of an (object, container) pair, if the pair was
     /// considered.
     pub fn weight(&self, object: TagId, container: TagId) -> Option<f64> {
-        self.objects
-            .get(&object)
-            .and_then(|e| e.weights.get(&container))
-            .copied()
+        let mut weights = self.object(object)?.weights();
+        weights.find(|&(c, _)| c == container).map(|(_, w)| w)
     }
 
     /// Build enriched object events `(time, tag, location, container)` at the
     /// given epoch for every object with a location estimate.
     pub fn events_at(&self, t: Epoch) -> Vec<ObjectEvent> {
-        let mut events = Vec::new();
-        for object in self.objects.keys() {
-            if let Some(loc) = self.location_of(*object, t) {
-                events.push(ObjectEvent::new(
-                    t,
-                    *object,
-                    loc,
-                    self.containment.container_of(*object),
-                ));
-            }
-        }
-        events
+        let rows = self.objects.iter();
+        rows.filter_map(|row| {
+            let loc = self.location_of(row.object, t)?;
+            Some(ObjectEvent::new(t, row.object, loc, row.container))
+        })
+        .collect()
     }
 }
 
@@ -549,13 +755,10 @@ pub struct RfInfer<'a> {
 impl<'a> RfInfer<'a> {
     /// Create an inference run with no prior state.
     pub fn new(model: &'a LikelihoodModel, obs: &'a Observations) -> RfInfer<'a> {
-        static EMPTY: once_empty::Lazy = once_empty::Lazy;
-        RfInfer {
-            model,
-            obs,
-            prior: EMPTY.get(),
-            config: RfInferConfig::default(),
-        }
+        static EMPTY: PriorWeights = PriorWeights {
+            map: BTreeMap::new(),
+        };
+        RfInfer::with_prior(model, obs, &EMPTY)
     }
 
     /// Create an inference run with prior weights imported from another site.
@@ -624,22 +827,6 @@ impl<'a> RfInfer<'a> {
         scratch: &mut DenseScratch,
     ) -> (InferenceOutcome, InferenceStats) {
         crate::dense::run_dense(self, Some((cache, dirty)), scratch)
-    }
-}
-
-/// A tiny helper that hands out a `'static` empty [`PriorWeights`] so that
-/// [`RfInfer::new`] does not force callers to keep one alive.
-mod once_empty {
-    use super::PriorWeights;
-    use std::sync::OnceLock;
-
-    pub struct Lazy;
-
-    impl Lazy {
-        pub fn get(&self) -> &'static PriorWeights {
-            static EMPTY: OnceLock<PriorWeights> = OnceLock::new();
-            EMPTY.get_or_init(PriorWeights::empty)
-        }
     }
 }
 
@@ -789,11 +976,11 @@ mod tests {
         let obs = co_travel_obs();
         let model = model(3);
         let outcome = RfInfer::new(&model, &obs).run();
-        let evidence = &outcome.objects[&TagId::item(1)];
+        let evidence = outcome.object(TagId::item(1)).unwrap();
         // At epoch 3 (the object is at location 1, away from both decoys) the
         // real container's point evidence exceeds the decoy's.
-        let real = &evidence.point_evidence[&TagId::case(1)];
-        let decoy = &evidence.point_evidence[&TagId::case(2)];
+        let real = evidence.point_evidence(TagId::case(1)).unwrap();
+        let decoy = evidence.point_evidence(TagId::case(2)).unwrap();
         let real_at3 = real.iter().find(|(t, _)| *t == Epoch(3)).unwrap().1;
         let decoy_at3 = decoy.iter().find(|(t, _)| *t == Epoch(3)).unwrap().1;
         assert!(real_at3 > decoy_at3 + 1.0);
@@ -917,7 +1104,7 @@ mod tests {
         p.add(TagId::item(1), TagId::case(2), -1.0);
         assert_eq!(p.get(TagId::item(1), TagId::case(1)), 5.0);
         assert_eq!(p.get(TagId::item(1), TagId::case(9)), 0.0);
-        assert_eq!(p.containers_for(TagId::item(1)).len(), 2);
+        assert_eq!(p.entries_for(TagId::item(1)).count(), 2);
         assert_eq!(p.objects().count(), 1);
         let mut q = PriorWeights::empty();
         q.set(TagId::item(1), TagId::case(1), 1.0);

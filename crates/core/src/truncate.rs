@@ -11,7 +11,6 @@
 
 use crate::rfinfer::{InferenceOutcome, ObjectEvidence};
 use rfid_types::{Epoch, TagId};
-use std::collections::BTreeMap;
 
 /// Which history-truncation method to use between inference runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,24 +64,25 @@ impl CriticalRegion {
 /// Objects with fewer than two candidates have no critical region (there is
 /// nothing to disambiguate).
 pub fn critical_region(
-    evidence: &ObjectEvidence,
+    evidence: ObjectEvidence<'_>,
     window_secs: u32,
     margin: f64,
 ) -> Option<CriticalRegion> {
-    if evidence.point_evidence.len() < 2 {
-        return None;
-    }
-    // The object's observation epochs (same for every candidate series).
-    let epochs: Vec<Epoch> = evidence
-        .point_evidence
-        .values()
-        .next()
-        .map(|v| v.iter().map(|&(t, _)| t).collect())
-        .unwrap_or_default();
-    if epochs.is_empty() {
-        return None;
-    }
-    let candidates: Vec<&Vec<(Epoch, f64)>> = evidence.point_evidence.values().collect();
+    critical_region_with(evidence, window_secs, margin, &mut Vec::new())
+}
+
+/// [`critical_region`] over a reusable per-candidate cursor buffer, so a pass
+/// over every object of an outcome allocates once.
+fn critical_region_with(
+    evidence: ObjectEvidence<'_>,
+    window_secs: u32,
+    margin: f64,
+    cursors: &mut Vec<(usize, usize)>,
+) -> Option<CriticalRegion> {
+    // At least two candidates with evidence, and the object's observation
+    // epochs (the same for every candidate's series).
+    evidence.series().nth(1)?;
+    let (_, epochs) = evidence.series().next()?;
 
     // The most recent qualifying window wins, so slide the window BACKWARDS
     // from the latest end epoch and stop at the first qualifying one — the
@@ -92,16 +92,20 @@ pub fn critical_region(
     // is the same ascending-epoch sequential sum the forward scan computes,
     // and the margin test only needs the two largest sums, so the selected
     // region is bit-identical to the naive filter's.
-    let mut cursors: Vec<(usize, usize)> = candidates
-        .iter()
-        .map(|series| (series.len(), series.len()))
-        .collect();
-    let mut sums: Vec<f64> = Vec::with_capacity(candidates.len());
-    for &end in epochs.iter().rev() {
+    cursors.clear();
+    cursors.extend(
+        evidence
+            .series()
+            .map(|(_, series)| (series.len(), series.len())),
+    );
+    for &(end, _) in epochs.iter().rev() {
         let start = end.minus(window_secs);
-        // Sum each candidate's point evidence inside [start, end].
-        sums.clear();
-        for (series, (lo, hi)) in candidates.iter().zip(cursors.iter_mut()) {
+        // Sum each candidate's point evidence inside [start, end], keeping
+        // the largest and second-largest sum — what the descending sort's
+        // first two entries were, with the same NaN strictness.
+        let mut top = f64::NEG_INFINITY;
+        let mut second = f64::NEG_INFINITY;
+        for ((_, series), (lo, hi)) in evidence.series().zip(cursors.iter_mut()) {
             while *hi > 0 && series[*hi - 1].0 > end {
                 *hi -= 1;
             }
@@ -109,13 +113,6 @@ pub fn critical_region(
                 *lo -= 1;
             }
             let sum: f64 = series[*lo..*hi].iter().map(|&(_, e)| e).sum();
-            sums.push(sum);
-        }
-        // Largest and second-largest sum — what the descending sort's first
-        // two entries were, with the same NaN strictness.
-        let mut top = f64::NEG_INFINITY;
-        let mut second = f64::NEG_INFINITY;
-        for &sum in &sums {
             match sum.partial_cmp(&top).expect("NaN evidence sum") {
                 std::cmp::Ordering::Greater => {
                     second = top;
@@ -128,7 +125,7 @@ pub fn critical_region(
                 }
             }
         }
-        if sums.len() >= 2 && top - second >= margin {
+        if top - second >= margin {
             return Some(CriticalRegion { start, end });
         }
     }
@@ -139,13 +136,46 @@ pub fn critical_region(
 /// epoch ranges worth keeping for the next inference run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetentionPlan {
-    /// Ranges to keep per tag. Tags not listed keep only the recent history.
-    pub per_tag: BTreeMap<TagId, Vec<(Epoch, Epoch)>>,
+    /// Critical-region ranges `(tag, start, end)`, ascending, merged per tag.
+    /// Tags not listed keep only the recent history.
+    regions: Vec<(TagId, Epoch, Epoch)>,
     /// Inclusive start of the recent history every tag keeps.
     pub recent_from: Epoch,
 }
 
 impl RetentionPlan {
+    /// A plan keeping `regions` — inclusive `(tag, start, end)` ranges, in any
+    /// order, possibly overlapping — plus the recent history from
+    /// `recent_from` on.
+    pub fn new(
+        recent_from: Epoch,
+        regions: impl IntoIterator<Item = (TagId, Epoch, Epoch)>,
+    ) -> RetentionPlan {
+        let mut regions: Vec<_> = regions.into_iter().collect();
+        // Merge overlapping ranges per tag to keep the plan small.
+        regions.sort_unstable();
+        regions.dedup_by(|next, kept| {
+            let joins = next.0 == kept.0 && next.1 <= kept.2.plus(1);
+            if joins {
+                kept.2 = kept.2.max(next.2);
+            }
+            joins
+        });
+        RetentionPlan {
+            regions,
+            recent_from,
+        }
+    }
+
+    /// The merged critical-region ranges of one tag, ascending.
+    pub fn regions_of(&self, tag: TagId) -> impl Iterator<Item = (Epoch, Epoch)> + '_ {
+        let from = self.regions.partition_point(|r| r.0 < tag);
+        self.regions[from..]
+            .iter()
+            .take_while(move |r| r.0 == tag)
+            .map(|r| (r.1, r.2))
+    }
+
     /// The ranges to retain for one tag: its critical-region ranges (if any)
     /// plus the shared recent history, merged into disjoint ascending
     /// inclusive ranges — the result never contains an empty range and no
@@ -160,9 +190,7 @@ impl RetentionPlan {
     /// truncation pass over every stored tag allocates once, not per tag.
     pub fn ranges_into(&self, tag: TagId, now: Epoch, ranges: &mut Vec<(Epoch, Epoch)>) {
         ranges.clear();
-        if let Some(own) = self.per_tag.get(&tag) {
-            ranges.extend_from_slice(own);
-        }
+        ranges.extend(self.regions_of(tag));
         ranges.push((self.recent_from.min(now), now));
         merge_ranges(ranges);
     }
@@ -194,35 +222,24 @@ pub fn retention_plan(
     recent_secs: u32,
 ) -> RetentionPlan {
     match policy {
-        TruncationPolicy::Full => RetentionPlan {
-            per_tag: BTreeMap::new(),
-            recent_from: Epoch::ZERO,
-        },
-        TruncationPolicy::Window { window_secs } => RetentionPlan {
-            per_tag: BTreeMap::new(),
-            recent_from: now.minus(window_secs),
-        },
+        TruncationPolicy::Full => RetentionPlan::new(Epoch::ZERO, []),
+        TruncationPolicy::Window { window_secs } => RetentionPlan::new(now.minus(window_secs), []),
         TruncationPolicy::CriticalRegion {
             window_secs,
             margin,
         } => {
-            let mut per_tag: BTreeMap<TagId, Vec<(Epoch, Epoch)>> = BTreeMap::new();
-            for (&object, evidence) in &outcome.objects {
-                if let Some(cr) = critical_region(evidence, window_secs, margin) {
-                    per_tag.entry(object).or_default().push((cr.start, cr.end));
+            let mut cursors = Vec::new();
+            let mut regions = Vec::new();
+            for evidence in outcome.objects() {
+                if let Some(cr) = critical_region_with(evidence, window_secs, margin, &mut cursors)
+                {
                     // The same readings of the candidate containers are what
                     // makes the region informative — keep them too.
-                    for &c in &evidence.candidates {
-                        per_tag.entry(c).or_default().push((cr.start, cr.end));
-                    }
+                    let tags = std::iter::once(evidence.object()).chain(evidence.candidates());
+                    regions.extend(tags.map(|tag| (tag, cr.start, cr.end)));
                 }
             }
-            // Merge overlapping ranges per tag to keep the plan small.
-            per_tag.values_mut().for_each(merge_ranges);
-            RetentionPlan {
-                per_tag,
-                recent_from: now.minus(recent_secs),
-            }
+            RetentionPlan::new(now.minus(recent_secs), regions)
         }
     }
 }
@@ -293,36 +310,57 @@ impl MemoryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+
+    /// One row per `(object, real series, decoy series)`: candidates
+    /// `case(0)` (real) and `case(1)` (decoy).
+    type Series = Vec<(Epoch, f64)>;
+
+    fn outcome_of(objects: &[(TagId, Series, Series)]) -> InferenceOutcome {
+        let mut outcome = InferenceOutcome::new(1, 4);
+        for (object, real, decoy) in objects {
+            let candidates = [
+                (TagId::case(0), -40.0, real.as_slice()),
+                (TagId::case(1), -60.0, decoy.as_slice()),
+            ];
+            outcome
+                .push_object(
+                    *object,
+                    Some(TagId::case(0)),
+                    Some(TagId::case(0)),
+                    &candidates,
+                )
+                .unwrap();
+        }
+        outcome
+    }
 
     /// Synthetic evidence: the real container is clearly better only during
     /// epochs 100..=110 (the "belt"), exactly like Figure 4(b).
-    fn belt_evidence() -> ObjectEvidence {
-        let real = TagId::case(0);
-        let decoy = TagId::case(1);
+    fn belt_series(shift: u32) -> (Series, Series) {
         let mut real_points = Vec::new();
         let mut decoy_points = Vec::new();
         for t in (0..200u32).step_by(5) {
-            let e_real = -1.0;
             let e_decoy = if (100..=110).contains(&t) {
                 -12.0
             } else {
                 -1.2
             };
-            real_points.push((Epoch(t), e_real));
-            decoy_points.push((Epoch(t), e_decoy));
+            real_points.push((Epoch(t + shift), -1.0));
+            decoy_points.push((Epoch(t + shift), e_decoy));
         }
-        ObjectEvidence {
-            candidates: vec![real, decoy],
-            weights: BTreeMap::from([(real, -40.0), (decoy, -60.0)]),
-            point_evidence: BTreeMap::from([(real, real_points), (decoy, decoy_points)]),
-            assigned: Some(real),
-        }
+        (real_points, decoy_points)
+    }
+
+    fn belt_outcome() -> InferenceOutcome {
+        let (real, decoy) = belt_series(0);
+        outcome_of(&[(TagId::item(0), real, decoy)])
     }
 
     #[test]
     fn critical_region_covers_the_informative_period() {
-        let cr = critical_region(&belt_evidence(), 20, 5.0).expect("region found");
+        let outcome = belt_outcome();
+        let evidence = outcome.object(TagId::item(0)).unwrap();
+        let cr = critical_region(evidence, 20, 5.0).expect("region found");
         // The region must overlap the informative belt period 100..=110
         // (most-recent-window semantics may place it at the tail of it).
         assert!(
@@ -336,22 +374,25 @@ mod tests {
     #[test]
     fn no_region_without_margin_or_candidates() {
         // Margin too large: no window qualifies.
-        assert!(critical_region(&belt_evidence(), 20, 1e6).is_none());
+        let outcome = belt_outcome();
+        assert!(critical_region(outcome.object(TagId::item(0)).unwrap(), 20, 1e6).is_none());
         // Single candidate: nothing to disambiguate.
-        let single = ObjectEvidence {
-            candidates: vec![TagId::case(0)],
-            weights: BTreeMap::new(),
-            point_evidence: BTreeMap::from([(TagId::case(0), vec![(Epoch(0), -1.0)])]),
-            assigned: Some(TagId::case(0)),
-        };
-        assert!(critical_region(&single, 20, 1.0).is_none());
+        let mut single = InferenceOutcome::new(1, 4);
+        let series = [(Epoch(0), -1.0)];
+        single
+            .push_object(
+                TagId::item(0),
+                None,
+                None,
+                &[(TagId::case(0), 0.0, &series)],
+            )
+            .unwrap();
+        assert!(critical_region(single.object(TagId::item(0)).unwrap(), 20, 1.0).is_none());
     }
 
     #[test]
     fn most_recent_qualifying_window_wins() {
         // Two informative periods; the later one should be returned.
-        let real = TagId::case(0);
-        let decoy = TagId::case(1);
         let mut real_points = Vec::new();
         let mut decoy_points = Vec::new();
         for t in (0..300u32).step_by(5) {
@@ -359,13 +400,8 @@ mod tests {
             real_points.push((Epoch(t), -1.0));
             decoy_points.push((Epoch(t), if informative { -15.0 } else { -1.1 }));
         }
-        let evidence = ObjectEvidence {
-            candidates: vec![real, decoy],
-            weights: BTreeMap::new(),
-            point_evidence: BTreeMap::from([(real, real_points), (decoy, decoy_points)]),
-            assigned: Some(real),
-        };
-        let cr = critical_region(&evidence, 20, 5.0).unwrap();
+        let outcome = outcome_of(&[(TagId::item(0), real_points, decoy_points)]);
+        let cr = critical_region(outcome.object(TagId::item(0)).unwrap(), 20, 5.0).unwrap();
         assert!(
             cr.end >= Epoch(200),
             "the most recent region should win: {cr:?}"
@@ -374,13 +410,7 @@ mod tests {
 
     #[test]
     fn retention_plans_reflect_the_policy() {
-        let outcome = InferenceOutcome {
-            containment: Default::default(),
-            objects: BTreeMap::from([(TagId::item(0), belt_evidence())]),
-            tag_locations: BTreeMap::new(),
-            iterations: 1,
-            num_locations: 4,
-        };
+        let outcome = belt_outcome();
         let now = Epoch(200);
 
         let full = retention_plan(TruncationPolicy::Full, &outcome, now, 600);
@@ -397,7 +427,7 @@ mod tests {
             600,
         );
         assert_eq!(window.recent_from, Epoch(150));
-        assert!(window.per_tag.is_empty());
+        assert_eq!(window.regions_of(TagId::item(0)).count(), 0);
 
         let cr = retention_plan(TruncationPolicy::default(), &outcome, now, 30);
         assert_eq!(cr.recent_from, Epoch(170));
@@ -412,34 +442,25 @@ mod tests {
             assert!(pair[1].0 .0 > pair[0].1 .0 + 1, "disjoint: {ranges:?}");
         }
         // candidate containers keep the same region
-        assert!(cr.per_tag.contains_key(&TagId::case(0)));
-        assert!(cr.per_tag.contains_key(&TagId::case(1)));
+        for case in [TagId::case(0), TagId::case(1)] {
+            assert!(cr.regions_of(case).eq(cr.regions_of(TagId::item(0))));
+        }
         // tags without a critical region only keep the recent history
         assert_eq!(cr.ranges_for(TagId::item(99), now), vec![(Epoch(170), now)]);
     }
 
     #[test]
     fn overlapping_ranges_are_merged() {
-        // Two objects sharing a candidate container with overlapping regions.
-        let mut objects = BTreeMap::new();
-        objects.insert(TagId::item(0), belt_evidence());
-        let mut shifted = belt_evidence();
-        // shift the second object's informative window slightly
-        for series in shifted.point_evidence.values_mut() {
-            for point in series.iter_mut() {
-                point.0 = point.0.plus(10);
-            }
-        }
-        objects.insert(TagId::item(1), shifted);
-        let outcome = InferenceOutcome {
-            containment: Default::default(),
-            objects,
-            tag_locations: BTreeMap::new(),
-            iterations: 1,
-            num_locations: 4,
-        };
+        // Two objects sharing a candidate container with overlapping regions:
+        // the second object's informative window is shifted slightly.
+        let (real, decoy) = belt_series(0);
+        let (shifted_real, shifted_decoy) = belt_series(10);
+        let outcome = outcome_of(&[
+            (TagId::item(0), real, decoy),
+            (TagId::item(1), shifted_real, shifted_decoy),
+        ]);
         let plan = retention_plan(TruncationPolicy::default(), &outcome, Epoch(250), 10);
-        let case_ranges = &plan.per_tag[&TagId::case(0)];
+        let case_ranges: Vec<_> = plan.regions_of(TagId::case(0)).collect();
         assert_eq!(
             case_ranges.len(),
             1,

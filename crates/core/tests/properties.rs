@@ -5,12 +5,15 @@
 
 use proptest::prelude::*;
 use rfid_core::{
-    change_statistic, container_posterior, reference, CollapsedState, InferenceConfig,
-    InferenceEngine, InferenceReport, InferenceStats, LikelihoodModel, MemoryBudget, MemoryStats,
+    change_statistic, container_posterior, critical_region, detect_changes, reference,
+    retention_plan, CollapsedState, DetectedChange, InferenceConfig, InferenceEngine,
+    InferenceOutcome, InferenceReport, InferenceStats, LikelihoodModel, MemoryBudget, MemoryStats,
     MigrationState, Observations, Posterior, ReadingsState, RetentionPlan, RfInfer, RfInferConfig,
     TruncationPolicy,
 };
-use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, ReadingBatch, TagId};
+use rfid_types::{
+    Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReaderId, ReadingBatch, TagId,
+};
 use rfid_wire::{WireCodec, WireFormat};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -193,6 +196,340 @@ fn export_deduplicating_readings(
     shipment.iter().map(export).collect()
 }
 
+/// One object's evidence as the outcome held it before the arenas: maps keyed
+/// by candidate.
+struct MapEvidence {
+    candidates: Vec<TagId>,
+    weights: BTreeMap<TagId, f64>,
+    point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>>,
+    assigned: Option<TagId>,
+}
+
+/// The `TagId`-keyed outcome every consumer read before the arenas, built
+/// from the outcome's row and run iterators. Its methods are the old
+/// accessors, lookup rules and all, so every keyed accessor of the arenas can
+/// be checked against them.
+struct MapView {
+    containment: BTreeMap<TagId, TagId>,
+    objects: BTreeMap<TagId, MapEvidence>,
+    tag_locations: BTreeMap<TagId, Vec<(Epoch, LocationId)>>,
+}
+
+impl MapView {
+    fn of(outcome: &InferenceOutcome) -> MapView {
+        let objects = outcome
+            .objects()
+            .map(|e| {
+                let evidence = MapEvidence {
+                    candidates: e.candidates().collect(),
+                    weights: e.weights().collect(),
+                    point_evidence: e.series().map(|(c, s)| (c, s.to_vec())).collect(),
+                    assigned: e.assigned(),
+                };
+                (e.object(), evidence)
+            })
+            .collect();
+        MapView {
+            containment: outcome.containment().collect(),
+            objects,
+            tag_locations: outcome
+                .locations()
+                .map(|(t, run)| (t, run.to_vec()))
+                .collect(),
+        }
+    }
+
+    fn lookup(&self, key: TagId, t: Epoch) -> Option<LocationId> {
+        let locs = self.tag_locations.get(&key)?;
+        let idx = locs.partition_point(|&(e, _)| e <= t);
+        let candidate = if idx == 0 { &locs[0] } else { &locs[idx - 1] };
+        let best = match locs.get(idx) {
+            Some(after) if after.0.since(t) < t.since(candidate.0) => after,
+            _ => candidate,
+        };
+        Some(best.1)
+    }
+
+    fn location_of(&self, tag: TagId, t: Epoch) -> Option<LocationId> {
+        let via_container = tag
+            .is_object()
+            .then(|| self.containment.get(&tag))
+            .flatten()
+            .and_then(|&c| self.lookup(c, t));
+        via_container.or_else(|| self.lookup(tag, t))
+    }
+
+    fn events_at(&self, t: Epoch) -> Vec<ObjectEvent> {
+        self.objects
+            .keys()
+            .filter_map(|&o| {
+                let container = self.containment.get(&o).copied();
+                self.location_of(o, t)
+                    .map(|loc| ObjectEvent::new(t, o, loc, container))
+            })
+            .collect()
+    }
+}
+
+/// The change statistic as it ran over the candidate-keyed maps.
+fn map_change_statistic(
+    evidence: &MapEvidence,
+) -> Option<(f64, Epoch, Option<TagId>, Option<TagId>)> {
+    let candidates: Vec<TagId> = evidence.point_evidence.keys().copied().collect();
+    let epochs: Vec<Epoch> = evidence
+        .point_evidence
+        .values()
+        .next()?
+        .iter()
+        .map(|p| p.0)
+        .collect();
+    let n = epochs.len();
+    if n < 2 {
+        return None;
+    }
+    let prefix: Vec<Vec<f64>> = candidates
+        .iter()
+        .map(|c| {
+            let mut sums = vec![0.0];
+            let mut acc = 0.0;
+            for &(_, e) in &evidence.point_evidence[c] {
+                acc += e;
+                sums.push(acc);
+            }
+            while sums.len() < n + 1 {
+                sums.push(acc);
+            }
+            sums
+        })
+        .collect();
+    let best_of = |score: &dyn Fn(usize) -> f64| {
+        (0..candidates.len())
+            .map(|ci| (ci, score(ci)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .unwrap()
+    };
+    let total = best_of(&|ci| prefix[ci][n]).1;
+    let mut best = (f64::NEG_INFINITY, epochs[0], None, None);
+    for k in 1..n {
+        let (pre, pre_score) = best_of(&|ci| prefix[ci][k]);
+        let (suf, suf_score) = best_of(&|ci| prefix[ci][n] - prefix[ci][k]);
+        let delta = pre_score + suf_score - total;
+        if delta > best.0 {
+            best = (
+                delta,
+                epochs[k],
+                Some(candidates[pre]),
+                Some(candidates[suf]),
+            );
+        }
+    }
+    Some(best)
+}
+
+/// The critical-region search as the naive forward filter over the maps:
+/// the latest window whose two best sums differ by at least `margin`.
+fn map_critical_region(evidence: &MapEvidence, window: u32, margin: f64) -> Option<(Epoch, Epoch)> {
+    if evidence.point_evidence.len() < 2 {
+        return None;
+    }
+    let epochs: Vec<Epoch> = evidence
+        .point_evidence
+        .values()
+        .next()?
+        .iter()
+        .map(|p| p.0)
+        .collect();
+    let mut found = None;
+    for &end in &epochs {
+        let start = end.minus(window);
+        let mut sums: Vec<f64> = evidence
+            .point_evidence
+            .values()
+            .map(|series| {
+                series
+                    .iter()
+                    .filter(|(t, _)| *t >= start && *t <= end)
+                    .map(|&(_, e)| e)
+                    .sum()
+            })
+            .collect();
+        sums.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        if sums[0] - sums[1] >= margin {
+            found = Some((start, end));
+        }
+    }
+    found
+}
+
+/// Check every accessor of `engine`'s last outcome, and every engine read
+/// that goes through it, against the map view of the same outcome; `changes`
+/// are the run's detected changes, whose rows must carry the suffix weights.
+fn check_outcome_accessors(engine: &InferenceEngine, now: Epoch, changes: &[DetectedChange]) {
+    let outcome = engine.last_outcome().expect("a run happened");
+    let view = MapView::of(outcome);
+    for change in changes {
+        // After a change at t' an object's weights are the suffix sums of
+        // its point evidence from t' on, and it sits in the new container.
+        let old = &view.objects[&change.object];
+        assert_eq!(old.assigned, change.new_container);
+        for (c, series) in &old.point_evidence {
+            let suffix: f64 = series
+                .iter()
+                .filter(|(t, _)| *t >= change.change_at)
+                .map(|(_, e)| e)
+                .sum();
+            assert_eq!(old.weights[c], suffix, "{:?} / {c:?}", change.object);
+        }
+    }
+    let store = engine.snapshot().store;
+    let mut tags: BTreeSet<TagId> = store.tags().collect();
+    tags.extend(view.objects.keys());
+    tags.extend(view.tag_locations.keys());
+    tags.extend(
+        view.objects
+            .values()
+            .flat_map(|e| e.candidates.iter().copied()),
+    );
+    tags.extend([TagId::item(99), TagId::case(99)]);
+    let epochs: Vec<Epoch> = (0..=now.0 + 2).step_by(3).map(Epoch).collect();
+
+    assert_eq!(outcome.objects().len(), view.objects.len());
+    for &tag in &tags {
+        let row = outcome.object(tag);
+        assert_eq!(row.map(|e| e.object()), view.objects.get(&tag).map(|_| tag));
+        assert_eq!(
+            outcome.container_of(tag),
+            view.containment.get(&tag).copied()
+        );
+        assert_eq!(
+            outcome.locations_of(tag),
+            view.tag_locations.get(&tag).map_or(&[][..], Vec::as_slice)
+        );
+        for &t in &epochs {
+            assert_eq!(
+                outcome.location_of(tag, t),
+                view.location_of(tag, t),
+                "{tag:?} at {t:?}"
+            );
+            let engine_rule = engine
+                .container_of(tag)
+                .filter(|_| tag.is_object())
+                .and_then(|c| view.lookup(c, t))
+                .or_else(|| view.location_of(tag, t));
+            assert_eq!(engine.location_of(tag, t), engine_rule);
+        }
+        let Some((row, old)) = row.zip(view.objects.get(&tag)) else {
+            continue;
+        };
+        assert_eq!(row.assigned(), old.assigned);
+        assert_eq!(row.candidates().len(), old.candidates.len());
+        let candidates: BTreeSet<TagId> = old.candidates.iter().copied().collect();
+        assert!(
+            candidates.iter().eq(old.weights.keys()),
+            "one weight per candidate"
+        );
+        assert!(old.point_evidence.keys().all(|c| candidates.contains(c)));
+        for &c in &tags {
+            assert_eq!(outcome.weight(tag, c), old.weights.get(&c).copied());
+            assert_eq!(
+                row.point_evidence(c),
+                old.point_evidence.get(&c).map(Vec::as_slice)
+            );
+            let mut total = 0.0;
+            let cumulative: Vec<(Epoch, f64)> = old
+                .point_evidence
+                .get(&c)
+                .into_iter()
+                .flatten()
+                .map(|&(t, e)| {
+                    total += e;
+                    (t, total)
+                })
+                .collect();
+            assert_eq!(row.cumulative_evidence(c), cumulative);
+        }
+        let stat = change_statistic(row)
+            .map(|s| (s.delta, s.split_at, s.prefix_container, s.suffix_container));
+        assert_eq!(stat, map_change_statistic(old));
+        for (window, margin) in [(20, 1.0), (60, 3.0)] {
+            let region = critical_region(row, window, margin).map(|cr| (cr.start, cr.end));
+            assert_eq!(region, map_critical_region(old, window, margin));
+        }
+        // Exports read the same rows.
+        let collapsed = engine.export_collapsed(tag);
+        let max = old
+            .weights
+            .values()
+            .copied()
+            .reduce(f64::max)
+            .unwrap_or(f64::NEG_INFINITY);
+        let relative: BTreeMap<TagId, f64> = old
+            .weights
+            .iter()
+            .map(|(&c, &w)| (c, if max.is_finite() { w - max } else { w }))
+            .collect();
+        assert_eq!(collapsed.weights, relative);
+        let shipped: Vec<RawReading> = std::iter::once(tag)
+            .chain(old.candidates.iter().copied())
+            .flat_map(|t| {
+                store.obs_for(t).iter().flat_map(move |o| {
+                    o.readers
+                        .iter()
+                        .map(move |r| RawReading::new(o.epoch, t, r.reader()))
+                })
+            })
+            .collect();
+        assert_eq!(engine.export_readings(tag).readings, shipped);
+    }
+    for &t in &epochs {
+        assert_eq!(outcome.events_at(t), view.events_at(t));
+    }
+    for threshold in [0.5, 5.0] {
+        let expected: Vec<_> = view
+            .objects
+            .iter()
+            .filter_map(|(&o, e)| map_change_statistic(e).map(|s| (o, s)))
+            .filter(|(_, s)| s.0 >= threshold && s.2 != s.3)
+            .map(|(o, s)| (o, s.1, s.2, s.3, s.0))
+            .collect();
+        let found: Vec<_> = detect_changes(outcome, threshold)
+            .into_iter()
+            .map(|c| {
+                (
+                    c.object,
+                    c.change_at,
+                    c.old_container,
+                    c.new_container,
+                    c.statistic,
+                )
+            })
+            .collect();
+        assert_eq!(found, expected);
+    }
+    let mut per_tag: BTreeMap<TagId, Vec<(Epoch, Epoch)>> = BTreeMap::new();
+    for (&o, e) in &view.objects {
+        if let Some(region) = map_critical_region(e, 60, 3.0) {
+            for tag in std::iter::once(o).chain(e.candidates.iter().copied()) {
+                per_tag.entry(tag).or_default().push(region);
+            }
+        }
+    }
+    let plan = retention_plan(TruncationPolicy::default(), outcome, now, 25);
+    for &tag in &tags {
+        let mut ranges = per_tag.get(&tag).cloned().unwrap_or_default();
+        ranges.push((now.minus(25), now));
+        ranges.sort_unstable();
+        let mut merged: Vec<(Epoch, Epoch)> = Vec::new();
+        for (lo, hi) in ranges {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1.plus(1) => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        assert_eq!(plan.ranges_for(tag, now), merged, "{tag:?}");
+    }
+}
+
 fn naive_loglik(rates: &ReadRateTable, readers: &[LocationId], at: LocationId) -> f64 {
     rates
         .locations()
@@ -289,15 +626,15 @@ proptest! {
             .with_config(RfInferConfig { max_iterations: 5, ..Default::default() })
             .run();
         for object in obs.objects() {
-            let evidence = &outcome.objects[&object];
-            prop_assert!(!evidence.candidates.is_empty());
-            prop_assert!(evidence.assigned.is_some());
-            prop_assert!(outcome.containment.container_of(object).is_some());
+            let evidence = outcome.object(object).unwrap();
+            prop_assert!(evidence.candidates().next().is_some());
+            prop_assert!(evidence.assigned().is_some());
+            prop_assert!(outcome.container_of(object).is_some());
             if let Some(stat) = change_statistic(evidence) {
                 prop_assert!(stat.delta >= -1e-9, "GLR statistic must be non-negative, got {}", stat.delta);
             }
             // weights are finite
-            prop_assert!(evidence.weights.values().all(|w| w.is_finite()));
+            prop_assert!(evidence.weights().all(|(_, w)| w.is_finite()));
         }
         prop_assert!(outcome.iterations >= 1);
     }
@@ -324,6 +661,33 @@ proptest! {
             prop_assert_eq!(reports[0].stats, reports[1].stats,
                 "dense-incr vs tree-incr reuse counters diverged at op {}", i);
         });
+    }
+
+    /// Every keyed accessor of the arena outcome — rows, weights, series,
+    /// cumulative evidence, containment, location runs, `location_of`,
+    /// `events_at` — and every read that goes through it (the change
+    /// statistic, detection, the critical region, the retention plan, both
+    /// exports, the engine's own location and event reads) agrees with the
+    /// candidate-keyed maps the outcome used to be, on engines driven through
+    /// observations, both kinds of import, forgets, compactions, restores and
+    /// change detection.
+    #[test]
+    fn outcome_accessors_match_a_btreemap_view(
+        ops in prop::collection::vec(
+            (0u8..10, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
+            30..120,
+        ),
+    ) {
+        let mut engines = [equivalence_engine()];
+        let mut now = Epoch(0);
+        for &op in &ops {
+            now = now.plus(op.1);
+            if feed(&mut engines, now, op) || engines[0].stored_observations() == 0 {
+                continue;
+            }
+            let report = engines[0].run_inference(now);
+            check_outcome_accessors(&engines[0], now, &report.changes);
+        }
     }
 
     /// Incremental RFINFER is bit-identical to a from-scratch full recompute
@@ -361,8 +725,8 @@ proptest! {
         // item 5 never; the most popular candidate loses its observations.
         engine.observe(RawReading::new(Epoch(41), TagId::item(4), ReaderId(late_reader)));
         let mut popularity: BTreeMap<TagId, usize> = BTreeMap::new();
-        for evidence in report.outcome.objects.values() {
-            for &candidate in &evidence.candidates {
+        for evidence in report.outcome.objects() {
+            for candidate in evidence.candidates() {
                 *popularity.entry(candidate).or_default() += 1;
             }
         }
@@ -440,13 +804,10 @@ proptest! {
         recent in 0u32..500,
         now in 0u32..600,
     ) {
-        let plan = RetentionPlan {
-            per_tag: BTreeMap::from([(
-                TagId::item(1),
-                raw.iter().map(|&(lo, len)| (Epoch(lo), Epoch(lo + len))).collect(),
-            )]),
-            recent_from: Epoch(recent),
-        };
+        let plan = RetentionPlan::new(
+            Epoch(recent),
+            raw.iter().map(|&(lo, len)| (TagId::item(1), Epoch(lo), Epoch(lo + len))),
+        );
         let ranges = plan.ranges_for(TagId::item(1), Epoch(now));
         prop_assert!(!ranges.is_empty(), "the recent history is always retained");
         for &(lo, hi) in &ranges {

@@ -41,7 +41,7 @@ fn assert_product_matches_reference(
             "cache diverged at run {run}"
         );
         assert!(
-            !product.0.containment.is_empty(),
+            product.0.containment().next().is_some(),
             "run {run} inferred nothing"
         );
     }

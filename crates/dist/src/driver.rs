@@ -29,11 +29,12 @@ use crate::comm::CommCost;
 use crate::config::{DistributedConfig, MigrationStrategy};
 use crate::ons::Ons;
 use crate::transport::{TransportMode, TransportStats};
-use rfid_core::{InferenceStats, MemoryStats};
+use rfid_core::{InferenceStats, MemoryStats, ThresholdMemo};
 use rfid_query::Alert;
 use rfid_sim::ChainTrace;
 use rfid_types::{ContainmentMap, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything a distributed run produces: the merged containment estimate,
@@ -106,6 +107,9 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) codec: WireCodec,
     /// Whether this run's envelopes are acked and retransmitted.
     pub(crate) transport_mode: TransportMode,
+    /// Change-point thresholds calibrated so far this run, shared by every
+    /// engine of the run.
+    pub(crate) thresholds: Arc<ThresholdMemo>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -119,6 +123,7 @@ impl<'a> RunCtx<'a> {
             stride: config.event_stride_secs.max(1),
             codec: WireCodec::new(config.wire_format),
             transport_mode: TransportMode::resolve(config.faults.as_ref(), &config.transport),
+            thresholds: Arc::default(),
         }
     }
 }

@@ -16,6 +16,7 @@ use rfid_query::{Alert, QueryProcessor};
 use rfid_types::{ContainmentMap, Epoch, ReadRateTable, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, SiteCheckpoint};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything one site (or the central server) is billed for: the counters
@@ -135,8 +136,10 @@ impl InferenceUnit {
         for query in &config.queries {
             processor.register(query.clone());
         }
+        let mut engine = InferenceEngine::new(config.inference.clone(), rates);
+        engine.share_thresholds(Arc::clone(&ctx.thresholds));
         InferenceUnit {
-            engine: InferenceEngine::new(config.inference.clone(), rates),
+            engine,
             processor,
             tally: Tally::default(),
         }

@@ -19,14 +19,14 @@
 
 use crate::codec::{message, parse, KIND_CHECKPOINT};
 use crate::layout::{
-    counters, get_keyed, get_run, put_keyed, put_run, put_seq, wire_struct, Counters, Delta,
+    counters, get_keyed, get_run, put_keyed, put_run, put_seq, wire_struct, Counters, Delta, Plain,
     TagRefs, Wire,
 };
 use crate::primitives::{Reader, TagTable, Writer};
 use crate::{WireCodec, WireError};
 use rfid_core::{
     CachedVariant, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache, InferenceOutcome,
-    InferenceStats, MemoryStats, ObjectEvidence, Observations, PriorWeights, ReaderSet,
+    InferenceStats, MemoryStats, Observations, PriorWeights, ReaderSet,
 };
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
@@ -278,9 +278,6 @@ wire_struct!(SiteCheckpoint: site, at;
 wire_struct!(EngineSnapshot: store, prior, containment, detected, last_outcome as Flag,
     last_inference_at as Flag, threshold as Flag, dirty, cache);
 wire_struct!(DetectedChange: object, change_at, old_container, new_container, statistic);
-wire_struct!(InferenceOutcome: containment, objects, tag_locations as Delta, iterations,
-    num_locations);
-wire_struct!(ObjectEvidence: candidates, weights, point_evidence as Delta, assigned);
 wire_struct!(CachedVariant: members, epochs as Delta, qrows, evidence as Delta);
 wire_struct!(ProcessorSnapshot: temperatures, automata, alerts);
 wire_struct!(SensorReading: time, location, value);
@@ -322,6 +319,112 @@ impl Wire for ContainmentMap {
     fn tags(&self, out: &mut Vec<TagId>) {
         self.iter()
             .for_each(|(object, container)| out.extend([object, container]));
+    }
+}
+
+/// The outcome's arenas in the keyed layout: the containment section, then
+/// per object row its candidates in ranked order, its weights keyed by
+/// candidate, its non-empty point-evidence series keyed by candidate (delta
+/// runs) and its assigned container, then the location runs, the iteration
+/// count and the location count. Decoding refuses what the arenas cannot
+/// hold: rows out of order or repeated, a weight or series for a tag that is
+/// not a candidate, an empty series or run, and containment for an object
+/// without a row.
+impl Wire for InferenceOutcome {
+    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
+        let containment = self.containment();
+        put_keyed(w, refs, self.containment().count(), containment, |c, w| {
+            c.put(w, refs)
+        });
+        let rows = self.objects().map(|row| (row.object(), row));
+        put_keyed(w, refs, rows.len(), rows, |row, w| {
+            row.candidates().len().put(w, refs);
+            row.candidates().for_each(|c| c.put(w, refs));
+            put_keyed(w, refs, row.weights().len(), row.weights(), |weight, w| {
+                weight.put(w, refs)
+            });
+            put_keyed(w, refs, row.series().count(), row.series(), |series, w| {
+                put_run(w, Epoch(0), series.len(), series.iter().copied(), |e, w| {
+                    e.put(w, refs)
+                });
+            });
+            Wire::<Plain>::put(&row.assigned(), w, refs);
+        });
+        put_keyed(
+            w,
+            refs,
+            self.locations().count(),
+            self.locations(),
+            |run, w| {
+                put_run(w, Epoch(0), run.len(), run.iter().copied(), |loc, w| {
+                    loc.put(w, refs)
+                });
+            },
+        );
+        self.iterations.put(w, refs);
+        self.num_locations.put(w, refs);
+    }
+    fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
+        let malformed = |rule: &str| WireError::new(rule);
+        let containment = ContainmentMap::get(r, refs)?;
+        let mut outcome = InferenceOutcome::default();
+        let mut contained = 0;
+        for _ in 0..usize::get(r, refs)? {
+            let object = TagId::get(r, refs)?;
+            let ranked = Vec::<TagId>::get(r, refs)?;
+            let weights = get_keyed(r, refs, |r| f64::get(r, refs))?;
+            let mut series = get_keyed(r, refs, |r| {
+                <Vec<(Epoch, f64)> as Wire<Delta>>::get(r, refs)
+            })?;
+            let assigned = <Option<TagId> as Wire<Plain>>::get(r, refs)?;
+            if weights.len() != ranked.len() {
+                return Err(WireError::new("mismatched weight and candidate counts"));
+            }
+            if series.values().any(Vec::is_empty) {
+                return Err(WireError::new("an empty point-evidence series"));
+            }
+            let mut owned = Vec::with_capacity(ranked.len());
+            for c in ranked {
+                let weight = weights
+                    .get(&c)
+                    .ok_or_else(|| WireError::new("a weight for a tag that is not a candidate"))?;
+                owned.push((c, *weight, series.remove(&c).unwrap_or_default()));
+            }
+            if !series.is_empty() {
+                return Err(WireError::new(
+                    "point evidence for a tag that is not a candidate",
+                ));
+            }
+            let candidates: Vec<_> = owned
+                .iter()
+                .map(|(c, weight, points)| (*c, *weight, points.as_slice()))
+                .collect();
+            let container = containment.container_of(object);
+            contained += usize::from(container.is_some());
+            outcome
+                .push_object(object, container, assigned, &candidates)
+                .map_err(malformed)?;
+        }
+        if contained != containment.len() {
+            return Err(WireError::new("containment names an object without a row"));
+        }
+        for _ in 0..usize::get(r, refs)? {
+            let tag = TagId::get(r, refs)?;
+            let run = <Vec<(Epoch, LocationId)> as Wire<Delta>>::get(r, refs)?;
+            outcome.push_locations(tag, &run).map_err(malformed)?;
+        }
+        outcome.iterations = usize::get(r, refs)?;
+        outcome.num_locations = usize::get(r, refs)?;
+        Ok(outcome)
+    }
+    fn tags(&self, out: &mut Vec<TagId>) {
+        for row in self.objects() {
+            out.push(row.object());
+            out.extend(row.weights().map(|(c, _)| c));
+            out.extend(row.assigned());
+        }
+        out.extend(self.containment().map(|(_, c)| c));
+        out.extend(self.locations().map(|(tag, _)| tag));
     }
 }
 
@@ -488,29 +591,22 @@ mod tests {
                     .collect(),
             }],
         );
-        let outcome = InferenceOutcome {
-            containment: containment.clone(),
-            objects: [(
+        let mut outcome = InferenceOutcome::new(3, 4);
+        let series = [(Epoch(0), 0.5), (Epoch(4), 0.25)];
+        outcome
+            .push_object(
                 TagId::item(1),
-                ObjectEvidence {
-                    candidates: vec![TagId::case(1), TagId::case(2)],
-                    weights: [(TagId::case(1), 4.5), (TagId::case(2), -1e-300)]
-                        .into_iter()
-                        .collect(),
-                    point_evidence: [(TagId::case(1), vec![(Epoch(0), 0.5), (Epoch(4), 0.25)])]
-                        .into_iter()
-                        .collect(),
-                    assigned: Some(TagId::case(1)),
-                },
-            )]
-            .into_iter()
-            .collect(),
-            tag_locations: [(TagId::case(1), vec![(Epoch(0), LocationId(0))])]
-                .into_iter()
-                .collect(),
-            iterations: 3,
-            num_locations: 4,
-        };
+                Some(TagId::case(1)),
+                Some(TagId::case(1)),
+                &[
+                    (TagId::case(1), 4.5, &series),
+                    (TagId::case(2), -1e-300, &[]),
+                ],
+            )
+            .unwrap();
+        outcome
+            .push_locations(TagId::case(1), &[(Epoch(0), LocationId(0))])
+            .unwrap();
         let engine = EngineSnapshot {
             store,
             prior,

@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use rfid_core::{
     CachedVariant, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache,
-    InferenceOutcome, InferenceStats, MigrationState, ObjectEvidence, Observations, PriorWeights,
-    ReadingsState,
+    InferenceOutcome, InferenceStats, MigrationState, Observations, PriorWeights, ReadingsState,
 };
 use rfid_query::{Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, ReaderId, SensorReading, TagId};
@@ -208,41 +207,44 @@ pub fn arb_cache() -> impl Strategy<Value = EvidenceCache> {
     )
 }
 
+/// Outcomes as the arenas hold them: object rows with distinct candidates
+/// listed in an arbitrary ranked order, each with a weight and a series that
+/// may be empty (no series), an arbitrary containment estimate and assigned
+/// container per row, and non-empty location runs.
 pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
-    let evidence = (
-        prop::collection::vec(arb_tag(), 0..5),
-        prop::collection::btree_map(arb_tag(), arb_weight(), 0..5),
-        prop::collection::btree_map(arb_tag(), arb_series(), 0..3),
+    let row = (
+        prop::collection::btree_map(arb_tag(), (arb_weight(), arb_series()), 0..5),
+        prop::collection::vec(any::<u32>(), 5),
         prop::option::of(arb_tag()),
-    )
-        .prop_map(
-            |(candidates, weights, point_evidence, assigned)| ObjectEvidence {
-                candidates,
-                weights,
-                point_evidence,
-                assigned,
-            },
-        );
+        prop::option::of(arb_tag()),
+    );
+    let run = prop::collection::vec((arb_epoch(), (0u16..300).prop_map(LocationId)), 1..5);
     (
-        arb_containment(),
-        prop::collection::btree_map(arb_tag(), evidence, 0..4),
-        prop::collection::btree_map(
-            arb_tag(),
-            prop::collection::vec((arb_epoch(), (0u16..300).prop_map(LocationId)), 0..5),
-            0..4,
-        ),
+        prop::collection::btree_map(arb_tag(), row, 0..4),
+        prop::collection::btree_map(arb_tag(), run, 0..4),
         0usize..20,
         0usize..64,
     )
-        .prop_map(
-            |(containment, objects, tag_locations, iterations, num_locations)| InferenceOutcome {
-                containment,
-                objects,
-                tag_locations,
-                iterations,
-                num_locations,
-            },
-        )
+        .prop_map(|(rows, runs, iterations, num_locations)| {
+            let mut outcome = InferenceOutcome::new(iterations, num_locations);
+            for (object, (candidates, rank, container, assigned)) in rows {
+                let mut ranked: Vec<_> = candidates
+                    .iter()
+                    .map(|(c, (w, series))| (*c, *w, series.as_slice()))
+                    .collect();
+                let key = |c: &TagId| rank[c.serial() as usize % rank.len()] ^ c.raw() as u32;
+                ranked.sort_by_key(|(c, _, _)| (key(c), *c));
+                outcome
+                    .push_object(object, container, assigned, &ranked)
+                    .expect("distinct candidates, ascending objects");
+            }
+            for (tag, run) in runs {
+                outcome
+                    .push_locations(tag, &run)
+                    .expect("ascending, non-empty");
+            }
+            outcome
+        })
 }
 
 pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {

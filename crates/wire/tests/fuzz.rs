@@ -392,6 +392,218 @@ fn duplicate_journal_epochs_are_malformed() {
     }
 }
 
+/// One object row of a hand-written outcome: its candidates in ranked order,
+/// the tags its weights are keyed by, and its series as `(candidate, number
+/// of points)`, each point one epoch after the last.
+#[derive(Clone)]
+struct RowBody {
+    object: TagId,
+    /// A candidate count to declare instead of `candidates.len()`.
+    declared: Option<u64>,
+    candidates: Vec<TagId>,
+    weights: Vec<TagId>,
+    series: Vec<(TagId, u64)>,
+}
+
+/// A hand-written checkpoint whose engine holds one outcome over the table of
+/// items 1–2 and cases 1–2 (items sort first): `containment` pairs, then
+/// `rows`, then `runs` as `(tag, number of estimates)`. Every other section
+/// is empty.
+fn checkpoint_with_outcome(
+    containment: &[(TagId, TagId)],
+    rows: &[RowBody],
+    runs: &[(TagId, u64)],
+) -> Vec<u8> {
+    let table = TagTable::from_tags([
+        TagId::item(1),
+        TagId::item(2),
+        TagId::case(1),
+        TagId::case(2),
+    ]);
+    let at = |tag: TagId| table.index_of(tag);
+    let mut w = Writer::new();
+    w.put_u8(WIRE_VERSION);
+    w.put_u8(0x07); // KIND_CHECKPOINT
+    w.put_varint(0); // site
+    w.put_varint(0); // at
+    table.encode(&mut w);
+    for _ in 0..4 {
+        w.put_varint(0); // store, prior, engine containment, detected changes
+    }
+    w.put_u8(1); // an outcome
+    w.put_varint(containment.len() as u64);
+    for &(object, container) in containment {
+        w.put_varint(at(object));
+        w.put_varint(at(container));
+    }
+    w.put_varint(rows.len() as u64);
+    for row in rows {
+        w.put_varint(at(row.object));
+        w.put_varint(row.declared.unwrap_or(row.candidates.len() as u64));
+        row.candidates.iter().for_each(|&c| w.put_varint(at(c)));
+        w.put_varint(row.weights.len() as u64);
+        for &c in &row.weights {
+            w.put_varint(at(c));
+            w.put_f64(-1.5);
+        }
+        w.put_varint(row.series.len() as u64);
+        for &(c, points) in &row.series {
+            w.put_varint(at(c));
+            w.put_varint(points);
+            for _ in 0..points.min(4) {
+                w.put_zigzag(1);
+                w.put_f64(0.25);
+            }
+        }
+        w.put_varint(0); // not assigned
+    }
+    w.put_varint(runs.len() as u64);
+    for &(tag, estimates) in runs {
+        w.put_varint(at(tag));
+        w.put_varint(estimates);
+        for _ in 0..estimates {
+            w.put_zigzag(1);
+            w.put_varint(0); // location 0
+        }
+    }
+    w.put_varint(3); // iterations
+    w.put_varint(2); // locations
+    for _ in 0..2 {
+        w.put_u8(0); // no inference epoch, no threshold
+    }
+    // Dirty journal and evidence cache, then the processor and accounting
+    // sections as in `checkpoint_with_keyed_sections`.
+    for _ in 0..23 {
+        w.put_varint(0);
+    }
+    w.into_bytes()
+}
+
+/// The outcome's arenas hold rows ascending by object, one weight per
+/// candidate, series and location runs only where there is something to
+/// hold, and containment only for objects with a row. A checkpoint breaking
+/// any of those rules is a typed error — `Malformed` with the rule's name,
+/// or `Truncated` where a count runs past the message — never a panic or a
+/// silently reshaped outcome.
+#[test]
+fn outcomes_breaking_an_arena_rule_are_typed_errors() {
+    let (item1, item2) = (TagId::item(1), TagId::item(2));
+    let (case1, case2) = (TagId::case(1), TagId::case(2));
+    let row = |object, series: &[(TagId, u64)]| RowBody {
+        object,
+        declared: None,
+        candidates: vec![case2, case1],
+        weights: vec![case1, case2],
+        series: series.to_vec(),
+    };
+    let decode = |bytes: Vec<u8>| {
+        codec()
+            .decode_checkpoint(&bytes)
+            .map(|c| c.engine.last_outcome)
+    };
+
+    let series = [(case1, 2), (case2, 1)];
+    let outcome = decode(checkpoint_with_outcome(
+        &[(item1, case2)],
+        &[row(item1, &series), row(item2, &series)],
+        &[(item2, 1), (case1, 2)],
+    ))
+    .expect("a well-formed outcome decodes")
+    .expect("the outcome is present");
+    assert_eq!(outcome.objects().len(), 2);
+    assert_eq!(outcome.container_of(item1), Some(case2));
+    let row1 = outcome.object(item1).unwrap();
+    assert_eq!(row1.candidates().collect::<Vec<_>>(), [case2, case1]);
+    assert_eq!(row1.point_evidence(case1).map(<[_]>::len), Some(2));
+    assert_eq!(outcome.locations_of(case1).len(), 2);
+
+    let two = [row(item1, &[]), row(item2, &[])];
+    let malformed: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "object rows out of order or repeated",
+            checkpoint_with_outcome(&[], &[row(item2, &[]), row(item1, &[])], &[]),
+        ),
+        (
+            "object rows out of order or repeated",
+            checkpoint_with_outcome(&[], &[row(item1, &[]), row(item1, &[])], &[]),
+        ),
+        (
+            "mismatched weight and candidate counts",
+            checkpoint_with_outcome(
+                &[],
+                &[RowBody {
+                    weights: vec![case1],
+                    ..row(item1, &[])
+                }],
+                &[],
+            ),
+        ),
+        (
+            "a weight for a tag that is not a candidate",
+            checkpoint_with_outcome(
+                &[],
+                &[RowBody {
+                    weights: vec![case1, item2],
+                    ..row(item1, &[])
+                }],
+                &[],
+            ),
+        ),
+        (
+            "a candidate listed twice",
+            checkpoint_with_outcome(
+                &[],
+                &[RowBody {
+                    candidates: vec![case1, case1],
+                    ..row(item1, &[])
+                }],
+                &[],
+            ),
+        ),
+        (
+            "point evidence for a tag that is not a candidate",
+            checkpoint_with_outcome(&[], &[row(item1, &[(item2, 1)])], &[]),
+        ),
+        (
+            "an empty point-evidence series",
+            checkpoint_with_outcome(&[], &[row(item1, &[(case2, 0)])], &[]),
+        ),
+        (
+            "containment names an object without a row",
+            checkpoint_with_outcome(&[(item2, case1)], &[row(item1, &[])], &[]),
+        ),
+        (
+            "location runs out of order or repeated",
+            checkpoint_with_outcome(&[], &two, &[(case1, 1), (item1, 1)]),
+        ),
+        (
+            "an empty location run",
+            checkpoint_with_outcome(&[], &two, &[(case1, 0)]),
+        ),
+    ];
+    for (rule, bytes) in malformed {
+        let err = decode(bytes).expect_err(rule);
+        assert_eq!(err.kind(), WireErrorKind::Malformed, "{rule}: {err}");
+        assert!(err.to_string().ends_with(rule), "{rule}: {err}");
+    }
+
+    // A candidate list or a series declaring more entries than the message
+    // holds: the decoder reads on to the end of the message and stops there.
+    let candidates_past_the_end = RowBody {
+        declared: Some(1 << 40),
+        candidates: Vec::new(),
+        weights: Vec::new(),
+        ..row(item1, &[])
+    };
+    for bytes in [
+        checkpoint_with_outcome(&[], &[candidates_past_the_end], &[]),
+        checkpoint_with_outcome(&[], &[row(item1, &[(case1, 1 << 40)])], &[]),
+    ] {
+        let err = decode(bytes).unwrap_err();
+        assert_eq!(err.kind(), WireErrorKind::Truncated, "{err}");
+    }
+}
+
 /// The chaos fault plan corrupts a poisoned envelope by flipping the high
 /// bit of byte 0, which ruins the version byte. Every payload kind must turn
 /// that into a typed [`WireError`] (quarantine input), never a panic and

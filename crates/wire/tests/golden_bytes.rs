@@ -5,7 +5,8 @@
 //! change that moves bytes on *both* sides at once (a reordered field, a
 //! different varint width, a new arity). This file can: every byte a site
 //! ships or checkpoints is written down here, so a codec refactor that is
-//! meant to be byte-preserving has to leave this file untouched.
+//! meant to be byte-preserving has to leave the literals untouched (the code
+//! that builds a pinned value may change with the types it builds).
 //!
 //! To re-record after a deliberate format change (which also needs a
 //! `WIRE_VERSION` bump), run with `--nocapture`: a mismatch prints the actual
@@ -13,8 +14,8 @@
 
 use rfid_core::{
     CachedVariant, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache,
-    InferenceOutcome, InferenceStats, MemoryStats, MigrationState, ObjectEvidence, Observations,
-    PriorWeights, ReadingsState,
+    InferenceOutcome, InferenceStats, MemoryStats, MigrationState, Observations, PriorWeights,
+    ReadingsState,
 };
 use rfid_query::{
     Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle, StateDelta,
@@ -280,32 +281,25 @@ fn checkpoint() -> SiteCheckpoint {
                 .collect(),
         }],
     );
-    let outcome = InferenceOutcome {
-        containment: containment.clone(),
-        objects: [(
+    let mut outcome = InferenceOutcome::new(3, 4);
+    let series = [(Epoch(0), 0.5), (Epoch(2), 0.25)];
+    outcome
+        .push_object(
             TagId::item(1),
-            ObjectEvidence {
-                candidates: vec![TagId::case(1), TagId::case(2)],
-                weights: [(TagId::case(1), 4.5), (TagId::case(2), -1e-300)]
-                    .into_iter()
-                    .collect(),
-                point_evidence: [(TagId::case(1), vec![(Epoch(0), 0.5), (Epoch(2), 0.25)])]
-                    .into_iter()
-                    .collect(),
-                assigned: Some(TagId::case(1)),
-            },
-        )]
-        .into_iter()
-        .collect(),
-        tag_locations: [(
+            Some(TagId::case(1)),
+            Some(TagId::case(1)),
+            &[
+                (TagId::case(1), 4.5, &series),
+                (TagId::case(2), -1e-300, &[]),
+            ],
+        )
+        .unwrap();
+    outcome
+        .push_locations(
             TagId::case(1),
-            vec![(Epoch(0), LocationId(0)), (Epoch(2), LocationId(1))],
-        )]
-        .into_iter()
-        .collect(),
-        iterations: 3,
-        num_locations: 4,
-    };
+            &[(Epoch(0), LocationId(0)), (Epoch(2), LocationId(1))],
+        )
+        .unwrap();
     SiteCheckpoint {
         site: 2,
         at: Epoch(4),
