@@ -101,11 +101,12 @@ pub struct DistributedConfig {
     /// Seconds between two pushes of enriched events into the query
     /// processors.
     pub event_stride_secs: u32,
-    /// Number of workers the scheduler shards the federated sites across,
-    /// clamped to `1..=sites`. Every count runs the same loop — sites
-    /// distributed round-robin, shipments exchanged over channels behind an
-    /// epoch barrier — and produces a bit-identical outcome; `1` (the
-    /// default) runs it on the calling thread with nothing spawned, `N`
+    /// Number of workers that run the federated sites, clamped to
+    /// `1..=sites`. Every count runs the same loop — each worker takes the
+    /// site furthest behind among those its inbound edges' transit lets
+    /// advance, runs it for a slice and posts the slice's shipments to the
+    /// destinations' mailboxes — and produces a bit-identical outcome; `1`
+    /// (the default) runs it on the calling thread with nothing spawned, `N`
     /// adds `N - 1` scoped OS threads. Ignored by
     /// [`MigrationStrategy::Centralized`], which has a single engine.
     pub num_workers: usize,

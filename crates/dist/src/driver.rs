@@ -32,7 +32,7 @@ use crate::transport::{TransportMode, TransportStats};
 use rfid_core::{InferenceStats, MemoryStats, ThresholdMemo};
 use rfid_query::Alert;
 use rfid_sim::ChainTrace;
-use rfid_types::{ContainmentMap, SiteId, TagId};
+use rfid_types::{ContainmentMap, Epoch, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,6 +125,13 @@ impl<'a> RunCtx<'a> {
             transport_mode: TransportMode::resolve(config.faults.as_ref(), &config.transport),
             thresholds: Arc::default(),
         }
+    }
+
+    /// The first epoch at or after `from` whose end cuts a checkpoint: a
+    /// positive multiple of the configured period.
+    pub(crate) fn next_checkpoint(&self, from: Epoch) -> Option<Epoch> {
+        let every = self.config.checkpoint_every_secs.filter(|&k| k > 0)?;
+        from.0.max(1).div_ceil(every).checked_mul(every).map(Epoch)
     }
 }
 

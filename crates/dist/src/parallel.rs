@@ -2,288 +2,295 @@
 //! worker count.
 //!
 //! The paper's architectural point (Section 4) is that federated inference is
-//! *embarrassingly per-site*: each site owns its readers, its engine and its
-//! query processor, and the only cross-site traffic is the migrating state of
-//! dispatched objects. The execution model is exactly that:
+//! *embarrassingly per-site*: sites interact only through shipments, whose
+//! transit is known when they depart. So the schedule is conservative, with
+//! no global barrier — one lock over each site's progress, mailbox and state:
 //!
 //! ```text
-//!                     run (worker 0 is the calling thread)
-//!   ┌───────────────┬───────────────┬───────────────┐
-//!   worker 0        worker 1        worker 2          std::thread::scope
-//!   sites 0,3,6…    sites 1,4,7…    sites 2,5,8…      (round-robin shards)
-//!   │ maybe_crash   │               │                 per epoch t, per site:
-//!   │ before_exchange ──msg──▶ mpsc ◀──msg──            streams, arrivals, dispatch
-//!   ├───────────────┴──barrier──────┴───────────────┤  epoch-stride sync
-//!   │ drain channel → after_exchange → maybe_checkpoint  zero-transit, custody, step
-//!   └───────────────┬───────────────┬───────────────┘
-//!            merge (tallies, alerts, containment, ONS)
+//!        run: worker 0 is the calling thread, 1..N are scoped threads
+//!   ┌─ lock: take the runnable site furthest behind (ties: lowest id)
+//!   ├─ receive its mailbox, then per half-epoch of one slice:
+//!   │    maybe_crash + before_exchange(t)     streams, arrivals, dispatch
+//!   │    after_exchange(t) + maybe_checkpoint zero-transit, custody, step
+//!   └─ lock: post the slice's shipments, publish progress, wake everyone
+//!          merge (tallies, alerts, containment, ONS)
 //! ```
 //!
-//! One worker is this same loop on the calling thread — it sends to its own
-//! channel and a barrier of one never blocks — so "sequential" is a worker
-//! count, not a code path, and `1 == N` is a property of one function.
-//!
-//! Determinism: every worker drives the same two [`SiteState`] phase methods
-//! in the same per-epoch order; custody is tracked by a local [`OnsTracker`]
-//! replica (a pure function of the static transfer schedule); and arrival
-//! batches are re-sorted into generation order before import. The per-epoch
-//! barrier guarantees every shipment departing at epoch `t` is in its
-//! destination's channel before any worker processes the rest of epoch `t`;
-//! shipments a racing worker sends from epoch `t+1` early are buffered by
-//! arrival epoch, and the arrival pass holds zero-transit shipments back for
-//! the post-departure pass of their epoch. The merged [`DistributedOutcome`]
-//! is therefore bit-identical at every worker count.
+//! With `L` an inbound edge's minimum transit, a site runs
+//! `before_exchange(t)` once each inbound neighbour finished
+//! `before_exchange(t − max(L, 1))`, and `after_exchange(t)` once each
+//! finished `before_exchange(t − L)`, or `before_exchange(t)` at checkpoints
+//! and the horizon. A slice also ends after the site's smallest out-edge
+//! transit. Sites import in generation order and own their custody replica,
+//! so the merged outcome is bit-identical at every worker count
+//! (docs/ARCHITECTURE.md § "One scheduler" gives the rules and why).
 
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::inference::Tally;
 use crate::site::{OnsTracker, ShipmentMsg, SiteOutcome, SiteState};
 use rfid_query::Alert;
-use rfid_types::{ContainmentMap, Epoch, TagId};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, PoisonError};
+use rfid_types::{Epoch, TagId};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A reusable epoch barrier that — unlike `std::sync::Barrier` — can be
-/// *poisoned*: when one worker panics, every sibling blocked on (or later
-/// reaching) the barrier panics too instead of waiting forever, so the
-/// original panic propagates through `std::thread::scope` as a failure
-/// rather than deadlocking the run (and CI) at the next epoch boundary.
-struct EpochBarrier {
-    state: Mutex<BarrierState>,
-    condvar: Condvar,
-    workers: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl EpochBarrier {
-    fn new(workers: usize) -> EpochBarrier {
-        EpochBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            condvar: Condvar::new(),
-            workers,
-        }
-    }
-
-    /// Block until every worker arrives, or until the barrier is poisoned —
-    /// in which case this panics (after releasing the lock, so the poisoning
-    /// thread's own unwind never double-panics).
-    fn wait(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if !state.poisoned {
-            state.arrived += 1;
-            if state.arrived == self.workers {
-                state.arrived = 0;
-                state.generation = state.generation.wrapping_add(1);
-                self.condvar.notify_all();
-                return;
-            }
-            let generation = state.generation;
-            while state.generation == generation && !state.poisoned {
-                state = self
-                    .condvar
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        let poisoned = state.poisoned;
-        drop(state);
-        assert!(
-            !poisoned,
-            "epoch barrier poisoned: a sibling site worker panicked"
-        );
-    }
-
-    /// Mark the barrier poisoned and wake every waiter.
-    fn poison(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.poisoned = true;
-        self.condvar.notify_all();
-    }
-}
-
-/// Poisons the barrier when its worker unwinds, releasing the siblings.
-struct PoisonOnPanic<'a>(&'a EpochBarrier);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Replay the federated run with sites sharded round-robin across
-/// `num_workers` workers (at least one, at most one per site).
+/// Replay the federated run on `num_workers` workers (at least one, at most
+/// one per site).
 pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
-    let num_sites = ctx.chain.sites.len();
-    let workers = ctx.config.num_workers.min(num_sites).max(1);
+    let workers = ctx.config.num_workers.min(ctx.chain.sites.len()).max(1);
     let objects = ctx.chain.objects();
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
-    let barrier = EpochBarrier::new(workers);
-
-    let mut outcomes = std::thread::scope(|scope| {
-        let (barrier, objects) = (&barrier, objects.as_slice());
-        let mut receivers = receivers.into_iter().enumerate();
-        let (_, own_rx) = receivers.next().expect("at least one worker");
-        let handles: Vec<_> = receivers
-            .map(|(w, rx)| {
-                let txs = senders.clone();
-                scope.spawn(move || worker_loop(w, ctx, rx, txs, barrier, objects))
-            })
-            .collect();
-        let mut outcomes = worker_loop(0, ctx, own_rx, senders, barrier, objects);
-        for handle in handles {
-            match handle.join() {
-                Ok(worker_outcomes) => outcomes.extend(worker_outcomes),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+    let schedule = Schedule::new(ctx);
+    // The scope joins every worker, and panics if any of them did.
+    std::thread::scope(|scope| {
+        let (schedule, objects) = (&schedule, objects.as_slice());
+        for _ in 1..workers {
+            scope.spawn(move || schedule.work(objects));
         }
-        outcomes
+        schedule.work(objects);
     });
+    let mut outcomes = std::mem::take(&mut schedule.lock().outcomes);
 
     // Merge in ascending site order; alerts report in firing order.
     outcomes.sort_by_key(|o| o.site);
     let mut tally = Tally::default();
     let mut alerts: Vec<Alert> = Vec::new();
-    let mut containment = ContainmentMap::new();
+    let mut containment = Vec::new();
     for outcome in outcomes {
         tally.merge(outcome.tally);
         alerts.extend(outcome.alerts);
-        for (object, container) in outcome.containment {
-            containment.set(object, container);
-        }
+        containment.extend(outcome.containment);
     }
     alerts.sort_by(|a, b| (a.at, &a.query, a.tag).cmp(&(b.at, &b.query, b.tag)));
     let mut ons = OnsTracker::new();
     ons.advance(&ctx.chain.transfers, Epoch(ctx.horizon));
-    tally.into_outcome(containment, alerts, ons.into_ons())
+    tally.into_outcome(containment.into_iter().collect(), alerts, ons.into_ons())
 }
 
-/// One worker: drives the epoch loop for its shard of sites, exchanging
-/// shipments with the other workers (and itself) over channels.
-fn worker_loop<'a>(
-    worker: usize,
+/// The static schedule plus the board every worker reads and writes.
+struct Schedule<'a> {
     ctx: &'a RunCtx<'a>,
-    rx: Receiver<ShipmentMsg>,
-    txs: Vec<Sender<ShipmentMsg>>,
-    barrier: &EpochBarrier,
-    objects: &[TagId],
-) -> Vec<SiteOutcome> {
-    // If anything below panics, free the siblings blocked on the barrier.
-    let _poison_guard = PoisonOnPanic(barrier);
-    let workers = txs.len();
-    // Round-robin shard: worker w owns sites w, w+workers, w+2·workers, …
-    let mut sites: Vec<SiteState<'a>> = (worker..ctx.chain.sites.len())
-        .step_by(workers)
-        .map(|site| SiteState::new(ctx, site))
-        .collect();
-    let mut ons = OnsTracker::new();
+    /// Per site: each inbound neighbour and that edge's minimum transit.
+    inbound: Vec<Vec<(usize, u32)>>,
+    /// Per site: half-epochs per slice, twice its smallest out-edge transit.
+    slice: Vec<u32>,
+    board: Mutex<Board<'a>>,
+    wake: Condvar,
+}
 
-    for t in 0..=ctx.horizon {
-        let now = Epoch(t);
-        // Scheduled faults fire at the top of the epoch: a crash destroys
-        // the volatile state before any of this epoch's processing, and
-        // restore + replay happen here too.
-        for site in sites.iter_mut() {
-            site.maybe_crash(now);
-            site.before_exchange(now, |msg| {
-                txs[msg.to as usize % workers]
-                    .send(msg)
-                    .expect("destination worker outlives the epoch loop");
-            });
+/// What the workers share, behind one lock.
+struct Board<'a> {
+    /// Half-epochs each site has finished: `2t + 1` after
+    /// `before_exchange(t)`, `2t + 2` after `after_exchange(t)`.
+    progress: Vec<u32>,
+    /// Shipments posted to each site and not yet received.
+    mailbox: Vec<Vec<ShipmentMsg>>,
+    /// Each site's state; `None` while a worker runs it, or once reported.
+    slots: Vec<Option<SiteState<'a>>>,
+    outcomes: Vec<SiteOutcome>,
+    poisoned: bool,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(ctx: &'a RunCtx<'a>) -> Schedule<'a> {
+        let sites = ctx.chain.sites.len();
+        let mut inbound: Vec<Vec<(usize, u32)>> = vec![Vec::new(); sites];
+        let mut slice = vec![u32::MAX; sites];
+        for tr in &ctx.chain.transfers {
+            let (from, to) = (usize::from(tr.from_site.0), usize::from(tr.to_site.0));
+            let transit = tr.arrive.0.saturating_sub(tr.depart.0);
+            match inbound[to].iter_mut().find(|(u, _)| *u == from) {
+                Some((_, min)) => *min = (*min).min(transit),
+                None => inbound[to].push((from, transit)),
+            }
+            slice[from] = slice[from].min(transit.saturating_mul(2).max(1));
         }
-        // Epoch-stride barrier: after it, every shipment departing at `t`
-        // (from any worker) is in its destination worker's channel. A racing
-        // worker may already have sent epoch t+1 departures — those carry
-        // arrival epochs ≥ t+1, get buffered by arrival epoch, and if they
-        // are zero-transit (arrive == depart == t+1) the arrival pass of
-        // t+1 holds them back for the post-departure pass.
-        barrier.wait();
-        while let Ok(msg) = rx.try_recv() {
-            sites[msg.to as usize / workers].receive(msg);
-        }
-        for site in sites.iter_mut() {
-            site.after_exchange(now, &mut ons);
-            // Durability: cut a checkpoint at the policy boundary. The inbox
-            // section is filtered to shipments departing ≤ `now`, so a racing
-            // sibling's early epoch-(t+1) delivery cannot leak into it and
-            // checkpoint bytes do not depend on the worker count.
-            site.maybe_checkpoint(now);
+        Schedule {
+            ctx,
+            inbound,
+            slice,
+            board: Mutex::new(Board {
+                progress: vec![0; sites],
+                mailbox: vec![Vec::new(); sites],
+                slots: (0..sites).map(|s| Some(SiteState::new(ctx, s))).collect(),
+                outcomes: Vec::new(),
+                poisoned: false,
+            }),
+            wake: Condvar::new(),
         }
     }
 
-    sites
-        .into_iter()
-        .map(|site| site.into_outcome(objects, ons.get()))
-        .collect()
+    /// Whether an inbound neighbour's published progress still keeps `site`
+    /// from half-epoch `step`.
+    fn blocked(&self, progress: &[u32], site: usize, step: u32) -> bool {
+        let t = (step - 1) / 2;
+        let sync = t == self.ctx.horizon || self.ctx.next_checkpoint(Epoch(t)) == Some(Epoch(t));
+        self.inbound[site].iter().any(|&(from, transit)| {
+            let lookahead = match step % 2 {
+                1 => transit.max(1),
+                _ if sync => 0,
+                _ => transit,
+            };
+            progress[from] < (2 * t + 1).saturating_sub(lookahead.saturating_mul(2))
+        })
+    }
+
+    /// What the rules promise a site that finished `progress`: a shipment
+    /// it receives is still due, and departed after every checkpoint it cut.
+    fn assert_on_time(&self, progress: u32, msg: &ShipmentMsg) {
+        let half_epochs = |epoch: Epoch| 2 * u64::from(epoch.0);
+        let due = half_epochs(msg.arrive) + 1 + u64::from(msg.depart == msg.arrive);
+        let checkpoint = self.ctx.next_checkpoint(msg.depart);
+        assert!(
+            u64::from(progress) < checkpoint.map_or(due, |c| due.min(half_epochs(c) + 2)),
+            "site {} received a shipment departing {:?} after {progress} half-epochs",
+            msg.to,
+            msg.depart
+        );
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Board<'a>> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One worker: run slices of whichever site is furthest behind until
+    /// every site has reported.
+    fn work(&self, objects: &[TagId]) {
+        let _poison = PoisonOnPanic(self);
+        let (sites, done) = (self.inbound.len(), 2 * self.ctx.horizon + 2);
+        let mut board = self.lock();
+        loop {
+            assert!(!board.poisoned, "site schedule poisoned: a worker panicked");
+            let runnable = (0..sites).filter(|&s| {
+                board.slots[s].is_some() && !self.blocked(&board.progress, s, board.progress[s] + 1)
+            });
+            let Some(site) = runnable.min_by_key(|&s| (board.progress[s], s)) else {
+                if board.outcomes.len() == sites {
+                    return;
+                }
+                board = self
+                    .wake
+                    .wait(board)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let from = board.progress[site];
+            let end = from.saturating_add(self.slice[site]).min(done);
+            let to = (from + 1..=end)
+                .find(|&step| self.blocked(&board.progress, site, step))
+                .map_or(end, |step| step - 1);
+            let mut slot = board.slots[site].take();
+            let inbox = std::mem::take(&mut board.mailbox[site]);
+            drop(board);
+
+            let state = slot.as_mut().expect("a runnable site is parked");
+            for msg in inbox {
+                self.assert_on_time(from, &msg);
+                state.receive(msg);
+            }
+            let mut sent = Vec::new();
+            for step in from + 1..=to {
+                let now = Epoch((step - 1) / 2);
+                if step % 2 == 1 {
+                    state.maybe_crash(now);
+                    state.before_exchange(now, |msg| sent.push(msg));
+                } else {
+                    state.after_exchange(now);
+                    state.maybe_checkpoint(now);
+                }
+            }
+            let outcome = slot
+                .take_if(|_| to == done)
+                .map(|s| s.into_outcome(objects));
+
+            board = self.lock();
+            for msg in sent {
+                board.mailbox[usize::from(msg.to)].push(msg);
+            }
+            board.progress[site] = to;
+            board.slots[site] = slot;
+            board.outcomes.extend(outcome);
+            self.wake.notify_all();
+        }
+    }
+}
+
+/// Poisons the schedule when its worker unwinds, so no sibling waits forever
+/// on a site that will never publish again.
+struct PoisonOnPanic<'s, 'a>(&'s Schedule<'a>);
+
+impl Drop for PoisonOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().poisoned = true;
+            self.0.wake.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DistributedConfig, MigrationStrategy};
+    use crate::driver::DistributedDriver;
+    use rfid_core::InferenceConfig;
+    use rfid_sim::presets;
+    use rfid_types::ReadRateTable;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    fn config(workers: usize) -> DistributedConfig {
+        DistributedConfig {
+            strategy: MigrationStrategy::CollapsedWeights,
+            inference: InferenceConfig::default().without_change_detection(),
+            ..Default::default()
+        }
+        .with_workers(workers)
+    }
+
     #[test]
-    fn single_worker_barrier_never_blocks() {
-        let barrier = EpochBarrier::new(1);
-        for _ in 0..3 {
-            barrier.wait();
+    fn a_site_panicking_mid_slice_fails_the_run_instead_of_hanging() {
+        let mut chain = presets::smoke_chain(900, 2, None);
+        // Site 1's readers sit outside its one-location read-rate table, so
+        // its first inference run panics in the middle of a slice.
+        chain.sites[1].read_rates = ReadRateTable::diagonal(1, 0.8, 1e-4);
+        for workers in [1, 2] {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                DistributedDriver::new(config(workers)).run(&chain)
+            }));
+            assert!(run.is_err(), "{workers} workers: the panic must surface");
         }
     }
 
     #[test]
-    fn barrier_releases_every_generation() {
-        let barrier = EpochBarrier::new(2);
+    fn a_worker_waiting_on_a_lagging_neighbour_is_woken_by_the_poison() {
+        let chain = presets::smoke_chain(900, 2, None);
+        assert!(chain.transfers.iter().any(|tr| tr.to_site.0 == 1));
+        let config = config(2);
+        let ctx = RunCtx::new(&config, &chain);
+        let objects = chain.objects();
+        let schedule = Schedule::new(&ctx);
+        // Site 0 is taken by a worker that will never publish again, so
+        // site 1 can only run as far as its inbound edge's lookahead.
+        let lagging = schedule.lock().slots[0].take();
         std::thread::scope(|scope| {
-            let peer = scope.spawn(|| {
-                for _ in 0..100 {
-                    barrier.wait();
-                }
-            });
-            for _ in 0..100 {
-                barrier.wait();
+            let waiter =
+                scope.spawn(|| catch_unwind(AssertUnwindSafe(|| schedule.work(&objects))).is_err());
+            // Wait until the waiter has parked site 1 at its bound.
+            while {
+                let board = schedule.lock();
+                board.progress[1] == 0 || board.slots[1].is_none()
+            } {
+                std::thread::yield_now();
             }
-            peer.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn poisoned_barrier_panics_waiters_instead_of_hanging() {
-        let barrier = EpochBarrier::new(2);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| catch_unwind(AssertUnwindSafe(|| barrier.wait())).is_err());
-            // Never arrive at the barrier: poison it instead, as a panicking
-            // worker's drop guard would.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            barrier.poison();
+            // The lagging worker dies mid-slice; its guard poisons.
+            let died = catch_unwind(AssertUnwindSafe(|| {
+                let _guard = PoisonOnPanic(&schedule);
+                panic!("the lagging site's worker died mid-slice");
+            }));
+            assert!(died.is_err());
             assert!(
-                waiter.join().unwrap(),
+                waiter.join().expect("the waiter catches its own panic"),
                 "the waiter must panic once poisoned, not block forever"
             );
         });
-        // Late arrivals see the poison immediately.
-        assert!(catch_unwind(AssertUnwindSafe(|| barrier.wait())).is_err());
-    }
-
-    #[test]
-    fn unwinding_worker_poisons_the_barrier_via_its_guard() {
-        let barrier = EpochBarrier::new(2);
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = PoisonOnPanic(&barrier);
-            panic!("site worker died mid-epoch");
-        }));
-        assert!(unwound.is_err());
-        assert!(
-            catch_unwind(AssertUnwindSafe(|| barrier.wait())).is_err(),
-            "the guard must have poisoned the barrier during unwind"
-        );
+        assert!(schedule.lock().outcomes.is_empty());
+        drop(lagging);
     }
 }

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 /// schedule.
 ///
 /// Custody registrations depend only on the transfer list — never on
-/// inference results — so every worker advances its own replica locally
+/// inference results — so every site advances its own replica locally
 /// instead of synchronising on a shared registry: by construction all
 /// replicas agree at every epoch boundary.
 pub(crate) struct OnsTracker {
@@ -46,17 +46,13 @@ impl OnsTracker {
     }
 
     /// Register every transfer departing at or before `now` (a no-op when
-    /// already there, so every site of a worker may call it).
+    /// already there).
     pub(crate) fn advance(&mut self, transfers: &[ObjectTransfer], now: Epoch) {
         while self.cursor < transfers.len() && transfers[self.cursor].depart <= now {
             self.ons
                 .register(transfers[self.cursor].tag, transfers[self.cursor].to_site);
             self.cursor += 1;
         }
-    }
-
-    pub(crate) fn get(&self) -> &Ons {
-        &self.ons
     }
 
     pub(crate) fn into_ons(self) -> Ons {
@@ -78,6 +74,8 @@ pub(crate) struct SiteState<'a> {
     site: usize,
     streams: LocalStreams<'a>,
     unit: InferenceUnit,
+    /// This site's custody replica, advanced to the epoch it last finished.
+    custody: OnsTracker,
 
     // Shipments.
     /// Transfers departing from this site, in global (depart, tag) order.
@@ -119,6 +117,7 @@ impl<'a> SiteState<'a> {
             site,
             streams: LocalStreams::new(ctx, site, 0, skew),
             unit: InferenceUnit::new(ctx, ctx.chain.sites[site].read_rates.clone()),
+            custody: OnsTracker::new(),
             departures: ctx
                 .chain
                 .transfers
@@ -157,13 +156,13 @@ impl<'a> SiteState<'a> {
     /// zero-transit ones, bring the custody replica up to this epoch's
     /// dispatches, then run the periodic inference step and event feed
     /// against it.
-    pub(crate) fn after_exchange(&mut self, now: Epoch, ons: &mut OnsTracker) {
-        ons.advance(&self.ctx.chain.transfers, now);
+    pub(crate) fn after_exchange(&mut self, now: Epoch) {
+        self.custody.advance(&self.ctx.chain.transfers, now);
         if self.down {
             return;
         }
         self.deliver_zero_transit(now);
-        self.step_and_feed(now, ons.get());
+        self.step_and_feed(now);
     }
 
     /// Feed this epoch's local sensor and RFID streams into the site.
@@ -181,19 +180,21 @@ impl<'a> SiteState<'a> {
     /// The periodic inference step. Only the custody site feeds events for
     /// an object, so a departed object's stale estimates do not keep an
     /// abandoned automaton alive.
-    fn step_and_feed(&mut self, now: Epoch, ons: &Ons) {
-        let site = self.site;
+    fn step_and_feed(&mut self, now: Epoch) {
+        let (site, ons) = (self.site, &self.custody.ons);
         self.unit.tick(self.ctx, now, |tag| {
             ons.site_of(tag, SiteId(0)).0 as usize == site
         });
     }
 
-    /// Consume the site at the horizon, reporting the containment of the
-    /// objects this site owns (per the final ONS), its alerts and its tally.
-    pub(crate) fn into_outcome(mut self, objects: &[TagId], ons: &Ons) -> SiteOutcome {
+    /// Consume the site at the horizon, once every shipment bound for it
+    /// has been [`received`](Self::receive), reporting the containment of
+    /// the objects this site owns (per the final ONS), its alerts and its
+    /// tally.
+    pub(crate) fn into_outcome(mut self, objects: &[TagId]) -> SiteOutcome {
         self.unit.finalize(Epoch(self.ctx.horizon));
         self.book_undelivered();
-        let engine = &self.unit.engine;
+        let (engine, ons) = (&self.unit.engine, &self.custody.ons);
         let containment = objects
             .iter()
             .filter(|&&object| ons.site_of(object, SiteId(0)).0 as usize == self.site)

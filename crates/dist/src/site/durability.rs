@@ -2,7 +2,7 @@
 //! deterministic tail replay, and the fast-forward over a downtime window.
 
 use super::shipments::order_key;
-use super::{OnsTracker, ShipmentMsg, SiteState};
+use super::{ShipmentMsg, SiteState};
 use crate::inference::Tally;
 use crate::transport::{ReliableInbox, TransportMode};
 use rfid_types::Epoch;
@@ -111,12 +111,11 @@ impl<'a> SiteState<'a> {
         }
         self.journal = journal;
         // Bounded replay of the local tail through the regular epoch
-        // protocol, against a private custody replica; the departures it
-        // regenerates go nowhere.
-        let mut ons = OnsTracker::new();
+        // protocol, which also rebuilds the fresh custody replica; the
+        // departures it regenerates go nowhere.
         for t in replay_from..crash_at.0 {
             self.before_exchange(Epoch(t), drop);
-            self.after_exchange(Epoch(t), &mut ons);
+            self.after_exchange(Epoch(t));
         }
     }
 
@@ -142,24 +141,24 @@ impl<'a> SiteState<'a> {
     /// so, retain only its encoded bytes, and compact the journal down to
     /// the receives the checkpoint does not already cover.
     pub(crate) fn maybe_checkpoint(&mut self, now: Epoch) {
-        let every = self.ctx.config.checkpoint_every_secs;
-        if self.down || now.0 == 0 || !every.is_some_and(|k| k > 0 && now.0.is_multiple_of(k)) {
+        if self.down || self.ctx.next_checkpoint(now) != Some(now) {
             return;
         }
         let checkpoint = self.build_checkpoint(now);
         self.last_checkpoint = Some(self.ctx.codec.encode_checkpoint(&checkpoint));
-        // Receives departing at or before `now` are either already imported
-        // (inside the engine snapshot) or in the checkpoint inbox; only
-        // shipments a racing worker delivered early from the next epoch
-        // remain journaled.
+        // The scheduler cuts a checkpoint only once every shipment departing
+        // at or before `now` has been received, and each of those is now
+        // either imported (inside the engine snapshot) or in the checkpoint
+        // inbox; only shipments from later departures, which an inbound
+        // neighbour running ahead may already have sent, remain journaled.
         self.journal.retain(|msg| msg.depart > now);
     }
 
     /// The site's durable state at the end of epoch `at`. The inbox section
-    /// keeps only shipments departing at or before `at`, sorted into
-    /// generation order, so every worker count cuts byte-identical
-    /// checkpoints even when a racing worker delivered an `at + 1` shipment
-    /// early.
+    /// keeps only shipments departing at or before `at` — all of them, by
+    /// the scheduler's checkpoint rule — sorted into generation order, so
+    /// every worker count cuts byte-identical checkpoints however far ahead
+    /// an inbound neighbour has already run.
     fn build_checkpoint(&self, at: Epoch) -> SiteCheckpoint {
         let mut pending: Vec<&ShipmentMsg> = self
             .inbox

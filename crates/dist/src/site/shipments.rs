@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const FORCED_RUN_SPACING_SECS: u32 = 150;
 
 /// One object's migrating state, en route between two sites — the message
-/// the site workers exchange over `std::sync::mpsc` channels. It is the wire
+/// the scheduler posts to the destination site's mailbox. It is the wire
 /// crate's [`PendingShipment`] as is, so the inbox section of a checkpoint
 /// is the in-memory inbox, not a field-by-field translation of it.
 ///
@@ -42,9 +42,8 @@ const FORCED_RUN_SPACING_SECS: u32 = 150;
 pub(crate) type ShipmentMsg = PendingShipment;
 
 /// Generation order — epochs ascending, then origin site, then route, then
-/// tag: the order in which one worker replaying every site emits messages,
-/// so a receiving site imports a batch identically no matter which worker
-/// thread delivered which part of it first.
+/// tag: the order a site imports a batch in, so it imports identically no
+/// matter which slice of which sender delivered which part of it first.
 pub(super) fn order_key(msg: &ShipmentMsg) -> (Epoch, u16, u16, TagId) {
     (msg.depart, msg.from, msg.to, msg.tag)
 }
@@ -79,10 +78,10 @@ impl SiteState<'_> {
     /// Import every shipment that arrived at `now` from an *earlier* epoch's
     /// departures.
     ///
-    /// Shipments with `depart == now` (zero transit) are held back: a racing
-    /// worker may have pushed one into the inbox a drain early, and its
-    /// place is after this epoch's departure pass —
-    /// [`Self::deliver_zero_transit`] imports it there.
+    /// Shipments with `depart == now` (zero transit) are held back: an
+    /// inbound neighbour may already have run its epoch-`now` departures,
+    /// and their place is after this site's own —
+    /// [`Self::deliver_zero_transit`] imports them there.
     pub(super) fn deliver(&mut self, now: Epoch) {
         if let Some(batch) = self.inbox.remove(&now) {
             let (ready, hold): (Vec<ShipmentMsg>, Vec<ShipmentMsg>) =

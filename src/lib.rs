@@ -18,9 +18,11 @@
 //! * [`query`] — CQL-style stream query processing (pattern matching,
 //!   hybrid queries, query-state sharing);
 //! * [`dist`] — distributed inference and query processing with state
-//!   migration and communication accounting; one scheduler shards the
-//!   sites over any number of workers (`DistributedConfig::num_workers`)
-//!   with bit-identical results, and runs survive seeded chaos (crashes,
+//!   migration and communication accounting; one barrier-free scheduler
+//!   runs the sites on any number of workers
+//!   (`DistributedConfig::num_workers`) with bit-identical results, each
+//!   site advancing as far as its inbound edges' transit allows, and runs
+//!   survive seeded chaos (crashes,
 //!   loss, partitions, poisoned payloads — see [`sim::ChaosPlan`]) and are
 //!   audited by invariant oracles over per-edge conservation ledgers;
 //! * [`wire`] — the compact binary wire codec every cross-site payload and
