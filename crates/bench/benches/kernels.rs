@@ -95,42 +95,43 @@ fn bench_row_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The M-step's fresh point-evidence dots at the two row widths the
+/// benchmark workloads run: 11 locations per federated site and 88 in the
+/// Centralized engine's block-diagonal table. 64 dots, each a posterior row
+/// against one of 8 loglik rows (an object's epochs share a handful of
+/// reader sets), through [`kernels::dot_each`] and through one scalar
+/// [`kernels::dot`] after another.
 fn bench_dot_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("dot_kernels");
     group.sample_size(20);
-    for width in [16usize, 64, 256] {
-        let row = log_weights(width, 3);
-        let qs: Vec<Vec<f64>> = (0..kernels::LANES as u64)
-            .map(|s| log_weights(width, s + 20))
+    const DOTS: usize = 64;
+    for width in [11usize, 88] {
+        let qs: Vec<Vec<f64>> = (0..DOTS as u64)
+            .map(|s| log_weights(width, s + 20).iter().map(|x| x.exp()).collect())
             .collect();
-        let q_refs: Vec<&[f64]> = qs.iter().map(|q| q.as_slice()).collect();
-        let mut out = [0.0f64; kernels::LANES];
+        let rows: Vec<Vec<f64>> = (0..8).map(|s| log_weights(width, s + 3)).collect();
+        let pair = |i: usize| (qs[i].as_slice(), rows[i % rows.len()].as_slice());
+        let mut out = [0.0f64; DOTS];
 
-        group.bench_with_input(BenchmarkId::new("dot/strict", width), &width, |b, _| {
-            b.iter(|| kernels::dot(black_box(&qs[0]), black_box(&row)))
+        group.bench_with_input(
+            BenchmarkId::new("dot_each/64-dots", width),
+            &width,
+            |b, _| {
+                b.iter(|| {
+                    kernels::dot_each(DOTS, |i| black_box(pair(i)), |i, e| out[i] = e);
+                    out[DOTS - 1]
+                })
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("dot/64-scalar", width), &width, |b, _| {
+            b.iter(|| {
+                for (i, o) in out.iter_mut().enumerate() {
+                    let (q, row) = black_box(pair(i));
+                    *o = kernels::dot(q, row);
+                }
+                out[DOTS - 1]
+            })
         });
-        group.bench_with_input(
-            BenchmarkId::new("dot_many_shared/8-lane", width),
-            &width,
-            |b, _| {
-                b.iter(|| {
-                    kernels::dot_many_shared(black_box(&q_refs), black_box(&row), &mut out);
-                    out[0]
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dot_many_shared/scalar-ref", width),
-            &width,
-            |b, _| {
-                b.iter(|| {
-                    for (o, q) in out.iter_mut().zip(&q_refs) {
-                        *o = kernels::dot(q, &row);
-                    }
-                    out[0]
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -21,10 +21,12 @@
 //!   in a memoized [`ReaderSetTable`] row and reused by both the posterior
 //!   and the point-evidence evaluations,
 //! * the inner loops run through the chunk-of-8 [`kernels`] — lane-parallel
-//!   loglik row fills, in-place log-sum-exp normalization, batched
-//!   point-evidence dot products (one lane per candidate) and an
-//!   epoch-indexed candidate-pruning pass — which vectorize across
-//!   locations/candidates only, never across the terms of one accumulator,
+//!   loglik row fills, in-place log-sum-exp normalization and the M-step's
+//!   point-evidence dots, which the walk over an object's observations only
+//!   plans and [`kernels::dot_each`] then runs as independent dots, each in
+//!   its own accumulator — plus an epoch-indexed candidate-pruning pass; they
+//!   run lanes across locations or whole dots only, never across the terms
+//!   of one accumulator,
 //! * all of it backed by [`DenseScratch`] buffers the engine keeps alive
 //!   across runs, so the streaming steady state allocates almost nothing.
 //!
@@ -152,9 +154,9 @@ pub struct DenseScratch {
     /// Object × container co-location count matrix,
     /// row-major by object position.
     colo_matrix: Vec<u32>,
-    /// Lane indices computing a dot product at the
-    /// current epoch of one transposed M-step walk.
-    active: Vec<u32>,
+    /// The fresh point-evidence dots of one object's transposed M-step walk,
+    /// in walk order; [`kernels::dot_each`] runs them after the walk.
+    pending: Vec<PendingDot>,
     /// Epoch-presence bitset of one slot's needed-epoch
     /// dedup, indexed by epoch offset from the run's earliest epoch.
     seen: Vec<u64>,
@@ -189,7 +191,8 @@ struct DVariant {
     /// the outcome builder stream rows instead of chasing per-posterior
     /// allocations.
     qrows: Vec<f64>,
-    /// Epochs whose posterior was moved bitwise out of the previous run.
+    /// Epochs whose posterior was moved bitwise out of the previous run;
+    /// left empty when `fully_reused` says that is every epoch.
     reused: Vec<Epoch>,
     fully_reused: bool,
     prev_evidence: TakableSeries,
@@ -197,19 +200,18 @@ struct DVariant {
     evidence: Vec<(u32, Series)>,
 }
 
-/// One lane of the transposed M-step walk: the per-candidate cursors and the
-/// accumulating weight for a candidate whose evidence series must be derived
-/// (or partially reused) against its variant's per-epoch posteriors. The
-/// variant itself stays in `current`, borrowed shared for the duration of the
-/// walk; lanes only carry indices and owned state.
+/// One lane of the transposed M-step walk: the per-candidate cursors of a
+/// candidate whose evidence series must be derived (or partially reused)
+/// against its variant's per-epoch posteriors. The variant itself stays in
+/// `current`, borrowed shared for the duration of the walk; lanes only carry
+/// indices and owned state.
 struct MWalker {
     /// Flat index of this (object, candidate) pair in the weight arena.
     flat: u32,
     /// Slot of the candidate's variant in `current`.
     slot: u32,
-    /// Accumulating co-location weight (prior already added).
-    w: f64,
-    /// Evidence series under construction.
+    /// Evidence series under construction; a fresh dot's entry holds a
+    /// placeholder until [`kernels::dot_each`] fills it.
     series: Series,
     /// Cursor into the variant's per-epoch posterior series.
     q_cur: usize,
@@ -217,6 +219,17 @@ struct MWalker {
     r_cur: usize,
     /// Cursor into the previous run's series for this pair.
     prev_pos: usize,
+}
+
+/// One fresh point-evidence dot the transposed M-step walk planned: the
+/// posterior row `q_row` of lane `lane`'s variant against the object's
+/// loglik row of reader set `set`, bound for entry `at` of the lane's series.
+#[derive(Clone, Copy, Debug)]
+struct PendingDot {
+    lane: u32,
+    at: u32,
+    q_row: u32,
+    set: u32,
 }
 
 /// The shared borrows one M-step lane reads during the transposed walk:
@@ -960,13 +973,12 @@ pub(crate) fn run_dense(
                     .all(|t| prev_epochs.binary_search(t).is_err());
             if fully_reused {
                 stats.posteriors_reused += prev_epochs.len();
-                let reused = prev_epochs.clone();
                 current[slot] = Some(DVariant {
                     members: members.to_vec(),
                     updated_iter: iter,
                     epochs: prev_epochs,
                     qrows: prev_qrows,
-                    reused,
+                    reused: Vec::new(),
                     fully_reused: true,
                     prev_evidence,
                     evidence: Vec::new(),
@@ -1085,14 +1097,17 @@ pub(crate) fn run_dense(
             // Lane-parallel M-step (the transposed walk): classify every
             // candidate once, then drive all candidates that need the
             // per-epoch walk through ONE pass over the object's
-            // observations — one lane per candidate accumulator. Each
-            // lane keeps the exact sequence of reuse decisions, dot
-            // products and additions (prior first, then epoch order) of the
-            // reference's one-candidate-at-a-time walk, and no value flows
-            // between lanes, so every weight is bit-identical; only the
-            // interleaving across candidates changes. The shared work — the
-            // o_obs cursor, the dirty test and the object's loglik row — is
-            // paid once per epoch instead of once per (candidate, epoch).
+            // observations — one lane per candidate series — in three
+            // passes. The walk (plan) makes every reuse decision and
+            // records each fresh dot in `s.pending`; one kernel call
+            // (compute) runs those dots; each lane's weight (accumulate) is
+            // its prior plus its series in epoch order. Each lane keeps the
+            // exact reuse decisions, dot products and sequence of additions
+            // of the reference's one-candidate-at-a-time walk, and no value
+            // flows between lanes, so every weight is bit-identical; only
+            // the order in which the dots are computed changes. The shared
+            // work — the o_obs cursor and the dirty test — is paid once per
+            // epoch instead of once per (candidate, epoch).
             let o_clean = o_dirty.is_none_or(|d| d.is_empty());
             debug_assert!(walkers.is_empty());
             for flat in range.clone() {
@@ -1128,7 +1143,6 @@ pub(crate) fn run_dense(
                             walkers.push(MWalker {
                                 flat: flat as u32,
                                 slot: slot as u32,
-                                w,
                                 series: Vec::with_capacity(o_obs.len()),
                                 q_cur: 0,
                                 r_cur: 0,
@@ -1149,13 +1163,15 @@ pub(crate) fn run_dense(
                 // slots; the variants themselves are only mutated
                 // after the walk, when the lanes are drained.) An object
                 // has a handful of candidates, so the bindings live on the
-                // stack; only an unusually wide row spills.
+                // stack; only an unusually wide row spills. A fully reused
+                // variant reused every one of its epochs.
                 let refs_of = |wk: &MWalker| -> MLaneRefs<'_> {
                     let v = current[wk.slot as usize].as_ref().expect("walker variant");
+                    let reused = if v.fully_reused { &v.epochs } else { &v.reused };
                     (
                         v.epochs.as_slice(),
                         v.qrows.as_slice(),
-                        v.reused.as_slice(),
+                        reused.as_slice(),
                         prev_series(&v.prev_evidence, oi),
                     )
                 };
@@ -1171,6 +1187,9 @@ pub(crate) fn run_dense(
                     spilled = walkers.iter().map(refs_of).collect();
                     &spilled
                 };
+                // Plan: walk the object's observations, reusing what the
+                // cache holds and recording every fresh dot.
+                s.pending.clear();
                 let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
                 for (pos, obs_at) in o_obs.iter().enumerate() {
                     let t = obs_at.epoch;
@@ -1183,7 +1202,6 @@ pub(crate) fn run_dense(
                         }
                         it.peek().is_some_and(|dt| **dt == t)
                     });
-                    s.active.clear();
                     for (l, (wk, refs)) in walkers.iter_mut().zip(lane_refs).enumerate() {
                         let (epochs, _, reused, prev) = *refs;
                         // A candidate's needed epochs hold every epoch its
@@ -1205,46 +1223,50 @@ pub(crate) fn run_dense(
                                     if pt == t {
                                         stats.evidence_reused += 1;
                                         wk.series.push((t, e));
-                                        wk.w += e;
                                         continue;
                                     }
                                 }
                             }
                         }
                         stats.evidence_computed += 1;
-                        s.active.push(l as u32);
-                    }
-                    if s.active.is_empty() {
-                        continue;
-                    }
-                    // Point-evidence dots of every active lane against
-                    // the object's loglik row at this epoch — the row is
-                    // loaded once and shared across the lanes.
-                    let row = s.table.row(o_sets[pos]);
-                    for chunk in s.active.chunks(kernels::LANES) {
-                        let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
-                        for (q, &l) in qs.iter_mut().zip(chunk) {
-                            let at = walkers[l as usize].q_cur * nl;
-                            *q = &lane_refs[l as usize].1[at..at + nl];
-                        }
-                        let mut vals = [0.0f64; kernels::LANES];
-                        kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
-                        for (j, &l) in chunk.iter().enumerate() {
-                            let wk = &mut walkers[l as usize];
-                            let e = vals[j];
-                            wk.series.push((t, e));
-                            wk.w += e;
-                        }
+                        s.pending.push(PendingDot {
+                            lane: l as u32,
+                            at: wk.series.len() as u32,
+                            q_row: wk.q_cur as u32,
+                            set: o_sets[pos],
+                        });
+                        wk.series.push((t, f64::NAN));
                     }
                 }
+                // Compute: every fresh dot of the object in one kernel
+                // call, each written over its placeholder.
+                let (pending, table) = (&s.pending, &s.table);
+                kernels::dot_each(
+                    pending.len(),
+                    |i| {
+                        let p = pending[i];
+                        let at = p.q_row as usize * nl;
+                        (&lane_refs[p.lane as usize].1[at..at + nl], table.row(p.set))
+                    },
+                    |i, e| {
+                        let p = pending[i];
+                        walkers[p.lane as usize].series[p.at as usize].1 = e;
+                    },
+                );
+                // Accumulate: prior first, then the series in epoch order —
+                // the additions the reference makes as it walks.
                 for wk in walkers.drain(..) {
+                    let mut w = s.prior_w[wk.flat as usize];
+                    for &(_, e) in &wk.series {
+                        w += e;
+                    }
+                    s.weights[wk.flat as usize] = w;
                     let v = current[wk.slot as usize].as_mut().expect("walker variant");
                     debug_assert!(
                         v.evidence.last().is_none_or(|e| e.0 < oi),
                         "evidence pushed out of object order"
                     );
                     v.evidence.push((oi, wk.series));
-                    s.weights[wk.flat as usize] = wk.w;
                 }
             }
             s.new_assign[k] = argmax_weight(

@@ -2,12 +2,12 @@
 //!
 //! Every kernel here obeys one design rule, which is what keeps the dense
 //! solver **bit-identical to the tree reference** (`crate::reference`):
-//! lanes run *across locations or across candidates*, never across the terms
-//! of a single accumulator. Elementwise operations (row adds, the
+//! lanes run *across locations or across whole dot products*, never across
+//! the terms of a single accumulator. Elementwise operations (row adds, the
 //! subtract-max before `exp`, the divide-by-sum) are embarrassingly lane
 //! parallel; the set-max of the log-sum-exp trick is order-independent (see
-//! [`max_log_weights`]); and the batched dot products of [`dot_many_shared`]
-//! give each candidate its own accumulator whose summation order over
+//! [`max_log_weights`]); and [`dot_each`] interleaves independent dot
+//! products, each in its own accumulator whose summation order over
 //! locations is exactly that of
 //! [`Posterior::expect`](crate::Posterior::expect) (spelled out here as
 //! [`dot`]). Nothing here reassociates a single running sum — no dot product
@@ -220,40 +220,60 @@ pub fn exp_normalize(row: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched dot products (lane = candidate)
+// Independent dot products (lane = one whole dot)
 // ---------------------------------------------------------------------------
 
 /// One point-evidence dot product, in the scalar reference order — the
-/// summation order every lane of [`dot_many_shared`] replicates.
+/// summation order every lane of [`dot_each`] replicates.
 pub fn dot(q: &[f64], row: &[f64]) -> f64 {
     q.iter().zip(row).map(|(q, v)| q * v).sum()
 }
 
-/// Up to [`LANES`] dot products against one **shared** row:
-/// `out[l] = dot(qs[l], row)`.
+/// How many independent dots [`dot_each`] runs at once.
+pub const DOT_BLOCK: usize = 4;
+
+/// `put(i, dot(q, row))` for every `i in 0..len`, where `(q, row) = pair(i)`.
 ///
-/// The transposed M-step evaluates every active candidate's point evidence
-/// at one epoch against the same object loglik row; sharing the row halves
-/// the loads per lane (the row stays hot while the lane posteriors stream).
-/// Each lane keeps its own accumulator in the scalar [`dot`] order, so every
-/// output is bit-identical to calling [`dot`] per lane.
-pub fn dot_many_shared(qs: &[&[f64]], row: &[f64], out: &mut [f64]) {
-    debug_assert!(out.len() >= qs.len());
-    let n = row.len();
-    if qs.iter().all(|q| q.len() == n) {
-        for (l, q) in qs.iter().enumerate() {
-            // `Iterator::sum::<f64>()` folds from `-0.0`; start there so
-            // zero-sign behaviour matches the scalar dot bitwise.
-            let mut acc = -0.0f64;
+/// One dot is a chain of dependent adds, so computing dots one after the
+/// other leaves the core waiting on the add latency. This kernel interleaves
+/// [`DOT_BLOCK`] *independent* dots, each in its own accumulator started
+/// from `-0.0` (where `Iterator::sum::<f64>()` starts) and summed term by term
+/// in the scalar [`dot`] order, so every output is bit-identical to calling
+/// [`dot`] on its pair. A block whose pairs differ in length, and the last
+/// `len % DOT_BLOCK` pairs, run through [`dot`] itself.
+pub fn dot_each<'a>(
+    len: usize,
+    pair: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+    mut put: impl FnMut(usize, f64),
+) {
+    let mut i = 0usize;
+    while i + DOT_BLOCK <= len {
+        let pairs: [(&[f64], &[f64]); DOT_BLOCK] = std::array::from_fn(|k| pair(i + k));
+        let n = pairs[0].0.len();
+        if pairs.iter().all(|(q, row)| q.len() == n && row.len() == n) {
+            // Every slice re-cut to length `n`, so the loop needs no
+            // bounds checks.
+            let qs: [&[f64]; DOT_BLOCK] = std::array::from_fn(|k| &pairs[k].0[..n]);
+            let rows: [&[f64]; DOT_BLOCK] = std::array::from_fn(|k| &pairs[k].1[..n]);
+            let mut acc = [-0.0f64; DOT_BLOCK];
             for a in 0..n {
-                acc += q[a] * row[a];
+                for k in 0..DOT_BLOCK {
+                    acc[k] += qs[k][a] * rows[k][a];
+                }
             }
-            out[l] = acc;
+            for (k, &e) in acc.iter().enumerate() {
+                put(i + k, e);
+            }
+        } else {
+            for (k, (q, row)) in pairs.iter().enumerate() {
+                put(i + k, dot(q, row));
+            }
         }
-    } else {
-        for (l, q) in qs.iter().enumerate() {
-            out[l] = dot(q, row);
-        }
+        i += DOT_BLOCK;
+    }
+    for i in i..len {
+        let (q, row) = pair(i);
+        put(i, dot(q, row));
     }
 }
 
@@ -479,38 +499,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dot_many_shared_matches_scalar_dots_bitwise() {
-        for width in 0..=17usize {
-            for n in [0usize, 1, 7, 8, 9, 16, 17] {
-                let row: Vec<f64> = (0..n).map(|i| -(((i * 5) % 19) as f64) * 1.1).collect();
-                let qs_owned: Vec<Vec<f64>> = (0..width)
-                    .map(|l| {
-                        (0..n)
-                            .map(|i| ((i + l * 11) % 13) as f64 * 0.7 - 3.0)
-                            .collect()
-                    })
-                    .collect();
-                let qs: Vec<&[f64]> = qs_owned.iter().map(|v| v.as_slice()).collect();
-                let mut out = vec![0.0f64; width];
-                dot_many_shared(&qs, &row, &mut out);
-                for l in 0..width {
-                    let want = dot(qs[l], &row);
-                    assert_eq!(out[l].to_bits(), want.to_bits(), "lane {l} width {width}");
-                }
+    /// Run [`dot_each`] over `pairs` and require every output to equal the
+    /// scalar [`dot`] of its pair bit for bit, each written exactly once.
+    /// A NaN only has to meet a NaN: Rust leaves the sign and payload of a
+    /// NaN result unspecified (the compiler may swap the operands of an
+    /// add), so no two compilations of one sum promise the same NaN bits.
+    fn assert_dot_each_matches_dot(pairs: &[(Vec<f64>, Vec<f64>)], what: &str) {
+        let mut out = vec![None; pairs.len()];
+        dot_each(
+            pairs.len(),
+            |i| (pairs[i].0.as_slice(), pairs[i].1.as_slice()),
+            |i, e| {
+                assert!(out[i].is_none(), "dot {i} written twice ({what})");
+                out[i] = Some(e);
+            },
+        );
+        for (i, (q, row)) in pairs.iter().enumerate() {
+            let got = out[i].unwrap_or_else(|| panic!("dot {i} never written ({what})"));
+            let want = dot(q, row);
+            if want.is_nan() {
+                assert!(got.is_nan(), "dot {i} of {what}: {got} for NaN");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "dot {i} of {what}");
             }
         }
-        // Pathological shared rows (-inf, NaN-scattered, -1e6 offsets) and a
-        // length-mismatched lane falling back to the scalar dot.
+    }
+
+    #[test]
+    fn dot_each_matches_scalar_dots_bitwise() {
+        // Entries a dot can meet: probabilities and log-likelihoods, signed
+        // zeros, NaN, both infinities, subnormals and values whose products
+        // underflow or overflow.
+        let special = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 3.0,
+            1e-300,
+            1e300,
+        ];
+        let entry = |seed: usize, a: usize| -> f64 {
+            let x = (seed * 31 + a * 17) % 97;
+            if x.is_multiple_of(11) {
+                special[(x / 11) % special.len()]
+            } else {
+                ((x as f64) * 0.37 - 9.0) * if x.is_multiple_of(2) { 1.0 } else { 1e-3 }
+            }
+        };
+        for width in 1..=96usize {
+            for len in 1..=9usize {
+                let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..len)
+                    .map(|i| {
+                        let q = (0..width).map(|a| entry(i * 2 + width, a)).collect();
+                        let row = (0..width).map(|a| entry(i * 2 + 1 + len, a)).collect();
+                        (q, row)
+                    })
+                    .collect();
+                assert_dot_each_matches_dot(&pairs, &format!("width {width}, {len} dots"));
+                // A row of all-negative-zero products: the sum must keep
+                // the -0.0 the scalar dot starts from.
+                let zeros: Vec<(Vec<f64>, Vec<f64>)> = (0..len)
+                    .map(|i| {
+                        (
+                            vec![-0.0; width],
+                            vec![if i % 2 == 0 { 1.0 } else { 0.5 }; width],
+                        )
+                    })
+                    .collect();
+                assert_dot_each_matches_dot(&zeros, &format!("-0.0, width {width}"));
+            }
+        }
+        // Mixed lengths inside one block fall back to the scalar dot, which
+        // stops at the shorter side; the pathological rows reach every
+        // remainder shape.
         for case in cases().iter().filter(|c| !c.is_empty()) {
             let q: Vec<f64> = case.iter().map(|&x| (x * 0.01).exp()).collect();
-            let short = &q[..q.len() - 1];
-            let qs = [q.as_slice(), short, q.as_slice()];
-            let mut out = [0.0f64; 3];
-            dot_many_shared(&qs, case, &mut out);
-            for (l, q) in qs.iter().enumerate() {
-                assert_eq!(out[l].to_bits(), dot(q, case).to_bits(), "lane {l}");
-            }
+            let short = q[..q.len() - 1].to_vec();
+            let pairs = vec![
+                (q.clone(), case.clone()),
+                (short, case.clone()),
+                (q.clone(), case.clone()),
+                (case.clone(), q.clone()),
+                (q, case.clone()),
+            ];
+            assert_dot_each_matches_dot(&pairs, &format!("case {case:?}"));
         }
     }
 

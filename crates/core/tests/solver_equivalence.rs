@@ -1,6 +1,7 @@
 //! Directed product-vs-reference checks the proptests cannot reach: the two
-//! input-selected fallbacks inside the dense solver, and one trace at a
-//! realistic location count.
+//! input-selected fallbacks inside the dense solver, one trace at a
+//! realistic location count, and one over the Centralized engine's
+//! block-diagonal global table.
 //!
 //! The product is `RfInfer::run_incremental` / `InferenceEngine::run_inference`
 //! (dense, vector kernels); the reference is `rfid_core::reference::run_tree`.
@@ -11,7 +12,7 @@ use rfid_core::{
     Observations, RfInfer, RfInferConfig,
 };
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
-use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId};
+use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, TagId};
 
 /// Feed `batches` one after another into an observation store, solving after
 /// each batch with the product and with the tree reference (each against its
@@ -103,32 +104,32 @@ fn reader_ids_beyond_the_mask_width_match_the_reference() {
     assert_product_matches_reference(&model, config, &[co_travel(0..6, 129, 130), mixed]);
 }
 
-/// One warehouse trace over 11 reader locations — a full 8-lane chunk plus a
-/// 3-lane remainder in every row kernel — streamed through a product engine
-/// and a reference engine with change detection on; every periodic report
-/// must agree.
-#[test]
-fn warehouse_trace_matches_the_reference_every_period() {
-    let sim = WarehouseSimulator::new(
-        WarehouseConfig::default()
-            .with_length(1500)
-            .with_items_per_case(5)
-            .with_cases_per_pallet(2)
-            .with_anomaly_interval(400)
-            .with_seed(5),
-    );
-    assert!(sim.config().num_locations() >= 9);
-    let trace = sim.generate();
-    let mut readings = trace.readings.readings_unordered().to_vec();
-    readings.sort_unstable();
+/// What one streamed comparison saw: inference runs, posteriors served from
+/// the cache, detected containment changes.
+struct Streamed {
+    runs: usize,
+    reused: usize,
+    changes: usize,
+}
 
-    let engine = || InferenceEngine::new(InferenceConfig::default(), trace.read_rates.clone());
+/// Stream `readings` (sorted) through a product engine and a reference engine
+/// over `rates` with the default configuration, and require every periodic
+/// report — outcome, changes, reuse counters, retention — and the final
+/// snapshots to agree.
+fn assert_engines_agree_every_period(
+    rates: &ReadRateTable,
+    readings: &[RawReading],
+    length: u32,
+) -> Streamed {
+    let engine = || InferenceEngine::new(InferenceConfig::default(), rates.clone());
     let (mut product, mut tree) = (engine(), engine());
     let mut cursor = 0usize;
-    let mut runs = 0usize;
-    let mut reused = 0usize;
-    let mut changes = 0usize;
-    for t in 0..=trace.meta.length {
+    let mut seen = Streamed {
+        runs: 0,
+        reused: 0,
+        changes: 0,
+    };
+    for t in 0..=length {
         let now = Epoch(t);
         while cursor < readings.len() && readings[cursor].time <= now {
             product.observe(readings[cursor]);
@@ -156,15 +157,101 @@ fn warehouse_trace_matches_the_reference_every_period() {
         );
         assert_eq!(report.retained_observations, expected.retained_observations);
         assert_eq!(product.containment(), tree.containment());
-        runs += 1;
-        reused += report.stats.posteriors_reused;
-        changes += report.changes.len();
+        seen.runs += 1;
+        seen.reused += report.stats.posteriors_reused;
+        seen.changes += report.changes.len();
     }
-    assert!(runs >= 4, "the trace must span several inference periods");
-    assert!(reused > 0, "later periods must reuse cached posteriors");
+    assert_eq!(product.snapshot(), tree.snapshot());
+    seen
+}
+
+/// One warehouse trace over 11 reader locations — a full 8-lane chunk plus a
+/// 3-lane remainder in every row kernel — streamed through a product engine
+/// and a reference engine with change detection on; every periodic report
+/// must agree.
+#[test]
+fn warehouse_trace_matches_the_reference_every_period() {
+    let sim = WarehouseSimulator::new(
+        WarehouseConfig::default()
+            .with_length(1500)
+            .with_items_per_case(5)
+            .with_cases_per_pallet(2)
+            .with_anomaly_interval(400)
+            .with_seed(5),
+    );
+    assert!(sim.config().num_locations() >= 9);
+    let trace = sim.generate();
+    let mut readings = trace.readings.readings_unordered().to_vec();
+    readings.sort_unstable();
+
+    let seen = assert_engines_agree_every_period(&trace.read_rates, &readings, trace.meta.length);
     assert!(
-        changes > 0,
+        seen.runs >= 4,
+        "the trace must span several inference periods"
+    );
+    assert!(
+        seen.reused > 0,
+        "later periods must reuse cached posteriors"
+    );
+    assert!(
+        seen.changes > 0,
         "the injected anomalies must trip change detection"
     );
-    assert_eq!(product.snapshot(), tree.snapshot());
+}
+
+/// The row shape of the Centralized engine: one global table made of
+/// 11-location site blocks with 1e-4 between blocks (the layout
+/// `global_read_rates` builds), default candidate limit. Each block replays
+/// its own warehouse trace on its own readers and tags, so every object has
+/// several candidates and every point-evidence dot runs over the full
+/// 44-location row.
+#[test]
+fn block_diagonal_global_table_matches_the_reference_every_period() {
+    const BLOCKS: u16 = 4;
+    const SERIALS_PER_BLOCK: u64 = 1 << 20;
+    let mut rates: Option<ReadRateTable> = None;
+    let mut readings = Vec::new();
+    let mut length = 0;
+    for b in 0..BLOCKS {
+        let sim = WarehouseSimulator::new(
+            WarehouseConfig::default()
+                .with_length(900)
+                .with_items_per_case(5)
+                .with_cases_per_pallet(2)
+                .with_anomaly_interval(300)
+                .with_seed(11 + u64::from(b)),
+        );
+        let site_locs = sim.config().num_locations();
+        assert_eq!(site_locs, 11, "blocks of the federated sites' width");
+        let trace = sim.generate();
+        length = trace.meta.length;
+        let global =
+            rates.get_or_insert_with(|| ReadRateTable::uniform(BLOCKS as usize * site_locs, 1e-4));
+        let offset = b * site_locs as u16;
+        for r in 0..site_locs as u16 {
+            for a in 0..site_locs as u16 {
+                let rate = trace.read_rates.rate(LocationId(r), LocationId(a));
+                global.set(LocationId(offset + r), LocationId(offset + a), rate);
+            }
+        }
+        readings.extend(trace.readings.readings_unordered().iter().map(|r| {
+            let tag = TagId::new(
+                r.tag.kind(),
+                r.tag.serial() + u64::from(b) * SERIALS_PER_BLOCK,
+            );
+            RawReading::new(r.time, tag, ReaderId(offset + r.reader.0))
+        }));
+    }
+    readings.sort_unstable();
+    let rates = rates.expect("at least one block");
+
+    let seen = assert_engines_agree_every_period(&rates, &readings, length);
+    assert!(
+        seen.runs >= 3,
+        "the trace must span several inference periods"
+    );
+    assert!(
+        seen.reused > 0,
+        "later periods must reuse cached posteriors"
+    );
 }
