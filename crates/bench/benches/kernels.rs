@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the chunk-of-8 dense EM kernels
 //! (`rfid_core::dense::kernels`) against their strict scalar references.
-//! Every default-path kernel is bit-identical to its scalar twin (pinned by
+//! Every kernel is bit-identical to its scalar twin (pinned by
 //! the unit tests in `crates/core/src/dense/kernels.rs`); these benches
 //! isolate the per-call wall-clock so kernel regressions show up without
 //! running a whole distributed workload (`benchmark/` owns end-to-end

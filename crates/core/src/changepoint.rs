@@ -191,6 +191,12 @@ impl ThresholdMemo {
     }
 }
 
+/// Sequences sampled by both [`ThresholdCalibrator::default`] and
+/// [`ThresholdPolicy::default`].
+pub(crate) const CALIBRATION_SAMPLES: usize = 60;
+/// Epochs per sequence of both defaults.
+pub(crate) const CALIBRATION_EPOCHS: usize = 60;
+
 /// Offline calibration of the detection threshold δ (Section 3.3).
 ///
 /// Hypothetical observation sequences are sampled from the generative model
@@ -216,8 +222,8 @@ pub struct ThresholdCalibrator {
 impl Default for ThresholdCalibrator {
     fn default() -> ThresholdCalibrator {
         ThresholdCalibrator {
-            samples: 80,
-            epochs: 150,
+            samples: CALIBRATION_SAMPLES,
+            epochs: CALIBRATION_EPOCHS,
             num_decoys: 4,
             margin: 2.5,
         }

@@ -1,5 +1,6 @@
 //! Configuration of the streaming inference engine.
 
+use crate::changepoint::{CALIBRATION_EPOCHS, CALIBRATION_SAMPLES};
 use crate::rfinfer::RfInferConfig;
 use crate::truncate::TruncationPolicy;
 
@@ -22,8 +23,8 @@ pub enum ThresholdPolicy {
 impl Default for ThresholdPolicy {
     fn default() -> ThresholdPolicy {
         ThresholdPolicy::Calibrated {
-            samples: 60,
-            epochs: 60,
+            samples: CALIBRATION_SAMPLES,
+            epochs: CALIBRATION_EPOCHS,
         }
     }
 }

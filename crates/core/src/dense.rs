@@ -862,7 +862,9 @@ pub(crate) fn run_dense(
     // ---- Re-intern the previous run's cache --------------------------
     // Containers or members that left the universe can never match or be
     // requested this run, so variants naming them are dropped — exactly
-    // what the reference's `TagId` comparisons would conclude.
+    // what the reference's `TagId` comparisons would conclude. So is a
+    // variant whose row arena is not one row per epoch (a restored cache is
+    // decoded field by field): reusing it would slice past its end.
     let mut prev_slots: Vec<Vec<PrevVariant>> = Vec::with_capacity(num_rel);
     prev_slots.resize_with(num_rel, Vec::new);
     for (tag, variants) in prev_cache {
@@ -875,6 +877,9 @@ pub(crate) fn run_dense(
         }
         let converted = &mut prev_slots[slot as usize];
         'variant: for v in variants {
+            if v.qrows.len() != v.epochs.len() * nl {
+                continue;
+            }
             let mut members = Vec::with_capacity(v.members.len());
             for m in &v.members {
                 match s.tags.binary_search(m) {

@@ -15,38 +15,11 @@
 //! unit test pins it to the plain scalar loop it replaces, bit for bit, which
 //! is what keeps it that way (docs/INVARIANTS.md, R4).
 //!
-//! The portable kernels are written as fixed-width chunk loops that rustc
-//! autovectorizes on stable. On x86-64 an explicit AVX2 path (plain
-//! `_mm256_add_pd`/`_mm256_div_pd` — never FMA, which would skip the
-//! intermediate rounding and change results) is selected at runtime via
-//! `is_x86_feature_detected!` and can be force-disabled by setting the
-//! `RFID_DISABLE_AVX2` environment variable, which is how CI keeps the
-//! portable fallback tested on AVX2 hardware.
+//! Each kernel has one body, a fixed-width chunk loop that rustc
+//! autovectorizes on stable; none dispatches on the CPU at runtime.
 
-use std::sync::OnceLock;
-
-/// Lane width of the portable chunk loops.
+/// Lane width of the chunk loops.
 pub const LANES: usize = 8;
-
-/// Whether the explicit AVX2 path is compiled in, supported by this CPU and
-/// not force-disabled via the `RFID_DISABLE_AVX2` environment variable.
-/// Resolved once per process.
-pub fn avx2_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        if std::env::var_os("RFID_DISABLE_AVX2").is_some() {
-            return false;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Elementwise row kernels (lane = location)
@@ -56,16 +29,6 @@ pub fn avx2_enabled() -> bool {
 /// irrelevant: bit-identical to the scalar loop for all inputs.
 pub fn add_assign_rows(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { add_assign_rows_avx2(dst, src) };
-        return;
-    }
-    add_assign_rows_portable(dst, src);
-}
-
-pub(crate) fn add_assign_rows_portable(dst: &mut [f64], src: &[f64]) {
     let n = dst.len().min(src.len());
     let (dc, dr) = dst[..n].split_at_mut(n - n % LANES);
     let (sc, sr) = src[..n].split_at(n - n % LANES);
@@ -76,34 +39,6 @@ pub(crate) fn add_assign_rows_portable(dst: &mut [f64], src: &[f64]) {
     }
     for (d, s) in dr.iter_mut().zip(sr) {
         *d += s;
-    }
-}
-
-/// AVX2 arm of [`add_assign_rows`].
-///
-/// # Safety
-/// The caller must ensure the `avx2` target feature is available at runtime
-/// (checked by `avx2_enabled()` at every call site).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn add_assign_rows_avx2(dst: &mut [f64], src: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = dst.len().min(src.len());
-    let mut i = 0usize;
-    // SAFETY: every load/store stays in bounds — `i + 4 <= n` with
-    // `n <= dst.len()` and `n <= src.len()` — and `f64` has no validity
-    // invariants an unaligned load could break.
-    unsafe {
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(d, s));
-            i += 4;
-        }
-    }
-    while i < n {
-        dst[i] += src[i];
-        i += 1;
     }
 }
 
@@ -119,16 +54,6 @@ pub fn sub_exp_rows(dst: &mut [f64], max: f64) {
 /// `dst[i] /= divisor` for every lane. Must stay a true division — folding
 /// it into a reciprocal multiply rounds differently.
 pub fn div_assign_rows(dst: &mut [f64], divisor: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { div_assign_rows_avx2(dst, divisor) };
-        return;
-    }
-    div_assign_rows_portable(dst, divisor);
-}
-
-pub(crate) fn div_assign_rows_portable(dst: &mut [f64], divisor: f64) {
     let n = dst.len();
     let (chunks, rest) = dst.split_at_mut(n - n % LANES);
     for d8 in chunks.chunks_exact_mut(LANES) {
@@ -138,33 +63,6 @@ pub(crate) fn div_assign_rows_portable(dst: &mut [f64], divisor: f64) {
     }
     for d in rest {
         *d /= divisor;
-    }
-}
-
-/// AVX2 arm of [`div_assign_rows`].
-///
-/// # Safety
-/// The caller must ensure the `avx2` target feature is available at runtime
-/// (checked by `avx2_enabled()` at every call site).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn div_assign_rows_avx2(dst: &mut [f64], divisor: f64) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let mut i = 0usize;
-    // SAFETY: every load/store stays in bounds (`i + 4 <= n == dst.len()`),
-    // and `f64` has no validity invariants an unaligned load could break.
-    unsafe {
-        let dv = _mm256_set1_pd(divisor);
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_div_pd(d, dv));
-            i += 4;
-        }
-    }
-    while i < n {
-        dst[i] /= divisor;
-        i += 1;
     }
 }
 
@@ -415,15 +313,12 @@ mod tests {
             let src: Vec<f64> = case.iter().map(|&x| x * 0.5 - 1.0).collect();
             let mut got = case.clone();
             add_assign_rows(&mut got, &src);
-            let mut portable = case.clone();
-            add_assign_rows_portable(&mut portable, &src);
             let mut want = case.clone();
             for (d, s) in want.iter_mut().zip(&src) {
                 *d += s;
             }
             for i in 0..want.len() {
                 assert_eq!(got[i].to_bits(), want[i].to_bits(), "case {case:?}");
-                assert_eq!(portable[i].to_bits(), want[i].to_bits(), "case {case:?}");
             }
         }
     }
@@ -434,15 +329,12 @@ mod tests {
             for divisor in [3.0f64, 1e-12, 7.77e300] {
                 let mut got = case.clone();
                 div_assign_rows(&mut got, divisor);
-                let mut portable = case.clone();
-                div_assign_rows_portable(&mut portable, divisor);
                 let mut want = case.clone();
                 for d in want.iter_mut() {
                     *d /= divisor;
                 }
                 for i in 0..want.len() {
                     assert_eq!(got[i].to_bits(), want[i].to_bits(), "case {case:?}");
-                    assert_eq!(portable[i].to_bits(), want[i].to_bits(), "case {case:?}");
                 }
             }
         }
@@ -616,34 +508,5 @@ mod tests {
             .map(|i| if i == 9 { f64::NAN } else { i as f64 })
             .collect();
         assert_eq!(argmax_ties_last(&nan_mid), Some(16));
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_paths_match_portable_bitwise_when_supported() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for case in cases() {
-            let src: Vec<f64> = case.iter().map(|&x| x * 0.9 + 0.1).collect();
-            let mut a = case.clone();
-            let mut b = case.clone();
-            // SAFETY: feature checked above.
-            unsafe { add_assign_rows_avx2(&mut a, &src) };
-            add_assign_rows_portable(&mut b, &src);
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            let mut a = case.clone();
-            let mut b = case.clone();
-            // SAFETY: feature checked above.
-            unsafe { div_assign_rows_avx2(&mut a, 3.7) };
-            div_assign_rows_portable(&mut b, 3.7);
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 }

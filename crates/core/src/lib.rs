@@ -50,12 +50,6 @@
 //! ```
 
 #![warn(missing_docs)]
-// The one crate allowed to contain `unsafe` (the AVX2 dense kernels): every
-// unsafe operation must be spelled out inside its own block, and every block
-// justified (`docs/INVARIANTS.md`, R1; every other member forbids
-// `unsafe_code` in its manifest).
-#![deny(unsafe_op_in_unsafe_fn)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 // R3–R5: the lists live in the root clippy.toml.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
