@@ -147,6 +147,31 @@ mod tests {
         }
         assert!(json.contains("\"table4\": [\n    {\"read_rate\": 0.8, \"history_secs\": 300, "));
 
+        // Every calibrated RFINFER F is printed beside its δ, precision,
+        // recall and strict F; a strict match is never easier than a loose one.
+        let lines = [
+            ("table3", "calibrated"),
+            ("fig5c", "rfinfer_rr08"),
+            ("fig5c", "rfinfer_rr07"),
+        ];
+        for (section, line) in lines {
+            let section = report.section(section);
+            let column = |key: &str| section.floats(&format!("{line}_{key}"));
+            let (f, strict) = (column("f_pct"), column("strict_f_pct"));
+            let (precision, recall) = (column("precision"), column("recall"));
+            for (i, delta) in column("delta").into_iter().enumerate() {
+                assert!(delta > 0.0 && delta.is_finite(), "{line}: δ = {delta}");
+                let harmonic = 200.0 * precision[i] * recall[i] / (precision[i] + recall[i]);
+                assert!((harmonic - f[i]).abs() < 0.5, "{line}: F {} vs P, R", f[i]);
+                assert!(
+                    strict[i] <= f[i],
+                    "{line}: strict {} > F {}",
+                    strict[i],
+                    f[i]
+                );
+            }
+        }
+
         let claims = report.section("claims");
         assert_eq!(claims.rows().len(), 10);
         let (measured, bound) = (claims.floats("measured"), claims.floats("bound"));

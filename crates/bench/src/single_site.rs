@@ -12,7 +12,8 @@ use crate::{figures, Scale, MILLI, PCT, RATE};
 use rfid_core::{
     InferenceConfig, InferenceEngine, LikelihoodModel, Observations, RfInfer, TruncationPolicy,
 };
-use rfid_eval::{changes_f_measure, metrics::ReportedChange, ChangeMatchConfig};
+use rfid_eval::metrics::{PrecisionRecall, ReportedChange};
+use rfid_eval::{changes_f_measure, ChangeMatchConfig};
 use rfid_sim::{EvidenceScenario, LabConfig, LabTraceId, WarehouseConfig, WarehouseSimulator};
 use rfid_smurf::{SmurfStar, SmurfStarConfig};
 use rfid_types::{Epoch, TagId, Trace};
@@ -28,6 +29,15 @@ pub struct SingleSiteEval {
     /// F-measure (%) of containment-change detection (100 when the trace has
     /// no changes and none were reported).
     pub f_measure: f64,
+    /// Fraction of reported changes that match a true change.
+    pub precision: f64,
+    /// Fraction of true changes that were reported.
+    pub recall: f64,
+    /// F-measure (%) when a report must also name the true new container.
+    pub strict_f_measure: f64,
+    /// The change-point threshold δ in force; `None` for a method without
+    /// one.
+    pub threshold: Option<f64>,
     /// Total wall-clock time spent in inference.
     pub inference_time: Duration,
 }
@@ -116,7 +126,7 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
     let location_error = 100.0 * wrong as f64 / evaluated as f64;
 
     let detected = engine.detected_changes().iter();
-    let f_measure = change_f_measure(
+    let (changes, strict_f_measure) = score_changes(
         trace,
         detected.map(|c| (c.object, c.change_at, c.new_container)),
     );
@@ -124,7 +134,11 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
     SingleSiteEval {
         containment_error,
         location_error,
-        f_measure,
+        f_measure: changes.f_measure(),
+        precision: changes.precision,
+        recall: changes.recall,
+        strict_f_measure,
+        threshold: engine.threshold(),
         inference_time,
     }
 }
@@ -157,7 +171,7 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     let location_error = 100.0 * wrong as f64 / evaluated.max(1) as f64;
 
     let reported = outcome.changes.iter();
-    let f_measure = change_f_measure(
+    let (changes, strict_f_measure) = score_changes(
         trace,
         reported.map(|c| (c.object, c.change_at, c.new_container)),
     );
@@ -165,17 +179,22 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     SingleSiteEval {
         containment_error,
         location_error,
-        f_measure,
+        f_measure: changes.f_measure(),
+        precision: changes.precision,
+        recall: changes.recall,
+        strict_f_measure,
+        threshold: None,
         inference_time,
     }
 }
 
-/// F-measure (%) of the reported `(object, change epoch, new container)`
-/// changes against the trace's true containment changes.
-fn change_f_measure(
+/// Precision and recall of the reported `(object, change epoch, new
+/// container)` changes against the trace's true containment changes, and the
+/// F-measure (%) when a report must also name the true new container.
+fn score_changes(
     trace: &Trace,
     reported: impl Iterator<Item = (TagId, Epoch, Option<TagId>)>,
-) -> f64 {
+) -> (PrecisionRecall, f64) {
     let reported: Vec<ReportedChange> = reported
         .map(|(object, change_at, new_container)| ReportedChange {
             object,
@@ -184,7 +203,20 @@ fn change_f_measure(
         })
         .collect();
     let truth = trace.truth.containment.changes();
-    changes_f_measure(truth, &reported, ChangeMatchConfig::default()).f_measure()
+    let strict = ChangeMatchConfig {
+        require_correct_container: true,
+        ..Default::default()
+    };
+    (
+        changes_f_measure(truth, &reported, ChangeMatchConfig::default()),
+        changes_f_measure(truth, &reported, strict).f_measure(),
+    )
+}
+
+/// The threshold δ an RFINFER run with change detection on had in force.
+fn delta(eval: &SingleSiteEval) -> f64 {
+    eval.threshold
+        .expect("change detection ran, so δ was resolved")
 }
 
 /// The three history-truncation methods the paper compares, change
@@ -338,16 +370,24 @@ pub fn fig5c(scale: Scale) -> Report {
         let [(ours_08, smurf_08), (ours_07, smurf_07)] = [0.8, 0.7].map(|rr| {
             let trace = change_trace(scale, rr, interval);
             let config = InferenceConfig::default().with_recent_history(500);
-            let ours = evaluate_rfinfer(&trace, config).f_measure;
+            let ours = evaluate_rfinfer(&trace, config);
             (ours, evaluate_smurf_star(&trace).f_measure)
         });
         #[rustfmt::skip]
         section.push(vec![
             Field::new("interval (s)", "interval_secs",     Int,   interval),
-            Field::new("RR=0.8 H=500", "rfinfer_rr08_f_pct", MILLI, ours_08),
+            Field::new("RR=0.8 H=500", "rfinfer_rr08_f_pct", MILLI, ours_08.f_measure),
             Field::new("RR=0.8 SMURF*", "smurf_rr08_f_pct",  MILLI, smurf_08),
-            Field::new("RR=0.7 H=500", "rfinfer_rr07_f_pct", MILLI, ours_07),
+            Field::new("RR=0.7 H=500", "rfinfer_rr07_f_pct", MILLI, ours_07.f_measure),
             Field::new("RR=0.7 SMURF*", "smurf_rr07_f_pct",  MILLI, smurf_07),
+            Field::new("δ 0.8",        "rfinfer_rr08_delta",        MILLI, delta(&ours_08)),
+            Field::new("P 0.8",        "rfinfer_rr08_precision",    MILLI, ours_08.precision),
+            Field::new("R 0.8",        "rfinfer_rr08_recall",       MILLI, ours_08.recall),
+            Field::new("strict 0.8",   "rfinfer_rr08_strict_f_pct", MILLI, ours_08.strict_f_measure),
+            Field::new("δ 0.7",        "rfinfer_rr07_delta",        MILLI, delta(&ours_07)),
+            Field::new("P 0.7",        "rfinfer_rr07_precision",    MILLI, ours_07.precision),
+            Field::new("R 0.7",        "rfinfer_rr07_recall",       MILLI, ours_07.recall),
+            Field::new("strict 0.7",   "rfinfer_rr07_strict_f_pct", MILLI, ours_07.strict_f_measure),
         ]);
     }
     figures("fig5c", scale, vec![section])
@@ -398,19 +438,29 @@ pub fn table3_table4(scale: Scale) -> Report {
     for &rr in rates {
         let trace = change_trace(scale, rr, 60);
         let default = InferenceConfig::default();
-        let fixed = deltas.iter().map(|&delta| {
-            evaluate_rfinfer(&trace, default.clone().with_fixed_threshold(delta)).f_measure
-        });
-        let fixed: Vec<f64> = fixed.collect();
-        let best_fixed = fixed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let fixed: Vec<SingleSiteEval> = deltas
+            .iter()
+            .map(|&delta| evaluate_rfinfer(&trace, default.clone().with_fixed_threshold(delta)))
+            .collect();
+        let each = |score: fn(&SingleSiteEval) -> f64| fixed.iter().map(score).collect::<Vec<_>>();
+        let best_fixed = each(|e| e.f_measure)
+            .into_iter()
+            .fold(f64::NEG_INFINITY, f64::max);
         let calibrated = evaluate_rfinfer(&trace, default.clone());
         #[rustfmt::skip]
         table3.push(vec![
-            Field::new("read rate",           "read_rate",        RATE,              rr),
-            Field::new(None,                  "deltas",           Kind::Float(0, 0), deltas.clone()),
-            Field::new("δ = 10, 20, .., 100", "fixed_f_pct",      whole,             fixed),
-            Field::new("best fixed",          "best_fixed_f_pct", whole,             best_fixed),
-            Field::new("calibrated",          "calibrated_f_pct", whole,             calibrated.f_measure),
+            Field::new("read rate",           "read_rate",               RATE,              rr),
+            Field::new(None,                  "deltas",                  Kind::Float(0, 0), deltas.clone()),
+            Field::new("δ = 10, 20, .., 100", "fixed_f_pct",             whole,             each(|e| e.f_measure)),
+            Field::new("best fixed",          "best_fixed_f_pct",        whole,             best_fixed),
+            Field::new("calibrated",          "calibrated_f_pct",        whole,             calibrated.f_measure),
+            Field::new(None,                  "fixed_precision",         MILLI,             each(|e| e.precision)),
+            Field::new(None,                  "fixed_recall",            MILLI,             each(|e| e.recall)),
+            Field::new(None,                  "fixed_strict_f_pct",      whole,             each(|e| e.strict_f_measure)),
+            Field::new("δ",                   "calibrated_delta",        MILLI,             delta(&calibrated)),
+            Field::new("P",                   "calibrated_precision",    MILLI,             calibrated.precision),
+            Field::new("R",                   "calibrated_recall",       MILLI,             calibrated.recall),
+            Field::new("strict",              "calibrated_strict_f_pct", whole,             calibrated.strict_f_measure),
         ]);
         for &h in histories {
             // the default H̄ under the calibrated threshold is Table 3's run

@@ -19,12 +19,11 @@
 //! statistic seen — any larger value observed online is then unlikely to be a
 //! false positive.
 
-use crate::config::ThresholdPolicy;
 use crate::likelihood::LikelihoodModel;
 use crate::rfinfer::{InferenceOutcome, ObjectEvidence};
-use rand::Rng;
-use rfid_types::{Epoch, LocationId, ReadRateTable, TagId};
-use std::sync::Mutex;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use rfid_types::{Epoch, LocationId, TagId};
 
 /// A detected containment change for one object.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,171 +153,111 @@ pub fn detect_changes(outcome: &InferenceOutcome, threshold: f64) -> Vec<Detecte
     changes
 }
 
-/// Calibrated thresholds shared by the engines of one run.
-///
-/// A calibration is a pure function of the read-rate table, the calibration
-/// policy and the seed, so engines sharing a memo
-/// ([`InferenceEngine::share_thresholds`](crate::InferenceEngine::share_thresholds))
-/// calibrate each distinct triple once between them, still lazily. Values
-/// enter only by calibration: a memo cannot inject a threshold.
-#[derive(Debug, Default)]
-pub struct ThresholdMemo {
-    calibrated: Mutex<Vec<(ReadRateTable, ThresholdPolicy, u64, f64)>>,
-}
+/// Sequences sampled by a calibration.
+const CALIBRATION_SAMPLES: usize = 60;
+/// Epochs per sampled sequence.
+const CALIBRATION_EPOCHS: usize = 60;
+/// Decoy containers per sampled sequence.
+const CALIBRATION_DECOYS: usize = 4;
+/// Multiplicative safety margin on the largest sampled statistic.
+const CALIBRATION_MARGIN: f64 = 2.5;
+/// Seed of the sampling RNG, so δ is a pure function of the read rates.
+const CALIBRATION_SEED: u64 = 23;
 
-impl ThresholdMemo {
-    /// The threshold calibrated for `(rates, policy, seed)`, running
-    /// `calibrate` if no engine sharing the memo has yet. The lock is held
-    /// through the calibration, so engines racing for one key calibrate once.
-    pub(crate) fn get_or_calibrate(
-        &self,
-        (rates, policy, seed): (&ReadRateTable, ThresholdPolicy, u64),
-        calibrate: impl FnOnce() -> f64,
-    ) -> f64 {
-        let mut memo = self
-            .calibrated
-            .lock()
-            .expect("a calibration panicked while holding the threshold memo");
-        let key = |k: &&(ReadRateTable, ThresholdPolicy, u64, f64)| {
-            (&k.0, k.1, k.2) == (rates, policy, seed)
-        };
-        if let Some(&(.., delta)) = memo.iter().find(key) {
-            return delta;
-        }
-        let delta = calibrate();
-        memo.push((rates.clone(), policy, seed, delta));
-        delta
-    }
-}
-
-/// Sequences sampled by both [`ThresholdCalibrator::default`] and
-/// [`ThresholdPolicy::default`].
-pub(crate) const CALIBRATION_SAMPLES: usize = 60;
-/// Epochs per sequence of both defaults.
-pub(crate) const CALIBRATION_EPOCHS: usize = 60;
-
-/// Offline calibration of the detection threshold δ (Section 3.3).
+/// Offline calibration of the detection threshold δ (Section 3.3), reached
+/// only through [`ThresholdPolicy::resolve`](crate::ThresholdPolicy::resolve).
 ///
 /// Hypothetical observation sequences are sampled from the generative model
-/// of Section 3.1 itself: every container's location is drawn uniformly from
-/// the set of reader locations at every epoch, one object travels with its
-/// (fixed) true container, and every reader independently detects every tag
-/// according to the read-rate table. None of these sequences contains a
-/// change point, so any change statistic they produce is pure noise; δ is the
-/// largest statistic observed across `samples` replicates (plus a small
-/// safety margin).
-pub struct ThresholdCalibrator {
-    /// Number of hypothetical sequences to sample.
-    pub samples: usize,
-    /// Number of observation epochs per sequence.
-    pub epochs: usize,
-    /// Number of decoy containers per sequence.
-    pub num_decoys: usize,
-    /// Multiplicative safety margin applied to the maximum observed
-    /// statistic.
-    pub margin: f64,
-}
+/// of Section 3.1 itself over the model's own reader locations: one object
+/// travels with its (fixed) true container, decoy containers sit nearby, and
+/// every reader independently detects every tag according to the read-rate
+/// table. None of these sequences contains a change point, so any change
+/// statistic they produce is pure noise; δ is the largest statistic observed
+/// across the samples, times a safety margin.
+pub(crate) fn calibrate(model: &LikelihoodModel) -> f64 {
+    use crate::observations::Observations;
+    use crate::rfinfer::RfInfer;
+    use rfid_types::{RawReading, ReadingBatch};
 
-impl Default for ThresholdCalibrator {
-    fn default() -> ThresholdCalibrator {
-        ThresholdCalibrator {
-            samples: CALIBRATION_SAMPLES,
-            epochs: CALIBRATION_EPOCHS,
-            num_decoys: 4,
-            margin: 2.5,
-        }
-    }
-}
-
-impl ThresholdCalibrator {
-    /// Calibrate δ for the given likelihood model.
-    pub fn calibrate<R: Rng>(&self, model: &LikelihoodModel, rng: &mut R) -> f64 {
-        use crate::observations::Observations;
-        use crate::rfinfer::RfInfer;
-        use rfid_types::{RawReading, ReadingBatch};
-
-        let num_locations = model.num_locations().max(2);
-        let locations: Vec<LocationId> = (0..num_locations as u16).map(LocationId).collect();
-        // The reader (other than the co-located one) most likely to detect a
-        // tag at `a` — i.e. the overlapping neighbour, if the deployment has
-        // reader overlap.
-        let neighbour = |a: LocationId| -> LocationId {
-            locations
-                .iter()
-                .copied()
-                .filter(|&r| r != a)
-                .max_by(|&x, &y| {
-                    model
-                        .rates()
-                        .rate(x, a)
-                        .partial_cmp(&model.rates().rate(y, a))
-                        .unwrap()
-                })
-                .unwrap_or(a)
-        };
-        let mut worst: f64 = 0.0;
-        for sample in 0..self.samples.max(1) {
-            let object = TagId::item(1_000_000 + sample as u64);
-            let real = TagId::case(1_000_000);
-            let decoys: Vec<TagId> = (0..self.num_decoys)
-                .map(|d| TagId::case(1_000_001 + d as u64))
-                .collect();
-            let mut readings = Vec::new();
-            // A representative no-change world: the object and its container
-            // travel from loc_a to loc_b halfway through; decoy containers
-            // sit at loc_a (co-located early), at loc_b (co-located late), and
-            // at the readers overlapping those locations — the configurations
-            // that generate the largest no-change statistics in a real
-            // deployment.
-            let loc_a = locations[rng.gen_range(0..locations.len())];
-            let loc_b = locations[rng.gen_range(0..locations.len())];
-            let decoy_locations = [loc_a, loc_b, neighbour(loc_b), neighbour(loc_a)];
-            let half = self.epochs / 2;
-            for t in 0..self.epochs {
-                let epoch = Epoch(t as u32);
-                let real_loc = if t < half { loc_a } else { loc_b };
-                let mut tags_at: Vec<(TagId, LocationId)> =
-                    vec![(object, real_loc), (real, real_loc)];
-                for (i, decoy) in decoys.iter().enumerate() {
-                    let at = decoy_locations
-                        .get(i)
-                        .copied()
-                        .unwrap_or_else(|| locations[rng.gen_range(0..locations.len())]);
-                    tags_at.push((*decoy, at));
-                }
-                // Sample readings from pi(r, a), skipping readers whose
-                // detection probability is negligible (background).
-                for (tag, at) in tags_at {
-                    for &reader in &locations {
-                        let p = model.rates().rate(reader, at);
-                        if p > 1e-3 && rng.gen_bool(p) {
-                            readings.push(RawReading::new(epoch, tag, reader.reader()));
-                        }
+    let mut rng = ChaCha8Rng::seed_from_u64(CALIBRATION_SEED);
+    let locations: Vec<LocationId> = model.rates().locations().collect();
+    // The reader (other than the co-located one) most likely to detect a
+    // tag at `a` — i.e. the overlapping neighbour, if the deployment has
+    // reader overlap.
+    let neighbour = |a: LocationId| -> LocationId {
+        locations
+            .iter()
+            .copied()
+            .filter(|&r| r != a)
+            .max_by(|&x, &y| {
+                model
+                    .rates()
+                    .rate(x, a)
+                    .partial_cmp(&model.rates().rate(y, a))
+                    .unwrap()
+            })
+            .unwrap_or(a)
+    };
+    let mut worst: f64 = 0.0;
+    for sample in 0..CALIBRATION_SAMPLES {
+        let object = TagId::item(1_000_000 + sample as u64);
+        let real = TagId::case(1_000_000);
+        let decoys: Vec<TagId> = (0..CALIBRATION_DECOYS)
+            .map(|d| TagId::case(1_000_001 + d as u64))
+            .collect();
+        let mut readings = Vec::new();
+        // A representative no-change world: the object and its container
+        // travel from loc_a to loc_b halfway through; decoy containers
+        // sit at loc_a (co-located early), at loc_b (co-located late), and
+        // at the readers overlapping those locations — the configurations
+        // that generate the largest no-change statistics in a real
+        // deployment.
+        let loc_a = locations[rng.gen_range(0..locations.len())];
+        let loc_b = locations[rng.gen_range(0..locations.len())];
+        let decoy_locations = [loc_a, loc_b, neighbour(loc_b), neighbour(loc_a)];
+        let half = CALIBRATION_EPOCHS / 2;
+        for t in 0..CALIBRATION_EPOCHS {
+            let epoch = Epoch(t as u32);
+            let real_loc = if t < half { loc_a } else { loc_b };
+            let mut tags_at: Vec<(TagId, LocationId)> = vec![(object, real_loc), (real, real_loc)];
+            for (i, decoy) in decoys.iter().enumerate() {
+                let at = decoy_locations
+                    .get(i)
+                    .copied()
+                    .unwrap_or_else(|| locations[rng.gen_range(0..locations.len())]);
+                tags_at.push((*decoy, at));
+            }
+            // Sample readings from pi(r, a), skipping readers whose
+            // detection probability is negligible (background).
+            for (tag, at) in tags_at {
+                for &reader in &locations {
+                    let p = model.rates().rate(reader, at);
+                    if p > 1e-3 && rng.gen_bool(p) {
+                        readings.push(RawReading::new(epoch, tag, reader.reader()));
                     }
                 }
             }
-            if readings.is_empty() {
-                continue;
-            }
-            let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
-            let outcome = RfInfer::new(model, &obs).run();
-            if let Some(evidence) = outcome.object(object) {
-                if let Some(stat) = change_statistic(evidence) {
-                    worst = worst.max(stat.delta);
-                }
+        }
+        if readings.is_empty() {
+            continue;
+        }
+        let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
+        let outcome = RfInfer::new(model, &obs).run();
+        if let Some(evidence) = outcome.object(object) {
+            if let Some(stat) = change_statistic(evidence) {
+                worst = worst.max(stat.delta);
             }
         }
-        (worst * self.margin).max(1e-3)
     }
+    (worst * CALIBRATION_MARGIN).max(1e-3)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ThresholdPolicy;
     use crate::observations::Observations;
     use crate::rfinfer::RfInfer;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use rfid_types::{RawReading, ReadRateTable, ReaderId, ReadingBatch};
 
     fn model(n: usize) -> LikelihoodModel {
@@ -413,13 +352,7 @@ mod tests {
     #[test]
     fn calibrated_threshold_separates_change_from_no_change() {
         let m = model(4);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let delta = ThresholdCalibrator {
-            samples: 30,
-            epochs: 40,
-            ..Default::default()
-        }
-        .calibrate(&m, &mut rng);
+        let delta = ThresholdPolicy::Calibrated.resolve(&m);
         assert!(delta > 0.0);
         // A genuine change scores above the calibrated threshold...
         let with = RfInfer::new(&m, &obs_with_change()).run();
@@ -433,9 +366,15 @@ mod tests {
 
     #[test]
     fn calibration_is_deterministic_given_the_rng_seed() {
-        let m = model(3);
-        let a = ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9));
-        assert_eq!(a, b);
+        // Overlapping readers, so the no-change statistic is above the floor.
+        let noisy = |n, own, background| {
+            let m = LikelihoodModel::new(ReadRateTable::diagonal(n, own, background));
+            ThresholdPolicy::Calibrated.resolve(&m)
+        };
+        let a = noisy(5, 0.6, 1e-2);
+        assert!(a > 1e-3, "δ = {a}");
+        assert_eq!(a, noisy(5, 0.6, 1e-2), "δ is a function of the table");
+        assert_ne!(a, noisy(3, 0.5, 5e-2), "the tables calibrate apart");
+        assert_eq!(ThresholdPolicy::Fixed(7.5).resolve(&model(3)), 7.5);
     }
 }

@@ -1,39 +1,32 @@
 //! Configuration of the streaming inference engine.
 
-use crate::changepoint::{CALIBRATION_EPOCHS, CALIBRATION_SAMPLES};
+use crate::changepoint::calibrate;
+use crate::likelihood::LikelihoodModel;
 use crate::rfinfer::RfInferConfig;
 use crate::truncate::TruncationPolicy;
 
 /// How the change-point detection threshold δ is chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ThresholdPolicy {
     /// Use a fixed threshold value.
     Fixed(f64),
     /// Calibrate offline by sampling hypothetical observation sequences from
-    /// the model (Section 3.3); calibration happens once, lazily, before the
+    /// the model (Section 3.3); an engine calibrates once, lazily, before its
     /// first inference run.
-    Calibrated {
-        /// Number of sampled sequences.
-        samples: usize,
-        /// Length of each sequence in epochs.
-        epochs: usize,
-    },
+    #[default]
+    Calibrated,
 }
 
-impl Default for ThresholdPolicy {
-    fn default() -> ThresholdPolicy {
-        ThresholdPolicy::Calibrated {
-            samples: CALIBRATION_SAMPLES,
-            epochs: CALIBRATION_EPOCHS,
+impl ThresholdPolicy {
+    /// The threshold δ this policy sets for `model` — the one place δ is
+    /// chosen. A calibration is a pure function of the model's read-rate
+    /// table.
+    pub fn resolve(self, model: &LikelihoodModel) -> f64 {
+        match self {
+            ThresholdPolicy::Fixed(delta) => delta,
+            ThresholdPolicy::Calibrated => calibrate(model),
         }
     }
-}
-
-/// Configuration of change-point detection.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ChangeDetectionConfig {
-    /// Threshold selection policy.
-    pub threshold: ThresholdPolicy,
 }
 
 /// Configuration of the streaming [`InferenceEngine`](crate::InferenceEngine).
@@ -48,11 +41,9 @@ pub struct InferenceConfig {
     pub truncation: TruncationPolicy,
     /// RFINFER tuning knobs.
     pub rfinfer: RfInferConfig,
-    /// Change-point detection; `None` disables it (stable-containment
-    /// deployments).
-    pub change_detection: Option<ChangeDetectionConfig>,
-    /// RNG seed used for threshold calibration.
-    pub seed: u64,
+    /// How change-point detection sets its threshold; `None` disables it
+    /// (stable-containment deployments).
+    pub change_detection: Option<ThresholdPolicy>,
 }
 
 impl Default for InferenceConfig {
@@ -62,8 +53,7 @@ impl Default for InferenceConfig {
             recent_history_secs: 600,
             truncation: TruncationPolicy::default(),
             rfinfer: RfInferConfig::default(),
-            change_detection: Some(ChangeDetectionConfig::default()),
-            seed: 23,
+            change_detection: Some(ThresholdPolicy::default()),
         }
     }
 }
@@ -95,9 +85,7 @@ impl InferenceConfig {
 
     /// Use a fixed change-point threshold.
     pub fn with_fixed_threshold(mut self, delta: f64) -> Self {
-        self.change_detection = Some(ChangeDetectionConfig {
-            threshold: ThresholdPolicy::Fixed(delta),
-        });
+        self.change_detection = Some(ThresholdPolicy::Fixed(delta));
         self
     }
 }
@@ -111,11 +99,8 @@ mod tests {
         let c = InferenceConfig::default();
         assert_eq!(c.period_secs, 300);
         assert_eq!(c.recent_history_secs, 600);
-        assert!(c.change_detection.is_some());
-        assert!(matches!(
-            c.truncation,
-            TruncationPolicy::CriticalRegion { .. }
-        ));
+        assert_eq!(c.change_detection, Some(ThresholdPolicy::Calibrated));
+        assert_eq!(c.truncation, TruncationPolicy::CriticalRegion);
     }
 
     #[test]
@@ -128,10 +113,7 @@ mod tests {
         assert_eq!(c.period_secs, 120);
         assert_eq!(c.recent_history_secs, 500);
         assert_eq!(c.truncation, TruncationPolicy::Full);
-        assert_eq!(
-            c.change_detection.unwrap().threshold,
-            ThresholdPolicy::Fixed(40.0)
-        );
+        assert_eq!(c.change_detection, Some(ThresholdPolicy::Fixed(40.0)));
         let off = c.without_change_detection();
         assert!(off.change_detection.is_none());
     }

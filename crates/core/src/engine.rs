@@ -8,8 +8,8 @@
 //! estimates plus the enriched event stream. It also exports and imports the
 //! per-object migration state used by the distributed layer.
 
-use crate::changepoint::{detect_changes, DetectedChange, ThresholdCalibrator, ThresholdMemo};
-use crate::config::{InferenceConfig, ThresholdPolicy};
+use crate::changepoint::{detect_changes, DetectedChange};
+use crate::config::InferenceConfig;
 use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
@@ -18,8 +18,6 @@ use crate::rfinfer::{
 };
 use crate::state::{CollapsedState, MigrationState, ReadingsState};
 use crate::truncate::{retention_plan, MemoryBudget, MemoryStats};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentMap, Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReadingBatch, TagId,
 };
@@ -148,8 +146,6 @@ pub struct InferenceEngine {
     /// reader-set loglik table), kept across runs so the streaming steady
     /// state reuses capacity instead of reallocating.
     scratch: DenseScratch,
-    /// Thresholds calibrated by engines this one shares calibrations with.
-    thresholds: Option<Arc<ThresholdMemo>>,
 }
 
 impl InferenceEngine {
@@ -169,16 +165,7 @@ impl InferenceEngine {
             dirty: DirtySet::new(),
             cache: EvidenceCache::new(),
             scratch: DenseScratch::default(),
-            thresholds: None,
         }
-    }
-
-    /// Calibrate the change-point threshold through `memo`: engines sharing
-    /// one memo whose read-rate table, policy and seed agree run the
-    /// calibration once between them. The threshold this engine ends up with
-    /// is the one it would have calibrated alone.
-    pub fn share_thresholds(&mut self, memo: Arc<ThresholdMemo>) {
-        self.thresholds = Some(memo);
     }
 
     /// The engine configuration.
@@ -404,37 +391,15 @@ impl InferenceEngine {
         self.threshold
     }
 
-    /// Compute (once) and cache the change-point threshold, calibrating it
-    /// offline if the policy asks for calibration, and return it. Subsequent
-    /// calls — and [`Self::threshold`] reads — return the cached value.
+    /// Compute (once) and cache the change-point threshold the configured
+    /// [`ThresholdPolicy`](crate::ThresholdPolicy) resolves to (infinite with
+    /// detection off), and return it. Subsequent calls — and
+    /// [`Self::threshold`] reads — return the cached value.
     pub fn calibrate_threshold(&mut self) -> f64 {
-        if let Some(existing) = self.threshold {
-            return existing;
-        }
-        let value = match self.config.change_detection.map(|c| c.threshold) {
-            Some(ThresholdPolicy::Fixed(delta)) => delta,
-            Some(policy @ ThresholdPolicy::Calibrated { samples, epochs }) => {
-                let seed = self.config.seed;
-                let calibrate = || {
-                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                    let calibrator = ThresholdCalibrator {
-                        samples,
-                        epochs,
-                        ..Default::default()
-                    };
-                    calibrator.calibrate(&self.model, &mut rng)
-                };
-                match &self.thresholds {
-                    Some(memo) => {
-                        memo.get_or_calibrate((self.model.rates(), policy, seed), calibrate)
-                    }
-                    None => calibrate(),
-                }
-            }
-            None => f64::INFINITY,
-        };
-        self.threshold = Some(value);
-        value
+        let (policy, model) = (self.config.change_detection, &self.model);
+        *self
+            .threshold
+            .get_or_insert_with(|| policy.map_or(f64::INFINITY, |p| p.resolve(model)))
     }
 
     /// Export the collapsed inference state of one object (Section 4.1,
@@ -975,44 +940,6 @@ mod tests {
         assert_eq!(live_report.stats, restored_report.stats);
         assert_eq!(live_report.changes, restored_report.changes);
         assert_eq!(live.snapshot(), restored.snapshot());
-    }
-
-    /// Engines sharing a memo end up exactly where engines calibrating alone
-    /// do, table by table — a memo that handed one table's threshold to
-    /// another would show as a snapshot mismatch — and an engine that never
-    /// runs inference still has no threshold.
-    #[test]
-    fn shared_calibrations_match_independent_ones_per_table() {
-        let memo = Arc::new(ThresholdMemo::default());
-        let tables = [
-            ReadRateTable::diagonal(5, 0.6, 1e-2),
-            ReadRateTable::diagonal(3, 0.5, 5e-2),
-        ];
-        let mut thresholds = Vec::new();
-        for table in tables {
-            let engine = |shared: bool| {
-                let mut engine =
-                    InferenceEngine::new(InferenceConfig::default().with_period(10), table.clone());
-                if shared {
-                    engine.share_thresholds(Arc::clone(&memo));
-                }
-                engine
-            };
-            let mut alone = engine(false);
-            let mut first = engine(true);
-            let mut second = engine(true);
-            let idle = engine(true);
-            for engine in [&mut alone, &mut first, &mut second] {
-                feed_co_travel(engine, 0, 20, 0);
-                engine.run_inference(Epoch(20));
-            }
-            assert!(alone.threshold().is_some());
-            assert_eq!(first.snapshot(), alone.snapshot());
-            assert_eq!(second.snapshot(), alone.snapshot());
-            assert_eq!(idle.snapshot().threshold, None, "calibration stays lazy");
-            thresholds.push(alone.threshold());
-        }
-        assert_ne!(thresholds[0], thresholds[1], "the tables calibrate apart");
     }
 
     #[test]

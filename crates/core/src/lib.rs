@@ -66,10 +66,8 @@ pub mod rfinfer;
 pub mod state;
 pub mod truncate;
 
-pub use changepoint::{
-    change_statistic, detect_changes, DetectedChange, ThresholdCalibrator, ThresholdMemo,
-};
-pub use config::{ChangeDetectionConfig, InferenceConfig, ThresholdPolicy};
+pub use changepoint::{change_statistic, detect_changes, DetectedChange};
+pub use config::{InferenceConfig, ThresholdPolicy};
 pub use dense::DenseScratch;
 pub use engine::{EngineSnapshot, ImportSummary, InferenceEngine, InferenceReport};
 pub use likelihood::{LikelihoodModel, ReaderSetTable};

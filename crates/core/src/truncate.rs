@@ -12,8 +12,14 @@
 use crate::rfinfer::{InferenceOutcome, ObjectEvidence};
 use rfid_types::{Epoch, TagId};
 
+/// Length of the sliding window the critical-region search uses, in seconds.
+const CR_WINDOW_SECS: u32 = 60;
+/// Minimum margin (best minus second-best windowed evidence) for a window to
+/// qualify as a critical region.
+const CR_MARGIN: f64 = 3.0;
+
 /// Which history-truncation method to use between inference runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TruncationPolicy {
     /// Keep the entire history ("All" in Figure 5(a)).
     Full,
@@ -22,24 +28,10 @@ pub enum TruncationPolicy {
         /// Length of the retained window in seconds.
         window_secs: u32,
     },
-    /// Keep each object's critical region plus the recent history ("CR").
-    CriticalRegion {
-        /// Length of the sliding window used to search for the critical
-        /// region, in seconds.
-        window_secs: u32,
-        /// Minimum margin (best minus second-best windowed evidence) for a
-        /// window to qualify as a critical region.
-        margin: f64,
-    },
-}
-
-impl Default for TruncationPolicy {
-    fn default() -> TruncationPolicy {
-        TruncationPolicy::CriticalRegion {
-            window_secs: 60,
-            margin: 3.0,
-        }
-    }
+    /// Keep each object's critical region (searched with `CR_WINDOW_SECS`
+    /// and `CR_MARGIN`) plus the recent history ("CR").
+    #[default]
+    CriticalRegion,
 }
 
 /// The critical region found for one object.
@@ -224,14 +216,12 @@ pub fn retention_plan(
     match policy {
         TruncationPolicy::Full => RetentionPlan::new(Epoch::ZERO, []),
         TruncationPolicy::Window { window_secs } => RetentionPlan::new(now.minus(window_secs), []),
-        TruncationPolicy::CriticalRegion {
-            window_secs,
-            margin,
-        } => {
+        TruncationPolicy::CriticalRegion => {
             let mut cursors = Vec::new();
             let mut regions = Vec::new();
             for evidence in outcome.objects() {
-                if let Some(cr) = critical_region_with(evidence, window_secs, margin, &mut cursors)
+                if let Some(cr) =
+                    critical_region_with(evidence, CR_WINDOW_SECS, CR_MARGIN, &mut cursors)
                 {
                     // The same readings of the candidate containers are what
                     // makes the region informative — keep them too.

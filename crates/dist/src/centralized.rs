@@ -95,7 +95,8 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         num_sites * site_locs <= u16::MAX as usize,
         "global location space exceeds u16"
     );
-    let mut unit = InferenceUnit::new(ctx, global_read_rates(ctx, site_locs));
+    let policy = ctx.config.inference.change_detection;
+    let mut unit = InferenceUnit::new(ctx, global_read_rates(ctx, site_locs), policy);
     let mut streams: Vec<LocalStreams<'_>> = (0..num_sites)
         .map(|s| LocalStreams::new(ctx, s, (s * site_locs) as u16, 0))
         .collect();
@@ -183,4 +184,45 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
     }
     let alerts = unit.processor.alerts().to_vec();
     unit.tally.into_outcome(containment, alerts, ons)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{DistributedConfig, MigrationStrategy};
+    use rfid_core::{InferenceConfig, LikelihoodModel, ThresholdPolicy};
+    use rfid_sim::presets;
+
+    /// The server keeps `Calibrated` and calibrates the global table itself:
+    /// its run is the run with that table's δ fixed up front, not a site's.
+    #[test]
+    fn the_server_calibrates_the_global_table() {
+        let chain = presets::smoke_chain(900, 2, Some(60));
+        let config = |inference| DistributedConfig {
+            strategy: MigrationStrategy::Centralized,
+            inference,
+            ..Default::default()
+        };
+        let calibrated = config(InferenceConfig::default());
+        let ctx = RunCtx::new(&calibrated, &chain);
+        let global = global_read_rates(&ctx, chain.sites[0].meta.num_locations);
+        let delta = ThresholdPolicy::Calibrated.resolve(&LikelihoodModel::new(global));
+        let site = LikelihoodModel::new(chain.sites[0].read_rates.clone());
+        let site_delta = ThresholdPolicy::Calibrated.resolve(&site);
+
+        let fixed = |delta| {
+            run(&RunCtx::new(
+                &config(InferenceConfig::default().with_fixed_threshold(delta)),
+                &chain,
+            ))
+        };
+        let (server, at_global, at_site) = (run(&ctx), fixed(delta), fixed(site_delta));
+        assert_eq!(server.containment, at_global.containment);
+        assert_eq!(server.alerts, at_global.alerts);
+        assert_eq!(server.inference_stats, at_global.inference_stats);
+        assert_ne!(
+            server.inference_stats, at_site.inference_stats,
+            "δ {delta} vs {site_delta}"
+        );
+    }
 }

@@ -29,12 +29,11 @@ use crate::comm::CommCost;
 use crate::config::{DistributedConfig, MigrationStrategy};
 use crate::ons::Ons;
 use crate::transport::{TransportMode, TransportStats};
-use rfid_core::{InferenceStats, MemoryStats, ThresholdMemo};
+use rfid_core::{InferenceStats, LikelihoodModel, MemoryStats, ThresholdPolicy};
 use rfid_query::Alert;
 use rfid_sim::ChainTrace;
-use rfid_types::{ContainmentMap, Epoch, SiteId, TagId};
+use rfid_types::{ContainmentMap, Epoch, ReadRateTable, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything a distributed run produces: the merged containment estimate,
@@ -107,9 +106,11 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) codec: WireCodec,
     /// Whether this run's envelopes are acked and retransmitted.
     pub(crate) transport_mode: TransportMode,
-    /// Change-point thresholds calibrated so far this run, shared by every
-    /// engine of the run.
-    pub(crate) thresholds: Arc<ThresholdMemo>,
+    /// Per site, the change-detection policy its engine runs, with
+    /// `Calibrated` resolved to `Fixed(δ)` before any site starts, so a
+    /// crash restore never recalibrates. Empty under Centralized, whose one
+    /// engine calibrates its own table.
+    pub(crate) site_thresholds: Vec<Option<ThresholdPolicy>>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -123,7 +124,10 @@ impl<'a> RunCtx<'a> {
             stride: config.event_stride_secs.max(1),
             codec: WireCodec::new(config.wire_format),
             transport_mode: TransportMode::resolve(config.faults.as_ref(), &config.transport),
-            thresholds: Arc::default(),
+            site_thresholds: match config.strategy {
+                MigrationStrategy::Centralized => Vec::new(),
+                _ => site_thresholds(chain, config.inference.change_detection),
+            },
         }
     }
 
@@ -133,6 +137,31 @@ impl<'a> RunCtx<'a> {
         let every = self.config.checkpoint_every_secs.filter(|&k| k > 0)?;
         from.0.max(1).div_ceil(every).checked_mul(every).map(Epoch)
     }
+}
+
+/// Each site's change-detection policy, `Calibrated` resolved against the
+/// site's read-rate table: each distinct table is calibrated once.
+fn site_thresholds(
+    chain: &ChainTrace,
+    policy: Option<ThresholdPolicy>,
+) -> Vec<Option<ThresholdPolicy>> {
+    let mut calibrated: Vec<(&ReadRateTable, Option<ThresholdPolicy>)> = Vec::new();
+    chain
+        .sites
+        .iter()
+        .map(|site| {
+            let rates = &site.read_rates;
+            if policy != Some(ThresholdPolicy::Calibrated) {
+                return policy;
+            }
+            if let Some(&(_, fixed)) = calibrated.iter().find(|(seen, _)| *seen == rates) {
+                return fixed;
+            }
+            let delta = ThresholdPolicy::Calibrated.resolve(&LikelihoodModel::new(rates.clone()));
+            calibrated.push((rates, Some(ThresholdPolicy::Fixed(delta))));
+            Some(ThresholdPolicy::Fixed(delta))
+        })
+        .collect()
 }
 
 /// Drives a [`ChainTrace`] through the distributed pipeline.
@@ -194,5 +223,66 @@ impl DistributedDriver {
             MigrationStrategy::Centralized => crate::centralized::run(&ctx),
             _ => crate::parallel::run(&ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfid_core::InferenceConfig;
+    use rfid_sim::presets;
+
+    fn resolved(
+        chain: &ChainTrace,
+        strategy: MigrationStrategy,
+        inference: InferenceConfig,
+    ) -> Vec<Option<ThresholdPolicy>> {
+        let config = DistributedConfig {
+            strategy,
+            inference,
+            ..Default::default()
+        };
+        RunCtx::new(&config, chain).site_thresholds
+    }
+
+    #[test]
+    fn each_site_runs_the_calibration_of_its_own_table() {
+        let mut chain = presets::smoke_chain(300, 3, None);
+        let locations = chain.sites[1].read_rates.num_locations();
+        chain.sites[1].read_rates = ReadRateTable::diagonal(locations, 0.6, 1e-2);
+        let sites = resolved(
+            &chain,
+            MigrationStrategy::CollapsedWeights,
+            InferenceConfig::default(),
+        );
+        for (site, policy) in chain.sites.iter().zip(&sites) {
+            let model = LikelihoodModel::new(site.read_rates.clone());
+            let delta = ThresholdPolicy::Calibrated.resolve(&model);
+            assert_eq!(*policy, Some(ThresholdPolicy::Fixed(delta)));
+        }
+        assert_eq!(chain.sites[0].read_rates, chain.sites[2].read_rates);
+        assert_eq!(sites[0], sites[2], "sites sharing a table share δ");
+        assert_ne!(sites[0], sites[1], "the tables calibrate apart");
+    }
+
+    #[test]
+    fn fixed_and_disabled_detection_pass_through_and_centralized_resolves_nothing() {
+        let chain = presets::smoke_chain(300, 2, None);
+        let fixed = InferenceConfig::default().with_fixed_threshold(5.0);
+        assert_eq!(
+            resolved(&chain, MigrationStrategy::CollapsedWeights, fixed),
+            vec![Some(ThresholdPolicy::Fixed(5.0)); 2]
+        );
+        let off = InferenceConfig::default().without_change_detection();
+        assert_eq!(
+            resolved(&chain, MigrationStrategy::CriticalRegionReadings, off),
+            vec![None; 2]
+        );
+        let centralized = resolved(
+            &chain,
+            MigrationStrategy::Centralized,
+            InferenceConfig::default(),
+        );
+        assert!(centralized.is_empty());
     }
 }

@@ -11,12 +11,13 @@ use crate::comm::CommCost;
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::ons::Ons;
 use crate::transport::TransportStats;
-use rfid_core::{InferenceEngine, InferenceReport, InferenceStats, MemoryStats};
+use rfid_core::{
+    InferenceConfig, InferenceEngine, InferenceReport, InferenceStats, MemoryStats, ThresholdPolicy,
+};
 use rfid_query::{Alert, QueryProcessor};
 use rfid_types::{ContainmentMap, Epoch, ReadRateTable, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, SiteCheckpoint};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything one site (or the central server) is billed for: the counters
@@ -129,15 +130,23 @@ pub(crate) struct InferenceUnit {
 }
 
 impl InferenceUnit {
-    /// A cold unit over `rates` with the run's queries registered.
-    pub(crate) fn new(ctx: &RunCtx<'_>, rates: ReadRateTable) -> InferenceUnit {
+    /// A cold unit over `rates` whose engine detects changes under
+    /// `change_detection`, with the run's queries registered.
+    pub(crate) fn new(
+        ctx: &RunCtx<'_>,
+        rates: ReadRateTable,
+        change_detection: Option<ThresholdPolicy>,
+    ) -> InferenceUnit {
         let config = ctx.config;
         let mut processor = QueryProcessor::new();
         for query in &config.queries {
             processor.register(query.clone());
         }
-        let mut engine = InferenceEngine::new(config.inference.clone(), rates);
-        engine.share_thresholds(Arc::clone(&ctx.thresholds));
+        let inference = InferenceConfig {
+            change_detection,
+            ..config.inference.clone()
+        };
+        let engine = InferenceEngine::new(inference, rates);
         InferenceUnit {
             engine,
             processor,

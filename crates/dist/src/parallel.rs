@@ -24,6 +24,10 @@
 //! transit. Sites import in generation order and own their custody replica,
 //! so the merged outcome is bit-identical at every worker count
 //! (docs/ARCHITECTURE.md § "One scheduler" gives the rules and why).
+#![expect(
+    clippy::disallowed_types,
+    reason = "R8: the scheduler board is the one lock of a run; the sites it guards share nothing else"
+)]
 
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::inference::Tally;
