@@ -31,23 +31,7 @@ impl ChaosPlan {
     /// The full soak schedule: every fault family active at once, scaled to
     /// the run's horizon. Deterministic in `seed`.
     pub fn soak(seed: u64, num_sites: u16, horizon_secs: u32) -> ChaosPlan {
-        ChaosPlan::from_config(FaultPlanConfig {
-            crash_probability: 0.4,
-            max_downtime_secs: 180,
-            outage_probability: 0.5,
-            outage_max_secs: (horizon_secs / 10).max(1),
-            delay_probability: 0.2,
-            delay_max_secs: 120,
-            duplicate_probability: 0.1,
-            loss_probability: 0.1,
-            ack_loss_probability: 0.05,
-            partition_probability: 0.3,
-            partition_max_secs: (horizon_secs / 8).max(1),
-            corruption_probability: 0.05,
-            rogue_probability: 0.02,
-            clock_skew_max_secs: 45,
-            ..FaultPlanConfig::quiet(seed, num_sites, horizon_secs)
-        })
+        ChaosPlan::from_config(FaultPlanConfig::soak(seed, num_sites, horizon_secs))
     }
 
     /// The identity schedule: the chaos machinery engaged with every fault

@@ -141,6 +141,29 @@ impl FaultPlanConfig {
             ..FaultPlanConfig::quiet(seed, num_sites, horizon_secs)
         }
     }
+
+    /// The chaos soak preset used by the `chaos` experiment and the
+    /// `chaos_durable` benchmark workload: every fault family active at
+    /// once, scaled to the run's horizon.
+    pub fn soak(seed: u64, num_sites: u16, horizon_secs: u32) -> FaultPlanConfig {
+        FaultPlanConfig {
+            crash_probability: 0.4,
+            max_downtime_secs: 180,
+            outage_probability: 0.5,
+            outage_max_secs: (horizon_secs / 10).max(1),
+            delay_probability: 0.2,
+            delay_max_secs: 120,
+            duplicate_probability: 0.1,
+            loss_probability: 0.1,
+            ack_loss_probability: 0.05,
+            partition_probability: 0.3,
+            partition_max_secs: (horizon_secs / 8).max(1),
+            corruption_probability: 0.05,
+            rogue_probability: 0.02,
+            clock_skew_max_secs: 45,
+            ..FaultPlanConfig::quiet(seed, num_sites, horizon_secs)
+        }
+    }
 }
 
 /// One scheduled site crash.
@@ -1032,6 +1055,91 @@ mod tests {
             })
         );
         assert_eq!(with_crash.crash(0), None);
+    }
+
+    /// Every draw of the soak preset, tabulated and keyed, pinned as
+    /// literals: a refactor of the plan must leave each one where it is.
+    #[test]
+    fn soak_draws_are_pinned() {
+        let plan = FaultPlan::generate(&FaultPlanConfig::soak(97, 8, 2400));
+        let crashes: Vec<(usize, u32, u32)> = (plan.sites.iter().enumerate())
+            .filter_map(|(site, f)| f.crash.map(|c| (site, c.at.0, c.downtime_secs)))
+            .collect();
+        let outages: Vec<(usize, u32, u32)> = (plan.sites.iter().enumerate())
+            .flat_map(|(site, f)| f.outages.iter().map(move |w| (site, w.from.0, w.until.0)))
+            .collect();
+        let skews: Vec<u32> = plan.sites.iter().map(|f| f.clock_skew_secs).collect();
+        let partitions: Vec<(u16, u16, u32, u32)> = (plan.partitions.iter())
+            .map(|w| (w.from_site, w.to_site, w.from.0, w.until.0))
+            .collect();
+        assert_eq!(crashes, [(0, 1495, 53)]);
+        assert_eq!(
+            outages,
+            [
+                (0, 1225, 1337),
+                (1, 1015, 1248),
+                (2, 1817, 1853),
+                (3, 1689, 1878),
+                (5, 449, 633),
+            ]
+        );
+        assert_eq!(skews, [1, 41, 7, 10, 1, 38, 25, 38]);
+        assert_eq!(
+            partitions,
+            [
+                (0, 5, 2246, 2257),
+                (0, 6, 1229, 1447),
+                (0, 7, 1830, 2007),
+                (1, 0, 551, 703),
+                (1, 2, 1579, 1633),
+                (1, 4, 2028, 2199),
+                (1, 5, 227, 266),
+                (2, 6, 822, 1077),
+                (3, 6, 1277, 1559),
+                (3, 7, 1866, 2083),
+                (4, 3, 907, 1090),
+                (4, 7, 161, 428),
+                (5, 0, 2301, 2337),
+                (5, 1, 1534, 1641),
+                (5, 3, 1921, 2066),
+                (5, 4, 1005, 1086),
+                (6, 4, 2046, 2297),
+                (6, 7, 710, 904),
+                (7, 4, 1133, 1175),
+            ]
+        );
+
+        // One fixed grid of 256 keys; each family counts its positive
+        // answers over it (delay and rogue also sum what they draw).
+        let mut counts = [0u32; 8];
+        let (mut delay_secs, mut rogue_slots) = (0u32, 0u32);
+        for k in 0..256u32 {
+            let from = (k % 8) as u16;
+            let to = (from + 1 + (k / 8 % 7) as u16) % 8;
+            let tag = TagId::item(u64::from(k));
+            let at = Epoch(k * 9);
+            let attempt = k % 4;
+            let delay = plan.shipment_delay_secs(from, to, tag, at);
+            delay_secs += delay;
+            let rogue = plan.rogue_reader_slot(from, at, tag, 5);
+            rogue_slots += rogue.map_or(0, u32::from);
+            let answers = [
+                delay > 0,
+                plan.shipment_duplicated(from, to, tag, at),
+                plan.message_lost(from, to, tag, at, attempt),
+                plan.ack_lost(from, to, tag, at, attempt),
+                plan.forward_lost(from, at, attempt),
+                plan.payload_corrupted(from, to, u64::from(k)),
+                rogue.is_some(),
+                plan.link_partitioned(from, to, at),
+            ];
+            for (count, hit) in counts.iter_mut().zip(answers) {
+                *count += u32::from(hit);
+            }
+        }
+        // delay, duplicate, loss, ack, forward, corruption, rogue, partition
+        assert_eq!(counts, [42, 28, 24, 16, 26, 13, 4, 5]);
+        assert_eq!((delay_secs, rogue_slots), (2719, 9));
     }
 
     #[test]
