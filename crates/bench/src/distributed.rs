@@ -16,7 +16,7 @@ use rfid_dist::{
 use rfid_eval::PrecisionRecall;
 use rfid_query::{Alert, ExposureQuery, QueryProcessor};
 use rfid_sim::{
-    presets, ChainConfig, ChainTrace, ChaosPlan, FaultPlan, FaultPlanConfig, SupplyChainSimulator,
+    presets, ChainConfig, ChainTrace, FaultPlan, FaultPlanConfig, SupplyChainSimulator,
     TemperatureModel, WarehouseConfig,
 };
 use rfid_types::{Epoch, LocationId, ObjectEvent, TagId};
@@ -471,14 +471,8 @@ pub fn faults(scale: Scale) -> Report {
     };
     let plan = FaultPlan::generate(&fault_config);
     let checkpoint_every: u32 = 300;
-    let (crashes, outages) = plan
-        .events()
-        .iter()
-        .fold((0u32, 0u32), |(c, o), e| match e {
-            rfid_sim::FaultEvent::Crash { .. } => (c + 1, o),
-            rfid_sim::FaultEvent::Outage { .. } => (c, o + 1),
-            _ => (c, o),
-        });
+    let crashes = plan.sites().iter().filter(|f| f.crash.is_some()).count();
+    let outages: usize = plan.sites().iter().map(|f| f.outages.len()).sum();
     let mut rows = Section::new(
         "rows",
         "Fault degradation: accuracy and communication under a seeded lossy fault plan",
@@ -560,7 +554,7 @@ pub fn degraded(scale: Scale) -> Report {
         .collect();
     scenarios.push((
         "partition 0<->1".to_string(),
-        FaultPlan::scripted_partition(8, 0, 1, Epoch(0), Epoch(horizon)),
+        FaultPlan::quiet(8).with_partition(0, 1, Epoch(0), Epoch(horizon)),
     ));
     let mut rows = Section::new(
         "rows",
@@ -606,12 +600,11 @@ pub fn degraded(scale: Scale) -> Report {
 }
 
 /// Chaos soak at the 8-site short-dwell reference scale: a
-/// [`ChaosPlan::schedule`](rfid_sim::ChaosPlan::schedule) of seeded
-/// schedules — crashes with downtime restored from checkpoints, reader
-/// outages, delivery delay/duplication, transmission and ack loss, link
-/// partitions, corrupted wire bytes, rogue tag readings and per-site clock
-/// skew, all at once — driven through every migration strategy. The contents
-/// of `BENCH_chaos.json`.
+/// [`FaultPlan::soak_schedule`] of seeded schedules — crashes with downtime
+/// restored from checkpoints, reader outages, delivery delay/duplication,
+/// transmission and ack loss, link partitions, corrupted wire bytes, rogue
+/// tag readings and per-site clock skew, all at once — driven through every
+/// migration strategy. The contents of `BENCH_chaos.json`.
 ///
 /// Every soak run is executed on both executors and asserted bit-identical
 /// *including* the chaos bookkeeping (quarantine entries, memory counters,
@@ -629,7 +622,7 @@ pub fn chaos(scale: Scale) -> Report {
         _ => 3,
     };
     let checkpoint_every: u32 = 300;
-    let plans = ChaosPlan::schedule(presets::REFERENCE_SEED, schedules, 8, horizon);
+    let plans = FaultPlan::soak_schedule(presets::REFERENCE_SEED, schedules, 8, horizon);
     let mut soak = Section::new(
         "soak",
         "Chaos soak: every fault family at once, all invariant oracles asserted",
@@ -644,7 +637,7 @@ pub fn chaos(scale: Scale) -> Report {
                     // high-water observation count, so the soak table can
                     // report peak memory pressure per strategy.
                     .with_memory_budget(MemoryBudget::unbounded())
-                    .with_faults(chaos.plan().clone())
+                    .with_faults(chaos.clone())
             });
             let stats = run.transport;
             #[rustfmt::skip] // one column per line: header, JSON key, kind, value
@@ -674,7 +667,7 @@ pub fn chaos(scale: Scale) -> Report {
     ] {
         let config = reference_config(MigrationStrategy::CollapsedWeights, 1)
             .with_checkpoints(checkpoint_every)
-            .with_faults(plans[0].plan().clone())
+            .with_faults(plans[0].clone())
             .with_memory_budget(budget);
         let outcome = DistributedDriver::new(config).run(&chain);
         assert_audit(&chain, &outcome);

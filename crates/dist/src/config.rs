@@ -244,7 +244,7 @@ mod tests {
             Some(300)
         );
         assert!(DistributedConfig::default()
-            .with_faults(FaultPlan::scripted_crash(4, 1, rfid_types::Epoch(100), 0))
+            .with_faults(FaultPlan::quiet(4).with_crash(1, rfid_types::Epoch(100), 0))
             .faults
             .is_some());
     }

@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::config::{DistributedConfig, MigrationStrategy};
     use crate::driver::DistributedDriver;
-    use rfid_sim::{presets, ChaosPlan};
+    use rfid_sim::{presets, FaultPlan};
     use rfid_types::SiteId;
 
     fn outcome_under(plan: Option<rfid_sim::FaultPlan>) -> (ChainTrace, DistributedOutcome) {
@@ -292,8 +292,8 @@ mod tests {
     fn a_chaotic_run_passes_every_oracle() {
         let chain = presets::smoke_chain(900, 3, None);
         let horizon = chain.sites[0].meta.length;
-        let plan = ChaosPlan::soak(41, chain.sites.len() as u16, horizon);
-        let (chain, outcome) = outcome_under(Some(plan.into_plan()));
+        let plan = FaultPlan::soak(41, chain.sites.len() as u16, horizon);
+        let (chain, outcome) = outcome_under(Some(plan));
         assert!(
             !outcome.ledgers.is_empty(),
             "a chaotic run books per-edge ledgers"
@@ -305,8 +305,8 @@ mod tests {
     fn a_cooked_ledger_is_caught() {
         let chain = presets::smoke_chain(900, 3, None);
         let horizon = chain.sites[0].meta.length;
-        let plan = ChaosPlan::soak(41, chain.sites.len() as u16, horizon);
-        let (chain, mut outcome) = outcome_under(Some(plan.into_plan()));
+        let plan = FaultPlan::soak(41, chain.sites.len() as u16, horizon);
+        let (chain, mut outcome) = outcome_under(Some(plan));
         let ledger = outcome
             .ledgers
             .iter_mut()

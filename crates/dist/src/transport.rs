@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn a_partition_outliving_the_horizon_abandons_the_envelope() {
-        let dark = FaultPlan::scripted_partition(4, 0, 1, Epoch(0), Epoch(3600));
+        let dark = FaultPlan::quiet(4).with_partition(0, 1, Epoch(0), Epoch(3600));
         let plan = DeliveryPlan::compute(
             &dark,
             &TransportConfig::default(),
@@ -375,7 +375,7 @@ mod tests {
     fn unlimited_retries_ride_out_a_bounded_partition() {
         // Link dark for the first 600 epochs only; a persistent transport
         // must get a copy through after it heals.
-        let dark = FaultPlan::scripted_partition(4, 0, 1, Epoch(0), Epoch(600));
+        let dark = FaultPlan::quiet(4).with_partition(0, 1, Epoch(0), Epoch(600));
         let plan = DeliveryPlan::compute(
             &dark,
             &TransportConfig::persistent(),
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn the_retry_budget_is_a_hard_cap() {
-        let dark = FaultPlan::scripted_partition(4, 0, 1, Epoch(0), Epoch(3600));
+        let dark = FaultPlan::quiet(4).with_partition(0, 1, Epoch(0), Epoch(3600));
         for budget in [0u32, 1, 3] {
             let plan = DeliveryPlan::compute(
                 &dark,

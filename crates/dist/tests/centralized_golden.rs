@@ -18,7 +18,7 @@ use rfid_dist::{
     TransportStats,
 };
 use rfid_query::ExposureQuery;
-use rfid_sim::{presets, ChainTrace, ChaosPlan, TemperatureModel};
+use rfid_sim::{presets, ChainTrace, FaultPlan, TemperatureModel};
 use std::collections::BTreeMap;
 
 const HORIZON: u32 = 1800;
@@ -121,7 +121,7 @@ fn fault_free_centralized_outcome_is_pinned() {
 #[test]
 fn chaos_soak_centralized_outcome_is_pinned() {
     let chain = presets::smoke_chain(HORIZON, SITES, None);
-    let plan = ChaosPlan::soak(19, SITES as u16, HORIZON).into_plan();
+    let plan = FaultPlan::soak(19, SITES as u16, HORIZON);
     // The schedule must hit every fault family Centralized honours, or the
     // constants below would pin nothing about them.
     let readings = || {

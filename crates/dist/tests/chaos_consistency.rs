@@ -96,10 +96,8 @@ fn a_zero_downtime_crash_at_every_boundary_preserves_the_chaos_ledgers() {
     crash_epochs.extend((CHECKPOINT_EVERY..HORIZON).step_by(CHECKPOINT_EVERY as usize));
     for (i, at) in crash_epochs.into_iter().enumerate() {
         let site = (i as u16) % SITES as u16;
-        let crashed = DistributedDriver::new(
-            config(1).with_faults(chaos.clone().with_scripted_crash(site, Epoch(at), 0)),
-        )
-        .run(&chain);
+        let plan = chaos.clone().with_crash(site, Epoch(at), 0);
+        let crashed = DistributedDriver::new(config(1).with_faults(plan)).run(&chain);
         assert_identical(
             &reference,
             &crashed,
@@ -115,7 +113,7 @@ fn a_downtime_crash_mid_chaos_stays_accountable_across_executors() {
     // Real downtime on top of the full chaos schedule: the outcome may
     // legitimately degrade, but it must be executor-independent and every
     // conservation oracle must still balance.
-    let plan = chaos_without_crashes(19).with_scripted_crash(1, Epoch(450), 120);
+    let plan = chaos_without_crashes(19).with_crash(1, Epoch(450), 120);
     let sequential = DistributedDriver::new(config(1).with_faults(plan.clone())).run(&chain);
     let parallel = DistributedDriver::new(config(chain.sites.len()).with_faults(plan)).run(&chain);
     assert_identical(&sequential, &parallel, "downtime crash, 1 vs 3 workers");

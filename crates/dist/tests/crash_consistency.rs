@@ -85,7 +85,7 @@ fn crash_at_every_checkpoint_boundary_is_lossless() {
             &chain,
             config(&chain, MigrationStrategy::CollapsedWeights)
                 .with_checkpoints(CHECKPOINT_EVERY)
-                .with_faults(FaultPlan::scripted_crash(SITES as u16, site, Epoch(at), 0)),
+                .with_faults(FaultPlan::quiet(SITES as u16).with_crash(site, Epoch(at), 0)),
         );
         assert_identical(
             &reference,
@@ -100,7 +100,7 @@ fn crash_recovery_is_lossless_for_every_strategy_format_and_executor() {
     let chain = smoke_chain();
     // Mid-period crash: the last checkpoint is 90 epochs old, so restore
     // exercises a real replay tail, under every strategy and both executors.
-    let crash = FaultPlan::scripted_crash(SITES as u16, 1, Epoch(450), 0);
+    let crash = FaultPlan::quiet(SITES as u16).with_crash(1, Epoch(450), 0);
     for strategy in [
         MigrationStrategy::None,
         MigrationStrategy::CriticalRegionReadings,
@@ -152,12 +152,7 @@ fn stale_checkpoint_with_journaled_arrivals_converges() {
         &chain,
         config(&chain, MigrationStrategy::CollapsedWeights)
             .with_checkpoints(checkpoint_at)
-            .with_faults(FaultPlan::scripted_crash(
-                SITES as u16,
-                site,
-                Epoch(crash_at),
-                0,
-            )),
+            .with_faults(FaultPlan::quiet(SITES as u16).with_crash(site, Epoch(crash_at), 0)),
     );
     assert_identical(&reference, &crashed, "stale checkpoint + journal replay");
 }
@@ -215,7 +210,7 @@ fn downtime_degrades_but_does_not_destroy_accuracy() {
         &chain,
         config(&chain, MigrationStrategy::CollapsedWeights)
             .with_checkpoints(CHECKPOINT_EVERY)
-            .with_faults(FaultPlan::scripted_crash(SITES as u16, 1, Epoch(450), 120)),
+            .with_faults(FaultPlan::quiet(SITES as u16).with_crash(1, Epoch(450), 120)),
     );
     let (reference_acc, lossy_acc) = (accuracy(&reference), accuracy(&lossy));
     assert!(

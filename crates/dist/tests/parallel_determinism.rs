@@ -195,7 +195,7 @@ fn zero_transit_both_ways_with_checkpoints_and_a_lossy_crash() {
     }
     transfers.sort_by_key(|tr| tr.depart);
     chain.transfers = transfers;
-    let crash = FaultPlan::scripted_crash(2, 1, Epoch(1000), 60);
+    let crash = FaultPlan::quiet(2).with_crash(1, Epoch(1000), 60);
     assert_worker_counts_agree("zero transit both ways", chain, move |chain, workers| {
         config(chain, MigrationStrategy::CollapsedWeights, workers)
             .with_checkpoints(7)

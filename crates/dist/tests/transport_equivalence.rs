@@ -2,8 +2,8 @@
 //!
 //! * a loss-free run sequences every envelope, delivers each exactly once on
 //!   the first attempt and puts no `Control` byte on the wire;
-//! * a fault plan that injects nothing (a calm `ChaosPlan`, a quiet
-//!   `FaultPlan`) is the no-plan run, field for field — bookkeeping included;
+//! * a fault plan that injects nothing (a quiet `FaultPlan`) is the no-plan
+//!   run, field for field — bookkeeping included;
 //! * duplicated and delayed deliveries are absorbed by the receiver: a
 //!   duplicate never reaches the engine a second time (migrated weights are
 //!   *added*, so it would double them), a late copy is reconciled and
@@ -17,7 +17,7 @@ use rfid_dist::{
     audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind, MigrationStrategy,
 };
 use rfid_query::ExposureQuery;
-use rfid_sim::{presets, ChainTrace, ChaosPlan, FaultPlan, FaultPlanConfig, TemperatureModel};
+use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig, TemperatureModel};
 use std::collections::BTreeMap;
 
 fn smoke_chain() -> ChainTrace {
@@ -128,14 +128,6 @@ fn assert_no_op_plan(chain: &ChainTrace, plan: &FaultPlan, label: &str) {
         assert!(planned.quarantine.is_empty(), "{strategy:?} {label}");
         assert_audited(chain, &planned, &format!("{strategy:?} {label}"));
     }
-}
-
-#[test]
-fn a_calm_chaos_plan_is_identical_to_no_plan() {
-    let chain = smoke_chain();
-    let horizon = chain.sites[0].meta.length;
-    let calm = ChaosPlan::calm(11, chain.sites.len() as u16, horizon);
-    assert_no_op_plan(&chain, calm.plan(), "calm chaos");
 }
 
 #[test]

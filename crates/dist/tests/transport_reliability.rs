@@ -160,8 +160,7 @@ fn a_partition_outliving_the_horizon_forces_degraded_mode() {
     // Sever 0 → 1 (and back) for the whole run: every envelope on that edge
     // exhausts its budget, the destinations cold-start the arriving objects,
     // and the run still completes with full custody.
-    let plan = FaultPlan::scripted_partition(
-        SITES as u16,
+    let plan = FaultPlan::quiet(SITES as u16).with_partition(
         0,
         1,
         rfid_types::Epoch(0),

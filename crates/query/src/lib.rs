@@ -8,8 +8,8 @@
 //! The paper's monitoring queries (Section 2) combine three ingredients, all
 //! implemented here:
 //!
-//! * **window operators** over sensor streams (`[Partition By sensor Rows 1]`
-//!   and time-range windows) — see [`windows`];
+//! * **window operators** over sensor streams (`[Partition By sensor Rows 1]`;
+//!   the pattern's time range is checked by the automaton) — see [`windows`];
 //! * **pattern matching** (`Pattern SEQ(A+) Where ... A[len].time >
 //!   A[1].time + 6 hrs`), evaluated by a per-object automaton — see
 //!   [`pattern`];
@@ -40,4 +40,4 @@ pub use pattern::{AutomatonState, ExposureAutomaton};
 pub use processor::{ProcessorSnapshot, QueryProcessor};
 pub use sharing::{share_states_with, SharedStateBundle, StateDelta};
 pub use state::ObjectQueryState;
-pub use windows::{LatestByLocation, SlidingTimeWindow};
+pub use windows::LatestByLocation;

@@ -1,13 +1,9 @@
 //! Window operators used by the monitoring queries.
 //!
-//! Two windows suffice for Q1/Q2:
-//!
-//! * `[Partition By sensor Rows 1]` — the latest reading of every sensor,
-//!   implemented by [`LatestByLocation`];
-//! * a sliding time-range window, implemented by [`SlidingTimeWindow`], used
-//!   for bounded retention of per-object histories.
+//! One window suffices for Q1/Q2: `[Partition By sensor Rows 1]` — the
+//! latest reading of every sensor, implemented by [`LatestByLocation`].
 
-use rfid_types::{Epoch, LocationId, SensorReading};
+use rfid_types::{LocationId, SensorReading};
 use std::collections::BTreeMap;
 
 /// The latest sensor reading per location — the `[Partition By sensor
@@ -62,51 +58,10 @@ impl LatestByLocation {
     }
 }
 
-/// A sliding time-range window over timestamped items.
-#[derive(Debug, Clone)]
-pub struct SlidingTimeWindow<T> {
-    range_secs: u32,
-    items: Vec<(Epoch, T)>,
-}
-
-impl<T> SlidingTimeWindow<T> {
-    /// Create a window retaining items no older than `range_secs` behind the
-    /// most recent insertion.
-    pub fn new(range_secs: u32) -> SlidingTimeWindow<T> {
-        SlidingTimeWindow {
-            range_secs,
-            items: Vec::new(),
-        }
-    }
-
-    /// Insert an item with its timestamp and evict anything that has fallen
-    /// out of the range.
-    pub fn insert(&mut self, time: Epoch, item: T) {
-        self.items.push((time, item));
-        let newest = self.items.iter().map(|(t, _)| *t).max().unwrap_or(time);
-        let cutoff = newest.minus(self.range_secs);
-        self.items.retain(|(t, _)| *t >= cutoff);
-    }
-
-    /// Items currently inside the window, oldest first.
-    pub fn items(&self) -> impl Iterator<Item = (&Epoch, &T)> {
-        self.items.iter().map(|(t, item)| (t, item))
-    }
-
-    /// Number of items inside the window.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_types::Epoch;
 
     #[test]
     fn latest_by_location_keeps_only_the_newest_reading() {
@@ -121,26 +76,5 @@ mod tests {
         assert_eq!(w.value_at(LocationId(1)), Some(-18.0));
         assert_eq!(w.value_at(LocationId(9)), None);
         assert_eq!(w.at(LocationId(0)).unwrap().time, Epoch(20));
-    }
-
-    #[test]
-    fn sliding_window_evicts_old_items() {
-        let mut w: SlidingTimeWindow<u32> = SlidingTimeWindow::new(10);
-        assert!(w.is_empty());
-        for t in 0..20u32 {
-            w.insert(Epoch(t), t);
-        }
-        assert_eq!(w.len(), 11, "items within the last 10 seconds inclusive");
-        assert!(w.items().all(|(t, _)| t.0 >= 9));
-    }
-
-    #[test]
-    fn sliding_window_handles_out_of_order_inserts() {
-        let mut w: SlidingTimeWindow<&str> = SlidingTimeWindow::new(5);
-        w.insert(Epoch(100), "newest");
-        w.insert(Epoch(97), "still inside");
-        w.insert(Epoch(10), "ancient");
-        assert_eq!(w.len(), 2);
-        assert!(w.items().all(|(_, v)| *v != "ancient"));
     }
 }

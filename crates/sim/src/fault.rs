@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the distributed executors.
 //!
 //! A [`FaultPlan`] is a *pre-computed schedule* of failures, fixed entirely
-//! by its seed at construction time: site crashes (with optional downtime),
-//! reader-outage bursts, and per-shipment delivery faults (delay,
+//! by the [`FaultPlanConfig`] it holds: site crashes (with optional
+//! downtime), reader-outage bursts, and per-shipment delivery faults (delay,
 //! duplication). Because every decision is either tabulated up front or a
 //! pure function of the shipment's identifying key, the same plan injects
 //! the *identical* fault sequence regardless of execution order — sequential
@@ -24,11 +24,15 @@
 //!   Whether the payload still arrives depends on the transport's retry
 //!   budget; these faults feed the `degraded` experiment.
 //! * **Corruption, rogue readings and clock skew** feed the `chaos` soak
-//!   (see [`crate::chaos::ChaosPlan`]): a corrupted envelope's bytes are
-//!   bit-flipped on the link as a pure function of `(edge, seq)` and must be
-//!   quarantined by the receiver, a rogue reader clones a tag reading at a
-//!   spurious antenna, and a skewed site observes its RFID feed late by a
-//!   tabulated per-site offset.
+//!   (the [`FaultPlanConfig::soak`] preset, which turns every family on at
+//!   once): a corrupted envelope's bytes are bit-flipped on the link as a
+//!   pure function of `(edge, seq)` and must be quarantined by the receiver,
+//!   a rogue reader clones a tag reading at a spurious antenna, and a skewed
+//!   site observes its RFID feed late by a tabulated per-site offset.
+//!
+//! A scripted plan — one crash or one partition placed by hand — is
+//! [`FaultPlan::quiet`] plus [`FaultPlan::with_crash`] /
+//! [`FaultPlan::with_partition`].
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -39,7 +43,8 @@ use rfid_types::{Epoch, TagId};
 ///
 /// All probabilities are per independent trial: `crash_probability` and
 /// `outage_probability` per site, `delay_probability` and
-/// `duplicate_probability` per shipment.
+/// `duplicate_probability` per shipment. Each must lie in `[0, 1]`
+/// ([`FaultPlanConfig::validate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Master seed; everything else being equal, the same seed produces the
@@ -164,6 +169,29 @@ impl FaultPlanConfig {
             ..FaultPlanConfig::quiet(seed, num_sites, horizon_secs)
         }
     }
+
+    /// Check that every probability is a finite number in `[0, 1]`. A NaN
+    /// would otherwise read as "off" to [`FaultPlan::has_transport_faults`]
+    /// yet fire on every draw.
+    pub fn validate(&self) -> Result<(), String> {
+        let probabilities = [
+            ("crash_probability", self.crash_probability),
+            ("outage_probability", self.outage_probability),
+            ("delay_probability", self.delay_probability),
+            ("duplicate_probability", self.duplicate_probability),
+            ("loss_probability", self.loss_probability),
+            ("ack_loss_probability", self.ack_loss_probability),
+            ("partition_probability", self.partition_probability),
+            ("corruption_probability", self.corruption_probability),
+            ("rogue_probability", self.rogue_probability),
+        ];
+        for (name, p) in probabilities {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} must be in [0,1], got {p}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One scheduled site crash.
@@ -236,97 +264,59 @@ pub struct SiteFaults {
     pub clock_skew_secs: u32,
 }
 
-/// One entry of [`FaultPlan::events`] — the scheduled (per-site) faults in a
-/// canonical order, for pinning determinism in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// A scheduled crash.
-    Crash {
-        /// Crashing site.
-        site: u16,
-        /// Crash epoch.
-        at: Epoch,
-        /// Downtime after the crash.
-        downtime_secs: u32,
-    },
-    /// A scheduled reader outage.
-    Outage {
-        /// Affected site.
-        site: u16,
-        /// First silent epoch.
-        from: Epoch,
-        /// Last silent epoch (inclusive).
-        until: Epoch,
-    },
-    /// A scheduled directed-link partition.
-    Partition {
-        /// Sending side of the dark link.
-        from_site: u16,
-        /// Receiving side of the dark link.
-        to_site: u16,
-        /// First dark epoch.
-        from: Epoch,
-        /// Last dark epoch (inclusive).
-        until: Epoch,
-    },
-    /// A tabulated per-site clock skew.
-    ClockSkew {
-        /// Skewed site.
-        site: u16,
-        /// Constant lateness of the site's RFID feed, in seconds.
-        skew_secs: u32,
-    },
-}
-
 /// A deterministic, order-independent fault schedule.
 ///
-/// Site-level faults (crashes, outages) are tabulated at construction from a
-/// per-site `ChaCha8` stream; shipment-level faults (delay, duplication) are
-/// pure functions of the shipment's `(from, to, tag, depart)` key, hashed
-/// into a fresh `ChaCha8` seed. Querying the plan never mutates it, so any
-/// number of workers asking in any order observe the same answers.
+/// Site-level faults (crashes, outages, skew) and link partitions are
+/// tabulated at construction from per-site and per-edge `ChaCha8` streams;
+/// message-level faults (delay, duplication, loss, corruption, rogue reads)
+/// are pure functions of the message's key, hashed into a fresh `ChaCha8`
+/// seed. Querying the plan never mutates it, so any number of workers asking
+/// in any order observe the same answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
-    delay_probability: f64,
-    delay_max_secs: u32,
-    duplicate_probability: f64,
-    loss_probability: f64,
-    ack_loss_probability: f64,
-    corruption_probability: f64,
-    rogue_probability: f64,
+    config: FaultPlanConfig,
     sites: Vec<SiteFaults>,
-    /// Directed-link partition windows, tabulated at generation time in
-    /// canonical `(from_site, to_site)` order.
+    /// Directed-link partition windows; generated ones come in canonical
+    /// `(from_site, to_site)` order.
     partitions: Vec<PartitionWindow>,
 }
 
 impl FaultPlan {
     /// Generate the plan for `config`, fixing every site-level fault.
+    ///
+    /// # Panics
+    /// If `config` is invalid (see [`FaultPlanConfig::validate`]).
     pub fn generate(config: &FaultPlanConfig) -> FaultPlan {
+        if let Err(msg) = config.validate() {
+            panic!("invalid fault plan configuration: {msg}");
+        }
+        let mut plan = FaultPlan {
+            config: config.clone(),
+            sites: Vec::new(),
+            partitions: Vec::new(),
+        };
         let horizon = config.horizon_secs.max(1);
-        let sites = (0..config.num_sites)
+        plan.sites = (0..config.num_sites)
             .map(|site| {
-                let mut rng = ChaCha8Rng::seed_from_u64(site_seed(config.seed, site));
-                let crash = if config.crash_probability > 0.0
-                    && rng.gen_bool(config.crash_probability.min(1.0))
-                {
-                    // Crash somewhere in the middle half of the run, so a
-                    // checkpoint exists before it and epochs remain after it.
-                    let at = Epoch(rng.gen_range(horizon / 4..=horizon * 3 / 4));
-                    let downtime_secs = if config.max_downtime_secs > 0 {
-                        rng.gen_range(0..=config.max_downtime_secs)
+                let mut rng = plan.draw(0xfa17, &[site.into()]);
+                let crash =
+                    if config.crash_probability > 0.0 && rng.gen_bool(config.crash_probability) {
+                        // Crash somewhere in the middle half of the run, so a
+                        // checkpoint exists before it and epochs remain after it.
+                        let at = Epoch(rng.gen_range(horizon / 4..=horizon * 3 / 4));
+                        let downtime_secs = if config.max_downtime_secs > 0 {
+                            rng.gen_range(0..=config.max_downtime_secs)
+                        } else {
+                            0
+                        };
+                        Some(CrashFault { at, downtime_secs })
                     } else {
-                        0
+                        None
                     };
-                    Some(CrashFault { at, downtime_secs })
-                } else {
-                    None
-                };
                 let mut outages = Vec::new();
                 if config.outage_probability > 0.0
                     && config.outage_max_secs > 0
-                    && rng.gen_bool(config.outage_probability.min(1.0))
+                    && rng.gen_bool(config.outage_probability)
                 {
                     let len = rng.gen_range(1..=config.outage_max_secs);
                     let latest_start = horizon.saturating_sub(len).max(1);
@@ -351,7 +341,6 @@ impl FaultPlan {
                 }
             })
             .collect();
-        let mut partitions = Vec::new();
         if config.partition_probability > 0.0 && config.partition_max_secs > 0 {
             // Each *directed* edge draws from its own key-hashed stream, so
             // the tabulation is independent of iteration details elsewhere.
@@ -360,13 +349,12 @@ impl FaultPlan {
                     if from_site == to_site {
                         continue;
                     }
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(edge_seed(config.seed, from_site, to_site));
-                    if rng.gen_bool(config.partition_probability.min(1.0)) {
+                    let mut rng = plan.draw(0x9a27, &[from_site.into(), to_site.into()]);
+                    if rng.gen_bool(config.partition_probability) {
                         let len = rng.gen_range(1..=config.partition_max_secs.min(horizon));
                         let latest_start = horizon.saturating_sub(len).max(1);
                         let from = rng.gen_range(1..=latest_start);
-                        partitions.push(PartitionWindow {
+                        plan.partitions.push(PartitionWindow {
                             from_site,
                             to_site,
                             from: Epoch(from),
@@ -376,89 +364,89 @@ impl FaultPlan {
                 }
             }
         }
-        FaultPlan {
-            seed: config.seed,
-            delay_probability: config.delay_probability,
-            delay_max_secs: config.delay_max_secs,
-            duplicate_probability: config.duplicate_probability,
-            loss_probability: config.loss_probability,
-            ack_loss_probability: config.ack_loss_probability,
-            corruption_probability: config.corruption_probability,
-            rogue_probability: config.rogue_probability,
-            sites,
-            partitions,
-        }
+        plan
     }
 
-    /// A plan whose only fault is a crash of `site` at `at` with the given
-    /// downtime — the scripted form used by the crash-consistency sweep.
-    pub fn scripted_crash(num_sites: u16, site: u16, at: Epoch, downtime_secs: u32) -> FaultPlan {
-        let mut sites = vec![SiteFaults::default(); usize::from(num_sites)];
-        if let Some(faults) = sites.get_mut(usize::from(site)) {
-            faults.crash = Some(CrashFault { at, downtime_secs });
-        }
-        FaultPlan {
-            seed: 0,
-            delay_probability: 0.0,
-            delay_max_secs: 0,
-            duplicate_probability: 0.0,
-            loss_probability: 0.0,
-            ack_loss_probability: 0.0,
-            corruption_probability: 0.0,
-            rogue_probability: 0.0,
-            sites,
-            partitions: Vec::new(),
-        }
+    /// The identity plan over `num_sites` sites: no fault at all. The base
+    /// of a scripted plan, which adds faults with [`FaultPlan::with_crash`]
+    /// and [`FaultPlan::with_partition`].
+    pub fn quiet(num_sites: u16) -> FaultPlan {
+        FaultPlan::generate(&FaultPlanConfig::quiet(0, num_sites, 0))
     }
 
-    /// The same plan with an additional scripted crash of `site` at `at` —
-    /// the hook the chaos crash-consistency sweep uses to crash a site at
-    /// every epoch of an otherwise unchanged chaotic schedule.
-    pub fn with_scripted_crash(mut self, site: u16, at: Epoch, downtime_secs: u32) -> FaultPlan {
-        if let Some(faults) = self.sites.get_mut(usize::from(site)) {
-            faults.crash = Some(CrashFault { at, downtime_secs });
+    /// The plan of [`FaultPlanConfig::soak`]: every fault family at once.
+    pub fn soak(seed: u64, num_sites: u16, horizon_secs: u32) -> FaultPlan {
+        FaultPlan::generate(&FaultPlanConfig::soak(seed, num_sites, horizon_secs))
+    }
+
+    /// `count` independent soak plans from one master seed, for the `chaos`
+    /// experiment's N-schedule sweep. Plan `i` uses a decorrelated per-index
+    /// seed, so the list is itself a pure function of `master_seed`.
+    pub fn soak_schedule(
+        master_seed: u64,
+        count: usize,
+        num_sites: u16,
+        horizon_secs: u32,
+    ) -> Vec<FaultPlan> {
+        (0..count)
+            .map(|i| FaultPlan::soak(mix(master_seed ^ 0xc0a5, i as u64), num_sites, horizon_secs))
+            .collect()
+    }
+
+    /// The same plan with `site` crashing at `at` (replacing any crash it
+    /// had) — a scripted crash, e.g. one per epoch of the crash-consistency
+    /// sweeps.
+    ///
+    /// # Panics
+    /// If the plan has no site `site`.
+    pub fn with_crash(mut self, site: u16, at: Epoch, downtime_secs: u32) -> FaultPlan {
+        self.sites[usize::from(site)].crash = Some(CrashFault { at, downtime_secs });
+        self
+    }
+
+    /// The same plan with the link between `a` and `b` dark in *both*
+    /// directions over `from..=until` — a scripted partition.
+    ///
+    /// # Panics
+    /// If `a == b` or either is not a site of the plan.
+    pub fn with_partition(mut self, a: u16, b: u16, from: Epoch, until: Epoch) -> FaultPlan {
+        assert!(
+            a != b && usize::from(a.max(b)) < self.sites.len(),
+            "a partition joins two distinct sites of the plan"
+        );
+        for (from_site, to_site) in [(a.min(b), a.max(b)), (a.max(b), a.min(b))] {
+            self.partitions.push(PartitionWindow {
+                from_site,
+                to_site,
+                from,
+                until,
+            });
         }
         self
     }
 
-    /// A plan whose only fault is a symmetric partition of the link between
-    /// `a` and `b` over `from..=until` — the scripted form used by the
-    /// degraded-mode tests and the `degraded` experiment's partition
-    /// scenario. Both directions of the link go dark.
-    pub fn scripted_partition(
-        num_sites: u16,
-        a: u16,
-        b: u16,
-        from: Epoch,
-        until: Epoch,
-    ) -> FaultPlan {
-        let mut partitions = Vec::new();
-        if a < num_sites && b < num_sites && a != b {
-            partitions.push(PartitionWindow {
-                from_site: a.min(b),
-                to_site: a.max(b),
-                from,
-                until,
-            });
-            partitions.push(PartitionWindow {
-                from_site: a.max(b),
-                to_site: a.min(b),
-                from,
-                until,
-            });
-        }
-        FaultPlan {
-            seed: 0,
-            delay_probability: 0.0,
-            delay_max_secs: 0,
-            duplicate_probability: 0.0,
-            loss_probability: 0.0,
-            ack_loss_probability: 0.0,
-            corruption_probability: 0.0,
-            rogue_probability: 0.0,
-            sites: vec![SiteFaults::default(); usize::from(num_sites)],
-            partitions,
-        }
+    /// The configuration the plan was generated from. Scripted faults added
+    /// with `with_*` live in [`FaultPlan::sites`] and
+    /// [`FaultPlan::partitions`], not here.
+    pub fn config(&self) -> &FaultPlanConfig {
+        &self.config
+    }
+
+    /// The tabulated faults of each site, indexed by site.
+    pub fn sites(&self) -> &[SiteFaults] {
+        &self.sites
+    }
+
+    /// The tabulated directed-link partition windows.
+    pub fn partitions(&self) -> &[PartitionWindow] {
+        &self.partitions
+    }
+
+    /// Identity: the plan was the soak schedule's plan all along. Kept for
+    /// callers that spell `ChaosPlan::soak(..).into_plan()`.
+    #[doc(hidden)]
+    pub fn into_plan(self) -> FaultPlan {
+        self
     }
 
     /// The scheduled crash of `site`, if any.
@@ -478,25 +466,21 @@ impl FaultPlan {
     /// `(from, to, tag, depart)`; `0` when the shipment is on time. A pure
     /// function of the key — identical across runs and worker counts.
     pub fn shipment_delay_secs(&self, from: u16, to: u16, tag: TagId, depart: Epoch) -> u32 {
-        if self.delay_probability <= 0.0 || self.delay_max_secs == 0 {
+        let max = self.config.delay_max_secs;
+        if max == 0 {
             return 0;
         }
-        let mut rng = self.shipment_rng(from, to, tag, depart, 0x0de1);
-        if rng.gen_bool(self.delay_probability.min(1.0)) {
-            rng.gen_range(1..=self.delay_max_secs)
-        } else {
-            0
-        }
+        let key = [from.into(), to.into(), tag.raw(), depart.0.into()];
+        self.fires(self.config.delay_probability, 0x0de1, &key)
+            .map_or(0, |mut rng| rng.gen_range(1..=max))
     }
 
     /// Whether the shipment identified by `(from, to, tag, depart)` is
     /// delivered twice. A pure function of the key.
     pub fn shipment_duplicated(&self, from: u16, to: u16, tag: TagId, depart: Epoch) -> bool {
-        if self.duplicate_probability <= 0.0 {
-            return false;
-        }
-        let mut rng = self.shipment_rng(from, to, tag, depart, 0xd0b1);
-        rng.gen_bool(self.duplicate_probability.min(1.0))
+        let key = [from.into(), to.into(), tag.raw(), depart.0.into()];
+        self.fires(self.config.duplicate_probability, 0xd0b1, &key)
+            .is_some()
     }
 
     /// Whether transmission attempt `attempt` (0-based) of the payload
@@ -511,22 +495,18 @@ impl FaultPlan {
         depart: Epoch,
         attempt: u32,
     ) -> bool {
-        if self.loss_probability <= 0.0 {
-            return false;
-        }
-        let mut rng = self.attempt_rng(from, to, tag, depart, attempt, 0x105e);
-        rng.gen_bool(self.loss_probability.min(1.0))
+        let key = attempt_key(from, to, tag, depart, attempt);
+        self.fires(self.config.loss_probability, 0x105e, &key)
+            .is_some()
     }
 
     /// Whether the ack for attempt `attempt` of the payload identified by
     /// `(from, to, tag, depart)` is lost on the reverse path. A pure function
     /// of the key.
     pub fn ack_lost(&self, from: u16, to: u16, tag: TagId, depart: Epoch, attempt: u32) -> bool {
-        if self.ack_loss_probability <= 0.0 {
-            return false;
-        }
-        let mut rng = self.attempt_rng(from, to, tag, depart, attempt, 0x0ac4);
-        rng.gen_bool(self.ack_loss_probability.min(1.0))
+        let key = attempt_key(from, to, tag, depart, attempt);
+        self.fires(self.config.ack_loss_probability, 0x0ac4, &key)
+            .is_some()
     }
 
     /// Whether the directed link `from → to` is partitioned at `at`: a send
@@ -542,15 +522,9 @@ impl FaultPlan {
     /// `(site, epoch)` rather than a shipment tag; partitions do not apply
     /// to the coordinator uplink.
     pub fn forward_lost(&self, site: u16, epoch: Epoch, attempt: u32) -> bool {
-        if self.loss_probability <= 0.0 {
-            return false;
-        }
-        let mut key = self.seed ^ 0xf04d;
-        key = mix(key, u64::from(site));
-        key = mix(key, u64::from(epoch.0));
-        key = mix(key, u64::from(attempt));
-        let mut rng = ChaCha8Rng::seed_from_u64(key);
-        rng.gen_bool(self.loss_probability.min(1.0))
+        let key = [site.into(), epoch.0.into(), attempt.into()];
+        self.fires(self.config.loss_probability, 0xf04d, &key)
+            .is_some()
     }
 
     /// Whether the sequenced envelope `seq` on the directed link
@@ -558,15 +532,9 @@ impl FaultPlan {
     /// function of `(edge, seq)`: every retransmitted copy of the envelope
     /// carries the same poisoned bytes.
     pub fn payload_corrupted(&self, from: u16, to: u16, seq: u64) -> bool {
-        if self.corruption_probability <= 0.0 {
-            return false;
-        }
-        let mut key = self.seed ^ 0xc042;
-        key = mix(key, u64::from(from));
-        key = mix(key, u64::from(to));
-        key = mix(key, seq);
-        let mut rng = ChaCha8Rng::seed_from_u64(key);
-        rng.gen_bool(self.corruption_probability.min(1.0))
+        let key = [from.into(), to.into(), seq];
+        self.fires(self.config.corruption_probability, 0xc042, &key)
+            .is_some()
     }
 
     /// The spurious reader slot (in `0..num_readers`) at which a rogue
@@ -579,19 +547,12 @@ impl FaultPlan {
         tag: TagId,
         num_readers: u16,
     ) -> Option<u16> {
-        if self.rogue_probability <= 0.0 || num_readers == 0 {
+        if num_readers == 0 {
             return None;
         }
-        let mut key = self.seed ^ 0x409e;
-        key = mix(key, u64::from(site));
-        key = mix(key, u64::from(at.0));
-        key = mix(key, tag.raw());
-        let mut rng = ChaCha8Rng::seed_from_u64(key);
-        if rng.gen_bool(self.rogue_probability.min(1.0)) {
-            Some(rng.gen_range(0..num_readers))
-        } else {
-            None
-        }
+        let key = [site.into(), at.0.into(), tag.raw()];
+        self.fires(self.config.rogue_probability, 0x409e, &key)
+            .map(|mut rng| rng.gen_range(0..num_readers))
     }
 
     /// The tabulated clock skew of `site`: its RFID feed is observed this
@@ -608,59 +569,17 @@ impl FaultPlan {
     /// envelope is quarantined, and recovering it takes the `Resync`
     /// anti-entropy only an ack-bearing receiver sends.
     pub fn has_transport_faults(&self) -> bool {
-        self.loss_probability > 0.0
-            || self.ack_loss_probability > 0.0
-            || self.corruption_probability > 0.0
+        self.config.loss_probability > 0.0
+            || self.config.ack_loss_probability > 0.0
+            || self.config.corruption_probability > 0.0
             || !self.partitions.is_empty()
-    }
-
-    /// The scheduled (site-level) faults in canonical order: by site, crashes
-    /// before outages (by start epoch) before the site's clock skew; then
-    /// partition windows by `(from_site, to_site, start)`. Equal seeds
-    /// produce equal event lists — the hook the determinism tests pin.
-    pub fn events(&self) -> Vec<FaultEvent> {
-        let mut events = Vec::new();
-        for (site, faults) in self.sites.iter().enumerate() {
-            let site = site as u16;
-            if let Some(crash) = faults.crash {
-                events.push(FaultEvent::Crash {
-                    site,
-                    at: crash.at,
-                    downtime_secs: crash.downtime_secs,
-                });
-            }
-            for outage in &faults.outages {
-                events.push(FaultEvent::Outage {
-                    site,
-                    from: outage.from,
-                    until: outage.until,
-                });
-            }
-            if faults.clock_skew_secs > 0 {
-                events.push(FaultEvent::ClockSkew {
-                    site,
-                    skew_secs: faults.clock_skew_secs,
-                });
-            }
-        }
-        let mut partitions = self.partitions.clone();
-        partitions.sort_by_key(|w| (w.from_site, w.to_site, w.from));
-        for w in partitions {
-            events.push(FaultEvent::Partition {
-                from_site: w.from_site,
-                to_site: w.to_site,
-                from: w.from,
-                until: w.until,
-            });
-        }
-        events
     }
 
     /// Whether the plan schedules or can produce any fault at all.
     pub fn is_quiet(&self) -> bool {
-        self.delay_probability <= 0.0
-            && self.duplicate_probability <= 0.0
-            && self.rogue_probability <= 0.0
+        self.config.delay_probability <= 0.0
+            && self.config.duplicate_probability <= 0.0
+            && self.config.rogue_probability <= 0.0
             && !self.has_transport_faults()
             && self
                 .sites
@@ -668,47 +587,37 @@ impl FaultPlan {
                 .all(|f| f.crash.is_none() && f.outages.is_empty() && f.clock_skew_secs == 0)
     }
 
-    fn shipment_rng(&self, from: u16, to: u16, tag: TagId, depart: Epoch, salt: u64) -> ChaCha8Rng {
-        let mut key = self.seed ^ salt;
-        key = mix(key, u64::from(from));
-        key = mix(key, u64::from(to));
-        key = mix(key, tag.raw());
-        key = mix(key, u64::from(depart.0));
-        ChaCha8Rng::seed_from_u64(key)
+    /// The one keyed stream every fault draw comes from: `salt` names the
+    /// family (a site's or an edge's tabulation, or a per-message fault),
+    /// `key` the member, and the plan's seed makes the stream the plan's own.
+    fn draw(&self, salt: u64, key: &[u64]) -> ChaCha8Rng {
+        let mut h = self.config.seed ^ salt;
+        for &v in key {
+            h = mix(h, v);
+        }
+        ChaCha8Rng::seed_from_u64(h)
     }
 
-    fn attempt_rng(
-        &self,
-        from: u16,
-        to: u16,
-        tag: TagId,
-        depart: Epoch,
-        attempt: u32,
-        salt: u64,
-    ) -> ChaCha8Rng {
-        let mut key = self.seed ^ salt;
-        key = mix(key, u64::from(from));
-        key = mix(key, u64::from(to));
-        key = mix(key, tag.raw());
-        key = mix(key, u64::from(depart.0));
-        key = mix(key, u64::from(attempt));
-        ChaCha8Rng::seed_from_u64(key)
+    /// The keyed stream, if its first draw fires at probability `p`;
+    /// `None` without drawing when `p` is zero.
+    fn fires(&self, p: f64, salt: u64, key: &[u64]) -> Option<ChaCha8Rng> {
+        if p <= 0.0 {
+            return None;
+        }
+        let mut rng = self.draw(salt, key);
+        rng.gen_bool(p).then_some(rng)
     }
 }
 
-/// Decorrelated per-index seed for multi-schedule chaos sweeps.
-pub(crate) fn derive_seed(master: u64, index: u64) -> u64 {
-    mix(master ^ 0xc0a5, index)
-}
-
-/// Per-site stream seed, decorrelated from neighbouring sites.
-fn site_seed(seed: u64, site: u16) -> u64 {
-    mix(seed ^ 0xfa17, u64::from(site))
-}
-
-/// Per-directed-edge stream seed for partition tabulation.
-fn edge_seed(seed: u64, from: u16, to: u16) -> u64 {
-    mix(mix(seed ^ 0x9a27, u64::from(from)), u64::from(to))
+/// The key of one transmission attempt of a shipment's payload.
+fn attempt_key(from: u16, to: u16, tag: TagId, depart: Epoch, attempt: u32) -> [u64; 5] {
+    [
+        from.into(),
+        to.into(),
+        tag.raw(),
+        depart.0.into(),
+        attempt.into(),
+    ]
 }
 
 /// SplitMix64-style avalanche step folding `v` into `h`.
@@ -732,7 +641,6 @@ mod tests {
         let a = lossy_plan(7);
         let b = lossy_plan(7);
         assert_eq!(a, b);
-        assert_eq!(a.events(), b.events());
     }
 
     #[test]
@@ -740,7 +648,7 @@ mod tests {
         let plans: Vec<FaultPlan> = (0..8).map(lossy_plan).collect();
         let distinct = plans
             .iter()
-            .map(|p| format!("{:?}", p.events()))
+            .map(|p| format!("{:?}", p.sites()))
             .collect::<std::collections::BTreeSet<_>>();
         assert!(
             distinct.len() > 1,
@@ -773,7 +681,10 @@ mod tests {
     fn lossy_preset_actually_injects_faults() {
         let plan = lossy_plan(3);
         assert!(!plan.is_quiet());
-        assert!(!plan.events().is_empty(), "expected at least one outage");
+        assert!(
+            plan.sites().iter().any(|f| !f.outages.is_empty()),
+            "expected at least one outage"
+        );
         let mut delayed = 0;
         let mut duplicated = 0;
         for serial in 0..400u64 {
@@ -799,7 +710,7 @@ mod tests {
     fn quiet_config_yields_the_identity_plan() {
         let plan = FaultPlan::generate(&FaultPlanConfig::quiet(9, 4, 1000));
         assert!(plan.is_quiet());
-        assert!(plan.events().is_empty());
+        assert!(FaultPlan::quiet(4).is_quiet());
         assert_eq!(plan.crash(0), None);
         assert!(!plan.reading_dropped(2, Epoch(500)));
         assert_eq!(plan.shipment_delay_secs(0, 1, TagId::item(1), Epoch(5)), 0);
@@ -808,7 +719,7 @@ mod tests {
 
     #[test]
     fn scripted_crash_hits_exactly_one_site() {
-        let plan = FaultPlan::scripted_crash(4, 2, Epoch(600), 0);
+        let plan = FaultPlan::quiet(4).with_crash(2, Epoch(600), 0);
         assert_eq!(
             plan.crash(2),
             Some(CrashFault {
@@ -819,17 +730,11 @@ mod tests {
         for site in [0, 1, 3] {
             assert_eq!(plan.crash(site), None);
         }
-        assert_eq!(
-            plan.events(),
-            vec![FaultEvent::Crash {
-                site: 2,
-                at: Epoch(600),
-                downtime_secs: 0
-            }]
-        );
+        assert!(plan.partitions().is_empty() && !plan.has_transport_faults());
         assert_eq!(plan.crash(2).unwrap().resume_at(), Epoch(600));
         assert_eq!(
-            FaultPlan::scripted_crash(4, 1, Epoch(100), 50)
+            FaultPlan::quiet(4)
+                .with_crash(1, Epoch(100), 50)
                 .crash(1)
                 .unwrap()
                 .resume_at(),
@@ -892,43 +797,29 @@ mod tests {
         let a = unreliable_plan(29);
         let b = unreliable_plan(29);
         assert_eq!(a, b);
-        assert_eq!(a.events(), b.events());
         assert!(a.has_transport_faults());
-        let partitions: Vec<FaultEvent> = a
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, FaultEvent::Partition { .. }))
-            .collect();
         assert!(
-            !partitions.is_empty(),
+            !a.partitions().is_empty(),
             "partition probability 0.4 over 56 directed edges never fired"
         );
         // The tabulation agrees with the point query for every window.
-        for event in &partitions {
-            if let FaultEvent::Partition {
-                from_site,
-                to_site,
-                from,
-                until,
-            } = *event
-            {
-                assert!(a.link_partitioned(from_site, to_site, from));
-                assert!(a.link_partitioned(from_site, to_site, until));
-                assert!(!a.link_partitioned(from_site, to_site, Epoch(until.0 + 1)));
-            }
+        for w in a.partitions() {
+            assert!(a.link_partitioned(w.from_site, w.to_site, w.from));
+            assert!(a.link_partitioned(w.from_site, w.to_site, w.until));
+            assert!(!a.link_partitioned(w.from_site, w.to_site, Epoch(w.until.0 + 1)));
         }
     }
 
     #[test]
     fn scripted_partition_darkens_both_directions_only_in_window() {
-        let plan = FaultPlan::scripted_partition(4, 1, 2, Epoch(300), Epoch(600));
+        let plan = FaultPlan::quiet(4).with_partition(2, 1, Epoch(300), Epoch(600));
         assert!(plan.has_transport_faults());
         assert!(plan.link_partitioned(1, 2, Epoch(300)));
         assert!(plan.link_partitioned(2, 1, Epoch(600)));
         assert!(!plan.link_partitioned(1, 2, Epoch(299)));
         assert!(!plan.link_partitioned(2, 1, Epoch(601)));
         assert!(!plan.link_partitioned(0, 1, Epoch(400)));
-        assert_eq!(plan.events().len(), 2, "one window per direction");
+        assert_eq!(plan.partitions().len(), 2, "one window per direction");
         // Loss draws stay quiet on a scripted partition plan.
         assert!(!plan.message_lost(1, 2, TagId::item(1), Epoch(10), 0));
         assert!(!plan.forward_lost(1, Epoch(10), 0));
@@ -1014,21 +905,8 @@ mod tests {
             skews.iter().any(|&s| s > 0),
             "skew max 60 over 8 sites never fired"
         );
-        let skew_events: Vec<FaultEvent> = a
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, FaultEvent::ClockSkew { .. }))
-            .collect();
-        for event in &skew_events {
-            if let FaultEvent::ClockSkew { site, skew_secs } = *event {
-                assert_eq!(a.clock_skew_secs(site), skew_secs);
-            }
-        }
-        assert_eq!(
-            skew_events.len(),
-            skews.iter().filter(|&&s| s > 0).count(),
-            "every nonzero skew must appear exactly once in the event list"
-        );
+        let tabulated: Vec<u32> = a.sites().iter().map(|f| f.clock_skew_secs).collect();
+        assert_eq!(tabulated, skews, "the point query reads the site table");
         // Enabling the chaos knobs must not perturb the legacy draws of a
         // same-seed plan: the quiet plan and the chaotic plan agree on every
         // legacy query.
@@ -1046,7 +924,7 @@ mod tests {
         assert!(!plan.payload_corrupted(0, 1, 3));
         assert_eq!(plan.rogue_reader_slot(0, Epoch(5), TagId::item(1), 4), None);
         assert_eq!(plan.clock_skew_secs(2), 0);
-        let with_crash = plan.with_scripted_crash(1, Epoch(400), 30);
+        let with_crash = plan.with_crash(1, Epoch(400), 30);
         assert_eq!(
             with_crash.crash(1),
             Some(CrashFault {
@@ -1055,6 +933,67 @@ mod tests {
             })
         );
         assert_eq!(with_crash.crash(0), None);
+    }
+
+    #[test]
+    fn soak_schedules_are_deterministic_and_actually_chaotic() {
+        let a = FaultPlan::soak(41, 8, 2400);
+        assert_eq!(a, FaultPlan::soak(41, 8, 2400));
+        assert!(!a.is_quiet());
+        assert!(a.has_transport_faults());
+        assert!(
+            a.sites()
+                .iter()
+                .any(|f| f.crash.is_some() || !f.outages.is_empty()),
+            "a soak over 8 sites must schedule site-level faults"
+        );
+    }
+
+    #[test]
+    fn schedules_derive_distinct_plans_from_one_master_seed() {
+        let first = FaultPlan::soak_schedule(7, 3, 8, 2400);
+        assert_eq!(first, FaultPlan::soak_schedule(7, 3, 8, 2400));
+        assert!(
+            first[0] != first[1] || first[1] != first[2],
+            "per-index seeds should decorrelate the schedules"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_probabilities_outside_the_unit_interval() {
+        let fields: [fn(&mut FaultPlanConfig) -> &mut f64; 9] = [
+            |c| &mut c.crash_probability,
+            |c| &mut c.outage_probability,
+            |c| &mut c.delay_probability,
+            |c| &mut c.duplicate_probability,
+            |c| &mut c.loss_probability,
+            |c| &mut c.ack_loss_probability,
+            |c| &mut c.partition_probability,
+            |c| &mut c.corruption_probability,
+            |c| &mut c.rogue_probability,
+        ];
+        for field in fields {
+            for (p, valid) in [
+                (f64::NAN, false),
+                (-0.1, false),
+                (1.5, false),
+                (0.0, true),
+                (1.0, true),
+            ] {
+                let mut config = FaultPlanConfig::quiet(1, 4, 1000);
+                *field(&mut config) = p;
+                assert_eq!(config.validate().is_ok(), valid, "{p} in {config:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "loss_probability must be in [0,1], got NaN")]
+    fn generate_panics_on_a_nan_probability() {
+        FaultPlan::generate(&FaultPlanConfig {
+            loss_probability: f64::NAN,
+            ..FaultPlanConfig::quiet(1, 4, 1000)
+        });
     }
 
     /// Every draw of the soak preset, tabulated and keyed, pinned as

@@ -113,16 +113,6 @@ impl ReadingBatch {
         self.readings.is_empty()
     }
 
-    /// The first (smallest) epoch present, if any.
-    pub fn first_epoch(&self) -> Option<Epoch> {
-        self.readings.iter().map(|r| r.time).min()
-    }
-
-    /// The last (largest) epoch present, if any.
-    pub fn last_epoch(&self) -> Option<Epoch> {
-        self.readings.iter().map(|r| r.time).max()
-    }
-
     /// The set of distinct tags observed in this batch.
     pub fn tags(&self) -> BTreeSet<TagId> {
         self.readings.iter().map(|r| r.tag).collect()
@@ -195,12 +185,9 @@ mod tests {
         let batch: ReadingBatch = vec![r(3, TagId::item(1), 0), r(9, TagId::case(2), 1)]
             .into_iter()
             .collect();
-        assert_eq!(batch.first_epoch(), Some(Epoch(3)));
-        assert_eq!(batch.last_epoch(), Some(Epoch(9)));
         assert_eq!(batch.tags().len(), 2);
         assert_eq!(batch.epochs().len(), 2);
         assert!(!batch.is_empty());
-        assert_eq!(ReadingBatch::new().first_epoch(), None);
     }
 
     #[test]
@@ -221,7 +208,7 @@ mod tests {
         let mut batch: ReadingBatch = (0..10).map(|t| r(t, TagId::item(1), 0)).collect();
         batch.retain_since(Epoch(6));
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch.first_epoch(), Some(Epoch(6)));
+        assert!(batch.readings().iter().all(|r| r.time >= Epoch(6)));
     }
 
     #[test]
