@@ -1,12 +1,10 @@
 //! Criterion micro-benchmarks of the inference core: the E-step / M-step
-//! building blocks, a full RFINFER run, the change-point statistic, the
-//! critical-region search, and ablations of the paper's optimizations
-//! (candidate pruning and memoization).
+//! building blocks, a full RFINFER run, the change-point statistic and the
+//! critical-region search.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfid_core::{
     change_statistic, container_posterior, critical_region, LikelihoodModel, Observations, RfInfer,
-    RfInferConfig,
 };
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
 use rfid_types::{LocationId, Trace};
@@ -49,38 +47,6 @@ fn bench_rfinfer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_optimization_ablation(c: &mut Criterion) {
-    let trace = small_trace(0.8, 900);
-    let model = LikelihoodModel::new(trace.read_rates.clone());
-    let obs = Observations::from_batch(&trace.readings);
-    let mut group = c.benchmark_group("rfinfer_ablation");
-    group.sample_size(10);
-    group.bench_function("optimized (pruning + memoization)", |b| {
-        b.iter(|| RfInfer::new(&model, &obs).run())
-    });
-    group.bench_function("no candidate pruning", |b| {
-        b.iter(|| {
-            RfInfer::new(&model, &obs)
-                .with_config(RfInferConfig {
-                    candidate_pruning: false,
-                    ..Default::default()
-                })
-                .run()
-        })
-    });
-    group.bench_function("no memoization", |b| {
-        b.iter(|| {
-            RfInfer::new(&model, &obs)
-                .with_config(RfInferConfig {
-                    memoization: false,
-                    ..Default::default()
-                })
-                .run()
-        })
-    });
-    group.finish();
-}
-
 fn bench_changepoint_and_truncation(c: &mut Criterion) {
     let trace = small_trace(0.7, 900);
     let model = LikelihoodModel::new(trace.read_rates.clone());
@@ -109,7 +75,6 @@ criterion_group!(
     benches,
     bench_posterior,
     bench_rfinfer,
-    bench_optimization_ablation,
     bench_changepoint_and_truncation
 );
 criterion_main!(benches);

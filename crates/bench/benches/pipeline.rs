@@ -8,7 +8,7 @@ use rfid_core::{InferenceConfig, InferenceEngine, MigrationState};
 use rfid_dist::{WireCodec, WireFormat};
 use rfid_query::{share_states_with, ExposureAutomaton, ObjectQueryState};
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
-use rfid_smurf::{SmurfStar, SmurfStarConfig};
+use rfid_smurf::SmurfStar;
 use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId, Trace};
 use std::collections::BTreeSet;
 
@@ -36,7 +36,7 @@ fn bench_smurf_star(c: &mut Criterion) {
     let mut group = c.benchmark_group("baseline");
     group.sample_size(10);
     group.bench_function("smurf_star_full_trace", |b| {
-        b.iter(|| SmurfStar::new(SmurfStarConfig::default()).run(&trace.readings))
+        b.iter(|| SmurfStar::new().run(&trace.readings))
     });
     group.finish();
 }

@@ -15,7 +15,7 @@ use rfid_core::{
 use rfid_eval::metrics::{PrecisionRecall, ReportedChange};
 use rfid_eval::{changes_f_measure, ChangeMatchConfig};
 use rfid_sim::{EvidenceScenario, LabConfig, LabTraceId, WarehouseConfig, WarehouseSimulator};
-use rfid_smurf::{SmurfStar, SmurfStarConfig};
+use rfid_smurf::SmurfStar;
 use rfid_types::{Epoch, TagId, Trace};
 use std::time::{Duration, Instant};
 
@@ -146,7 +146,7 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
 /// Run the SMURF* baseline over a trace and score it the same way.
 pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     let started = Instant::now();
-    let outcome = SmurfStar::new(SmurfStarConfig::default()).run(&trace.readings);
+    let outcome = SmurfStar::new().run(&trace.readings);
     let inference_time = started.elapsed();
 
     let objects = trace.objects();

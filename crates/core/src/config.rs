@@ -2,7 +2,6 @@
 
 use crate::changepoint::calibrate;
 use crate::likelihood::LikelihoodModel;
-use crate::rfinfer::RfInferConfig;
 use crate::truncate::TruncationPolicy;
 
 /// How the change-point detection threshold δ is chosen.
@@ -39,8 +38,6 @@ pub struct InferenceConfig {
     pub recent_history_secs: u32,
     /// History-truncation policy applied after every inference run.
     pub truncation: TruncationPolicy,
-    /// RFINFER tuning knobs.
-    pub rfinfer: RfInferConfig,
     /// How change-point detection sets its threshold; `None` disables it
     /// (stable-containment deployments).
     pub change_detection: Option<ThresholdPolicy>,
@@ -52,7 +49,6 @@ impl Default for InferenceConfig {
             period_secs: 300,
             recent_history_secs: 600,
             truncation: TruncationPolicy::default(),
-            rfinfer: RfInferConfig::default(),
             change_detection: Some(ThresholdPolicy::default()),
         }
     }

@@ -1,5 +1,6 @@
 //! Dense-interned columnar RFINFER — the one solver behind
-//! [`RfInfer::run`](crate::RfInfer::run) and its siblings.
+//! [`RfInfer::run`](crate::RfInfer::run) and
+//! [`RfInfer::run_incremental`](crate::RfInfer::run_incremental).
 //!
 //! The test-only reference solver (`crate::reference`) keys every piece of
 //! EM state by sparse 64-bit [`TagId`]s in `BTreeMap`s: each E-step
@@ -51,7 +52,7 @@ use crate::observations::ObsAt;
 use crate::posterior::{container_posterior_row_into_vector, Posterior};
 use crate::rfinfer::{
     CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectRow,
-    RfInfer, MAX_CACHED_VARIANTS,
+    RfInfer, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
@@ -74,7 +75,7 @@ type TakableSeries = Vec<(u32, Option<Series>)>;
 ///
 /// The buffers carry no meaning between runs — every run re-interns from
 /// scratch — which is exactly why holding them is safe: a `DenseScratch` can
-/// be shared across engines, runs and configurations freely.
+/// be shared across engines and runs freely.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
     /// Interned universe: dense index → tag, ascending by `TagId`.
@@ -138,13 +139,9 @@ pub struct DenseScratch {
     /// Gathered weights of one argmax scan, in
     /// ascending-container (`cand_sorted`) order.
     argmax_buf: Vec<f64>,
-    /// Per-reader-set location bitmask (bit `r` set
-    /// when reader `r` fired). Exact only when every reader id fits the
-    /// mask width; see `set_mask_exact`.
-    set_masks: Vec<u128>,
-    /// Whether the matching `set_masks` entry covers every reader of the
-    /// set (readers with ids ≥ 128 fall back to a list intersection).
-    set_mask_exact: Vec<bool>,
+    /// Per-reader-set location bitmasks, `ceil(locations / 64)` words per
+    /// set (bit `r % 64` of word `r / 64` set when reader `r` fired).
+    set_masks: Vec<u64>,
     /// Container observation events `(epoch,
     /// all-containers position, reader-set id)`, epoch-sorted.
     colo_cont_events: Vec<(Epoch, u32, u32)>,
@@ -406,10 +403,10 @@ fn argmax_weight(
 /// walk, quadratic in the tag universe — group *all* observation events by
 /// epoch once and touch only the (object, container) pairs that actually
 /// share an epoch.
-/// Reader-set overlap is resolved through per-set location bitmasks
-/// (`any shared reader` ⇔ `mask ∩ mask ≠ ∅` — exact whenever reader ids fit
-/// the mask, with a list-intersection fallback when they don't), so the
-/// resulting counts equal the reference's exactly.
+/// Reader-set overlap is resolved through per-set location bitmasks of
+/// `ceil(locations / 64)` words (`any shared reader` ⇔ `mask ∩ mask ≠ ∅`,
+/// exact for every reader id), so the resulting counts equal the
+/// reference's exactly.
 ///
 /// Fills `s.colo_matrix` row-major by object position over
 /// `s.all_containers` columns.
@@ -417,22 +414,17 @@ fn fill_colocation_matrix(
     s: &mut DenseScratch,
     obs_of: &[&[ObsAt]],
     set_readers: &[&[LocationId]],
+    num_locations: usize,
 ) {
-    // Per-set location masks.
+    // Per-set location masks. Every reader indexes the loglik table, so
+    // every reader id is below `num_locations`.
+    let words = num_locations.div_ceil(64);
     s.set_masks.clear();
-    s.set_mask_exact.clear();
-    for readers in set_readers {
-        let mut mask = 0u128;
-        let mut exact = true;
+    s.set_masks.resize(set_readers.len() * words, 0);
+    for (set, readers) in set_readers.iter().enumerate() {
         for r in *readers {
-            if (r.0 as usize) < 128 {
-                mask |= 1u128 << r.0;
-            } else {
-                exact = false;
-            }
+            s.set_masks[set * words + r.index() / 64] |= 1 << (r.index() % 64);
         }
-        s.set_masks.push(mask);
-        s.set_mask_exact.push(exact);
     }
 
     // Epoch-sorted event lists, containers and objects separately.
@@ -460,14 +452,10 @@ fn fill_colocation_matrix(
     let nc = s.all_containers.len();
     s.colo_matrix.clear();
     s.colo_matrix.resize(s.objects.len() * nc, 0);
+    let mask = |set: u32| &s.set_masks[set as usize * words..(set as usize + 1) * words];
     let overlap = |oset: u32, cset: u32| -> bool {
-        if s.set_mask_exact[oset as usize] && s.set_mask_exact[cset as usize] {
-            s.set_masks[oset as usize] & s.set_masks[cset as usize] != 0
-        } else {
-            set_readers[oset as usize]
-                .iter()
-                .any(|r| set_readers[cset as usize].contains(r))
-        }
+        let (o, c) = (mask(oset), mask(cset));
+        o.iter().zip(c).any(|(a, b)| a & b != 0)
     };
     let (objs, conts) = (&s.colo_obj_events, &s.colo_cont_events);
     let (mut i, mut j) = (0usize, 0usize);
@@ -589,23 +577,20 @@ fn sort_dedup_bitmap(
 /// order mirror the reference solver's exactly; see the module docs.
 pub(crate) fn run_dense(
     rf: &RfInfer<'_>,
-    mut incr: Option<(&mut EvidenceCache, &DirtySet)>,
+    cache: &mut EvidenceCache,
+    dirty: &DirtySet,
     scratch: &mut DenseScratch,
 ) -> (InferenceOutcome, InferenceStats) {
     let model = rf.model;
     let nl = model.num_locations();
     let obs = rf.obs;
     let prior = rf.prior;
-    let config = &rf.config;
 
-    let mut stats = InferenceStats::default();
-    let mut prev_cache: BTreeMap<TagId, Vec<CachedVariant>> = BTreeMap::new();
-    let mut dirty: Option<&DirtySet> = None;
-    if let Some((cache, d)) = incr.as_mut() {
-        prev_cache = std::mem::take(&mut cache.containers);
-        dirty = Some(*d);
-        stats.dirty_tags = d.num_tags();
-    }
+    let mut stats = InferenceStats {
+        dirty_tags: dirty.num_tags(),
+        ..InferenceStats::default()
+    };
+    let prev_cache = std::mem::take(&mut cache.containers);
 
     let s = &mut *scratch;
 
@@ -687,35 +672,25 @@ pub(crate) fn run_dense(
     // One epoch-indexed counting pass over all observation events replaces
     // the reference's per-(object, container) merge joins; the counts — and
     // therefore the selected candidates — are identical.
-    if config.candidate_pruning {
-        fill_colocation_matrix(s, &obs_of, &set_readers);
-    }
+    fill_colocation_matrix(s, &obs_of, &set_readers, nl);
     s.cand_arena.clear();
     s.cand_start.clear();
     s.prior_w.clear();
+    let nc = s.all_containers.len();
     for (k, &oi) in s.objects.iter().enumerate() {
         s.cand_start.push(s.cand_arena.len() as u32);
         let start = s.cand_arena.len();
-        if config.candidate_pruning {
-            let nc = s.all_containers.len();
-            s.colo_counts.clear();
-            for cpos in 0..nc {
-                let count = s.colo_matrix[k * nc + cpos];
-                if count > 0 {
-                    s.colo_counts.push((s.all_containers[cpos], count as usize));
-                }
+        s.colo_counts.clear();
+        for cpos in 0..nc {
+            let count = s.colo_matrix[k * nc + cpos];
+            if count > 0 {
+                s.colo_counts.push((s.all_containers[cpos], count as usize));
             }
-            s.colo_counts
-                .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            s.cand_arena.extend(
-                s.colo_counts
-                    .iter()
-                    .take(config.candidate_limit)
-                    .map(|&(c, _)| c),
-            );
-        } else {
-            s.cand_arena.extend_from_slice(&s.all_containers);
         }
+        s.colo_counts
+            .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        s.cand_arena
+            .extend(s.colo_counts.iter().take(CANDIDATE_LIMIT).map(|&(c, _)| c));
         for (c, _) in prior.entries_for(s.tags[oi as usize]) {
             let ci = s.tags.binary_search(&c).expect("prior tags interned") as u32;
             if !s.cand_arena[start..].contains(&ci) {
@@ -917,7 +892,7 @@ pub(crate) fn run_dense(
     // Lanes of the transposed M-step walk, reused across objects.
     let mut walkers: Vec<MWalker> = Vec::new();
     let mut iterations = 0;
-    for iter in 0..config.max_iterations.max(1) {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
 
         // Members per container from the current assignment.
@@ -936,10 +911,8 @@ pub(crate) fn run_dense(
             let ci = s.rel[slot];
             let members =
                 &s.member_arena[s.member_start[slot] as usize..s.member_start[slot + 1] as usize];
-            if let Some(variant) = &current[slot] {
-                if config.memoization && variant.members == members {
-                    continue;
-                }
+            if current[slot].as_ref().is_some_and(|v| v.members == members) {
+                continue;
             }
             if let Some(old) = current[slot].take() {
                 retired[slot].push(old);
@@ -957,15 +930,13 @@ pub(crate) fn run_dense(
             // Dirty union over the container and its members, clamped to
             // the cached horizon.
             s.invalid.clear();
-            if let Some(d) = dirty {
-                if !prev_epochs.is_empty() {
-                    d.union_for_until(
-                        std::iter::once(s.tags[ci as usize])
-                            .chain(members.iter().map(|&m| s.tags[m as usize])),
-                        prev_epochs.last().copied(),
-                        &mut s.invalid,
-                    );
-                }
+            if !prev_epochs.is_empty() {
+                dirty.union_for_until(
+                    std::iter::once(s.tags[ci as usize])
+                        .chain(members.iter().map(|&m| s.tags[m as usize])),
+                    prev_epochs.last().copied(),
+                    &mut s.invalid,
+                );
             }
             let needed_range =
                 s.epochs_start[slot] as usize..(s.epochs_start[slot] + s.epochs_len[slot]) as usize;
@@ -1095,7 +1066,7 @@ pub(crate) fn run_dense(
                     continue;
                 }
             }
-            let o_dirty = dirty.and_then(|d| d.epochs_of(s.tags[oi as usize]));
+            let o_dirty = dirty.epochs_of(s.tags[oi as usize]);
             let o_obs = obs_of[oi as usize];
             let o_sets = &s.set_ids
                 [s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
@@ -1296,39 +1267,36 @@ pub(crate) fn run_dense(
     // Refill the cache: the final variant of every container first, then
     // recently retired ones (most recent first), deduplicated by member
     // set and capped — the reference's policy, converted at the boundary.
-    if let Some((cache, _)) = incr {
-        let mut current = current;
-        let mut containers = BTreeMap::new();
-        for slot in 0..num_rel {
-            let Some(variant) = current[slot].take() else {
-                continue;
-            };
-            let mut chosen: Vec<DVariant> = vec![variant];
-            for candidate in retired[slot].drain(..).rev() {
-                if chosen.len() >= MAX_CACHED_VARIANTS {
-                    break;
-                }
-                if chosen.iter().all(|v| v.members != candidate.members) {
-                    chosen.push(candidate);
-                }
+    let mut containers = BTreeMap::new();
+    for (slot, variant) in current.into_iter().enumerate() {
+        let Some(variant) = variant else {
+            continue;
+        };
+        let mut chosen: Vec<DVariant> = vec![variant];
+        for candidate in retired[slot].drain(..).rev() {
+            if chosen.len() >= MAX_CACHED_VARIANTS {
+                break;
             }
-            let variants: Vec<CachedVariant> = chosen
-                .into_iter()
-                .map(|v| CachedVariant {
-                    members: v.members.iter().map(|&m| s.tags[m as usize]).collect(),
-                    epochs: v.epochs,
-                    qrows: v.qrows,
-                    evidence: v
-                        .evidence
-                        .into_iter()
-                        .map(|(o, series)| (s.tags[o as usize], series))
-                        .collect(),
-                })
-                .collect();
-            containers.insert(s.tags[s.rel[slot] as usize], variants);
+            if chosen.iter().all(|v| v.members != candidate.members) {
+                chosen.push(candidate);
+            }
         }
-        cache.containers = containers;
+        let variants: Vec<CachedVariant> = chosen
+            .into_iter()
+            .map(|v| CachedVariant {
+                members: v.members.iter().map(|&m| s.tags[m as usize]).collect(),
+                epochs: v.epochs,
+                qrows: v.qrows,
+                evidence: v
+                    .evidence
+                    .into_iter()
+                    .map(|(o, series)| (s.tags[o as usize], series))
+                    .collect(),
+            })
+            .collect();
+        containers.insert(s.tags[s.rel[slot] as usize], variants);
     }
+    cache.containers = containers;
     (outcome, stats)
 }
 

@@ -211,7 +211,7 @@ impl InferenceEngine {
     /// to recomputing from scratch (up to wall-clock and reuse counters).
     pub fn run_inference(&mut self, now: Epoch) -> InferenceReport {
         self.run_inference_with(now, |infer, cache, dirty, scratch| {
-            infer.run_incremental_with_scratch(cache, dirty, scratch)
+            infer.run_incremental(cache, dirty, scratch)
         })
     }
 
@@ -249,8 +249,7 @@ impl InferenceEngine {
         // first keeps one outcome per engine alive, not two.
         self.last_outcome = None;
         let dirty = std::mem::take(&mut self.dirty);
-        let infer = RfInfer::with_prior(&self.model, &self.store, &self.prior)
-            .with_config(self.config.rfinfer.clone());
+        let infer = RfInfer::with_prior(&self.model, &self.store, &self.prior);
         let (mut outcome, stats) = solve(&infer, &mut self.cache, &dirty, &mut self.scratch);
 
         // Containment estimates: the M-step assignment for every object this

@@ -75,7 +75,7 @@ pub use observations::{ObsAt, Observations, ReaderSet};
 pub use posterior::{container_posterior, Posterior};
 pub use rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
-    PriorWeights, RfInfer, RfInferConfig,
+    PriorWeights, RfInfer,
 };
 pub use state::{CollapsedState, MigrationState, ReadingsState};
 pub use truncate::{

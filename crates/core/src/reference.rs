@@ -13,7 +13,7 @@
 use crate::posterior::{container_posterior, Posterior};
 use crate::rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, RfInfer,
-    MAX_CACHED_VARIANTS,
+    CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,15 +113,10 @@ pub fn run_tree(
     let mut colocation_scratch: Vec<(TagId, usize)> = Vec::new();
     let mut candidates: BTreeMap<TagId, Vec<TagId>> = BTreeMap::new();
     for &o in &objects {
-        let mut cands = if infer.config.candidate_pruning {
-            infer.obs.candidate_containers_with(
-                o,
-                infer.config.candidate_limit,
-                &mut colocation_scratch,
-            )
-        } else {
-            all_containers.clone()
-        };
+        let mut cands =
+            infer
+                .obs
+                .candidate_containers_with(o, CANDIDATE_LIMIT, &mut colocation_scratch);
         for (c, _) in infer.prior.entries_for(o) {
             if !cands.contains(&c) {
                 cands.push(c);
@@ -183,7 +178,7 @@ pub fn run_tree(
     let mut retired: BTreeMap<TagId, Vec<CachedVariant>> = BTreeMap::new();
     let mut weights: BTreeMap<TagId, BTreeMap<TagId, f64>> = BTreeMap::new();
     let mut iterations = 0;
-    for iter in 0..infer.config.max_iterations.max(1) {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
         // E-step (Eq. 4): posterior over each relevant container's
         // location at every needed epoch, smoothing over its currently
@@ -194,10 +189,8 @@ pub fn run_tree(
                 .filter(|(_, cc)| **cc == c)
                 .map(|(o, _)| *o)
                 .collect();
-            if let Some(variant) = current.get(&c) {
-                if infer.config.memoization && variant.members == members {
-                    continue;
-                }
+            if current.get(&c).is_some_and(|v| v.members == members) {
+                continue;
             }
             // A superseded variant is retired, not dropped: a later
             // iteration may flip the assignment back, and the next run's

@@ -23,35 +23,14 @@ use crate::observations::Observations;
 use rfid_types::{Epoch, LocationId, ObjectEvent, TagId};
 use std::collections::BTreeMap;
 
-/// Tuning knobs of the RFINFER algorithm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RfInferConfig {
-    /// Maximum number of candidate containers considered per object
-    /// (candidate pruning, Appendix A.3). Ignored when
-    /// `candidate_pruning` is false.
-    pub candidate_limit: usize,
-    /// Maximum number of EM iterations; the algorithm usually converges in
-    /// just a few.
-    pub max_iterations: usize,
-    /// Whether to restrict each object's candidate containers to the most
-    /// frequently co-located ones.
-    pub candidate_pruning: bool,
-    /// Whether to reuse a container's posterior from the previous iteration
-    /// when its member set did not change (the memoization optimization;
-    /// introduces no error).
-    pub memoization: bool,
-}
+/// How many of the most frequently co-located containers each object keeps
+/// as candidates (candidate pruning, Appendix A.3); containers its prior
+/// names are added on top. Read by both solvers.
+pub(crate) const CANDIDATE_LIMIT: usize = 5;
 
-impl Default for RfInferConfig {
-    fn default() -> RfInferConfig {
-        RfInferConfig {
-            candidate_limit: 5,
-            max_iterations: 10,
-            candidate_pruning: true,
-            memoization: true,
-        }
-    }
-}
+/// Bound on the EM iterations of one run (Algorithm 1's loop); the EM
+/// usually converges in a few. Read by both solvers.
+pub(crate) const MAX_ITERATIONS: usize = 10;
 
 /// Prior co-location weights carried over from previous sites (the collapsed
 /// inference state): for an object, a map from candidate container to the
@@ -749,7 +728,6 @@ pub struct RfInfer<'a> {
     pub(crate) model: &'a LikelihoodModel,
     pub(crate) obs: &'a Observations,
     pub(crate) prior: &'a PriorWeights,
-    pub(crate) config: RfInferConfig,
 }
 
 impl<'a> RfInfer<'a> {
@@ -767,35 +745,20 @@ impl<'a> RfInfer<'a> {
         obs: &'a Observations,
         prior: &'a PriorWeights,
     ) -> RfInfer<'a> {
-        RfInfer {
-            model,
-            obs,
-            prior,
-            config: RfInferConfig::default(),
-        }
-    }
-
-    /// Override the configuration (builder style).
-    pub fn with_config(mut self, config: RfInferConfig) -> RfInfer<'a> {
-        self.config = config;
-        self
+        RfInfer { model, obs, prior }
     }
 
     /// Run EM to convergence and return the inferred containment, locations
-    /// and evidence: a full recompute over the observation index, through
-    /// the dense-interned solver ([`crate::dense`]) with a run-local scratch.
+    /// and evidence: a full recompute, which is [`Self::run_incremental`]
+    /// against a fresh cache, an empty journal and run-local scratch.
     pub fn run(&self) -> InferenceOutcome {
-        self.run_with_scratch(&mut DenseScratch::default())
+        let (mut cache, mut scratch) = (EvidenceCache::new(), DenseScratch::default());
+        let (outcome, _) = self.run_incremental(&mut cache, &DirtySet::new(), &mut scratch);
+        outcome
     }
 
-    /// [`Self::run`] with caller-owned dense scratch buffers (the interning
-    /// arena, flat weight/epoch arenas and the reader-set loglik table),
-    /// reused across runs so the steady state allocates almost nothing.
-    pub fn run_with_scratch(&self, scratch: &mut DenseScratch) -> InferenceOutcome {
-        crate::dense::run_dense(self, None, scratch).0
-    }
-
-    /// Run EM incrementally against a cross-run [`EvidenceCache`].
+    /// Run EM incrementally against a cross-run [`EvidenceCache`], through
+    /// the dense-interned solver ([`crate::dense`]).
     ///
     /// The EM control flow is identical to [`RfInfer::run`] — same candidate
     /// pruning, same initial assignment, same iteration trajectory — but the
@@ -808,25 +771,17 @@ impl<'a> RfInfer<'a> {
     /// index would produce.
     ///
     /// On return the cache holds this run's posterior variants and evidence
-    /// series, ready for the next run.
+    /// series, ready for the next run. `scratch` holds the dense buffers
+    /// (the interning arena, flat weight/epoch arenas and the reader-set
+    /// loglik table); [`crate::InferenceEngine`] keeps one across runs, so
+    /// the steady state allocates almost nothing.
     pub fn run_incremental(
-        &self,
-        cache: &mut EvidenceCache,
-        dirty: &DirtySet,
-    ) -> (InferenceOutcome, InferenceStats) {
-        self.run_incremental_with_scratch(cache, dirty, &mut DenseScratch::default())
-    }
-
-    /// [`Self::run_incremental`] with caller-owned dense scratch buffers —
-    /// what [`crate::InferenceEngine`] runs every period, so consecutive
-    /// runs share one arena.
-    pub fn run_incremental_with_scratch(
         &self,
         cache: &mut EvidenceCache,
         dirty: &DirtySet,
         scratch: &mut DenseScratch,
     ) -> (InferenceOutcome, InferenceStats) {
-        crate::dense::run_dense(self, Some((cache, dirty)), scratch)
+        crate::dense::run_dense(self, cache, dirty, scratch)
     }
 }
 
@@ -950,28 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_and_memoization_do_not_change_the_answer() {
-        let obs = co_travel_obs();
-        let model = model(3);
-        let base = RfInfer::new(&model, &obs)
-            .with_config(RfInferConfig {
-                candidate_pruning: false,
-                memoization: false,
-                ..Default::default()
-            })
-            .run();
-        let optimized = RfInfer::new(&model, &obs).run();
-        assert_eq!(
-            base.container_of(TagId::item(1)),
-            optimized.container_of(TagId::item(1))
-        );
-        assert_eq!(
-            base.location_of(TagId::case(1), Epoch(3)),
-            optimized.location_of(TagId::case(1), Epoch(3))
-        );
-    }
-
-    #[test]
     fn point_evidence_favours_the_real_container_in_the_belt_region() {
         let obs = co_travel_obs();
         let model = model(3);
@@ -1041,7 +974,9 @@ mod tests {
         }
         let mut cache = EvidenceCache::new();
         let first = std::mem::take(&mut dirty);
-        let (out1, stats1) = RfInfer::new(&model, &obs).run_incremental(&mut cache, &first);
+        let scratch = &mut DenseScratch::default();
+        let (out1, stats1) =
+            RfInfer::new(&model, &obs).run_incremental(&mut cache, &first, scratch);
         assert_eq!(out1, RfInfer::new(&model, &obs).run(), "first run == full");
         assert_eq!(
             stats1.posteriors_reused, 0,
@@ -1053,7 +988,8 @@ mod tests {
             feed(&mut obs, &mut dirty, t, 1);
         }
         let second = std::mem::take(&mut dirty);
-        let (out2, stats2) = RfInfer::new(&model, &obs).run_incremental(&mut cache, &second);
+        let (out2, stats2) =
+            RfInfer::new(&model, &obs).run_incremental(&mut cache, &second, scratch);
         assert_eq!(out2, RfInfer::new(&model, &obs).run(), "second run == full");
         assert!(
             stats2.posteriors_reused > 0,
@@ -1064,7 +1000,7 @@ mod tests {
 
         // A third run with nothing new reuses everything.
         let (out3, stats3) =
-            RfInfer::new(&model, &obs).run_incremental(&mut cache, &DirtySet::new());
+            RfInfer::new(&model, &obs).run_incremental(&mut cache, &DirtySet::new(), scratch);
         assert_eq!(out3, out2);
         assert_eq!(stats3.posteriors_computed, 0);
         assert_eq!(stats3.evidence_computed, 0);

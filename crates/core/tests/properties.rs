@@ -6,9 +6,9 @@
 use proptest::prelude::*;
 use rfid_core::{
     change_statistic, container_posterior, critical_region, detect_changes, reference,
-    retention_plan, CollapsedState, DetectedChange, InferenceConfig, InferenceEngine,
-    InferenceOutcome, InferenceReport, InferenceStats, LikelihoodModel, MemoryBudget, MemoryStats,
-    MigrationState, Observations, Posterior, ReadingsState, RetentionPlan, RfInfer, RfInferConfig,
+    retention_plan, CollapsedState, DetectedChange, DirtySet, EvidenceCache, InferenceConfig,
+    InferenceEngine, InferenceOutcome, InferenceReport, LikelihoodModel, MemoryBudget, MemoryStats,
+    MigrationState, Observations, Posterior, ReadingsState, RetentionPlan, RfInfer,
     TruncationPolicy,
 };
 use rfid_types::{
@@ -35,9 +35,8 @@ impl Solve {
             Solve::TreeIncr => engine.run_inference_with(now, |infer, cache, dirty, _| {
                 reference::run_tree(infer, Some((cache, dirty)))
             }),
-            Solve::DenseFull => engine.run_inference_with(now, |infer, cache, _, scratch| {
-                cache.clear();
-                (infer.run_with_scratch(scratch), InferenceStats::default())
+            Solve::DenseFull => engine.run_inference_with(now, |infer, _, _, scratch| {
+                infer.run_incremental(&mut EvidenceCache::new(), &DirtySet::new(), scratch)
             }),
             Solve::TreeFull => engine.run_inference_with(now, |infer, cache, _, _| {
                 cache.clear();
@@ -622,9 +621,7 @@ proptest! {
         }
         let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
         let model = LikelihoodModel::new(ReadRateTable::diagonal(3, 0.8, 1e-4));
-        let outcome = RfInfer::new(&model, &obs)
-            .with_config(RfInferConfig { max_iterations: 5, ..Default::default() })
-            .run();
+        let outcome = RfInfer::new(&model, &obs).run();
         for object in obs.objects() {
             let evidence = outcome.object(object).unwrap();
             prop_assert!(evidence.candidates().next().is_some());

@@ -1,30 +1,32 @@
-//! Directed product-vs-reference checks the proptests cannot reach: the two
-//! input-selected fallbacks inside the dense solver, one trace at a
-//! realistic location count, and one over the Centralized engine's
-//! block-diagonal global table.
+//! Directed product-vs-reference checks the proptests cannot reach: the one
+//! input-selected fallback inside the dense solver, the co-location masks'
+//! words past the first, one trace at a realistic location count, and one
+//! over the Centralized engine's block-diagonal global table.
 //!
 //! The product is `RfInfer::run_incremental` / `InferenceEngine::run_inference`
 //! (dense, vector kernels); the reference is `rfid_core::reference::run_tree`.
 //! Outcomes and reuse counters must be equal bit for bit.
 
 use rfid_core::{
-    reference, DirtySet, EvidenceCache, InferenceConfig, InferenceEngine, LikelihoodModel,
-    Observations, RfInfer, RfInferConfig,
+    reference, DenseScratch, DirtySet, EvidenceCache, InferenceConfig, InferenceEngine,
+    InferenceOutcome, LikelihoodModel, Observations, RfInfer,
 };
 use rfid_sim::{WarehouseConfig, WarehouseSimulator};
 use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, TagId};
 
 /// Feed `batches` one after another into an observation store, solving after
 /// each batch with the product and with the tree reference (each against its
-/// own cross-run cache), and require equal outcomes and equal stats.
+/// own cross-run cache), and require equal outcomes and equal stats. Returns
+/// the last run's outcome.
 fn assert_product_matches_reference(
     model: &LikelihoodModel,
-    config: RfInferConfig,
     batches: &[Vec<RawReading>],
-) {
+) -> InferenceOutcome {
     let mut obs = Observations::new();
     let mut product_cache = EvidenceCache::new();
     let mut reference_cache = EvidenceCache::new();
+    let mut scratch = DenseScratch::default();
+    let mut last = None;
     for (run, batch) in batches.iter().enumerate() {
         let mut dirty = DirtySet::new();
         for &reading in batch {
@@ -32,8 +34,8 @@ fn assert_product_matches_reference(
                 dirty.record(reading.tag, reading.time);
             }
         }
-        let infer = RfInfer::new(model, &obs).with_config(config.clone());
-        let product = infer.run_incremental(&mut product_cache, &dirty);
+        let infer = RfInfer::new(model, &obs);
+        let product = infer.run_incremental(&mut product_cache, &dirty, &mut scratch);
         let tree = reference::run_tree(&infer, Some((&mut reference_cache, &dirty)));
         assert_eq!(product.0, tree.0, "outcome diverged at run {run}");
         assert_eq!(product.1, tree.1, "reuse counters diverged at run {run}");
@@ -45,7 +47,9 @@ fn assert_product_matches_reference(
             product.0.containment().next().is_some(),
             "run {run} inferred nothing"
         );
+        last = Some(product.0);
     }
+    last.expect("at least one batch")
 }
 
 /// An item travelling with `case(1)` at `reader`, next to a decoy case that
@@ -72,7 +76,6 @@ fn epoch_span_beyond_the_bitmap_guard_matches_the_reference() {
     let far = (1u32 << 24) + 100;
     assert_product_matches_reference(
         &model,
-        RfInferConfig::default(),
         &[
             co_travel(0..6, 0, 1),
             co_travel(far..far + 6, 1, 2),
@@ -81,27 +84,46 @@ fn epoch_span_beyond_the_bitmap_guard_matches_the_reference() {
     );
 }
 
-/// A reader id ≥ 128 does not fit the `u128` location mask of the
-/// co-location counting pass, which then decides reader-set overlap by list
-/// intersection. Candidate pruning keeps one candidate, so a miscounted pair
-/// changes the candidate set and with it the outcome.
+/// The co-location pass decides reader-set overlap on masks of
+/// `ceil(locations / 64)` words, three at 131 locations. `item(1)` is read by
+/// readers 5, 70 and 130 every epoch, so it has six co-located cases, one
+/// more than the candidate limit of 5. Cases 1–4 share reader 5 with it on
+/// 9, 8, 7 and 6 epochs. Case 5 shares reader 5 on 4 epochs. Case 6 shares
+/// reader 5 on 3 epochs, reader 70 once (read with reader 60, one reader on
+/// each side of 64) and reader 130 once. So case 6 ranks 5th with 5 and case
+/// 5 drops out with 4. Lose either word past the first and case 6 ties case
+/// 5 or falls below it, and the lower tag id keeps case 5 instead.
 #[test]
 fn reader_ids_beyond_the_mask_width_match_the_reference() {
     let model = LikelihoodModel::new(ReadRateTable::diagonal(131, 0.8, 1e-4));
-    let config = RfInferConfig {
-        candidate_limit: 1,
-        ..Default::default()
-    };
-    // A second item is read by a low and a high reader in the same epoch, so
-    // inexact sets meet exact ones on both sides of the overlap test.
-    let mut mixed = co_travel(6..12, 130, 5);
-    for t in 6..12u32 {
-        for reader in [5, 129] {
-            mixed.push(RawReading::new(Epoch(t), TagId::item(2), ReaderId(reader)));
-        }
-        mixed.push(RawReading::new(Epoch(t), TagId::case(3), ReaderId(129)));
+    fn read(t: u32, tag: TagId, readers: &[u16]) -> impl Iterator<Item = RawReading> + '_ {
+        let reading = move |&r: &u16| RawReading::new(Epoch(t), tag, ReaderId(r));
+        readers.iter().map(reading)
     }
-    assert_product_matches_reference(&model, config, &[co_travel(0..6, 129, 130), mixed]);
+    let mut readings = Vec::new();
+    for t in 0..10u32 {
+        readings.extend(read(t, TagId::item(1), &[5, 70, 130]));
+        for (case, shared) in [(1, 9), (2, 8), (3, 7), (4, 6), (5, 4)] {
+            let reader = if t < shared { 5 } else { 40 };
+            readings.extend(read(t, TagId::case(case), &[reader]));
+        }
+        let case6: &[u16] = match t {
+            0..=2 => &[5],
+            3 => &[60, 70],
+            4 => &[129, 130],
+            _ => &[40],
+        };
+        readings.extend(read(t, TagId::case(6), case6));
+    }
+    let outcome = assert_product_matches_reference(&model, &[readings]);
+    let candidates: Vec<TagId> = outcome
+        .object(TagId::item(1))
+        .expect("item 1 was observed")
+        .candidates()
+        .collect();
+    assert_eq!(candidates.len(), 5);
+    assert!(candidates.contains(&TagId::case(6)), "{candidates:?}");
+    assert!(!candidates.contains(&TagId::case(5)), "{candidates:?}");
 }
 
 /// What one streamed comparison saw: inference runs, posteriors served from

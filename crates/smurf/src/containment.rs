@@ -9,32 +9,16 @@
 //! after `t`, a containment change is reported at `t`, and the case most
 //! co-located from `t` onward becomes the item's new container.
 
-use crate::smoothing::{SmoothedTag, SmurfConfig, SmurfSmoother};
+use crate::smoothing::{SmoothedTag, SmurfSmoother};
 use rfid_types::{ContainmentMap, Epoch, LocationId, ReadingBatch, TagId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration of the SMURF* baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmurfStarConfig {
-    /// Smoothing configuration.
-    pub smurf: SmurfConfig,
-    /// The `k` of the top-k co-location check used before reporting a
-    /// containment change.
-    pub top_k: usize,
-    /// Epoch stride at which co-location is sampled (sampling every epoch is
-    /// unnecessary because smoothed locations change slowly).
-    pub sample_stride: u32,
-}
-
-impl Default for SmurfStarConfig {
-    fn default() -> SmurfStarConfig {
-        SmurfStarConfig {
-            smurf: SmurfConfig::default(),
-            top_k: 3,
-            sample_stride: 5,
-        }
-    }
-}
+/// The `k` of the top-k co-location check used before reporting a
+/// containment change.
+const TOP_K: usize = 3;
+/// Epoch stride at which co-location is sampled (sampling every epoch is
+/// unnecessary because smoothed locations change slowly).
+const SAMPLE_STRIDE: u32 = 5;
 
 /// A containment change reported by SMURF*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,14 +70,12 @@ impl SmurfStarOutcome {
 
 /// The SMURF* baseline algorithm.
 #[derive(Debug, Clone, Default)]
-pub struct SmurfStar {
-    config: SmurfStarConfig,
-}
+pub struct SmurfStar;
 
 impl SmurfStar {
-    /// Create the baseline with the given configuration.
-    pub fn new(config: SmurfStarConfig) -> SmurfStar {
-        SmurfStar { config }
+    /// Create the baseline.
+    pub fn new() -> SmurfStar {
+        SmurfStar
     }
 
     /// Run SMURF* over a batch of raw readings.
@@ -110,8 +92,7 @@ impl SmurfStar {
             }
             per_tag.insert(tag, merged);
         }
-        let smoother = SmurfSmoother::new(self.config.smurf);
-        let locations = smoother.smooth_all(&per_tag);
+        let locations = SmurfSmoother::new().smooth_all(&per_tag);
 
         // 2. Per-item co-location counting over sampled epochs.
         let items: Vec<TagId> = locations
@@ -136,7 +117,6 @@ impl SmurfStar {
             let last = item_smoothed.locations.last().unwrap().0;
             // Per sampled epoch, which cases share the item's smoothed
             // location.
-            let stride = self.config.sample_stride.max(1);
             let mut colocated_at: Vec<(Epoch, Vec<TagId>)> = Vec::new();
             let mut t = first;
             while t <= last {
@@ -148,13 +128,13 @@ impl SmurfStar {
                         .collect();
                     colocated_at.push((t, cs));
                 }
-                t = t.plus(stride);
+                t = t.plus(SAMPLE_STRIDE);
             }
             if colocated_at.is_empty() {
                 continue;
             }
 
-            match scan_for_change(item, &colocated_at, self.config.top_k) {
+            match scan_for_change(item, &colocated_at, TOP_K) {
                 Some(change) => {
                     if let Some(new_container) = change.new_container {
                         containment.set(item, new_container);
@@ -265,7 +245,7 @@ mod tests {
 
     #[test]
     fn smurf_star_recovers_stable_containment() {
-        let outcome = SmurfStar::default().run(&stable_batch());
+        let outcome = SmurfStar::new().run(&stable_batch());
         assert_eq!(outcome.container_of(TagId::item(1)), Some(TagId::case(1)));
         assert!(outcome.changes.is_empty());
         assert_eq!(
@@ -293,7 +273,7 @@ mod tests {
             readings.push((t, TagId::case(1), 0));
             readings.push((t, TagId::case(2), 2));
         }
-        let outcome = SmurfStar::default().run(&batch(readings));
+        let outcome = SmurfStar::new().run(&batch(readings));
         assert_eq!(outcome.container_of(TagId::item(1)), Some(TagId::case(2)));
         assert_eq!(outcome.changes.len(), 1);
         let change = outcome.changes[0];
@@ -305,7 +285,7 @@ mod tests {
     #[test]
     fn item_with_no_colocated_case_gets_no_container() {
         let readings = (0..10u32).map(|t| (t, TagId::item(5), 0)).collect();
-        let outcome = SmurfStar::default().run(&batch(readings));
+        let outcome = SmurfStar::new().run(&batch(readings));
         assert_eq!(outcome.container_of(TagId::item(5)), None);
         // the item still has smoothed locations of its own
         assert_eq!(
@@ -327,7 +307,7 @@ mod tests {
                 readings.push((t, TagId::case(2), 0));
             }
         }
-        let outcome = SmurfStar::default().run(&batch(readings));
+        let outcome = SmurfStar::new().run(&batch(readings));
         assert!(outcome.changes.is_empty());
         assert_eq!(outcome.container_of(TagId::item(1)), Some(TagId::case(1)));
     }
@@ -406,7 +386,7 @@ mod tests {
 
     #[test]
     fn empty_batch_produces_empty_outcome() {
-        let outcome = SmurfStar::default().run(&ReadingBatch::new());
+        let outcome = SmurfStar::new().run(&ReadingBatch::new());
         assert!(outcome.containment.is_empty());
         assert!(outcome.locations.is_empty());
         assert!(outcome.changes.is_empty());

@@ -14,9 +14,10 @@
 //! comparison.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod containment;
 pub mod smoothing;
 
-pub use containment::{SmurfStar, SmurfStarConfig, SmurfStarOutcome};
-pub use smoothing::{SmurfConfig, SmurfSmoother};
+pub use containment::{SmurfStar, SmurfStarOutcome};
+pub use smoothing::SmurfSmoother;

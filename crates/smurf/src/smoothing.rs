@@ -11,38 +11,22 @@
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
-/// Configuration of the SMURF smoother.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmurfConfig {
-    /// Target failure probability δ of the completeness requirement: the
-    /// window must be large enough that a present tag is missed entirely with
-    /// probability at most δ.
-    pub delta: f64,
-    /// Smallest window considered, in epochs.
-    pub min_window: u32,
-    /// Largest window considered, in epochs.
-    pub max_window: u32,
-}
+/// Target failure probability δ of the completeness requirement: the window
+/// must be large enough that a present tag is missed entirely with
+/// probability at most δ.
+const DELTA: f64 = 0.05;
+/// Smallest window considered, in epochs.
+const MIN_WINDOW: u32 = 5;
+/// Largest window considered, in epochs.
+const MAX_WINDOW: u32 = 120;
 
-impl Default for SmurfConfig {
-    fn default() -> SmurfConfig {
-        SmurfConfig {
-            delta: 0.05,
-            min_window: 5,
-            max_window: 120,
-        }
-    }
-}
-
-impl SmurfConfig {
-    /// The window size SMURF's statistical model asks for given an observed
-    /// per-epoch read rate: `w* = ceil( 2 ln(1/δ) / p )`, clamped to the
-    /// configured bounds.
-    pub fn required_window(&self, read_rate: f64) -> u32 {
-        let p = read_rate.clamp(1e-3, 1.0);
-        let w = (2.0 * (1.0 / self.delta).ln() / p).ceil() as u32;
-        w.clamp(self.min_window, self.max_window)
-    }
+/// The window size SMURF's statistical model asks for given an observed
+/// per-epoch read rate: `w* = ceil( 2 ln(1/δ) / p )`, clamped to
+/// `[MIN_WINDOW, MAX_WINDOW]`.
+fn required_window(read_rate: f64) -> u32 {
+    let p = read_rate.clamp(1e-3, 1.0);
+    let w = (2.0 * (1.0 / DELTA).ln() / p).ceil() as u32;
+    w.clamp(MIN_WINDOW, MAX_WINDOW)
 }
 
 /// Per-tag smoothed estimates produced by [`SmurfSmoother`].
@@ -76,19 +60,12 @@ impl SmoothedTag {
 /// The SMURF smoother: consumes per-tag raw observations and produces
 /// per-epoch location estimates with adaptive windows.
 #[derive(Debug, Clone, Default)]
-pub struct SmurfSmoother {
-    config: SmurfConfig,
-}
+pub struct SmurfSmoother;
 
 impl SmurfSmoother {
-    /// Create a smoother with the given configuration.
-    pub fn new(config: SmurfConfig) -> SmurfSmoother {
-        SmurfSmoother { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SmurfConfig {
-        &self.config
+    /// Create a smoother.
+    pub fn new() -> SmurfSmoother {
+        SmurfSmoother
     }
 
     /// Smooth one tag's observations. `obs` is the time-ordered list of
@@ -103,7 +80,7 @@ impl SmurfSmoother {
         // Empirical read rate over the tag's active span.
         let observed_epochs = obs.len() as f64;
         let read_rate = (observed_epochs / span as f64).min(1.0);
-        let window = self.config.required_window(read_rate);
+        let window = required_window(read_rate);
 
         // For every epoch in the span, vote among the readings inside the
         // centred window and pick the most frequent reader.
@@ -156,17 +133,16 @@ mod tests {
 
     #[test]
     fn required_window_shrinks_with_higher_read_rate() {
-        let c = SmurfConfig::default();
-        assert!(c.required_window(0.9) < c.required_window(0.3));
-        assert!(c.required_window(0.001) <= c.max_window);
-        assert!(c.required_window(1.0) >= c.min_window);
+        assert!(required_window(0.9) < required_window(0.3));
+        assert!(required_window(0.001) <= MAX_WINDOW);
+        assert!(required_window(1.0) >= MIN_WINDOW);
     }
 
     #[test]
     fn smoothing_fills_in_missed_epochs() {
         // The tag is at location 1 throughout but missed at epochs 2 and 3.
         let obs = obs_from(&[(0, 1), (1, 1), (4, 1), (5, 1)]);
-        let smoothed = SmurfSmoother::default().smooth_tag(&obs);
+        let smoothed = SmurfSmoother::new().smooth_tag(&obs);
         assert_eq!(smoothed.location_at(Epoch(2)), Some(LocationId(1)));
         assert_eq!(smoothed.location_at(Epoch(3)), Some(LocationId(1)));
         // estimates exist for every epoch in the span
@@ -177,14 +153,14 @@ mod tests {
     fn smoothing_tracks_a_location_transition() {
         let mut readings: Vec<(u32, u16)> = (0..30).map(|t| (t, 0)).collect();
         readings.extend((30..60).map(|t| (t, 2)));
-        let smoothed = SmurfSmoother::default().smooth_tag(&obs_from(&readings));
+        let smoothed = SmurfSmoother::new().smooth_tag(&obs_from(&readings));
         assert_eq!(smoothed.location_at(Epoch(5)), Some(LocationId(0)));
         assert_eq!(smoothed.location_at(Epoch(55)), Some(LocationId(2)));
     }
 
     #[test]
     fn empty_observations_yield_empty_estimate() {
-        let smoothed = SmurfSmoother::default().smooth_tag(&[]);
+        let smoothed = SmurfSmoother::new().smooth_tag(&[]);
         assert!(smoothed.locations.is_empty());
         assert_eq!(smoothed.location_at(Epoch(3)), None);
     }
@@ -194,7 +170,7 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert(TagId::item(1), obs_from(&[(0, 0), (1, 0)]));
         map.insert(TagId::case(1), obs_from(&[(0, 1)]));
-        let all = SmurfSmoother::default().smooth_all(&map);
+        let all = SmurfSmoother::new().smooth_all(&map);
         assert_eq!(all.len(), 2);
         assert_eq!(
             all[&TagId::case(1)].location_at(Epoch(0)),

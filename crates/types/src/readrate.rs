@@ -13,8 +13,9 @@ use crate::ids::LocationId;
 ///
 /// Entry `(r, a)` is the probability that the reader stationed at location
 /// `r` reads a tag whose true location is `a` during one interrogation epoch.
-/// Probabilities are clamped away from exactly 0 and 1 so that the
-/// log-likelihood terms `log pi` and `log (1 - pi)` stay finite.
+/// Probabilities are clamped away from exactly 0 and 1 (±∞ included) so that
+/// the log-likelihood terms `log pi` and `log (1 - pi)` stay finite; a NaN
+/// rate has no place to clamp to and panics, naming its entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadRateTable {
     num_locations: usize,
@@ -27,7 +28,11 @@ pub const MIN_RATE: f64 = 1e-6;
 /// Largest probability stored in the table; keeps `ln(1-p)` finite.
 pub const MAX_RATE: f64 = 1.0 - 1e-6;
 
-fn clamp(p: f64) -> f64 {
+/// `p` clamped into `[MIN_RATE, MAX_RATE]`. `f64::clamp` passes NaN
+/// through, and one NaN entry would reach every loglik row, so NaN panics
+/// with the `entry` it was meant for.
+fn clamp(p: f64, entry: impl FnOnce() -> String) -> f64 {
+    assert!(!p.is_nan(), "read rate {} is NaN", entry());
     p.clamp(MIN_RATE, MAX_RATE)
 }
 
@@ -35,16 +40,23 @@ impl ReadRateTable {
     /// Create a table for `num_locations` reader locations where every
     /// reader detects tags at any location with probability `background`
     /// (normally a value close to zero).
+    ///
+    /// # Panics
+    /// Panics if `background` is NaN.
     pub fn uniform(num_locations: usize, background: f64) -> ReadRateTable {
+        let rate = clamp(background, || "pi(reader, at) of every (reader, at)".into());
         ReadRateTable {
             num_locations,
-            rates: vec![clamp(background); num_locations * num_locations],
+            rates: vec![rate; num_locations * num_locations],
         }
     }
 
     /// Create the common deployment shape: every reader detects co-located
     /// tags with probability `own`, tags elsewhere with probability
     /// `background`.
+    ///
+    /// # Panics
+    /// Panics if `own` or `background` is NaN.
     pub fn diagonal(num_locations: usize, own: f64, background: f64) -> ReadRateTable {
         let mut t = ReadRateTable::uniform(num_locations, background);
         for r in 0..num_locations {
@@ -66,10 +78,10 @@ impl ReadRateTable {
     /// Set `pi(reader, at)`.
     ///
     /// # Panics
-    /// Panics if either location index is out of range.
+    /// Panics if either location index is out of range, or if `rate` is NaN.
     pub fn set(&mut self, reader: LocationId, at: LocationId, rate: f64) {
         let idx = self.index(reader, at);
-        self.rates[idx] = clamp(rate);
+        self.rates[idx] = clamp(rate, || format!("pi({reader}, {at})"));
     }
 
     /// `pi(reader, at)` — probability that the reader at `reader` detects a
@@ -130,6 +142,34 @@ mod tests {
         assert!(t.rate(LocationId(0), LocationId(0)) < 1.0);
         assert!(t.log_hit(LocationId(0), LocationId(0)).is_finite());
         assert!(t.log_miss(LocationId(0), LocationId(0)).is_finite());
+    }
+
+    #[test]
+    fn infinite_rates_clamp_to_the_bounds() {
+        let mut t = ReadRateTable::uniform(2, f64::NEG_INFINITY);
+        assert_eq!(t.rate(LocationId(1), LocationId(0)), MIN_RATE);
+        t.set(LocationId(0), LocationId(1), f64::INFINITY);
+        assert_eq!(t.rate(LocationId(0), LocationId(1)), MAX_RATE);
+        assert!(t.log_miss(LocationId(0), LocationId(1)).is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "read rate pi(loc1, loc2) is NaN")]
+    fn a_nan_rate_panics_naming_its_entry() {
+        let mut t = ReadRateTable::diagonal(3, 0.8, 0.05);
+        t.set(LocationId(1), LocationId(2), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "read rate pi(loc0, loc0) is NaN")]
+    fn a_nan_diagonal_rate_panics_naming_its_entry() {
+        let _ = ReadRateTable::diagonal(2, f64::NAN, 0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "read rate pi(reader, at) of every (reader, at) is NaN")]
+    fn a_nan_background_rate_panics() {
+        let _ = ReadRateTable::uniform(2, f64::NAN);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use rfid::core::{InferenceConfig, InferenceEngine};
 use rfid::eval::{changes_f_measure, metrics::ReportedChange, ChangeMatchConfig};
 use rfid::sim::{WarehouseConfig, WarehouseSimulator};
-use rfid::smurf::{SmurfStar, SmurfStarConfig};
+use rfid::smurf::SmurfStar;
 use rfid::types::Epoch;
 
 fn main() {
@@ -79,7 +79,7 @@ fn main() {
     );
 
     // 4. The SMURF* baseline on the same trace, for comparison.
-    let smurf = SmurfStar::new(SmurfStarConfig::default()).run(&trace.readings);
+    let smurf = SmurfStar::new().run(&trace.readings);
     let smurf_reported: Vec<ReportedChange> = smurf
         .changes
         .iter()

@@ -7,7 +7,7 @@ mod test_support;
 use rfid::core::{InferenceConfig, TruncationPolicy};
 use rfid::eval::{changes_f_measure, metrics::ReportedChange, ChangeMatchConfig};
 use rfid::sim::{LabConfig, LabTraceId, WarehouseConfig, WarehouseSimulator};
-use rfid::smurf::{SmurfStar, SmurfStarConfig};
+use rfid::smurf::SmurfStar;
 use test_support::{containment_accuracy, run_engine};
 
 #[test]
@@ -73,7 +73,7 @@ fn rfinfer_is_at_least_as_accurate_as_smurf_star_on_lab_traces() {
         let trace = LabConfig::published(trace_id).generate();
         let engine = run_engine(&trace, InferenceConfig::default());
         let ours = containment_accuracy(&trace, |o| engine.container_of(o));
-        let smurf_outcome = SmurfStar::new(SmurfStarConfig::default()).run(&trace.readings);
+        let smurf_outcome = SmurfStar::new().run(&trace.readings);
         let smurf = containment_accuracy(&trace, |o| smurf_outcome.container_of(o));
         assert!(
             ours + 1e-9 >= smurf,
