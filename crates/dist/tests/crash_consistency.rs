@@ -66,25 +66,24 @@ fn checkpoints_alone_never_change_the_outcome() {
     assert_identical(&plain, &checkpointed, "checkpoints without faults");
 }
 
-#[test]
-fn crash_at_every_checkpoint_boundary_is_lossless() {
-    let chain = smoke_chain();
-    let reference = run(
-        &chain,
-        config(&chain, MigrationStrategy::CollapsedWeights).with_checkpoints(CHECKPOINT_EVERY),
-    );
-    // Crash epochs: before the first checkpoint exists (restore from scratch,
-    // full replay), then at every checkpoint boundary up to the horizon
-    // (restore from the previous boundary, maximal replay). The crash site
-    // rotates so sources, interior sites and sinks all get exercised.
+/// Crash a rotating site at every checkpoint boundary of `chain` under
+/// `config` (with checkpoints every [`CHECKPOINT_EVERY`] epochs) and check
+/// each run against the uninterrupted one. The crash epochs: before the first
+/// checkpoint exists (restore from scratch, full replay), then every boundary
+/// up to the horizon (restore from the previous boundary, maximal replay).
+/// The crash site rotates so sources, interior sites and sinks all get
+/// exercised.
+fn assert_lossless_at_every_boundary(chain: &ChainTrace, config: DistributedConfig) {
+    let config = config.with_checkpoints(CHECKPOINT_EVERY);
+    let reference = run(chain, config.clone());
     let mut crash_epochs = vec![CHECKPOINT_EVERY / 2];
     crash_epochs.extend((CHECKPOINT_EVERY..HORIZON).step_by(CHECKPOINT_EVERY as usize));
     for (i, at) in crash_epochs.into_iter().enumerate() {
         let site = (i as u16) % SITES as u16;
         let crashed = run(
-            &chain,
-            config(&chain, MigrationStrategy::CollapsedWeights)
-                .with_checkpoints(CHECKPOINT_EVERY)
+            chain,
+            config
+                .clone()
                 .with_faults(FaultPlan::quiet(SITES as u16).with_crash(site, Epoch(at), 0)),
         );
         assert_identical(
@@ -93,6 +92,30 @@ fn crash_at_every_checkpoint_boundary_is_lossless() {
             &format!("site {site} crashed at epoch {at}"),
         );
     }
+}
+
+#[test]
+fn crash_at_every_checkpoint_boundary_is_lossless() {
+    let chain = smoke_chain();
+    assert_lossless_at_every_boundary(&chain, config(&chain, MigrationStrategy::CollapsedWeights));
+}
+
+/// The same boundaries under the product's default inference — calibrated
+/// change detection and critical-region truncation — on a chain whose
+/// objects change containers, so restores precede runs that apply change
+/// points and cut history back to them.
+#[test]
+fn crash_at_every_checkpoint_boundary_is_lossless_under_the_default_inference() {
+    let chain = presets::smoke_chain(HORIZON, SITES, Some(60));
+    assert!(
+        !chain.containment.changes().is_empty(),
+        "the chain must move objects between containers"
+    );
+    let config = DistributedConfig {
+        inference: InferenceConfig::default(),
+        ..config(&chain, MigrationStrategy::CollapsedWeights)
+    };
+    assert_lossless_at_every_boundary(&chain, config);
 }
 
 #[test]
