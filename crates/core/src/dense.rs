@@ -47,12 +47,12 @@
 
 pub mod kernels;
 
-use crate::likelihood::ReaderSetTable;
-use crate::observations::ObsAt;
+use crate::likelihood::{LikelihoodModel, ReaderSetTable};
+use crate::observations::{ObsAt, Observations};
 use crate::posterior::{container_posterior_row_into_vector, Posterior};
 use crate::rfinfer::{
-    CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectRow,
-    RfInfer, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
+    CacheKeys, CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats,
+    ObjectRow, RfInfer, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
@@ -573,6 +573,130 @@ fn sort_dedup_bitmap(
     uniq.len()
 }
 
+/// Intern every distinct reader set of `obs_of` (one observation list per
+/// tag) into `s.set_ids` / `s.set_start` and fill `s.table` with one loglik
+/// row per set. Returns the sets in id order. A row is a function of its
+/// reader set alone, so the interning order never changes a value.
+fn intern_reader_sets<'o>(
+    model: &LikelihoodModel,
+    obs_of: &[&'o [ObsAt]],
+    s: &mut DenseScratch,
+) -> Vec<&'o [LocationId]> {
+    s.set_ids.clear();
+    s.set_start.clear();
+    let mut set_readers: Vec<&[LocationId]> = Vec::new();
+    let mut interner = ReaderSetInterner::default();
+    for list in obs_of {
+        s.set_start.push(s.set_ids.len() as u32);
+        for o in *list {
+            let next = set_readers.len() as u32;
+            let id = *interner.entry(o.readers.as_slice()).or_insert(next);
+            if id == next {
+                set_readers.push(o.readers.as_slice());
+            }
+            s.set_ids.push(id);
+        }
+    }
+    s.set_start.push(s.set_ids.len() as u32);
+    model.fill_reader_set_table_vector(set_readers.iter().copied(), &mut s.table);
+    set_readers
+}
+
+/// Recompute the values of the cache whose keys a checkpoint kept, from the
+/// restored store: each posterior row through the E-step's
+/// [`container_posterior_row_into_vector`] (base row, then the members in
+/// key order), and each object's series as one [`kernels::dot_each`] dot
+/// per observed epoch of the object among the variant's epochs — the rows
+/// and dots a run computes.
+///
+/// Where the store is as it was when the run cached a value, the
+/// recomputed value is that value, bit for bit. Where it is not, the
+/// difference is in the dirty journal, and no run reuses a value at a
+/// journaled epoch. So under the keys the engine cached itself, the next run
+/// reuses what an engine that never stopped would, with the same bits and
+/// the same [`InferenceStats`]. Under any other keys a reused value still
+/// equals a fresh computation over the store the run sees, so the outcome
+/// does not change; only the reuse counters do.
+pub(crate) fn rebuild_cache(
+    keys: &CacheKeys,
+    model: &LikelihoodModel,
+    store: &Observations,
+    s: &mut DenseScratch,
+) -> EvidenceCache {
+    let nl = model.num_locations();
+    s.tags.clear();
+    let mut obs_of: Vec<&[ObsAt]> = Vec::new();
+    for (tag, list) in store.entries() {
+        s.tags.push(tag);
+        obs_of.push(list);
+    }
+    intern_reader_sets(model, &obs_of, s);
+    let s = &*s;
+    // The reader-set id of every observation of `tag`, beside its epoch.
+    let observed = |tag: TagId| {
+        let at = s.tags.binary_search(&tag).ok();
+        let list = at.map_or(&[][..], |i| obs_of[i]);
+        let sets = at.map_or(&[][..], |i| &s.set_ids[s.set_start[i] as usize..]);
+        list.iter().map(|o| o.epoch).zip(sets.iter().copied())
+    };
+    // The loglik row of `tag` at `t`: its reader set's, or the all-miss row.
+    let row_at = |tag: TagId, t: Epoch| -> &[f64] {
+        let Ok(i) = s.tags.binary_search(&tag) else {
+            return model.all_miss_row();
+        };
+        match obs_of[i].binary_search_by_key(&t, |o| o.epoch) {
+            Ok(pos) => s.table.row(s.set_ids[s.set_start[i] as usize + pos]),
+            Err(_) => model.all_miss_row(),
+        }
+    };
+    let mut member_rows: Vec<&[f64]> = Vec::new();
+    let mut pending: Vec<(usize, u32)> = Vec::new();
+    let mut containers = BTreeMap::new();
+    for (container, variants) in keys.containers() {
+        let mut rebuilt = Vec::with_capacity(variants.len());
+        for key in variants {
+            let mut qrows = Vec::with_capacity(key.epochs.len() * nl);
+            for &t in &key.epochs {
+                member_rows.clear();
+                member_rows.extend(key.members.iter().map(|&m| row_at(m, t)));
+                container_posterior_row_into_vector(
+                    row_at(container, t),
+                    member_rows.iter().copied(),
+                    &mut qrows,
+                );
+            }
+            let mut evidence = BTreeMap::new();
+            for &object in &key.objects {
+                pending.clear();
+                let mut series = Vec::new();
+                for (t, set) in observed(object) {
+                    if let Ok(at) = key.epochs.binary_search(&t) {
+                        pending.push((at, set));
+                        series.push((t, f64::NAN));
+                    }
+                }
+                kernels::dot_each(
+                    pending.len(),
+                    |i| {
+                        let (at, set) = pending[i];
+                        (&qrows[at * nl..(at + 1) * nl], s.table.row(set))
+                    },
+                    |i, e| series[i].1 = e,
+                );
+                evidence.insert(object, series);
+            }
+            rebuilt.push(CachedVariant {
+                members: key.members.clone(),
+                epochs: key.epochs.clone(),
+                qrows,
+                evidence,
+            });
+        }
+        containers.insert(container, rebuilt);
+    }
+    EvidenceCache { containers }
+}
+
 /// Run the dense-interned EM. Control flow and floating-point summation
 /// order mirror the reference solver's exactly; see the module docs.
 pub(crate) fn run_dense(
@@ -633,25 +757,7 @@ pub(crate) fn run_dense(
     }
 
     // ---- Interning pass: reader sets + loglik table ------------------
-    s.set_ids.clear();
-    s.set_start.clear();
-    let mut set_readers: Vec<&[LocationId]> = Vec::new();
-    {
-        let mut interner = ReaderSetInterner::default();
-        for list in &obs_of {
-            s.set_start.push(s.set_ids.len() as u32);
-            for o in *list {
-                let next = set_readers.len() as u32;
-                let id = *interner.entry(o.readers.as_slice()).or_insert(next);
-                if id == next {
-                    set_readers.push(o.readers.as_slice());
-                }
-                s.set_ids.push(id);
-            }
-        }
-        s.set_start.push(s.set_ids.len() as u32);
-    }
-    model.fill_reader_set_table_vector(set_readers.iter().copied(), &mut s.table);
+    let set_readers = intern_reader_sets(model, &obs_of, s);
 
     // ---- Objects / containers ----------------------------------------
     s.objects.clear();
@@ -837,9 +943,7 @@ pub(crate) fn run_dense(
     // ---- Re-intern the previous run's cache --------------------------
     // Containers or members that left the universe can never match or be
     // requested this run, so variants naming them are dropped — exactly
-    // what the reference's `TagId` comparisons would conclude. So is a
-    // variant whose row arena is not one row per epoch (a restored cache is
-    // decoded field by field): reusing it would slice past its end.
+    // what the reference's `TagId` comparisons would conclude.
     let mut prev_slots: Vec<Vec<PrevVariant>> = Vec::with_capacity(num_rel);
     prev_slots.resize_with(num_rel, Vec::new);
     for (tag, variants) in prev_cache {
@@ -852,9 +956,6 @@ pub(crate) fn run_dense(
         }
         let converted = &mut prev_slots[slot as usize];
         'variant: for v in variants {
-            if v.qrows.len() != v.epochs.len() * nl {
-                continue;
-            }
             let mut members = Vec::with_capacity(v.members.len());
             for m in &v.members {
                 match s.tags.binary_search(m) {

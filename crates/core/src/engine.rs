@@ -14,7 +14,7 @@ use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
 use crate::rfinfer::{
-    DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, PriorWeights, RfInfer,
+    CacheKeys, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, PriorWeights, RfInfer,
 };
 use crate::state::{CollapsedState, MigrationState, ReadingsState};
 use crate::truncate::{retention_plan, MemoryBudget, MemoryStats};
@@ -25,21 +25,27 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The complete durable state of an [`InferenceEngine`], produced by
+/// The durable state of an [`InferenceEngine`], produced by
 /// [`InferenceEngine::snapshot`] and consumed by
 /// [`InferenceEngine::restore`].
 ///
-/// A snapshot captures everything the engine accumulated at runtime — the
-/// observation store, imported prior weights, the containment estimate, the
-/// detected-change log, the last outcome and its epoch, the calibrated
-/// threshold, the dirty-set journal and the cross-run evidence cache. It
-/// deliberately excludes the configuration and likelihood model (a restore
-/// target is constructed with those) and the dense-solver scratch arenas
-/// (capacity-only; rebuilt lazily with no effect on results).
+/// A snapshot keeps the engine's inputs, not what it derived from them
+/// (§4.1's migration ships inference inputs for the same reason): the
+/// observation store, the imported prior weights, the containment estimate,
+/// the detected-change log, the dirty journal, the calibrated threshold and
+/// the epoch of the last run. Of the last outcome it keeps what is read
+/// between runs — containment, ranked candidates, weights, assignments and
+/// location runs, for export, `events_at` and `location_of` — but not the
+/// point-evidence series, which only change detection and truncation read,
+/// inside the run that built them. Of the evidence cache it keeps only the
+/// [`CacheKeys`]; restore recomputes every posterior row and series from the
+/// restored store. The configuration and likelihood model are not included
+/// (a restore target is constructed with those), nor the dense-solver
+/// scratch arenas (capacity only).
 ///
-/// `restore(snapshot)` after `snapshot()` round-trips bitwise: every
-/// subsequent inference run produces results identical to an engine that was
-/// never snapshotted.
+/// `restore(snapshot)` after `snapshot()` is lossless: every subsequent
+/// inference run produces the outcome and [`InferenceStats`] of an engine
+/// that was never snapshotted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// The sparse observation store.
@@ -50,7 +56,8 @@ pub struct EngineSnapshot {
     pub containment: ContainmentMap,
     /// All containment changes detected so far.
     pub detected: Vec<DetectedChange>,
-    /// The outcome of the most recent inference run, if any.
+    /// The outcome of the most recent inference run, if any, without its
+    /// point evidence.
     pub last_outcome: Option<InferenceOutcome>,
     /// The epoch of the most recent inference run.
     pub last_inference_at: Option<Epoch>,
@@ -58,8 +65,8 @@ pub struct EngineSnapshot {
     pub threshold: Option<f64>,
     /// The dirty-set journal of store changes since the last run.
     pub dirty: DirtySet,
-    /// The cross-run posterior/evidence cache.
-    pub cache: EvidenceCache,
+    /// The keys of the cross-run posterior/evidence cache.
+    pub cache: CacheKeys,
 }
 
 /// What an [`InferenceEngine::import_late_state`] call actually merged —
@@ -592,27 +599,29 @@ impl InferenceEngine {
         stats.evicted_cache_entries += self.cache.evict_cold(&self.store) as u64;
     }
 
-    /// Capture the engine's complete durable state — see [`EngineSnapshot`]
-    /// for what is (and is not) included.
+    /// Capture the engine's durable state — see [`EngineSnapshot`] for what
+    /// is (and is not) included.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             store: self.store.clone(),
             prior: self.prior.clone(),
             containment: self.containment.clone(),
             detected: self.detected.clone(),
-            last_outcome: self.last_outcome.as_deref().cloned(),
+            last_outcome: self.last_outcome.as_ref().map(|o| o.without_evidence()),
             last_inference_at: self.last_inference_at,
             threshold: self.threshold,
             dirty: self.dirty.clone(),
-            cache: self.cache.clone(),
+            cache: self.cache.keys(),
         }
     }
 
     /// Replace the engine's runtime state with a snapshot previously taken
     /// by [`Self::snapshot`] (on this engine or on any engine constructed
-    /// with the same configuration and read-rate table). The dense-solver
-    /// scratch is reset — it holds no results, only capacity — so restored
-    /// runs are bit-identical to uninterrupted ones.
+    /// with the same configuration and read-rate table), and recompute the
+    /// evidence cache's values from the restored store. The recompute runs
+    /// outside any inference run, so no [`InferenceStats`] counts it; the
+    /// next run reuses exactly what the uninterrupted engine would have, and
+    /// every value it reuses is bit-identical.
     pub fn restore(&mut self, snapshot: EngineSnapshot) {
         self.store = snapshot.store;
         self.prior = snapshot.prior;
@@ -622,8 +631,13 @@ impl InferenceEngine {
         self.last_inference_at = snapshot.last_inference_at;
         self.threshold = snapshot.threshold;
         self.dirty = snapshot.dirty;
-        self.cache = snapshot.cache;
         self.scratch = DenseScratch::default();
+        self.cache = crate::dense::rebuild_cache(
+            &snapshot.cache,
+            &self.model,
+            &self.store,
+            &mut self.scratch,
+        );
     }
 }
 
@@ -904,8 +918,8 @@ mod tests {
 
     /// Restoring a snapshot into a fresh engine and continuing must be
     /// bit-identical to the engine that never stopped: same containment,
-    /// same outcome, same reuse counters (the cache travels with the
-    /// snapshot).
+    /// same outcome, same reuse counters (the cache's keys travel with the
+    /// snapshot, its values are recomputed).
     #[test]
     fn snapshot_restore_round_trips_bitwise() {
         let config = InferenceConfig::default()

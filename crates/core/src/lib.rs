@@ -74,8 +74,8 @@ pub use likelihood::{LikelihoodModel, ReaderSetTable};
 pub use observations::{ObsAt, Observations, ReaderSet};
 pub use posterior::{container_posterior, Posterior};
 pub use rfinfer::{
-    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
-    PriorWeights, RfInfer,
+    CacheKeys, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
+    PriorWeights, RfInfer, VariantKey,
 };
 pub use state::{CollapsedState, MigrationState, ReadingsState};
 pub use truncate::{

@@ -363,6 +363,27 @@ impl InferenceOutcome {
             .ok()
     }
 
+    /// A copy without the point-evidence arena: every candidate keeps its
+    /// weight and rank but owns an empty series. Change detection and
+    /// truncation read the series only inside the run that built them, so
+    /// this is the outcome as a checkpoint keeps it.
+    pub(crate) fn without_evidence(&self) -> InferenceOutcome {
+        let candidates = self.candidates.iter().map(|&slot| Candidate {
+            series: (0, 0),
+            ..slot
+        });
+        InferenceOutcome {
+            objects: self.objects.clone(),
+            candidates: candidates.collect(),
+            ranked: self.ranked.clone(),
+            evidence: Vec::new(),
+            located: self.located.clone(),
+            locations: self.locations.clone(),
+            iterations: self.iterations,
+            num_locations: self.num_locations,
+        }
+    }
+
     /// Refine one object after a change detected at `change_at` (Appendix
     /// A.2): each candidate's weight becomes the suffix sum of its point
     /// evidence from the change on, and the object moves to `new_container`.
@@ -600,16 +621,16 @@ pub(crate) const MAX_CACHED_VARIANTS: usize = 4;
 /// probability row back to back — so the dense solver walks and reuses the
 /// rows without touching a per-posterior allocation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CachedVariant {
+pub(crate) struct CachedVariant {
     /// The member set the cached posteriors smooth over.
-    pub members: Vec<TagId>,
+    pub(crate) members: Vec<TagId>,
     /// Epochs of the cached posteriors, ascending.
-    pub epochs: Vec<Epoch>,
+    pub(crate) epochs: Vec<Epoch>,
     /// Probability rows of the cached posteriors, concatenated in epoch
-    /// order; row width is `qrows.len() / epochs.len()`.
-    pub qrows: Vec<f64>,
+    /// order: one row per epoch.
+    pub(crate) qrows: Vec<f64>,
     /// Per-object point-evidence series computed against those posteriors.
-    pub evidence: BTreeMap<TagId, Vec<(Epoch, f64)>>,
+    pub(crate) evidence: BTreeMap<TagId, Vec<(Epoch, f64)>>,
 }
 
 impl CachedVariant {
@@ -621,6 +642,15 @@ impl CachedVariant {
             .copied()
             .zip(self.qrows.chunks_exact(width.max(1)))
     }
+
+    /// What a checkpoint keeps of this variant.
+    fn key(&self) -> VariantKey {
+        VariantKey {
+            members: self.members.clone(),
+            epochs: self.epochs.clone(),
+            objects: self.evidence.keys().copied().collect(),
+        }
+    }
 }
 
 /// Cross-run evidence cache consumed and refilled by
@@ -629,7 +659,9 @@ impl CachedVariant {
 /// Holds, per container, the posterior variants of the previous run — the
 /// per-epoch E-step posteriors keyed by the member set they smoothed over —
 /// together with the per-object point-evidence series computed against each
-/// variant.
+/// variant. Only its [`CacheKeys`] are durable: every value is a function of
+/// the observation store, which [`InferenceEngine::restore`](crate::InferenceEngine::restore)
+/// recomputes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvidenceCache {
     pub(crate) containers: BTreeMap<TagId, Vec<CachedVariant>>,
@@ -641,18 +673,14 @@ impl EvidenceCache {
         EvidenceCache::default()
     }
 
-    /// All `(container, variants)` entries in ascending container order —
-    /// the checkpoint codec's view of the cache.
-    pub fn variants(&self) -> impl Iterator<Item = (TagId, &[CachedVariant])> {
-        self.containers.iter().map(|(t, v)| (*t, v.as_slice()))
-    }
-
-    /// Replace the cached variants of one container. This is the checkpoint
-    /// *restore* path — insertion order across containers is irrelevant (the
-    /// map is keyed), and passing the variants decoded from a checkpoint
-    /// rebuilds the cache bit-identically.
-    pub fn set_variants(&mut self, container: TagId, variants: Vec<CachedVariant>) {
-        self.containers.insert(container, variants);
+    /// The keys of every cached variant, per container.
+    pub(crate) fn keys(&self) -> CacheKeys {
+        let containers = self.containers.iter().map(|(&container, variants)| {
+            (container, variants.iter().map(CachedVariant::key).collect())
+        });
+        CacheKeys {
+            containers: containers.collect(),
+        }
     }
 
     /// Drop everything, so the next incremental run computes every value
@@ -671,6 +699,72 @@ impl EvidenceCache {
         self.containers
             .retain(|container, _| !store.obs_for(*container).is_empty());
         before - self.containers.len()
+    }
+}
+
+/// The durable part of one cached variant: which posteriors and series it
+/// holds, not their values. Every value is a function of the observation
+/// store at its epoch, so a restore recomputes it; a value at an epoch the
+/// store changed at since the run that cached it is never reused, because
+/// the dirty journal names that epoch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VariantKey {
+    /// The member set the posteriors smooth over, ascending.
+    pub members: Vec<TagId>,
+    /// Epochs of the posteriors, ascending.
+    pub epochs: Vec<Epoch>,
+    /// Objects with a point-evidence series against the posteriors,
+    /// ascending; a series covers the object's observed epochs among
+    /// `epochs`.
+    pub objects: Vec<TagId>,
+}
+
+/// The keys of an [`EvidenceCache`]: per container, the keys of its cached
+/// variants, most recent first. This is what an
+/// [`EngineSnapshot`](crate::EngineSnapshot) keeps of the cache.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheKeys {
+    containers: BTreeMap<TagId, Vec<VariantKey>>,
+}
+
+impl CacheKeys {
+    /// No cached variants.
+    pub fn new() -> CacheKeys {
+        CacheKeys::default()
+    }
+
+    /// Every `(container, variant keys)` entry in ascending container order.
+    pub fn containers(&self) -> impl ExactSizeIterator<Item = (TagId, &[VariantKey])> {
+        self.containers.iter().map(|(t, v)| (*t, v.as_slice()))
+    }
+
+    /// Set the variant keys of one container. Refuses keys no run caches:
+    /// more variants than a container keeps, or members, epochs or objects
+    /// out of ascending order or repeated.
+    pub fn insert(
+        &mut self,
+        container: TagId,
+        variants: Vec<VariantKey>,
+    ) -> Result<(), &'static str> {
+        fn ascending<T: Ord>(items: &[T]) -> bool {
+            items.windows(2).all(|pair| pair[0] < pair[1])
+        }
+        if variants.len() > MAX_CACHED_VARIANTS {
+            return Err("more cached variants than a container keeps");
+        }
+        for key in &variants {
+            if !ascending(&key.members) {
+                return Err("variant members unsorted or repeated");
+            }
+            if !ascending(&key.epochs) {
+                return Err("posterior epochs unsorted or repeated");
+            }
+            if !ascending(&key.objects) {
+                return Err("series objects unsorted or repeated");
+            }
+        }
+        self.containers.insert(container, variants);
+        Ok(())
     }
 }
 

@@ -700,6 +700,66 @@ proptest! {
         drive(&[Solve::Product, Solve::DenseFull], &ops, |_, _| {});
     }
 
+    /// A snapshot restored into a fresh engine continues exactly like the
+    /// engine it was cut from, although it carries only the evidence cache's
+    /// keys and an outcome without point evidence. The histories mix
+    /// critical-region imports at old epochs, forgets, compactions,
+    /// truncation and change points; the first cut falls anywhere, and the
+    /// history is cut again after every second run and at every crash op.
+    /// Both engines run with equal outcomes, changes and reuse counters at
+    /// every run, and equal snapshots after the first run of each cut.
+    #[test]
+    fn a_restored_engine_continues_like_one_that_never_stopped(
+        ops in prop::collection::vec(
+            (0u8..10, 1u32..5, 0u64..4, 0u64..3, 0u16..3),
+            30..120,
+        ),
+        cut in 0usize..120,
+    ) {
+        let restored_from = |live: &InferenceEngine| {
+            let mut restored = equivalence_engine();
+            restored.restore(live.snapshot());
+            assert_eq!(restored.snapshot(), live.snapshot());
+            restored
+        };
+        let cut = cut % ops.len();
+        let mut live = equivalence_engine();
+        let mut now = Epoch(0);
+        for &op in &ops[..cut] {
+            now = now.plus(op.1);
+            if !feed(std::slice::from_mut(&mut live), now, op) && live.stored_observations() > 0 {
+                live.run_inference(now);
+            }
+        }
+        let restored = restored_from(&live);
+        let mut engines = [live, restored];
+        let matrix = [Solve::Product, Solve::Product];
+        let mut runs_since_cut = 0;
+        let rest = ops[cut..].iter().copied().chain([(8, 10, 0, 0, 0); 2]);
+        for (i, op) in rest.enumerate() {
+            now = now.plus(op.1);
+            if op.0 == 7 {
+                engines[1] = restored_from(&engines[0]);
+                runs_since_cut = 0;
+                continue;
+            }
+            if feed(&mut engines, now, op) || engines[0].stored_observations() == 0 {
+                continue;
+            }
+            let object = TagId::item(op.2);
+            let reports = run_and_compare(&mut engines, &matrix, now, object, cut + i);
+            prop_assert_eq!(reports[0].stats, reports[1].stats,
+                "reuse counters diverged at op {}", cut + i);
+            runs_since_cut += 1;
+            if runs_since_cut == 1 {
+                prop_assert_eq!(engines[0].snapshot(), engines[1].snapshot());
+            } else {
+                engines[1] = restored_from(&engines[0]);
+                runs_since_cut = 0;
+            }
+        }
+    }
+
     /// One shipment's critical-region exports, deduplicated by tag before
     /// anything is materialised, are byte for byte the payloads the old rule
     /// produced (one-object exports filtered reading by reading) — with

@@ -1,10 +1,11 @@
-//! A restored evidence cache is decoded field by field, so nothing ties a
-//! variant's posterior row arena to its epoch list. A variant whose arena is
-//! not one row per epoch must be dropped like one naming a tag that left the
-//! universe: the next run neither panics nor reuses it, and reports what a
-//! cold cache would.
+//! A checkpoint keeps only the evidence cache's keys, and restore recomputes
+//! every posterior row and series under them from the restored store. Keys
+//! that match nothing the store holds — epochs it never observed, epochs
+//! missing from a variant — must neither panic the restore nor the next run,
+//! and the next run's outcome is what an engine that never stopped (or one
+//! restored with no cache at all) computes.
 
-use rfid_core::{EvidenceCache, InferenceConfig, InferenceEngine, InferenceReport};
+use rfid_core::{CacheKeys, InferenceConfig, InferenceEngine, InferenceReport, VariantKey};
 use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId};
 
 /// Read each of `cases` and its two items at the case's current reader (of
@@ -44,7 +45,7 @@ fn next_run(mut engine: InferenceEngine) -> InferenceReport {
 }
 
 /// `warm_engine`'s snapshot restored with `cache` in place of its own.
-fn restored_with(cache: EvidenceCache) -> InferenceEngine {
+fn restored_with(cache: CacheKeys) -> InferenceEngine {
     let mut snapshot = warm_engine().snapshot();
     snapshot.cache = cache;
     let mut engine = warm_engine();
@@ -52,33 +53,45 @@ fn restored_with(cache: EvidenceCache) -> InferenceEngine {
     engine
 }
 
-fn assert_malformed_rows_are_dropped(resize: impl Fn(&mut Vec<f64>)) {
-    let mut malformed = EvidenceCache::new();
-    for (container, variants) in warm_engine().snapshot().cache.variants() {
-        let mut variants = variants.to_vec();
-        variants.iter_mut().for_each(|v| resize(&mut v.qrows));
-        malformed.set_variants(container, variants);
+fn assert_hostile_epochs_recompute_cleanly(edit: impl Fn(&mut Vec<Epoch>)) {
+    let mut hostile = CacheKeys::new();
+    for (container, variants) in warm_engine().snapshot().cache.containers() {
+        let variants = variants.iter().map(|key| {
+            let mut epochs = key.epochs.clone();
+            edit(&mut epochs);
+            VariantKey {
+                epochs,
+                ..key.clone()
+            }
+        });
+        hostile
+            .insert(container, variants.collect())
+            .expect("ascending keys");
     }
 
     let never_snapshotted = next_run(warm_engine());
-    let cold = next_run(restored_with(EvidenceCache::new()));
-    let restored = next_run(restored_with(malformed));
+    let cold = next_run(restored_with(CacheKeys::new()));
+    let restored = next_run(restored_with(hostile));
 
     assert!(
         never_snapshotted.stats.posteriors_reused > 0,
-        "nothing was reused, so nothing malformed could be"
+        "nothing was reused, so nothing hostile could be"
     );
     assert_eq!(restored.outcome, never_snapshotted.outcome);
     assert_eq!(restored.outcome, cold.outcome);
-    assert_eq!(restored.stats, cold.stats);
 }
 
 #[test]
-fn a_restored_variant_with_a_short_row_arena_is_dropped() {
-    assert_malformed_rows_are_dropped(|q| q.truncate(q.len() - 3));
+fn a_restored_variant_with_epochs_the_store_never_saw_recomputes_cleanly() {
+    assert_hostile_epochs_recompute_cleanly(|epochs| {
+        epochs.extend([Epoch(1_000), Epoch(2_000), Epoch(u32::MAX)])
+    });
 }
 
 #[test]
-fn a_restored_variant_with_a_long_row_arena_is_dropped() {
-    assert_malformed_rows_are_dropped(|q| q.extend_from_slice(&[0.25; 3]));
+fn a_restored_variant_missing_epochs_recomputes_cleanly() {
+    assert_hostile_epochs_recompute_cleanly(|epochs| {
+        let kept: Vec<Epoch> = epochs.iter().copied().step_by(3).collect();
+        *epochs = kept;
+    });
 }

@@ -32,7 +32,8 @@ pub(crate) struct Tally {
     pub(crate) unshared_bytes: usize,
     pub(crate) inference_runs: usize,
     /// Wall-clock is not durable state (and deliberately outside the
-    /// determinism contract): a restore restarts it from zero.
+    /// determinism contract): a checkpoint does not record it, and a crash
+    /// restore carries the site's running total across instead.
     pub(crate) inference_wall: Duration,
     pub(crate) inference_stats: InferenceStats,
     pub(crate) transport: TransportStats,

@@ -64,9 +64,12 @@ impl<'a> SiteState<'a> {
     /// the pre-crash timeline — but are still charged, which is exactly how
     /// the communication tally is rebuilt to match the uninterrupted run.
     fn crash_and_restore(&mut self, crash_at: Epoch) {
-        // Only the journal and the newest checkpoint survive the crash.
+        // Only the journal and the newest checkpoint survive the crash —
+        // and the inference time already spent, which is not durable state
+        // but was spent all the same.
         let journal = std::mem::take(&mut self.journal);
         let checkpoint = self.last_checkpoint.take();
+        let inference_wall = self.unit.tally.inference_wall;
         *self = SiteState::new(self.ctx, self.site);
         let replay_from = match &checkpoint {
             Some(bytes) => {
@@ -93,6 +96,7 @@ impl<'a> SiteState<'a> {
             }
             None => 0,
         };
+        self.unit.tally.inference_wall = inference_wall;
         self.last_checkpoint = checkpoint;
         // Outbound sequence counters and the staleness guard are not
         // persisted: both are pure functions of the already-processed
@@ -195,5 +199,34 @@ impl<'a> SiteState<'a> {
             memory: tally.memory,
             ledgers: tally.ledgers.values().copied().collect(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DistributedConfig;
+    use crate::driver::RunCtx;
+    use rfid_sim::presets;
+    use std::time::Duration;
+
+    /// Wall-clock is outside the determinism contract, but the inference
+    /// time a site spent before it crashed was spent: a restore keeps it,
+    /// and the tail replay adds to it.
+    #[test]
+    fn a_restore_keeps_the_inference_wall_spent_before_it() {
+        let chain = presets::smoke_chain(300, 2, None);
+        let config = DistributedConfig::default().with_checkpoints(60);
+        let ctx = RunCtx::new(&config, &chain);
+        let mut site = SiteState::new(&ctx, 0);
+        for t in 0..200 {
+            site.before_exchange(Epoch(t), drop);
+            site.after_exchange(Epoch(t));
+            site.maybe_checkpoint(Epoch(t));
+        }
+        let before = site.unit.tally.inference_wall;
+        assert!(before > Duration::ZERO, "the site ran inference");
+        site.crash_and_restore(Epoch(200));
+        assert!(site.unit.tally.inference_wall >= before);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! A [`SiteCheckpoint`] bundles everything a crashed site needs to resume —
 //! the inference engine's snapshot (observations, priors, containment,
-//! detected changes, last outcome, dirty journal, evidence cache), the query
-//! processor's snapshot (sensor window, automata, alerts), the trace cursors,
+//! detected changes, last outcome without its point evidence, dirty journal,
+//! evidence-cache keys), the query processor's snapshot (sensor window, automata, alerts), the trace cursors,
 //! the pending-shipment inbox, and the communication accounting — under the
 //! same framing as every other wire payload. Checkpoints therefore inherit
 //! the codec's guarantees: `decode(encode(cp)) == cp` bit-exactly (including
@@ -25,8 +25,8 @@ use crate::layout::{
 use crate::primitives::{Reader, TagTable, Writer};
 use crate::{WireCodec, WireError};
 use rfid_core::{
-    CachedVariant, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache, InferenceOutcome,
-    InferenceStats, MemoryStats, Observations, PriorWeights, ReaderSet,
+    CacheKeys, DetectedChange, DirtySet, EngineSnapshot, InferenceOutcome, InferenceStats,
+    MemoryStats, Observations, PriorWeights, ReaderSet, VariantKey,
 };
 use rfid_query::{Alert, ObjectQueryState, ProcessorSnapshot};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, SensorReading, TagId};
@@ -278,7 +278,7 @@ wire_struct!(SiteCheckpoint: site, at;
 wire_struct!(EngineSnapshot: store, prior, containment, detected, last_outcome as Flag,
     last_inference_at as Flag, threshold as Flag, dirty, cache);
 wire_struct!(DetectedChange: object, change_at, old_container, new_container, statistic);
-wire_struct!(CachedVariant: members, epochs as Delta, qrows, evidence as Delta);
+wire_struct!(VariantKey: members, epochs as Delta, objects);
 wire_struct!(ProcessorSnapshot: temperatures, automata, alerts);
 wire_struct!(SensorReading: time, location, value);
 wire_struct!(Alert: query, tag, since, at, readings as Delta);
@@ -324,12 +324,13 @@ impl Wire for ContainmentMap {
 
 /// The outcome's arenas in the keyed layout: the containment section, then
 /// per object row its candidates in ranked order, its weights keyed by
-/// candidate, its non-empty point-evidence series keyed by candidate (delta
-/// runs) and its assigned container, then the location runs, the iteration
-/// count and the location count. Decoding refuses what the arenas cannot
-/// hold: rows out of order or repeated, a weight or series for a tag that is
-/// not a candidate, an empty series or run, and containment for an object
-/// without a row.
+/// candidate and its assigned container, then the location runs, the
+/// iteration count and the location count. The point-evidence arena is not
+/// part of the layout (a checkpoint keeps the outcome without it), so every
+/// decoded candidate owns an empty series. Decoding refuses what the arenas
+/// cannot hold: rows out of order or repeated, a weight for a tag that is
+/// not a candidate, an empty run, and containment for an object without a
+/// row.
 impl Wire for InferenceOutcome {
     fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
         let containment = self.containment();
@@ -342,11 +343,6 @@ impl Wire for InferenceOutcome {
             row.candidates().for_each(|c| c.put(w, refs));
             put_keyed(w, refs, row.weights().len(), row.weights(), |weight, w| {
                 weight.put(w, refs)
-            });
-            put_keyed(w, refs, row.series().count(), row.series(), |series, w| {
-                put_run(w, Epoch(0), series.len(), series.iter().copied(), |e, w| {
-                    e.put(w, refs)
-                });
             });
             Wire::<Plain>::put(&row.assigned(), w, refs);
         });
@@ -373,32 +369,17 @@ impl Wire for InferenceOutcome {
             let object = TagId::get(r, refs)?;
             let ranked = Vec::<TagId>::get(r, refs)?;
             let weights = get_keyed(r, refs, |r| f64::get(r, refs))?;
-            let mut series = get_keyed(r, refs, |r| {
-                <Vec<(Epoch, f64)> as Wire<Delta>>::get(r, refs)
-            })?;
             let assigned = <Option<TagId> as Wire<Plain>>::get(r, refs)?;
             if weights.len() != ranked.len() {
                 return Err(WireError::new("mismatched weight and candidate counts"));
             }
-            if series.values().any(Vec::is_empty) {
-                return Err(WireError::new("an empty point-evidence series"));
-            }
-            let mut owned = Vec::with_capacity(ranked.len());
+            let mut candidates = Vec::with_capacity(ranked.len());
             for c in ranked {
                 let weight = weights
                     .get(&c)
                     .ok_or_else(|| WireError::new("a weight for a tag that is not a candidate"))?;
-                owned.push((c, *weight, series.remove(&c).unwrap_or_default()));
+                candidates.push((c, *weight, &[][..]));
             }
-            if !series.is_empty() {
-                return Err(WireError::new(
-                    "point evidence for a tag that is not a candidate",
-                ));
-            }
-            let candidates: Vec<_> = owned
-                .iter()
-                .map(|(c, weight, points)| (*c, *weight, points.as_slice()))
-                .collect();
             let container = containment.container_of(object);
             contained += usize::from(container.is_some());
             outcome
@@ -531,23 +512,26 @@ impl Wire for DirtySet {
     }
 }
 
-/// Per container, the sequence of its cached variants.
-impl Wire for EvidenceCache {
+/// Per container, the sequence of its cached variants' keys.
+impl Wire for CacheKeys {
     fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
-        let len = self.variants().count();
-        put_keyed(w, refs, len, self.variants(), |variants, w| {
-            put_seq(variants, w, refs)
-        });
+        put_keyed(
+            w,
+            refs,
+            self.containers().len(),
+            self.containers(),
+            |variants, w| put_seq(variants, w, refs),
+        );
     }
     fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
-        let mut cache = EvidenceCache::new();
+        let mut keys = CacheKeys::new();
         for (container, variants) in get_keyed(r, refs, |r| Wire::get(r, refs))? {
-            cache.set_variants(container, variants);
+            keys.insert(container, variants).map_err(WireError::new)?;
         }
-        Ok(cache)
+        Ok(keys)
     }
     fn tags(&self, out: &mut Vec<TagId>) {
-        for (container, variants) in self.variants() {
+        for (container, variants) in self.containers() {
             out.push(container);
             variants.iter().for_each(|variant| variant.tags(out));
         }
@@ -562,8 +546,8 @@ mod tests {
     use rfid_types::ReaderId;
 
     /// A checkpoint exercising every section: observations, priors,
-    /// containment, detected changes, a full outcome, dirty journal,
-    /// evidence cache, processor state with alerts, a pending shipment, and
+    /// containment, detected changes, an outcome, dirty journal, cache
+    /// keys, processor state with alerts, a pending shipment, and
     /// non-zero accounting.
     fn sample() -> SiteCheckpoint {
         let mut store = Observations::new();
@@ -579,29 +563,24 @@ mod tests {
         let mut dirty = DirtySet::new();
         dirty.mark(TagId::item(2));
         dirty.record(TagId::item(1), Epoch(4));
-        let mut cache = EvidenceCache::new();
-        cache.set_variants(
-            TagId::case(1),
-            vec![CachedVariant {
-                members: vec![TagId::item(1)],
-                epochs: vec![Epoch(1), Epoch(3)],
-                qrows: vec![0.25, 0.75, -0.0, 1.0],
-                evidence: [(TagId::item(1), vec![(Epoch(1), 0.5), (Epoch(3), 1.5)])]
-                    .into_iter()
-                    .collect(),
-            }],
-        );
+        let mut cache = CacheKeys::new();
+        cache
+            .insert(
+                TagId::case(1),
+                vec![VariantKey {
+                    members: vec![TagId::item(1)],
+                    epochs: vec![Epoch(1), Epoch(3)],
+                    objects: vec![TagId::item(1)],
+                }],
+            )
+            .unwrap();
         let mut outcome = InferenceOutcome::new(3, 4);
-        let series = [(Epoch(0), 0.5), (Epoch(4), 0.25)];
         outcome
             .push_object(
                 TagId::item(1),
                 Some(TagId::case(1)),
                 Some(TagId::case(1)),
-                &[
-                    (TagId::case(1), 4.5, &series),
-                    (TagId::case(2), -1e-300, &[]),
-                ],
+                &[(TagId::case(1), 4.5, &[]), (TagId::case(2), -1e-300, &[])],
             )
             .unwrap();
         outcome
@@ -758,7 +737,7 @@ mod tests {
                 last_inference_at: None,
                 threshold: None,
                 dirty: DirtySet::new(),
-                cache: EvidenceCache::new(),
+                cache: CacheKeys::new(),
             },
             processor: ProcessorSnapshot {
                 temperatures: Vec::new(),

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use rfid_core::{
-    CachedVariant, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache,
-    InferenceOutcome, InferenceStats, MigrationState, Observations, PriorWeights, ReadingsState,
+    CacheKeys, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, InferenceOutcome,
+    InferenceStats, MigrationState, Observations, PriorWeights, ReadingsState, VariantKey,
 };
 use rfid_query::{Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle};
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, ReaderId, SensorReading, TagId};
@@ -183,37 +183,44 @@ pub fn arb_dirty() -> impl Strategy<Value = DirtySet> {
         })
 }
 
-pub fn arb_cache() -> impl Strategy<Value = EvidenceCache> {
+/// Cache keys as runs leave them: per container up to four variants, each
+/// with ascending, distinct members, epochs and series objects.
+pub fn arb_cache() -> impl Strategy<Value = CacheKeys> {
+    fn ascending<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+        items.sort();
+        items.dedup();
+        items
+    }
     let variant = (
         prop::collection::vec(arb_tag(), 0..4),
         prop::collection::vec(arb_epoch(), 0..5),
-        prop::collection::vec(arb_weight(), 0..8),
-        prop::collection::btree_map(arb_tag(), arb_series(), 0..3),
+        prop::collection::vec(arb_tag(), 0..3),
     )
-        .prop_map(|(members, epochs, qrows, evidence)| CachedVariant {
-            members,
-            epochs,
-            qrows,
-            evidence,
+        .prop_map(|(members, epochs, objects)| VariantKey {
+            members: ascending(members),
+            epochs: ascending(epochs),
+            objects: ascending(objects),
         });
-    prop::collection::btree_map(arb_tag(), prop::collection::vec(variant, 0..3), 0..3).prop_map(
+    prop::collection::btree_map(arb_tag(), prop::collection::vec(variant, 0..5), 0..3).prop_map(
         |containers| {
-            let mut cache = EvidenceCache::new();
+            let mut cache = CacheKeys::new();
             for (container, variants) in containers {
-                cache.set_variants(container, variants);
+                cache
+                    .insert(container, variants)
+                    .expect("keys a run caches");
             }
             cache
         },
     )
 }
 
-/// Outcomes as the arenas hold them: object rows with distinct candidates
-/// listed in an arbitrary ranked order, each with a weight and a series that
-/// may be empty (no series), an arbitrary containment estimate and assigned
-/// container per row, and non-empty location runs.
+/// Outcomes as a checkpoint holds them: object rows with distinct
+/// candidates listed in an arbitrary ranked order, each with a weight and no
+/// point evidence, an arbitrary containment estimate and assigned container
+/// per row, and non-empty location runs.
 pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
     let row = (
-        prop::collection::btree_map(arb_tag(), (arb_weight(), arb_series()), 0..5),
+        prop::collection::btree_map(arb_tag(), arb_weight(), 0..5),
         prop::collection::vec(any::<u32>(), 5),
         prop::option::of(arb_tag()),
         prop::option::of(arb_tag()),
@@ -228,10 +235,8 @@ pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
         .prop_map(|(rows, runs, iterations, num_locations)| {
             let mut outcome = InferenceOutcome::new(iterations, num_locations);
             for (object, (candidates, rank, container, assigned)) in rows {
-                let mut ranked: Vec<_> = candidates
-                    .iter()
-                    .map(|(c, (w, series))| (*c, *w, series.as_slice()))
-                    .collect();
+                let mut ranked: Vec<_> =
+                    candidates.iter().map(|(c, w)| (*c, *w, &[][..])).collect();
                 let key = |c: &TagId| rank[c.serial() as usize % rank.len()] ^ c.raw() as u32;
                 ranked.sort_by_key(|(c, _, _)| (key(c), *c));
                 outcome
@@ -543,7 +548,7 @@ pub fn empty_checkpoint() -> SiteCheckpoint {
             last_inference_at: None,
             threshold: None,
             dirty: DirtySet::new(),
-            cache: EvidenceCache::new(),
+            cache: CacheKeys::new(),
         },
         processor: ProcessorSnapshot {
             temperatures: Vec::new(),

@@ -16,7 +16,7 @@ use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::codec::KINDS;
 use rfid_wire::primitives::{Reader, TagTable, Writer};
-use rfid_wire::{WireError, WireErrorKind, WIRE_VERSION};
+use rfid_wire::{SiteCheckpoint, WireError, WireErrorKind, WIRE_VERSION};
 
 /// Run every decoder over `bytes`; the only acceptable outcomes are `Ok` and
 /// `Err` — a panic fails the test by unwinding. A bundle that decodes is also
@@ -308,14 +308,13 @@ fn duplicate_keys_are_malformed_in_every_keyed_section() {
 }
 
 /// Decode a checkpoint whose only non-empty section is the observation store
-/// (`at` 0) or the dirty journal (`at` 3), written by `body`.
-fn decode_with_section(at: usize, body: &dyn Fn(&mut Writer)) -> Result<(), WireError> {
+/// (`at` 0), the dirty journal (`at` 3) or the cache keys (`at` 4), written
+/// by `body`.
+fn decode_with_section(at: usize, body: &dyn Fn(&mut Writer)) -> Result<SiteCheckpoint, WireError> {
     let blank = |w: &mut Writer| w.put_varint(0);
     let mut bodies: [&dyn Fn(&mut Writer); 5] = [&blank; 5];
     bodies[at] = body;
-    codec()
-        .decode_checkpoint(&checkpoint_with_keyed_sections(bodies))
-        .map(|_| ())
+    codec().decode_checkpoint(&checkpoint_with_keyed_sections(bodies))
 }
 
 /// A store section for the tag at table index 1: per observation its epoch
@@ -392,9 +391,8 @@ fn duplicate_journal_epochs_are_malformed() {
     }
 }
 
-/// One object row of a hand-written outcome: its candidates in ranked order,
-/// the tags its weights are keyed by, and its series as `(candidate, number
-/// of points)`, each point one epoch after the last.
+/// One object row of a hand-written outcome: its candidates in ranked order
+/// and the tags its weights are keyed by.
 #[derive(Clone)]
 struct RowBody {
     object: TagId,
@@ -402,7 +400,6 @@ struct RowBody {
     declared: Option<u64>,
     candidates: Vec<TagId>,
     weights: Vec<TagId>,
-    series: Vec<(TagId, u64)>,
 }
 
 /// A hand-written checkpoint whose engine holds one outcome over the table of
@@ -446,15 +443,6 @@ fn checkpoint_with_outcome(
             w.put_varint(at(c));
             w.put_f64(-1.5);
         }
-        w.put_varint(row.series.len() as u64);
-        for &(c, points) in &row.series {
-            w.put_varint(at(c));
-            w.put_varint(points);
-            for _ in 0..points.min(4) {
-                w.put_zigzag(1);
-                w.put_f64(0.25);
-            }
-        }
         w.put_varint(0); // not assigned
     }
     w.put_varint(runs.len() as u64);
@@ -480,21 +468,20 @@ fn checkpoint_with_outcome(
 }
 
 /// The outcome's arenas hold rows ascending by object, one weight per
-/// candidate, series and location runs only where there is something to
-/// hold, and containment only for objects with a row. A checkpoint breaking
-/// any of those rules is a typed error — `Malformed` with the rule's name,
-/// or `Truncated` where a count runs past the message — never a panic or a
+/// candidate, location runs only where there is something to hold, and
+/// containment only for objects with a row. A checkpoint breaking any of
+/// those rules is a typed error — `Malformed` with the rule's name, or
+/// `Truncated` where a count runs past the message — never a panic or a
 /// silently reshaped outcome.
 #[test]
 fn outcomes_breaking_an_arena_rule_are_typed_errors() {
     let (item1, item2) = (TagId::item(1), TagId::item(2));
     let (case1, case2) = (TagId::case(1), TagId::case(2));
-    let row = |object, series: &[(TagId, u64)]| RowBody {
+    let row = |object| RowBody {
         object,
         declared: None,
         candidates: vec![case2, case1],
         weights: vec![case1, case2],
-        series: series.to_vec(),
     };
     let decode = |bytes: Vec<u8>| {
         codec()
@@ -502,10 +489,9 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
             .map(|c| c.engine.last_outcome)
     };
 
-    let series = [(case1, 2), (case2, 1)];
     let outcome = decode(checkpoint_with_outcome(
         &[(item1, case2)],
-        &[row(item1, &series), row(item2, &series)],
+        &[row(item1), row(item2)],
         &[(item2, 1), (case1, 2)],
     ))
     .expect("a well-formed outcome decodes")
@@ -514,18 +500,18 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
     assert_eq!(outcome.container_of(item1), Some(case2));
     let row1 = outcome.object(item1).unwrap();
     assert_eq!(row1.candidates().collect::<Vec<_>>(), [case2, case1]);
-    assert_eq!(row1.point_evidence(case1).map(<[_]>::len), Some(2));
+    assert_eq!(row1.series().count(), 0, "a checkpoint keeps no evidence");
     assert_eq!(outcome.locations_of(case1).len(), 2);
 
-    let two = [row(item1, &[]), row(item2, &[])];
+    let two = [row(item1), row(item2)];
     let malformed: Vec<(&str, Vec<u8>)> = vec![
         (
             "object rows out of order or repeated",
-            checkpoint_with_outcome(&[], &[row(item2, &[]), row(item1, &[])], &[]),
+            checkpoint_with_outcome(&[], &[row(item2), row(item1)], &[]),
         ),
         (
             "object rows out of order or repeated",
-            checkpoint_with_outcome(&[], &[row(item1, &[]), row(item1, &[])], &[]),
+            checkpoint_with_outcome(&[], &[row(item1), row(item1)], &[]),
         ),
         (
             "mismatched weight and candidate counts",
@@ -533,7 +519,7 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
                 &[],
                 &[RowBody {
                     weights: vec![case1],
-                    ..row(item1, &[])
+                    ..row(item1)
                 }],
                 &[],
             ),
@@ -544,7 +530,7 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
                 &[],
                 &[RowBody {
                     weights: vec![case1, item2],
-                    ..row(item1, &[])
+                    ..row(item1)
                 }],
                 &[],
             ),
@@ -555,22 +541,14 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
                 &[],
                 &[RowBody {
                     candidates: vec![case1, case1],
-                    ..row(item1, &[])
+                    ..row(item1)
                 }],
                 &[],
             ),
         ),
         (
-            "point evidence for a tag that is not a candidate",
-            checkpoint_with_outcome(&[], &[row(item1, &[(item2, 1)])], &[]),
-        ),
-        (
-            "an empty point-evidence series",
-            checkpoint_with_outcome(&[], &[row(item1, &[(case2, 0)])], &[]),
-        ),
-        (
             "containment names an object without a row",
-            checkpoint_with_outcome(&[(item2, case1)], &[row(item1, &[])], &[]),
+            checkpoint_with_outcome(&[(item2, case1)], &[row(item1)], &[]),
         ),
         (
             "location runs out of order or repeated",
@@ -587,20 +565,116 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
         assert!(err.to_string().ends_with(rule), "{rule}: {err}");
     }
 
-    // A candidate list or a series declaring more entries than the message
-    // holds: the decoder reads on to the end of the message and stops there.
+    // A candidate list declaring more entries than the message holds: the
+    // decoder reads on to the end of the message and stops there.
     let candidates_past_the_end = RowBody {
         declared: Some(1 << 40),
         candidates: Vec::new(),
         weights: Vec::new(),
-        ..row(item1, &[])
+        ..row(item1)
     };
-    for bytes in [
-        checkpoint_with_outcome(&[], &[candidates_past_the_end], &[]),
-        checkpoint_with_outcome(&[], &[row(item1, &[(case1, 1 << 40)])], &[]),
-    ] {
-        let err = decode(bytes).unwrap_err();
-        assert_eq!(err.kind(), WireErrorKind::Truncated, "{err}");
+    let err = decode(checkpoint_with_outcome(
+        &[],
+        &[candidates_past_the_end],
+        &[],
+    ))
+    .unwrap_err();
+    assert_eq!(err.kind(), WireErrorKind::Truncated, "{err}");
+}
+
+/// One variant key of a hand-written cache section over the two-tag table of
+/// [`checkpoint_with_keyed_sections`]: member and series-object references
+/// as table indices (`2` is past the table), epochs as zigzag deltas.
+struct KeyBody {
+    members: &'static [u64],
+    epoch_deltas: &'static [i64],
+    objects: &'static [u64],
+}
+
+/// A cache section holding `variants` for the container at table index 0.
+fn cache_section(variants: &[KeyBody]) -> impl Fn(&mut Writer) + '_ {
+    move |w| {
+        w.put_varint(1);
+        w.put_varint(0);
+        w.put_varint(variants.len() as u64);
+        for key in variants {
+            w.put_varint(key.members.len() as u64);
+            key.members.iter().for_each(|&m| w.put_varint(m));
+            w.put_varint(key.epoch_deltas.len() as u64);
+            key.epoch_deltas.iter().for_each(|&d| w.put_zigzag(d));
+            w.put_varint(key.objects.len() as u64);
+            key.objects.iter().for_each(|&o| w.put_varint(o));
+        }
+    }
+}
+
+/// The evidence cache's keys are all a checkpoint keeps of it, and restore
+/// recomputes the values under them, so a key no run could have cached is a
+/// typed error at decode: posterior epochs unsorted or repeated, a member or
+/// series object outside the tag table, more variants than a container
+/// keeps. Keys that decode — however little they match the store — restore
+/// and run without a panic.
+#[test]
+fn hostile_cache_keys_are_typed_errors() {
+    let key = |epoch_deltas| KeyBody {
+        members: &[1],
+        epoch_deltas,
+        objects: &[1],
+    };
+    let accepted: [&[KeyBody]; 3] = [
+        &[key(&[5, 2])],
+        &[KeyBody {
+            members: &[],
+            epoch_deltas: &[],
+            objects: &[],
+        }],
+        &[key(&[5]), key(&[1, 1]), key(&[7]), key(&[2, 9, 4])],
+    ];
+    for variants in accepted {
+        let checkpoint =
+            decode_with_section(4, &cache_section(variants)).expect("keys a run caches");
+        let mut engine = rfid_core::InferenceEngine::new(
+            rfid_core::InferenceConfig::default().without_change_detection(),
+            rfid_types::ReadRateTable::diagonal(2, 0.8, 1e-4),
+        );
+        engine.restore(checkpoint.engine);
+        engine.observe(RawReading::new(Epoch(6), TagId::item(1), ReaderId(0)));
+        engine.observe(RawReading::new(Epoch(6), TagId::case(1), ReaderId(0)));
+        engine.run_inference(Epoch(10));
+    }
+    let rejected: [(&[KeyBody], &str); 6] = [
+        (&[key(&[5, -2])], "posterior epochs unsorted or repeated"),
+        (&[key(&[5, 0])], "posterior epochs unsorted or repeated"),
+        (
+            &[KeyBody {
+                members: &[1, 1],
+                ..key(&[5])
+            }],
+            "variant members unsorted or repeated",
+        ),
+        (
+            &[KeyBody {
+                members: &[2],
+                ..key(&[5])
+            }],
+            "tag index out of table bounds",
+        ),
+        (
+            &[KeyBody {
+                objects: &[2],
+                ..key(&[5])
+            }],
+            "tag index out of table bounds",
+        ),
+        (
+            &[key(&[1]), key(&[2]), key(&[3]), key(&[4]), key(&[5])],
+            "more cached variants than a container keeps",
+        ),
+    ];
+    for (variants, rule) in rejected {
+        let err = decode_with_section(4, &cache_section(variants)).unwrap_err();
+        assert_eq!(err.kind(), WireErrorKind::Malformed, "{rule}: {err}");
+        assert!(err.to_string().ends_with(rule), "{rule}: {err}");
     }
 }
 

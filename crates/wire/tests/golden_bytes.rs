@@ -13,9 +13,9 @@
 //! encoding in the layout the literals use.
 
 use rfid_core::{
-    CachedVariant, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, EvidenceCache,
-    InferenceOutcome, InferenceStats, MemoryStats, MigrationState, Observations, PriorWeights,
-    ReadingsState,
+    CacheKeys, CollapsedState, DetectedChange, DirtySet, EngineSnapshot, InferenceOutcome,
+    InferenceStats, MemoryStats, MigrationState, Observations, PriorWeights, ReadingsState,
+    VariantKey,
 };
 use rfid_query::{
     Alert, AutomatonState, ObjectQueryState, ProcessorSnapshot, SharedStateBundle, StateDelta,
@@ -127,14 +127,14 @@ fn kind_01_migration_state() {
     pin(
         "MigrationState::None",
         &MigrationState::None,
-        "010100",
+        "020100",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
     );
     pin(
         "MigrationState::Collapsed",
         &MigrationState::Collapsed(collapsed()),
-        "0101010403feffffffffffffff3f01aa82808080808080400002030100000000 \
+        "0201010403feffffffffffffff3f01aa82808080808080400002030100000000 \
          000029c00200000000002044c0030000000000000000",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
@@ -146,7 +146,7 @@ fn kind_01_migration_state() {
             readings: readings(),
             container: Some(TagId::case(1)),
         }),
-        "0101020303feffffffffffffff3f0100020c00c8010200020200080200ee3c02 \
+        "0201020303feffffffffffffff3f0100020c00c8010200020200080200ee3c02 \
          01f73c0201020201080201ee3c0202f73cbc050202bc050208bc0502ee3cbc05",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
@@ -158,7 +158,7 @@ fn kind_02_reading_batch() {
     pin(
         "reading batch",
         &readings(),
-        "01020303feffffffffffffff3f010c00c8010200020200080200ee3c0201f73c \
+        "02020303feffffffffffffff3f010c00c8010200020200080200ee3c0201f73c \
          0201020201080201ee3c0202f73cbc050202bc050208bc0502ee3cbc05",
         |r| codec().encode_readings(r),
         |b| codec().decode_readings(b).unwrap(),
@@ -170,7 +170,7 @@ fn kind_03_query_state() {
     pin(
         "ObjectQueryState",
         &accumulating(),
-        "01030251310901f4030103000000000000803540140000000000003640090000 \
+        "02030251310901f4030103000000000000803540140000000000003640090000 \
          000000000080",
         |s| codec().encode_query_state(s),
         |b| codec().decode_query_state(b).unwrap(),
@@ -212,7 +212,7 @@ fn kind_04_bundle() {
     pin(
         "SharedStateBundle",
         &bundle,
-        "010401050102030405030204000200090607000308000108ff03080806848080 \
+        "020401050102030405030204000200090607000308000108ff03080806848080 \
          8080808080400201020909",
         |b| codec().encode_bundle(b),
         |b| codec().decode_bundle(b).unwrap(),
@@ -233,7 +233,7 @@ fn kind_05_collapsed_state() {
     pin(
         "CollapsedState",
         &collapsed(),
-        "01050403feffffffffffffff3f01aa8280808080808040000203010000000000 \
+        "02050403feffffffffffffff3f01aa8280808080808040000203010000000000 \
          0029c00200000000002044c0030000000000000000",
         |s| codec().encode_collapsed(s),
         |b| codec().decode_collapsed(b).unwrap(),
@@ -246,7 +246,7 @@ fn kind_06_state_payload() {
     pin(
         "state payload",
         &state,
-        "010602513101f403010300000000000080354014000000000000364009000000 \
+        "020602513101f403010300000000000080354014000000000000364009000000 \
          0000000080",
         |s| codec().state_payload(s),
         |b| codec().state_from_payload(state.tag, b).unwrap(),
@@ -269,29 +269,24 @@ fn checkpoint() -> SiteCheckpoint {
     let mut dirty = DirtySet::new();
     dirty.mark(TagId::item(2));
     dirty.record(TagId::item(1), Epoch(2));
-    let mut cache = EvidenceCache::new();
-    cache.set_variants(
-        TagId::case(1),
-        vec![CachedVariant {
-            members: vec![TagId::item(1)],
-            epochs: vec![Epoch(1), Epoch(3)],
-            qrows: vec![0.25, 0.75, -0.0, 1.0],
-            evidence: [(TagId::item(1), vec![(Epoch(1), 0.5), (Epoch(3), 1.5)])]
-                .into_iter()
-                .collect(),
-        }],
-    );
+    let mut cache = CacheKeys::new();
+    cache
+        .insert(
+            TagId::case(1),
+            vec![VariantKey {
+                members: vec![TagId::item(1)],
+                epochs: vec![Epoch(1), Epoch(3)],
+                objects: vec![TagId::item(1)],
+            }],
+        )
+        .unwrap();
     let mut outcome = InferenceOutcome::new(3, 4);
-    let series = [(Epoch(0), 0.5), (Epoch(2), 0.25)];
     outcome
         .push_object(
             TagId::item(1),
             Some(TagId::case(1)),
             Some(TagId::case(1)),
-            &[
-                (TagId::case(1), 4.5, &series),
-                (TagId::case(2), -1e-300, &[]),
-            ],
+            &[(TagId::case(1), 4.5, &[]), (TagId::case(2), -1e-300, &[])],
         )
         .unwrap();
     outcome
@@ -420,21 +415,18 @@ fn kind_07_site_checkpoint() {
     pin(
         "SiteCheckpoint",
         &checkpoint(),
-        "010702040601010502f8ffffffffffffff3f0102000300010002010002010004 \
+        "020702040601010502f8ffffffffffffff3f0102000300010002010002010004 \
          030001000201000202000101000204000000000000e0bf0500000000002044c0 \
          01000401000306050000000000001d4001010004010002040502040000000000 \
-         0012400559f3f8c21f6ea58101040200000000000000e03f04000000000000d0 \
-         3f05010402000004010304010401000000000000f07f02000104010001040101 \
-         0002020404000000000000d03f000000000000e83f0000000000000080000000 \
-         000000f03f01000202000000000000e03f04000000000000f83f010201000000 \
-         0000803540010251310301f40301030000000000008035401400000000000036 \
-         4009000000000000008001025131020003020000000000000034400600000000 \
-         000038400a01ac02010301020305110401360101010403feffffffffffffff3f \
-         01aa82808080808080400002030100000000000029c00200000000002044c003 \
-         000000000000000001025132030005e807781e080603020101011e2d02020507 \
-         0b0d0200040206090111000a0c0f030e02010401010101010903042802110302 \
-         01020d0c010d84020d84020b09010101140102000d0000000000000000000000 \
-         0000",
+         0012400559f3f8c21f6ea58105010402000004010304010401000000000000f0 \
+         7f02000104010001040101000202040100010201000000000080354001025131 \
+         0301f40301030000000000008035401400000000000036400900000000000000 \
+         8001025131020003020000000000000034400600000000000038400a01ac0201 \
+         0301020305110401360201010403feffffffffffffff3f01aa82808080808080 \
+         400002030100000000000029c00200000000002044c003000000000000000001 \
+         025132030005e807781e080603020101011e2d020205070b0d02000402060901 \
+         11000a0c0f030e0201040101010101090304280211030201020d0c010d84020d \
+         84020b09010101140102000d00000000000000000000000000",
         |c| codec().encode_checkpoint(c),
         |b| codec().decode_checkpoint(b).unwrap(),
     );
@@ -449,7 +441,7 @@ fn kind_08_control() {
             to: 300,
             seq: 1 << 40,
         },
-        "01080002ac02808080808020",
+        "02080002ac02808080808020",
         |m| codec().encode_control(m),
         |b| codec().decode_control(b).unwrap(),
     );
@@ -460,7 +452,7 @@ fn kind_08_control() {
             peer: 0,
             since: Epoch(u32::MAX),
         },
-        "0108010700ffffffff0f",
+        "0208010700ffffffff0f",
         |m| codec().encode_control(m),
         |b| codec().decode_control(b).unwrap(),
     );

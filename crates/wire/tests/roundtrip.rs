@@ -7,7 +7,7 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use rfid_core::{
-    CollapsedState, DirtySet, EngineSnapshot, EvidenceCache, InferenceStats, MigrationState,
+    CacheKeys, CollapsedState, DirtySet, EngineSnapshot, InferenceStats, MigrationState,
     Observations, PriorWeights, ReaderSet,
 };
 use rfid_query::ProcessorSnapshot;
@@ -141,7 +141,7 @@ fn checkpoint_epochs_survive_the_wraparound_boundary() {
             last_inference_at: Some(Epoch(u32::MAX)),
             threshold: None,
             dirty,
-            cache: EvidenceCache::new(),
+            cache: CacheKeys::new(),
         },
         processor: ProcessorSnapshot {
             temperatures: Vec::new(),
