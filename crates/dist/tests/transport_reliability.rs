@@ -217,3 +217,38 @@ fn late_state_reconciliation_happens_under_lossy_acks() {
          or no dedup drops ({seen_duplicates}) — the degraded path never ran"
     );
 }
+
+/// The transport counters of one checkpointed chaos soak, pinned as
+/// literals: all ten of them, and the number of edges that carried an
+/// envelope. The tracked BENCH files record only six of the ten, so this is
+/// where a change to how the counters are booked shows first.
+#[test]
+fn the_soak_transport_counters_are_pinned() {
+    let chain = presets::smoke_chain(900, 3, None);
+    let plan = FaultPlan::soak(41, chain.sites.len() as u16, 900);
+    for workers in [1, 3] {
+        let outcome = DistributedDriver::new(
+            config(MigrationStrategy::CollapsedWeights, workers)
+                .with_checkpoints(60)
+                .with_faults(plan.clone()),
+        )
+        .run(&chain);
+        assert_eq!(
+            outcome.transport,
+            rfid_dist::TransportStats {
+                envelopes: 8,
+                transmissions: 8,
+                retransmissions: 0,
+                acks: 7,
+                duplicates_dropped: 0,
+                reconciled: 2,
+                stale_dropped: 0,
+                abandoned: 1,
+                resyncs: 1,
+                quarantined: 1,
+            },
+            "{workers} workers"
+        );
+        assert_eq!(outcome.ledgers.len(), 1, "{workers} workers");
+    }
+}
