@@ -11,7 +11,11 @@
 //! federated sites. Crashes, shipment faults and clock skew do not apply —
 //! there are no inter-site shipments, the central server is assumed durable,
 //! and the uplink timestamps readings on ingestion rather than trusting the
-//! site clock.
+//! site clock. Each site's uplink is one directed edge `site → server`
+//! (the server's id is the number of sites) with its own
+//! [`EdgeLedger`](rfid_wire::EdgeLedger): the sender half is booked at
+//! forwarding, the receiver half at ingestion, so the conservation oracle
+//! audits every batch as it audits a federated shipment.
 //!
 //! It is deliberately *not* a [`SiteState`](crate::site::SiteState) role: a
 //! server with no departures, no inbox and no checkpoint would make every
@@ -101,9 +105,11 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         .map(|s| LocalStreams::new(ctx, s, (s * site_locs) as u16, 0))
         .collect();
     let acked = ctx.transport_mode == TransportMode::Reliable;
-    let mut uplink_seqs: Vec<u64> = vec![0; num_sites];
-    // Encoded batches by the epoch they reach the server.
-    let mut in_flight: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
+    // The server's id on the uplink edges, next to the sites' own.
+    let server = num_sites as u16;
+    // Encoded batches, with their origin site, by the epoch they reach the
+    // server.
+    let mut in_flight: BTreeMap<u32, Vec<(u16, Vec<u8>)>> = BTreeMap::new();
     let mut batch: Vec<RawReading> = Vec::new();
     for t in 0..=ctx.horizon {
         let now = Epoch(t);
@@ -127,38 +133,50 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
             batch.sort_unstable();
             batch.dedup();
             let payload = ctx.codec.encode_readings(&batch);
-            let (attempts, delivered) = uplink_delivery(ctx, site as u16, now);
+            let site = site as u16;
+            let (attempts, delivered) = uplink_delivery(ctx, site, now);
             let tally = &mut unit.tally;
             for _ in 0..attempts {
                 tally.comm.record(MessageKind::RawReadings, payload.len());
             }
-            tally.transport.envelopes += 1;
-            tally.transport.transmissions += u64::from(attempts);
-            tally.transport.retransmissions += u64::from(attempts.saturating_sub(1));
+            // The sender half of the uplink edge's ledger.
+            let ledger = tally.ledger(site, server);
+            ledger.envelopes += 1;
+            ledger.transmissions += u64::from(attempts);
             // A delivered batch is ingested at its delivery epoch; an
             // abandoned one never reaches the engine, degrading the central
             // estimate.
             let Some(at) = delivered else {
-                tally.transport.abandoned += 1;
+                ledger.abandoned += 1;
                 continue;
             };
+            // Each delivered batch is acked with the number of batches the
+            // site delivered before it.
+            let seq = ledger.sent_copies;
+            ledger.sent_copies += 1;
+            ledger.sent_bytes += payload.len() as u64;
             if acked {
                 let ack = ControlMsg::Ack {
-                    from: num_sites as u16,
-                    to: site as u16,
-                    seq: uplink_seqs[site],
+                    from: server,
+                    to: site,
+                    seq,
                 };
-                uplink_seqs[site] += 1;
                 let bytes = ctx.codec.encode_control(&ack).len();
                 tally.comm.record(MessageKind::Control, bytes);
-                tally.transport.acks += 1;
             }
-            in_flight.entry(at).or_default().push(payload);
+            in_flight.entry(at).or_default().push((site, payload));
         }
         // The server ingests what reaches it now: batches retransmitted from
         // earlier epochs that finally got through land before this epoch's
         // fresh forwarding.
-        for payload in in_flight.remove(&t).into_iter().flatten() {
+        for (site, payload) in in_flight.remove(&t).into_iter().flatten() {
+            // The receiver half: the server accepts and ingests every batch
+            // that reaches it.
+            let ledger = unit.tally.ledger(site, server);
+            ledger.recv_copies += 1;
+            ledger.recv_bytes += payload.len() as u64;
+            ledger.accepted += 1;
+            ledger.imported += 1;
             let decoded = ctx
                 .codec
                 .decode_readings(&payload)
@@ -183,7 +201,8 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         }
     }
     let alerts = unit.processor.alerts().to_vec();
-    unit.tally.into_outcome(containment, alerts, ons)
+    unit.tally
+        .into_outcome(ctx.transport_mode, containment, alerts, ons)
 }
 
 #[cfg(test)]

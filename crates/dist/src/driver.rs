@@ -65,8 +65,9 @@ pub struct DistributedOutcome {
     /// all engines.
     pub inference_stats: InferenceStats,
     /// Transport counters (envelopes, retransmissions, dedup drops,
-    /// degraded-mode abandonments, …) summed across sites. Zero only when
-    /// nothing migrates (the `None` strategy).
+    /// degraded-mode abandonments, …): a view of `ledgers`, derived by
+    /// [`TransportStats::from_ledgers`], plus the resyncs summed across
+    /// sites. Zero only when nothing migrates (the `None` strategy).
     pub transport: TransportStats,
     /// Every poisoned envelope quarantined during the run, tagged with the
     /// site that quarantined it, in `(site, from, seq)` order. Empty unless
@@ -78,10 +79,11 @@ pub struct DistributedOutcome {
     /// whenever a budget is configured, even an unbounded one).
     pub memory: MemoryStats,
     /// Per-directed-edge conservation ledgers, sender and receiver halves
-    /// merged, sorted by `(from, to)`: one per edge that carried an
-    /// envelope, so empty under the `None` strategy (and for the centralized
-    /// strategy, whose uplink has no per-edge bookkeeping). The invariant
-    /// oracles in [`crate::oracle`] audit these.
+    /// merged, sorted by `(from, to)`: the one book of transport facts. One
+    /// per edge that carried an envelope, so empty under the `None`
+    /// strategy; under Centralized, one per forwarding site's uplink
+    /// `site → server`, where the server's id is the number of sites. The
+    /// invariant oracles in [`crate::oracle`] audit these.
     pub ledgers: Vec<EdgeLedger>,
 }
 

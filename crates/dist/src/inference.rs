@@ -10,7 +10,7 @@
 use crate::comm::CommCost;
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::ons::Ons;
-use crate::transport::TransportStats;
+use crate::transport::{TransportMode, TransportStats};
 use rfid_core::{
     InferenceConfig, InferenceEngine, InferenceReport, InferenceStats, MemoryStats, ThresholdPolicy,
 };
@@ -36,15 +36,17 @@ pub(crate) struct Tally {
     /// restore carries the site's running total across instead.
     pub(crate) inference_wall: Duration,
     pub(crate) inference_stats: InferenceStats,
-    pub(crate) transport: TransportStats,
+    /// Anti-entropy resync requests sent: the one transport counter that is
+    /// not an envelope, so no ledger books it.
+    pub(crate) resyncs: u64,
     /// Poison ledger: every envelope whose payload failed to decode, tagged
     /// with the quarantining site, in acceptance order.
     pub(crate) quarantine: Vec<(SiteId, QuarantineEntry)>,
     /// Memory-budget counters (high-water mark, compactions, evictions).
     pub(crate) memory: MemoryStats,
-    /// Per-directed-edge conservation ledgers: a site books the sender half
-    /// of its out-edges and the receiver half of its in-edges; merging folds
-    /// both halves of each edge together.
+    /// Per-directed-edge conservation ledgers, the one book of transport
+    /// facts: a site books the sender half of its out-edges and the receiver
+    /// half of its in-edges; merging folds both halves of each edge together.
     pub(crate) ledgers: BTreeMap<(u16, u16), EdgeLedger>,
 }
 
@@ -58,7 +60,7 @@ impl Tally {
             inference_runs: checkpoint.inference_runs as usize,
             inference_wall: Duration::ZERO,
             inference_stats: checkpoint.stats,
-            transport: checkpoint.transport,
+            resyncs: checkpoint.transport.resyncs,
             quarantine: checkpoint
                 .quarantine
                 .iter()
@@ -90,7 +92,7 @@ impl Tally {
         self.inference_runs += other.inference_runs;
         self.inference_wall += other.inference_wall;
         self.inference_stats.absorb(&other.inference_stats);
-        self.transport.merge(&other.transport);
+        self.resyncs += other.resyncs;
         self.quarantine.extend(other.quarantine);
         self.memory.merge(&other.memory);
         for ((from, to), ledger) in other.ledgers {
@@ -98,13 +100,21 @@ impl Tally {
         }
     }
 
+    /// The transport counters, read off the ledgers of a run in `mode`.
+    pub(crate) fn transport(&self, mode: TransportMode) -> TransportStats {
+        let acked = mode == TransportMode::Reliable;
+        TransportStats::from_ledgers(self.ledgers.values(), acked, self.resyncs)
+    }
+
     /// Report the (merged) tally as a run's outcome.
     pub(crate) fn into_outcome(
         self,
+        mode: TransportMode,
         containment: ContainmentMap,
         alerts: Vec<Alert>,
         ons: Ons,
     ) -> DistributedOutcome {
+        let transport = self.transport(mode);
         DistributedOutcome {
             containment,
             comm: self.comm,
@@ -115,7 +125,7 @@ impl Tally {
             inference_runs: self.inference_runs,
             inference_wall: self.inference_wall,
             inference_stats: self.inference_stats,
-            transport: self.transport,
+            transport,
             quarantine: self.quarantine,
             memory: self.memory,
             ledgers: self.ledgers.into_values().collect(),

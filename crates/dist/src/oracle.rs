@@ -9,12 +9,14 @@
 //! * **envelope conservation** — every envelope the transport accepted is
 //!   abandoned, accepted or dark (receiver down through the horizon); every
 //!   transmitted copy is received or left undelivered; byte-for-byte, per
-//!   directed edge ([`EdgeLedger`](crate::EdgeLedger)'s doc equations);
-//! * **transport cross-check** — the per-edge ledgers sum to the global
-//!   [`TransportStats`](crate::TransportStats) counters, which are booked on
-//!   entirely different code paths;
+//!   directed edge ([`EdgeLedger`](crate::EdgeLedger)'s doc equations),
+//!   the Centralized uplink's site → server edges included. The ledgers are
+//!   the only transport book: the outcome's
+//!   [`TransportStats`](crate::TransportStats) is derived from them, so
+//!   balanced ledgers are balanced transport counters;
 //! * **quarantine accounting** — every poisoned payload is in the
-//!   quarantine ledger, once, and nowhere else;
+//!   quarantine list, once, and the list's length equals the ledgers'
+//!   `quarantined` sum;
 //! * **ONS custody** — the custody registry equals the one recomputed from
 //!   the static transfer schedule (custody never depends on inference);
 //! * **containment sanity** — only the chain's objects are reported, never
@@ -58,7 +60,6 @@ impl std::error::Error for Violation {}
 /// violation found, or `Ok(())` when the outcome is fully accountable.
 pub fn audit(chain: &ChainTrace, outcome: &DistributedOutcome) -> Result<(), Violation> {
     edge_conservation(outcome)?;
-    transport_cross_check(outcome)?;
     quarantine_accounting(outcome)?;
     ons_custody(chain, outcome)?;
     containment_sanity(chain, outcome)
@@ -108,69 +109,8 @@ fn edge_conservation(outcome: &DistributedOutcome) -> Result<(), Violation> {
     Ok(())
 }
 
-/// The ledgers and the global transport counters are booked on different
-/// code paths; their sums must agree. Skipped when no ledger exists (nothing
-/// migrated, or the centralized uplink, which keeps no per-edge books).
-fn transport_cross_check(outcome: &DistributedOutcome) -> Result<(), Violation> {
-    if outcome.ledgers.is_empty() {
-        return Ok(());
-    }
-    let t = &outcome.transport;
-    let sums = [
-        (
-            "envelopes",
-            outcome.ledgers.iter().map(|l| l.envelopes).sum::<u64>(),
-            t.envelopes,
-        ),
-        (
-            "abandoned",
-            outcome.ledgers.iter().map(|l| l.abandoned).sum(),
-            t.abandoned,
-        ),
-        (
-            "quarantined",
-            outcome.ledgers.iter().map(|l| l.quarantined).sum(),
-            t.quarantined,
-        ),
-        (
-            "stale",
-            outcome.ledgers.iter().map(|l| l.stale).sum(),
-            t.stale_dropped,
-        ),
-        (
-            "duplicates",
-            outcome
-                .ledgers
-                .iter()
-                .map(|l| l.recv_copies - l.accepted)
-                .sum(),
-            t.duplicates_dropped,
-        ),
-    ];
-    for (name, ledger_sum, transport_total) in sums {
-        if ledger_sum != transport_total {
-            return Err(Violation::new(
-                "transport-cross-check",
-                format!("ledger {name} sum {ledger_sum} != transport counter {transport_total}"),
-            ));
-        }
-    }
-    // A reliable receiver acks every arriving copy (acks == 0 is a run whose
-    // plan can lose nothing, which sends none: the equation does not apply).
-    if t.acks > 0 {
-        let recv: u64 = outcome.ledgers.iter().map(|l| l.recv_copies).sum();
-        if recv != t.acks {
-            return Err(Violation::new(
-                "transport-cross-check",
-                format!("received copies {recv} != acks {}", t.acks),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Every quarantined envelope appears exactly once in the merged quarantine
-/// ledger, matching the transport counter.
+/// list, whose length matches the ledgers' `quarantined` sum.
 fn quarantine_accounting(outcome: &DistributedOutcome) -> Result<(), Violation> {
     let listed = outcome.quarantine.len() as u64;
     if listed != outcome.transport.quarantined {
@@ -317,6 +257,33 @@ mod tests {
         assert_eq!(violation.oracle, "edge-conservation");
         assert!(violation.detail.contains("envelopes"));
         assert!(!format!("{violation}").is_empty());
+    }
+
+    /// The Centralized uplink books one site → server ledger per forwarding
+    /// site, so the conservation oracle covers its batches too.
+    #[test]
+    fn a_cooked_uplink_ledger_is_caught() {
+        let chain = presets::smoke_chain(900, 3, None);
+        let horizon = chain.sites[0].meta.length;
+        let config = DistributedConfig {
+            strategy: MigrationStrategy::Centralized,
+            inference: rfid_core::InferenceConfig::default().without_change_detection(),
+            faults: Some(FaultPlan::soak(41, chain.sites.len() as u16, horizon)),
+            ..DistributedConfig::default()
+        };
+        let mut outcome = DistributedDriver::new(config).run(&chain);
+        // One uplink per site that read anything; the server is site 3.
+        let forwarding: Vec<(u16, u16)> = (0..3u16)
+            .filter(|&s| !chain.sites[usize::from(s)].readings.is_empty())
+            .map(|s| (s, 3))
+            .collect();
+        let edges: Vec<(u16, u16)> = outcome.ledgers.iter().map(|l| (l.from, l.to)).collect();
+        assert_eq!(edges, forwarding);
+        audit(&chain, &outcome).unwrap();
+        outcome.ledgers[0].recv_copies += 1; // one batch ingested twice
+        let violation = audit(&chain, &outcome).unwrap_err();
+        assert_eq!(violation.oracle, "edge-conservation");
+        assert!(violation.detail.contains("copies"), "{violation}");
     }
 
     #[test]

@@ -65,7 +65,12 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
     alerts.sort_by(|a, b| (a.at, &a.query, a.tag).cmp(&(b.at, &b.query, b.tag)));
     let mut ons = OnsTracker::new();
     ons.advance(&ctx.chain.transfers, Epoch(ctx.horizon));
-    tally.into_outcome(containment.into_iter().collect(), alerts, ons.into_ons())
+    tally.into_outcome(
+        ctx.transport_mode,
+        containment.into_iter().collect(),
+        alerts,
+        ons.into_ons(),
+    )
 }
 
 /// The static schedule plus the board every worker reads and writes.

@@ -194,7 +194,7 @@ impl<'a> SiteState<'a> {
                 .iter()
                 .map(|(&peer, inbox)| inbox.to_seqs(peer))
                 .collect(),
-            transport: tally.transport,
+            transport: tally.transport(self.ctx.transport_mode),
             quarantine: tally.quarantine.iter().map(|&(_, entry)| entry).collect(),
             memory: tally.memory,
             ledgers: tally.ledgers.values().copied().collect(),

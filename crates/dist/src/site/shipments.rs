@@ -115,7 +115,7 @@ impl SiteState<'_> {
             peer,
             since,
         });
-        self.unit.tally.transport.resyncs += 1;
+        self.unit.tally.resyncs += 1;
     }
 
     /// Import a batch in generation order. Every envelope passes the same
@@ -140,14 +140,12 @@ impl SiteState<'_> {
                     to: peer,
                     seq: msg.seq,
                 });
-                self.unit.tally.transport.acks += 1;
             }
             // At-most-once delivery: retransmitted (and fault-duplicated)
             // copies of a sequence number never reach the engine twice —
             // imported state is *added* to the local prior, so a second
             // import would double it.
             if !self.dedup.entry(peer).or_default().accept(msg.seq) {
-                self.unit.tally.transport.duplicates_dropped += 1;
                 continue;
             }
             self.unit.tally.ledger(peer, me).accepted += 1;
@@ -159,7 +157,6 @@ impl SiteState<'_> {
                 .get(&msg.tag)
                 .is_some_and(|&gone| gone > msg.physical)
             {
-                self.unit.tally.transport.stale_dropped += 1;
                 self.unit.tally.ledger(peer, me).stale += 1;
                 continue;
             }
@@ -178,7 +175,6 @@ impl SiteState<'_> {
                         physical: msg.physical,
                     };
                     self.unit.tally.quarantine.push((SiteId(me), entry));
-                    self.unit.tally.transport.quarantined += 1;
                     self.unit.tally.ledger(peer, me).quarantined += 1;
                     if acked {
                         self.request_resync(peer, msg.physical);
@@ -192,7 +188,7 @@ impl SiteState<'_> {
                 // readings: degraded-mode reconciliation.
                 let summary = self.unit.engine.import_late_state(state);
                 if msg.arrive > msg.physical && summary.merged() {
-                    self.unit.tally.transport.reconciled += 1;
+                    self.unit.tally.ledger(peer, me).reconciled += 1;
                 }
             }
             if !msg.query.is_empty() {
@@ -374,14 +370,10 @@ impl SiteState<'_> {
                 // Account: the payload is charged once per transmission.
                 if sequenced {
                     let tally = &mut self.unit.tally;
-                    tally.transport.envelopes += 1;
-                    tally.transport.transmissions += u64::from(delivery.attempts);
-                    tally.transport.retransmissions +=
-                        u64::from(delivery.attempts.saturating_sub(1));
-                    tally.transport.abandoned += u64::from(delivery.abandoned);
                     let copies = arrivals.len() as u64;
                     let entry = tally.ledger(from, to);
                     entry.envelopes += 1;
+                    entry.transmissions += u64::from(delivery.attempts);
                     entry.abandoned += u64::from(delivery.abandoned);
                     entry.sent_copies += copies;
                     entry.sent_bytes += payload_len(&msg) * copies;

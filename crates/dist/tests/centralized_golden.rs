@@ -4,9 +4,10 @@
 //! count, which is trivially equal (the strategy has one engine). These
 //! literals pin its outcome across refactors of the driver: the exact bytes
 //! and message counts per [`MessageKind`], the transport and memory
-//! counters, the inference-run and alert counts, and a hash of the final
-//! containment map — fault-free, and under the full chaos soak (reader
-//! outages, rogue readers, lossy uplink) with a memory budget.
+//! counters, each site's uplink ledger, the inference-run and alert counts,
+//! and a hash of the final containment map — fault-free, and under the full
+//! chaos soak (reader outages, rogue readers, lossy uplink) with a memory
+//! budget.
 //!
 //! The constants were recorded on the commit *before* the driver was rebuilt
 //! around one execution core; a change that moves any of them changed what
@@ -62,6 +63,8 @@ struct Golden {
     /// `(bytes, messages)` per [`MessageKind::ALL`] entry, in that order.
     comm: [(usize, usize); 5],
     transport: TransportStats,
+    /// `(site, envelopes, abandoned)` of each site → server uplink ledger.
+    uplinks: Vec<(u16, u64, u64)>,
     memory: MemoryStats,
     inference_runs: usize,
     inference_stats: InferenceStats,
@@ -71,7 +74,8 @@ struct Golden {
 }
 
 fn observe(outcome: &DistributedOutcome) -> Golden {
-    assert!(outcome.quarantine.is_empty() && outcome.ledgers.is_empty());
+    assert!(outcome.quarantine.is_empty());
+    assert!(outcome.ledgers.iter().all(|l| l.to == SITES as u16));
     assert_eq!(outcome.query_state_shared_bytes, 0);
     assert_eq!(outcome.query_state_unshared_bytes, 0);
     Golden {
@@ -82,6 +86,11 @@ fn observe(outcome: &DistributedOutcome) -> Golden {
             )
         }),
         transport: outcome.transport,
+        uplinks: outcome
+            .ledgers
+            .iter()
+            .map(|l| (l.from, l.envelopes, l.abandoned))
+            .collect(),
         memory: outcome.memory,
         inference_runs: outcome.inference_runs,
         inference_stats: outcome.inference_stats,
@@ -102,6 +111,7 @@ fn fault_free_centralized_outcome_is_pinned() {
             transmissions: 2_541,
             ..TransportStats::default()
         },
+        uplinks: vec![(0, 1_638, 0), (1, 513, 0), (2, 390, 0)],
         memory: MemoryStats::default(),
         inference_runs: 7,
         inference_stats: InferenceStats {
@@ -154,6 +164,7 @@ fn chaos_soak_centralized_outcome_is_pinned() {
             abandoned: 10,
             ..TransportStats::default()
         },
+        uplinks: vec![(0, 1_638, 5), (1, 399, 3), (2, 390, 2)],
         memory: MemoryStats {
             high_water: 453,
             compactions: 566,

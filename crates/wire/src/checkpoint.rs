@@ -76,45 +76,72 @@ pub struct EdgeSeqs {
     pub extras: Vec<u64>,
 }
 
-/// Reliable-transport counters of one site (or, merged, a whole run).
+/// Reliable-transport counters of one site or a whole run: a view of its
+/// [`EdgeLedger`]s, built only by [`TransportStats::from_ledgers`]. Nine of
+/// the ten counters are read off the ledgers; `resyncs` is the one booked
+/// beside them, because a resync request is not an envelope.
 ///
-/// Invariants the transport tests pin: `delivered + abandoned == envelopes`
-/// where `delivered = envelopes - abandoned`, and
-/// `duplicates_dropped == arrivals - deliveries`.
+/// Invariants the transport tests pin: `transmissions == envelopes +
+/// retransmissions` and, on an acked run, `acks == delivered() +
+/// duplicates_dropped`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Logical payloads handed to the transport (one per shipment group
-    /// member or forwarded batch).
+    /// member or forwarded batch): the ledgers' `envelopes`.
     pub envelopes: u64,
     /// Transmission attempts that left the sender (first sends and
-    /// retransmissions).
+    /// retransmissions): the ledgers' `transmissions`.
     pub transmissions: u64,
-    /// Attempts beyond the first per envelope.
+    /// Attempts beyond the first per envelope: `transmissions - envelopes`.
     pub retransmissions: u64,
-    /// Acks sent by receivers (lost or not).
+    /// Acks sent by receivers (lost or not): the ledgers' `recv_copies` on
+    /// an acked run, 0 otherwise.
     pub acks: u64,
-    /// Arrivals dropped by receiver-side dedup.
+    /// Arrivals dropped by receiver-side dedup: `recv_copies - accepted`.
     pub duplicates_dropped: u64,
     /// Late state messages merged into a live engine after a degraded
-    /// cold-start ingest.
+    /// cold-start ingest: the ledgers' `reconciled`.
     pub reconciled: u64,
     /// Late state messages dropped because the object had already departed
-    /// again.
+    /// again: the ledgers' `stale`.
     pub stale_dropped: u64,
     /// Envelopes that exhausted their retry budget (or the horizon) without
-    /// a single arrival.
+    /// a single arrival: the ledgers' `abandoned`.
     pub abandoned: u64,
-    /// Anti-entropy resync requests sent after downtime.
+    /// Anti-entropy resync requests sent after downtime or a quarantine.
     pub resyncs: u64,
     /// Arrivals whose payload failed to decode and were quarantined instead
-    /// of delivered (poison-message handling).
+    /// of delivered (poison-message handling): the ledgers' `quarantined`.
     pub quarantined: u64,
 }
 
 impl TransportStats {
-    /// Fold `other` into `self` (all counters are additive).
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.add_counters(other);
+    /// The counters of `ledgers` plus `resyncs`; `acked` says whether the
+    /// receivers acked every arriving copy (a reliable run).
+    pub fn from_ledgers<'a>(
+        ledgers: impl IntoIterator<Item = &'a EdgeLedger>,
+        acked: bool,
+        resyncs: u64,
+    ) -> TransportStats {
+        let mut sum = EdgeLedger::default();
+        for ledger in ledgers {
+            sum.add_counters(ledger);
+        }
+        // Every envelope departs at or before the horizon, so it makes at
+        // least one attempt.
+        debug_assert!(sum.transmissions >= sum.envelopes, "{sum:?}");
+        TransportStats {
+            envelopes: sum.envelopes,
+            transmissions: sum.transmissions,
+            retransmissions: sum.transmissions.saturating_sub(sum.envelopes),
+            acks: if acked { sum.recv_copies } else { 0 },
+            duplicates_dropped: sum.recv_copies.saturating_sub(sum.accepted),
+            reconciled: sum.reconciled,
+            stale_dropped: sum.stale,
+            abandoned: sum.abandoned,
+            resyncs,
+            quarantined: sum.quarantined,
+        }
     }
 
     /// Envelopes that reached their destination at least once.
@@ -139,8 +166,9 @@ pub struct QuarantineEntry {
 /// Per-directed-edge conservation ledger, filled on both ends of the edge:
 /// the sender books what it hands to the transport, the receiver books what
 /// comes out (copies still sitting in a dark receiver's inbox at the end of
-/// the run are booked as undelivered). The invariant oracles check that the
-/// two sides balance —
+/// the run are booked as undelivered). It is the only book of transport
+/// facts: [`TransportStats`] is derived from it. The invariant oracles check
+/// that the two sides balance —
 /// `envelopes == abandoned + accepted + dark_envelopes`,
 /// `sent_copies == recv_copies + undelivered`,
 /// `sent_bytes == recv_bytes + undelivered_bytes` and
@@ -154,6 +182,9 @@ pub struct EdgeLedger {
     pub to: u16,
     /// Envelopes the sender handed to the transport on this edge.
     pub envelopes: u64,
+    /// Transmission attempts of those envelopes (first sends and
+    /// retransmissions).
+    pub transmissions: u64,
     /// Envelopes the sender gave up on (no copy ever arrives).
     pub abandoned: u64,
     /// Transmitted copies that arrive at the receiver (sender's view).
@@ -168,6 +199,9 @@ pub struct EdgeLedger {
     pub accepted: u64,
     /// Accepted envelopes whose state was delivered or reconciled.
     pub imported: u64,
+    /// Imported envelopes whose state landed after the object itself and
+    /// merged into an engine that had already cold-started it.
+    pub reconciled: u64,
     /// Accepted envelopes dropped as stale (object already departed again).
     pub stale: u64,
     /// Accepted envelopes quarantined because their payload failed to
@@ -242,7 +276,9 @@ pub struct SiteCheckpoint {
     pub stats: InferenceStats,
     /// Per-in-edge transport dedup state, in ascending peer order.
     pub inbox_seqs: Vec<EdgeSeqs>,
-    /// Reliable-transport counters accumulated so far.
+    /// Reliable-transport counters accumulated so far: the sums of
+    /// `ledgers` plus the site's resyncs. A restore reads back only
+    /// `resyncs`; the rest is rebuilt from `ledgers`.
     pub transport: TransportStats,
     /// Quarantined poison arrivals, in acceptance order.
     pub quarantine: Vec<QuarantineEntry>,
@@ -294,9 +330,9 @@ wire_struct!(InferenceStats: dirty_tags, posteriors_reused, posteriors_computed,
 counters!(TransportStats: envelopes, transmissions, retransmissions, acks, duplicates_dropped,
     reconciled, stale_dropped, abandoned, resyncs, quarantined);
 counters!(MemoryStats: high_water, compactions, compacted_observations, evicted_cache_entries);
-counters!(EdgeLedger(from, to): envelopes, abandoned, sent_copies, sent_bytes, recv_copies,
-    recv_bytes, accepted, imported, stale, quarantined, undelivered, undelivered_bytes,
-    dark_envelopes);
+counters!(EdgeLedger(from, to): envelopes, transmissions, abandoned, sent_copies, sent_bytes,
+    recv_copies, recv_bytes, accepted, imported, reconciled, stale, quarantined, undelivered,
+    undelivered_bytes, dark_envelopes);
 
 // ---------------------------------------------------------------------------
 // Keyed stores that rebuild through their own API. Each is a tag-keyed
@@ -697,6 +733,7 @@ mod tests {
                     from: 1,
                     to: 2,
                     envelopes: 12,
+                    transmissions: 15,
                     abandoned: 1,
                     sent_copies: 13,
                     sent_bytes: 260,
@@ -704,6 +741,7 @@ mod tests {
                     recv_bytes: 260,
                     accepted: 11,
                     imported: 9,
+                    reconciled: 1,
                     stale: 1,
                     quarantined: 1,
                     undelivered: 1,
@@ -765,8 +803,8 @@ mod tests {
         assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), empty);
     }
 
-    /// `merge` is derived from the same counter list as the encoding, so it
-    /// cannot skip a counter — and `{:?}` names every field, so a field
+    /// `merge` and the encoding are derived from one counter list, so
+    /// neither can skip a counter — and `{:?}` names every field, so a field
     /// missing from that list would show up here as a zero.
     #[test]
     fn merge_doubles_every_counter_and_nothing_else() {
@@ -777,11 +815,7 @@ mod tests {
             assert!(!format!("{value:?}").contains(": 0"), "{value:?}");
             value
         }
-        let stats = filled(TransportStats::default());
-        let mut merged = stats;
-        merged.merge(&stats);
-        let doubled: Vec<u64> = stats.counters().map(|c| 2 * c).collect();
-        assert_eq!(merged.counters().collect::<Vec<_>>(), doubled);
+        filled(TransportStats::default());
 
         let ledger = filled(EdgeLedger::new(7, 9));
         let mut merged = ledger;
@@ -789,6 +823,36 @@ mod tests {
         let doubled: Vec<u64> = ledger.counters().map(|c| 2 * c).collect();
         assert_eq!(merged.counters().collect::<Vec<_>>(), doubled);
         assert_eq!((merged.from, merged.to), (7, 9));
+    }
+
+    /// Nine counters are ledger sums or differences of them; `acks` exists
+    /// only on an acked run, and `resyncs` is passed in.
+    #[test]
+    fn transport_stats_are_read_off_the_ledgers() {
+        let ledgers = sample().ledgers;
+        let derived = |acked| TransportStats::from_ledgers(&ledgers, acked, 4);
+        assert_eq!(
+            derived(true),
+            TransportStats {
+                envelopes: 12,
+                transmissions: 15,
+                retransmissions: 3,
+                acks: 13,
+                duplicates_dropped: 2,
+                reconciled: 1,
+                stale_dropped: 1,
+                abandoned: 1,
+                resyncs: 4,
+                quarantined: 1,
+            }
+        );
+        assert_eq!(
+            derived(false),
+            TransportStats {
+                acks: 0,
+                ..derived(true)
+            }
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta
 use rfid_types::{RawReading, TagId};
 
 /// Version byte every message starts with.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Declares the payload-kind bytes (byte 1 of every message) once: the
 /// `KIND_*` constants the codecs use, and the [`KINDS`] list that

@@ -416,24 +416,26 @@ pub fn arb_ledgers() -> impl Strategy<Value = Vec<rfid_wire::EdgeLedger>> {
     prop::collection::vec(
         (
             (0u16..64, 0u16..64),
-            prop::collection::vec(0u64..1 << 40, 13),
+            prop::collection::vec(0u64..1 << 40, 15),
         )
             .prop_map(|((from, to), v)| rfid_wire::EdgeLedger {
                 from,
                 to,
                 envelopes: v[0],
-                abandoned: v[1],
-                sent_copies: v[2],
-                sent_bytes: v[3],
-                recv_copies: v[4],
-                recv_bytes: v[5],
-                accepted: v[6],
-                imported: v[7],
-                stale: v[8],
-                quarantined: v[9],
-                undelivered: v[10],
-                undelivered_bytes: v[11],
-                dark_envelopes: v[12],
+                transmissions: v[1],
+                abandoned: v[2],
+                sent_copies: v[3],
+                sent_bytes: v[4],
+                recv_copies: v[5],
+                recv_bytes: v[6],
+                accepted: v[7],
+                imported: v[8],
+                reconciled: v[9],
+                stale: v[10],
+                quarantined: v[11],
+                undelivered: v[12],
+                undelivered_bytes: v[13],
+                dark_envelopes: v[14],
             }),
         0..4,
     )
