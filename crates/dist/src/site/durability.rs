@@ -5,8 +5,9 @@ use super::shipments::order_key;
 use super::{ShipmentMsg, SiteState};
 use crate::inference::Tally;
 use crate::transport::{ReliableInbox, TransportMode};
-use rfid_types::Epoch;
+use rfid_types::{Epoch, SiteId};
 use rfid_wire::SiteCheckpoint;
+use std::collections::BTreeSet;
 
 impl<'a> SiteState<'a> {
     /// Epoch-start fault hook, called by the scheduler before any other
@@ -44,14 +45,18 @@ impl<'a> SiteState<'a> {
         self.down_until = None;
         self.crash_and_restore(crash.at);
         self.fast_forward(resume);
-        // Anti-entropy resync: a rejoining site asks every peer to replay
-        // anything it missed while dark — one control round per inbound
-        // edge. (The pending-inbox replay itself is the `fast_forward`
-        // import above; only the request bytes are new.)
+        // Anti-entropy resync: a rejoining site asks each peer that ships
+        // to it to replay anything it missed while dark — one control round
+        // per inbound edge. (The pending-inbox replay itself is the
+        // `fast_forward` import above; only the request bytes are new.)
         if self.ctx.transport_mode == TransportMode::Reliable {
-            let me = self.site;
-            for peer in (0..self.ctx.chain.sites.len()).filter(|&peer| peer != me) {
-                self.request_resync(peer as u16, resume);
+            let me = SiteId(self.site as u16);
+            let inbound: BTreeSet<u16> = (self.ctx.chain.transfers.iter())
+                .filter(|tr| tr.to_site == me)
+                .map(|tr| tr.from_site.0)
+                .collect();
+            for peer in inbound {
+                self.request_resync(peer, resume);
             }
         }
     }
@@ -206,8 +211,9 @@ impl<'a> SiteState<'a> {
 mod tests {
     use super::*;
     use crate::config::DistributedConfig;
-    use crate::driver::RunCtx;
-    use rfid_sim::presets;
+    use crate::driver::{DistributedDriver, RunCtx};
+    use rfid_core::InferenceConfig;
+    use rfid_sim::{presets, FaultPlan};
     use std::time::Duration;
 
     /// Wall-clock is outside the determinism contract, but the inference
@@ -228,5 +234,34 @@ mod tests {
         assert!(before > Duration::ZERO, "the site ran inference");
         site.crash_and_restore(Epoch(200));
         assert!(site.unit.tally.inference_wall >= before);
+    }
+
+    /// A rejoining site asks only the peers that ship to it for a resync:
+    /// one request per inbound edge of the transfer schedule.
+    #[test]
+    fn a_rejoining_site_asks_only_its_inbound_peers() {
+        let chain = presets::smoke_chain(900, 3, None);
+        for site in 0..3u16 {
+            let inbound: BTreeSet<u16> = (chain.transfers.iter())
+                .filter(|tr| tr.to_site == SiteId(site))
+                .map(|tr| tr.from_site.0)
+                .collect();
+            // The partition makes the run acked; nothing is corrupted, so
+            // every resync is the rejoin's.
+            let plan = FaultPlan::quiet(3)
+                .with_partition(0, 1, Epoch(0), Epoch(0))
+                .with_crash(site, Epoch(300), 60);
+            let config = DistributedConfig {
+                inference: InferenceConfig::default().without_change_detection(),
+                ..DistributedConfig::default()
+            };
+            let outcome = DistributedDriver::new(config.with_faults(plan)).run(&chain);
+            assert_eq!(outcome.quarantine, [], "site {site}");
+            assert_eq!(
+                outcome.transport.resyncs,
+                inbound.len() as u64,
+                "site {site}, inbound peers {inbound:?}"
+            );
+        }
     }
 }
