@@ -11,11 +11,8 @@
 //! federated sites. Crashes, shipment faults and clock skew do not apply —
 //! there are no inter-site shipments, the central server is assumed durable,
 //! and the uplink timestamps readings on ingestion rather than trusting the
-//! site clock. Each site's uplink is one directed edge `site → server`
-//! (the server's id is the number of sites) with its own
-//! [`EdgeLedger`](rfid_wire::EdgeLedger): the sender half is booked at
-//! forwarding, the receiver half at ingestion, so the conservation oracle
-//! audits every batch as it audits a federated shipment.
+//! site clock. Each site's uplink is one edge `site → server`, booked in its
+//! own [`EdgeLedger`](rfid_wire::EdgeLedger) like a federated edge.
 //!
 //! It is deliberately *not* a [`SiteState`](crate::site::SiteState) role: a
 //! server with no departures, no inbox and no checkpoint would make every
@@ -105,10 +102,9 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         .map(|s| LocalStreams::new(ctx, s, (s * site_locs) as u16, 0))
         .collect();
     let acked = ctx.transport_mode == TransportMode::Reliable;
-    // The server's id on the uplink edges, next to the sites' own.
+    // The server's id on the uplink edges, after the sites' own.
     let server = num_sites as u16;
-    // Encoded batches, with their origin site, by the epoch they reach the
-    // server.
+    // Encoded batches and their origin by the epoch they reach the server.
     let mut in_flight: BTreeMap<u32, Vec<(u16, Vec<u8>)>> = BTreeMap::new();
     let mut batch: Vec<RawReading> = Vec::new();
     for t in 0..=ctx.horizon {
@@ -139,7 +135,6 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
             for _ in 0..attempts {
                 tally.comm.record(MessageKind::RawReadings, payload.len());
             }
-            // The sender half of the uplink edge's ledger.
             let ledger = tally.ledger(site, server);
             ledger.envelopes += 1;
             ledger.transmissions += u64::from(attempts);
@@ -150,8 +145,7 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
                 ledger.abandoned += 1;
                 continue;
             };
-            // Each delivered batch is acked with the number of batches the
-            // site delivered before it.
+            // The ack's sequence number: batches this site delivered before.
             let seq = ledger.sent_copies;
             ledger.sent_copies += 1;
             ledger.sent_bytes += payload.len() as u64;
@@ -170,8 +164,7 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         // earlier epochs that finally got through land before this epoch's
         // fresh forwarding.
         for (site, payload) in in_flight.remove(&t).into_iter().flatten() {
-            // The receiver half: the server accepts and ingests every batch
-            // that reaches it.
+            // The server accepts and ingests every batch that reaches it.
             let ledger = unit.tally.ledger(site, server);
             ledger.recv_copies += 1;
             ledger.recv_bytes += payload.len() as u64;
@@ -201,8 +194,7 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         }
     }
     let alerts = unit.processor.alerts().to_vec();
-    unit.tally
-        .into_outcome(ctx.transport_mode, containment, alerts, ons)
+    unit.tally.into_outcome(ctx, containment, alerts, ons)
 }
 
 #[cfg(test)]

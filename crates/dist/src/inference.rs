@@ -109,12 +109,12 @@ impl Tally {
     /// Report the (merged) tally as a run's outcome.
     pub(crate) fn into_outcome(
         self,
-        mode: TransportMode,
+        ctx: &RunCtx<'_>,
         containment: ContainmentMap,
         alerts: Vec<Alert>,
         ons: Ons,
     ) -> DistributedOutcome {
-        let transport = self.transport(mode);
+        let transport = self.transport(ctx.transport_mode);
         DistributedOutcome {
             containment,
             comm: self.comm,

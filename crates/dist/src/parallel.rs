@@ -66,7 +66,7 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
     let mut ons = OnsTracker::new();
     ons.advance(&ctx.chain.transfers, Epoch(ctx.horizon));
     tally.into_outcome(
-        ctx.transport_mode,
+        ctx,
         containment.into_iter().collect(),
         alerts,
         ons.into_ons(),

@@ -77,46 +77,40 @@ pub struct EdgeSeqs {
 }
 
 /// Reliable-transport counters of one site or a whole run: a view of its
-/// [`EdgeLedger`]s, built only by [`TransportStats::from_ledgers`]. Nine of
-/// the ten counters are read off the ledgers; `resyncs` is the one booked
-/// beside them, because a resync request is not an envelope.
-///
-/// Invariants the transport tests pin: `transmissions == envelopes +
-/// retransmissions` and, on an acked run, `acks == delivered() +
-/// duplicates_dropped`.
+/// [`EdgeLedger`]s, built only by [`TransportStats::from_ledgers`]. Every
+/// counter but `resyncs` is a ledger sum or a difference of two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Logical payloads handed to the transport (one per shipment group
-    /// member or forwarded batch): the ledgers' `envelopes`.
+    /// member or forwarded batch).
     pub envelopes: u64,
     /// Transmission attempts that left the sender (first sends and
-    /// retransmissions): the ledgers' `transmissions`.
+    /// retransmissions).
     pub transmissions: u64,
-    /// Attempts beyond the first per envelope: `transmissions - envelopes`.
+    /// Attempts beyond the first per envelope.
     pub retransmissions: u64,
-    /// Acks sent by receivers (lost or not): the ledgers' `recv_copies` on
-    /// an acked run, 0 otherwise.
+    /// Acks sent by receivers (lost or not).
     pub acks: u64,
-    /// Arrivals dropped by receiver-side dedup: `recv_copies - accepted`.
+    /// Arrivals dropped by receiver-side dedup.
     pub duplicates_dropped: u64,
     /// Late state messages merged into a live engine after a degraded
-    /// cold-start ingest: the ledgers' `reconciled`.
+    /// cold-start ingest.
     pub reconciled: u64,
     /// Late state messages dropped because the object had already departed
-    /// again: the ledgers' `stale`.
+    /// again.
     pub stale_dropped: u64,
     /// Envelopes that exhausted their retry budget (or the horizon) without
-    /// a single arrival: the ledgers' `abandoned`.
+    /// a single arrival.
     pub abandoned: u64,
-    /// Anti-entropy resync requests sent after downtime or a quarantine.
+    /// Anti-entropy resync requests: not envelopes, so no ledger books them.
     pub resyncs: u64,
     /// Arrivals whose payload failed to decode and were quarantined instead
-    /// of delivered (poison-message handling): the ledgers' `quarantined`.
+    /// of delivered (poison-message handling).
     pub quarantined: u64,
 }
 
 impl TransportStats {
-    /// The counters of `ledgers` plus `resyncs`; `acked` says whether the
+    /// The sums of `ledgers`, plus `resyncs`; `acked` says whether the
     /// receivers acked every arriving copy (a reliable run).
     pub fn from_ledgers<'a>(
         ledgers: impl IntoIterator<Item = &'a EdgeLedger>,
@@ -276,9 +270,8 @@ pub struct SiteCheckpoint {
     pub stats: InferenceStats,
     /// Per-in-edge transport dedup state, in ascending peer order.
     pub inbox_seqs: Vec<EdgeSeqs>,
-    /// Reliable-transport counters accumulated so far: the sums of
-    /// `ledgers` plus the site's resyncs. A restore reads back only
-    /// `resyncs`; the rest is rebuilt from `ledgers`.
+    /// Reliable-transport counters so far: the sums of `ledgers` plus the
+    /// site's resyncs, the one counter a restore reads back.
     pub transport: TransportStats,
     /// Quarantined poison arrivals, in acceptance order.
     pub quarantine: Vec<QuarantineEntry>,
