@@ -633,10 +633,6 @@ pub fn chaos(scale: Scale) -> Report {
             let [run, _] = run_on_both_executors(&chain, &label, |workers| {
                 reference_config(strategy, workers)
                     .with_checkpoints(checkpoint_every)
-                    // An unbounded budget never compacts but does track the
-                    // high-water observation count, so the soak table can
-                    // report peak memory pressure per strategy.
-                    .with_memory_budget(MemoryBudget::unbounded())
                     .with_faults(chaos.clone())
             });
             let stats = run.transport;

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness: the tables and figures of the paper's evaluation
 //! (Section 5 and Appendix C) and the repo's four extension studies, shared
-//! by the `experiments` binary and the integration tests, plus criterion
-//! micro-benchmarks (in `benches/`).
+//! by the `experiments` binary and the integration tests. Wall-clock is not
+//! measured here: the separate `benchmark/` package owns every timing.
 //!
 //! Every experiment accepts a [`Scale`], so the same code runs as a quick
 //! smoke test (CI) or at a size closer to the paper's setup, and returns a

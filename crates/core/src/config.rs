@@ -20,11 +20,21 @@ impl ThresholdPolicy {
     /// The threshold δ this policy sets for `model` — the one place δ is
     /// chosen. A calibration is a pure function of the model's read-rate
     /// table.
+    ///
+    /// # Panics
+    ///
+    /// If δ is NaN: no statistic compares `>=` to NaN, so it would silently
+    /// turn detection off.
     pub fn resolve(self, model: &LikelihoodModel) -> f64 {
-        match self {
+        let delta = match self {
             ThresholdPolicy::Fixed(delta) => delta,
             ThresholdPolicy::Calibrated => calibrate(model),
-        }
+        };
+        assert!(
+            !delta.is_nan(),
+            "change-detection threshold δ must be a number, got {delta}"
+        );
+        delta
     }
 }
 
@@ -112,5 +122,12 @@ mod tests {
         assert_eq!(c.change_detection, Some(ThresholdPolicy::Fixed(40.0)));
         let off = c.without_change_detection();
         assert!(off.change_detection.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "change-detection threshold δ must be a number, got NaN")]
+    fn a_nan_threshold_is_rejected() {
+        let model = LikelihoodModel::new(rfid_types::ReadRateTable::diagonal(4, 0.8, 1e-4));
+        ThresholdPolicy::Fixed(f64::NAN).resolve(&model);
     }
 }

@@ -21,10 +21,10 @@
 //! * every `(reader set, location)` log-likelihood is computed once per run
 //!   in a memoized [`ReaderSetTable`] row and reused by both the posterior
 //!   and the point-evidence evaluations,
-//! * the inner loops run through the chunk-of-8 [`kernels`] — lane-parallel
+//! * the inner loops run through the chunk-of-8 `kernels` — lane-parallel
 //!   loglik row fills, in-place log-sum-exp normalization and the M-step's
 //!   point-evidence dots, which the walk over an object's observations only
-//!   plans and [`kernels::dot_each`] then runs as independent dots, each in
+//!   plans and `kernels::dot_each` then runs as independent dots, each in
 //!   its own accumulator — plus an epoch-indexed candidate-pruning pass; they
 //!   run lanes across locations or whole dots only, never across the terms
 //!   of one accumulator,
@@ -45,7 +45,7 @@
 //! `dense_solver_matches_tree_reference` proptest and
 //! `tests/solver_equivalence.rs`.
 
-pub mod kernels;
+pub(crate) mod kernels;
 
 use crate::likelihood::{LikelihoodModel, ReaderSetTable};
 use crate::observations::{ObsAt, Observations};

@@ -114,11 +114,10 @@ impl LikelihoodModel {
     /// distinct reader set exactly once however many epochs repeat it.
     ///
     /// Each row starts as a copy of the all-miss row and gains one
-    /// lane-parallel
-    /// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows)
-    /// of the firing reader's correction row, in reader order. Per location
-    /// that is the same addition sequence as [`Self::tag_loglik`], so every
-    /// entry is bit-identical to calling it.
+    /// lane-parallel `kernels::add_assign_rows` of the firing reader's
+    /// correction row, in reader order. Per location that is the same
+    /// addition sequence as [`Self::tag_loglik`], so every entry is
+    /// bit-identical to calling it.
     ///
     /// `rows` is cleared and refilled (capacity is reused across runs); use
     /// [`ReaderSetTable::row`] to index it.

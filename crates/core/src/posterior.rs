@@ -165,13 +165,11 @@ pub fn container_posterior(
 /// materializing a `Posterior`: the base row is the container's loglik row
 /// at this epoch (the all-miss row when it was not read) and each member
 /// contributes its own row, accumulated in member order through the
-/// lane-parallel
-/// [`kernels::add_assign_rows`](crate::dense::kernels::add_assign_rows); the
-/// tail then normalizes in place through
-/// [`kernels::exp_normalize`](crate::dense::kernels::exp_normalize). Per
-/// location that is the same sequence of floating-point additions as the
-/// per-location loop of [`container_posterior`], so the stored row is
-/// bit-identical to that posterior's.
+/// lane-parallel `kernels::add_assign_rows`; the tail then normalizes in
+/// place through `kernels::exp_normalize`. Per location that is the same
+/// sequence of floating-point additions as the per-location loop of
+/// [`container_posterior`], so the stored row is bit-identical to that
+/// posterior's.
 pub fn container_posterior_row_into_vector<'r>(
     base_row: &[f64],
     member_rows: impl Iterator<Item = &'r [f64]>,

@@ -73,12 +73,13 @@ impl TransportConfig {
     }
 
     /// The exponential backoff term before retransmission `k + 1`:
-    /// `min(rto_base_secs << k, rto_max_secs)`, saturating at the cap once
-    /// the shift would overflow.
+    /// `min(rto_base_secs · 2^k, rto_max_secs)`, saturating at the cap
+    /// whenever the shift would lose bits.
     pub(crate) fn backoff_secs(&self, k: u32) -> u32 {
-        self.rto_base_secs
-            .checked_shl(k)
-            .map_or(self.rto_max_secs, |b| b.min(self.rto_max_secs))
+        // A `u32` base shifted by at most 32 keeps every bit in a `u64`, and
+        // any non-zero base shifted by 32 already exceeds every `u32` cap.
+        let term = u64::from(self.rto_base_secs) << k.min(32);
+        u32::try_from(term).map_or(self.rto_max_secs, |t| t.min(self.rto_max_secs))
     }
 }
 
@@ -141,11 +142,11 @@ pub struct DistributedConfig {
     /// and cold evidence-cache entries are evicted
     /// ([`InferenceEngine::enforce_budget`](rfid_core::InferenceEngine::enforce_budget)),
     /// with high-water/compaction/eviction counters reported in checkpoints
-    /// and the merged outcome. `None` (the default) retains everything the
-    /// truncation policy keeps; an unbounded budget only tracks the
-    /// high-water mark. The centralized strategy applies the budget to its
-    /// single global engine.
-    pub memory_budget: Option<rfid_core::MemoryBudget>,
+    /// and the merged outcome. The default is unbounded: it retains
+    /// everything the truncation policy keeps and only tracks the high-water
+    /// mark. The centralized strategy applies the budget to its single global
+    /// engine.
+    pub memory_budget: rfid_core::MemoryBudget,
 }
 
 impl Default for DistributedConfig {
@@ -162,7 +163,7 @@ impl Default for DistributedConfig {
             checkpoint_every_secs: None,
             faults: None,
             transport: TransportConfig::default(),
-            memory_budget: None,
+            memory_budget: rfid_core::MemoryBudget::unbounded(),
         }
     }
 }
@@ -194,7 +195,7 @@ impl DistributedConfig {
 
     /// Builder-style setter for the per-site memory budget.
     pub fn with_memory_budget(mut self, budget: rfid_core::MemoryBudget) -> Self {
-        self.memory_budget = Some(budget);
+        self.memory_budget = budget;
         self
     }
 }
@@ -217,12 +218,15 @@ mod tests {
             "no checkpoints by default"
         );
         assert!(config.faults.is_none(), "fault-free by default");
-        assert!(config.memory_budget.is_none(), "no budget by default");
+        assert!(
+            config.memory_budget.is_unbounded(),
+            "no memory cap by default"
+        );
         assert_eq!(
             DistributedConfig::default()
                 .with_memory_budget(rfid_core::MemoryBudget::capped(1024))
                 .memory_budget,
-            Some(rfid_core::MemoryBudget::capped(1024))
+            rfid_core::MemoryBudget::capped(1024)
         );
         assert_eq!(config.transport, TransportConfig::default());
         assert_eq!(config.transport.max_retries, Some(5));
@@ -247,6 +251,30 @@ mod tests {
             .with_faults(FaultPlan::quiet(4).with_crash(1, rfid_types::Epoch(100), 0))
             .faults
             .is_some());
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_cap_once_the_shift_loses_bits() {
+        let custom = TransportConfig {
+            rto_base_secs: 40,
+            rto_max_secs: 3600,
+            max_retries: Some(3),
+        };
+        for config in [
+            TransportConfig::default(),
+            TransportConfig::persistent(),
+            custom,
+        ] {
+            let cap = u64::from(config.rto_max_secs);
+            for k in 0..=40 {
+                let expected = (u64::from(config.rto_base_secs) << k).min(cap);
+                assert_eq!(
+                    u64::from(config.backoff_secs(k)),
+                    expected,
+                    "{config:?}, k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

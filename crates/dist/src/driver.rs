@@ -74,9 +74,9 @@ pub struct DistributedOutcome {
     /// the fault plan corrupts payloads.
     pub quarantine: Vec<(SiteId, QuarantineEntry)>,
     /// Memory-budget counters (high-water observation count, compactions,
-    /// cache evictions) merged across sites. All zero/default unless
-    /// [`DistributedConfig::memory_budget`] is set (`high_water` is tracked
-    /// whenever a budget is configured, even an unbounded one).
+    /// cache evictions) merged across sites. `high_water` is tracked on every
+    /// run; the others stay zero unless
+    /// [`DistributedConfig::memory_budget`] is capped.
     pub memory: MemoryStats,
     /// Per-directed-edge conservation ledgers, sender and receiver halves
     /// merged, sorted by `(from, to)`: the one book of transport facts. One

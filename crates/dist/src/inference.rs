@@ -204,10 +204,8 @@ impl InferenceUnit {
         // entries are evicted — a pure function of the engine state, so
         // every worker count (and a crash replay) compacts identically. The
         // pass reads and writes nothing the event feed above touches.
-        if let Some(budget) = config.memory_budget {
-            self.engine
-                .enforce_budget(budget, now, &mut self.tally.memory);
-        }
+        self.engine
+            .enforce_budget(config.memory_budget, now, &mut self.tally.memory);
     }
 
     /// Final refresh so the reported containment reflects every reading

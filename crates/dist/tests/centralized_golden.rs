@@ -112,7 +112,12 @@ fn fault_free_centralized_outcome_is_pinned() {
             ..TransportStats::default()
         },
         uplinks: vec![(0, 1_638, 0), (1, 513, 0), (2, 390, 0)],
-        memory: MemoryStats::default(),
+        // The default budget is unbounded: nothing compacts, but the global
+        // engine's high-water mark is still tracked.
+        memory: MemoryStats {
+            high_water: 29_595,
+            ..MemoryStats::default()
+        },
         inference_runs: 7,
         inference_stats: InferenceStats {
             dirty_tags: 1_084,
