@@ -341,31 +341,35 @@ impl InferenceEngine {
     /// The current location estimate of a tag at epoch `t`.
     pub fn location_of(&self, tag: TagId, t: Epoch) -> Option<LocationId> {
         let outcome = self.last_outcome.as_ref()?;
-        if tag.is_object() {
-            if let Some(container) = self.containment.container_of(tag) {
-                if let Some(loc) = outcome.location_of(container, t) {
-                    return Some(loc);
-                }
-            }
-        }
-        outcome.location_of(tag, t)
+        locate(outcome, tag, self.containment.container_of(tag), t)
     }
 
     /// Enriched object events at epoch `t`, reflecting the engine's current
     /// (change-point refined) containment.
     pub fn events_at(&self, t: Epoch) -> Vec<ObjectEvent> {
-        let Some(outcome) = self.last_outcome.as_ref() else {
-            return Vec::new();
-        };
-        outcome
-            .objects()
-            .filter_map(|evidence| {
-                let object = evidence.object();
-                self.location_of(object, t).map(|loc| {
-                    ObjectEvent::new(t, object, loc, self.containment.container_of(object))
-                })
-            })
-            .collect()
+        self.events_where(t, |_| true).collect()
+    }
+
+    /// The [`events_at`](Self::events_at) stream restricted to the objects
+    /// `admit` accepts, produced lazily in object order. `admit` runs before
+    /// anything else, so a rejected object is never located, and each
+    /// admitted object's container is looked up once.
+    pub fn events_where<'a>(
+        &'a self,
+        t: Epoch,
+        mut admit: impl FnMut(TagId) -> bool + 'a,
+    ) -> impl Iterator<Item = ObjectEvent> + 'a {
+        let outcome = self.last_outcome.as_deref();
+        let objects = outcome.into_iter().flat_map(InferenceOutcome::objects);
+        objects.filter_map(move |evidence| {
+            let object = evidence.object();
+            if !admit(object) {
+                return None;
+            }
+            let container = self.containment.container_of(object);
+            let location = locate(outcome?, object, container, t)?;
+            Some(ObjectEvent::new(t, object, location, container))
+        })
     }
 
     /// All containment changes detected so far.
@@ -649,6 +653,21 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<InferenceEngine>();
 };
+
+/// Where `tag` is at `t` per `outcome`. An object is where its
+/// engine-assigned `container` is, if the outcome places that container;
+/// otherwise the tag is where the outcome places it.
+fn locate(
+    outcome: &InferenceOutcome,
+    tag: TagId,
+    container: Option<TagId>,
+    t: Epoch,
+) -> Option<LocationId> {
+    container
+        .filter(|_| tag.is_object())
+        .and_then(|container| outcome.location_of(container, t))
+        .or_else(|| outcome.location_of(tag, t))
+}
 
 #[cfg(test)]
 mod tests {

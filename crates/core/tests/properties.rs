@@ -482,6 +482,33 @@ fn check_outcome_accessors(engine: &InferenceEngine, now: Epoch, changes: &[Dete
     }
     for &t in &epochs {
         assert_eq!(outcome.events_at(t), view.events_at(t));
+        // The engine's events follow its own location rule, and
+        // `events_where` is that stream with the filter asked first, once per
+        // examined object in order.
+        let expected: Vec<ObjectEvent> = view
+            .objects
+            .keys()
+            .filter_map(|&o| {
+                let location = engine
+                    .container_of(o)
+                    .filter(|_| o.is_object())
+                    .and_then(|c| view.lookup(c, t))
+                    .or_else(|| view.location_of(o, t))?;
+                Some(ObjectEvent::new(t, o, location, engine.container_of(o)))
+            })
+            .collect();
+        assert_eq!(engine.events_at(t), expected);
+        let mut asked = Vec::new();
+        let odd: Vec<ObjectEvent> = engine
+            .events_where(t, |o| {
+                asked.push(o);
+                o.serial() % 2 == 1
+            })
+            .collect();
+        assert!(asked.iter().eq(view.objects.keys()));
+        assert!(odd
+            .iter()
+            .eq(expected.iter().filter(|e| e.tag.serial() % 2 == 1)));
     }
     for threshold in [0.5, 5.0] {
         let expected: Vec<_> = view

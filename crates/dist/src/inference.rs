@@ -187,16 +187,19 @@ impl InferenceUnit {
         }
         let config = ctx.config;
         if ctx.with_queries && now.0.is_multiple_of(ctx.stride) {
-            for mut event in self.engine.events_at(now) {
-                if !feeds(event.tag) {
-                    continue;
+            // Custody is checked before an object is located. The product
+            // property `IsA` predicates evaluate comes from the
+            // manufacturer's database, not from inference; one string
+            // carries it from event to event, so copying it reuses capacity.
+            let mut property: Option<String> = None;
+            for mut event in self.engine.events_where(now, &feeds) {
+                match (&mut property, config.product_properties.get(&event.tag)) {
+                    (Some(buffer), Some(from)) => buffer.clone_from(from),
+                    (slot, from) => *slot = from.cloned(),
                 }
-                // The product property `IsA` predicates evaluate comes from
-                // the manufacturer's database, not from inference.
-                if let Some(property) = config.product_properties.get(&event.tag) {
-                    event.property = Some(property.clone());
-                }
+                event.property = property;
                 self.processor.on_event(&event);
+                property = event.property;
             }
         }
         // Bounded-memory degradation: once the retained history exceeds the

@@ -63,7 +63,11 @@ pub struct ProcessorSnapshot {
 pub struct QueryProcessor {
     queries: Vec<ExposureQuery>,
     temperatures: LatestByLocation,
-    automata: BTreeMap<(String, TagId), ExposureAutomaton>,
+    /// Per-object automata by query name, then by tag. Every registered
+    /// query has an entry from [`Self::register`] on, so the event path
+    /// borrows its map by name; an imported state for a query this site does
+    /// not run gets an entry of its own.
+    automata: BTreeMap<String, BTreeMap<TagId, ExposureAutomaton>>,
     alerts: Vec<Alert>,
 }
 
@@ -75,6 +79,7 @@ impl QueryProcessor {
 
     /// Register a monitoring query.
     pub fn register(&mut self, query: ExposureQuery) {
+        self.automata.entry(query.name.clone()).or_default();
         self.queries.push(query);
     }
 
@@ -97,10 +102,11 @@ impl QueryProcessor {
                 continue;
             }
             let qualifies = query.qualifies(event, temperature);
-            let key = (query.name.clone(), event.tag);
             let automaton = self
                 .automata
-                .entry(key)
+                .get_mut(query.name.as_str())
+                .expect("register gives every query its automata")
+                .entry(event.tag)
                 .or_insert_with(|| ExposureAutomaton::new(query.duration_secs));
             if let Some(m) = automaton.feed(event.time, qualifies, temperature.unwrap_or(f64::NAN))
             {
@@ -124,15 +130,17 @@ impl QueryProcessor {
     }
 
     /// Export the query state of one object for every registered query
-    /// (only queries for which the object has state are returned).
+    /// (only queries for which the object has state are returned), in query
+    /// name order.
     pub fn export_state(&self, tag: TagId) -> Vec<ObjectQueryState> {
         self.automata
             .iter()
-            .filter(|((_, t), _)| *t == tag)
-            .map(|((query, _), automaton)| ObjectQueryState {
-                query: query.clone(),
-                tag,
-                automaton: automaton.state().clone(),
+            .filter_map(|(query, by_tag)| {
+                Some(ObjectQueryState {
+                    query: query.clone(),
+                    tag,
+                    automaton: by_tag.get(&tag)?.state().clone(),
+                })
             })
             .collect()
     }
@@ -148,7 +156,9 @@ impl QueryProcessor {
                 .unwrap_or(0);
             let automaton = self
                 .automata
-                .entry((state.query.clone(), state.tag))
+                .entry(state.query)
+                .or_default()
+                .entry(state.tag)
                 .or_insert_with(|| ExposureAutomaton::new(duration));
             automaton.restore(state.automaton);
         }
@@ -156,7 +166,9 @@ impl QueryProcessor {
 
     /// Drop the query state of an object that has left the site.
     pub fn forget(&mut self, tag: TagId) {
-        self.automata.retain(|(_, t), _| *t != tag);
+        for by_tag in self.automata.values_mut() {
+            by_tag.remove(&tag);
+        }
     }
 
     /// Capture the processor's complete durable state — see
@@ -167,10 +179,12 @@ impl QueryProcessor {
             automata: self
                 .automata
                 .iter()
-                .map(|((query, tag), automaton)| ObjectQueryState {
-                    query: query.clone(),
-                    tag: *tag,
-                    automaton: automaton.state().clone(),
+                .flat_map(|(query, by_tag)| {
+                    by_tag.iter().map(|(&tag, automaton)| ObjectQueryState {
+                        query: query.clone(),
+                        tag,
+                        automaton: automaton.state().clone(),
+                    })
                 })
                 .collect(),
             alerts: self.alerts.clone(),
@@ -186,20 +200,23 @@ impl QueryProcessor {
         for reading in snapshot.temperatures {
             self.temperatures.insert(reading);
         }
-        self.automata.clear();
+        for by_tag in self.automata.values_mut() {
+            by_tag.clear();
+        }
         self.import_state(snapshot.automata);
         self.alerts = snapshot.alerts;
     }
 
     /// Number of per-object automata currently maintained.
     pub fn tracked_states(&self) -> usize {
-        self.automata.len()
+        self.automata.values().map(BTreeMap::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::AutomatonState;
     use rfid_types::{Epoch, LocationId};
 
     fn warm(loc: u16, t: u32) -> SensorReading {
@@ -358,5 +375,105 @@ mod tests {
         );
         assert_eq!(qp.tracked_states(), 2);
         assert_eq!(qp.queries().len(), 2);
+    }
+
+    /// Snapshots list automata in `(query name, tag)` order and exports in
+    /// query-name order, whatever the registration and arrival order;
+    /// `forget` clears a tag from every query, and a state imported for a
+    /// query this site does not run is kept, listed and forgotten like any
+    /// other but never fed.
+    #[test]
+    fn automata_are_listed_by_query_name_then_tag() {
+        let keys = |states: &[ObjectQueryState]| -> Vec<(String, TagId)> {
+            states.iter().map(|s| (s.query.clone(), s.tag)).collect()
+        };
+        let key = |query: &str, serial: u64| (query.to_string(), TagId::item(serial));
+        let mut qp = QueryProcessor::new();
+        qp.register(ExposureQuery {
+            product_class: None,
+            ..ExposureQuery::q2()
+        });
+        qp.register(ExposureQuery {
+            product_class: None,
+            ..q1_short([])
+        });
+        qp.on_sensor(warm(0, 0));
+        for serial in [3, 1, 2] {
+            qp.on_event(&ObjectEvent::new(
+                Epoch(0),
+                TagId::item(serial),
+                LocationId(0),
+                None,
+            ));
+        }
+        assert_eq!(qp.tracked_states(), 6);
+        assert_eq!(
+            keys(&qp.snapshot().automata),
+            [
+                key("Q1", 1),
+                key("Q1", 2),
+                key("Q1", 3),
+                key("Q2", 1),
+                key("Q2", 2),
+                key("Q2", 3)
+            ]
+        );
+        assert_eq!(
+            keys(&qp.export_state(TagId::item(2))),
+            [key("Q1", 2), key("Q2", 2)]
+        );
+
+        qp.forget(TagId::item(2));
+        assert_eq!(qp.tracked_states(), 4);
+        assert!(qp.export_state(TagId::item(2)).is_empty());
+        assert_eq!(
+            keys(&qp.snapshot().automata),
+            [key("Q1", 1), key("Q1", 3), key("Q2", 1), key("Q2", 3)]
+        );
+
+        // "P0" is registered nowhere: its automaton sorts by name like the
+        // others, and the events that advance Q1 and Q2 leave it alone.
+        let foreign = AutomatonState::Accumulating {
+            since: Epoch(0),
+            readings: vec![(Epoch(0), 5.0)],
+            fired: false,
+        };
+        qp.import_state(vec![ObjectQueryState {
+            query: "P0".to_string(),
+            tag: TagId::item(1),
+            automaton: foreign.clone(),
+        }]);
+        qp.on_event(&ObjectEvent::new(
+            Epoch(10),
+            TagId::item(1),
+            LocationId(0),
+            None,
+        ));
+        assert_eq!(qp.tracked_states(), 5);
+        let exported = qp.export_state(TagId::item(1));
+        assert_eq!(keys(&exported), [key("P0", 1), key("Q1", 1), key("Q2", 1)]);
+        assert_eq!(exported[0].automaton, foreign);
+        assert_eq!(
+            keys(&qp.snapshot().automata),
+            [
+                key("P0", 1),
+                key("Q1", 1),
+                key("Q1", 3),
+                key("Q2", 1),
+                key("Q2", 3)
+            ]
+        );
+
+        // A restore rebuilds the same listing, the foreign automaton included.
+        let mut restored = QueryProcessor::new();
+        for query in qp.queries() {
+            restored.register(query.clone());
+        }
+        restored.restore(qp.snapshot());
+        assert_eq!(restored.snapshot(), qp.snapshot());
+
+        qp.forget(TagId::item(1));
+        assert_eq!(qp.tracked_states(), 2);
+        assert_eq!(keys(&qp.snapshot().automata), [key("Q1", 3), key("Q2", 3)]);
     }
 }

@@ -106,15 +106,55 @@ impl SharedStateBundle {
 }
 
 /// Byte distance between two serialized payloads: differing positions within
-/// the common prefix plus the length difference.
+/// the common prefix plus the length difference. The prefix is compared a
+/// 64-bit word at a time.
 fn distance(a: &[u8], b: &[u8]) -> usize {
     let common = a.len().min(b.len());
-    let diff = a[..common]
+    let (a_words, b_words) = (a[..common].chunks_exact(8), b[..common].chunks_exact(8));
+    let tail = a_words
+        .remainder()
         .iter()
-        .zip(&b[..common])
+        .zip(b_words.remainder())
         .filter(|(x, y)| x != y)
         .count();
-    diff + (a.len().max(b.len()) - common)
+    let words: usize = a_words
+        .zip(b_words)
+        .map(|(x, y)| differing_bytes(word(x) ^ word(y)))
+        .sum();
+    words + tail + (a.len().max(b.len()) - common)
+}
+
+/// An 8-byte chunk as one word (the byte order is irrelevant to counting).
+fn word(chunk: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(chunk);
+    u64::from_le_bytes(bytes)
+}
+
+/// The number of non-zero bytes in `x`: OR every byte's bits down into its
+/// lowest bit, then count those.
+fn differing_bytes(mut x: u64) -> usize {
+    x |= x >> 4;
+    x |= x >> 2;
+    x |= x >> 1;
+    (x & 0x0101_0101_0101_0101).count_ones() as usize
+}
+
+/// The index of the centroid: the payload minimising the total distance to
+/// all others, the first one on a tie. The distance is symmetric, so each
+/// pair is measured once and charged to both ends: n(n-1)/2 comparisons for
+/// a group of n states.
+fn centroid_index(payloads: &[Vec<u8>]) -> usize {
+    let mut totals = vec![0usize; payloads.len()];
+    for (i, a) in payloads.iter().enumerate() {
+        for (j, b) in payloads.iter().enumerate().skip(i + 1) {
+            let d = distance(a, b);
+            totals[i] += d;
+            totals[j] += d;
+        }
+    }
+    // `min_by_key` keeps the first of equal minima.
+    (0..totals.len()).min_by_key(|&i| totals[i]).unwrap_or(0)
 }
 
 /// Build a delta that reconstructs `payload` from `centroid`, falling back to
@@ -165,29 +205,18 @@ where
     if states.is_empty() {
         return None;
     }
-    let serialized: Vec<(TagId, Vec<u8>)> = states.iter().map(|s| (s.tag, payload(s))).collect();
-    // Pick the centroid: the payload minimising the total distance to all
-    // others (O(n^2), acceptable for the 20-50 objects of one case).
-    let (centroid_idx, _) = serialized
+    let mut payloads: Vec<Vec<u8>> = states.iter().map(payload).collect();
+    let centroid_idx = centroid_index(&payloads);
+    let centroid_bytes = std::mem::take(&mut payloads[centroid_idx]);
+    let deltas = states
         .iter()
-        .enumerate()
-        .map(|(i, (_, bytes))| {
-            let total: usize = serialized
-                .iter()
-                .map(|(_, other)| distance(bytes, other))
-                .sum();
-            (i, total)
-        })
-        .min_by_key(|&(_, total)| total)?;
-    let (centroid_tag, centroid_bytes) = serialized[centroid_idx].clone();
-    let deltas = serialized
-        .iter()
+        .zip(&payloads)
         .enumerate()
         .filter(|(i, _)| *i != centroid_idx)
-        .map(|(_, (tag, bytes))| delta_against(&centroid_bytes, *tag, bytes))
+        .map(|(_, (state, bytes))| delta_against(&centroid_bytes, state.tag, bytes))
         .collect();
     Some(SharedStateBundle {
-        centroid_tag,
+        centroid_tag: states[centroid_idx].tag,
         centroid_bytes,
         deltas,
     })
@@ -301,5 +330,32 @@ mod tests {
         assert_eq!(distance(b"abcd", b"abxd"), 1);
         assert_eq!(distance(b"abcd", b"ab"), 2);
         assert_eq!(distance(b"ab", b"abcd"), 2);
+    }
+
+    /// The word-at-a-time count equals a byte-by-byte count across word
+    /// boundaries, ragged tails and every position of a single difference.
+    #[test]
+    fn word_distance_matches_a_bytewise_count() {
+        let bytewise = |a: &[u8], b: &[u8]| {
+            let common = a.len().min(b.len());
+            let diff = (0..common).filter(|&i| a[i] != b[i]).count();
+            diff + a.len().max(b.len()) - common
+        };
+        let base: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in 0..=base.len() {
+            for flip in 0..len {
+                for bit in [0x01, 0x80] {
+                    let mut other = base[..len].to_vec();
+                    other[flip] ^= bit;
+                    assert_eq!(distance(&base[..len], &other), 1);
+                    assert_eq!(distance(&base, &other), bytewise(&base, &other));
+                }
+            }
+            let scrambled: Vec<u8> = base[..len].iter().map(|b| b ^ (b % 3)).collect();
+            assert_eq!(distance(&base, &scrambled), bytewise(&base, &scrambled));
+        }
+        assert_eq!(differing_bytes(0), 0);
+        assert_eq!(differing_bytes(u64::MAX), 8);
+        assert_eq!(differing_bytes(0x8000_0000_0000_0001), 2);
     }
 }

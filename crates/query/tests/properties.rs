@@ -1,5 +1,5 @@
 //! Property-based tests of the query layer: the pattern automaton and the
-//! centroid-based sharing scheme.
+//! centroid-based sharing scheme, including its choice of centroid.
 
 use proptest::prelude::*;
 use rfid_query::{share_states_with, AutomatonState, ExposureAutomaton, ObjectQueryState};
@@ -35,7 +35,80 @@ fn payload(state: &ObjectQueryState) -> Vec<u8> {
     format!("{:?}", (&state.query, &state.automaton)).into_bytes()
 }
 
+/// The centroid by its definition: the first state whose payload has the
+/// least total byte distance (differing common-prefix bytes plus the length
+/// gap) to every payload of the group, compared byte by byte.
+fn brute_force_centroid(states: &[ObjectQueryState]) -> TagId {
+    let payloads: Vec<Vec<u8>> = states.iter().map(payload).collect();
+    let distance = |a: &[u8], b: &[u8]| {
+        let common = a.len().min(b.len());
+        let diff = (0..common).filter(|&i| a[i] != b[i]).count();
+        diff + a.len().max(b.len()) - common
+    };
+    let mut best = 0;
+    let mut best_total = usize::MAX;
+    for (i, a) in payloads.iter().enumerate() {
+        let total: usize = payloads.iter().map(|b| distance(a, b)).sum();
+        if total < best_total {
+            best = i;
+            best_total = total;
+        }
+    }
+    states[best].tag
+}
+
+/// A group of states, each either one of three fixed states (so payloads
+/// repeat and totals tie) or a fresh arbitrary one, with the tag made
+/// distinct by position.
+fn arb_group(size: std::ops::Range<usize>) -> impl Strategy<Value = Vec<ObjectQueryState>> {
+    let pool = [
+        AutomatonState::Idle,
+        AutomatonState::Accumulating {
+            since: Epoch(100),
+            readings: vec![(Epoch(100), 21.0), (Epoch(110), 21.5)],
+            fired: false,
+        },
+        AutomatonState::Accumulating {
+            since: Epoch(100),
+            readings: vec![(Epoch(100), 21.0), (Epoch(110), 22.5)],
+            fired: true,
+        },
+    ];
+    prop::collection::vec((0usize..5, arb_state()), size).prop_map(move |members| {
+        members
+            .into_iter()
+            .enumerate()
+            .map(|(position, (pick, mut state))| {
+                if let Some(pooled) = pool.get(pick) {
+                    state.query = "Q1".to_string();
+                    state.automaton = pooled.clone();
+                }
+                state.tag = TagId::item(position as u64);
+                state
+            })
+            .collect()
+    })
+}
+
 proptest! {
+    /// The bundle's centroid is the first minimum of the total-distance
+    /// definition, over groups full of duplicate payloads and ties.
+    #[test]
+    fn centroid_is_the_first_minimum_of_total_distance(states in arb_group(1..16)) {
+        let bundle = share_states_with(&states, payload).unwrap();
+        prop_assert_eq!(bundle.centroid_tag, brute_force_centroid(&states));
+    }
+
+    /// In groups of one and two every total ties, so the first state is
+    /// always the centroid.
+    #[test]
+    fn centroid_of_a_small_group_is_its_first_state(states in arb_group(1..3)) {
+        let bundle = share_states_with(&states, payload).unwrap();
+        prop_assert_eq!(bundle.centroid_tag, brute_force_centroid(&states));
+        prop_assert_eq!(bundle.centroid_tag, states[0].tag);
+        prop_assert_eq!(bundle.deltas.len(), states.len() - 1);
+    }
+
     /// Centroid-based sharing is lossless for any group of states with
     /// distinct tags, and its size never exceeds the unshared total by more
     /// than a constant per-object overhead.
