@@ -242,7 +242,7 @@ impl InferenceEngine {
     ) -> InferenceReport {
         #[expect(
             clippy::disallowed_methods,
-            reason = "feeds only InferenceStats::elapsed, which never branches inference; logical time is the `now: Epoch` argument"
+            reason = "feeds only InferenceReport::duration (summed into DistributedOutcome::inference_wall), which never branches inference; logical time is the `now: Epoch` argument"
         )]
         let started = Instant::now();
         // Calibrate the change threshold up front (it is lazy and needs
@@ -716,6 +716,31 @@ mod tests {
             Some(LocationId(0))
         );
         assert_eq!(engine.events_at(Epoch(5)).len(), 1);
+    }
+
+    #[test]
+    fn events_at_reports_location_and_container() {
+        let config = InferenceConfig::default().without_change_detection();
+        let mut engine = InferenceEngine::new(config, rates());
+        // Item 1 rides case 1 from location 0 to 2; case 2 stays at 0 and
+        // case 3 at 2.
+        let path = [(0u32, 0u16), (1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2)];
+        for (t, loc) in path {
+            for (tag, at) in [
+                (TagId::item(1), loc),
+                (TagId::case(1), loc),
+                (TagId::case(2), 0),
+                (TagId::case(3), 2),
+            ] {
+                engine.observe(RawReading::new(Epoch(t), tag, ReaderId(at)));
+            }
+        }
+        engine.run_inference(Epoch(6));
+        let events = engine.events_at(Epoch(5));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].tag, TagId::item(1));
+        assert_eq!(events[0].container, Some(TagId::case(1)));
+        assert_eq!(events[0].location, LocationId(2));
     }
 
     #[test]

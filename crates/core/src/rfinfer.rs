@@ -20,7 +20,7 @@
 use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
-use rfid_types::{Epoch, LocationId, ObjectEvent, TagId};
+use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
 /// How many of the most frequently co-located containers each object keeps
@@ -445,17 +445,6 @@ impl InferenceOutcome {
     pub fn weight(&self, object: TagId, container: TagId) -> Option<f64> {
         let mut weights = self.object(object)?.weights();
         weights.find(|&(c, _)| c == container).map(|(_, w)| w)
-    }
-
-    /// Build enriched object events `(time, tag, location, container)` at the
-    /// given epoch for every object with a location estimate.
-    pub fn events_at(&self, t: Epoch) -> Vec<ObjectEvent> {
-        let rows = self.objects.iter();
-        rows.filter_map(|row| {
-            let loc = self.location_of(row.object, t)?;
-            Some(ObjectEvent::new(t, row.object, loc, row.container))
-        })
-        .collect()
     }
 }
 
@@ -1032,22 +1021,6 @@ mod tests {
             outcome.location_of(TagId::item(7), Epoch(1)),
             Some(LocationId(1))
         );
-        let events = outcome.events_at(Epoch(1));
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].container, None);
-        assert_eq!(events[0].location, LocationId(1));
-    }
-
-    #[test]
-    fn events_at_reports_location_and_container() {
-        let obs = co_travel_obs();
-        let model = model(3);
-        let outcome = RfInfer::new(&model, &obs).run();
-        let events = outcome.events_at(Epoch(5));
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].tag, TagId::item(1));
-        assert_eq!(events[0].container, Some(TagId::case(1)));
-        assert_eq!(events[0].location, LocationId(2));
     }
 
     #[test]

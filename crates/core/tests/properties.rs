@@ -257,17 +257,6 @@ impl MapView {
             .and_then(|&c| self.lookup(c, t));
         via_container.or_else(|| self.lookup(tag, t))
     }
-
-    fn events_at(&self, t: Epoch) -> Vec<ObjectEvent> {
-        self.objects
-            .keys()
-            .filter_map(|&o| {
-                let container = self.containment.get(&o).copied();
-                self.location_of(o, t)
-                    .map(|loc| ObjectEvent::new(t, o, loc, container))
-            })
-            .collect()
-    }
 }
 
 /// The change statistic as it ran over the candidate-keyed maps.
@@ -481,7 +470,6 @@ fn check_outcome_accessors(engine: &InferenceEngine, now: Epoch, changes: &[Dete
         assert_eq!(engine.export_readings(tag).readings, shipped);
     }
     for &t in &epochs {
-        assert_eq!(outcome.events_at(t), view.events_at(t));
         // The engine's events follow its own location rule, and
         // `events_where` is that stream with the filter asked first, once per
         // examined object in order.

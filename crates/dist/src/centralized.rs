@@ -21,12 +21,10 @@
 use crate::comm::MessageKind;
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::inference::InferenceUnit;
-use crate::ons::Ons;
 use crate::streams::LocalStreams;
 use crate::transport::TransportMode;
 use rfid_types::{ContainmentMap, Epoch, LocationId, RawReading, ReadRateTable};
 use rfid_wire::ControlMsg;
-use std::collections::BTreeMap;
 
 /// Block-diagonal global read-rate table: within a site the measured
 /// per-site table applies; across sites only stray background reads.
@@ -104,8 +102,9 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
     let acked = ctx.transport_mode == TransportMode::Reliable;
     // The server's id on the uplink edges, after the sites' own.
     let server = num_sites as u16;
-    // Encoded batches and their origin by the epoch they reach the server.
-    let mut in_flight: BTreeMap<u32, Vec<(u16, Vec<u8>)>> = BTreeMap::new();
+    // Encoded batches with the epoch they reach the server and their origin,
+    // in the order they were sent.
+    let mut in_flight: Vec<(u32, u16, Vec<u8>)> = Vec::new();
     let mut batch: Vec<RawReading> = Vec::new();
     for t in 0..=ctx.horizon {
         let now = Epoch(t);
@@ -158,12 +157,12 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
                 let bytes = ctx.codec.encode_control(&ack).len();
                 tally.comm.record(MessageKind::Control, bytes);
             }
-            in_flight.entry(at).or_default().push((site, payload));
+            in_flight.push((at, site, payload));
         }
         // The server ingests what reaches it now: batches retransmitted from
         // earlier epochs that finally got through land before this epoch's
         // fresh forwarding.
-        for (site, payload) in in_flight.remove(&t).into_iter().flatten() {
+        for (_, site, payload) in in_flight.extract_if(.., |(at, ..)| *at == t) {
             // The server accepts and ingests every batch that reaches it.
             let ledger = unit.tally.ledger(site, server);
             ledger.recv_copies += 1;
@@ -182,11 +181,6 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
     }
     unit.finalize(Epoch(ctx.horizon));
 
-    // Custody bookkeeping (no messages: the server knows everything).
-    let mut ons = Ons::new();
-    for tr in &chain.transfers {
-        ons.register(tr.tag, tr.to_site);
-    }
     let mut containment = ContainmentMap::new();
     for object in chain.objects() {
         if let Some(container) = unit.engine.container_of(object) {
@@ -194,7 +188,7 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         }
     }
     let alerts = unit.processor.alerts().to_vec();
-    unit.tally.into_outcome(ctx, containment, alerts, ons)
+    unit.tally.into_outcome(ctx, containment, alerts)
 }
 
 #[cfg(test)]

@@ -27,13 +27,15 @@
 
 use crate::comm::CommCost;
 use crate::config::{DistributedConfig, MigrationStrategy};
-use crate::ons::Ons;
+use crate::ons::{CustodyIndex, Ons};
 use crate::transport::{TransportMode, TransportStats};
 use rfid_core::{InferenceStats, LikelihoodModel, MemoryStats, ThresholdPolicy};
 use rfid_query::Alert;
-use rfid_sim::ChainTrace;
-use rfid_types::{ContainmentMap, Epoch, ReadRateTable, SiteId, TagId};
+use rfid_sim::{ChainTrace, ObjectTransfer};
+use rfid_types::{ContainmentMap, Epoch, RawReading, ReadRateTable, SensorReading, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Everything a distributed run produces: the merged containment estimate,
@@ -108,28 +110,99 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) codec: WireCodec,
     /// Whether this run's envelopes are acked and retransmitted.
     pub(crate) transport_mode: TransportMode,
-    /// Per site, the change-detection policy its engine runs, with
-    /// `Calibrated` resolved to `Fixed(δ)` before any site starts, so a
-    /// crash restore never recalibrates. Empty under Centralized, whose one
-    /// engine calibrates its own table.
-    pub(crate) site_thresholds: Vec<Option<ThresholdPolicy>>,
+    /// Per site, what the run derives from its trace.
+    pub(crate) sites: Vec<SiteInputs<'a>>,
+    /// Which site holds each tag at each epoch.
+    pub(crate) custody: CustodyIndex,
+}
+
+/// One site's inputs, derived from the trace once per run and borrowed by
+/// every replay of the site: live, crash restore, or the Centralized uplink.
+pub(crate) struct SiteInputs<'a> {
+    /// Transfers departing from this site, in schedule order.
+    pub(crate) departures: Vec<ObjectTransfer>,
+    /// Time-ordered readings, borrowed from the trace when already sorted.
+    pub(crate) readings: Cow<'a, [RawReading]>,
+    /// The temperature samples, when the run has queries.
+    pub(crate) sensors: Vec<SensorReading>,
+    /// Each site shipping here, with that edge's minimum transit.
+    pub(crate) inbound: BTreeMap<u16, u32>,
+    /// The smallest transit of this site's out-edges; `u32::MAX` if none.
+    pub(crate) min_out_transit: u32,
+    /// The engine's change-detection policy, `Calibrated` resolved to
+    /// `Fixed(δ)` so a crash restore never recalibrates. Unresolved under
+    /// Centralized, whose one engine calibrates its own table.
+    pub(crate) threshold: Option<ThresholdPolicy>,
 }
 
 impl<'a> RunCtx<'a> {
     pub(crate) fn new(config: &'a DistributedConfig, chain: &'a ChainTrace) -> RunCtx<'a> {
+        let horizon = chain.sites.first().map_or(0, |s| s.meta.length);
+        let with_queries = !config.queries.is_empty();
+        let policy = config.inference.change_detection;
+        let calibrate = policy == Some(ThresholdPolicy::Calibrated)
+            && config.strategy != MigrationStrategy::Centralized;
+        // Each distinct site table is calibrated once.
+        let mut deltas: Vec<(&ReadRateTable, f64)> = Vec::new();
+        let mut sites: Vec<SiteInputs<'a>> = Vec::new();
+        for trace in &chain.sites {
+            let rates = &trace.read_rates;
+            let threshold = match deltas.iter().find(|(seen, _)| *seen == rates) {
+                _ if !calibrate => policy,
+                Some(&(_, delta)) => Some(ThresholdPolicy::Fixed(delta)),
+                None => {
+                    let model = LikelihoodModel::new(rates.clone());
+                    let delta = ThresholdPolicy::Calibrated.resolve(&model);
+                    deltas.push((rates, delta));
+                    Some(ThresholdPolicy::Fixed(delta))
+                }
+            };
+            let readings = match trace.readings.sorted_readings() {
+                Some(slice) => Cow::Borrowed(slice),
+                None => {
+                    let mut copy = trace.readings.readings_unordered().to_vec();
+                    copy.sort_unstable();
+                    copy.dedup();
+                    Cow::Owned(copy)
+                }
+            };
+            let sensors = match &config.temperature {
+                Some(model) if with_queries => {
+                    model.generate(trace.meta.num_locations, Epoch(horizon))
+                }
+                _ => Vec::new(),
+            };
+            sites.push(SiteInputs {
+                departures: Vec::new(),
+                readings,
+                sensors,
+                inbound: BTreeMap::new(),
+                min_out_transit: u32::MAX,
+                threshold,
+            });
+        }
+        let mut moves = Vec::with_capacity(chain.transfers.len());
+        for tr in &chain.transfers {
+            moves.push((tr.tag, tr.depart, tr.to_site));
+            let transit = tr.arrive.since(tr.depart);
+            let origin = &mut sites[usize::from(tr.from_site.0)];
+            origin.departures.push(*tr);
+            origin.min_out_transit = origin.min_out_transit.min(transit);
+            let inbound = &mut sites[usize::from(tr.to_site.0)].inbound;
+            let min = inbound.entry(tr.from_site.0).or_insert(transit);
+            *min = (*min).min(transit);
+        }
         RunCtx {
             config,
             chain,
-            horizon: chain.sites.first().map_or(0, |s| s.meta.length),
+            horizon,
             migrates_state: config.strategy != MigrationStrategy::None,
-            with_queries: !config.queries.is_empty(),
+            with_queries,
             stride: config.event_stride_secs.max(1),
             codec: WireCodec::new(config.wire_format),
             transport_mode: TransportMode::resolve(config.faults.as_ref(), &config.transport),
-            site_thresholds: match config.strategy {
-                MigrationStrategy::Centralized => Vec::new(),
-                _ => site_thresholds(chain, config.inference.change_detection),
-            },
+            sites,
+            custody: CustodyIndex::new(moves),
         }
     }
 
@@ -139,31 +212,6 @@ impl<'a> RunCtx<'a> {
         let every = self.config.checkpoint_every_secs.filter(|&k| k > 0)?;
         from.0.max(1).div_ceil(every).checked_mul(every).map(Epoch)
     }
-}
-
-/// Each site's change-detection policy, `Calibrated` resolved against the
-/// site's read-rate table: each distinct table is calibrated once.
-fn site_thresholds(
-    chain: &ChainTrace,
-    policy: Option<ThresholdPolicy>,
-) -> Vec<Option<ThresholdPolicy>> {
-    let mut calibrated: Vec<(&ReadRateTable, Option<ThresholdPolicy>)> = Vec::new();
-    chain
-        .sites
-        .iter()
-        .map(|site| {
-            let rates = &site.read_rates;
-            if policy != Some(ThresholdPolicy::Calibrated) {
-                return policy;
-            }
-            if let Some(&(_, fixed)) = calibrated.iter().find(|(seen, _)| *seen == rates) {
-                return fixed;
-            }
-            let delta = ThresholdPolicy::Calibrated.resolve(&LikelihoodModel::new(rates.clone()));
-            calibrated.push((rates, Some(ThresholdPolicy::Fixed(delta))));
-            Some(ThresholdPolicy::Fixed(delta))
-        })
-        .collect()
 }
 
 /// Drives a [`ChainTrace`] through the distributed pipeline.
@@ -231,8 +279,10 @@ impl DistributedDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::Tally;
     use rfid_core::InferenceConfig;
     use rfid_sim::presets;
+    use std::collections::BTreeSet;
 
     fn resolved(
         chain: &ChainTrace,
@@ -244,7 +294,51 @@ mod tests {
             inference,
             ..Default::default()
         };
-        RunCtx::new(&config, chain).site_thresholds
+        let ctx = RunCtx::new(&config, chain);
+        ctx.sites.iter().map(|site| site.threshold).collect()
+    }
+
+    /// Custody is a function of the dispatch schedule: at every epoch, every
+    /// tag's custodian is what replaying the transfer list up to that epoch
+    /// registers, each site departs exactly its share of the list, and the
+    /// run's final registry is the oracle's recomputation.
+    #[test]
+    fn custody_and_departures_follow_the_transfer_list() {
+        let chain = presets::smoke_chain(900, 3, None);
+        let config = DistributedConfig {
+            inference: InferenceConfig::default().without_change_detection(),
+            ..Default::default()
+        };
+        let ctx = RunCtx::new(&config, &chain);
+        assert!(!chain.transfers.is_empty());
+        let tags: BTreeSet<TagId> = (chain.transfers.iter().map(|tr| tr.tag))
+            .chain(chain.objects())
+            .collect();
+        for t in 0..=ctx.horizon {
+            let mut replayed = Ons::new();
+            for tr in chain.transfers.iter().filter(|tr| tr.depart.0 <= t) {
+                replayed.register(tr.tag, tr.to_site);
+            }
+            for &tag in &tags {
+                let expected = replayed.site_of(tag, SiteId(0));
+                assert_eq!(
+                    ctx.custody.custody_at(tag, Epoch(t)),
+                    expected,
+                    "{tag:?} at {t}"
+                );
+            }
+        }
+        for (site, inputs) in ctx.sites.iter().enumerate() {
+            let expected: Vec<ObjectTransfer> = (chain.transfers.iter())
+                .filter(|tr| usize::from(tr.from_site.0) == site)
+                .copied()
+                .collect();
+            assert_eq!(inputs.departures, expected, "site {site}");
+        }
+        // An outcome's registry is the index's at the horizon, which the
+        // custody oracle recomputes from the transfer list on its own.
+        let outcome = Tally::default().into_outcome(&ctx, ContainmentMap::new(), Vec::new());
+        crate::oracle::audit(&chain, &outcome).unwrap();
     }
 
     #[test]
@@ -285,6 +379,6 @@ mod tests {
             MigrationStrategy::Centralized,
             InferenceConfig::default(),
         );
-        assert!(centralized.is_empty());
+        assert_eq!(centralized, vec![Some(ThresholdPolicy::Calibrated); 2]);
     }
 }

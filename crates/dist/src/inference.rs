@@ -9,7 +9,6 @@
 
 use crate::comm::CommCost;
 use crate::driver::{DistributedOutcome, RunCtx};
-use crate::ons::Ons;
 use crate::transport::{TransportMode, TransportStats};
 use rfid_core::{
     InferenceConfig, InferenceEngine, InferenceReport, InferenceStats, MemoryStats, ThresholdPolicy,
@@ -112,7 +111,6 @@ impl Tally {
         ctx: &RunCtx<'_>,
         containment: ContainmentMap,
         alerts: Vec<Alert>,
-        ons: Ons,
     ) -> DistributedOutcome {
         let transport = self.transport(ctx.transport_mode);
         DistributedOutcome {
@@ -121,7 +119,7 @@ impl Tally {
             alerts,
             query_state_shared_bytes: self.shared_bytes,
             query_state_unshared_bytes: self.unshared_bytes,
-            ons,
+            ons: ctx.custody.ons_at(Epoch(ctx.horizon)),
             inference_runs: self.inference_runs,
             inference_wall: self.inference_wall,
             inference_stats: self.inference_stats,

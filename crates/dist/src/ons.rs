@@ -7,7 +7,7 @@
 //! another site; the destination site owns the object's inference and query
 //! state from the moment of dispatch (state travels with the shipment).
 
-use rfid_types::{SiteId, TagId};
+use rfid_types::{Epoch, SiteId, TagId};
 use std::collections::BTreeMap;
 
 /// Wire size of one custody update: the tag id (8) plus the site id (2).
@@ -54,6 +54,48 @@ impl Ons {
     /// Iterate over all `(tag, site)` custody entries.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, SiteId)> + '_ {
         self.custody.iter().map(|(t, s)| (*t, *s))
+    }
+}
+
+/// Custody as a function of the dispatch schedule, built once per run: it
+/// depends only on the transfer list, never on inference, so every site
+/// reads the one index at any epoch.
+pub(crate) struct CustodyIndex {
+    /// Every transfer as `(tag, depart, to)`, grouped by tag, each group in
+    /// schedule order.
+    moves: Vec<(TagId, Epoch, SiteId)>,
+}
+
+/// The destination of the last of `moves` departing at or before `t`.
+fn last_at(moves: &[(TagId, Epoch, SiteId)], t: Epoch) -> Option<SiteId> {
+    let departed = moves.partition_point(|&(_, depart, _)| depart <= t);
+    departed.checked_sub(1).map(|last| moves[last].2)
+}
+
+impl CustodyIndex {
+    /// Index the transfers, given as `(tag, depart, to)` in schedule order.
+    pub(crate) fn new(mut moves: Vec<(TagId, Epoch, SiteId)>) -> CustodyIndex {
+        // Stable, so each tag's transfers keep their schedule order.
+        moves.sort_by_key(|&(tag, _, _)| tag);
+        CustodyIndex { moves }
+    }
+
+    /// The site holding `tag` at epoch `t`: site 0 before any transfer.
+    pub(crate) fn custody_at(&self, tag: TagId, t: Epoch) -> SiteId {
+        let start = self.moves.partition_point(|m| m.0 < tag);
+        let len = self.moves[start..].partition_point(|m| m.0 == tag);
+        last_at(&self.moves[start..start + len], t).unwrap_or(SiteId(0))
+    }
+
+    /// The registry as it stands at the end of epoch `t`.
+    pub(crate) fn ons_at(&self, t: Epoch) -> Ons {
+        let mut ons = Ons::new();
+        for moves in self.moves.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(site) = last_at(moves, t) {
+                ons.register(moves[0].0, site);
+            }
+        }
+        ons
     }
 }
 

@@ -11,9 +11,9 @@
 //!   ┌─ lock: take the runnable site furthest behind (ties: lowest id)
 //!   ├─ receive its mailbox, then per half-epoch of one slice:
 //!   │    maybe_crash + before_exchange(t)     streams, arrivals, dispatch
-//!   │    after_exchange(t) + maybe_checkpoint zero-transit, custody, step
+//!   │    after_exchange(t) + maybe_checkpoint zero-transit, step, events
 //!   └─ lock: post the slice's shipments, publish progress, wake everyone
-//!          merge (tallies, alerts, containment, ONS)
+//!          merge (tallies, alerts, containment; ONS from the custody index)
 //! ```
 //!
 //! With `L` an inbound edge's minimum transit, a site runs
@@ -21,8 +21,9 @@
 //! `before_exchange(t − max(L, 1))`, and `after_exchange(t)` once each
 //! finished `before_exchange(t − L)`, or `before_exchange(t)` at checkpoints
 //! and the horizon. A slice also ends after the site's smallest out-edge
-//! transit. Sites import in generation order and own their custody replica,
-//! so the merged outcome is bit-identical at every worker count
+//! transit. Sites import in generation order and read custody from the run's
+//! one read-only index, so the merged outcome is bit-identical at every
+//! worker count
 //! (docs/ARCHITECTURE.md § "One scheduler" gives the rules and why).
 #![expect(
     clippy::disallowed_types,
@@ -31,7 +32,7 @@
 
 use crate::driver::{DistributedOutcome, RunCtx};
 use crate::inference::Tally;
-use crate::site::{OnsTracker, ShipmentMsg, SiteOutcome, SiteState};
+use crate::site::{ShipmentMsg, SiteOutcome, SiteState};
 use rfid_query::Alert;
 use rfid_types::{Epoch, TagId};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -63,23 +64,12 @@ pub(crate) fn run(ctx: &RunCtx<'_>) -> DistributedOutcome {
         containment.extend(outcome.containment);
     }
     alerts.sort_by(|a, b| (a.at, &a.query, a.tag).cmp(&(b.at, &b.query, b.tag)));
-    let mut ons = OnsTracker::new();
-    ons.advance(&ctx.chain.transfers, Epoch(ctx.horizon));
-    tally.into_outcome(
-        ctx,
-        containment.into_iter().collect(),
-        alerts,
-        ons.into_ons(),
-    )
+    tally.into_outcome(ctx, containment.into_iter().collect(), alerts)
 }
 
 /// The static schedule plus the board every worker reads and writes.
 struct Schedule<'a> {
     ctx: &'a RunCtx<'a>,
-    /// Per site: each inbound neighbour and that edge's minimum transit.
-    inbound: Vec<Vec<(usize, u32)>>,
-    /// Per site: half-epochs per slice, twice its smallest out-edge transit.
-    slice: Vec<u32>,
     board: Mutex<Board<'a>>,
     wake: Condvar,
 }
@@ -99,22 +89,9 @@ struct Board<'a> {
 
 impl<'a> Schedule<'a> {
     fn new(ctx: &'a RunCtx<'a>) -> Schedule<'a> {
-        let sites = ctx.chain.sites.len();
-        let mut inbound: Vec<Vec<(usize, u32)>> = vec![Vec::new(); sites];
-        let mut slice = vec![u32::MAX; sites];
-        for tr in &ctx.chain.transfers {
-            let (from, to) = (usize::from(tr.from_site.0), usize::from(tr.to_site.0));
-            let transit = tr.arrive.0.saturating_sub(tr.depart.0);
-            match inbound[to].iter_mut().find(|(u, _)| *u == from) {
-                Some((_, min)) => *min = (*min).min(transit),
-                None => inbound[to].push((from, transit)),
-            }
-            slice[from] = slice[from].min(transit.saturating_mul(2).max(1));
-        }
+        let sites = ctx.sites.len();
         Schedule {
             ctx,
-            inbound,
-            slice,
             board: Mutex::new(Board {
                 progress: vec![0; sites],
                 mailbox: vec![Vec::new(); sites],
@@ -131,13 +108,15 @@ impl<'a> Schedule<'a> {
     fn blocked(&self, progress: &[u32], site: usize, step: u32) -> bool {
         let t = (step - 1) / 2;
         let sync = t == self.ctx.horizon || self.ctx.next_checkpoint(Epoch(t)) == Some(Epoch(t));
-        self.inbound[site].iter().any(|&(from, transit)| {
+        let inbound = &self.ctx.sites[site].inbound;
+        inbound.iter().any(|(&from, &transit)| {
             let lookahead = match step % 2 {
                 1 => transit.max(1),
                 _ if sync => 0,
                 _ => transit,
             };
-            progress[from] < (2 * t + 1).saturating_sub(lookahead.saturating_mul(2))
+            let needed = (2 * t + 1).saturating_sub(lookahead.saturating_mul(2));
+            progress[usize::from(from)] < needed
         })
     }
 
@@ -163,7 +142,7 @@ impl<'a> Schedule<'a> {
     /// every site has reported.
     fn work(&self, objects: &[TagId]) {
         let _poison = PoisonOnPanic(self);
-        let (sites, done) = (self.inbound.len(), 2 * self.ctx.horizon + 2);
+        let (sites, done) = (self.ctx.sites.len(), 2 * self.ctx.horizon + 2);
         let mut board = self.lock();
         loop {
             assert!(!board.poisoned, "site schedule poisoned: a worker panicked");
@@ -181,7 +160,9 @@ impl<'a> Schedule<'a> {
                 continue;
             };
             let from = board.progress[site];
-            let end = from.saturating_add(self.slice[site]).min(done);
+            // Half-epochs per slice: twice the smallest out-edge transit.
+            let slice = self.ctx.sites[site].min_out_transit.saturating_mul(2);
+            let end = from.saturating_add(slice.max(1)).min(done);
             let to = (from + 1..=end)
                 .find(|&step| self.blocked(&board.progress, site, step))
                 .map_or(end, |step| step - 1);

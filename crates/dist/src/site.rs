@@ -9,6 +9,10 @@
 //! [`SiteState::after_exchange`] — and everything that replays a site (the
 //! scheduler at any worker count, the tail replay after a crash) calls
 //! exactly those two.
+//!
+//! A site owns only mutable state: its inputs and the custody index are
+//! built once per run in [`RunCtx`](crate::driver::RunCtx) and borrowed, so a
+//! crash restore rebuilds the state and nothing else.
 
 mod durability;
 mod shipments;
@@ -17,48 +21,12 @@ pub(crate) use shipments::ShipmentMsg;
 
 use crate::driver::RunCtx;
 use crate::inference::{InferenceUnit, Tally};
-use crate::ons::Ons;
 use crate::streams::LocalStreams;
 use crate::transport::{EdgeSequencer, ReliableInbox};
 use rfid_query::Alert;
 use rfid_sim::{CrashFault, ObjectTransfer};
-use rfid_types::{Epoch, SiteId, TagId};
+use rfid_types::{Epoch, TagId};
 use std::collections::BTreeMap;
-
-/// Replica of the object name service driven from the static transfer
-/// schedule.
-///
-/// Custody registrations depend only on the transfer list — never on
-/// inference results — so every site advances its own replica locally
-/// instead of synchronising on a shared registry: by construction all
-/// replicas agree at every epoch boundary.
-pub(crate) struct OnsTracker {
-    ons: Ons,
-    cursor: usize,
-}
-
-impl OnsTracker {
-    pub(crate) fn new() -> OnsTracker {
-        OnsTracker {
-            ons: Ons::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Register every transfer departing at or before `now` (a no-op when
-    /// already there).
-    pub(crate) fn advance(&mut self, transfers: &[ObjectTransfer], now: Epoch) {
-        while self.cursor < transfers.len() && transfers[self.cursor].depart <= now {
-            self.ons
-                .register(transfers[self.cursor].tag, transfers[self.cursor].to_site);
-            self.cursor += 1;
-        }
-    }
-
-    pub(crate) fn into_ons(self) -> Ons {
-        self.ons
-    }
-}
 
 /// What one site contributes to the merged outcome.
 pub(crate) struct SiteOutcome {
@@ -74,12 +42,10 @@ pub(crate) struct SiteState<'a> {
     site: usize,
     streams: LocalStreams<'a>,
     unit: InferenceUnit,
-    /// This site's custody replica, advanced to the epoch it last finished.
-    custody: OnsTracker,
 
     // Shipments.
     /// Transfers departing from this site, in global (depart, tag) order.
-    departures: Vec<ObjectTransfer>,
+    departures: &'a [ObjectTransfer],
     departure_cursor: usize,
     /// Shipments awaiting their arrival epoch, keyed by it.
     inbox: BTreeMap<Epoch, Vec<ShipmentMsg>>,
@@ -119,16 +85,9 @@ impl<'a> SiteState<'a> {
             unit: InferenceUnit::new(
                 ctx,
                 ctx.chain.sites[site].read_rates.clone(),
-                ctx.site_thresholds[site],
+                ctx.sites[site].threshold,
             ),
-            custody: OnsTracker::new(),
-            departures: ctx
-                .chain
-                .transfers
-                .iter()
-                .filter(|tr| tr.from_site.0 as usize == site)
-                .copied()
-                .collect(),
+            departures: &ctx.sites[site].departures,
             departure_cursor: 0,
             inbox: BTreeMap::new(),
             seqs: EdgeSequencer::new(),
@@ -157,11 +116,9 @@ impl<'a> SiteState<'a> {
 
     /// Second half of epoch `now`, once every shipment departing at `now`
     /// (from any site) has been [`received`](Self::receive): import the
-    /// zero-transit ones, bring the custody replica up to this epoch's
-    /// dispatches, then run the periodic inference step and event feed
-    /// against it.
+    /// zero-transit ones, then run the periodic inference step and the event
+    /// feed against custody as of this epoch's dispatches.
     pub(crate) fn after_exchange(&mut self, now: Epoch) {
-        self.custody.advance(&self.ctx.chain.transfers, now);
         if self.down {
             return;
         }
@@ -185,9 +142,9 @@ impl<'a> SiteState<'a> {
     /// an object, so a departed object's stale estimates do not keep an
     /// abandoned automaton alive.
     fn step_and_feed(&mut self, now: Epoch) {
-        let (site, ons) = (self.site, &self.custody.ons);
+        let (site, custody) = (self.site, &self.ctx.custody);
         self.unit.tick(self.ctx, now, |tag| {
-            ons.site_of(tag, SiteId(0)).0 as usize == site
+            usize::from(custody.custody_at(tag, now).0) == site
         });
     }
 
@@ -196,12 +153,13 @@ impl<'a> SiteState<'a> {
     /// the objects this site owns (per the final ONS), its alerts and its
     /// tally.
     pub(crate) fn into_outcome(mut self, objects: &[TagId]) -> SiteOutcome {
-        self.unit.finalize(Epoch(self.ctx.horizon));
+        let horizon = Epoch(self.ctx.horizon);
+        self.unit.finalize(horizon);
         self.book_undelivered();
-        let (engine, ons) = (&self.unit.engine, &self.custody.ons);
+        let (engine, custody) = (&self.unit.engine, &self.ctx.custody);
         let containment = objects
             .iter()
-            .filter(|&&object| ons.site_of(object, SiteId(0)).0 as usize == self.site)
+            .filter(|&&object| usize::from(custody.custody_at(object, horizon).0) == self.site)
             .filter_map(|&object| Some((object, engine.container_of(object)?)))
             .collect();
         SiteOutcome {
@@ -228,7 +186,7 @@ mod tests {
         let chain = presets::smoke_chain(300, 2, None);
         let config = DistributedConfig::default();
         let ctx = RunCtx::new(&config, &chain);
-        let Some(ThresholdPolicy::Fixed(delta)) = ctx.site_thresholds[0] else {
+        let Some(ThresholdPolicy::Fixed(delta)) = ctx.sites[0].threshold else {
             panic!("a calibrated site runs a fixed δ");
         };
         let mut site = SiteState::new(&ctx, 0);

@@ -5,9 +5,8 @@ use super::shipments::order_key;
 use super::{ShipmentMsg, SiteState};
 use crate::inference::Tally;
 use crate::transport::{ReliableInbox, TransportMode};
-use rfid_types::{Epoch, SiteId};
+use rfid_types::Epoch;
 use rfid_wire::SiteCheckpoint;
-use std::collections::BTreeSet;
 
 impl<'a> SiteState<'a> {
     /// Epoch-start fault hook, called by the scheduler before any other
@@ -47,21 +46,18 @@ impl<'a> SiteState<'a> {
         self.fast_forward(resume);
         // Anti-entropy resync: a rejoining site asks each peer that ships
         // to it to replay anything it missed while dark — one control round
-        // per inbound edge. (The pending-inbox replay itself is the
-        // `fast_forward` import above; only the request bytes are new.)
-        if self.ctx.transport_mode == TransportMode::Reliable {
-            let me = SiteId(self.site as u16);
-            let inbound: BTreeSet<u16> = (self.ctx.chain.transfers.iter())
-                .filter(|tr| tr.to_site == me)
-                .map(|tr| tr.from_site.0)
-                .collect();
-            for peer in inbound {
+        // per inbound edge, in ascending peer order. (The pending-inbox
+        // replay itself is the `fast_forward` import above; only the request
+        // bytes are new.)
+        let ctx = self.ctx;
+        if ctx.transport_mode == TransportMode::Reliable {
+            for &peer in ctx.sites[self.site].inbound.keys() {
                 self.request_resync(peer, resume);
             }
         }
     }
 
-    /// Crash at the start of `crash_at`: destroy the volatile state, restore
+    /// Crash at the start of `crash_at`: rebuild the mutable state, restore
     /// from the newest checkpoint (or from scratch when none exists),
     /// re-enqueue the durable journal, and deterministically replay the
     /// local trace tail up to (excluding) `crash_at`. Replayed departures
@@ -120,8 +116,7 @@ impl<'a> SiteState<'a> {
         }
         self.journal = journal;
         // Bounded replay of the local tail through the regular epoch
-        // protocol, which also rebuilds the fresh custody replica; the
-        // departures it regenerates go nowhere.
+        // protocol; the departures it regenerates go nowhere.
         for t in replay_from..crash_at.0 {
             self.before_exchange(Epoch(t), drop);
             self.after_exchange(Epoch(t));
@@ -132,13 +127,8 @@ impl<'a> SiteState<'a> {
     /// in generation order, the shipments that arrived while it was down.
     fn fast_forward(&mut self, resume: Epoch) {
         self.streams.skip_to(resume);
-        while self
-            .departures
-            .get(self.departure_cursor)
-            .is_some_and(|tr| tr.depart < resume)
-        {
-            self.departure_cursor += 1;
-        }
+        let slept = &self.departures[self.departure_cursor..];
+        self.departure_cursor += slept.iter().take_while(|tr| tr.depart < resume).count();
         let mut late = Vec::new();
         while let Some(entry) = self.inbox.first_entry().filter(|e| *e.key() < resume) {
             late.extend(entry.remove());
@@ -214,6 +204,8 @@ mod tests {
     use crate::driver::{DistributedDriver, RunCtx};
     use rfid_core::InferenceConfig;
     use rfid_sim::{presets, FaultPlan};
+    use rfid_types::SiteId;
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     /// Wall-clock is outside the determinism contract, but the inference

@@ -207,13 +207,8 @@ impl SiteState<'_> {
         let config = ctx.config;
         let faults = config.faults.as_ref();
         let start = self.departure_cursor;
-        while self
-            .departures
-            .get(self.departure_cursor)
-            .is_some_and(|tr| tr.depart == now)
-        {
-            self.departure_cursor += 1;
-        }
+        let leaving = self.departures[start..].iter();
+        self.departure_cursor += leaving.take_while(|tr| tr.depart == now).count();
         if start == self.departure_cursor {
             return;
         }

@@ -10,16 +10,14 @@
 use crate::driver::RunCtx;
 use rfid_sim::FaultPlan;
 use rfid_types::{Epoch, LocationId, RawReading, ReaderId, SensorReading};
-use std::borrow::Cow;
 
-/// The replay cursors over one site's readings and sensor samples.
+/// The replay cursors over one site's readings and sensor samples, which it
+/// borrows from the run's [`SiteInputs`](crate::driver::SiteInputs).
 pub(crate) struct LocalStreams<'a> {
     site: u16,
-    /// Time-ordered replay source; borrowed straight from the trace when the
-    /// batch is already sorted, so large traces are not copied per run.
-    readings: Cow<'a, [RawReading]>,
+    readings: &'a [RawReading],
     reading_cursor: usize,
-    sensors: Vec<SensorReading>,
+    sensors: &'a [SensorReading],
     sensor_cursor: usize,
     faults: Option<&'a FaultPlan>,
     /// Added to every reader and sensor location: 0 at a federated site, the
@@ -35,37 +33,22 @@ pub(crate) struct LocalStreams<'a> {
 
 impl<'a> LocalStreams<'a> {
     pub(crate) fn new(
-        ctx: &RunCtx<'a>,
+        ctx: &'a RunCtx<'_>,
         site: usize,
         offset: u16,
         skew_secs: u32,
     ) -> LocalStreams<'a> {
-        let trace = &ctx.chain.sites[site];
-        let readings = match trace.readings.sorted_readings() {
-            Some(slice) => Cow::Borrowed(slice),
-            None => {
-                let mut copy = trace.readings.readings_unordered().to_vec();
-                copy.sort_unstable();
-                copy.dedup();
-                Cow::Owned(copy)
-            }
-        };
-        let sensors = match &ctx.config.temperature {
-            Some(model) if ctx.with_queries => {
-                model.generate(trace.meta.num_locations, Epoch(ctx.horizon))
-            }
-            _ => Vec::new(),
-        };
+        let inputs = &ctx.sites[site];
         LocalStreams {
             site: site as u16,
-            readings,
+            readings: &inputs.readings,
             reading_cursor: 0,
-            sensors,
+            sensors: &inputs.sensors,
             sensor_cursor: 0,
             faults: ctx.config.faults.as_ref(),
             offset,
             skew_secs,
-            num_readers: trace.meta.num_locations as u16,
+            num_readers: ctx.chain.sites[site].meta.num_locations as u16,
         }
     }
 

@@ -12,7 +12,6 @@
 //! | `0x02` | reading batch | tag table + order-preserving reading sequence |
 //! | `0x03` | [`ObjectQueryState`] | query name, tag, automaton |
 //! | `0x04` | [`SharedStateBundle`] | centroid payload + per-object deltas |
-//! | `0x05` | [`CollapsedState`] | tag table + per-candidate weight bits |
 //! | `0x06` | query-state payload | tag-less `(query, automaton)` for sharing |
 //! | `0x07` | [`crate::checkpoint::SiteCheckpoint`] | site-wide tag table + engine/processor snapshots + durability bookkeeping |
 //! | `0x08` | [`crate::ControlMsg`] | transport control: ack / anti-entropy resync |
@@ -45,7 +44,7 @@ use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta
 use rfid_types::{RawReading, TagId};
 
 /// Version byte every message starts with.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Declares the payload-kind bytes (byte 1 of every message) once: the
 /// `KIND_*` constants the codecs use, and the [`KINDS`] list that
@@ -66,7 +65,6 @@ payload_kinds! {
     KIND_READINGS = 0x02,
     KIND_QUERY_STATE = 0x03,
     KIND_BUNDLE = 0x04,
-    KIND_COLLAPSED = 0x05,
     KIND_STATE_PAYLOAD = 0x06,
     KIND_CHECKPOINT = 0x07,
     KIND_CONTROL = 0x08,
@@ -113,16 +111,6 @@ impl WireCodec {
     /// Decode a [`Self::encode_migration`] message.
     pub fn decode_migration(&self, bytes: &[u8]) -> Result<MigrationState, WireError> {
         parse(bytes, KIND_MIGRATION, TagRefs::Raw)
-    }
-
-    /// Encode one object's collapsed inference state.
-    pub fn encode_collapsed(&self, state: &CollapsedState) -> Vec<u8> {
-        message(KIND_COLLAPSED, state, TagRefs::Raw)
-    }
-
-    /// Decode a [`Self::encode_collapsed`] message.
-    pub fn decode_collapsed(&self, bytes: &[u8]) -> Result<CollapsedState, WireError> {
-        parse(bytes, KIND_COLLAPSED, TagRefs::Raw)
     }
 
     /// Encode a batch of raw readings (the centralized forwarding payload),
@@ -363,14 +351,14 @@ mod tests {
         WireCodec::new(WireFormat::Binary)
     }
 
-    fn collapsed() -> CollapsedState {
-        CollapsedState {
+    fn collapsed() -> MigrationState {
+        MigrationState::Collapsed(CollapsedState {
             object: TagId::item(3),
             weights: [(TagId::case(1), 0.0), (TagId::case(2), -40.25)]
                 .into_iter()
                 .collect(),
             container: Some(TagId::case(1)),
-        }
+        })
     }
 
     fn readings_state() -> ReadingsState {
@@ -393,7 +381,7 @@ mod tests {
     fn migration_states_round_trip_in_both_formats() {
         let states = [
             MigrationState::None,
-            MigrationState::Collapsed(collapsed()),
+            collapsed(),
             MigrationState::Readings(readings_state()),
         ];
         for state in &states {
@@ -405,10 +393,10 @@ mod tests {
     #[test]
     fn collapsed_state_beats_the_old_estimate() {
         let state = collapsed();
-        let bytes = codec().encode_collapsed(&state);
-        assert_eq!(codec().decode_collapsed(&bytes).unwrap(), state);
+        let bytes = codec().encode_migration(&state);
+        assert_eq!(codec().decode_migration(&bytes).unwrap(), state);
         // the seed's hand-estimated accounting charged 8 + 9 + 16/candidate
-        assert!(bytes.len() < 8 + 9 + 16 * state.weights.len());
+        assert!(bytes.len() < 8 + 9 + 16 * 2);
     }
 
     #[test]
@@ -432,14 +420,14 @@ mod tests {
             codec.decode_readings(&codec.encode_readings(&[])).unwrap(),
             []
         );
-        let empty = CollapsedState {
+        let empty = MigrationState::Collapsed(CollapsedState {
             object: TagId::item(1),
             weights: BTreeMap::new(),
             container: None,
-        };
+        });
         assert_eq!(
             codec
-                .decode_collapsed(&codec.encode_collapsed(&empty))
+                .decode_migration(&codec.encode_migration(&empty))
                 .unwrap(),
             empty
         );
@@ -504,17 +492,17 @@ mod tests {
     #[test]
     fn corrupted_and_mismatched_headers_are_rejected() {
         let binary = codec();
-        let bytes = binary.encode_collapsed(&collapsed());
+        let bytes = binary.encode_migration(&collapsed());
         assert!(binary.decode_readings(&bytes).is_err(), "kind mismatch");
         let mut wrong_version = bytes.clone();
         wrong_version[0] = 99;
-        assert!(binary.decode_collapsed(&wrong_version).is_err());
+        assert!(binary.decode_migration(&wrong_version).is_err());
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 1);
-        assert!(binary.decode_collapsed(&truncated).is_err());
+        assert!(binary.decode_migration(&truncated).is_err());
         let mut trailing = bytes;
         trailing.push(0);
-        assert!(binary.decode_collapsed(&trailing).is_err());
+        assert!(binary.decode_migration(&trailing).is_err());
         assert!(binary.decode_migration(&[]).is_err());
     }
 }

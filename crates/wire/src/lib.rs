@@ -77,11 +77,12 @@ pub enum WireFormat {
 
 /// What went wrong while decoding, machine-matchable.
 ///
-/// The distributed layer retries or quarantines a peer differently depending
-/// on whether its bytes were cut short in transit ([`Truncated`]), speak a
-/// different protocol ([`BadHeader`]), or are internally inconsistent
-/// ([`LengthOverflow`], [`Malformed`]) — so the kind is part of the decode
-/// contract, not just the message text.
+/// The kind says whether the bytes were cut short in transit
+/// ([`Truncated`]), speak a different protocol ([`BadHeader`]), or are
+/// internally inconsistent ([`LengthOverflow`], [`Malformed`]). It is the
+/// typed-error contract `tests/fuzz.rs` asserts for hostile bytes; the
+/// distributed layer does not branch on it and quarantines every decode
+/// failure alike.
 ///
 /// [`Truncated`]: WireErrorKind::Truncated
 /// [`BadHeader`]: WireErrorKind::BadHeader

@@ -11,7 +11,7 @@ mod common;
 
 use common::*;
 use proptest::prelude::*;
-use rfid_core::{CollapsedState, MigrationState, ReaderSet};
+use rfid_core::{MigrationState, ReaderSet};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::codec::KINDS;
@@ -25,7 +25,6 @@ use rfid_wire::{SiteCheckpoint, WireError, WireErrorKind, WIRE_VERSION};
 fn decode_everything(bytes: &[u8]) {
     let codec = codec();
     let _ = codec.decode_readings(bytes);
-    let _ = codec.decode_collapsed(bytes);
     let _ = codec.decode_migration(bytes);
     let _ = codec.decode_query_state(bytes);
     if let Ok(bundle) = codec.decode_bundle(bytes) {
@@ -40,7 +39,6 @@ fn decode_everything(bytes: &[u8]) {
 fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         arb_readings().prop_map(|r| codec().encode_readings(&r)),
-        arb_collapsed().prop_map(|s| codec().encode_collapsed(&s)),
         arb_migration().prop_map(|s| codec().encode_migration(&s)),
         arb_query_state().prop_map(|s| codec().encode_query_state(&s)),
         arb_bundle().prop_map(|b| codec().encode_bundle(&b)),
@@ -58,7 +56,6 @@ proptest! {
         for cut in 0..bytes.len() {
             let prefix = &bytes[..cut];
             prop_assert!(codec().decode_readings(prefix).is_err());
-            prop_assert!(codec().decode_collapsed(prefix).is_err());
             prop_assert!(codec().decode_migration(prefix).is_err());
             prop_assert!(codec().decode_query_state(prefix).is_err());
             prop_assert!(codec().decode_bundle(prefix).is_err());
@@ -88,9 +85,9 @@ proptest! {
     #[test]
     fn decoding_then_reencoding_is_stable(state in arb_collapsed()) {
         let codec = codec();
-        let bytes = codec.encode_collapsed(&state);
-        let back = codec.decode_collapsed(&bytes).unwrap();
-        prop_assert_eq!(codec.encode_collapsed(&back), bytes.clone());
+        let bytes = codec.encode_migration(&MigrationState::Collapsed(state));
+        let back = codec.decode_migration(&bytes).unwrap();
+        prop_assert_eq!(codec.encode_migration(&back), bytes.clone());
     }
 
     #[test]
@@ -710,14 +707,6 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
                 deltas: Vec::new(),
             }),
         ),
-        (
-            "KIND_COLLAPSED",
-            codec.encode_collapsed(&CollapsedState {
-                object: TagId::item(1),
-                weights: [(TagId::case(1), 0.0)].into_iter().collect(),
-                container: Some(TagId::case(1)),
-            }),
-        ),
         ("KIND_STATE_PAYLOAD", codec.state_payload(&state)),
         (
             "KIND_CHECKPOINT",
@@ -746,7 +735,6 @@ fn corrupted_byte_zero_is_a_typed_error_for_every_kind() {
                 && codec.decode_readings(&poisoned).is_err()
                 && codec.decode_query_state(&poisoned).is_err()
                 && codec.decode_bundle(&poisoned).is_err()
-                && codec.decode_collapsed(&poisoned).is_err()
                 && codec.state_from_payload(TagId::item(1), &poisoned).is_err()
                 && codec.decode_checkpoint(&poisoned).is_err()
                 && codec.decode_control(&poisoned).is_err(),
@@ -766,7 +754,7 @@ fn error_kinds_classify_truncation_and_headers() {
     let err = codec().decode_readings(&wrong_version).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::BadHeader);
     // Valid header of the wrong payload kind.
-    let err = codec().decode_collapsed(&valid).unwrap_err();
+    let err = codec().decode_migration(&valid).unwrap_err();
     assert_eq!(err.kind(), WireErrorKind::BadHeader);
     // Checkpoints classify the same way: a readings payload is the wrong
     // kind, a truncated checkpoint is Truncated, a corrupted version byte is

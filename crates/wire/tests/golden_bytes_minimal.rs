@@ -48,7 +48,7 @@ fn migration_none_is_a_bare_variant_byte() {
     pin(
         "MigrationState::None",
         &MigrationState::None,
-        "030100",
+        "040100",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
     );
@@ -59,7 +59,7 @@ fn empty_reading_batch_is_an_empty_table_and_a_zero_count() {
     pin(
         "empty reading batch",
         &Vec::new(),
-        "03020000",
+        "04020000",
         |r| codec().encode_readings(r),
         |b| codec().decode_readings(b).unwrap(),
     );
@@ -75,14 +75,14 @@ fn idle_query_state_carries_no_automaton_body() {
     pin(
         "idle ObjectQueryState",
         &idle,
-        "0303000000",
+        "0403000000",
         |s| codec().encode_query_state(s),
         |b| codec().decode_query_state(b).unwrap(),
     );
     pin(
         "idle state payload",
         &idle,
-        "03060000",
+        "04060000",
         |s| codec().state_payload(s),
         |b| codec().state_from_payload(idle.tag, b).unwrap(),
     );
@@ -97,7 +97,7 @@ fn bundle_without_deltas_is_the_centroid_alone() {
             centroid_bytes: Vec::new(),
             deltas: Vec::new(),
         },
-        "0304010000",
+        "0404010000",
         |b| codec().encode_bundle(b),
         |b| codec().decode_bundle(b).unwrap(),
     );
@@ -144,7 +144,7 @@ fn empty_checkpoint_is_flags_counts_and_arity_prefixes() {
     pin(
         "empty SiteCheckpoint",
         &checkpoint,
-        "03070000000000000000000000000000000000000005000000000000000000000000\
+        "04070000000000000000000000000000000000000005000000000000000000000000\
          000000000000000a0000000000000000000000040000000000",
         |c| codec().encode_checkpoint(c),
         |b| codec().decode_checkpoint(b).unwrap(),

@@ -39,8 +39,10 @@ proptest! {
     #[test]
     fn collapsed_round_trips_bitwise(state in arb_collapsed()) {
         let codec = codec();
-        let bytes = codec.encode_collapsed(&state);
-        let back = codec.decode_collapsed(&bytes).unwrap();
+        let bytes = codec.encode_migration(&MigrationState::Collapsed(state.clone()));
+        let MigrationState::Collapsed(back) = codec.decode_migration(&bytes).unwrap() else {
+            panic!("a collapsed state decodes as one");
+        };
         prop_assert!(collapsed_bits_equal(&back, &state));
     }
 
@@ -235,14 +237,14 @@ fn single_entry_and_empty_edge_cases() {
         vec![]
     );
     // Collapsed state with a single candidate and no container.
-    let single = CollapsedState {
+    let single = MigrationState::Collapsed(CollapsedState {
         object: TagId::item(1),
         weights: BTreeMap::from([(TagId::case(1), -1.0)]),
         container: None,
-    };
+    });
     assert_eq!(
         codec
-            .decode_collapsed(&codec.encode_collapsed(&single))
+            .decode_migration(&codec.encode_migration(&single))
             .unwrap(),
         single
     );
