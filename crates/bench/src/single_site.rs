@@ -55,12 +55,10 @@ fn base_config(scale: Scale, read_rate: f64, length: u32) -> WarehouseConfig {
 /// truth.
 pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEval {
     let mut engine = InferenceEngine::new(config, trace.read_rates.clone());
-    let mut readings = trace.readings.clone();
-    readings.ensure_sorted();
     let horizon = trace.meta.length;
 
     let mut cursor = 0usize;
-    let all = readings.readings_unordered().to_vec();
+    let all = trace.readings.readings();
     let mut inference_time = Duration::ZERO;
     let mut location_samples: Vec<(TagId, Epoch, Option<rfid_types::LocationId>)> = Vec::new();
     let mut last_report_at = Epoch::ZERO;
@@ -158,7 +156,7 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
     // RFINFER's: the epochs at which each tag was actually observed.
     let mut evaluated = 0usize;
     let mut wrong = 0usize;
-    for (tag, observations) in trace.readings.clone().by_tag() {
+    for (tag, observations) in trace.readings.by_tag() {
         for (at, _) in observations.iter().step_by(5) {
             if let Some(true_loc) = trace.truth.location_at(tag, *at) {
                 evaluated += 1;

@@ -34,7 +34,6 @@ use rfid_query::Alert;
 use rfid_sim::{ChainTrace, ObjectTransfer};
 use rfid_types::{ContainmentMap, Epoch, RawReading, ReadRateTable, SensorReading, SiteId, TagId};
 use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -121,8 +120,8 @@ pub(crate) struct RunCtx<'a> {
 pub(crate) struct SiteInputs<'a> {
     /// Transfers departing from this site, in schedule order.
     pub(crate) departures: Vec<ObjectTransfer>,
-    /// Time-ordered readings, borrowed from the trace when already sorted.
-    pub(crate) readings: Cow<'a, [RawReading]>,
+    /// Time-ordered readings, borrowed from the trace.
+    pub(crate) readings: &'a [RawReading],
     /// The temperature samples, when the run has queries.
     pub(crate) sensors: Vec<SensorReading>,
     /// Each site shipping here, with that edge's minimum transit.
@@ -157,15 +156,6 @@ impl<'a> RunCtx<'a> {
                     Some(ThresholdPolicy::Fixed(delta))
                 }
             };
-            let readings = match trace.readings.sorted_readings() {
-                Some(slice) => Cow::Borrowed(slice),
-                None => {
-                    let mut copy = trace.readings.readings_unordered().to_vec();
-                    copy.sort_unstable();
-                    copy.dedup();
-                    Cow::Owned(copy)
-                }
-            };
             let sensors = match &config.temperature {
                 Some(model) if with_queries => {
                     model.generate(trace.meta.num_locations, Epoch(horizon))
@@ -174,7 +164,7 @@ impl<'a> RunCtx<'a> {
             };
             sites.push(SiteInputs {
                 departures: Vec::new(),
-                readings,
+                readings: trace.readings.readings(),
                 sensors,
                 inbound: BTreeMap::new(),
                 min_out_transit: u32::MAX,

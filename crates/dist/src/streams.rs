@@ -41,7 +41,7 @@ impl<'a> LocalStreams<'a> {
         let inputs = &ctx.sites[site];
         LocalStreams {
             site: site as u16,
-            readings: &inputs.readings,
+            readings: inputs.readings,
             reading_cursor: 0,
             sensors: &inputs.sensors,
             sensor_cursor: 0,

@@ -14,79 +14,83 @@ use rand::Rng;
 use rfid_types::{ContainmentChange, ContainmentMap, ContainmentTimeline, Epoch, TagId};
 
 /// Build the initial containment map implied by how cases were packed.
-pub fn initial_containment(journeys: &[CaseJourney]) -> ContainmentMap {
+pub fn initial_containment<'a>(
+    journeys: impl IntoIterator<Item = &'a CaseJourney>,
+) -> ContainmentMap {
     let mut map = ContainmentMap::new();
     for j in journeys {
         for item in &j.items {
-            map.set(*item, j.case);
+            map.set(*item, j.path.tag);
         }
     }
     map
 }
 
-/// Inject anomalies into the containment relation every `interval` seconds:
-/// at each anomaly epoch a random item whose case is currently stored on a
-/// shelf is moved to a *different* case that is also on a shelf at that time.
+/// Inject anomalies into the containment relation every `interval` seconds.
+///
+/// `sites` holds one group of case journeys per site, in site order; a
+/// single warehouse passes one group. The timeline starts from the packing
+/// of every journey (a case keeps its packed items from site to site). At each
+/// anomaly epoch, site by site, a random item whose case is currently stored
+/// on one of that site's shelves is moved to a *different* case also on a
+/// shelf of that site. A site with fewer than two shelved cases skips the
+/// epoch — exactly what a physical "misplacement" would require.
 ///
 /// Returns the containment timeline (initial packing plus all injected
-/// changes). If at some anomaly epoch fewer than two cases are on shelves,
-/// that anomaly is skipped — exactly what a physical "misplacement" would
-/// require.
+/// changes).
 pub fn inject_anomalies<R: Rng>(
-    journeys: &[CaseJourney],
+    sites: &[Vec<CaseJourney>],
     layout: &WarehouseLayout,
     interval: Option<u32>,
     horizon: Epoch,
     rng: &mut R,
 ) -> ContainmentTimeline {
-    let mut timeline = ContainmentTimeline::new(initial_containment(journeys));
+    let mut timeline = ContainmentTimeline::new(initial_containment(sites.iter().flatten()));
     let Some(interval) = interval else {
         return timeline;
     };
     assert!(interval > 0, "anomaly interval must be positive");
 
-    let mut t = interval;
-    while t < horizon.0 {
+    for t in (interval..horizon.0).step_by(interval as usize) {
         let now = Epoch(t);
-        // Cases currently stored on a shelf.
-        let shelved: Vec<&CaseJourney> = journeys
-            .iter()
-            .filter(|j| {
-                j.location_at(now)
-                    .map(|loc| layout.is_shelf(loc))
-                    .unwrap_or(false)
-            })
-            .collect();
-        if shelved.len() >= 2 {
+        for journeys in sites {
+            let shelved: Vec<TagId> = journeys
+                .iter()
+                .filter(|j| {
+                    j.path
+                        .location_at(now)
+                        .is_some_and(|loc| layout.is_shelf(loc))
+                })
+                .map(|j| j.path.tag)
+                .collect();
+            if shelved.len() < 2 {
+                continue;
+            }
             // Pick a victim item from one shelved case (according to the
             // *current* containment so repeated moves compose correctly).
             let current = timeline.at(now);
             let candidates: Vec<(TagId, TagId)> = shelved
                 .iter()
-                .flat_map(|j| {
+                .flat_map(|&case| {
                     current
-                        .objects_in(j.case)
+                        .objects_in(case)
                         .into_iter()
-                        .map(move |item| (item, j.case))
+                        .map(move |item| (item, case))
                 })
                 .collect();
-            if let Some(&(item, old_case)) = candidates.choose(rng) {
-                let targets: Vec<TagId> = shelved
-                    .iter()
-                    .map(|j| j.case)
-                    .filter(|c| *c != old_case)
-                    .collect();
-                if let Some(&new_case) = targets.choose(rng) {
-                    timeline.record(ContainmentChange {
-                        time: now,
-                        object: item,
-                        old_container: Some(old_case),
-                        new_container: Some(new_case),
-                    });
-                }
+            let Some(&(item, old_case)) = candidates.choose(rng) else {
+                continue;
+            };
+            let targets: Vec<TagId> = shelved.into_iter().filter(|&c| c != old_case).collect();
+            if let Some(&new_case) = targets.choose(rng) {
+                timeline.record(ContainmentChange {
+                    time: now,
+                    object: item,
+                    old_container: Some(old_case),
+                    new_container: Some(new_case),
+                });
             }
         }
-        t += interval;
     }
     timeline
 }
@@ -117,7 +121,7 @@ mod tests {
         assert_eq!(map.len(), expected_items);
         for journey in &j {
             for item in &journey.items {
-                assert_eq!(map.container_of(*item), Some(journey.case));
+                assert_eq!(map.container_of(*item), Some(journey.path.tag));
             }
         }
     }
@@ -126,7 +130,13 @@ mod tests {
     fn no_interval_means_stable_containment() {
         let (_, layout, j) = journeys(600);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let tl = inject_anomalies(&j, &layout, None, Epoch(600), &mut rng);
+        let tl = inject_anomalies(
+            std::slice::from_ref(&j),
+            &layout,
+            None,
+            Epoch(600),
+            &mut rng,
+        );
         assert!(tl.changes().is_empty());
     }
 
@@ -134,7 +144,13 @@ mod tests {
     fn anomalies_move_items_between_distinct_shelved_cases() {
         let (_, layout, j) = journeys(1800);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let tl = inject_anomalies(&j, &layout, Some(60), Epoch(1800), &mut rng);
+        let tl = inject_anomalies(
+            std::slice::from_ref(&j),
+            &layout,
+            Some(60),
+            Epoch(1800),
+            &mut rng,
+        );
         assert!(!tl.changes().is_empty(), "long trace should see anomalies");
         for change in tl.changes() {
             assert!(change.object.is_object());
@@ -143,8 +159,8 @@ mod tests {
             assert_ne!(old, new, "item must move to a *different* case");
             // both cases are on shelves at the time of the change
             for case in [old, new] {
-                let journey = j.iter().find(|x| x.case == case).unwrap();
-                let loc = journey.location_at(change.time).unwrap();
+                let journey = j.iter().find(|x| x.path.tag == case).unwrap();
+                let loc = journey.path.location_at(change.time).unwrap();
                 assert!(layout.is_shelf(loc));
             }
         }
@@ -159,7 +175,13 @@ mod tests {
     fn repeated_moves_compose() {
         let (_, layout, j) = journeys(3000);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let tl = inject_anomalies(&j, &layout, Some(30), Epoch(3000), &mut rng);
+        let tl = inject_anomalies(
+            std::slice::from_ref(&j),
+            &layout,
+            Some(30),
+            Epoch(3000),
+            &mut rng,
+        );
         // The old_container recorded for each change must equal the
         // container in force immediately before the change.
         for (idx, change) in tl.changes().iter().enumerate() {
@@ -174,5 +196,32 @@ mod tests {
                 change.old_container
             );
         }
+    }
+
+    #[test]
+    fn each_site_moves_items_only_between_its_own_cases() {
+        let (_, layout, j) = journeys(1800);
+        let (even, odd): (Vec<_>, Vec<_>) =
+            j.iter().cloned().enumerate().partition(|(i, _)| i % 2 == 0);
+        let sites: Vec<Vec<CaseJourney>> = [even, odd]
+            .into_iter()
+            .map(|group| group.into_iter().map(|(_, journey)| journey).collect())
+            .collect();
+        let site_of = |case: TagId| {
+            sites
+                .iter()
+                .position(|g| g.iter().any(|x| x.path.tag == case))
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let tl = inject_anomalies(&sites, &layout, Some(60), Epoch(1800), &mut rng);
+        assert!(!tl.changes().is_empty());
+        let mut moved_at_both = false;
+        for change in tl.changes() {
+            let old = site_of(change.old_container.unwrap());
+            assert_eq!(old, site_of(change.new_container.unwrap()));
+            moved_at_both |= old == Some(1);
+        }
+        assert!(moved_at_both, "the second site injects anomalies too");
+        assert_eq!(tl.initial(), &initial_containment(&j));
     }
 }

@@ -9,19 +9,14 @@
 //! [`ObjectTransfer`]s — the events the distributed processing layer reacts
 //! to by migrating inference and query state.
 
-use crate::anomaly::initial_containment;
+use crate::anomaly::inject_anomalies;
 use crate::config::ChainConfig;
-use crate::generate::{
-    case_trajectory, generate_readings, item_trajectory, record_ground_truth, TagTrajectory,
-};
+use crate::generate::{build_trace, trajectories};
 use crate::layout::WarehouseLayout;
-use crate::movement::{build_journeys, CaseJourney, PalletArrival, TagSerials};
-use rand::seq::SliceRandom;
+use crate::movement::{build_journeys, source_arrivals, CaseJourney, PalletArrival, TagSerials};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rfid_types::{
-    ContainmentChange, ContainmentTimeline, Epoch, GroundTruth, SiteId, TagId, Trace, TraceMetadata,
-};
+use rfid_types::{ContainmentTimeline, Epoch, SiteId, TagId, Trace};
 use std::collections::BTreeMap;
 
 /// An object (case or item) leaving one site for another: the trigger for
@@ -66,13 +61,6 @@ impl ChainTrace {
     }
 }
 
-/// One case's visit to one site, used internally while scheduling the chain.
-#[derive(Debug, Clone)]
-struct SiteVisit {
-    site: SiteId,
-    journey: CaseJourney,
-}
-
 /// Simulator of an `N`-warehouse supply chain.
 #[derive(Debug, Clone)]
 pub struct SupplyChainSimulator {
@@ -103,21 +91,20 @@ impl SupplyChainSimulator {
         let layout = WarehouseLayout::new(wh);
         let num_sites = self.config.num_warehouses as usize;
 
-        // 1. Route pallets through the DAG, building one set of case
+        // 1. Route pallets through the DAG, building one group of case
         //    journeys per site. Warehouses are processed in index order,
         //    which is a topological order of the DAG.
-        let mut serials = TagSerials::new();
         let mut arrivals_per_site: Vec<Vec<PalletArrival>> = vec![Vec::new(); num_sites];
-        arrivals_per_site[0] = crate::movement::source_arrivals(wh, &mut serials);
-        let mut visits: Vec<SiteVisit> = Vec::new();
+        arrivals_per_site[0] = source_arrivals(wh, &mut TagSerials::new());
+        let mut journeys_per_site: Vec<Vec<CaseJourney>> = vec![Vec::new(); num_sites];
         let mut transfers: Vec<ObjectTransfer> = Vec::new();
         let mut rr_cursor: Vec<usize> = vec![0; num_sites];
 
         for w in 0..num_sites {
-            if arrivals_per_site[w].is_empty() {
+            let arrivals = std::mem::take(&mut arrivals_per_site[w]);
+            if arrivals.is_empty() {
                 continue;
             }
-            let arrivals = arrivals_per_site[w].clone();
             let mut rng = ChaCha8Rng::seed_from_u64(wh.seed ^ (w as u64) << 17);
             let journeys = build_journeys(wh, &layout, &arrivals, &mut rng);
             // Group journeys by pallet to learn when each pallet departs.
@@ -129,7 +116,7 @@ impl SupplyChainSimulator {
             for (pallet, cases) in &per_pallet {
                 let departure = cases
                     .iter()
-                    .map(|j| j.departure)
+                    .map(|j| j.path.departure)
                     .collect::<Option<Vec<_>>>();
                 let Some(departure) = departure else { continue };
                 let depart = departure.into_iter().max().unwrap();
@@ -145,11 +132,14 @@ impl SupplyChainSimulator {
                 arrivals_per_site[next].push(PalletArrival {
                     pallet: *pallet,
                     arrival: arrive,
-                    cases: cases.iter().map(|j| (j.case, j.items.clone())).collect(),
+                    cases: cases
+                        .iter()
+                        .map(|j| (j.path.tag, j.items.clone()))
+                        .collect(),
                 });
                 for j in cases {
                     transfers.push(ObjectTransfer {
-                        tag: j.case,
+                        tag: j.path.tag,
                         from_site: SiteId(w as u16),
                         to_site: SiteId(next as u16),
                         depart,
@@ -157,143 +147,50 @@ impl SupplyChainSimulator {
                     });
                 }
             }
-            visits.extend(journeys.into_iter().map(|journey| SiteVisit {
-                site: SiteId(w as u16),
-                journey,
-            }));
+            journeys_per_site[w] = journeys;
             // keep arrivals sorted by time for the next site
             for site_arrivals in arrivals_per_site.iter_mut() {
                 site_arrivals.sort_by_key(|p| p.arrival);
             }
         }
 
-        // 2. Global containment: initial packing (from the source journeys —
-        //    packing never changes across sites unless an anomaly fires) plus
-        //    anomalies injected in global time order across all sites.
-        let source_journeys: Vec<CaseJourney> = visits
-            .iter()
-            .filter(|v| v.site == SiteId(0))
-            .map(|v| v.journey.clone())
-            .collect();
-        let mut timeline = ContainmentTimeline::new(initial_containment(&source_journeys));
-        if let Some(interval) = wh.anomaly_interval {
-            let mut rng = ChaCha8Rng::seed_from_u64(wh.seed ^ 0xa11);
-            let mut t = interval;
-            while t < horizon.0 {
-                let now = Epoch(t);
-                for w in 0..num_sites {
-                    let shelved: Vec<&CaseJourney> = visits
-                        .iter()
-                        .filter(|v| v.site == SiteId(w as u16))
-                        .map(|v| &v.journey)
-                        .filter(|j| {
-                            j.location_at(now)
-                                .map(|loc| layout.is_shelf(loc))
-                                .unwrap_or(false)
-                        })
-                        .collect();
-                    if shelved.len() < 2 {
-                        continue;
-                    }
-                    let current = timeline.at(now);
-                    let candidates: Vec<(TagId, TagId)> = shelved
-                        .iter()
-                        .flat_map(|j| {
-                            current
-                                .objects_in(j.case)
-                                .into_iter()
-                                .map(move |item| (item, j.case))
-                        })
-                        .collect();
-                    let Some(&(item, old_case)) = candidates.choose(&mut rng) else {
-                        continue;
-                    };
-                    let targets: Vec<TagId> = shelved
-                        .iter()
-                        .map(|j| j.case)
-                        .filter(|c| *c != old_case)
-                        .collect();
-                    if let Some(&new_case) = targets.choose(&mut rng) {
-                        timeline.record(ContainmentChange {
-                            time: now,
-                            object: item,
-                            old_container: Some(old_case),
-                            new_container: Some(new_case),
-                        });
-                    }
-                }
-                t += interval;
-            }
-        }
+        // 2. Global containment: the source's packing plus anomalies
+        //    injected in global time order across all sites.
+        let mut anomaly_rng = ChaCha8Rng::seed_from_u64(wh.seed ^ 0xa11);
+        let timeline = inject_anomalies(
+            &journeys_per_site,
+            &layout,
+            wh.anomaly_interval,
+            horizon,
+            &mut anomaly_rng,
+        );
 
         // 3. Item transfers: items travel with whatever case contains them at
         //    the case's departure time.
         let mut item_transfers = Vec::new();
         for tr in &transfers {
-            let case = tr.tag;
             let contained = timeline.at(tr.depart);
-            for item in contained.objects_in(case) {
+            for item in contained.objects_in(tr.tag) {
                 item_transfers.push(ObjectTransfer { tag: item, ..*tr });
             }
         }
         transfers.extend(item_transfers);
         transfers.sort_by_key(|t| (t.depart, t.tag));
 
-        // 4. Per-site trajectories, ground truth, and readings.
-        let mut sites = Vec::with_capacity(num_sites);
-        for w in 0..num_sites {
-            let site_journeys: Vec<&CaseJourney> = visits
-                .iter()
-                .filter(|v| v.site == SiteId(w as u16))
-                .map(|v| &v.journey)
-                .collect();
-            let by_case: BTreeMap<TagId, &CaseJourney> =
-                site_journeys.iter().map(|j| (j.case, *j)).collect();
-            let mut trajectories: Vec<TagTrajectory> =
-                site_journeys.iter().map(|j| case_trajectory(j)).collect();
-            let mut items: Vec<TagId> = site_journeys
-                .iter()
-                .flat_map(|j| j.items.iter().copied())
-                .collect();
-            // Items that were moved into a case of this site by an anomaly.
-            items.extend(
-                timeline
-                    .changes()
-                    .iter()
-                    .filter(|c| {
-                        c.new_container
-                            .map(|nc| by_case.contains_key(&nc))
-                            .unwrap_or(false)
-                    })
-                    .map(|c| c.object),
-            );
-            items.sort_unstable();
-            items.dedup();
-            for item in items {
-                let traj = item_trajectory(item, &timeline, &by_case, horizon);
-                if !traj.segments.is_empty() {
-                    trajectories.push(traj);
-                }
-            }
-            let rates = layout.read_rate_table(wh);
-            let mut truth = GroundTruth::new(timeline.clone());
-            record_ground_truth(&mut truth, &trajectories);
-            let mut rng = ChaCha8Rng::seed_from_u64(wh.seed ^ 0xfeed ^ ((w as u64) << 8));
-            let readings = generate_readings(&layout, &rates, &trajectories, horizon, &mut rng);
-            sites.push(Trace {
-                readings,
-                truth,
-                read_rates: rates,
-                meta: TraceMetadata {
-                    name: format!("site{w}"),
-                    read_rate: wh.read_rate,
-                    overlap_rate: wh.overlap_rate,
-                    length: wh.length_secs,
-                    anomaly_interval: wh.anomaly_interval,
-                    num_locations: wh.num_locations(),
-                },
-            });
-        }
+        // 4. One trace per site.
+        let sites = journeys_per_site
+            .iter()
+            .enumerate()
+            .map(|(w, journeys)| {
+                build_trace(
+                    wh,
+                    &trajectories(journeys, &timeline, horizon),
+                    timeline.clone(),
+                    wh.seed ^ 0xfeed ^ ((w as u64) << 8),
+                    format!("site{w}"),
+                )
+            })
+            .collect();
 
         ChainTrace {
             sites,

@@ -7,53 +7,81 @@
 //! readers with a non-background detection probability for the tag's current
 //! location are sampled — so large traces stay tractable.
 
+use crate::config::WarehouseConfig;
 use crate::layout::WarehouseLayout;
-use crate::movement::CaseJourney;
-use rand::Rng;
+use crate::movement::{CaseJourney, TagTrajectory};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use rfid_types::{
     ContainmentTimeline, Epoch, GroundTruth, LocationId, RawReading, ReadRateTable, ReadingBatch,
-    TagId,
+    TagId, Trace, TraceMetadata,
 };
 use std::collections::BTreeMap;
 
-/// A tag's trajectory: time-ordered `(start, location)` segments plus an
-/// optional departure epoch after which the tag is no longer present.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TagTrajectory {
-    /// The tag.
-    pub tag: TagId,
-    /// Time-ordered `(start epoch, location)` segments.
-    pub segments: Vec<(Epoch, LocationId)>,
-    /// Exclusive end of the last segment (`None` = present until horizon).
-    pub departure: Option<Epoch>,
-}
-
-impl TagTrajectory {
-    /// The tag's location at epoch `t`.
-    pub fn location_at(&self, t: Epoch) -> Option<LocationId> {
-        if let Some(dep) = self.departure {
-            if t >= dep {
-                return None;
-            }
+/// The trajectories of one site: every case of `journeys` in journey order,
+/// then — in ascending tag order — every item that is ever packed in one of
+/// those cases, initially or by a recorded change. An item that never
+/// shares a location with one of these cases gets no trajectory.
+pub fn trajectories(
+    journeys: &[CaseJourney],
+    timeline: &ContainmentTimeline,
+    horizon: Epoch,
+) -> Vec<TagTrajectory> {
+    let by_case: BTreeMap<TagId, &TagTrajectory> =
+        journeys.iter().map(|j| (j.path.tag, &j.path)).collect();
+    let mut items: Vec<TagId> = journeys
+        .iter()
+        .flat_map(|j| j.items.iter().copied())
+        .collect();
+    items.extend(
+        timeline
+            .changes()
+            .iter()
+            .filter(|c| c.new_container.is_some_and(|nc| by_case.contains_key(&nc)))
+            .map(|c| c.object),
+    );
+    items.sort_unstable();
+    items.dedup();
+    let mut trajectories: Vec<TagTrajectory> = journeys.iter().map(|j| j.path.clone()).collect();
+    for item in items {
+        let traj = item_trajectory(item, timeline, &by_case, horizon);
+        if !traj.segments.is_empty() {
+            trajectories.push(traj);
         }
-        let mut current = None;
-        for &(start, loc) in &self.segments {
-            if start <= t {
-                current = Some(loc);
-            } else {
-                break;
-            }
-        }
-        current
     }
+    trajectories
 }
 
-/// Build the trajectory of a case directly from its journey.
-pub fn case_trajectory(journey: &CaseJourney) -> TagTrajectory {
-    TagTrajectory {
-        tag: journey.case,
-        segments: journey.segments.clone(),
-        departure: journey.departure,
+/// Assemble a trace — the one place a [`Trace`] is built. Ground truth is
+/// the timeline plus every trajectory's segments; readings are drawn from
+/// `reading_seed` over `[0, config.length_secs)` in trajectory order; the
+/// read-rate table and the metadata come from `config`.
+pub fn build_trace(
+    config: &WarehouseConfig,
+    trajectories: &[TagTrajectory],
+    timeline: ContainmentTimeline,
+    reading_seed: u64,
+    name: String,
+) -> Trace {
+    let layout = WarehouseLayout::new(config);
+    let read_rates = layout.read_rate_table(config);
+    let mut truth = GroundTruth::new(timeline);
+    record_ground_truth(&mut truth, trajectories);
+    let mut rng = ChaCha8Rng::seed_from_u64(reading_seed);
+    let horizon = Epoch(config.length_secs);
+    let readings = generate_readings(&layout, &read_rates, trajectories, horizon, &mut rng);
+    Trace {
+        readings,
+        truth,
+        read_rates,
+        meta: TraceMetadata {
+            name,
+            read_rate: config.read_rate,
+            overlap_rate: config.overlap_rate,
+            length: config.length_secs,
+            anomaly_interval: config.anomaly_interval,
+            num_locations: config.num_locations(),
+        },
     }
 }
 
@@ -63,10 +91,10 @@ pub fn case_trajectory(journey: &CaseJourney) -> TagTrajectory {
 ///
 /// If the item is removed from all containers, it stays at the location where
 /// it was removed until the horizon.
-pub fn item_trajectory(
+fn item_trajectory(
     item: TagId,
     timeline: &ContainmentTimeline,
-    journeys_by_case: &BTreeMap<TagId, &CaseJourney>,
+    cases: &BTreeMap<TagId, &TagTrajectory>,
     horizon: Epoch,
 ) -> TagTrajectory {
     // Build the item's container as a step function of time.
@@ -83,11 +111,11 @@ pub fn item_trajectory(
             .get(idx + 1)
             .map(|&(t, _)| t)
             .unwrap_or(horizon);
-        match container.and_then(|c| journeys_by_case.get(&c)) {
-            Some(journey) => {
+        match container.and_then(|c| cases.get(&c)) {
+            Some(case) => {
                 // Copy the container's segments that overlap [step_start, step_end).
                 let mut last_before: Option<LocationId> = None;
-                for &(seg_start, loc) in &journey.segments {
+                for &(seg_start, loc) in &case.segments {
                     if seg_start < step_start {
                         last_before = Some(loc);
                     } else if seg_start < step_end {
@@ -97,20 +125,14 @@ pub fn item_trajectory(
                 // The container may already have been somewhere when this
                 // containment step began.
                 if let Some(loc) = last_before {
-                    if journey
-                        .location_at(step_start)
-                        .map(|l| l == loc)
-                        .unwrap_or(false)
-                        && segments
-                            .last()
-                            .map(|&(s, _)| s > step_start)
-                            .unwrap_or(true)
+                    if case.location_at(step_start) == Some(loc)
+                        && segments.last().is_none_or(|&(s, _)| s > step_start)
                     {
                         segments.push((step_start, loc));
                     }
                 }
                 if idx == container_steps.len() - 1 {
-                    departure = journey.departure;
+                    departure = case.departure;
                 }
             }
             None => {
@@ -134,7 +156,7 @@ pub fn item_trajectory(
 /// location (co-located reader plus overlapping shelf readers) are sampled;
 /// background stray reads from all other readers are sampled at a single
 /// aggregated Bernoulli per epoch to keep the cost linear.
-pub fn generate_readings<R: Rng>(
+fn generate_readings<R: Rng>(
     layout: &WarehouseLayout,
     rates: &ReadRateTable,
     trajectories: &[TagTrajectory],
@@ -176,7 +198,7 @@ pub fn generate_readings<R: Rng>(
 
 /// Record every trajectory into a ground-truth structure that already carries
 /// the containment timeline.
-pub fn record_ground_truth(truth: &mut GroundTruth, trajectories: &[TagTrajectory]) {
+fn record_ground_truth(truth: &mut GroundTruth, trajectories: &[TagTrajectory]) {
     for traj in trajectories {
         for &(start, loc) in &traj.segments {
             truth.record_location(traj.tag, start, loc);
@@ -188,7 +210,6 @@ pub fn record_ground_truth(truth: &mut GroundTruth, trajectories: &[TagTrajector
 mod tests {
     use super::*;
     use crate::anomaly::{initial_containment, inject_anomalies};
-    use crate::config::WarehouseConfig;
     use crate::movement::{build_journeys, source_arrivals, TagSerials};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -204,23 +225,27 @@ mod tests {
         (config, layout, journeys)
     }
 
+    fn cases(journeys: &[CaseJourney]) -> BTreeMap<TagId, &TagTrajectory> {
+        journeys.iter().map(|j| (j.path.tag, &j.path)).collect()
+    }
+
     #[test]
     fn item_trajectory_follows_its_case_when_stable() {
         let (config, _layout, journeys) = setup(1200);
         let timeline = ContainmentTimeline::new(initial_containment(&journeys));
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
+        let by_case = cases(&journeys);
         let j = &journeys[0];
         let item = j.items[0];
         let traj = item_trajectory(item, &timeline, &by_case, Epoch(config.length_secs));
         for t in (0..config.length_secs).step_by(7) {
-            assert_eq!(traj.location_at(Epoch(t)), j.location_at(Epoch(t)));
+            assert_eq!(traj.location_at(Epoch(t)), j.path.location_at(Epoch(t)));
         }
     }
 
     #[test]
     fn item_trajectory_switches_case_after_change() {
         let (config, layout, journeys) = setup(2400);
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
+        let by_case = cases(&journeys);
         // Move item 0 of case 0 to case 1 once both are on shelves.
         let old = &journeys[0];
         let new = &journeys[1];
@@ -236,17 +261,17 @@ mod tests {
         timeline.record(ContainmentChange {
             time: change_time,
             object: item,
-            old_container: Some(old.case),
-            new_container: Some(new.case),
+            old_container: Some(old.path.tag),
+            new_container: Some(new.path.tag),
         });
         let traj = item_trajectory(item, &timeline, &by_case, Epoch(config.length_secs));
         assert_eq!(
             traj.location_at(change_time.minus(2)),
-            old.location_at(change_time.minus(2))
+            old.path.location_at(change_time.minus(2))
         );
         assert_eq!(
             traj.location_at(change_time.plus(2)),
-            new.location_at(change_time.plus(2)),
+            new.path.location_at(change_time.plus(2)),
             "after the change the item travels with the new case"
         );
     }
@@ -255,19 +280,18 @@ mod tests {
     fn readings_respect_presence_and_read_rate() {
         let (config, layout, journeys) = setup(900);
         let timeline = inject_anomalies(
-            &journeys,
+            std::slice::from_ref(&journeys),
             &layout,
-            None,
+            Some(60),
             Epoch(900),
             &mut ChaCha8Rng::seed_from_u64(1),
         );
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
-        let mut trajectories: Vec<TagTrajectory> = journeys.iter().map(case_trajectory).collect();
-        for j in &journeys {
-            for item in &j.items {
-                trajectories.push(item_trajectory(*item, &timeline, &by_case, Epoch(900)));
-            }
-        }
+        let trajectories = trajectories(&journeys, &timeline, Epoch(900));
+        assert_eq!(
+            trajectories.len(),
+            journeys.len() * (1 + config.items_per_case as usize),
+            "one trajectory per case and per item"
+        );
         let rates = layout.read_rate_table(&config);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let batch = generate_readings(&layout, &rates, &trajectories, Epoch(900), &mut rng);
@@ -289,7 +313,7 @@ mod tests {
     fn empirical_read_rate_close_to_configured() {
         let (config, layout, journeys) = setup(600);
         let j = &journeys[0];
-        let traj = vec![case_trajectory(j)];
+        let traj = vec![j.path.clone()];
         let rates = layout.read_rate_table(&config);
         // Average over many seeds: the entry reader interrogates every second
         // during the entry dwell, so expect ~RR * entry_dwell reads.
@@ -318,16 +342,16 @@ mod tests {
     fn ground_truth_matches_trajectories() {
         let (config, layout, journeys) = setup(600);
         let timeline = ContainmentTimeline::new(initial_containment(&journeys));
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
+        let by_case = cases(&journeys);
         let item = journeys[0].items[0];
         let trajectories = vec![
-            case_trajectory(&journeys[0]),
+            journeys[0].path.clone(),
             item_trajectory(item, &timeline, &by_case, Epoch(config.length_secs)),
         ];
         let mut truth = GroundTruth::new(timeline);
         record_ground_truth(&mut truth, &trajectories);
         assert_eq!(
-            truth.location_at(journeys[0].case, Epoch(0)),
+            truth.location_at(journeys[0].path.tag, Epoch(0)),
             Some(layout.entry())
         );
         assert_eq!(

@@ -15,18 +15,15 @@
 //! plus 1 item removed once all cases are shelved) — which is exactly the
 //! information the paper gives about the traces.
 
+use crate::anomaly::initial_containment;
 use crate::config::{ShelfScanMode, WarehouseConfig};
-use crate::generate::{case_trajectory, generate_readings, item_trajectory, record_ground_truth};
+use crate::generate::{build_trace, trajectories};
 use crate::layout::WarehouseLayout;
-use crate::movement::CaseJourney;
+use crate::movement::{CaseJourney, TagTrajectory};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rfid_types::{
-    ContainmentChange, ContainmentMap, ContainmentTimeline, Epoch, GroundTruth, TagId, Trace,
-    TraceMetadata,
-};
-use std::collections::BTreeMap;
+use rfid_types::{ContainmentChange, ContainmentTimeline, Epoch, TagId, Trace};
 
 /// Identifier of one of the eight published lab traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -159,39 +156,34 @@ impl LabConfig {
             let exit_start = shelf_start.plus(self.shelf_dwell);
             let departure = exit_start.plus(self.non_shelf_dwell);
             journeys.push(CaseJourney {
-                case,
                 pallet,
                 items,
-                segments: vec![
-                    (arrival, layout.entry()),
-                    (belt_start, layout.belt()),
-                    (shelf_start, shelf),
-                    (exit_start, layout.exit()),
-                ],
-                arrival,
-                departure: Some(departure),
+                path: TagTrajectory {
+                    tag: case,
+                    segments: vec![
+                        (arrival, layout.entry()),
+                        (belt_start, layout.belt()),
+                        (shelf_start, shelf),
+                        (exit_start, layout.exit()),
+                    ],
+                    departure: Some(departure),
+                },
             });
         }
         let horizon = journeys
             .iter()
-            .filter_map(|j| j.departure)
+            .filter_map(|j| j.path.departure)
             .max()
             .unwrap_or(Epoch(600))
             .plus(10);
 
         // Containment: initial packing plus, for T5-T8, the staged changes
         // once every case is on its shelf (3 items moved, 1 removed).
-        let mut containment = ContainmentMap::new();
-        for j in &journeys {
-            for item in &j.items {
-                containment.set(*item, j.case);
-            }
-        }
-        let mut timeline = ContainmentTimeline::new(containment);
+        let mut timeline = ContainmentTimeline::new(initial_containment(&journeys));
         if self.trace.has_changes() {
             let all_shelved = journeys
                 .iter()
-                .map(|j| j.segments[2].0)
+                .map(|j| j.path.segments[2].0)
                 .max()
                 .unwrap()
                 .plus(30);
@@ -206,8 +198,8 @@ impl LabConfig {
                 timeline.record(ContainmentChange {
                     time: all_shelved,
                     object: item,
-                    old_container: Some(from.case),
-                    new_container: Some(to.case),
+                    old_container: Some(from.path.tag),
+                    new_container: Some(to.path.tag),
                 });
             }
             // one removal
@@ -215,42 +207,27 @@ impl LabConfig {
             timeline.record(ContainmentChange {
                 time: all_shelved,
                 object: victim_case.items[0],
-                old_container: Some(victim_case.case),
+                old_container: Some(victim_case.path.tag),
                 new_container: None,
             });
         }
 
-        // Trajectories and readings.
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
-        let mut trajectories: Vec<_> = journeys.iter().map(case_trajectory).collect();
-        for j in &journeys {
-            for item in &j.items {
-                trajectories.push(item_trajectory(*item, &timeline, &by_case, horizon));
-            }
-        }
-        let rates = layout.read_rate_table(&wh);
-        let mut truth = GroundTruth::new(timeline);
-        record_ground_truth(&mut truth, &trajectories);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let readings = generate_readings(&layout, &rates, &trajectories, horizon, &mut rng);
-
-        Trace {
-            readings,
-            truth,
-            read_rates: rates,
-            meta: TraceMetadata {
-                name: self.trace.label().to_string(),
-                read_rate,
-                overlap_rate,
-                length: horizon.0,
-                anomaly_interval: if self.trace.has_changes() {
-                    Some(0)
-                } else {
-                    None
-                },
-                num_locations: layout.num_locations(),
-            },
-        }
+        // The lab runs until every case has left; its length is that horizon.
+        let wh = WarehouseConfig {
+            length_secs: horizon.0,
+            ..wh
+        };
+        let mut trace = build_trace(
+            &wh,
+            &trajectories(&journeys, &timeline, horizon),
+            timeline,
+            self.seed,
+            self.trace.label().to_string(),
+        );
+        // The changes are staged by script, not injected at an interval; the
+        // metadata marks a staged trace with interval 0.
+        trace.meta.anomaly_interval = self.trace.has_changes().then_some(0);
+        trace
     }
 }
 

@@ -11,38 +11,26 @@ use crate::layout::WarehouseLayout;
 use rand::Rng;
 use rfid_types::{Epoch, LocationId, TagId};
 
-/// The trajectory of one case (and, implicitly, the items packed in it)
-/// through one warehouse.
+/// A tag's trajectory: time-ordered `(start, location)` segments plus an
+/// optional departure epoch after which the tag is no longer present.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CaseJourney {
-    /// The case tag.
-    pub case: TagId,
-    /// The pallet the case arrived (and departs) on.
-    pub pallet: TagId,
-    /// Item tags initially packed in this case.
-    pub items: Vec<TagId>,
-    /// Time-ordered `(start epoch, location)` segments; the case is at each
-    /// location until the start of the next segment or until [`Self::departure`].
+pub struct TagTrajectory {
+    /// The tag.
+    pub tag: TagId,
+    /// Time-ordered `(start epoch, location)` segments; the tag is at each
+    /// location until the start of the next segment or until
+    /// [`Self::departure`].
     pub segments: Vec<(Epoch, LocationId)>,
-    /// Epoch the case arrived at the warehouse entry.
-    pub arrival: Epoch,
-    /// Epoch the case leaves the warehouse through the exit door (exclusive
-    /// end of the last segment). `None` if it is still inside when the trace
-    /// ends.
+    /// Exclusive end of the last segment (`None` = present until horizon).
     pub departure: Option<Epoch>,
 }
 
-impl CaseJourney {
-    /// The case's location at epoch `t`, or `None` if it has not arrived yet
-    /// or has already departed.
+impl TagTrajectory {
+    /// The tag's location at epoch `t`, or `None` before its first segment
+    /// and from its departure on.
     pub fn location_at(&self, t: Epoch) -> Option<LocationId> {
-        if t < self.arrival {
+        if self.departure.is_some_and(|dep| t >= dep) {
             return None;
-        }
-        if let Some(dep) = self.departure {
-            if t >= dep {
-                return None;
-            }
         }
         let mut current = None;
         for &(start, loc) in &self.segments {
@@ -54,10 +42,28 @@ impl CaseJourney {
         }
         current
     }
+}
 
+/// The trajectory of one case (and, implicitly, the items packed in it)
+/// through one warehouse.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CaseJourney {
+    /// The pallet the case arrived (and departs) on.
+    pub pallet: TagId,
+    /// Item tags initially packed in this case.
+    pub items: Vec<TagId>,
+    /// The case's own trajectory: its tag is the case, its first segment
+    /// starts at the arrival, and its departure is the epoch the case leaves
+    /// through the exit door (`None` if it is still inside when the trace
+    /// ends).
+    pub path: TagTrajectory,
+}
+
+impl CaseJourney {
     /// The shelf this case was stored on, if it reached a shelf.
     pub fn shelf(&self, layout: &WarehouseLayout) -> Option<LocationId> {
-        self.segments
+        self.path
+            .segments
             .iter()
             .map(|&(_, loc)| loc)
             .find(|&loc| layout.is_shelf(loc))
@@ -65,20 +71,14 @@ impl CaseJourney {
 
     /// Inclusive-exclusive epoch range the case spends on its shelf, if any.
     pub fn shelf_interval(&self, layout: &WarehouseLayout) -> Option<(Epoch, Epoch)> {
-        let mut start = None;
-        for (idx, &(seg_start, loc)) in self.segments.iter().enumerate() {
-            if layout.is_shelf(loc) {
-                let end = self
-                    .segments
-                    .get(idx + 1)
-                    .map(|&(next, _)| next)
-                    .or(self.departure)
-                    .unwrap_or(Epoch(u32::MAX));
-                start = Some((seg_start, end));
-                break;
-            }
-        }
-        start
+        let segments = &self.path.segments;
+        let idx = segments.iter().position(|&(_, loc)| layout.is_shelf(loc))?;
+        let end = segments
+            .get(idx + 1)
+            .map(|&(next, _)| next)
+            .or(self.path.departure)
+            .unwrap_or(Epoch(u32::MAX));
+        Some((segments[idx].0, end))
     }
 }
 
@@ -149,12 +149,13 @@ pub fn build_journeys<R: Rng>(
             };
 
             journeys.push(CaseJourney {
-                case: *case,
                 pallet: pallet.pallet,
                 items: items.clone(),
-                segments,
-                arrival,
-                departure,
+                path: TagTrajectory {
+                    tag: *case,
+                    segments,
+                    departure,
+                },
             });
         }
     }
@@ -272,35 +273,40 @@ mod tests {
             (config.num_pallets() * config.cases_per_pallet) as usize
         );
         let j = &journeys[0];
-        assert_eq!(j.segments[0].1, layout.entry());
-        assert_eq!(j.segments[1].1, layout.belt());
-        assert!(layout.is_shelf(j.segments[2].1));
-        assert_eq!(j.segments[3].1, layout.exit());
-        assert!(j.segments.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(j.path.segments[0].1, layout.entry());
+        assert_eq!(j.path.segments[1].1, layout.belt());
+        assert!(layout.is_shelf(j.path.segments[2].1));
+        assert_eq!(j.path.segments[3].1, layout.exit());
+        assert!(j.path.segments.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
     fn location_at_respects_segment_boundaries() {
         let (config, layout, journeys) = setup();
         let j = &journeys[0];
-        assert_eq!(j.location_at(Epoch(0)), Some(layout.entry()));
+        assert_eq!(j.path.location_at(Epoch(0)), Some(layout.entry()));
         assert_eq!(
-            j.location_at(Epoch(config.entry_dwell)),
+            j.path.location_at(Epoch(config.entry_dwell)),
             Some(layout.belt()),
             "first case hits the belt right after the entry dwell"
         );
-        if let Some(dep) = j.departure {
-            assert_eq!(j.location_at(dep), None, "departed cases have no location");
-            assert_eq!(j.location_at(dep.minus(1)), Some(layout.exit()));
+        if let Some(dep) = j.path.departure {
+            assert_eq!(
+                j.path.location_at(dep),
+                None,
+                "departed cases have no location"
+            );
+            assert_eq!(j.path.location_at(dep.minus(1)), Some(layout.exit()));
         }
         // second case of the pallet reaches the belt one belt-dwell later
         let j2 = &journeys[1];
         assert_eq!(
-            j2.location_at(Epoch(config.entry_dwell)),
+            j2.path.location_at(Epoch(config.entry_dwell)),
             Some(layout.entry())
         );
         assert_eq!(
-            j2.location_at(Epoch(config.entry_dwell + config.belt_dwell)),
+            j2.path
+                .location_at(Epoch(config.entry_dwell + config.belt_dwell)),
             Some(layout.belt())
         );
     }
@@ -311,8 +317,8 @@ mod tests {
         let j = &journeys[0];
         let (start, end) = j.shelf_interval(&layout).expect("reaches a shelf");
         assert!(start < end);
-        assert_eq!(j.location_at(start), j.shelf(&layout));
-        assert_eq!(j.location_at(end.minus(1)), j.shelf(&layout));
+        assert_eq!(j.path.location_at(start), j.shelf(&layout));
+        assert_eq!(j.path.location_at(end.minus(1)), j.shelf(&layout));
     }
 
     #[test]

@@ -14,13 +14,10 @@
 //! observation, because it separates R from both false candidates.
 
 use crate::config::WarehouseConfig;
-use crate::generate::{generate_readings, TagTrajectory};
+use crate::generate::build_trace;
 use crate::layout::WarehouseLayout;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rfid_types::{
-    ContainmentMap, ContainmentTimeline, Epoch, GroundTruth, TagId, Trace, TraceMetadata,
-};
+use crate::movement::TagTrajectory;
+use rfid_types::{ContainmentMap, ContainmentTimeline, Epoch, TagId, Trace};
 
 /// Builder for the Figure-4 scenario.
 #[derive(Debug, Clone)]
@@ -75,7 +72,6 @@ impl EvidenceScenario {
             ..Default::default()
         };
         let layout = WarehouseLayout::new(&config);
-        let horizon = Epoch(self.length);
         let entry = layout.entry();
         let belt = layout.belt();
         let shelf0 = layout.shelf(0);
@@ -118,27 +114,15 @@ impl EvidenceScenario {
             },
         ];
 
-        let rates = layout.read_rate_table(&config);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let readings = generate_readings(&layout, &rates, &trajectories, horizon, &mut rng);
-
         let mut containment = ContainmentMap::new();
         containment.set(tags.object, tags.real);
-        let mut truth = GroundTruth::new(ContainmentTimeline::new(containment));
-        crate::generate::record_ground_truth(&mut truth, &trajectories);
-
-        let trace = Trace {
-            readings,
-            truth,
-            read_rates: rates,
-            meta: TraceMetadata::stable(
-                "figure4-evidence",
-                self.read_rate,
-                0.0,
-                self.length,
-                config.num_locations(),
-            ),
-        };
+        let trace = build_trace(
+            &config,
+            &trajectories,
+            ContainmentTimeline::new(containment),
+            self.seed,
+            "figure4-evidence".to_string(),
+        );
         (trace, tags)
     }
 }

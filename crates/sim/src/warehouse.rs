@@ -3,15 +3,12 @@
 
 use crate::anomaly::inject_anomalies;
 use crate::config::WarehouseConfig;
-use crate::generate::{
-    case_trajectory, generate_readings, item_trajectory, record_ground_truth, TagTrajectory,
-};
+use crate::generate::{build_trace, trajectories};
 use crate::layout::WarehouseLayout;
-use crate::movement::{build_journeys, source_arrivals, CaseJourney, PalletArrival, TagSerials};
+use crate::movement::{build_journeys, source_arrivals, TagSerials};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rfid_types::{Epoch, GroundTruth, TagId, Trace, TraceMetadata};
-use std::collections::BTreeMap;
+use rfid_types::{Epoch, Trace};
 
 /// Simulator of one warehouse (one site).
 ///
@@ -56,72 +53,34 @@ impl WarehouseSimulator {
     /// noisy readings, and (if configured) anomalies relocate items between
     /// cases.
     pub fn generate(&self) -> Trace {
-        let mut serials = TagSerials::new();
-        let arrivals = source_arrivals(&self.config, &mut serials);
-        self.generate_from_arrivals(&arrivals, 0)
-    }
-
-    /// Generate a trace given an explicit pallet arrival schedule. Used by
-    /// the multi-warehouse simulator, which routes pallets between sites;
-    /// `seed_offset` decorrelates the noise of different sites.
-    pub fn generate_from_arrivals(&self, arrivals: &[PalletArrival], seed_offset: u64) -> Trace {
+        let config = &self.config;
         let layout = self.layout();
-        let horizon = Epoch(self.config.length_secs);
-        let mut movement_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x9e37 ^ seed_offset);
-        let journeys = build_journeys(&self.config, &layout, arrivals, &mut movement_rng);
-
-        let mut anomaly_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0xa11 ^ seed_offset);
+        let horizon = Epoch(config.length_secs);
+        let arrivals = source_arrivals(config, &mut TagSerials::new());
+        let mut movement_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37);
+        let journeys = build_journeys(config, &layout, &arrivals, &mut movement_rng);
+        let mut anomaly_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xa11);
         let timeline = inject_anomalies(
-            &journeys,
+            std::slice::from_ref(&journeys),
             &layout,
-            self.config.anomaly_interval,
+            config.anomaly_interval,
             horizon,
             &mut anomaly_rng,
         );
-
-        let trajectories = self.trajectories(&journeys, &timeline, horizon);
-        let mut truth = GroundTruth::new(timeline);
-        record_ground_truth(&mut truth, &trajectories);
-
-        let rates = layout.read_rate_table(&self.config);
-        let mut reading_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0xbeef ^ seed_offset);
-        let readings = generate_readings(&layout, &rates, &trajectories, horizon, &mut reading_rng);
-
-        Trace {
-            readings,
-            truth,
-            read_rates: rates,
-            meta: TraceMetadata {
-                name: format!("warehouse-rr{:.2}", self.config.read_rate),
-                read_rate: self.config.read_rate,
-                overlap_rate: self.config.overlap_rate,
-                length: self.config.length_secs,
-                anomaly_interval: self.config.anomaly_interval,
-                num_locations: self.config.num_locations(),
-            },
-        }
-    }
-
-    fn trajectories(
-        &self,
-        journeys: &[CaseJourney],
-        timeline: &rfid_types::ContainmentTimeline,
-        horizon: Epoch,
-    ) -> Vec<TagTrajectory> {
-        let by_case: BTreeMap<TagId, &CaseJourney> = journeys.iter().map(|j| (j.case, j)).collect();
-        let mut trajectories: Vec<TagTrajectory> = journeys.iter().map(case_trajectory).collect();
-        for j in journeys {
-            for item in &j.items {
-                trajectories.push(item_trajectory(*item, timeline, &by_case, horizon));
-            }
-        }
-        trajectories
+        build_trace(
+            config,
+            &trajectories(&journeys, &timeline, horizon),
+            timeline,
+            config.seed ^ 0xbeef,
+            format!("warehouse-rr{:.2}", config.read_rate),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_types::TagId;
 
     #[test]
     fn generated_trace_has_readings_truth_and_metadata() {

@@ -30,8 +30,9 @@ impl RawReading {
     pub const WIRE_BYTES: usize = 14;
 }
 
-/// An ordered batch of raw readings covering a span of epochs, with
-/// per-tag and per-epoch indexes.
+/// A batch of raw readings in `(time, tag, reader)` order without
+/// duplicates — sorted and de-duplicated when it is built, and immutable
+/// after.
 ///
 /// This is the unit the inference engine consumes: readers at a site append
 /// readings as they observe tags, and every inference period (default 300 s)
@@ -41,7 +42,6 @@ impl RawReading {
 #[derive(Debug, Clone, Default)]
 pub struct ReadingBatch {
     readings: Vec<RawReading>,
-    sorted: bool,
 }
 
 impl ReadingBatch {
@@ -50,57 +50,31 @@ impl ReadingBatch {
         ReadingBatch::default()
     }
 
-    /// Create a batch from a vector of readings (need not be sorted).
-    pub fn from_readings(readings: Vec<RawReading>) -> ReadingBatch {
-        let mut batch = ReadingBatch {
-            readings,
-            sorted: false,
-        };
-        batch.ensure_sorted();
-        batch
+    /// Create a batch from a vector of readings in any order: they are
+    /// sorted by `(time, tag, reader)` and exact duplicates dropped.
+    pub fn from_readings(mut readings: Vec<RawReading>) -> ReadingBatch {
+        readings.sort_unstable();
+        readings.dedup();
+        ReadingBatch { readings }
     }
 
-    /// Append one reading.
-    pub fn push(&mut self, reading: RawReading) {
-        if let Some(last) = self.readings.last() {
-            if *last > reading {
-                self.sorted = false;
-            }
-        }
-        self.readings.push(reading);
-    }
-
-    /// Sort readings by (time, tag, reader) and deduplicate exact duplicates.
-    pub fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.readings.sort_unstable();
-            self.readings.dedup();
-            self.sorted = true;
-        }
-    }
-
-    /// All readings in (time, tag, reader) order.
-    pub fn readings(&mut self) -> &[RawReading] {
-        self.ensure_sorted();
+    /// All readings in `(time, tag, reader)` order.
+    pub fn readings(&self) -> &[RawReading] {
         &self.readings
     }
 
-    /// All readings without forcing a sort (order unspecified).
+    /// All readings; the same slice as [`Self::readings`], since a batch is
+    /// always in order.
     pub fn readings_unordered(&self) -> &[RawReading] {
         &self.readings
     }
 
-    /// The readings in `(time, tag, reader)` order *without copying*, if the
-    /// batch is already sorted and de-duplicated (which every batch built via
-    /// [`Self::from_readings`] is). Returns `None` when a sort would be
-    /// required first — callers that cannot mutate the batch should fall back
-    /// to sorting their own copy of [`Self::readings_unordered`].
+    /// The readings in `(time, tag, reader)` order; always `Some`, since a
+    /// batch is sorted when it is built. Kept for the frozen benchmark
+    /// harness (docs/INVARIANTS.md § "Residue"); call [`Self::readings`].
+    #[doc(hidden)]
     pub fn sorted_readings(&self) -> Option<&[RawReading]> {
-        if self.sorted || self.readings.is_empty() {
-            Some(&self.readings)
-        } else {
-            None
-        }
+        Some(&self.readings)
     }
 
     /// Number of readings in the batch.
@@ -130,25 +104,7 @@ impl ReadingBatch {
         for r in &self.readings {
             map.entry(r.tag).or_default().push((r.time, r.reader));
         }
-        for obs in map.values_mut() {
-            obs.sort_unstable();
-            obs.dedup();
-        }
         map
-    }
-
-    /// Retain only readings with `time >= cutoff`. Used by window-based
-    /// history truncation.
-    pub fn retain_since(&mut self, cutoff: Epoch) {
-        self.readings.retain(|r| r.time >= cutoff);
-    }
-
-    /// Retain only readings whose epoch falls in one of the given inclusive
-    /// ranges. Used by critical-region truncation (keep CR plus the recent
-    /// history and drop everything else).
-    pub fn retain_ranges(&mut self, ranges: &[(Epoch, Epoch)]) {
-        self.readings
-            .retain(|r| ranges.iter().any(|&(lo, hi)| r.time >= lo && r.time <= hi));
     }
 }
 
@@ -170,14 +126,16 @@ mod tests {
     fn batch_sorts_and_dedups() {
         let item = TagId::item(1);
         let case = TagId::case(1);
-        let mut batch = ReadingBatch::new();
-        batch.push(r(5, item, 0));
-        batch.push(r(1, case, 1));
-        batch.push(r(5, item, 0)); // duplicate
-        batch.push(r(1, item, 1));
-        let readings = batch.readings().to_vec();
+        let batch = ReadingBatch::from_readings(vec![
+            r(5, item, 0),
+            r(1, case, 1),
+            r(5, item, 0), // duplicate
+            r(1, item, 1),
+        ]);
+        let readings = batch.readings();
         assert_eq!(readings.len(), 3);
-        assert!(readings.windows(2).all(|w| w[0] <= w[1]));
+        assert!(readings.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(batch.sorted_readings(), Some(readings));
     }
 
     #[test]
@@ -201,44 +159,5 @@ mod tests {
         let obs = &grouped[&item];
         assert_eq!(obs[0], (Epoch(3), ReaderId(0)));
         assert_eq!(obs[1], (Epoch(9), ReaderId(2)));
-    }
-
-    #[test]
-    fn retain_since_drops_old_readings() {
-        let mut batch: ReadingBatch = (0..10).map(|t| r(t, TagId::item(1), 0)).collect();
-        batch.retain_since(Epoch(6));
-        assert_eq!(batch.len(), 4);
-        assert!(batch.readings().iter().all(|r| r.time >= Epoch(6)));
-    }
-
-    #[test]
-    fn retain_ranges_keeps_only_requested_windows() {
-        let mut batch: ReadingBatch = (0..20).map(|t| r(t, TagId::item(1), 0)).collect();
-        batch.retain_ranges(&[(Epoch(2), Epoch(4)), (Epoch(15), Epoch(16))]);
-        let epochs: Vec<u32> = batch
-            .readings_unordered()
-            .iter()
-            .map(|r| r.time.0)
-            .collect();
-        assert_eq!(epochs.len(), 5);
-        assert!(epochs
-            .iter()
-            .all(|&t| (2..=4).contains(&t) || (15..=16).contains(&t)));
-    }
-
-    #[test]
-    fn sorted_readings_borrows_only_when_already_ordered() {
-        let sorted: ReadingBatch = vec![r(1, TagId::item(1), 0), r(2, TagId::item(1), 0)]
-            .into_iter()
-            .collect();
-        assert_eq!(sorted.sorted_readings().unwrap().len(), 2);
-
-        let mut unsorted = ReadingBatch::new();
-        assert!(unsorted.sorted_readings().is_some(), "empty is sorted");
-        unsorted.push(r(5, TagId::item(1), 0));
-        unsorted.push(r(1, TagId::item(1), 0));
-        assert!(unsorted.sorted_readings().is_none());
-        unsorted.ensure_sorted();
-        assert_eq!(unsorted.sorted_readings().unwrap().len(), 2);
     }
 }

@@ -137,19 +137,6 @@ impl Trace {
     pub fn containers(&self) -> Vec<TagId> {
         self.truth.tags().filter(|t| t.is_container()).collect()
     }
-
-    /// Readings restricted to epochs `<= t`, preserving ground truth and
-    /// metadata. Used to replay a trace incrementally.
-    pub fn prefix(&self, t: Epoch) -> Trace {
-        let mut readings = self.readings.clone();
-        readings.retain_ranges(&[(Epoch::ZERO, t)]);
-        Trace {
-            readings,
-            truth: self.truth.clone(),
-            read_rates: self.read_rates.clone(),
-            meta: self.meta.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_prefix_and_tag_classification() {
+    fn trace_tag_classification() {
         let truth = truth_with_one_item();
         let readings: ReadingBatch = (0..20u32)
             .map(|t| RawReading::new(Epoch(t), TagId::item(1), ReaderId(0)))
@@ -226,8 +213,5 @@ mod tests {
         };
         assert_eq!(trace.objects(), vec![TagId::item(1)]);
         assert_eq!(trace.containers(), vec![TagId::case(1)]);
-        let prefix = trace.prefix(Epoch(5));
-        assert_eq!(prefix.readings.len(), 6);
-        assert_eq!(prefix.meta.name, "test");
     }
 }

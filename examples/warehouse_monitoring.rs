@@ -40,9 +40,8 @@ fn main() {
         InferenceConfig::default().with_recent_history(500),
         trace.read_rates.clone(),
     );
-    let mut readings = trace.readings.clone();
     let mut cursor = 0usize;
-    let all = readings.readings().to_vec();
+    let all = trace.readings.readings();
     for t in 0..=trace.meta.length {
         let now = Epoch(t);
         while cursor < all.len() && all[cursor].time == now {

@@ -48,9 +48,7 @@ pub fn containment_accuracy(trace: &Trace, estimate: impl Fn(TagId) -> Option<Ta
 /// a final inference pass at the horizon.
 pub fn run_engine(trace: &Trace, config: InferenceConfig) -> InferenceEngine {
     let mut engine = InferenceEngine::new(config, trace.read_rates.clone());
-    // `readings()` sorts in place, so it needs a mutable copy of the log.
-    let mut readings = trace.readings.clone();
-    let all = readings.readings().to_vec();
+    let all = trace.readings.readings();
     let mut cursor = 0usize;
     for t in 0..=trace.meta.length {
         let now = Epoch(t);
