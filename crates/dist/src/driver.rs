@@ -331,6 +331,30 @@ mod tests {
         crate::oracle::audit(&chain, &outcome).unwrap();
     }
 
+    /// A site's lookahead on an inbound edge is the edge's *minimum*
+    /// transit: one pallet shipped faster than the rest of its edge bounds
+    /// how far the receiver may run ahead of the sender.
+    #[test]
+    fn an_inbound_edge_keeps_its_minimum_transit() {
+        let mut chain = presets::smoke_chain(1800, 3, None);
+        let first = chain.transfers[0];
+        let edge = |tr: &ObjectTransfer| (tr.from_site, tr.to_site);
+        for tr in &mut chain.transfers {
+            if edge(tr) == edge(&first) && tr.depart == first.depart {
+                tr.arrive = tr.depart.plus(30);
+            }
+        }
+        let transits: BTreeSet<u32> = (chain.transfers.iter())
+            .filter(|tr| edge(tr) == edge(&first))
+            .map(|tr| tr.arrive.since(tr.depart))
+            .collect();
+        assert_eq!(transits, BTreeSet::from([30, 90]), "one edge, two transits");
+        let config = DistributedConfig::default();
+        let ctx = RunCtx::new(&config, &chain);
+        let to = usize::from(first.to_site.0);
+        assert_eq!(ctx.sites[to].inbound[&first.from_site.0], 30);
+    }
+
     #[test]
     fn each_site_runs_the_calibration_of_its_own_table() {
         let mut chain = presets::smoke_chain(300, 3, None);

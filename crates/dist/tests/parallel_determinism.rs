@@ -233,6 +233,30 @@ fn transit_one_chain_with_checkpoints() {
     });
 }
 
+/// The smoke chain with its first pallet shipped in 30 s instead of 90 s,
+/// reversed so every receiver has a lower id than its senders: that edge's
+/// lookahead is its minimum transit, and a lookahead taken from the slower
+/// shipments lets the receiver pass the fast pallet before it arrives.
+#[test]
+fn an_edge_with_two_transits() {
+    let mut chain = smoke_chain();
+    let first = chain.transfers[0];
+    for tr in &mut chain.transfers {
+        if (tr.from_site, tr.to_site, tr.depart) == (first.from_site, first.to_site, first.depart) {
+            tr.arrive = tr.depart.plus(30);
+        }
+    }
+    assert!(chain.transfers.iter().any(|tr| {
+        (tr.from_site, tr.to_site) == (first.from_site, first.to_site)
+            && tr.arrive.since(tr.depart) == 90
+    }));
+    assert_worker_counts_agree(
+        "two transits on one edge",
+        reversed(chain),
+        |chain, workers| config(chain, MigrationStrategy::CollapsedWeights, workers),
+    );
+}
+
 /// The short-dwell reference chain at 64 sites: 2 workers run all of them,
 /// far from one thread per site.
 #[test]

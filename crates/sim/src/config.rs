@@ -176,6 +176,9 @@ impl WarehouseConfig {
         if self.pallet_injection_interval == 0 || self.length_secs == 0 {
             return Err("pallet_injection_interval and length_secs must be positive".into());
         }
+        if self.anomaly_interval == Some(0) {
+            return Err("anomaly_interval must be positive (None = stable containment)".into());
+        }
         Ok(())
     }
 }
@@ -313,6 +316,24 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn a_zero_anomaly_interval_is_rejected() {
+        // Both simulators step anomalies by the interval; zero would never
+        // advance. Validation turns it away before either runs.
+        let zero = WarehouseConfig::default().with_anomaly_interval(0);
+        assert!(zero.validate().is_err());
+        assert!(ChainConfig {
+            warehouse: zero,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(WarehouseConfig::default()
+            .with_anomaly_interval(1)
+            .validate()
+            .is_ok());
     }
 
     #[test]
