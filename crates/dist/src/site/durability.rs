@@ -125,10 +125,22 @@ impl<'a> SiteState<'a> {
 
     /// Skip the cursors past everything the site slept through and import,
     /// in generation order, the shipments that arrived while it was down.
+    /// The objects that departed meanwhile left all the same: they are
+    /// forgotten like any departure, but book no sequence number, charge or
+    /// ledger entry, since nothing was sent.
     fn fast_forward(&mut self, resume: Epoch) {
         self.streams.skip_to(resume);
-        let slept = &self.departures[self.departure_cursor..];
-        self.departure_cursor += slept.iter().take_while(|tr| tr.depart < resume).count();
+        let departures = self.departures;
+        let start = self.departure_cursor;
+        self.departure_cursor += departures[start..]
+            .iter()
+            .take_while(|tr| tr.depart < resume)
+            .count();
+        for tr in &departures[start..self.departure_cursor] {
+            self.unit.engine.forget(tr.tag);
+            self.unit.processor.forget(tr.tag);
+            self.forgotten.insert(tr.tag, tr.depart);
+        }
         let mut late = Vec::new();
         while let Some(entry) = self.inbox.first_entry().filter(|e| *e.key() < resume) {
             late.extend(entry.remove());
@@ -226,6 +238,38 @@ mod tests {
         assert!(before > Duration::ZERO, "the site ran inference");
         site.crash_and_restore(Epoch(200));
         assert!(site.unit.tally.inference_wall >= before);
+    }
+
+    /// The objects a down site slept through left all the same: after the
+    /// rejoin none of them keeps observations in the site's store, and the
+    /// staleness guard knows each one departed.
+    #[test]
+    fn a_rejoined_site_forgets_the_departures_it_slept_through() {
+        let chain = presets::smoke_chain(900, 3, None);
+        let plan = FaultPlan::quiet(3).with_crash(0, Epoch(700), 60);
+        let config = DistributedConfig {
+            inference: InferenceConfig::default().without_change_detection(),
+            ..DistributedConfig::default()
+        }
+        .with_faults(plan);
+        let ctx = RunCtx::new(&config, &chain);
+        let slept: Vec<_> = (ctx.sites[0].departures.iter())
+            .filter(|tr| (700..760).contains(&tr.depart.0))
+            .map(|tr| tr.tag)
+            .collect();
+        assert!(!slept.is_empty(), "site 0 departs while it is down");
+        // Site 0 is the source: nothing ships to it, so it runs alone.
+        let mut site = SiteState::new(&ctx, 0);
+        for t in 0..800 {
+            site.maybe_crash(Epoch(t));
+            site.before_exchange(Epoch(t), drop);
+            site.after_exchange(Epoch(t));
+        }
+        let store = site.unit.engine.snapshot().store;
+        for tag in slept {
+            assert!(store.obs_for(tag).is_empty(), "{tag:?} still observed");
+            assert!(site.forgotten.contains_key(&tag), "{tag:?} not forgotten");
+        }
     }
 
     /// A rejoining site asks only the peers that ship to it for a resync:
