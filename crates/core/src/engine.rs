@@ -189,7 +189,7 @@ impl InferenceEngine {
 
     /// Feed a batch of raw readings into the engine.
     pub fn observe_batch(&mut self, batch: &ReadingBatch) {
-        for r in batch.readings_unordered() {
+        for r in batch.readings() {
             self.observe(*r);
         }
     }

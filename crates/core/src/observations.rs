@@ -166,7 +166,7 @@ impl Observations {
     /// Build an index from a batch of raw readings.
     pub fn from_batch(batch: &ReadingBatch) -> Observations {
         let mut obs = Observations::new();
-        for r in batch.readings_unordered() {
+        for r in batch.readings() {
             obs.insert(*r);
         }
         obs

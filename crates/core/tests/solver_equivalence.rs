@@ -203,7 +203,7 @@ fn warehouse_trace_matches_the_reference_every_period() {
     );
     assert!(sim.config().num_locations() >= 9);
     let trace = sim.generate();
-    let mut readings = trace.readings.readings_unordered().to_vec();
+    let mut readings = trace.readings.readings().to_vec();
     readings.sort_unstable();
 
     let seen = assert_engines_agree_every_period(&trace.read_rates, &readings, trace.meta.length);
@@ -256,7 +256,7 @@ fn block_diagonal_global_table_matches_the_reference_every_period() {
                 global.set(LocationId(offset + r), LocationId(offset + a), rate);
             }
         }
-        readings.extend(trace.readings.readings_unordered().iter().map(|r| {
+        readings.extend(trace.readings.readings().iter().map(|r| {
             let tag = TagId::new(
                 r.tag.kind(),
                 r.tag.serial() + u64::from(b) * SERIALS_PER_BLOCK,

@@ -183,7 +183,7 @@ mod tests {
                     assert!(!plan.reading_dropped(site as u16, r.time));
                 }
             }
-            let trace = chain.sites[site].readings.readings_unordered();
+            let trace = chain.sites[site].readings.readings();
             let silenced = trace
                 .iter()
                 .filter(|r| plan.reading_dropped(site as u16, r.time))

@@ -140,12 +140,11 @@ fn chaos_soak_centralized_outcome_is_pinned() {
     // The schedule must hit every fault family Centralized honours, or the
     // constants below would pin nothing about them.
     let readings = || {
-        chain.sites.iter().enumerate().flat_map(|(s, site)| {
-            site.readings
-                .readings_unordered()
-                .iter()
-                .map(move |r| (s, r))
-        })
+        chain
+            .sites
+            .iter()
+            .enumerate()
+            .flat_map(|(s, site)| site.readings.readings().iter().map(move |r| (s, r)))
     };
     assert!(readings().any(|(s, r)| plan.reading_dropped(s as u16, r.time)));
     assert!(readings().any(|(s, r)| {

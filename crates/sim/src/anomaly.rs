@@ -30,11 +30,11 @@ pub fn initial_containment<'a>(
 ///
 /// `sites` holds one group of case journeys per site, in site order; a
 /// single warehouse passes one group. The timeline starts from the packing
-/// of every journey (a case keeps its packed items from site to site). At each
-/// anomaly epoch, site by site, a random item whose case is currently stored
-/// on one of that site's shelves is moved to a *different* case also on a
-/// shelf of that site. A site with fewer than two shelved cases skips the
-/// epoch — exactly what a physical "misplacement" would require.
+/// of every journey (a case keeps its packed items from site to site). At
+/// each anomaly epoch, site by site, a random item whose case is currently
+/// stored on one of that site's shelves is moved to a *different* case also
+/// on a shelf of that site. A site with fewer than two shelved cases skips
+/// the epoch — exactly what a physical "misplacement" would require.
 ///
 /// Returns the containment timeline (initial packing plus all injected
 /// changes).

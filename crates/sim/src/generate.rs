@@ -1,4 +1,6 @@
-//! Turning object trajectories into noisy RFID readings.
+//! The last two stages of the trace pipeline (docs/ARCHITECTURE.md §
+//! "Workload generation"): a site's trajectories, and the one builder that
+//! turns them into a [`Trace`] with noisy RFID readings.
 //!
 //! Readings are generated exactly according to the paper's observation model
 //! (Section 3.1): in every epoch, each reader independently interrogates
@@ -20,9 +22,9 @@ use std::collections::BTreeMap;
 
 /// The trajectories of one site: every case of `journeys` in journey order,
 /// then — in ascending tag order — every item that is ever packed in one of
-/// those cases, initially or by a recorded change. An item that never
-/// shares a location with one of these cases gets no trajectory.
-pub fn trajectories(
+/// those cases, initially or by a recorded change. An item with no segment
+/// at this site is left out.
+pub(crate) fn trajectories(
     journeys: &[CaseJourney],
     timeline: &ContainmentTimeline,
     horizon: Epoch,
@@ -56,7 +58,7 @@ pub fn trajectories(
 /// the timeline plus every trajectory's segments; readings are drawn from
 /// `reading_seed` over `[0, config.length_secs)` in trajectory order; the
 /// read-rate table and the metadata come from `config`.
-pub fn build_trace(
+pub(crate) fn build_trace(
     config: &WarehouseConfig,
     trajectories: &[TagTrajectory],
     timeline: ContainmentTimeline,
@@ -300,7 +302,7 @@ mod tests {
         // the reader that produced it
         let traj_by_tag: BTreeMap<TagId, &TagTrajectory> =
             trajectories.iter().map(|t| (t.tag, t)).collect();
-        for r in batch.readings_unordered() {
+        for r in batch.readings() {
             let loc = traj_by_tag[&r.tag]
                 .location_at(r.time)
                 .expect("tag present");
@@ -323,7 +325,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let batch = generate_readings(&layout, &rates, &traj, Epoch(600), &mut rng);
             total += batch
-                .readings_unordered()
+                .readings()
                 .iter()
                 .filter(|r| {
                     r.reader.location() == layout.entry() && r.time < Epoch(config.entry_dwell)

@@ -32,7 +32,7 @@ pub mod anomaly;
 pub mod chain;
 pub mod config;
 pub mod fault;
-pub mod generate;
+mod generate;
 pub mod lab;
 pub mod layout;
 pub mod movement;

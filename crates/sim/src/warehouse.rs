@@ -99,7 +99,7 @@ mod tests {
         }
         // readings never mention unknown tags
         let known: std::collections::BTreeSet<TagId> = trace.truth.tags().collect();
-        for r in trace.readings.readings_unordered() {
+        for r in trace.readings.readings() {
             assert!(known.contains(&r.tag));
         }
     }
@@ -109,10 +109,7 @@ mod tests {
         let config = WarehouseConfig::default().with_length(600).with_seed(77);
         let a = WarehouseSimulator::new(config.clone()).generate();
         let b = WarehouseSimulator::new(config).generate();
-        assert_eq!(
-            a.readings.readings_unordered(),
-            b.readings.readings_unordered()
-        );
+        assert_eq!(a.readings.readings(), b.readings.readings());
     }
 
     #[test]
@@ -121,10 +118,7 @@ mod tests {
             .generate();
         let b = WarehouseSimulator::new(WarehouseConfig::default().with_length(600).with_seed(2))
             .generate();
-        assert_ne!(
-            a.readings.readings_unordered(),
-            b.readings.readings_unordered()
-        );
+        assert_ne!(a.readings.readings(), b.readings.readings());
     }
 
     #[test]

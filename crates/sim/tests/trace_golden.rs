@@ -54,7 +54,7 @@ impl Fnv {
     }
 
     fn trace(&mut self, trace: &Trace) {
-        let readings = trace.readings.readings_unordered();
+        let readings = trace.readings.readings();
         self.u64(readings.len() as u64);
         for r in readings {
             self.u64(u64::from(r.time.0));

@@ -63,15 +63,16 @@ impl ReadingBatch {
         &self.readings
     }
 
-    /// All readings; the same slice as [`Self::readings`], since a batch is
-    /// always in order.
+    /// [`Self::readings`] under its old name. Kept for the frozen benchmark
+    /// harness (docs/INVARIANTS.md § "Residue").
+    #[doc(hidden)]
     pub fn readings_unordered(&self) -> &[RawReading] {
         &self.readings
     }
 
-    /// The readings in `(time, tag, reader)` order; always `Some`, since a
-    /// batch is sorted when it is built. Kept for the frozen benchmark
-    /// harness (docs/INVARIANTS.md § "Residue"); call [`Self::readings`].
+    /// `Some(`[`Self::readings`]`)`, always: a batch is sorted when it is
+    /// built. Kept for the frozen benchmark harness (docs/INVARIANTS.md §
+    /// "Residue").
     #[doc(hidden)]
     pub fn sorted_readings(&self) -> Option<&[RawReading]> {
         Some(&self.readings)
