@@ -78,13 +78,11 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
             }
         }
         for evidence in report.outcome.objects() {
-            let Some((_, series)) = evidence.series().next() else {
-                continue;
-            };
             let object = evidence.object();
-            for (t, _) in series
+            for t in evidence
+                .epochs()
                 .iter()
-                .filter(|(t, _)| *t > from && *t <= to)
+                .filter(|t| **t > from && **t <= to)
                 .step_by(STRIDE)
             {
                 location_samples.push((object, *t, report.outcome.location_of(object, *t)));
@@ -253,20 +251,18 @@ pub fn fig4(scale: Scale) -> Report {
         .expect("the scenario's object is observed");
     // per candidate: the point evidence and its running sum, epoch by epoch
     let lines = [tags.real, tags.nrc, tags.nrnc].map(|container| {
-        let point = evidence.point_evidence(container).unwrap_or_default();
+        let point = evidence
+            .point_evidence(container)
+            .expect("every line is a candidate");
         (point, evidence.cumulative_evidence(container))
     });
     let mut section = Section::new(
         "fig4",
         "Figure 4: point / cumulative evidence of co-location (R, NRC, NRNC)",
     );
-    for (i, &(epoch, _)) in lines[0].0.iter().enumerate() {
-        let point = |line: usize| {
-            let (at, evidence) = lines[line].0[i];
-            assert_eq!(at, epoch, "every candidate has evidence at every epoch");
-            evidence
-        };
-        let sum = |line: usize| lines[line].1[i].1;
+    for (i, &epoch) in evidence.epochs().iter().enumerate() {
+        let point = |line: usize| lines[line].0[i];
+        let sum = |line: usize| lines[line].1[i];
         #[rustfmt::skip] // one column per line: header, JSON key, kind, value
         section.push(vec![
             Field::new("epoch",           "epoch",           Int,   epoch.0),

@@ -62,62 +62,44 @@ pub fn change_statistic(evidence: ObjectEvidence<'_>) -> Option<ChangeStatistic>
     change_statistic_with(evidence, &mut Vec::new())
 }
 
-/// [`change_statistic`] over a reusable prefix-sum buffer, so a pass over
-/// every object of an outcome allocates once.
+/// [`change_statistic`] over a reusable buffer of per-candidate sums, so a
+/// pass over every object of an outcome allocates once.
 fn change_statistic_with(
     evidence: ObjectEvidence<'_>,
-    prefix: &mut Vec<f64>,
+    sums: &mut Vec<(f64, f64)>,
 ) -> Option<ChangeStatistic> {
-    // All candidates share the same observation epochs (the object's).
-    let (_, epochs) = evidence.series().next()?;
-    let n = epochs.len();
-    if n < 2 {
+    let epochs = evidence.epochs();
+    if epochs.len() < 2 {
         return None;
     }
 
-    // Prefix sums of point evidence per candidate, row-major with stride
-    // n + 1: row c holds at k the sum of the first k observations' evidence.
-    // A candidate may (rarely) miss some epochs if its posterior was not
-    // computed there; its row is padded so indexing stays consistent.
-    prefix.clear();
-    let mut candidates = 0;
-    for (_, points) in evidence.series() {
-        let mut acc = 0.0;
-        prefix.push(0.0);
-        for &(_, e) in points.iter().take(n) {
-            acc += e;
-            prefix.push(acc);
-        }
-        prefix.resize(prefix.len() + n - points.len().min(n), acc);
-        candidates += 1;
+    // Per candidate, its total evidence `E_co(T)` and the running sum
+    // `E_co(t')` of the observations before the split, both summed
+    // sequentially in epoch order.
+    sums.clear();
+    for (_, column) in evidence.columns() {
+        let mut total = 0.0;
+        column.iter().for_each(|&e| total += e);
+        sums.push((total, 0.0));
     }
-    let at = |ci: usize, k: usize| prefix[ci * (n + 1) + k];
-    let container = |ci: usize| evidence.series().nth(ci).map(|(c, _)| c);
-
-    let best_total = (0..candidates)
-        .map(|ci| (ci, at(ci, n)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .unwrap();
+    let (_, best_total) = argmax(sums.iter().map(|&(total, _)| total));
 
     // Best split: for every split index k in 1..n, best prefix candidate +
     // best suffix candidate.
     let mut best = ChangeStatistic {
         delta: f64::NEG_INFINITY,
-        split_at: epochs[0].0,
+        split_at: epochs[0],
         prefix_container: None,
         suffix_container: None,
     };
     let mut best_pair = None;
-    for (k, &(split_at, _)) in epochs.iter().enumerate().skip(1) {
-        let (pre_ci, pre_score) = (0..candidates)
-            .map(|ci| (ci, at(ci, k)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
-        let (suf_ci, suf_score) = (0..candidates)
-            .map(|ci| (ci, at(ci, n) - at(ci, k)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
-        let delta = pre_score + suf_score - best_total.1;
+    for (k, &split_at) in epochs.iter().enumerate().skip(1) {
+        for ((_, column), sum) in evidence.columns().zip(sums.iter_mut()) {
+            sum.1 += column[k - 1];
+        }
+        let (pre_ci, pre_score) = argmax(sums.iter().map(|&(_, prefix)| prefix));
+        let (suf_ci, suf_score) = argmax(sums.iter().map(|&(total, prefix)| total - prefix));
+        let delta = pre_score + suf_score - best_total;
         if delta > best.delta {
             best.delta = delta;
             best.split_at = split_at;
@@ -125,10 +107,19 @@ fn change_statistic_with(
         }
     }
     if let Some((pre_ci, suf_ci)) = best_pair {
+        let container = |ci: usize| evidence.columns().nth(ci).map(|(c, _)| c);
         best.prefix_container = container(pre_ci);
         best.suffix_container = container(suf_ci);
     }
     Some(best)
+}
+
+/// The index and value of the largest of `values`, the last of equals.
+fn argmax(values: impl Iterator<Item = f64>) -> (usize, f64) {
+    let values = values.enumerate();
+    values
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .unwrap()
 }
 
 /// Run change-point detection over every object of an inference outcome.
@@ -136,9 +127,9 @@ fn change_statistic_with(
 /// suffix container as its new containment estimate.
 pub fn detect_changes(outcome: &InferenceOutcome, threshold: f64) -> Vec<DetectedChange> {
     let mut changes = Vec::new();
-    let mut prefix = Vec::new();
+    let mut sums = Vec::new();
     for evidence in outcome.objects() {
-        if let Some(stat) = change_statistic_with(evidence, &mut prefix) {
+        if let Some(stat) = change_statistic_with(evidence, &mut sums) {
             if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
                 changes.push(DetectedChange {
                     object: evidence.object(),
@@ -337,13 +328,12 @@ mod tests {
     fn statistic_requires_candidates_and_multiple_observations() {
         let mut outcome = InferenceOutcome::new(1, 2);
         outcome
-            .push_object(TagId::item(0), None, None, &[])
+            .push_object(TagId::item(0), None, None, &[], &[])
             .unwrap();
-        let series = [(Epoch(0), -1.0)];
-        let single = [(TagId::case(1), 0.0, &series[..])];
+        let single = [(TagId::case(1), 0.0, &[-1.0][..])];
         let case = Some(TagId::case(1));
         outcome
-            .push_object(TagId::item(1), case, case, &single)
+            .push_object(TagId::item(1), case, case, &[Epoch(0)], &single)
             .unwrap();
         assert!(change_statistic(outcome.object(TagId::item(0)).unwrap()).is_none());
         assert!(change_statistic(outcome.object(TagId::item(1)).unwrap()).is_none());

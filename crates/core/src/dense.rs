@@ -34,8 +34,9 @@
 //! Interned indices are **run-scoped**: they are assigned fresh each run from
 //! the ascending tag order, and nothing outside the run ever sees one. What
 //! leaves the run names tags, not indices: the [`InferenceOutcome`] arenas,
-//! filled from the final variants row by row (each candidate's series is
-//! copied out of the variant the M-step stored it in, never re-derived), and
+//! filled from the final variants row by row (each candidate's column of
+//! point evidence is copied out of the series the M-step stored in the
+//! variant, never re-derived), and
 //! the [`EvidenceCache`] variants that seed the next incremental run.
 //!
 //! The solver replays the exact control flow of the reference EM — same
@@ -1404,11 +1405,11 @@ pub(crate) fn run_dense(
 /// Build the outcome from the dense EM state — the only place interned
 /// indices are translated back. Every arena is appended in row order:
 /// candidate slots in ascending container order (the `cand_sorted` order)
-/// with their final weights, each slot's series copied straight out of its
-/// final variant, and the location runs in one ascending pass over the tag
-/// universe. The candidate and point-evidence arenas are sized exactly up
-/// front: every candidate's series has one point per observation of its
-/// object.
+/// with their final weights, each row's observed epochs, each slot's column
+/// of point evidence copied out of its final variant's series, and the
+/// location runs in one ascending pass over the tag universe. The candidate,
+/// epoch and evidence arenas are sized exactly up front: a row with
+/// candidates holds one epoch and one point per candidate per observation.
 fn build_outcome(
     rf: &RfInfer<'_>,
     s: &mut DenseScratch,
@@ -1421,15 +1422,18 @@ fn build_outcome(
     let nl = model.num_locations();
     let num_objects = s.objects.len();
     let num_rel = s.rel.len();
-    let points = (0..num_objects).map(|k| {
-        let candidates = s.cand_start[k + 1] - s.cand_start[k];
-        candidates as usize * obs_of[s.objects[k] as usize].len()
+    let sizes = (0..num_objects).map(|k| {
+        let candidates = (s.cand_start[k + 1] - s.cand_start[k]) as usize;
+        (candidates, obs_of[s.objects[k] as usize].len())
     });
+    let epochs = sizes.clone().map(|(c, n)| usize::from(c > 0) * n).sum();
+    let points = sizes.map(|(c, n)| c * n).sum();
     let mut out = InferenceOutcome {
         objects: Vec::with_capacity(num_objects),
         candidates: Vec::with_capacity(s.cand_arena.len()),
         ranked: vec![0; s.cand_arena.len()],
-        evidence: Vec::with_capacity(points.sum()),
+        epochs: Vec::with_capacity(epochs),
+        evidence: Vec::with_capacity(points),
         iterations,
         num_locations: nl,
         ..InferenceOutcome::default()
@@ -1438,6 +1442,11 @@ fn build_outcome(
         let oi = s.objects[k];
         let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
         let base = out.candidates.len();
+        let (start, table) = (out.epochs.len(), out.evidence.len());
+        let own = obs_of[oi as usize];
+        if !range.is_empty() {
+            out.epochs.extend(own.iter().map(|obs_at| obs_at.epoch));
+        }
         for (slot, &rank) in s.cand_sorted[range.clone()].iter().enumerate() {
             let flat = range.start + rank as usize;
             let ci = s.cand_arena[flat];
@@ -1450,13 +1459,12 @@ fn build_outcome(
                 .expect("every candidate's container has a variant");
             let series = find_series(&variant.evidence, oi)
                 .expect("the M-step stores every candidate's series");
+            debug_assert!(series.iter().map(|p| p.0).eq(own.iter().map(|o| o.epoch)));
             stats.evidence_reused += series.len();
-            let start = out.evidence.len() as u32;
-            out.evidence.extend_from_slice(series);
+            out.evidence.extend(series.iter().map(|&(_, e)| e));
             out.candidates.push(Candidate {
                 container: s.tags[ci as usize],
                 weight: s.weights[flat],
-                series: (start, out.evidence.len() as u32),
             });
         }
         let assigned = (s.assign[k] != NONE_IDX).then(|| s.tags[s.assign[k] as usize]);
@@ -1465,6 +1473,8 @@ fn build_outcome(
             container: assigned,
             assigned,
             slots: (base as u32, out.candidates.len() as u32),
+            epochs: (start as u32, out.epochs.len() as u32),
+            table: table as u32,
         });
     }
 

@@ -36,12 +36,12 @@ use std::time::{Duration, Instant};
 /// the epoch of the last run. Of the last outcome it keeps what is read
 /// between runs — containment, ranked candidates, weights, assignments and
 /// location runs, for export, `events_at` and `location_of` — but not the
-/// point-evidence series, which only change detection and truncation read,
-/// inside the run that built them. Of the evidence cache it keeps only the
-/// [`CacheKeys`]; restore recomputes every posterior row and series from the
-/// restored store. The configuration and likelihood model are not included
-/// (a restore target is constructed with those), nor the dense-solver
-/// scratch arenas (capacity only).
+/// evidence tables (each row's epochs and point evidence), which only change
+/// detection and truncation read, inside the run that built them. Of the
+/// evidence cache it keeps only the [`CacheKeys`]; restore recomputes every
+/// posterior row and series from the restored store. The configuration and
+/// likelihood model are not included (a restore target is constructed with
+/// those), nor the dense-solver scratch arenas (capacity only).
 ///
 /// `restore(snapshot)` after `snapshot()` is lossless: every subsequent
 /// inference run produces the outcome and [`InferenceStats`] of an engine

@@ -506,45 +506,51 @@ fn build_outcome(
     incremental: bool,
     stats: &mut InferenceStats,
 ) -> InferenceOutcome {
-    // Point evidence per (object, candidate) from the final posteriors.
-    // In incremental mode the final M-step iteration already computed
-    // (and stored) every series against exactly these posteriors, so the
-    // builder clones them instead of re-deriving each expectation.
+    // Point evidence per (object, candidate) from the final posteriors, one
+    // column per candidate over the object's observed epochs. In
+    // incremental mode the final M-step iteration already computed (and
+    // stored) every series against exactly these posteriors, so the builder
+    // copies their values instead of re-deriving each expectation.
     let mut outcome = InferenceOutcome::new(iterations, infer.model.num_locations());
     for (&o, cands) in candidates {
-        let mut point_evidence = Vec::with_capacity(cands.len());
+        // A row without candidates holds no evidence, so no epochs either.
+        let observed = if cands.is_empty() {
+            &[]
+        } else {
+            infer.obs.obs_for(o)
+        };
+        let epochs: Vec<Epoch> = observed.iter().map(|obs_at| obs_at.epoch).collect();
+        let mut columns = Vec::with_capacity(cands.len());
         for &c in cands {
-            let mut points = Vec::new();
-            if let Some(variant) = current.get(&c) {
-                match variant.evidence.get(&o) {
-                    Some(series) if incremental => {
-                        stats.evidence_reused += series.len();
-                        points = series.clone();
-                    }
-                    _ => {
-                        for obs_at in infer.obs.obs_for(o) {
-                            let t = obs_at.epoch;
-                            if let Ok(i) = variant.per_epoch.binary_search_by_key(&t, |e| e.0) {
-                                let q = &variant.per_epoch[i].1;
-                                stats.evidence_computed += 1;
-                                let e = q.expect(|a| infer.model.tag_loglik(&obs_at.readers, a));
-                                points.push((t, e));
-                            }
-                        }
+            let variant = current.get(&c).expect("every candidate has a variant");
+            let mut column = Vec::with_capacity(observed.len());
+            match variant.evidence.get(&o) {
+                Some(series) if incremental => {
+                    stats.evidence_reused += series.len();
+                    column.extend(series.iter().map(|&(_, e)| e));
+                }
+                _ => {
+                    for obs_at in observed {
+                        let at = variant
+                            .per_epoch
+                            .binary_search_by_key(&obs_at.epoch, |e| e.0);
+                        let q = &variant.per_epoch[at.expect("a posterior per observation")].1;
+                        stats.evidence_computed += 1;
+                        column.push(q.expect(|a| infer.model.tag_loglik(&obs_at.readers, a)));
                     }
                 }
             }
-            point_evidence.push(points);
+            columns.push(column);
         }
         let rows: Vec<_> = cands
             .iter()
-            .zip(&point_evidence)
-            .map(|(&c, points)| (c, weights[&o][&c], points.as_slice()))
+            .zip(&columns)
+            .map(|(&c, column)| (c, weights[&o][&c], column.as_slice()))
             .collect();
         let assigned = assignment.get(&o).copied();
         outcome
-            .push_object(o, assigned, assigned, &rows)
-            .expect("objects iterate ascending, candidates are distinct");
+            .push_object(o, assigned, assigned, &epochs, &rows)
+            .expect("objects iterate ascending, columns span every observed epoch");
     }
 
     // Location estimates: containers from their posteriors — but only at

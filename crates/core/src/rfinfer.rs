@@ -2,7 +2,10 @@
 //! inference (Section 3.2, Algorithm 1), including the optimizations of
 //! Appendix A.3 (candidate pruning, memoization, sparse likelihood
 //! evaluation) and support for prior co-location weights imported from a
-//! previous site (the collapsed inference state of Section 4.1).
+//! previous site (the collapsed inference state of Section 4.1). A run
+//! returns an [`InferenceOutcome`]: per object its candidates' weights and
+//! one evidence table, the point evidence `e_co(t)` of every candidate over
+//! the object's observed epochs, which change detection and truncation read.
 //!
 //! ## Incremental re-runs
 //!
@@ -113,6 +116,11 @@ pub(crate) struct ObjectRow {
     pub(crate) assigned: Option<TagId>,
     /// The row's slots in the candidate arena.
     pub(crate) slots: (u32, u32),
+    /// The row's observed epochs in the epoch arena.
+    pub(crate) epochs: (u32, u32),
+    /// The start of the row's table in the evidence arena: one column per
+    /// slot, each as long as the epoch range.
+    pub(crate) table: u32,
 }
 
 /// One candidate slot of an object row.
@@ -121,13 +129,11 @@ pub(crate) struct Candidate {
     pub(crate) container: TagId,
     /// Total co-location weight `w_co` (Eq. 5), prior included.
     pub(crate) weight: f64,
-    /// The candidate's series in the point-evidence arena.
-    pub(crate) series: (u32, u32),
 }
 
 /// A candidate as [`InferenceOutcome::push_object`] takes it: the container,
-/// its weight and its point evidence.
-type RankedCandidate<'e> = (TagId, f64, &'e [(Epoch, f64)]);
+/// its weight and its column of point evidence.
+type RankedCandidate<'e> = (TagId, f64, &'e [f64]);
 
 /// An arena range as slice indices.
 fn span((start, end): (u32, u32)) -> std::ops::Range<usize> {
@@ -142,26 +148,28 @@ fn offset(len: usize) -> Result<u32, &'static str> {
 /// The result of one RFINFER run, stored as arenas read through accessors.
 ///
 /// * **Object rows**, ascending by object: the run's container, the assigned
-///   container (change-point detection may overwrite it) and a range of
-///   candidate slots.
+///   container (change-point detection may overwrite it), a range of
+///   candidate slots and the row's evidence table.
 /// * **Candidate slots**, ascending by container within a row: the
-///   co-location weight and a range of the point-evidence arena. A parallel
-///   column holds each row's slot offsets in pruned (ranked) order, the
-///   order export ships candidates in.
-/// * **Point evidence**: every series back to back, one `(epoch, e_co)` arena.
+///   co-location weight. A parallel column holds each row's slot offsets in
+///   pruned (ranked) order, the order export ships candidates in.
+/// * **Epochs**: each row's observed epochs, ascending, back to back.
+/// * **Point evidence**: each row's table, one `e_co` column per slot in
+///   slot order, every column aligned with the row's epochs, back to back.
 /// * **Location runs**, ascending by tag: a range of one `(epoch, location)`
 ///   arena per tag with an estimate.
 ///
 /// Every constructor fills the arenas in this order, so two outcomes are
 /// equal exactly when they hold the same rows — what the equivalence suites
-/// and the checkpoint round trip compare. A candidate without point evidence
-/// owns an empty range; a tag without an estimate has no run.
+/// and the checkpoint round trip compare. A row without point evidence has no
+/// epochs; a tag without an estimate has no run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InferenceOutcome {
     pub(crate) objects: Vec<ObjectRow>,
     pub(crate) candidates: Vec<Candidate>,
     pub(crate) ranked: Vec<u32>,
-    pub(crate) evidence: Vec<(Epoch, f64)>,
+    pub(crate) epochs: Vec<Epoch>,
+    pub(crate) evidence: Vec<f64>,
     pub(crate) located: Vec<(TagId, (u32, u32))>,
     pub(crate) locations: Vec<(Epoch, LocationId)>,
     /// Number of EM iterations executed before convergence.
@@ -176,7 +184,9 @@ pub struct ObjectEvidence<'a> {
     row: ObjectRow,
     slots: &'a [Candidate],
     ranked: &'a [u32],
-    evidence: &'a [(Epoch, f64)],
+    epochs: &'a [Epoch],
+    /// The evidence arena from the row's table on.
+    table: &'a [f64],
 }
 
 impl<'a> ObjectEvidence<'a> {
@@ -206,34 +216,34 @@ impl<'a> ObjectEvidence<'a> {
         self.slots.iter().map(|slot| (slot.container, slot.weight))
     }
 
-    /// Point evidence `e_co(t)` (Eq. 7) of every candidate that has any, in
-    /// ascending container order: one value per epoch the object was
-    /// observed at, in epoch order.
-    pub fn series(&self) -> impl Iterator<Item = (TagId, &'a [(Epoch, f64)])> + 'a {
-        let evidence = self.evidence;
-        self.slots
-            .iter()
-            .map(move |slot| (slot.container, &evidence[span(slot.series)]))
-            .filter(|(_, series)| !series.is_empty())
+    /// The epochs the object was observed at, ascending: the rows of its
+    /// evidence table. Empty when the row holds no point evidence.
+    pub fn epochs(&self) -> &'a [Epoch] {
+        self.epochs
     }
 
-    /// The point-evidence series of one candidate, if it has one.
-    pub fn point_evidence(&self, container: TagId) -> Option<&'a [(Epoch, f64)]> {
-        self.series().find(|&(c, _)| c == container).map(|(_, s)| s)
+    /// Point evidence `e_co(t)` (Eq. 7) of every candidate, in ascending
+    /// container order: one column per candidate, one value per entry of
+    /// [`Self::epochs`].
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = (TagId, &'a [f64])> + 'a {
+        let (table, n) = (self.table, self.epochs.len());
+        (self.slots.iter().enumerate()).map(move |(i, c)| (c.container, &table[i * n..][..n]))
+    }
+
+    /// The point-evidence column of one candidate, if it is one.
+    pub fn point_evidence(&self, container: TagId) -> Option<&'a [f64]> {
+        self.columns().find(|c| c.0 == container).map(|c| c.1)
     }
 
     /// Cumulative evidence `E_co(t)` for one candidate: the running sum of
     /// point evidence up to and including each epoch.
-    pub fn cumulative_evidence(&self, container: TagId) -> Vec<(Epoch, f64)> {
-        let mut total = 0.0;
-        let points = self.point_evidence(container).unwrap_or_default();
-        points
-            .iter()
-            .map(|&(t, e)| {
-                total += e;
-                (t, total)
-            })
-            .collect()
+    pub fn cumulative_evidence(&self, container: TagId) -> Vec<f64> {
+        let points = self.point_evidence(container).unwrap_or_default().iter();
+        let running = points.scan(0.0, |total, &e| {
+            *total += e;
+            Some(*total)
+        });
+        running.collect()
     }
 }
 
@@ -250,18 +260,26 @@ impl InferenceOutcome {
 
     /// Append the row of `object`, which must sort after every row already
     /// pushed. `candidates` lists `(container, weight, point evidence)` in
-    /// ranked order, each container once; `container` is the run's
-    /// containment estimate and `assigned` the M-step's (possibly
-    /// change-refined) choice.
+    /// ranked order, each container once, each column as long as `epochs`,
+    /// the object's observed epochs, ascending (none without candidates);
+    /// `container` is the run's containment estimate and `assigned` the
+    /// M-step's (possibly change-refined) choice.
     pub fn push_object(
         &mut self,
         object: TagId,
         container: Option<TagId>,
         assigned: Option<TagId>,
+        epochs: &[Epoch],
         candidates: &[RankedCandidate<'_>],
     ) -> Result<(), &'static str> {
         if self.objects.last().is_some_and(|row| row.object >= object) {
             return Err("object rows out of order or repeated");
+        }
+        if epochs.windows(2).any(|pair| pair[0] >= pair[1])
+            || candidates.iter().any(|c| c.2.len() != epochs.len())
+            || candidates.is_empty() && !epochs.is_empty()
+        {
+            return Err("an evidence table unlike its ascending epochs");
         }
         let mut order: Vec<usize> = (0..candidates.len()).collect();
         order.sort_unstable_by_key(|&at| candidates[at].0);
@@ -272,25 +290,23 @@ impl InferenceOutcome {
             return Err("a candidate listed twice");
         }
         let base = self.candidates.len();
+        let start = offset(self.epochs.len())?;
+        let table = offset(self.evidence.len())?;
+        self.epochs.extend_from_slice(epochs);
         self.ranked.resize(base + order.len(), 0);
         for (slot, &at) in order.iter().enumerate() {
-            let (container, weight, series) = candidates[at];
-            let start = offset(self.evidence.len())?;
-            self.evidence.extend_from_slice(series);
-            let series = (start, offset(self.evidence.len())?);
-            self.candidates.push(Candidate {
-                container,
-                weight,
-                series,
-            });
+            let (container, weight, column) = candidates[at];
+            self.evidence.extend_from_slice(column);
+            self.candidates.push(Candidate { container, weight });
             self.ranked[base + at] = slot as u32;
         }
-        let slots = (offset(base)?, offset(self.candidates.len())?);
         let row = ObjectRow {
             object,
             container,
             assigned,
-            slots,
+            slots: (offset(base)?, offset(self.candidates.len())?),
+            epochs: (start, offset(self.epochs.len())?),
+            table,
         };
         self.objects.push(row);
         Ok(())
@@ -331,7 +347,8 @@ impl InferenceOutcome {
             row,
             slots: &self.candidates[span(row.slots)],
             ranked: &self.ranked[span(row.slots)],
-            evidence: &self.evidence,
+            epochs: &self.epochs[span(row.epochs)],
+            table: &self.evidence[row.table as usize..],
         }
     }
 
@@ -363,39 +380,43 @@ impl InferenceOutcome {
             .ok()
     }
 
-    /// A copy without the point-evidence arena: every candidate keeps its
-    /// weight and rank but owns an empty series. Change detection and
-    /// truncation read the series only inside the run that built them, so
-    /// this is the outcome as a checkpoint keeps it.
+    /// A copy without the epoch and point-evidence arenas: every row keeps
+    /// its candidates, weights and ranks but has no epochs. Change
+    /// detection and truncation read the evidence only inside the run that
+    /// built it, so this is the outcome as a checkpoint keeps it.
     pub(crate) fn without_evidence(&self) -> InferenceOutcome {
-        let candidates = self.candidates.iter().map(|&slot| Candidate {
-            series: (0, 0),
-            ..slot
+        let objects = self.objects.iter().map(|&row| ObjectRow {
+            epochs: (0, 0),
+            table: 0,
+            ..row
         });
         InferenceOutcome {
-            objects: self.objects.clone(),
-            candidates: candidates.collect(),
+            objects: objects.collect(),
+            candidates: self.candidates.clone(),
             ranked: self.ranked.clone(),
-            evidence: Vec::new(),
             located: self.located.clone(),
             locations: self.locations.clone(),
             iterations: self.iterations,
             num_locations: self.num_locations,
+            ..InferenceOutcome::default()
         }
     }
 
     /// Refine one object after a change detected at `change_at` (Appendix
     /// A.2): each candidate's weight becomes the suffix sum of its point
     /// evidence from the change on, and the object moves to `new_container`.
+    /// A row without point evidence keeps its weights.
     pub(crate) fn apply_change(&mut self, object: TagId, at: Epoch, new_container: Option<TagId>) {
         let Some(k) = self.row_of(object) else {
             return;
         };
-        for slot in &mut self.candidates[span(self.objects[k].slots)] {
-            let series = &self.evidence[span(slot.series)];
-            if !series.is_empty() {
-                let suffix = series.iter().filter(|(t, _)| *t >= at).map(|(_, e)| e);
-                slot.weight = suffix.sum();
+        let row = self.objects[k];
+        let epochs = &self.epochs[span(row.epochs)];
+        if !epochs.is_empty() {
+            let from = epochs.partition_point(|&t| t < at);
+            let columns = self.evidence[row.table as usize..].chunks_exact(epochs.len());
+            for (slot, column) in self.candidates[span(row.slots)].iter_mut().zip(columns) {
+                slot.weight = column[from..].iter().sum();
             }
         }
         self.objects[k].assigned = new_container;
@@ -997,14 +1018,52 @@ mod tests {
         // real container's point evidence exceeds the decoy's.
         let real = evidence.point_evidence(TagId::case(1)).unwrap();
         let decoy = evidence.point_evidence(TagId::case(2)).unwrap();
-        let real_at3 = real.iter().find(|(t, _)| *t == Epoch(3)).unwrap().1;
-        let decoy_at3 = decoy.iter().find(|(t, _)| *t == Epoch(3)).unwrap().1;
-        assert!(real_at3 > decoy_at3 + 1.0);
+        let at3 = evidence.epochs().binary_search(&Epoch(3)).unwrap();
+        assert!(real[at3] > decoy[at3] + 1.0);
         // Cumulative evidence is the prefix sum of point evidence.
         let cum = evidence.cumulative_evidence(TagId::case(1));
         assert_eq!(cum.len(), real.len());
-        let total: f64 = real.iter().map(|(_, e)| e).sum();
-        assert!((cum.last().unwrap().1 - total).abs() < 1e-9);
+        let total: f64 = real.iter().sum();
+        assert!((cum.last().unwrap() - total).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_evidence_table_is_rectangular() {
+        let (a, b) = (TagId::case(1), TagId::case(2));
+        let epochs = [Epoch(2), Epoch(5)];
+        let mut outcome = InferenceOutcome::new(1, 2);
+        let mut push = |object, epochs: &[Epoch], columns: [&[f64]; 2]| {
+            let candidates = [(b, 1.0, columns[0]), (a, 2.0, columns[1])];
+            outcome.push_object(TagId::item(object), None, None, epochs, &candidates)
+        };
+        assert!(
+            push(1, &epochs, [&[1.0], &[1.0, 2.0]]).is_err(),
+            "a short column"
+        );
+        assert!(
+            push(1, &epochs, [&[1.0, 2.0, 3.0], &[1.0, 2.0]]).is_err(),
+            "a long one"
+        );
+        let unordered = [Epoch(5), Epoch(2)];
+        assert!(push(1, &unordered, [&[1.0, 2.0], &[3.0, 4.0]]).is_err());
+        let repeated = [Epoch(2), Epoch(2)];
+        assert!(push(1, &repeated, [&[1.0, 2.0], &[3.0, 4.0]]).is_err());
+        push(1, &[], [&[], &[]]).expect("a row without evidence");
+        push(2, &epochs, [&[1.0, 2.0], &[3.0, 4.0]]).expect("a full table");
+        let refused = outcome.push_object(TagId::item(3), None, None, &epochs, &[]);
+        assert!(refused.is_err(), "epochs without a column");
+
+        let empty = outcome.object(TagId::item(1)).unwrap();
+        assert!(empty.epochs().is_empty());
+        assert!(empty.columns().all(|(_, column)| column.is_empty()));
+        let full = outcome.object(TagId::item(2)).unwrap();
+        assert_eq!(full.epochs(), epochs);
+        let columns: Vec<_> = full.columns().collect();
+        assert_eq!(columns, [(a, &[3.0, 4.0][..]), (b, &[1.0, 2.0][..])]);
+        assert_eq!(full.candidates().collect::<Vec<_>>(), [b, a]);
+        outcome.apply_change(TagId::item(2), Epoch(5), Some(a));
+        let refined = outcome.object(TagId::item(2)).unwrap();
+        assert_eq!(refined.weights().collect::<Vec<_>>(), [(a, 4.0), (b, 2.0)]);
     }
 
     #[test]

@@ -60,61 +60,35 @@ pub fn critical_region(
     window_secs: u32,
     margin: f64,
 ) -> Option<CriticalRegion> {
-    critical_region_with(evidence, window_secs, margin, &mut Vec::new())
-}
-
-/// [`critical_region`] over a reusable per-candidate cursor buffer, so a pass
-/// over every object of an outcome allocates once.
-fn critical_region_with(
-    evidence: ObjectEvidence<'_>,
-    window_secs: u32,
-    margin: f64,
-    cursors: &mut Vec<(usize, usize)>,
-) -> Option<CriticalRegion> {
-    // At least two candidates with evidence, and the object's observation
-    // epochs (the same for every candidate's series).
-    evidence.series().nth(1)?;
-    let (_, epochs) = evidence.series().next()?;
-
+    if evidence.columns().len() < 2 {
+        return None;
+    }
     // The most recent qualifying window wins, so slide the window BACKWARDS
     // from the latest end epoch and stop at the first qualifying one — the
     // same region a forward scan would keep ("overwrite with the most
-    // recent"), found without evaluating the windows before it. The cursors
-    // stay monotone (they only ever decrease), every evaluated window's sum
-    // is the same ascending-epoch sequential sum the forward scan computes,
-    // and the margin test only needs the two largest sums, so the selected
-    // region is bit-identical to the naive filter's.
-    cursors.clear();
-    cursors.extend(
-        evidence
-            .series()
-            .map(|(_, series)| (series.len(), series.len())),
-    );
-    for &(end, _) in epochs.iter().rev() {
+    // recent"), found without evaluating the windows before it. The window
+    // `[lo, hi)` over the shared epochs only ever moves down, every
+    // evaluated window's sum is the same ascending-epoch sequential sum the
+    // forward scan computes, and the margin test only needs the two largest
+    // sums, so the selected region is bit-identical to the naive filter's.
+    let epochs = evidence.epochs();
+    let mut lo = epochs.len();
+    for hi in (1..=epochs.len()).rev() {
+        let end = epochs[hi - 1];
         let start = end.minus(window_secs);
+        while lo > 0 && epochs[lo - 1] >= start {
+            lo -= 1;
+        }
         // Sum each candidate's point evidence inside [start, end], keeping
         // the largest and second-largest sum — what the descending sort's
         // first two entries were, with the same NaN strictness.
-        let mut top = f64::NEG_INFINITY;
-        let mut second = f64::NEG_INFINITY;
-        for ((_, series), (lo, hi)) in evidence.series().zip(cursors.iter_mut()) {
-            while *hi > 0 && series[*hi - 1].0 > end {
-                *hi -= 1;
-            }
-            while *lo > 0 && series[*lo - 1].0 >= start {
-                *lo -= 1;
-            }
-            let sum: f64 = series[*lo..*hi].iter().map(|&(_, e)| e).sum();
-            match sum.partial_cmp(&top).expect("NaN evidence sum") {
-                std::cmp::Ordering::Greater => {
-                    second = top;
-                    top = sum;
-                }
-                _ => {
-                    if sum > second {
-                        second = sum;
-                    }
-                }
+        let (mut top, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for (_, column) in evidence.columns() {
+            let sum: f64 = column[lo..hi].iter().sum();
+            if sum.partial_cmp(&top).expect("NaN evidence sum").is_gt() {
+                (top, second) = (sum, top);
+            } else if sum > second {
+                second = sum;
             }
         }
         if top - second >= margin {
@@ -217,12 +191,9 @@ pub fn retention_plan(
         TruncationPolicy::Full => RetentionPlan::new(Epoch::ZERO, []),
         TruncationPolicy::Window { window_secs } => RetentionPlan::new(now.minus(window_secs), []),
         TruncationPolicy::CriticalRegion => {
-            let mut cursors = Vec::new();
             let mut regions = Vec::new();
             for evidence in outcome.objects() {
-                if let Some(cr) =
-                    critical_region_with(evidence, CR_WINDOW_SECS, CR_MARGIN, &mut cursors)
-                {
+                if let Some(cr) = critical_region(evidence, CR_WINDOW_SECS, CR_MARGIN) {
                     // The same readings of the candidate containers are what
                     // makes the region informative — keep them too.
                     let tags = std::iter::once(evidence.object()).chain(evidence.candidates());
@@ -307,7 +278,10 @@ mod tests {
 
     fn outcome_of(objects: &[(TagId, Series, Series)]) -> InferenceOutcome {
         let mut outcome = InferenceOutcome::new(1, 4);
+        let column = |series: &Series| series.iter().map(|p| p.1).collect::<Vec<_>>();
         for (object, real, decoy) in objects {
+            let epochs: Vec<Epoch> = real.iter().map(|p| p.0).collect();
+            let (real, decoy) = (column(real), column(decoy));
             let candidates = [
                 (TagId::case(0), -40.0, real.as_slice()),
                 (TagId::case(1), -60.0, decoy.as_slice()),
@@ -317,6 +291,7 @@ mod tests {
                     *object,
                     Some(TagId::case(0)),
                     Some(TagId::case(0)),
+                    &epochs,
                     &candidates,
                 )
                 .unwrap();
@@ -368,13 +343,13 @@ mod tests {
         assert!(critical_region(outcome.object(TagId::item(0)).unwrap(), 20, 1e6).is_none());
         // Single candidate: nothing to disambiguate.
         let mut single = InferenceOutcome::new(1, 4);
-        let series = [(Epoch(0), -1.0)];
         single
             .push_object(
                 TagId::item(0),
                 None,
                 None,
-                &[(TagId::case(0), 0.0, &series)],
+                &[Epoch(0)],
+                &[(TagId::case(0), 0.0, &[-1.0])],
             )
             .unwrap();
         assert!(critical_region(single.object(TagId::item(0)).unwrap(), 20, 1.0).is_none());

@@ -222,7 +222,19 @@ impl MapView {
                 let evidence = MapEvidence {
                     candidates: e.candidates().collect(),
                     weights: e.weights().collect(),
-                    point_evidence: e.series().map(|(c, s)| (c, s.to_vec())).collect(),
+                    point_evidence: e
+                        .columns()
+                        .map(|(c, column)| {
+                            (
+                                c,
+                                e.epochs()
+                                    .iter()
+                                    .copied()
+                                    .zip(column.iter().copied())
+                                    .collect(),
+                            )
+                        })
+                        .collect(),
                     assigned: e.assigned(),
                 };
                 (e.object(), evidence)
@@ -420,18 +432,20 @@ fn check_outcome_accessors(engine: &InferenceEngine, now: Epoch, changes: &[Dete
         for &c in &tags {
             assert_eq!(outcome.weight(tag, c), old.weights.get(&c).copied());
             assert_eq!(
-                row.point_evidence(c),
-                old.point_evidence.get(&c).map(Vec::as_slice)
+                row.point_evidence(c).map(<[f64]>::to_vec),
+                old.point_evidence
+                    .get(&c)
+                    .map(|s| s.iter().map(|&(_, e)| e).collect())
             );
             let mut total = 0.0;
-            let cumulative: Vec<(Epoch, f64)> = old
+            let cumulative: Vec<f64> = old
                 .point_evidence
                 .get(&c)
                 .into_iter()
                 .flatten()
-                .map(|&(t, e)| {
+                .map(|&(_, e)| {
                     total += e;
-                    (t, total)
+                    total
                 })
                 .collect();
             assert_eq!(row.cumulative_evidence(c), cumulative);

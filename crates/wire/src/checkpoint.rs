@@ -412,7 +412,7 @@ impl Wire for InferenceOutcome {
             let container = containment.container_of(object);
             contained += usize::from(container.is_some());
             outcome
-                .push_object(object, container, assigned, &candidates)
+                .push_object(object, container, assigned, &[], &candidates)
                 .map_err(malformed)?;
         }
         if contained != containment.len() {
@@ -609,6 +609,7 @@ mod tests {
                 TagId::item(1),
                 Some(TagId::case(1)),
                 Some(TagId::case(1)),
+                &[],
                 &[(TagId::case(1), 4.5, &[]), (TagId::case(2), -1e-300, &[])],
             )
             .unwrap();

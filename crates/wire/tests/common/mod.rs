@@ -240,7 +240,7 @@ pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
                 let key = |c: &TagId| rank[c.serial() as usize % rank.len()] ^ c.raw() as u32;
                 ranked.sort_by_key(|(c, _, _)| (key(c), *c));
                 outcome
-                    .push_object(object, container, assigned, &ranked)
+                    .push_object(object, container, assigned, &[], &ranked)
                     .expect("distinct candidates, ascending objects");
             }
             for (tag, run) in runs {

@@ -497,7 +497,7 @@ fn outcomes_breaking_an_arena_rule_are_typed_errors() {
     assert_eq!(outcome.container_of(item1), Some(case2));
     let row1 = outcome.object(item1).unwrap();
     assert_eq!(row1.candidates().collect::<Vec<_>>(), [case2, case1]);
-    assert_eq!(row1.series().count(), 0, "a checkpoint keeps no evidence");
+    assert!(row1.epochs().is_empty(), "a checkpoint keeps no evidence");
     assert_eq!(outcome.locations_of(case1).len(), 2);
 
     let two = [row(item1), row(item2)];

@@ -274,6 +274,7 @@ fn checkpoint() -> SiteCheckpoint {
             TagId::item(1),
             Some(TagId::case(1)),
             Some(TagId::case(1)),
+            &[],
             &[(TagId::case(1), 4.5, &[]), (TagId::case(2), -1e-300, &[])],
         )
         .unwrap();
