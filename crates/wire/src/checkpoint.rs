@@ -354,9 +354,9 @@ impl Wire for ContainmentMap {
 /// The outcome's arenas in the keyed layout: the containment section, then
 /// per object row its candidates in ranked order, its weights keyed by
 /// candidate and its assigned container, then the location runs, the
-/// iteration count and the location count. The point-evidence arena is not
-/// part of the layout (a checkpoint keeps the outcome without it), so every
-/// decoded candidate owns an empty series. Decoding refuses what the arenas
+/// iteration count and the location count. The epoch and point-evidence
+/// arenas are not part of the layout (a checkpoint keeps the outcome without
+/// them), so every decoded row has no epochs. Decoding refuses what the arenas
 /// cannot hold: rows out of order or repeated, a weight for a tag that is
 /// not a candidate, an empty run, and containment for an object without a
 /// row.
