@@ -337,7 +337,6 @@ fn take_prev_series(evidence: &mut TakableSeries, object: u32) -> Option<Series>
 /// identically for the bit-identity contract to hold. Takes the scratch
 /// columns individually so callers can keep disjoint borrows (e.g. loglik
 /// rows) alive across the call.
-#[allow(clippy::too_many_arguments)]
 fn count_members(
     assign: &[u32],
     objects: &[u32],

@@ -495,7 +495,10 @@ pub fn run_tree(
     (outcome, stats)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the reference keeps its BTreeMap-keyed EM state as separate maps, passed as they are"
+)]
 fn build_outcome(
     infer: &RfInfer<'_>,
     candidates: &BTreeMap<TagId, Vec<TagId>>,

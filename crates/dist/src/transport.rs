@@ -206,9 +206,10 @@ impl DeliveryPlan {
     /// epoch, and otherwise reaches the sender one hop later, stopping all
     /// retransmission from that epoch on. `max_retries` bounds the number
     /// of retransmissions (`None` retries until the horizon).
-    // The argument list *is* the message key plus its schedule inputs;
-    // bundling them into a struct would only rename the coupling.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the argument list is the message key plus its schedule inputs; a struct would only rename the coupling"
+    )]
     pub fn compute(
         plan: &FaultPlan,
         config: &TransportConfig,
