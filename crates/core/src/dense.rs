@@ -53,20 +53,13 @@ use crate::observations::{ObsAt, Observations};
 use crate::posterior::{container_posterior_row_into_vector, Posterior};
 use crate::rfinfer::{
     CacheKeys, CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats,
-    ObjectRow, RfInfer, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
+    ObjectRow, RfInfer, SeriesTable, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
 /// Sentinel for "no index" in dense `u32` columns.
 const NONE_IDX: u32 = u32::MAX;
-
-/// One point-evidence series: `(epoch, e_co)` in epoch order.
-type Series = Vec<(Epoch, f64)>;
-
-/// Series keyed by interned object index, ascending; `Option` so the
-/// whole-series fast path can move one out without shifting the column.
-type TakableSeries = Vec<(u32, Option<Series>)>;
 
 /// Reusable flat buffers of the dense solver: the interning arena, the
 /// candidate/weight/epoch/member arenas and the reader-set log-likelihood
@@ -152,9 +145,12 @@ pub struct DenseScratch {
     /// Object × container co-location count matrix,
     /// row-major by object position.
     colo_matrix: Vec<u32>,
-    /// The fresh point-evidence dots of one object's transposed M-step walk,
-    /// in walk order; [`kernels::dot_each`] runs them after the walk.
-    pending: Vec<PendingDot>,
+    /// The fresh point-evidence dots of one M-step lane: `(observation
+    /// position, posterior row)`, in epoch order.
+    fresh: Vec<(u32, u32)>,
+    /// Per observation of the M-step's current object, whether the dirty
+    /// journal names its epoch; empty when the object has no dirty epoch.
+    dirty_at: Vec<bool>,
     /// Epoch-presence bitset of one slot's needed-epoch
     /// dedup, indexed by epoch offset from the run's earliest epoch.
     seen: Vec<u64>,
@@ -169,12 +165,13 @@ pub struct DenseScratch {
 /// to comparison sorts. Spans are bounded by the retained history.
 const EPOCH_SPAN_GUARD: usize = 1 << 24;
 
-/// A previous run's cached variant, re-interned into this run's indices.
+/// A previous run's cached variant, its members re-interned into this run's
+/// indices (its series stay keyed by tag).
 struct PrevVariant {
     members: Vec<u32>,
     epochs: Vec<Epoch>,
     qrows: Vec<f64>,
-    evidence: TakableSeries,
+    evidence: SeriesTable,
 }
 
 /// Working state of one container during a dense EM run — the columnar
@@ -193,52 +190,33 @@ struct DVariant {
     /// left empty when `fully_reused` says that is every epoch.
     reused: Vec<Epoch>,
     fully_reused: bool,
-    prev_evidence: TakableSeries,
-    /// This run's evidence series, pushed in ascending object order.
-    evidence: Vec<(u32, Series)>,
+    /// The matched previous-run variant's series.
+    prev_evidence: SeriesTable,
+    /// This run's series: `(object index, start in columns)`, pushed in
+    /// ascending object order.
+    series: Vec<(u32, u32)>,
+    /// This run's columns of point evidence, back to back, one per entry of
+    /// `series`: one `e_co(t)` per observation of the object, in epoch
+    /// order. Sized up front for every object naming the container.
+    columns: Vec<f64>,
 }
 
-/// One lane of the transposed M-step walk: the per-candidate cursors of a
-/// candidate whose evidence series must be derived (or partially reused)
-/// against its variant's per-epoch posteriors. The variant itself stays in
-/// `current`, borrowed shared for the duration of the walk; lanes only carry
-/// indices and owned state.
-struct MWalker {
-    /// Flat index of this (object, candidate) pair in the weight arena.
-    flat: u32,
-    /// Slot of the candidate's variant in `current`.
-    slot: u32,
-    /// Evidence series under construction; a fresh dot's entry holds a
-    /// placeholder until [`kernels::dot_each`] fills it.
-    series: Series,
-    /// Cursor into the variant's per-epoch posterior series.
-    q_cur: usize,
-    /// Cursor into the variant's reused-epochs list.
-    r_cur: usize,
-    /// Cursor into the previous run's series for this pair.
-    prev_pos: usize,
+/// What every M-step lane of one object reads.
+struct LaneInputs<'a> {
+    object: TagId,
+    obs: &'a [ObsAt],
+    /// Reader-set id of each observation.
+    sets: &'a [u32],
+    /// Per observation, whether the dirty journal names its epoch; empty
+    /// when no epoch of the object is dirty.
+    dirty_at: &'a [bool],
+    /// No dirty epoch at all. A tag marked dirty without epochs (an
+    /// imported prior) is clean: priors enter the weight fresh every run,
+    /// never through a series.
+    clean: bool,
+    table: &'a ReaderSetTable,
+    num_locations: usize,
 }
-
-/// One fresh point-evidence dot the transposed M-step walk planned: the
-/// posterior row `q_row` of lane `lane`'s variant against the object's
-/// loglik row of reader set `set`, bound for entry `at` of the lane's series.
-#[derive(Clone, Copy, Debug)]
-struct PendingDot {
-    lane: u32,
-    at: u32,
-    q_row: u32,
-    set: u32,
-}
-
-/// The shared borrows one M-step lane reads during the transposed walk:
-/// (posterior epochs, flat posterior rows, reused epochs, previous run's
-/// evidence series for the walked object).
-type MLaneRefs<'v> = (
-    &'v [Epoch],
-    &'v [f64],
-    &'v [Epoch],
-    Option<&'v [(Epoch, f64)]>,
-);
 
 /// The run-scoped reader-set interner: reader list → dense set id.
 #[expect(
@@ -309,25 +287,97 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-fn find_series(evidence: &[(u32, Series)], object: u32) -> Option<&Series> {
-    evidence
+/// Where `object`'s column starts in a variant's `columns`, if this run
+/// stored one.
+fn find_column(series: &[(u32, u32)], object: u32) -> Option<usize> {
+    series
         .binary_search_by_key(&object, |e| e.0)
         .ok()
-        .map(|i| &evidence[i].1)
+        .map(|i| series[i].1 as usize)
 }
 
-fn prev_series(evidence: &TakableSeries, object: u32) -> Option<&[(Epoch, f64)]> {
-    evidence
-        .binary_search_by_key(&object, |e| e.0)
-        .ok()
-        .and_then(|i| evidence[i].1.as_deref())
-}
-
-fn take_prev_series(evidence: &mut TakableSeries, object: u32) -> Option<Series> {
-    evidence
-        .binary_search_by_key(&object, |e| e.0)
-        .ok()
-        .and_then(|i| evidence[i].1.take())
+/// Append one (object, candidate) lane's column of point evidence to the
+/// variant's `columns` and return where it starts. The rule is the
+/// reference's, epoch by epoch: a value is reused from the previous run's
+/// series where the posterior at its epoch was reused, the object is not
+/// dirty there and the series holds the epoch; every other value is one
+/// fresh dot, and all of the lane's fresh dots run in one
+/// [`kernels::dot_each`] call, written in place. When every posterior was
+/// reused and the object is clean, the previous series is the column whole.
+/// A lane with no previous series skips the reuse cursors.
+fn fill_lane(
+    v: &mut DVariant,
+    oi: u32,
+    o: &LaneInputs<'_>,
+    fresh: &mut Vec<(u32, u32)>,
+    stats: &mut InferenceStats,
+) -> usize {
+    let start = v.columns.len();
+    let prev = v.prev_evidence.get(o.object);
+    if let Some((epochs, values)) = prev.filter(|_| v.fully_reused && o.clean) {
+        debug_assert!(epochs.iter().eq(o.obs.iter().map(|obs_at| &obs_at.epoch)));
+        stats.evidence_reused += values.len();
+        v.columns.extend_from_slice(values);
+        v.series.push((oi, start as u32));
+        return start;
+    }
+    v.columns.resize(start + o.obs.len(), 0.0);
+    let column = &mut v.columns[start..];
+    let posteriors = &v.epochs;
+    fresh.clear();
+    // A candidate's posterior epochs hold every epoch its objects were
+    // observed at, so the row cursor always lands on the observation's.
+    let mut q = 0usize;
+    let mut row_of = |t: Epoch| {
+        while posteriors[q] < t {
+            q += 1;
+        }
+        debug_assert_eq!(posteriors[q], t);
+        q as u32
+    };
+    match prev {
+        None => {
+            for (pos, obs_at) in o.obs.iter().enumerate() {
+                fresh.push((pos as u32, row_of(obs_at.epoch)));
+            }
+        }
+        Some((prev_epochs, prev_values)) => {
+            // A fully reused variant reused every one of its epochs.
+            let reused = if v.fully_reused { &v.epochs } else { &v.reused };
+            let (mut r, mut p) = (0usize, 0usize);
+            for (pos, obs_at) in o.obs.iter().enumerate() {
+                let t = obs_at.epoch;
+                let row = row_of(t);
+                while r < reused.len() && reused[r] < t {
+                    r += 1;
+                }
+                if reused.get(r) == Some(&t) && o.dirty_at.get(pos) != Some(&true) {
+                    while p < prev_epochs.len() && prev_epochs[p] < t {
+                        p += 1;
+                    }
+                    if prev_epochs.get(p) == Some(&t) {
+                        stats.evidence_reused += 1;
+                        column[pos] = prev_values[p];
+                        continue;
+                    }
+                }
+                fresh.push((pos as u32, row));
+            }
+        }
+    }
+    stats.evidence_computed += fresh.len();
+    let (qrows, nl) = (&v.qrows, o.num_locations);
+    kernels::dot_each(
+        fresh.len(),
+        |i| {
+            let (pos, row) = fresh[i];
+            let at = row as usize * nl;
+            (&qrows[at..at + nl], o.table.row(o.sets[pos as usize]))
+        },
+        |i, e| column[fresh[i].0 as usize] = e,
+    );
+    v.series.push((oi, start as u32));
+    start
 }
 
 /// Counting-sort the current assignment into per-slot member lists
@@ -650,7 +700,7 @@ pub(crate) fn rebuild_cache(
         }
     };
     let mut member_rows: Vec<&[f64]> = Vec::new();
-    let mut pending: Vec<(usize, u32)> = Vec::new();
+    let mut fresh: Vec<(usize, u32)> = Vec::new();
     let mut containers = BTreeMap::new();
     for (container, variants) in keys.containers() {
         let mut rebuilt = Vec::with_capacity(variants.len());
@@ -665,25 +715,27 @@ pub(crate) fn rebuild_cache(
                     &mut qrows,
                 );
             }
-            let mut evidence = BTreeMap::new();
+            let mut evidence = SeriesTable::default();
             for &object in &key.objects {
-                pending.clear();
-                let mut series = Vec::new();
+                fresh.clear();
                 for (t, set) in observed(object) {
                     if let Ok(at) = key.epochs.binary_search(&t) {
-                        pending.push((at, set));
-                        series.push((t, f64::NAN));
+                        fresh.push((at, set));
+                        evidence.epochs.push(t);
                     }
                 }
+                let start = evidence.values.len();
+                evidence.values.resize(start + fresh.len(), 0.0);
+                let column = &mut evidence.values[start..];
                 kernels::dot_each(
-                    pending.len(),
+                    fresh.len(),
                     |i| {
-                        let (at, set) = pending[i];
+                        let (at, set) = fresh[i];
                         (&qrows[at * nl..(at + 1) * nl], s.table.row(set))
                     },
-                    |i, e| series[i].1 = e,
+                    |i, e| column[i] = e,
                 );
-                evidence.insert(object, series);
+                evidence.ends.push((object, evidence.values.len() as u32));
             }
             rebuilt.push(CachedVariant {
                 members: key.members.clone(),
@@ -963,21 +1015,11 @@ pub(crate) fn run_dense(
                     Err(_) => continue 'variant,
                 }
             }
-            let evidence = v
-                .evidence
-                .into_iter()
-                .filter_map(|(o, series)| {
-                    s.tags
-                        .binary_search(&o)
-                        .ok()
-                        .map(|oi| (oi as u32, Some(series)))
-                })
-                .collect();
             converted.push(PrevVariant {
                 members,
                 epochs: v.epochs,
                 qrows: v.qrows,
-                evidence,
+                evidence: v.evidence,
             });
         }
     }
@@ -990,8 +1032,6 @@ pub(crate) fn run_dense(
     let mut retired: Vec<Vec<DVariant>> = Vec::with_capacity(num_rel);
     retired.resize_with(num_rel, Vec::new);
     let mut member_rows: Vec<&[f64]> = Vec::new();
-    // Lanes of the transposed M-step walk, reused across objects.
-    let mut walkers: Vec<MWalker> = Vec::new();
     let mut iterations = 0;
     for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
@@ -1026,7 +1066,7 @@ pub(crate) fn run_dense(
                 .map(|i| prev_slots[slot].swap_remove(i));
             let (prev_epochs, prev_qrows, prev_evidence) = match matched {
                 Some(v) => (v.epochs, v.qrows, v.evidence),
-                None => (Vec::new(), Vec::new(), Vec::new()),
+                None => (Vec::new(), Vec::new(), SeriesTable::default()),
             };
             // Dirty union over the container and its members, clamped to
             // the cached horizon.
@@ -1042,6 +1082,14 @@ pub(crate) fn run_dense(
             let needed_range =
                 s.epochs_start[slot] as usize..(s.epochs_start[slot] + s.epochs_len[slot]) as usize;
             let needed = &s.epochs_arena[needed_range];
+            // One point per observation of every object naming the
+            // container: the needed-epoch segment before its dedup, less
+            // the container's own observations.
+            let segment_end = s
+                .epochs_start
+                .get(slot + 1)
+                .map_or(s.epochs_arena.len(), |&e| e as usize);
+            let points = segment_end - s.epochs_start[slot] as usize - obs_of[ci as usize].len();
             // Whole-variant fast path, same condition as the reference.
             let fully_reused = !prev_epochs.is_empty()
                 && prev_epochs.as_slice() == needed
@@ -1058,7 +1106,8 @@ pub(crate) fn run_dense(
                     reused: Vec::new(),
                     fully_reused: true,
                     prev_evidence,
-                    evidence: Vec::new(),
+                    series: Vec::new(),
+                    columns: Vec::with_capacity(points),
                 });
                 continue;
             }
@@ -1134,7 +1183,8 @@ pub(crate) fn run_dense(
                 reused: reused_vec,
                 fully_reused: false,
                 prev_evidence,
-                evidence: Vec::new(),
+                series: Vec::new(),
+                columns: Vec::with_capacity(points),
             });
         }
 
@@ -1167,184 +1217,51 @@ pub(crate) fn run_dense(
                     continue;
                 }
             }
-            let o_dirty = dirty.epochs_of(s.tags[oi as usize]);
+            // Lane by lane: each candidate's weight is its prior plus its
+            // column of point evidence summed in epoch order — the column
+            // this iteration's variant already holds, or one `fill_lane`
+            // appends. Which epochs are dirty is worked out once for all
+            // lanes of the object.
             let o_obs = obs_of[oi as usize];
-            let o_sets = &s.set_ids
-                [s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-            // Lane-parallel M-step (the transposed walk): classify every
-            // candidate once, then drive all candidates that need the
-            // per-epoch walk through ONE pass over the object's
-            // observations — one lane per candidate series — in three
-            // passes. The walk (plan) makes every reuse decision and
-            // records each fresh dot in `s.pending`; one kernel call
-            // (compute) runs those dots; each lane's weight (accumulate) is
-            // its prior plus its series in epoch order. Each lane keeps the
-            // exact reuse decisions, dot products and sequence of additions
-            // of the reference's one-candidate-at-a-time walk, and no value
-            // flows between lanes, so every weight is bit-identical; only
-            // the order in which the dots are computed changes. The shared
-            // work — the o_obs cursor and the dirty test — is paid once per
-            // epoch instead of once per (candidate, epoch).
-            let o_clean = o_dirty.is_none_or(|d| d.is_empty());
-            debug_assert!(walkers.is_empty());
+            let o_dirty = dirty.epochs_of(s.tags[oi as usize]).unwrap_or_default();
+            s.dirty_at.clear();
+            if !o_dirty.is_empty() {
+                let mut d = 0usize;
+                s.dirty_at.extend(o_obs.iter().map(|obs_at| {
+                    while d < o_dirty.len() && o_dirty[d] < obs_at.epoch {
+                        d += 1;
+                    }
+                    o_dirty.get(d) == Some(&obs_at.epoch)
+                }));
+            }
+            let lane = LaneInputs {
+                object: s.tags[oi as usize],
+                obs: o_obs,
+                sets: &s.set_ids
+                    [s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize],
+                dirty_at: &s.dirty_at,
+                clean: o_dirty.is_empty(),
+                table: &s.table,
+                num_locations: nl,
+            };
             for flat in range.clone() {
-                let ci = s.cand_arena[flat];
-                let slot = s.slot_of[ci as usize] as usize;
+                let slot = s.slot_of[s.cand_arena[flat] as usize] as usize;
                 let mut w = s.prior_w[flat];
-                if let Some(variant) = current[slot].as_mut() {
-                    if let Some(series) = find_series(&variant.evidence, oi) {
+                if let Some(v) = current[slot].as_mut() {
+                    let start = match find_column(&v.series, oi) {
                         // Same variant as an earlier iteration: identical
-                        // inputs, identical series and summation order.
-                        stats.evidence_reused += series.len();
-                        for &(_, e) in series {
-                            w += e;
+                        // inputs, identical column.
+                        Some(start) => {
+                            stats.evidence_reused += o_obs.len();
+                            start
                         }
-                    } else {
-                        // Whole-series fast path: the variant's
-                        // posteriors all came from the cache and the
-                        // object is clean.
-                        let moved = (variant.fully_reused && o_clean)
-                            .then(|| take_prev_series(&mut variant.prev_evidence, oi))
-                            .flatten();
-                        if let Some(series) = moved {
-                            stats.evidence_reused += series.len();
-                            for &(_, e) in &series {
-                                w += e;
-                            }
-                            debug_assert!(
-                                variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                "evidence pushed out of object order"
-                            );
-                            variant.evidence.push((oi, series));
-                        } else {
-                            walkers.push(MWalker {
-                                flat: flat as u32,
-                                slot: slot as u32,
-                                series: Vec::with_capacity(o_obs.len()),
-                                q_cur: 0,
-                                r_cur: 0,
-                                prev_pos: 0,
-                            });
-                            continue;
-                        }
+                        None => fill_lane(v, oi, &lane, &mut s.fresh, &mut stats),
+                    };
+                    for &e in &v.columns[start..start + o_obs.len()] {
+                        w += e;
                     }
                 }
                 s.weights[flat] = w;
-            }
-            if !walkers.is_empty() {
-                // Bind each lane's inputs once — the posterior series,
-                // the reuse epochs and the previous run's series are
-                // shared borrows of `current`, so the walk reads flat
-                // slices instead of chasing through the variant on
-                // every epoch. (Distinct candidates name distinct
-                // slots; the variants themselves are only mutated
-                // after the walk, when the lanes are drained.) An object
-                // has a handful of candidates, so the bindings live on the
-                // stack; only an unusually wide row spills. A fully reused
-                // variant reused every one of its epochs.
-                let refs_of = |wk: &MWalker| -> MLaneRefs<'_> {
-                    let v = current[wk.slot as usize].as_ref().expect("walker variant");
-                    let reused = if v.fully_reused { &v.epochs } else { &v.reused };
-                    (
-                        v.epochs.as_slice(),
-                        v.qrows.as_slice(),
-                        reused.as_slice(),
-                        prev_series(&v.prev_evidence, oi),
-                    )
-                };
-                let mut inline: [MLaneRefs<'_>; 2 * kernels::LANES] =
-                    [(&[], &[], &[], None); 2 * kernels::LANES];
-                let spilled: Vec<MLaneRefs<'_>>;
-                let lane_refs: &[MLaneRefs<'_>] = if walkers.len() <= inline.len() {
-                    for (refs, wk) in inline.iter_mut().zip(&walkers) {
-                        *refs = refs_of(wk);
-                    }
-                    &inline[..walkers.len()]
-                } else {
-                    spilled = walkers.iter().map(refs_of).collect();
-                    &spilled
-                };
-                // Plan: walk the object's observations, reusing what the
-                // cache holds and recording every fresh dot.
-                s.pending.clear();
-                let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
-                for (pos, obs_at) in o_obs.iter().enumerate() {
-                    let t = obs_at.epoch;
-                    // The dirty test depends only on (object, epoch):
-                    // hoisted out of the per-candidate walks. Same
-                    // monotone cursor, same boolean per epoch.
-                    let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
-                        while it.peek().is_some_and(|dt| **dt < t) {
-                            it.next();
-                        }
-                        it.peek().is_some_and(|dt| **dt == t)
-                    });
-                    for (l, (wk, refs)) in walkers.iter_mut().zip(lane_refs).enumerate() {
-                        let (epochs, _, reused, prev) = *refs;
-                        // A candidate's needed epochs hold every epoch its
-                        // objects were observed at, so the cursor always
-                        // lands on `t`.
-                        while epochs[wk.q_cur] < t {
-                            wk.q_cur += 1;
-                        }
-                        debug_assert_eq!(epochs[wk.q_cur], t);
-                        while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
-                            wk.r_cur += 1;
-                        }
-                        if reused.get(wk.r_cur) == Some(&t) && !o_dirty_here {
-                            if let Some(series) = prev {
-                                while wk.prev_pos < series.len() && series[wk.prev_pos].0 < t {
-                                    wk.prev_pos += 1;
-                                }
-                                if let Some(&(pt, e)) = series.get(wk.prev_pos) {
-                                    if pt == t {
-                                        stats.evidence_reused += 1;
-                                        wk.series.push((t, e));
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                        stats.evidence_computed += 1;
-                        s.pending.push(PendingDot {
-                            lane: l as u32,
-                            at: wk.series.len() as u32,
-                            q_row: wk.q_cur as u32,
-                            set: o_sets[pos],
-                        });
-                        wk.series.push((t, f64::NAN));
-                    }
-                }
-                // Compute: every fresh dot of the object in one kernel
-                // call, each written over its placeholder.
-                let (pending, table) = (&s.pending, &s.table);
-                kernels::dot_each(
-                    pending.len(),
-                    |i| {
-                        let p = pending[i];
-                        let at = p.q_row as usize * nl;
-                        (&lane_refs[p.lane as usize].1[at..at + nl], table.row(p.set))
-                    },
-                    |i, e| {
-                        let p = pending[i];
-                        walkers[p.lane as usize].series[p.at as usize].1 = e;
-                    },
-                );
-                // Accumulate: prior first, then the series in epoch order —
-                // the additions the reference makes as it walks.
-                for wk in walkers.drain(..) {
-                    let mut w = s.prior_w[wk.flat as usize];
-                    for &(_, e) in &wk.series {
-                        w += e;
-                    }
-                    s.weights[wk.flat as usize] = w;
-                    let v = current[wk.slot as usize].as_mut().expect("walker variant");
-                    debug_assert!(
-                        v.evidence.last().is_none_or(|e| e.0 < oi),
-                        "evidence pushed out of object order"
-                    );
-                    v.evidence.push((oi, wk.series));
-                }
             }
             s.new_assign[k] = argmax_weight(
                 &s.cand_sorted,
@@ -1382,17 +1299,31 @@ pub(crate) fn run_dense(
                 chosen.push(candidate);
             }
         }
+        // A variant's columns become its cached table's values as they
+        // are; each series' epochs are its object's observed epochs.
         let variants: Vec<CachedVariant> = chosen
             .into_iter()
-            .map(|v| CachedVariant {
-                members: v.members.iter().map(|&m| s.tags[m as usize]).collect(),
-                epochs: v.epochs,
-                qrows: v.qrows,
-                evidence: v
-                    .evidence
-                    .into_iter()
-                    .map(|(o, series)| (s.tags[o as usize], series))
-                    .collect(),
+            .map(|v| {
+                let mut evidence = SeriesTable {
+                    ends: Vec::with_capacity(v.series.len()),
+                    epochs: Vec::with_capacity(v.columns.len()),
+                    values: v.columns,
+                };
+                for &(oi, start) in &v.series {
+                    debug_assert_eq!(start as usize, evidence.epochs.len());
+                    let own = obs_of[oi as usize];
+                    evidence
+                        .epochs
+                        .extend(own.iter().map(|obs_at| obs_at.epoch));
+                    let end = evidence.epochs.len() as u32;
+                    evidence.ends.push((s.tags[oi as usize], end));
+                }
+                CachedVariant {
+                    members: v.members.iter().map(|&m| s.tags[m as usize]).collect(),
+                    epochs: v.epochs,
+                    qrows: v.qrows,
+                    evidence,
+                }
             })
             .collect();
         containers.insert(s.tags[s.rel[slot] as usize], variants);
@@ -1456,11 +1387,11 @@ fn build_outcome(
             let variant = current[s.slot_of[ci as usize] as usize]
                 .as_ref()
                 .expect("every candidate's container has a variant");
-            let series = find_series(&variant.evidence, oi)
-                .expect("the M-step stores every candidate's series");
-            debug_assert!(series.iter().map(|p| p.0).eq(own.iter().map(|o| o.epoch)));
-            stats.evidence_reused += series.len();
-            out.evidence.extend(series.iter().map(|&(_, e)| e));
+            let start = find_column(&variant.series, oi)
+                .expect("the M-step stores every candidate's column");
+            stats.evidence_reused += own.len();
+            out.evidence
+                .extend_from_slice(&variant.columns[start..start + own.len()]);
             out.candidates.push(Candidate {
                 container: s.tags[ci as usize],
                 weight: s.weights[flat],
@@ -1552,4 +1483,91 @@ fn build_outcome(
     out.located.shrink_to_fit();
     out.locations.shrink_to_fit();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::rfinfer::{DirtySet, EvidenceCache, InferenceOutcome, RfInfer};
+    use crate::{reference, DenseScratch, LikelihoodModel, Observations};
+    use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId};
+
+    fn feed(obs: &mut Observations, dirty: &mut DirtySet, readings: &[(u32, TagId, u16)]) {
+        for &(t, tag, reader) in readings {
+            if obs.insert(RawReading::new(Epoch(t), tag, ReaderId(reader))) {
+                dirty.record(tag, Epoch(t));
+            }
+        }
+    }
+
+    /// Every weight and point-evidence column of `outcome`, as bits.
+    fn bits(outcome: &InferenceOutcome) -> Vec<(TagId, TagId, u64, Vec<u64>)> {
+        let mut all = Vec::new();
+        for row in outcome.objects() {
+            for ((c, w), (_, column)) in row.weights().zip(row.columns()) {
+                let column = column.iter().map(|e| e.to_bits()).collect();
+                all.push((row.object(), c, w.to_bits(), column));
+            }
+        }
+        all
+    }
+
+    /// One object, three candidate lanes, three M-step paths in one run.
+    /// `item(1)` travels with `case(1)` at reader 0 over epochs 0–5; `case(2)`
+    /// shares reader 0 at epochs 0 and 1, `case(3)` at epoch 2. Between the
+    /// runs `item(1)` gets no reading (it is clean), so:
+    /// * `case(1)`'s variant is reused whole, and so is `item(1)`'s series
+    ///   against it — moved from the cache;
+    /// * `case(2)` gains a second reader at epoch 3, which invalidates its
+    ///   posterior there only — one fresh dot, five values reused;
+    /// * `item(3)` appears with `case(3)` at epochs 6–8, so `case(3)`'s member
+    ///   set changes and no cached variant matches — a fresh lane of six dots.
+    #[test]
+    fn one_objects_lanes_take_all_three_paths_bit_identically() {
+        let model = LikelihoodModel::new(ReadRateTable::diagonal(3, 0.8, 1e-4));
+        let (item, case) = (TagId::item, TagId::case);
+        let mut first = Vec::new();
+        for t in 0..6 {
+            first.push((t, item(1), 0));
+            first.push((t, case(1), 0));
+            first.push((t, case(2), if t < 2 { 0 } else { 1 }));
+            first.push((t, case(3), if t == 2 { 0 } else { 2 }));
+        }
+        let mut second = vec![(3, case(2), 2)];
+        for t in 6..9 {
+            second.push((t, item(3), 2));
+            second.push((t, case(3), 2));
+        }
+
+        let (mut obs, mut dirty) = (Observations::new(), DirtySet::new());
+        let (mut cache, mut scratch) = (EvidenceCache::new(), DenseScratch::default());
+        let mut tree_cache = EvidenceCache::new();
+        feed(&mut obs, &mut dirty, &first);
+        let infer = RfInfer::new(&model, &obs);
+        infer.run_incremental(&mut cache, &dirty, &mut scratch);
+        reference::run_tree(&infer, Some((&mut tree_cache, &dirty)));
+
+        let mut dirty = DirtySet::new();
+        feed(&mut obs, &mut dirty, &second);
+        assert!(dirty.epochs_of(item(1)).is_none(), "item(1) stays clean");
+        let infer = RfInfer::new(&model, &obs);
+        let (outcome, stats) = infer.run_incremental(&mut cache, &dirty, &mut scratch);
+        let (tree_outcome, tree_stats) =
+            reference::run_tree(&infer, Some((&mut tree_cache, &dirty)));
+
+        let full = infer.run();
+        assert_eq!(bits(&outcome), bits(&full));
+        assert_eq!(bits(&outcome), bits(&tree_outcome));
+        let row = outcome.object(item(1)).expect("item(1) is inferred");
+        let candidates: Vec<TagId> = row.weights().map(|(c, _)| c).collect();
+        assert_eq!(candidates, [case(1), case(2), case(3)]);
+        assert_eq!(outcome.iterations, 1);
+        // item(1): 6 moved + 5 reused beside 1 fresh + 6 fresh; item(3): 3
+        // fresh; then the outcome copies all 3 × 6 + 1 × 3 columns.
+        assert_eq!(
+            (stats.evidence_reused, stats.evidence_computed),
+            (6 + 5 + 21, 1 + 6 + 3)
+        );
+        assert_eq!(stats, tree_stats);
+        assert_eq!(cache, tree_cache);
+    }
 }

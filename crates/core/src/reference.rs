@@ -12,7 +12,7 @@
 
 use crate::posterior::{container_posterior, Posterior};
 use crate::rfinfer::{
-    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, RfInfer,
+    CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, RfInfer, SeriesTable,
     CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
 use rfid_types::{Epoch, LocationId, TagId};
@@ -50,11 +50,15 @@ impl Variant {
             epochs.push(*t);
             qrows.extend_from_slice(q.probs());
         }
+        let mut evidence = SeriesTable::default();
+        for (o, series) in self.evidence {
+            evidence.push(o, series);
+        }
         CachedVariant {
             members: self.members,
             epochs,
             qrows,
-            evidence: self.evidence,
+            evidence,
         }
     }
 }
@@ -216,7 +220,13 @@ pub fn run_tree(
                     v.rows()
                         .map(|(t, row)| (t, Posterior::from_probs(row.to_vec())))
                         .collect(),
-                    v.evidence,
+                    v.evidence
+                        .iter()
+                        .map(|(o, epochs, values)| {
+                            let series = epochs.iter().copied().zip(values.iter().copied());
+                            (o, series.collect())
+                        })
+                        .collect(),
                 ),
                 None => (Vec::new(), BTreeMap::new()),
             };

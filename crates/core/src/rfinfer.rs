@@ -640,7 +640,62 @@ pub(crate) struct CachedVariant {
     /// order: one row per epoch.
     pub(crate) qrows: Vec<f64>,
     /// Per-object point-evidence series computed against those posteriors.
-    pub(crate) evidence: BTreeMap<TagId, Vec<(Epoch, f64)>>,
+    pub(crate) evidence: SeriesTable,
+}
+
+/// The point-evidence series of several objects against one cached
+/// variant, back to back: object by object in ascending order, each series
+/// a run of epochs in `epochs` beside its values in `values`. One table per
+/// variant, so a run hands its columns of point evidence to the cache
+/// without an allocation per series.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SeriesTable {
+    /// Each object with a series and the end of its run in `epochs` and
+    /// `values`, ascending by object.
+    pub(crate) ends: Vec<(TagId, u32)>,
+    /// The epochs of every series, concatenated; ascending within a series.
+    pub(crate) epochs: Vec<Epoch>,
+    /// `e_co(t)` at each entry of `epochs`.
+    pub(crate) values: Vec<f64>,
+}
+
+impl SeriesTable {
+    /// The objects with a series, ascending.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = TagId> + '_ {
+        self.ends.iter().map(|&(object, _)| object)
+    }
+
+    /// Every series in object order: `(object, epochs, values)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TagId, &[Epoch], &[f64])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&(_, end)| end));
+        self.ends.iter().zip(starts).map(|(&(object, end), start)| {
+            let run = start as usize..end as usize;
+            (object, &self.epochs[run.clone()], &self.values[run])
+        })
+    }
+
+    /// The series of `object`, if it has one: its epochs and values.
+    pub(crate) fn get(&self, object: TagId) -> Option<(&[Epoch], &[f64])> {
+        let at = self.ends.binary_search_by_key(&object, |e| e.0).ok()?;
+        let start = at
+            .checked_sub(1)
+            .map_or(0, |prev| self.ends[prev].1 as usize);
+        let run = start..self.ends[at].1 as usize;
+        Some((&self.epochs[run.clone()], &self.values[run]))
+    }
+
+    /// Append `object`'s series; objects must be pushed in ascending order.
+    pub(crate) fn push(&mut self, object: TagId, points: impl IntoIterator<Item = (Epoch, f64)>) {
+        debug_assert!(
+            self.ends.last().is_none_or(|e| e.0 < object),
+            "series pushed out of object order"
+        );
+        for (t, e) in points {
+            self.epochs.push(t);
+            self.values.push(e);
+        }
+        self.ends.push((object, self.epochs.len() as u32));
+    }
 }
 
 impl CachedVariant {
@@ -658,7 +713,7 @@ impl CachedVariant {
         VariantKey {
             members: self.members.clone(),
             epochs: self.epochs.clone(),
-            objects: self.evidence.keys().copied().collect(),
+            objects: self.evidence.objects().collect(),
         }
     }
 }
