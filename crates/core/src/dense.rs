@@ -23,11 +23,16 @@
 //!   and the point-evidence evaluations,
 //! * the inner loops run through the chunk-of-8 `kernels` — lane-parallel
 //!   loglik row fills, in-place log-sum-exp normalization and the M-step's
-//!   point-evidence dots, which the walk over an object's observations only
-//!   plans and `kernels::dot_each` then runs as independent dots, each in
-//!   its own accumulator — plus an epoch-indexed candidate-pruning pass; they
+//!   point-evidence dots — plus an epoch-indexed candidate-pruning pass; they
 //!   run lanes across locations or whole dots only, never across the terms
 //!   of one accumulator,
+//! * the M-step goes lane by lane, one (object, candidate) pair at a time:
+//!   the object's dirty epochs are worked out once, each lane merges the
+//!   object's observations into its variant's epochs once, takes reused
+//!   values from the previous run's series (a lane without one skips the
+//!   reuse cursors), and runs its fresh dots in one `kernels::dot_each` call,
+//!   each in its own accumulator, written in place into the lane's `f64`
+//!   column; the weight is the prior plus the column in epoch order,
 //! * all of it backed by [`DenseScratch`] buffers the engine keeps alive
 //!   across runs, so the streaming steady state allocates almost nothing.
 //!
@@ -35,9 +40,12 @@
 //! the ascending tag order, and nothing outside the run ever sees one. What
 //! leaves the run names tags, not indices: the [`InferenceOutcome`] arenas,
 //! filled from the final variants row by row (each candidate's column of
-//! point evidence is copied out of the series the M-step stored in the
-//! variant, never re-derived), and
-//! the [`EvidenceCache`] variants that seed the next incremental run.
+//! point evidence is copied out of the column the M-step stored in the
+//! variant, never re-derived), and the [`EvidenceCache`] variants that seed
+//! the next incremental run. A variant's columns sit back to back in one
+//! arena, each aligned with its object's observations (every lane of an
+//! object shares those epochs), and pass to the cache as its series table's
+//! values without a copy.
 //!
 //! The solver replays the exact control flow of the reference EM — same
 //! candidate ranking, same initial assignment, same variant memoization and
@@ -700,7 +708,7 @@ pub(crate) fn rebuild_cache(
         }
     };
     let mut member_rows: Vec<&[f64]> = Vec::new();
-    let mut fresh: Vec<(usize, u32)> = Vec::new();
+    let mut pending: Vec<(usize, u32)> = Vec::new();
     let mut containers = BTreeMap::new();
     for (container, variants) in keys.containers() {
         let mut rebuilt = Vec::with_capacity(variants.len());
@@ -717,20 +725,20 @@ pub(crate) fn rebuild_cache(
             }
             let mut evidence = SeriesTable::default();
             for &object in &key.objects {
-                fresh.clear();
+                pending.clear();
                 for (t, set) in observed(object) {
                     if let Ok(at) = key.epochs.binary_search(&t) {
-                        fresh.push((at, set));
+                        pending.push((at, set));
                         evidence.epochs.push(t);
                     }
                 }
                 let start = evidence.values.len();
-                evidence.values.resize(start + fresh.len(), 0.0);
+                evidence.values.resize(start + pending.len(), 0.0);
                 let column = &mut evidence.values[start..];
                 kernels::dot_each(
-                    fresh.len(),
+                    pending.len(),
                     |i| {
-                        let (at, set) = fresh[i];
+                        let (at, set) = pending[i];
                         (&qrows[at * nl..(at + 1) * nl], s.table.row(set))
                     },
                     |i, e| column[i] = e,
