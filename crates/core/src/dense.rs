@@ -708,7 +708,8 @@ pub(crate) fn rebuild_cache(
         }
     };
     let mut member_rows: Vec<&[f64]> = Vec::new();
-    let mut pending: Vec<(usize, u32)> = Vec::new();
+    let mut pending: Vec<(Epoch, usize, u32)> = Vec::new();
+    let mut column: Vec<f64> = Vec::new();
     let mut containers = BTreeMap::new();
     for (container, variants) in keys.containers() {
         let mut rebuilt = Vec::with_capacity(variants.len());
@@ -728,22 +729,21 @@ pub(crate) fn rebuild_cache(
                 pending.clear();
                 for (t, set) in observed(object) {
                     if let Ok(at) = key.epochs.binary_search(&t) {
-                        pending.push((at, set));
-                        evidence.epochs.push(t);
+                        pending.push((t, at, set));
                     }
                 }
-                let start = evidence.values.len();
-                evidence.values.resize(start + pending.len(), 0.0);
-                let column = &mut evidence.values[start..];
+                column.clear();
+                column.resize(pending.len(), 0.0);
                 kernels::dot_each(
                     pending.len(),
                     |i| {
-                        let (at, set) = pending[i];
+                        let (_, at, set) = pending[i];
                         (&qrows[at * nl..(at + 1) * nl], s.table.row(set))
                     },
                     |i, e| column[i] = e,
                 );
-                evidence.ends.push((object, evidence.values.len() as u32));
+                let epochs = pending.iter().map(|&(t, _, _)| t);
+                evidence.push(object, epochs.zip(column.iter().copied()));
             }
             rebuilt.push(CachedVariant {
                 members: key.members.clone(),
@@ -1312,25 +1312,15 @@ pub(crate) fn run_dense(
         let variants: Vec<CachedVariant> = chosen
             .into_iter()
             .map(|v| {
-                let mut evidence = SeriesTable {
-                    ends: Vec::with_capacity(v.series.len()),
-                    epochs: Vec::with_capacity(v.columns.len()),
-                    values: v.columns,
-                };
-                for &(oi, start) in &v.series {
-                    debug_assert_eq!(start as usize, evidence.epochs.len());
-                    let own = obs_of[oi as usize];
-                    evidence
-                        .epochs
-                        .extend(own.iter().map(|obs_at| obs_at.epoch));
-                    let end = evidence.epochs.len() as u32;
-                    evidence.ends.push((s.tags[oi as usize], end));
-                }
+                let series = v.series.iter().map(|&(oi, _)| {
+                    let own = obs_of[oi as usize].iter().map(|obs_at| obs_at.epoch);
+                    (s.tags[oi as usize], own)
+                });
                 CachedVariant {
                     members: v.members.iter().map(|&m| s.tags[m as usize]).collect(),
                     epochs: v.epochs,
                     qrows: v.qrows,
-                    evidence,
+                    evidence: SeriesTable::from_values(v.columns, series),
                 }
             })
             .collect();

@@ -652,14 +652,43 @@ pub(crate) struct CachedVariant {
 pub(crate) struct SeriesTable {
     /// Each object with a series and the end of its run in `epochs` and
     /// `values`, ascending by object.
-    pub(crate) ends: Vec<(TagId, u32)>,
+    ends: Vec<(TagId, u32)>,
     /// The epochs of every series, concatenated; ascending within a series.
-    pub(crate) epochs: Vec<Epoch>,
-    /// `e_co(t)` at each entry of `epochs`.
-    pub(crate) values: Vec<f64>,
+    epochs: Vec<Epoch>,
+    /// `e_co(t)` at each entry of `epochs`, so as long as `epochs`.
+    values: Vec<f64>,
 }
 
 impl SeriesTable {
+    /// A table over `values`, cut into one run per `(object, epochs)` of
+    /// `series` in order, each run as long as its epochs. Objects must
+    /// ascend.
+    pub(crate) fn from_values<E: IntoIterator<Item = Epoch>>(
+        values: Vec<f64>,
+        series: impl IntoIterator<Item = (TagId, E)>,
+    ) -> SeriesTable {
+        let series = series.into_iter();
+        let mut table = SeriesTable {
+            ends: Vec::with_capacity(series.size_hint().0),
+            epochs: Vec::with_capacity(values.len()),
+            values,
+        };
+        for (object, epochs) in series {
+            debug_assert!(
+                table.ends.last().is_none_or(|e| e.0 < object),
+                "series out of object order"
+            );
+            table.epochs.extend(epochs);
+            table.ends.push((object, table.epochs.len() as u32));
+        }
+        assert_eq!(
+            table.epochs.len(),
+            table.values.len(),
+            "one value per series epoch"
+        );
+        table
+    }
+
     /// The objects with a series, ascending.
     pub(crate) fn objects(&self) -> impl Iterator<Item = TagId> + '_ {
         self.ends.iter().map(|&(object, _)| object)
