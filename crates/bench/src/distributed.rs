@@ -10,8 +10,8 @@ use crate::report::{
 use crate::{figures, Scale, MILLI, PCT, RATE};
 use rfid_core::{InferenceConfig, MemoryBudget};
 use rfid_dist::{
-    assert_audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind,
-    MigrationStrategy,
+    assert_audit, assert_identical, DistributedConfig, DistributedDriver, DistributedOutcome,
+    MessageKind, MigrationStrategy,
 };
 use rfid_eval::PrecisionRecall;
 use rfid_query::{Alert, ExposureQuery, QueryProcessor};
@@ -50,15 +50,8 @@ fn dist_config(strategy: MigrationStrategy) -> DistributedConfig {
 /// ground truth, evaluated at the end of the trace.
 pub fn chain_containment_error(chain: &ChainTrace, outcome: &DistributedOutcome) -> f64 {
     let end = Epoch(chain.sites[0].meta.length);
-    let objects = chain.objects();
-    if objects.is_empty() {
-        return 0.0;
-    }
-    let wrong = objects
-        .iter()
-        .filter(|&&o| outcome.container_of(o) != chain.containment.container_at(o, end))
-        .count();
-    100.0 * wrong as f64 / objects.len() as f64
+    let estimate = |object| outcome.container_of(object);
+    rfid_eval::containment_error(&chain.containment, estimate, &chain.objects(), end)
 }
 
 /// Figures 5(e) and 5(f) from one sweep: distributed inference error of the
@@ -313,13 +306,12 @@ fn accuracy(chain: &ChainTrace, outcome: &DistributedOutcome) -> f64 {
     100.0 - chain_containment_error(chain, outcome)
 }
 
-/// Run `config(workers)` sequentially and with one worker per site and
-/// require the two outcomes identical — containment, communication, custody,
-/// transport counters, quarantine entries, memory counters and per-edge
-/// conservation ledgers — so a tracked table measures the injected faults,
-/// never the executor. Both outcomes must also pass the full invariant-oracle
-/// battery of [`rfid_dist::audit`]: a run that cannot account for every
-/// envelope aborts instead of producing a row. Returns
+/// Run `config(workers)` sequentially and on eight workers and require the
+/// two outcomes identical in every deterministic field
+/// ([`rfid_dist::assert_identical`]), so a tracked table measures the
+/// injected faults, never the executor. Both outcomes must also pass the
+/// full invariant-oracle battery of [`rfid_dist::audit`]: a run that cannot
+/// account for every envelope aborts instead of producing a row. Returns
 /// `[sequential, parallel]`.
 fn run_on_both_executors(
     chain: &ChainTrace,
@@ -328,16 +320,7 @@ fn run_on_both_executors(
 ) -> [DistributedOutcome; 2] {
     let sequential = DistributedDriver::new(config(1)).run(chain);
     let parallel = DistributedDriver::new(config(8)).run(chain);
-    assert_eq!(
-        sequential.containment, parallel.containment,
-        "{label}: the fault plan must injure both executors identically"
-    );
-    assert_eq!(sequential.comm, parallel.comm, "{label}");
-    assert_eq!(sequential.ons, parallel.ons, "{label}");
-    assert_eq!(sequential.transport, parallel.transport, "{label}");
-    assert_eq!(sequential.quarantine, parallel.quarantine, "{label}");
-    assert_eq!(sequential.memory, parallel.memory, "{label}");
-    assert_eq!(sequential.ledgers, parallel.ledgers, "{label}");
+    assert_identical(&sequential, &parallel, label);
     assert_audit(chain, &sequential);
     assert_audit(chain, &parallel);
     [sequential, parallel]
@@ -350,11 +333,10 @@ fn run_on_both_executors(
 /// and 2 workers, which shows the scheduler running many more sites than it
 /// has threads.
 ///
-/// Every row's outcome equals its chain's one-worker outcome (asserted here
-/// on containment and communication totals; the full field-by-field
-/// guarantee is pinned by `crates/dist/tests/parallel_determinism.rs`), so
-/// the table isolates pure execution-model cost: coordination overhead on
-/// one core, scale-out on many.
+/// Every row's outcome equals its chain's one-worker outcome in every
+/// deterministic field ([`rfid_dist::assert_identical`]), so the table
+/// isolates pure execution-model cost: coordination overhead on one core,
+/// scale-out on many.
 pub fn parallel_scaling(scale: Scale) -> Report {
     let mut section = Section::new(
         "parallel_scaling",
@@ -384,11 +366,8 @@ pub fn parallel_scaling(scale: Scale) -> Report {
                 one_secs
             } else {
                 let (outcome, secs) = timed(workers);
-                assert_eq!(
-                    one.containment, outcome.containment,
-                    "{workers} workers must not change the outcome"
-                );
-                assert_eq!(one.comm, outcome.comm);
+                let label = format!("{sites} sites on {workers} workers");
+                assert_identical(&one, &outcome, &label);
                 secs
             };
             #[rustfmt::skip] // a wall-clock study: printed, never written

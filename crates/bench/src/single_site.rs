@@ -110,8 +110,9 @@ pub fn evaluate_rfinfer(trace: &Trace, config: InferenceConfig) -> SingleSiteEva
     // Containment error at the end of the trace.
     let objects = trace.objects();
     let end = Epoch(horizon);
+    let truth = &trace.truth.containment;
     let containment_error =
-        rfid_eval::containment_error(&trace.truth, |o| engine.container_of(o), &objects, end);
+        rfid_eval::containment_error(truth, |o| engine.container_of(o), &objects, end);
 
     // Location error over the sampled (tag, epoch) pairs.
     let evaluated = location_samples.len().max(1);
@@ -147,8 +148,9 @@ pub fn evaluate_smurf_star(trace: &Trace) -> SingleSiteEval {
 
     let objects = trace.objects();
     let end = Epoch(trace.meta.length);
+    let truth = &trace.truth.containment;
     let containment_error =
-        rfid_eval::containment_error(&trace.truth, |o| outcome.container_of(o), &objects, end);
+        rfid_eval::containment_error(truth, |o| outcome.container_of(o), &objects, end);
 
     // Evaluate SMURF*'s location estimates at the same kind of epochs as
     // RFINFER's: the epochs at which each tag was actually observed.

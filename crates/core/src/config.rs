@@ -10,8 +10,7 @@ pub enum ThresholdPolicy {
     /// Use a fixed threshold value.
     Fixed(f64),
     /// Calibrate offline by sampling hypothetical observation sequences from
-    /// the model (Section 3.3); an engine calibrates once, lazily, before its
-    /// first inference run.
+    /// the model (Section 3.3); an engine calibrates once, when it is built.
     #[default]
     Calibrated,
 }

@@ -32,16 +32,17 @@ use std::time::{Duration, Instant};
 /// A snapshot keeps the engine's inputs, not what it derived from them
 /// (§4.1's migration ships inference inputs for the same reason): the
 /// observation store, the imported prior weights, the containment estimate,
-/// the detected-change log, the dirty journal, the calibrated threshold and
-/// the epoch of the last run. Of the last outcome it keeps what is read
-/// between runs — containment, ranked candidates, weights, assignments and
-/// location runs, for export, `events_at` and `location_of` — but not the
-/// evidence tables (each row's epochs and point evidence), which only change
-/// detection and truncation read, inside the run that built them. Of the
-/// evidence cache it keeps only the [`CacheKeys`]; restore recomputes every
-/// posterior row and series from the restored store. The configuration and
-/// likelihood model are not included (a restore target is constructed with
-/// those), nor the dense-solver scratch arenas (capacity only).
+/// the detected-change log, the dirty journal and the epoch of the last run.
+/// Of the last outcome it keeps what is read between runs — containment,
+/// ranked candidates, weights, assignments and location runs, for export,
+/// `events_at` and `location_of` — but not the evidence tables (each row's
+/// epochs and point evidence), which only change detection and truncation
+/// read, inside the run that built them. Of the evidence cache it keeps only
+/// the [`CacheKeys`]; restore recomputes every posterior row and series from
+/// the restored store. The configuration, the
+/// likelihood model and the change-point threshold δ resolved from them are
+/// not included (a restore target is constructed with those), nor the
+/// dense-solver scratch arenas (capacity only).
 ///
 /// `restore(snapshot)` after `snapshot()` is lossless: every subsequent
 /// inference run produces the outcome and [`InferenceStats`] of an engine
@@ -61,8 +62,6 @@ pub struct EngineSnapshot {
     pub last_outcome: Option<InferenceOutcome>,
     /// The epoch of the most recent inference run.
     pub last_inference_at: Option<Epoch>,
-    /// The cached change-point threshold, if calibration has happened.
-    pub threshold: Option<f64>,
     /// The dirty-set journal of store changes since the last run.
     pub dirty: DirtySet,
     /// The keys of the cross-run posterior/evidence cache.
@@ -144,7 +143,9 @@ pub struct InferenceEngine {
     detected: Vec<DetectedChange>,
     last_outcome: Option<Arc<InferenceOutcome>>,
     last_inference_at: Option<Epoch>,
-    threshold: Option<f64>,
+    /// The change-point threshold δ, resolved from `config.change_detection`
+    /// at construction; `None` with detection off.
+    delta: Option<f64>,
     /// Journal of (tag, epoch) store changes since the last run.
     dirty: DirtySet,
     /// Cross-run posterior/evidence cache for incremental runs.
@@ -157,18 +158,20 @@ pub struct InferenceEngine {
 
 impl InferenceEngine {
     /// Create an engine for a site whose readers have the given read-rate
-    /// table.
+    /// table. A `Calibrated` change-detection policy is calibrated here,
+    /// once.
     pub fn new(config: InferenceConfig, rates: ReadRateTable) -> InferenceEngine {
+        let model = LikelihoodModel::new(rates);
         InferenceEngine {
+            delta: config.change_detection.map(|policy| policy.resolve(&model)),
             config,
-            model: LikelihoodModel::new(rates),
+            model,
             store: Observations::new(),
             prior: PriorWeights::empty(),
             containment: ContainmentMap::new(),
             detected: Vec::new(),
             last_outcome: None,
             last_inference_at: None,
-            threshold: None,
             dirty: DirtySet::new(),
             cache: EvidenceCache::new(),
             scratch: DenseScratch::default(),
@@ -245,13 +248,6 @@ impl InferenceEngine {
             reason = "feeds only InferenceReport::duration (summed into DistributedOutcome::inference_wall), which never branches inference; logical time is the `now: Epoch` argument"
         )]
         let started = Instant::now();
-        // Calibrate the change threshold up front (it is lazy and needs
-        // `&mut self`; everything after this runs on disjoint borrows).
-        let threshold = if self.config.change_detection.is_some() {
-            self.calibrate_threshold()
-        } else {
-            f64::INFINITY
-        };
         // Nothing reads the previous outcome once a run starts: freeing it
         // first keeps one outcome per engine alive, not two.
         self.last_outcome = None;
@@ -274,8 +270,8 @@ impl InferenceEngine {
 
         // ...refined by change-point detection (Section 3.3 / Appendix A.2).
         let mut changes = Vec::new();
-        if self.config.change_detection.is_some() {
-            changes = detect_changes(&outcome, threshold);
+        if let Some(delta) = self.delta {
+            changes = detect_changes(&outcome, delta);
             for change in &changes {
                 if let Some(new_container) = change.new_container {
                     self.containment.set(change.object, new_container);
@@ -394,22 +390,11 @@ impl InferenceEngine {
         self.store.len()
     }
 
-    /// The change-point threshold in force, if it has been computed — a pure
-    /// read. `None` means the lazy calibration has not happened yet; call
-    /// [`Self::calibrate_threshold`] to force it.
+    /// The change-point threshold δ the configured
+    /// [`ThresholdPolicy`](crate::ThresholdPolicy) resolved to when the
+    /// engine was built; `None` with change detection off.
     pub fn threshold(&self) -> Option<f64> {
-        self.threshold
-    }
-
-    /// Compute (once) and cache the change-point threshold the configured
-    /// [`ThresholdPolicy`](crate::ThresholdPolicy) resolves to (infinite with
-    /// detection off), and return it. Subsequent calls — and
-    /// [`Self::threshold`] reads — return the cached value.
-    pub fn calibrate_threshold(&mut self) -> f64 {
-        let (policy, model) = (self.config.change_detection, &self.model);
-        *self
-            .threshold
-            .get_or_insert_with(|| policy.map_or(f64::INFINITY, |p| p.resolve(model)))
+        self.delta
     }
 
     /// Export the collapsed inference state of one object (Section 4.1,
@@ -613,7 +598,6 @@ impl InferenceEngine {
             detected: self.detected.clone(),
             last_outcome: self.last_outcome.as_ref().map(|o| o.without_evidence()),
             last_inference_at: self.last_inference_at,
-            threshold: self.threshold,
             dirty: self.dirty.clone(),
             cache: self.cache.keys(),
         }
@@ -633,7 +617,6 @@ impl InferenceEngine {
         self.detected = snapshot.detected;
         self.last_outcome = snapshot.last_outcome.map(Arc::new);
         self.last_inference_at = snapshot.last_inference_at;
-        self.threshold = snapshot.threshold;
         self.dirty = snapshot.dirty;
         self.scratch = DenseScratch::default();
         self.cache = crate::dense::rebuild_cache(
@@ -673,6 +656,7 @@ fn locate(
 mod tests {
     use super::*;
     use crate::truncate::TruncationPolicy;
+    use crate::ThresholdPolicy;
     use rfid_types::ReaderId;
 
     fn rates() -> ReadRateTable {
@@ -999,25 +983,48 @@ mod tests {
         assert_eq!(live.snapshot(), restored.snapshot());
     }
 
+    /// δ is resolved when the engine is built: `Some` from construction on
+    /// under either policy, `None` with detection off.
     #[test]
-    fn fixed_and_calibrated_thresholds_are_produced() {
-        let mut fixed = InferenceEngine::new(
-            InferenceConfig::default().with_fixed_threshold(42.0),
-            rates(),
-        );
-        assert_eq!(fixed.threshold(), None, "calibration is lazy");
-        assert_eq!(fixed.calibrate_threshold(), 42.0);
-        assert_eq!(fixed.threshold(), Some(42.0), "read-only getter sees it");
-        let mut off = InferenceEngine::new(
-            InferenceConfig::default().without_change_detection(),
-            rates(),
-        );
-        assert_eq!(off.calibrate_threshold(), f64::INFINITY);
-        let mut calibrated = InferenceEngine::new(InferenceConfig::default(), rates());
-        let t = calibrated.calibrate_threshold();
-        assert!(t.is_finite() && t > 0.0);
-        // cached on the second call
-        assert_eq!(calibrated.calibrate_threshold(), t);
-        assert_eq!(calibrated.threshold(), Some(t));
+    fn the_threshold_is_resolved_at_construction() {
+        let engine = |config| InferenceEngine::new(config, rates());
+        let fixed = engine(InferenceConfig::default().with_fixed_threshold(42.0));
+        assert_eq!(fixed.threshold(), Some(42.0));
+        let calibrated = engine(InferenceConfig::default());
+        let delta = ThresholdPolicy::Calibrated.resolve(&LikelihoodModel::new(rates()));
+        assert!(delta.is_finite() && delta > 0.0);
+        assert_eq!(calibrated.threshold(), Some(delta));
+        let off = engine(InferenceConfig::default().without_change_detection());
+        assert_eq!(off.threshold(), None);
+    }
+
+    /// A snapshot carries no δ: the restore target resolves its own from the
+    /// same config and table, so a `Calibrated` engine restored mid-stream
+    /// detects exactly the changes of the engine that never stopped.
+    #[test]
+    fn a_restored_calibrated_engine_detects_the_same_changes() {
+        let config = InferenceConfig::default()
+            .with_period(10)
+            .with_truncation(TruncationPolicy::Full);
+        let mut live = InferenceEngine::new(config.clone(), rates());
+        feed_co_travel(&mut live, 0, 40, 0);
+        live.run_inference(Epoch(40));
+        let mut restored = InferenceEngine::new(config, rates());
+        restored.restore(live.snapshot());
+        assert_eq!(restored.threshold(), live.threshold());
+
+        // The item leaves case 1 for case 2.
+        for engine in [&mut live, &mut restored] {
+            for t in 40..80u32 {
+                engine.observe(RawReading::new(Epoch(t), TagId::item(1), ReaderId(1)));
+                engine.observe(RawReading::new(Epoch(t), TagId::case(1), ReaderId(0)));
+                engine.observe(RawReading::new(Epoch(t), TagId::case(2), ReaderId(1)));
+            }
+        }
+        let live_report = live.run_inference(Epoch(80));
+        let restored_report = restored.run_inference(Epoch(80));
+        assert!(!live_report.changes.is_empty(), "the move is detected");
+        assert_eq!(live_report.changes, restored_report.changes);
+        assert_eq!(live.detected_changes(), restored.detected_changes());
     }
 }

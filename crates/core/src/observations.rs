@@ -7,7 +7,7 @@
 //! same reader), which drives candidate pruning (Appendix A.3).
 
 use rfid_types::{Epoch, LocationId, RawReading, ReadingBatch, TagId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 
@@ -367,17 +367,6 @@ impl Observations {
             removed.extend(list.iter().map(|o| o.epoch));
         }
     }
-
-    /// The set of epochs at which any of the given tags was observed.
-    pub fn epochs_of(&self, tags: &[TagId]) -> BTreeSet<Epoch> {
-        let mut set = BTreeSet::new();
-        for tag in tags {
-            for o in self.obs_for(*tag) {
-                set.insert(o.epoch);
-            }
-        }
-        set
-    }
 }
 
 /// Number of epochs at which two epoch-sorted observation lists share at
@@ -473,6 +462,7 @@ fn merge_obs_lists(
 mod tests {
     use super::*;
     use rfid_types::ReaderId;
+    use std::collections::BTreeSet;
 
     fn read(t: u32, tag: TagId, reader: u16) -> RawReading {
         RawReading::new(Epoch(t), tag, ReaderId(reader))
@@ -760,12 +750,5 @@ mod tests {
         assert_eq!(a.insert_run(item, &mut newer, &mut changed), 0);
         assert!(changed.is_empty());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn epochs_of_unions_tags() {
-        let obs = sample();
-        let set = obs.epochs_of(&[TagId::item(1), TagId::case(2)]);
-        assert_eq!(set.len(), 3);
     }
 }

@@ -198,8 +198,9 @@ mod tests {
     use rfid_core::{InferenceConfig, LikelihoodModel, ThresholdPolicy};
     use rfid_sim::presets;
 
-    /// The server keeps `Calibrated` and calibrates the global table itself:
-    /// its run is the run with that table's δ fixed up front, not a site's.
+    /// The server keeps `Calibrated` and calibrates the global table when its
+    /// engine is built: its run is the run with that table's δ fixed up
+    /// front, not a site's.
     #[test]
     fn the_server_calibrates_the_global_table() {
         let chain = presets::smoke_chain(900, 2, Some(60));

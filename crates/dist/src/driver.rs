@@ -130,7 +130,8 @@ pub(crate) struct SiteInputs<'a> {
     pub(crate) min_out_transit: u32,
     /// The engine's change-detection policy, `Calibrated` resolved to
     /// `Fixed(δ)` so a crash restore never recalibrates. Unresolved under
-    /// Centralized, whose one engine calibrates its own table.
+    /// Centralized, whose one engine calibrates its own table when it is
+    /// built.
     pub(crate) threshold: Option<ThresholdPolicy>,
 }
 

@@ -70,6 +70,6 @@ pub use comm::{CommCost, MessageKind};
 pub use config::{DistributedConfig, MigrationStrategy, TransportConfig};
 pub use driver::{DistributedDriver, DistributedOutcome};
 pub use ons::{Ons, ONS_UPDATE_BYTES};
-pub use oracle::{assert_audit, audit, Violation};
+pub use oracle::{assert_audit, assert_identical, assert_identical_except, audit, Violation};
 pub use rfid_wire::{EdgeLedger, QuarantineEntry, WireCodec, WireFormat};
 pub use transport::{TransportMode, TransportStats};

@@ -22,11 +22,12 @@
 //! * **containment sanity** — only the chain's objects are reported, never
 //!   containers or unknown tags.
 //!
-//! The crash-convergence oracle ("a zero-downtime crash-restore at any
-//! chaos point is bit-identical to the uncrashed run") needs two runs to
-//! state, so it lives in the test suites and the chaos bench runner rather
-//! than here.
+//! The two-run oracles ("a zero-downtime crash-restore at any chaos point
+//! is bit-identical to the uncrashed run", "1 and N workers agree") compare
+//! outcomes field by field with [`assert_identical`]; the test suites and
+//! the bench runners supply the two runs.
 
+use crate::comm::MessageKind;
 use crate::driver::DistributedOutcome;
 use crate::ons::Ons;
 use rfid_sim::ChainTrace;
@@ -186,6 +187,87 @@ fn containment_sanity(chain: &ChainTrace, outcome: &DistributedOutcome) -> Resul
 pub fn assert_audit(chain: &ChainTrace, outcome: &DistributedOutcome) {
     if let Err(violation) = audit(chain, outcome) {
         panic!("{violation}");
+    }
+}
+
+/// A deterministic part of a [`DistributedOutcome`] a comparison can exempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// `transport`: envelopes, retransmissions, acks, dedup drops, ….
+    Transport,
+    /// `ledgers`: the per-edge conservation ledgers.
+    Ledgers,
+}
+
+/// The one strict outcome comparison: every deterministic field of `other`
+/// equals `reference`'s — all of them except `inference_wall`. Panics with
+/// `label` and the first field that diverged.
+pub fn assert_identical(reference: &DistributedOutcome, other: &DistributedOutcome, label: &str) {
+    assert_identical_except(reference, other, label, &[]);
+}
+
+/// [`assert_identical`] minus the fields named in `exempt`, each with the
+/// one-line reason the two runs may differ there.
+pub fn assert_identical_except(
+    reference: &DistributedOutcome,
+    other: &DistributedOutcome,
+    label: &str,
+    exempt: &[(Field, &str)],
+) {
+    let checked = |field: Field| exempt.iter().all(|&(exempted, _)| exempted != field);
+    assert_eq!(
+        reference.containment, other.containment,
+        "{label}: containment diverged"
+    );
+    for kind in MessageKind::ALL {
+        assert_eq!(
+            reference.comm.bytes_of_kind(kind),
+            other.comm.bytes_of_kind(kind),
+            "{label}: bytes of {kind:?} diverged"
+        );
+        assert_eq!(
+            reference.comm.messages_of_kind(kind),
+            other.comm.messages_of_kind(kind),
+            "{label}: message count of {kind:?} diverged"
+        );
+    }
+    assert_eq!(reference.alerts, other.alerts, "{label}: alerts diverged");
+    assert_eq!(
+        reference.query_state_shared_bytes, other.query_state_shared_bytes,
+        "{label}: shared query-state bytes diverged"
+    );
+    assert_eq!(
+        reference.query_state_unshared_bytes, other.query_state_unshared_bytes,
+        "{label}: unshared query-state bytes diverged"
+    );
+    assert_eq!(reference.ons, other.ons, "{label}: ONS custody diverged");
+    assert_eq!(
+        reference.inference_runs, other.inference_runs,
+        "{label}: inference-run count diverged"
+    );
+    assert_eq!(
+        reference.inference_stats, other.inference_stats,
+        "{label}: dirty-set and reuse counters diverged"
+    );
+    if checked(Field::Transport) {
+        assert_eq!(
+            reference.transport, other.transport,
+            "{label}: transport counters diverged"
+        );
+    }
+    assert_eq!(
+        reference.quarantine, other.quarantine,
+        "{label}: quarantine ledger diverged"
+    );
+    assert_eq!(
+        reference.memory, other.memory,
+        "{label}: memory counters diverged"
+    );
+    if checked(Field::Ledgers) {
+        assert_eq!(
+            reference.ledgers, other.ledgers,
+            "{label}: per-edge conservation ledgers diverged"
+        );
     }
 }
 

@@ -170,27 +170,3 @@ impl<'a> SiteState<'a> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::DistributedConfig;
-    use rfid_core::ThresholdPolicy;
-    use rfid_sim::presets;
-
-    /// Resolving δ before the run leaves each engine's threshold lazy: a
-    /// site that has not run inference snapshots `threshold: None`, so a
-    /// checkpoint cut before its first run is the one it always was.
-    #[test]
-    fn an_idle_site_still_snapshots_no_threshold() {
-        let chain = presets::smoke_chain(300, 2, None);
-        let config = DistributedConfig::default();
-        let ctx = RunCtx::new(&config, &chain);
-        let Some(ThresholdPolicy::Fixed(delta)) = ctx.sites[0].threshold else {
-            panic!("a calibrated site runs a fixed δ");
-        };
-        let mut site = SiteState::new(&ctx, 0);
-        assert_eq!(site.unit.engine.snapshot().threshold, None);
-        assert_eq!(site.unit.engine.calibrate_threshold(), delta);
-    }
-}

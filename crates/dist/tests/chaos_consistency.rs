@@ -15,11 +15,10 @@
 //! With real downtime the outcome legitimately changes, but it must stay
 //! identical across executors and pass every invariant oracle.
 
-mod common;
-
-use common::assert_identical;
 use rfid_core::{InferenceConfig, MemoryBudget};
-use rfid_dist::{assert_audit, DistributedConfig, DistributedDriver, MigrationStrategy};
+use rfid_dist::{
+    assert_audit, assert_identical, DistributedConfig, DistributedDriver, MigrationStrategy,
+};
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig};
 use rfid_types::Epoch;
 

@@ -13,11 +13,10 @@
 //! still strict: the same [`FaultPlan`] produces the identical outcome across
 //! worker counts.
 
-mod common;
-
-use common::assert_identical;
 use rfid_core::InferenceConfig;
-use rfid_dist::{DistributedConfig, DistributedDriver, DistributedOutcome, MigrationStrategy};
+use rfid_dist::{
+    assert_identical, DistributedConfig, DistributedDriver, DistributedOutcome, MigrationStrategy,
+};
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig};
 use rfid_types::Epoch;

@@ -13,11 +13,8 @@
 //! sites than workers — each run under a watchdog, so a stalled schedule
 //! fails its test instead of hanging the suite.
 
-mod common;
-
-use common::assert_identical;
 use rfid_core::InferenceConfig;
-use rfid_dist::{DistributedConfig, DistributedDriver, MigrationStrategy};
+use rfid_dist::{assert_identical, DistributedConfig, DistributedDriver, MigrationStrategy};
 use rfid_query::ExposureQuery;
 use rfid_sim::{
     presets, ChainConfig, ChainTrace, FaultPlan, ObjectTransfer, SupplyChainSimulator,

@@ -9,12 +9,11 @@
 //!   *added*, so it would double them), a late copy is reconciled and
 //!   counted — across every migration strategy and worker count.
 
-mod common;
-
-use common::{assert_identical, assert_identical_except, Field};
 use rfid_core::InferenceConfig;
+use rfid_dist::oracle::Field;
 use rfid_dist::{
-    audit, DistributedConfig, DistributedDriver, DistributedOutcome, MessageKind, MigrationStrategy,
+    assert_identical, assert_identical_except, audit, DistributedConfig, DistributedDriver,
+    DistributedOutcome, MessageKind, MigrationStrategy,
 };
 use rfid_query::ExposureQuery;
 use rfid_sim::{presets, ChainTrace, FaultPlan, FaultPlanConfig, TemperatureModel};

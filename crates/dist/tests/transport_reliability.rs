@@ -14,8 +14,6 @@
 //! * a partition outliving the horizon forces degraded mode: envelopes are
 //!   abandoned, the destination cold-starts, and the run still completes.
 
-mod common;
-
 use proptest::prelude::*;
 use rfid_core::InferenceConfig;
 use rfid_dist::{
@@ -150,7 +148,7 @@ proptest! {
                 .with_faults(plan),
         )
         .run(chain());
-        common::assert_identical(&sequential, &parallel, &format!("seed {seed}, 1 vs N workers"));
+        rfid_dist::assert_identical(&sequential, &parallel, &format!("seed {seed}, 1 vs N workers"));
         assert_at_most_once(&sequential, &format!("seed {seed}"));
     }
 }

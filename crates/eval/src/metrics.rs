@@ -1,13 +1,13 @@
 //! Accuracy metrics used throughout Section 5 / Appendix C of the paper.
 
-use rfid_types::{ContainmentChange, Epoch, GroundTruth, LocationId, TagId};
+use rfid_types::{ContainmentChange, ContainmentTimeline, Epoch, GroundTruth, LocationId, TagId};
 
 /// Containment error rate (%): the fraction of evaluated objects whose
 /// inferred container differs from the true container at the evaluation
 /// epoch. `estimate` maps each object to its inferred container (`None` =
 /// "not contained").
 pub fn containment_error(
-    truth: &GroundTruth,
+    truth: &ContainmentTimeline,
     estimate: impl Fn(TagId) -> Option<TagId>,
     objects: &[TagId],
     at: Epoch,
@@ -189,12 +189,16 @@ mod tests {
         let objects = [TagId::item(1), TagId::item(2), TagId::item(3)];
         // Perfect estimate before the change.
         let perfect = |o: TagId| truth.container_at(o, Epoch(10));
-        assert_eq!(containment_error(&truth, perfect, &objects, Epoch(10)), 0.0);
+        let timeline = &truth.containment;
+        assert_eq!(
+            containment_error(timeline, perfect, &objects, Epoch(10)),
+            0.0
+        );
         // An estimate that ignores the change at t=100 is wrong for item 2.
         let stale = |o: TagId| truth.container_at(o, Epoch(10));
-        let err = containment_error(&truth, stale, &objects, Epoch(200));
+        let err = containment_error(timeline, stale, &objects, Epoch(200));
         assert!((err - 100.0 / 3.0).abs() < 1e-9);
-        assert_eq!(containment_error(&truth, |_| None, &[], Epoch(0)), 0.0);
+        assert_eq!(containment_error(timeline, |_| None, &[], Epoch(0)), 0.0);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! The binary body opens with one site-wide [`TagTable`] covering every tag
 //! mentioned anywhere in the checkpoint; all tag references are table
 //! indices, epoch sequences are zigzag deltas, and floats are raw IEEE-754
-//! bits — so a checkpoint carrying an infinite calibration threshold
-//! round-trips like any other.
+//! bits.
 
 use crate::codec::{message, parse, KIND_CHECKPOINT};
 use crate::layout::{
@@ -254,9 +253,7 @@ pub struct SiteCheckpoint {
     pub inbox: Vec<PendingShipment>,
     /// Communication bytes per message kind, in the kind-table order of the
     /// distributed layer (raw readings, inference state, query state, ONS,
-    /// transport control). Encoded with a leading arity so a checkpoint
-    /// written before a kind existed still decodes (missing kinds read as
-    /// zero).
+    /// transport control).
     pub comm_bytes: [u64; 5],
     /// Communication messages per kind, same order as `comm_bytes`.
     pub comm_messages: [u64; 5],
@@ -298,14 +295,13 @@ impl WireCodec {
 // The layout: every struct's fields in wire order, once.
 
 // The site-wide tag table sits after `at` (the `;`) and covers every tag
-// mentioned anywhere below it, so all sections share indices. The two comm
-// arrays share one arity prefix.
+// mentioned anywhere below it, so all sections share indices.
 wire_struct!(SiteCheckpoint: site, at;
     engine, processor, reading_cursor, sensor_cursor, departure_cursor, inbox,
-    comm_bytes + comm_messages, shared_bytes, unshared_bytes, inference_runs, stats,
+    comm_bytes, comm_messages, shared_bytes, unshared_bytes, inference_runs, stats,
     inbox_seqs, transport, quarantine, memory, ledgers);
 wire_struct!(EngineSnapshot: store, prior, containment, detected, last_outcome as Flag,
-    last_inference_at as Flag, threshold as Flag, dirty, cache);
+    last_inference_at as Flag, dirty, cache);
 wire_struct!(DetectedChange: object, change_at, old_container, new_container, statistic);
 wire_struct!(VariantKey: members, epochs as Delta, objects);
 wire_struct!(ProcessorSnapshot: temperatures, automata, alerts);
@@ -318,8 +314,8 @@ wire_struct!(QuarantineEntry: from, seq, physical);
 wire_struct!(InferenceStats: dirty_tags, posteriors_reused, posteriors_computed, evidence_reused,
     evidence_computed);
 
-// Counter blocks lead with their arity, so a counter appended here is one
-// more name in its list and older checkpoints still decode (zero-filled).
+// Each block is exactly its listed counters: a counter appended here is one
+// more name in its list and a new WIRE_VERSION.
 counters!(TransportStats: envelopes, transmissions, retransmissions, acks, duplicates_dropped,
     reconciled, stale_dropped, abandoned, resyncs, quarantined);
 counters!(MemoryStats: high_water, compactions, compacted_observations, evicted_cache_entries);
@@ -629,7 +625,6 @@ mod tests {
             }],
             last_outcome: Some(outcome),
             last_inference_at: Some(Epoch(4)),
-            threshold: Some(5.5),
             dirty,
             cache,
         };
@@ -767,7 +762,6 @@ mod tests {
                 detected: Vec::new(),
                 last_outcome: None,
                 last_inference_at: None,
-                threshold: None,
                 dirty: DirtySet::new(),
                 cache: CacheKeys::new(),
             },
@@ -850,77 +844,18 @@ mod tests {
     }
 
     #[test]
-    fn smaller_comm_arities_decode_zero_filled() {
-        // A checkpoint written by a codec that knew only 4 message kinds and
-        // no transport counters: the arity prefixes make it decode cleanly,
-        // with the missing slots zero-filled.
-        let mut w = Writer::new();
-        w.put_u8(crate::WIRE_VERSION);
-        w.put_u8(KIND_CHECKPOINT);
-        w.put_varint(0); // site
-        w.put_varint(0); // at
-        TagTable::from_tags([]).encode(&mut w);
-        for _ in 0..3 {
-            w.put_varint(0); // store tags, prior objects, containment count
-        }
-        w.put_varint(0); // detected changes
-        w.put_u8(0); // no outcome
-        w.put_u8(0); // no inference epoch
-        w.put_u8(0); // no threshold
-        w.put_varint(0); // dirty tags
-        w.put_varint(0); // cache containers
-        for _ in 0..3 {
-            w.put_varint(0); // temperatures, automata, alerts
-        }
-        for _ in 0..3 {
-            w.put_varint(0); // cursors
-        }
-        w.put_varint(0); // inbox
-        w.put_varint(4); // four comm kinds only
-        for i in 0..4u64 {
-            w.put_varint(i + 1); // comm bytes
-        }
-        for _ in 0..4 {
-            w.put_varint(1); // comm messages
-        }
-        for _ in 0..3 {
-            w.put_varint(0); // shared, unshared, runs
-        }
-        for _ in 0..5 {
-            w.put_varint(0); // inference stats
-        }
-        w.put_varint(0); // no edge seqs
-        w.put_varint(0); // zero transport counters
-        w.put_varint(0); // no quarantine entries
-        w.put_varint(0); // zero memory counters
-        w.put_varint(0); // no edge ledgers
-        let decoded = WireCodec::new(WireFormat::Binary)
-            .decode_checkpoint(&w.into_bytes())
-            .unwrap();
-        assert_eq!(decoded.comm_bytes, [1, 2, 3, 4, 0]);
-        assert_eq!(decoded.comm_messages, [1, 1, 1, 1, 0]);
-        assert_eq!(decoded.transport, TransportStats::default());
-        assert!(decoded.inbox_seqs.is_empty());
-        assert!(decoded.quarantine.is_empty());
-        assert_eq!(decoded.memory, rfid_core::MemoryStats::default());
-        assert!(decoded.ledgers.is_empty());
-    }
-
-    #[test]
     fn missing_trailing_sections_are_rejected() {
-        // Every section must be present (the arity prefixes version the
-        // counters *inside* a section, not the section's existence): a
-        // checkpoint cut off before the chaos sections is truncated, not a
-        // silently-defaulted decode.
+        // Every section must be present: a checkpoint cut off before the
+        // chaos sections is truncated, not a silently-defaulted decode.
         let binary = WireCodec::new(WireFormat::Binary);
         let mut checkpoint = sample();
         checkpoint.quarantine.clear();
         checkpoint.memory = rfid_core::MemoryStats::default();
         checkpoint.ledgers.clear();
         let bytes = binary.encode_checkpoint(&checkpoint);
-        // The empty trailing sections are quarantine count 0, memory arity 4
-        // + four zeros, ledger count 0 = 7 varint bytes.
-        for cut in 1..=7 {
+        // The empty trailing sections are quarantine count 0, four zero
+        // memory counters, ledger count 0 = 6 varint bytes.
+        for cut in 1..=6 {
             let mut old = bytes.clone();
             old.truncate(old.len() - cut);
             assert!(
@@ -930,20 +865,45 @@ mod tests {
         }
     }
 
+    /// The memory block as a codec that knew one counter fewer would write
+    /// it.
+    #[derive(Default)]
+    struct ShortMemory {
+        high_water: u64,
+        compactions: u64,
+        compacted_observations: u64,
+    }
+    counters!(ShortMemory: high_water, compactions, compacted_observations);
+
+    /// A counter block is exactly its declared counters: a block one counter
+    /// short is a typed error, never a decode with the missing counter zero.
     #[test]
-    fn oversized_arities_are_rejected() {
+    fn a_counter_block_one_short_is_rejected() {
         let binary = WireCodec::new(WireFormat::Binary);
-        let sample = sample();
-        let bytes = binary.encode_checkpoint(&sample);
-        // Corrupting the comm arity to an unknown larger value must produce
-        // a clean error, never a misaligned decode.
-        let arity_pos = bytes
-            .windows(6)
-            .position(|w| w == [5, 0, 120, 30, 8, 6])
-            .expect("comm arity prefix present");
-        let mut corrupted = bytes.clone();
-        corrupted[arity_pos] = 6;
-        assert!(binary.decode_checkpoint(&corrupted).is_err());
+        let mut checkpoint = sample();
+        checkpoint.ledgers.clear();
+        let mut bytes = binary.encode_checkpoint(&checkpoint);
+        // The checkpoint ends with the memory block and an empty ledger list.
+        let block = |value: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            value(&mut w);
+            w.into_bytes()
+        };
+        let full = block(&|w| checkpoint.memory.put(w, TagRefs::Raw));
+        let memory = checkpoint.memory;
+        let short = block(&|w| {
+            ShortMemory {
+                high_water: memory.high_water,
+                compactions: memory.compactions,
+                compacted_observations: memory.compacted_observations,
+            }
+            .put(w, TagRefs::Raw)
+        });
+        bytes.truncate(bytes.len() - full.len() - 1);
+        bytes.extend(short);
+        bytes.push(0);
+        let err = binary.decode_checkpoint(&bytes).unwrap_err();
+        assert_eq!(err.kind(), crate::WireErrorKind::Truncated, "{err}");
     }
 
     #[test]

@@ -22,13 +22,14 @@
 //! `put`, `get` and `tags` (what the message's [`TagTable`] must hold) live
 //! together. Leaves (varints, raw-bits `f64`, table-indexed tags) and
 //! container shapes (counted sequences, tag-keyed maps that reject a repeated
-//! key, flag-byte options, zigzag epoch-delta runs, arity-prefixed counter
-//! blocks) are implemented once each; a struct is one `wire_struct!` line
-//! naming its fields in wire order, from which all three walks are generated.
-//! Adding a checkpoint counter is therefore one name appended to a
-//! `counters!` list: the block's arity prefix grows by one, an older
-//! checkpoint still decodes with the new counter zero, and `merge` picks it
-//! up from the same list.
+//! key, flag-byte options, zigzag epoch-delta runs, fixed counter blocks)
+//! are implemented once each; a struct is one `wire_struct!` line naming its
+//! fields in wire order, from which all three walks are generated.
+//! Adding a checkpoint counter is one name appended to a `counters!` list,
+//! and `merge` picks it up from the same list. It is also a layout change:
+//! a block encodes exactly its declared counters, with no arity to tell an
+//! older block apart, so the change bumps [`WIRE_VERSION`] and re-records the
+//! golden bytes (`tests/golden_bytes*.rs`).
 //!
 //! All encodings are *bit-exact*: `decode(encode(x))` reproduces `x`
 //! including `f64` bit patterns, so routing live state through the codec can
@@ -44,7 +45,7 @@ use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta
 use rfid_types::{RawReading, TagId};
 
 /// Version byte every message starts with.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Declares the payload-kind bytes (byte 1 of every message) once: the
 /// `KIND_*` constants the codecs use, and the [`KINDS`] list that

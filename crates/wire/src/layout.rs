@@ -13,8 +13,7 @@
 //!   `f64`, flag-byte `bool`, `String` and byte strings;
 //! * containers — counted `Vec<T>`, tag-keyed `BTreeMap` (a repeated key is
 //!   `Malformed`, for every keyed section alike), [`Flag`]-shaped `Option<T>`,
-//!   [`Delta`]-shaped epoch runs, and arity-prefixed counter blocks
-//!   ([`counters!`]).
+//!   [`Delta`]-shaped epoch runs, and fixed counter blocks ([`counters!`]).
 //!
 //! A field whose type has more than one encoding picks one with `as Shape`
 //! in the field list; everything else is [`Plain`].
@@ -376,24 +375,11 @@ impl Wire<Delta> for Vec<RawReading> {
 // ---------------------------------------------------------------------------
 // counter blocks
 
-/// The one arity check: a block may declare fewer counters than this codec
-/// knows (it was written before the rest existed; they read as zero), never
-/// more.
-fn get_arity(r: &mut Reader<'_>, known: usize) -> Result<usize, WireError> {
-    let arity = usize::get(r, TagRefs::Raw)?;
-    if arity > known {
-        return Err(WireError::new(format!(
-            "block declares {arity} counters, this codec knows {known}"
-        )));
-    }
-    Ok(arity)
-}
-
 /// A struct's additive `u64` counters, in wire order — the single list its
 /// encoding, decoding and `merge` are all derived from ([`counters!`]).
 pub(crate) trait Counters {
-    fn counters(&self) -> impl ExactSizeIterator<Item = u64>;
-    fn counters_mut(&mut self) -> impl ExactSizeIterator<Item = &mut u64>;
+    fn counters(&self) -> impl Iterator<Item = u64>;
+    fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64>;
 
     /// Add every counter of `other` into `self`.
     fn add_counters(&mut self, other: &Self) {
@@ -402,55 +388,44 @@ pub(crate) trait Counters {
         }
     }
 
-    /// The arity, then each counter.
+    /// Each counter, in order.
     fn put_counters(&self, w: &mut Writer) {
-        let counters = self.counters();
-        counters.len().put(w, TagRefs::Raw);
-        counters.for_each(|counter| w.put_varint(counter));
+        self.counters().for_each(|counter| w.put_varint(counter));
     }
 
-    /// Overwrite the first `arity` counters with the decoded ones.
+    /// Overwrite every counter with the decoded one.
     fn get_counters(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        let slots = self.counters_mut();
-        let arity = get_arity(r, slots.len())?;
-        for slot in slots.take(arity) {
+        for slot in self.counters_mut() {
             *slot = r.get_varint()?;
         }
         Ok(())
     }
 }
 
-/// Two counter rows under one arity prefix (the per-kind comm arrays).
-impl<const N: usize> Wire for ([u64; N], [u64; N]) {
-    fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
-        N.put(w, refs);
-        for counter in self.0.iter().chain(&self.1) {
-            w.put_varint(*counter);
-        }
+/// A counter row (a per-kind comm array): each counter, in order.
+impl<const N: usize> Wire for [u64; N] {
+    fn put(&self, w: &mut Writer, _: TagRefs<'_>) {
+        self.iter().for_each(|counter| w.put_varint(*counter));
     }
     fn get(r: &mut Reader<'_>, _: TagRefs<'_>) -> Result<Self, WireError> {
-        let arity = get_arity(r, N)?;
-        let mut rows = ([0; N], [0; N]);
-        for row in [&mut rows.0, &mut rows.1] {
-            for slot in row.iter_mut().take(arity) {
-                *slot = r.get_varint()?;
-            }
+        let mut row = [0; N];
+        for slot in &mut row {
+            *slot = r.get_varint()?;
         }
-        Ok(rows)
+        Ok(row)
     }
 }
 
 /// Declare the counter block of a struct: optional `(head)` fields encoded
-/// plainly, then the `{counters}` as one arity-prefixed block. Generates
-/// [`Counters`] and [`Wire`]; counters missing from an older, shorter block
-/// keep their `Default` of zero.
+/// plainly, then exactly the `{counters}`, in order. Generates [`Counters`]
+/// and [`Wire`].
 macro_rules! counters {
     ($ty:ident $(($($head:ident),*))? : $($counter:ident),*) => {
         impl $crate::layout::Counters for $ty {
-            fn counters(&self) -> impl ExactSizeIterator<Item = u64> {
+            fn counters(&self) -> impl Iterator<Item = u64> {
                 [$(self.$counter),*].into_iter()
             }
-            fn counters_mut(&mut self) -> impl ExactSizeIterator<Item = &mut u64> {
+            fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
                 [$(&mut self.$counter),*].into_iter()
             }
         }
@@ -480,40 +455,39 @@ macro_rules! shape { () => { $crate::layout::Plain }; ($shape:ident) => { $crate
 pub(crate) use shape;
 
 /// Declare the wire layout of a struct as its field list, in wire order.
-/// `field as Shape` picks a non-[`Plain`] encoding; `a + b` encodes two
-/// fields as one tuple value. Fields after a `;` sit behind the message's
-/// own [`TagTable`]: such a type collects its tags, writes the table where
-/// the `;` stands and indexes it from there on, whatever its caller passed.
+/// `field as Shape` picks a non-[`Plain`] encoding. Fields after a `;` sit
+/// behind the message's own [`TagTable`]: such a type collects its tags,
+/// writes the table where the `;` stands and indexes it from there on,
+/// whatever its caller passed.
 macro_rules! wire_struct {
     ($ty:ident:
-        $($f:ident $(+ $g:ident)* $(as $s:ident)?),*
-        $(; $($bf:ident $(+ $bg:ident)* $(as $bs:ident)?),*)?
+        $($f:ident $(as $s:ident)?),*
+        $(; $($bf:ident $(as $bs:ident)?),*)?
     ) => {
         impl $crate::layout::Wire for $ty {
-            #[allow(unused_parens, unused_variables)]
+            #[allow(unused_variables)]
             fn put(&self, w: &mut Writer, refs: TagRefs<'_>) {
-                $(Wire::<$crate::layout::shape!($($s)?)>::put(&(self.$f $(, self.$g)*), w, refs);)*
+                $(Wire::<$crate::layout::shape!($($s)?)>::put(&self.$f, w, refs);)*
                 $(
                     let table = $crate::layout::table_of(self);
                     table.encode(w);
                     let refs = TagRefs::Table(&table);
-                    $(Wire::<$crate::layout::shape!($($bs)?)>::put(&(self.$bf $(, self.$bg)*), w, refs);)*
+                    $(Wire::<$crate::layout::shape!($($bs)?)>::put(&self.$bf, w, refs);)*
                 )?
             }
-            #[allow(unused_parens, unused_variables)]
+            #[allow(unused_variables)]
             fn get(r: &mut Reader<'_>, refs: TagRefs<'_>) -> Result<Self, WireError> {
-                $(let ($f $(, $g)*) = Wire::<$crate::layout::shape!($($s)?)>::get(r, refs)?;)*
+                $(let $f = Wire::<$crate::layout::shape!($($s)?)>::get(r, refs)?;)*
                 $(
                     let table = TagTable::decode(r)?;
                     let refs = TagRefs::Table(&table);
-                    $(let ($bf $(, $bg)*) = Wire::<$crate::layout::shape!($($bs)?)>::get(r, refs)?;)*
+                    $(let $bf = Wire::<$crate::layout::shape!($($bs)?)>::get(r, refs)?;)*
                 )?
-                Ok($ty { $($f, $($g,)*)* $($($bf, $($bg,)*)*)? })
+                Ok($ty { $($f,)* $($($bf,)*)? })
             }
-            #[allow(unused_parens)]
             fn tags(&self, out: &mut Vec<TagId>) {
-                $(Wire::<$crate::layout::shape!($($s)?)>::tags(&(self.$f $(, self.$g)*), out);)*
-                $($(Wire::<$crate::layout::shape!($($bs)?)>::tags(&(self.$bf $(, self.$bg)*), out);)*)?
+                $(Wire::<$crate::layout::shape!($($s)?)>::tags(&self.$f, out);)*
+                $($(Wire::<$crate::layout::shape!($($bs)?)>::tags(&self.$bf, out);)*)?
             }
         }
     };

@@ -276,7 +276,6 @@ pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
         prop::collection::vec(detected, 0..3),
         prop::option::of(arb_outcome()),
         prop::option::of(arb_epoch()),
-        prop::option::of(arb_weight()),
         arb_dirty(),
         arb_cache(),
     )
@@ -288,7 +287,6 @@ pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
                 detected,
                 last_outcome,
                 last_inference_at,
-                threshold,
                 dirty,
                 cache,
             )| {
@@ -299,7 +297,6 @@ pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
                     detected,
                     last_outcome,
                     last_inference_at,
-                    threshold,
                     dirty,
                     cache,
                 }
@@ -548,7 +545,6 @@ pub fn empty_checkpoint() -> SiteCheckpoint {
             detected: Vec::new(),
             last_outcome: None,
             last_inference_at: None,
-            threshold: None,
             dirty: DirtySet::new(),
             cache: CacheKeys::new(),
         },

@@ -225,15 +225,16 @@ fn checkpoint_with_keyed_sections(sections: [&dyn Fn(&mut Writer); 5]) -> Vec<u8
     prior(&mut w);
     containment(&mut w);
     w.put_varint(0); // detected changes
-    for _ in 0..3 {
-        w.put_u8(0); // no outcome, no inference epoch, no threshold
+    for _ in 0..2 {
+        w.put_u8(0); // no outcome, no inference epoch
     }
     dirty(&mut w);
     cache(&mut w);
-    // Processor (3), cursors (3), inbox, comm arity, shared/unshared/runs (3),
-    // inference stats (5), edge seqs, transport arity, quarantine, memory
-    // arity, ledgers: all empty or zero.
-    for _ in 0..21 {
+    // Processor (3), cursors (3), inbox, comm counters (10),
+    // shared/unshared/runs (3), inference stats (5), edge seqs, transport
+    // counters (10), quarantine, memory counters (4), ledgers: all empty or
+    // zero.
+    for _ in 0..42 {
         w.put_varint(0);
     }
     w.into_bytes()
@@ -453,12 +454,10 @@ fn checkpoint_with_outcome(
     }
     w.put_varint(3); // iterations
     w.put_varint(2); // locations
-    for _ in 0..2 {
-        w.put_u8(0); // no inference epoch, no threshold
-    }
-    // Dirty journal and evidence cache, then the processor and accounting
-    // sections as in `checkpoint_with_keyed_sections`.
-    for _ in 0..23 {
+    w.put_u8(0); // no inference epoch
+                 // Dirty journal and evidence cache, then the processor and accounting
+                 // sections as in `checkpoint_with_keyed_sections`.
+    for _ in 0..44 {
         w.put_varint(0);
     }
     w.into_bytes()

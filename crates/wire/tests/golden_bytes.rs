@@ -3,7 +3,7 @@
 //!
 //! The round-trip proptests prove `decode(encode(x)) == x`; they cannot see a
 //! change that moves bytes on *both* sides at once (a reordered field, a
-//! different varint width, a new arity). This file can: every byte a site
+//! different varint width, one more counter). This file can: every byte a site
 //! ships or checkpoints is written down here, so a codec refactor that is
 //! meant to be byte-preserving has to leave the literals untouched (the code
 //! that builds a pinned value may change with the types it builds).
@@ -127,14 +127,14 @@ fn kind_01_migration_state() {
     pin(
         "MigrationState::None",
         &MigrationState::None,
-        "040100",
+        "050100",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
     );
     pin(
         "MigrationState::Collapsed",
         &MigrationState::Collapsed(collapsed()),
-        "0401010403feffffffffffffff3f01aa82808080808080400002030100000000 \
+        "0501010403feffffffffffffff3f01aa82808080808080400002030100000000 \
          000029c00200000000002044c0030000000000000000",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
@@ -146,7 +146,7 @@ fn kind_01_migration_state() {
             readings: readings(),
             container: Some(TagId::case(1)),
         }),
-        "0401020303feffffffffffffff3f0100020c00c8010200020200080200ee3c02 \
+        "0501020303feffffffffffffff3f0100020c00c8010200020200080200ee3c02 \
          01f73c0201020201080201ee3c0202f73cbc050202bc050208bc0502ee3cbc05",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
@@ -158,7 +158,7 @@ fn kind_02_reading_batch() {
     pin(
         "reading batch",
         &readings(),
-        "04020303feffffffffffffff3f010c00c8010200020200080200ee3c0201f73c \
+        "05020303feffffffffffffff3f010c00c8010200020200080200ee3c0201f73c \
          0201020201080201ee3c0202f73cbc050202bc050208bc0502ee3cbc05",
         |r| codec().encode_readings(r),
         |b| codec().decode_readings(b).unwrap(),
@@ -170,7 +170,7 @@ fn kind_03_query_state() {
     pin(
         "ObjectQueryState",
         &accumulating(),
-        "04030251310901f4030103000000000000803540140000000000003640090000 \
+        "05030251310901f4030103000000000000803540140000000000003640090000 \
          000000000080",
         |s| codec().encode_query_state(s),
         |b| codec().decode_query_state(b).unwrap(),
@@ -212,7 +212,7 @@ fn kind_04_bundle() {
     pin(
         "SharedStateBundle",
         &bundle,
-        "040401050102030405030204000200090607000308000108ff03080806848080 \
+        "050401050102030405030204000200090607000308000108ff03080806848080 \
          8080808080400201020909",
         |b| codec().encode_bundle(b),
         |b| codec().decode_bundle(b).unwrap(),
@@ -234,7 +234,7 @@ fn kind_06_state_payload() {
     pin(
         "state payload",
         &state,
-        "040602513101f403010300000000000080354014000000000000364009000000 \
+        "050602513101f403010300000000000080354014000000000000364009000000 \
          0000000080",
         |s| codec().state_payload(s),
         |b| codec().state_from_payload(state.tag, b).unwrap(),
@@ -300,7 +300,6 @@ fn checkpoint() -> SiteCheckpoint {
             }],
             last_outcome: Some(outcome),
             last_inference_at: Some(Epoch(4)),
-            threshold: Some(f64::INFINITY),
             dirty,
             cache,
         },
@@ -406,18 +405,18 @@ fn kind_07_site_checkpoint() {
     pin(
         "SiteCheckpoint",
         &checkpoint(),
-        "040702040601010502f8ffffffffffffff3f0102000300010002010002010004 \
+        "050702040601010502f8ffffffffffffff3f0102000300010002010002010004 \
          030001000201000202000101000204000000000000e0bf0500000000002044c0 \
          01000401000306050000000000001d4001010004010002040502040000000000 \
-         0012400559f3f8c21f6ea58105010402000004010304010401000000000000f0 \
-         7f02000104010001040101000202040100010201000000000080354001025131 \
-         0301f40301030000000000008035401400000000000036400900000000000000 \
-         8001025131020003020000000000000034400600000000000038400a01ac0201 \
-         0301020305110401360401010403feffffffffffffff3f01aa82808080808080 \
-         400002030100000000000029c00200000000002044c003000000000000000001 \
-         025132030005e807781e080603020101011e2d020205070b0d02000402060901 \
-         11000a0c0f030e0201040101010101090304280211030201020f0c0f010d8402 \
-         0d84020b0901010101140102000f000000000000000000000000000000",
+         0012400559f3f8c21f6ea5810501040200000401030401040200010401000104 \
+         01010002020401000102010000000000803540010251310301f4030103000000 \
+         0000008035401400000000000036400900000000000000800102513102000302 \
+         0000000000000034400600000000000038400a01ac0201030102030511040136 \
+         0501010403feffffffffffffff3f01aa82808080808080400002030100000000 \
+         000029c00200000000002044c0030000000000000000010251320300e807781e \
+         080603020101011e2d020205070b0d0200040206090111000c0f030e02010401 \
+         010101010903280211030201020c0f010d84020d84020b090101010114010200 \
+         000000000000000000000000000000",
         |c| codec().encode_checkpoint(c),
         |b| codec().decode_checkpoint(b).unwrap(),
     );
@@ -432,7 +431,7 @@ fn kind_08_control() {
             to: 300,
             seq: 1 << 40,
         },
-        "04080002ac02808080808020",
+        "05080002ac02808080808020",
         |m| codec().encode_control(m),
         |b| codec().decode_control(b).unwrap(),
     );
@@ -443,7 +442,7 @@ fn kind_08_control() {
             peer: 0,
             since: Epoch(u32::MAX),
         },
-        "0408010700ffffffff0f",
+        "0508010700ffffffff0f",
         |m| codec().encode_control(m),
         |b| codec().decode_control(b).unwrap(),
     );

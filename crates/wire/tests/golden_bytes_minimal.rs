@@ -1,9 +1,9 @@
 //! Golden bytes, the other half: `golden_bytes.rs` pins one fully-populated
 //! value per payload kind, so every `Option` there is a `Some`, every
 //! collection non-empty and every counter non-zero. This file pins the
-//! branches that leaves dark — `None` flag bytes, zero counts, arity prefixes
-//! in front of all-zero counter blocks, the variants that carry no body — as
-//! literal bytes, so a codec refactor cannot move them unnoticed either.
+//! branches that leaves dark — `None` flag bytes, zero counts, all-zero
+//! counter blocks, the variants that carry no body — as literal bytes, so a
+//! codec refactor cannot move them unnoticed either.
 //!
 //! Same contract as `golden_bytes.rs`: a byte-preserving change leaves this
 //! file untouched; a deliberate format change re-records it (a mismatch
@@ -48,7 +48,7 @@ fn migration_none_is_a_bare_variant_byte() {
     pin(
         "MigrationState::None",
         &MigrationState::None,
-        "040100",
+        "050100",
         |s| codec().encode_migration(s),
         |b| codec().decode_migration(b).unwrap(),
     );
@@ -59,7 +59,7 @@ fn empty_reading_batch_is_an_empty_table_and_a_zero_count() {
     pin(
         "empty reading batch",
         &Vec::new(),
-        "04020000",
+        "05020000",
         |r| codec().encode_readings(r),
         |b| codec().decode_readings(b).unwrap(),
     );
@@ -75,14 +75,14 @@ fn idle_query_state_carries_no_automaton_body() {
     pin(
         "idle ObjectQueryState",
         &idle,
-        "0403000000",
+        "0503000000",
         |s| codec().encode_query_state(s),
         |b| codec().decode_query_state(b).unwrap(),
     );
     pin(
         "idle state payload",
         &idle,
-        "04060000",
+        "05060000",
         |s| codec().state_payload(s),
         |b| codec().state_from_payload(idle.tag, b).unwrap(),
     );
@@ -97,7 +97,7 @@ fn bundle_without_deltas_is_the_centroid_alone() {
             centroid_bytes: Vec::new(),
             deltas: Vec::new(),
         },
-        "0404010000",
+        "0504010000",
         |b| codec().encode_bundle(b),
         |b| codec().decode_bundle(b).unwrap(),
     );
@@ -105,7 +105,7 @@ fn bundle_without_deltas_is_the_centroid_alone() {
 
 /// Every `Option` a `None`, every collection empty, every counter zero.
 #[test]
-fn empty_checkpoint_is_flags_counts_and_arity_prefixes() {
+fn empty_checkpoint_is_flags_counts_and_zero_counters() {
     let checkpoint = SiteCheckpoint {
         site: 0,
         at: Epoch(0),
@@ -116,7 +116,6 @@ fn empty_checkpoint_is_flags_counts_and_arity_prefixes() {
             detected: Vec::new(),
             last_outcome: None,
             last_inference_at: None,
-            threshold: None,
             dirty: DirtySet::new(),
             cache: CacheKeys::new(),
         },
@@ -144,8 +143,8 @@ fn empty_checkpoint_is_flags_counts_and_arity_prefixes() {
     pin(
         "empty SiteCheckpoint",
         &checkpoint,
-        "04070000000000000000000000000000000000000005000000000000000000000000\
-         000000000000000a0000000000000000000000040000000000",
+        "0507000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000",
         |c| codec().encode_checkpoint(c),
         |b| codec().decode_checkpoint(b).unwrap(),
     );

@@ -141,7 +141,6 @@ fn checkpoint_epochs_survive_the_wraparound_boundary() {
             detected: Vec::new(),
             last_outcome: None,
             last_inference_at: Some(Epoch(u32::MAX)),
-            threshold: None,
             dirty,
             cache: CacheKeys::new(),
         },

@@ -11,6 +11,7 @@
 
 use rfid::core::{InferenceConfig, InferenceEngine};
 use rfid::dist::DistributedOutcome;
+use rfid::eval::containment_error;
 use rfid::sim::{presets, ChainTrace};
 use rfid::types::{Epoch, TagId, Trace};
 
@@ -24,24 +25,15 @@ pub fn smoke_chain(length_secs: u32, sites: u32, anomaly_interval: Option<u32>) 
 /// end of a distributed run.
 pub fn chain_accuracy(chain: &ChainTrace, outcome: &DistributedOutcome) -> f64 {
     let end = Epoch(chain.sites[0].meta.length);
-    let objects = chain.objects();
-    let correct = objects
-        .iter()
-        .filter(|&&o| outcome.container_of(o) == chain.containment.container_at(o, end))
-        .count();
-    correct as f64 / objects.len().max(1) as f64
+    let estimate = |object| outcome.container_of(object);
+    1.0 - containment_error(&chain.containment, estimate, &chain.objects(), end) / 100.0
 }
 
 /// Fraction of objects whose estimated container matches ground truth at the
 /// end of a single-site trace.
 pub fn containment_accuracy(trace: &Trace, estimate: impl Fn(TagId) -> Option<TagId>) -> f64 {
     let end = Epoch(trace.meta.length);
-    let objects = trace.objects();
-    let correct = objects
-        .iter()
-        .filter(|&&o| estimate(o) == trace.truth.container_at(o, end))
-        .count();
-    correct as f64 / objects.len().max(1) as f64
+    1.0 - containment_error(&trace.truth.containment, estimate, &trace.objects(), end) / 100.0
 }
 
 /// Replay a single-site trace through a fresh engine epoch by epoch and run
