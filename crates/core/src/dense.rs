@@ -63,6 +63,7 @@ use crate::rfinfer::{
     CacheKeys, CachedVariant, Candidate, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats,
     ObjectRow, RfInfer, SeriesTable, CANDIDATE_LIMIT, MAX_CACHED_VARIANTS, MAX_ITERATIONS,
 };
+use crate::tag_index::FxBuildHasher;
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
@@ -84,10 +85,18 @@ pub struct DenseScratch {
     tags: Vec<TagId>,
     /// Prior-named tags missing from the observation index.
     extras: Vec<TagId>,
+    /// Every observed object's `(container, prior weight)` entries,
+    /// ascending by container, sliced per object.
+    priors: Vec<(TagId, f64)>,
+    /// Per-object offset into `priors` (length `objects.len() + 1`).
+    prior_start: Vec<u32>,
     /// Reader-set id of every observation, flattened per tag.
     set_ids: Vec<u32>,
     /// Per-tag offset into `set_ids` (length `tags.len() + 1`).
     set_start: Vec<u32>,
+    /// Per location, the set id of the one-reader set of that reader (or
+    /// `NONE_IDX` until it first occurs).
+    single_set: Vec<u32>,
     /// Memoized `(reader set, location) → loglik` rows.
     table: ReaderSetTable,
     /// Dense indices of observed objects, ascending.
@@ -120,10 +129,16 @@ pub struct DenseScratch {
     new_assign: Vec<u32>,
     /// Needed-epoch arena, sliced per relevant-container slot.
     epochs_arena: Vec<Epoch>,
-    /// Per-slot offset into `epochs_arena`.
+    /// Per-slot offset into `epochs_arena` (length `rel.len() + 1`).
     epochs_start: Vec<u32>,
-    /// Per-slot deduplicated length within `epochs_arena`.
-    epochs_len: Vec<u32>,
+    /// Per-slot point count: the observations of every object naming the
+    /// slot's container a candidate.
+    points: Vec<u32>,
+    /// Objects naming each slot's container a candidate (tag indices),
+    /// sliced per slot.
+    contrib: Vec<u32>,
+    /// Per-slot offset into `contrib` (length `rel.len() + 1`).
+    contrib_start: Vec<u32>,
     /// Member arena (object tag indices), sliced per slot.
     member_arena: Vec<u32>,
     /// Per-slot offset into `member_arena` (length `rel.len() + 1`).
@@ -159,10 +174,13 @@ pub struct DenseScratch {
     /// Per observation of the M-step's current object, whether the dirty
     /// journal names its epoch; empty when the object has no dirty epoch.
     dirty_at: Vec<bool>,
-    /// Epoch-presence bitset of one slot's needed-epoch
-    /// dedup, indexed by epoch offset from the run's earliest epoch.
+    /// Epoch-presence bitset of one slot's needed epochs, indexed by epoch
+    /// offset from the run's earliest epoch; all clear between slots.
     seen: Vec<u64>,
-    /// The distinct epochs of one slot, pre-sort.
+    /// Which words of `seen` the current slot set: bit `w % 64` of word
+    /// `w / 64` for word `w`; all clear between slots.
+    seen_words: Vec<u64>,
+    /// One slot's epochs before their dedup, above the bitset's span guard.
     uniq: Vec<Epoch>,
     /// Per-epoch bucket offsets of the co-location counting sort.
     epoch_buckets: Vec<u32>,
@@ -226,74 +244,13 @@ struct LaneInputs<'a> {
     num_locations: usize,
 }
 
-/// The run-scoped reader-set interner: reader list → dense set id.
+/// The run-scoped interner of multi-reader sets: reader list → dense set
+/// id.
 #[expect(
     clippy::disallowed_types,
     reason = "names an explicit deterministic hasher and is never iterated: interned ids depend only on insertion order"
 )]
-type ReaderSetInterner<'a> =
-    std::collections::HashMap<&'a [LocationId], u32, std::hash::BuildHasherDefault<FxHasher>>;
-
-/// Multiplicative word hasher for the run-scoped reader-set interner (the
-/// fx-hash recipe: rotate, xor, multiply by a golden-ratio-derived odd
-/// constant). The interner's keys are tiny `&[LocationId]` slices hashed
-/// thousands of times per run, where SipHash's per-call setup dominates;
-/// interned ids depend only on insertion order, so the hash function cannot
-/// affect inference output.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-}
+type ReaderSetInterner<'a> = std::collections::HashMap<&'a [LocationId], u32, FxBuildHasher>;
 
 /// Where `object`'s column starts in a variant's `columns`, if this run
 /// stored one.
@@ -555,20 +512,16 @@ fn fill_by_epoch(
     buckets: &mut Vec<u32>,
 ) {
     let lists = || tags.iter().map(|&i| obs_of[i as usize]);
-    let first = lists().filter_map(|l| l.first()).map(|o| o.epoch).min();
-    let last = lists().filter_map(|l| l.last()).map(|o| o.epoch).max();
-    let first = first.unwrap_or(Epoch(0));
-    let span = last.map_or(0, |last| last.since(first) as usize + 1);
     let all = tags.iter().enumerate().flat_map(|(pos, &i)| {
         let sets = &set_ids[set_start[i as usize] as usize..];
         let list = obs_of[i as usize].iter().zip(sets);
         list.map(move |(o, &set)| (o.epoch, pos as u32, set))
     });
     events.clear();
-    if span > EPOCH_SPAN_GUARD {
+    let Some((first, span)) = epoch_span(lists()) else {
         events.extend(all);
         return events.sort_unstable_by_key(|e| e.0);
-    }
+    };
     // Count each epoch offset into the bucket after its own, then prefix-sum
     // so bucket `i` starts where offset `i` goes.
     buckets.clear();
@@ -587,6 +540,26 @@ fn fill_by_epoch(
     }
 }
 
+/// The earliest epoch of `lists` (each epoch-sorted, so its ends bound it)
+/// and the number of epochs from it to the latest, or `None` when that span
+/// exceeds [`EPOCH_SPAN_GUARD`] and epoch-indexed arrays give way to sorts.
+/// No observation at all is a span of 0 from epoch 0.
+fn epoch_span<'a>(lists: impl Iterator<Item = &'a [ObsAt]>) -> Option<(Epoch, usize)> {
+    let mut ends: Option<(Epoch, Epoch)> = None;
+    for list in lists {
+        if let (Some(a), Some(b)) = (list.first(), list.last()) {
+            ends = Some(ends.map_or((a.epoch, b.epoch), |(lo, hi)| {
+                (lo.min(a.epoch), hi.max(b.epoch))
+            }));
+        }
+    }
+    let Some((first, last)) = ends else {
+        return Some((Epoch(0), 0));
+    };
+    let span = last.since(first) as usize + 1;
+    (span <= EPOCH_SPAN_GUARD).then_some((first, span))
+}
+
 /// Sort a slice range in place and return its deduplicated length.
 fn sort_dedup(slice: &mut [Epoch]) -> usize {
     slice.sort_unstable();
@@ -600,41 +573,12 @@ fn sort_dedup(slice: &mut [Epoch]) -> usize {
     len
 }
 
-/// [`sort_dedup`] through an epoch-presence bitset: collect each distinct
-/// epoch once (testing a bit instead of sorting duplicates), sort only the
-/// distinct values, and clear the touched bits for the next slot. A slot's
-/// segment concatenates one epoch-sorted list per candidate object, so the
-/// duplication factor is roughly the candidate count — sorting only the
-/// distinct epochs is what makes this linear-ish. The output (ascending
-/// distinct epochs) is identical to [`sort_dedup`]'s for every input.
-fn sort_dedup_bitmap(
-    slice: &mut [Epoch],
-    base: Epoch,
-    seen: &mut [u64],
-    uniq: &mut Vec<Epoch>,
-) -> usize {
-    uniq.clear();
-    for &e in slice.iter() {
-        let off = e.since(base) as usize;
-        let (word, bit) = (off / 64, off % 64);
-        if seen[word] & (1 << bit) == 0 {
-            seen[word] |= 1 << bit;
-            uniq.push(e);
-        }
-    }
-    uniq.sort_unstable();
-    slice[..uniq.len()].copy_from_slice(uniq);
-    for &e in uniq.iter() {
-        let off = e.since(base) as usize;
-        seen[off / 64] &= !(1 << (off % 64));
-    }
-    uniq.len()
-}
-
 /// Intern every distinct reader set of `obs_of` (one observation list per
 /// tag) into `s.set_ids` / `s.set_start` and fill `s.table` with one loglik
-/// row per set. Returns the sets in id order. A row is a function of its
-/// reader set alone, so the interning order never changes a value.
+/// row per set. Returns the sets in id order. Ids are given in order of
+/// first occurrence. Most sets hold one reader: those take their id from a
+/// per-location array, and only the others are hashed. A row is a function
+/// of its reader set alone, so the interning order never changes a value.
 fn intern_reader_sets<'o>(
     model: &LikelihoodModel,
     obs_of: &[&'o [ObsAt]],
@@ -642,15 +586,29 @@ fn intern_reader_sets<'o>(
 ) -> Vec<&'o [LocationId]> {
     s.set_ids.clear();
     s.set_start.clear();
+    s.single_set.clear();
+    s.single_set.resize(model.num_locations(), NONE_IDX);
     let mut set_readers: Vec<&[LocationId]> = Vec::new();
     let mut interner = ReaderSetInterner::default();
     for list in obs_of {
         s.set_start.push(s.set_ids.len() as u32);
         for o in *list {
+            let readers = o.readers.as_slice();
             let next = set_readers.len() as u32;
-            let id = *interner.entry(o.readers.as_slice()).or_insert(next);
+            let id = match readers {
+                // Every reader indexes the loglik table, so every reader id
+                // is below `num_locations`.
+                [one] => {
+                    let id = &mut s.single_set[one.index()];
+                    if *id == NONE_IDX {
+                        *id = next;
+                    }
+                    *id
+                }
+                _ => *interner.entry(readers).or_insert(next),
+            };
             if id == next {
-                set_readers.push(o.readers.as_slice());
+                set_readers.push(readers);
             }
             s.set_ids.push(id);
         }
@@ -757,43 +715,39 @@ pub(crate) fn rebuild_cache(
     EvidenceCache { containers }
 }
 
-/// Run the dense-interned EM. Control flow and floating-point summation
-/// order mirror the reference solver's exactly; see the module docs.
-pub(crate) fn run_dense(
-    rf: &RfInfer<'_>,
-    cache: &mut EvidenceCache,
-    dirty: &DirtySet,
-    scratch: &mut DenseScratch,
-) -> (InferenceOutcome, InferenceStats) {
+/// The solve's set-up, run in full every run: intern the tag universe and
+/// every reader set (filling the loglik table), select each object's
+/// candidates with their prior weights, pick the initial assignment, slot
+/// the relevant containers and fill each slot's needed epochs. Returns the
+/// observation list of every interned tag (empty for prior-only extras).
+fn set_up<'o>(rf: &RfInfer<'o>, s: &mut DenseScratch) -> Vec<&'o [ObsAt]> {
     let model = rf.model;
-    let nl = model.num_locations();
     let obs = rf.obs;
     let prior = rf.prior;
-
-    let mut stats = InferenceStats {
-        dirty_tags: dirty.num_tags(),
-        ..InferenceStats::default()
-    };
-    let prev_cache = std::mem::take(&mut cache.containers);
-
-    let s = &mut *scratch;
 
     // ---- Interning pass: tags ----------------------------------------
     // The universe is every observed tag plus every container the prior
     // names for an observed object (they become candidates even when never
     // read locally). Observed tags arrive ascending; extras are merged in.
+    // Each observed object's priors are resolved here, once, ascending by
+    // container.
     s.tags.clear();
     s.extras.clear();
+    s.priors.clear();
+    s.prior_start.clear();
     for (tag, _) in obs.entries() {
         s.tags.push(tag);
         if tag.is_object() {
-            for (c, _) in prior.entries_for(tag) {
+            s.prior_start.push(s.priors.len() as u32);
+            for (c, w) in prior.entries_for(tag) {
+                s.priors.push((c, w));
                 if s.tags.binary_search(&c).is_err() {
                     s.extras.push(c);
                 }
             }
         }
     }
+    s.prior_start.push(s.priors.len() as u32);
     if !s.extras.is_empty() {
         s.tags.append(&mut s.extras);
         s.tags.sort_unstable();
@@ -833,17 +787,18 @@ pub(crate) fn run_dense(
         }
     }
     let num_objects = s.objects.len();
+    debug_assert_eq!(s.prior_start.len(), num_objects + 1);
 
     // ---- Candidate pruning -------------------------------------------
     // One epoch-indexed counting pass over all observation events replaces
     // the reference's per-(object, container) merge joins; the counts — and
     // therefore the selected candidates — are identical.
-    fill_colocation_matrix(s, &obs_of, &set_readers, nl);
+    fill_colocation_matrix(s, &obs_of, &set_readers, model.num_locations());
     s.cand_arena.clear();
     s.cand_start.clear();
     s.prior_w.clear();
     let nc = s.all_containers.len();
-    for (k, &oi) in s.objects.iter().enumerate() {
+    for k in 0..num_objects {
         s.cand_start.push(s.cand_arena.len() as u32);
         let start = s.cand_arena.len();
         s.colo_counts.clear();
@@ -857,16 +812,19 @@ pub(crate) fn run_dense(
             .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         s.cand_arena
             .extend(s.colo_counts.iter().take(CANDIDATE_LIMIT).map(|&(c, _)| c));
-        for (c, _) in prior.entries_for(s.tags[oi as usize]) {
+        let priors = &s.priors[s.prior_start[k] as usize..s.prior_start[k + 1] as usize];
+        for &(c, _) in priors {
             let ci = s.tags.binary_search(&c).expect("prior tags interned") as u32;
             if !s.cand_arena[start..].contains(&ci) {
                 s.cand_arena.push(ci);
             }
         }
-        // Resolve the prior weight of every candidate once.
+        // The prior weight of every candidate: the object's own entry for
+        // the container, zero without one.
         for &ci in &s.cand_arena[start..] {
-            s.prior_w
-                .push(prior.get(s.tags[oi as usize], s.tags[ci as usize]));
+            let c = s.tags[ci as usize];
+            let at = priors.binary_search_by_key(&c, |&(c, _)| c);
+            s.prior_w.push(at.map_or(0.0, |at| priors[at].1));
         }
     }
     s.cand_start.push(s.cand_arena.len() as u32);
@@ -923,82 +881,132 @@ pub(crate) fn run_dense(
             s.rel.push(i as u32);
         }
     }
-    let num_rel = s.rel.len();
 
-    // ---- Needed epochs per relevant container ------------------------
-    // Counting pass, prefix sums, fill, then per-slot sort + dedup: the
-    // set-union of the reference built with vector constants.
-    s.slot_fill.clear();
-    s.slot_fill.resize(num_rel, 0);
-    for (slot, &ci) in s.rel.iter().enumerate() {
-        s.slot_fill[slot] = obs_of[ci as usize].len() as u32;
+    fill_needed_epochs(s, &obs_of);
+    obs_of
+}
+
+/// Fill every relevant-container slot's needed epochs — the ascending union
+/// of the container's own observed epochs and those of every object naming
+/// it a candidate, the set-union of the reference — into `epochs_arena`,
+/// sliced by `epochs_start`, and its point count (the observations of
+/// those objects) into `points`.
+///
+/// A counting sort of the (slot, object) candidate pairs lists each slot's
+/// contributing objects. Their observation lists are OR-ed into the
+/// epoch-presence bitset `seen`, whose set bits are read back ascending and
+/// cleared for the next slot: no duplicate is stored and nothing is sorted.
+/// A summary bitset marks the words a slot set, so the read-back costs the
+/// slot's set words plus one summary word per 4,096 epochs of its span,
+/// not a word per 64.
+/// A store spanning more than [`EPOCH_SPAN_GUARD`] epochs concatenates the
+/// lists and [`sort_dedup`]s them instead.
+fn fill_needed_epochs(s: &mut DenseScratch, obs_of: &[&[ObsAt]]) {
+    let num_rel = s.rel.len();
+    // Contributors per slot, ascending by object within a slot.
+    s.contrib_start.clear();
+    s.contrib_start.resize(num_rel + 1, 0);
+    for &ci in &s.cand_arena {
+        s.contrib_start[s.slot_of[ci as usize] as usize + 1] += 1;
     }
-    for k in 0..num_objects {
-        let len = obs_of[s.objects[k] as usize].len() as u32;
-        for flat in s.cand_start[k] as usize..s.cand_start[k + 1] as usize {
-            s.slot_fill[s.slot_of[s.cand_arena[flat] as usize] as usize] += len;
-        }
-    }
-    s.epochs_start.clear();
-    let mut total = 0u32;
     for slot in 0..num_rel {
-        s.epochs_start.push(total);
-        total += s.slot_fill[slot];
-        s.slot_fill[slot] = s.epochs_start[slot];
+        s.contrib_start[slot + 1] += s.contrib_start[slot];
     }
-    s.epochs_arena.clear();
-    s.epochs_arena.resize(total as usize, Epoch(0));
-    for (slot, &ci) in s.rel.iter().enumerate() {
-        let cur = s.slot_fill[slot] as usize;
-        for (off, o) in obs_of[ci as usize].iter().enumerate() {
-            s.epochs_arena[cur + off] = o.epoch;
-        }
-        s.slot_fill[slot] += obs_of[ci as usize].len() as u32;
-    }
-    for k in 0..num_objects {
-        let list = obs_of[s.objects[k] as usize];
+    s.slot_fill.clear();
+    s.slot_fill.extend_from_slice(&s.contrib_start[..num_rel]);
+    s.contrib.clear();
+    s.contrib.resize(s.cand_arena.len(), 0);
+    for (k, &oi) in s.objects.iter().enumerate() {
         for flat in s.cand_start[k] as usize..s.cand_start[k + 1] as usize {
             let slot = s.slot_of[s.cand_arena[flat] as usize] as usize;
-            let cur = s.slot_fill[slot] as usize;
-            for (off, o) in list.iter().enumerate() {
-                s.epochs_arena[cur + off] = o.epoch;
-            }
-            s.slot_fill[slot] += list.len() as u32;
+            s.contrib[s.slot_fill[slot] as usize] = oi;
+            s.slot_fill[slot] += 1;
         }
     }
-    s.epochs_len.clear();
-    // Epoch span of the run, for the bitset dedup (the arena holds every
-    // observed epoch, so min/max bound every slot's segment).
-    let dedup_base = {
-        let base = s.epochs_arena.iter().copied().min().unwrap_or(Epoch(0));
-        let max = s.epochs_arena.iter().copied().max().unwrap_or(base);
-        let span = max.since(base) as usize + 1;
-        if span <= EPOCH_SPAN_GUARD {
-            s.seen.clear();
-            s.seen.resize(span.div_ceil(64), 0);
-            Some(base)
-        } else {
-            None
-        }
-    };
+
+    let span = epoch_span(obs_of.iter().copied());
+    if let Some((_, span)) = span {
+        let words = span.div_ceil(64);
+        s.seen.clear();
+        s.seen.resize(words, 0);
+        s.seen_words.clear();
+        s.seen_words.resize(words.div_ceil(64), 0);
+    }
+
+    s.epochs_arena.clear();
+    s.epochs_start.clear();
+    s.points.clear();
     for slot in 0..num_rel {
-        let start = s.epochs_start[slot] as usize;
-        let end = if slot + 1 < num_rel {
-            s.epochs_start[slot + 1] as usize
-        } else {
-            s.epochs_arena.len()
+        s.epochs_start.push(s.epochs_arena.len() as u32);
+        let contrib =
+            &s.contrib[s.contrib_start[slot] as usize..s.contrib_start[slot + 1] as usize];
+        let lists = || {
+            let own = obs_of[s.rel[slot] as usize];
+            std::iter::once(own).chain(contrib.iter().map(|&oi| obs_of[oi as usize]))
         };
-        let len = match dedup_base {
-            Some(base) => sort_dedup_bitmap(
-                &mut s.epochs_arena[start..end],
-                base,
-                &mut s.seen,
-                &mut s.uniq,
-            ),
-            None => sort_dedup(&mut s.epochs_arena[start..end]),
+        let points: usize = contrib.iter().map(|&oi| obs_of[oi as usize].len()).sum();
+        s.points.push(points as u32);
+        let Some((base, _)) = span else {
+            s.uniq.clear();
+            s.uniq.extend(lists().flatten().map(|o| o.epoch));
+            let len = sort_dedup(&mut s.uniq);
+            s.epochs_arena.extend_from_slice(&s.uniq[..len]);
+            continue;
         };
-        s.epochs_len.push(len as u32);
+        // Set each epoch's bit and its word's bit in the summary, spanning
+        // the summary words `lo..=hi`.
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        for list in lists() {
+            let (Some(first), Some(end)) = (list.first(), list.last()) else {
+                continue;
+            };
+            lo = lo.min(first.epoch.since(base) as usize / 4096);
+            hi = hi.max(end.epoch.since(base) as usize / 4096);
+            for o in list {
+                let off = o.epoch.since(base) as usize;
+                s.seen[off / 64] |= 1 << (off % 64);
+                s.seen_words[off / 4096] |= 1 << (off / 64 % 64);
+            }
+        }
+        // Read back only the set words, clearing both levels as they go.
+        for summary in lo..=hi {
+            let mut words = std::mem::take(&mut s.seen_words[summary]);
+            while words != 0 {
+                let word = summary * 64 + words.trailing_zeros() as usize;
+                let mut bits = std::mem::take(&mut s.seen[word]);
+                while bits != 0 {
+                    let off = word * 64 + bits.trailing_zeros() as usize;
+                    s.epochs_arena.push(base.plus(off as u32));
+                    bits &= bits - 1;
+                }
+                words &= words - 1;
+            }
+        }
     }
+    s.epochs_start.push(s.epochs_arena.len() as u32);
+}
+
+/// Run the dense-interned EM. Control flow and floating-point summation
+/// order mirror the reference solver's exactly; see the module docs.
+pub(crate) fn run_dense(
+    rf: &RfInfer<'_>,
+    cache: &mut EvidenceCache,
+    dirty: &DirtySet,
+    scratch: &mut DenseScratch,
+) -> (InferenceOutcome, InferenceStats) {
+    let model = rf.model;
+    let nl = model.num_locations();
+
+    let mut stats = InferenceStats {
+        dirty_tags: dirty.num_tags(),
+        ..InferenceStats::default()
+    };
+    let prev_cache = std::mem::take(&mut cache.containers);
+
+    let s = &mut *scratch;
+    let obs_of = set_up(rf, s);
+    let num_objects = s.objects.len();
+    let num_rel = s.rel.len();
 
     // ---- Re-intern the previous run's cache --------------------------
     // Containers or members that left the universe can never match or be
@@ -1087,17 +1095,11 @@ pub(crate) fn run_dense(
                     &mut s.invalid,
                 );
             }
-            let needed_range =
-                s.epochs_start[slot] as usize..(s.epochs_start[slot] + s.epochs_len[slot]) as usize;
-            let needed = &s.epochs_arena[needed_range];
+            let needed =
+                &s.epochs_arena[s.epochs_start[slot] as usize..s.epochs_start[slot + 1] as usize];
             // One point per observation of every object naming the
-            // container: the needed-epoch segment before its dedup, less
-            // the container's own observations.
-            let segment_end = s
-                .epochs_start
-                .get(slot + 1)
-                .map_or(s.epochs_arena.len(), |&e| e as usize);
-            let points = segment_end - s.epochs_start[slot] as usize - obs_of[ci as usize].len();
+            // container.
+            let points = s.points[slot] as usize;
             // Whole-variant fast path, same condition as the reference.
             let fully_reused = !prev_epochs.is_empty()
                 && prev_epochs.as_slice() == needed
@@ -1485,9 +1487,10 @@ fn build_outcome(
 
 #[cfg(test)]
 mod tests {
-    use crate::rfinfer::{DirtySet, EvidenceCache, InferenceOutcome, RfInfer};
-    use crate::{reference, DenseScratch, LikelihoodModel, Observations};
-    use rfid_types::{Epoch, RawReading, ReadRateTable, ReaderId, TagId};
+    use crate::rfinfer::{DirtySet, EvidenceCache, InferenceOutcome, PriorWeights, RfInfer};
+    use crate::{reference, DenseScratch, LikelihoodModel, Observations, ReaderSet};
+    use rfid_types::{Epoch, LocationId, RawReading, ReadRateTable, ReaderId, TagId};
+    use std::collections::BTreeSet;
 
     fn feed(obs: &mut Observations, dirty: &mut DirtySet, readings: &[(u32, TagId, u16)]) {
         for &(t, tag, reader) in readings {
@@ -1567,5 +1570,100 @@ mod tests {
         );
         assert_eq!(stats, tree_stats);
         assert_eq!(cache, tree_cache);
+    }
+
+    /// The set-up's derived columns against their definitions. Every
+    /// observation's interned loglik row is `tag_loglik` of its own reader
+    /// set — one reader, several, or more than a set holds inline — and ids
+    /// come out in first-occurrence order. Every slot's needed epochs are the
+    /// `BTreeSet` union of its container's list and the lists of the objects
+    /// naming it a candidate, and its points are their observation count,
+    /// also when they lie thousands of epochs apart.
+    #[test]
+    fn set_up_rows_and_needed_epochs_match_their_definitions() {
+        let nl = 16u16;
+        let model = LikelihoodModel::new(ReadRateTable::diagonal(usize::from(nl), 0.8, 1e-4));
+        let (item, case) = (TagId::item, TagId::case);
+        let mut readings = Vec::new();
+        for t in 0..40u32 {
+            for i in 0..6u64 {
+                // Objects move between four readers; every third epoch a
+                // second reader hears them too.
+                let at = ((t / 8 + i as u32) % 4) as u16;
+                readings.push((t, item(i), at));
+                if t % 3 == 0 {
+                    readings.push((t, item(i), at + 4));
+                }
+            }
+            for c in 0..3u64 {
+                let at = ((t / 8 + 2 * c as u32) % 4) as u16;
+                readings.push((t + (c as u32 % 2), case(c), at));
+            }
+        }
+        // One epoch heard by every reader: a spilled set.
+        readings.extend((0..nl).map(|r| (50, case(0), r)));
+        // Sparse epochs far apart, so a slot's needed epochs span several
+        // summary words of the bitset and skip the empty ones.
+        readings.extend([
+            (9_000, item(0), 1),
+            (20_000, item(0), 1),
+            (20_001, case(0), 1),
+            (12_345, case(1), 2),
+        ]);
+        let (mut obs, mut dirty) = (Observations::new(), DirtySet::new());
+        feed(&mut obs, &mut dirty, &readings);
+        // A container known only from a prior becomes a slot of its own.
+        let mut prior = PriorWeights::empty();
+        prior.set(item(0), case(7), 2.5);
+        let infer = RfInfer::with_prior(&model, &obs, &prior);
+        let mut s = DenseScratch::default();
+        let obs_of = super::set_up(&infer, &mut s);
+
+        let mut next = 0u32;
+        let mut widths = BTreeSet::new();
+        for (i, list) in obs_of.iter().enumerate() {
+            let ids = &s.set_ids[s.set_start[i] as usize..s.set_start[i + 1] as usize];
+            assert_eq!(ids.len(), list.len());
+            for (o, &id) in list.iter().zip(ids) {
+                assert!(id <= next, "set ids in first-occurrence order");
+                next += u32::from(id == next);
+                let expected: Vec<u64> = (0..nl)
+                    .map(|a| model.tag_loglik(&o.readers, LocationId(a)).to_bits())
+                    .collect();
+                let row: Vec<u64> = s.table.row(id).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(row, expected, "row of {:?}", o.readers);
+                widths.insert(o.readers.len().min(ReaderSet::INLINE + 1));
+            }
+        }
+        assert_eq!(s.table.len(), next as usize);
+        assert_eq!(widths, BTreeSet::from([1, 2, ReaderSet::INLINE + 1]));
+
+        let mut contributed = 0;
+        for (slot, &ci) in s.rel.iter().enumerate() {
+            let mut union: BTreeSet<Epoch> = obs_of[ci as usize].iter().map(|o| o.epoch).collect();
+            let mut points = 0;
+            for (k, &oi) in s.objects.iter().enumerate() {
+                let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
+                if s.cand_arena[range].contains(&ci) {
+                    union.extend(obs_of[oi as usize].iter().map(|o| o.epoch));
+                    points += obs_of[oi as usize].len();
+                    contributed += 1;
+                }
+            }
+            let needed =
+                &s.epochs_arena[s.epochs_start[slot] as usize..s.epochs_start[slot + 1] as usize];
+            assert_eq!(needed, union.into_iter().collect::<Vec<_>>(), "slot {slot}");
+            assert_eq!(s.points[slot] as usize, points);
+        }
+        assert!(contributed > s.rel.len(), "slots with several contributors");
+        assert!(
+            s.epochs_arena.contains(&Epoch(20_000)),
+            "a far epoch is needed"
+        );
+        let extra = s
+            .tags
+            .binary_search(&case(7))
+            .expect("the prior's container");
+        assert!(obs_of[extra].is_empty() && s.slot_of[extra] != super::NONE_IDX);
     }
 }

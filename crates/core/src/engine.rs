@@ -227,7 +227,8 @@ impl InferenceEngine {
 
     /// [`Self::run_inference`] with the solver call supplied by the caller:
     /// `solve` receives the configured [`RfInfer`], the engine's evidence
-    /// cache, the dirty journal taken for this run and the dense scratch.
+    /// cache, the engine's dirty journal (read in place, and cleared once
+    /// `solve` returns) and the dense scratch.
     /// This is the one seam through which the equivalence tests run the
     /// reference solver (`rfid_core::reference`) or a full recompute
     /// inside an otherwise unchanged engine; the product only ever passes the
@@ -251,9 +252,11 @@ impl InferenceEngine {
         // Nothing reads the previous outcome once a run starts: freeing it
         // first keeps one outcome per engine alive, not two.
         self.last_outcome = None;
-        let dirty = std::mem::take(&mut self.dirty);
         let infer = RfInfer::with_prior(&self.model, &self.store, &self.prior);
-        let (mut outcome, stats) = solve(&infer, &mut self.cache, &dirty, &mut self.scratch);
+        let (mut outcome, stats) = solve(&infer, &mut self.cache, &self.dirty, &mut self.scratch);
+        // The solve has read the journal; clearing it in place keeps its
+        // index and per-tag lists for the changes the next run reads.
+        self.dirty.clear();
 
         // Containment estimates: the M-step assignment for every object this
         // run examined. Objects the run did not see (e.g. an estimate

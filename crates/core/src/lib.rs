@@ -64,6 +64,7 @@ pub mod posterior;
 pub mod reference;
 pub mod rfinfer;
 pub mod state;
+mod tag_index;
 pub mod truncate;
 
 pub use changepoint::{change_statistic, detect_changes, DetectedChange};

@@ -6,8 +6,8 @@
 //! way to find which containers were co-located with an object (same epoch,
 //! same reader), which drives candidate pruning (Appendix A.3).
 
+use crate::tag_index::TagIndex;
 use rfid_types::{Epoch, LocationId, RawReading, ReadingBatch, TagId};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 
@@ -149,10 +149,12 @@ pub struct ObsAt {
 // The solvers walk per-tag `ObsAt` slices epoch by epoch; two per cache line.
 const _: () = assert!(std::mem::size_of::<ObsAt>() <= 32);
 
-/// Sparse per-tag observation index built from raw readings.
+/// Sparse per-tag observation index built from raw readings: one hashed
+/// lookup per reading, every walk in ascending tag order. Two stores with
+/// the same observations are equal whatever order they were built in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {
-    per_tag: BTreeMap<TagId, Vec<ObsAt>>,
+    per_tag: TagIndex<ObsAt>,
     /// Number of `(tag, epoch)` entries over all of `per_tag`.
     len: usize,
 }
@@ -176,7 +178,7 @@ impl Observations {
     /// already present is a no-op) — the signal incremental inference uses to
     /// journal dirty `(tag, epoch)` pairs.
     pub fn insert(&mut self, reading: RawReading) -> bool {
-        let entry = self.per_tag.entry(reading.tag).or_default();
+        let entry = self.per_tag.get_or_insert(reading.tag);
         let loc = reading.reader.location();
         // Readings arrive roughly in time order: the affected epoch is almost
         // always the last entry (or a brand-new one past it). Check that slot
@@ -239,14 +241,14 @@ impl Observations {
                 }),
             }
         }
-        let (entries, added) = merge_obs_lists(self.per_tag.entry(tag).or_default(), src, changed);
+        let (entries, added) = merge_obs_lists(self.per_tag.get_or_insert(tag), src, changed);
         self.len += entries;
         added
     }
 
     /// All tags with at least one observation.
     pub fn tags(&self) -> impl Iterator<Item = TagId> + '_ {
-        self.per_tag.keys().copied()
+        self.per_tag.tags()
     }
 
     /// All observed object (item) tags.
@@ -261,15 +263,15 @@ impl Observations {
 
     /// Observations of one tag, in epoch order.
     pub fn obs_for(&self, tag: TagId) -> &[ObsAt] {
-        self.per_tag.get(&tag).map(|v| v.as_slice()).unwrap_or(&[])
+        self.per_tag.get(tag).unwrap_or(&[])
     }
 
     /// All `(tag, observations)` entries in ascending tag order — one walk
-    /// over the index instead of one tree lookup per tag. This is how the
-    /// dense inference path resolves every per-tag observation slice once,
-    /// up front, before entering the EM loops.
+    /// over the index instead of one lookup per tag. This is how the dense
+    /// inference path resolves every per-tag observation slice once, up
+    /// front, before entering the EM loops.
     pub fn entries(&self) -> impl Iterator<Item = (TagId, &[ObsAt])> {
-        self.per_tag.iter().map(|(t, v)| (*t, v.as_slice()))
+        self.per_tag.iter()
     }
 
     /// The readers that detected `tag` at exactly epoch `t`, if any.
@@ -302,13 +304,13 @@ impl Observations {
         }
         // `per_tag` iterates in ascending tag order, so pushing keeps
         // `counts` sorted by tag with no post-pass.
-        for (tag, obs_list) in &self.per_tag {
-            if !tag.is_container() || *tag == object {
+        for (tag, obs_list) in self.per_tag.iter() {
+            if !tag.is_container() || tag == object {
                 continue;
             }
             let count = colocated_epochs(object_obs, obs_list);
             if count > 0 {
-                counts.push((*tag, count));
+                counts.push((tag, count));
             }
         }
     }
@@ -338,7 +340,7 @@ impl Observations {
         ranges: &[(Epoch, Epoch)],
         removed: &mut Vec<Epoch>,
     ) -> usize {
-        let Some(list) = self.per_tag.get_mut(&tag) else {
+        let Some(list) = self.per_tag.get_mut(tag) else {
             return 0;
         };
         let before = list.len();
@@ -354,7 +356,7 @@ impl Observations {
         let gone = before - list.len();
         self.len -= gone;
         if list.is_empty() {
-            self.per_tag.remove(&tag);
+            self.per_tag.remove(tag);
         }
         gone
     }
@@ -362,7 +364,7 @@ impl Observations {
     /// Drop every observation of one tag, appending the removed epochs to
     /// `removed` as `retain_ranges_for(tag, &[], removed)` would.
     pub fn remove_tag(&mut self, tag: TagId, removed: &mut Vec<Epoch>) {
-        if let Some(list) = self.per_tag.remove(&tag) {
+        if let Some(list) = self.per_tag.remove(tag) {
             self.len -= list.len();
             removed.extend(list.iter().map(|o| o.epoch));
         }
@@ -462,7 +464,7 @@ fn merge_obs_lists(
 mod tests {
     use super::*;
     use rfid_types::ReaderId;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn read(t: u32, tag: TagId, reader: u16) -> RawReading {
         RawReading::new(Epoch(t), tag, ReaderId(reader))

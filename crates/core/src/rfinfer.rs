@@ -23,6 +23,7 @@
 use crate::dense::DenseScratch;
 use crate::likelihood::LikelihoodModel;
 use crate::observations::Observations;
+use crate::tag_index::TagIndex;
 use rfid_types::{Epoch, LocationId, TagId};
 use std::collections::BTreeMap;
 
@@ -482,10 +483,12 @@ impl InferenceOutcome {
 ///
 /// Each dirty tag holds one sorted, de-duplicated `Vec<Epoch>`: readings
 /// arrive in time order, so recording one is a push (or nothing, when the
-/// epoch is the last one journaled).
+/// epoch is the last one journaled). The tags sit in one hashed index, so
+/// recording costs one lookup; [`Self::clear`] keeps every list's capacity
+/// for the next run's tags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
-    changed: BTreeMap<TagId, Vec<Epoch>>,
+    changed: TagIndex<Epoch>,
 }
 
 impl DirtySet {
@@ -497,7 +500,7 @@ impl DirtySet {
     /// Record that `tag`'s observations changed at `epoch` (inserted or
     /// removed).
     pub fn record(&mut self, tag: TagId, epoch: Epoch) {
-        let epochs = self.changed.entry(tag).or_default();
+        let epochs = self.changed.get_or_insert(tag);
         match epochs.last() {
             Some(&last) if last == epoch => {}
             Some(&last) if last > epoch => {
@@ -525,30 +528,23 @@ impl DirtySet {
         tag: TagId,
         fill: impl FnOnce(&mut Vec<Epoch>) -> R,
     ) -> R {
-        if let Some(epochs) = self.changed.get_mut(&tag) {
+        self.changed.update(tag, |epochs| {
             let from = epochs.len();
             let out = fill(epochs);
             settle(epochs, from);
-            return out;
-        }
-        let mut epochs = Vec::new();
-        let out = fill(&mut epochs);
-        if !epochs.is_empty() {
-            settle(&mut epochs, 0);
-            self.changed.insert(tag, epochs);
-        }
-        out
+            out
+        })
     }
 
     /// Mark a tag dirty without naming epochs (state other than observations
     /// changed, e.g. imported prior weights).
     pub fn mark(&mut self, tag: TagId) {
-        self.changed.entry(tag).or_default();
+        self.changed.get_or_insert(tag);
     }
 
     /// The changed epochs of one tag, ascending, if it is dirty.
     pub fn epochs_of(&self, tag: TagId) -> Option<&[Epoch]> {
-        self.changed.get(&tag).map(Vec::as_slice)
+        self.changed.get(tag)
     }
 
     /// Number of dirty tags.
@@ -577,7 +573,7 @@ impl DirtySet {
         union.clear();
         let mut sources = 0;
         for tag in tags {
-            if let Some(epochs) = self.changed.get(&tag) {
+            if let Some(epochs) = self.changed.get(tag) {
                 let end = cutoff.map_or(epochs.len(), |c| epochs.partition_point(|&t| t <= c));
                 if end > 0 {
                     union.extend_from_slice(&epochs[..end]);
@@ -594,10 +590,10 @@ impl DirtySet {
     /// ascending — the checkpoint codec's view of the journal. A tag marked
     /// via [`Self::mark`] appears with no epochs.
     pub fn entries(&self) -> impl Iterator<Item = (TagId, &[Epoch])> {
-        self.changed.iter().map(|(t, e)| (*t, e.as_slice()))
+        self.changed.iter()
     }
 
-    /// Forget all recorded changes.
+    /// Forget all recorded changes, keeping the capacity they took.
     pub fn clear(&mut self) {
         self.changed.clear();
     }

@@ -67,9 +67,10 @@ fn co_travel(epochs: impl Iterator<Item = u32>, reader: u16, decoy_reader: u16) 
         .collect()
 }
 
-/// Two observed epochs more than `1 << 24` apart push the needed-epoch dedup
-/// off its presence bitmap (`sort_dedup_bitmap`) onto the plain sort
-/// (`sort_dedup`).
+/// Two observed epochs more than `1 << 24` apart push the needed-epoch union
+/// off its presence bitset (in `fill_needed_epochs`) onto the plain sort
+/// (`sort_dedup`), and the co-location pass off its epoch buckets onto a
+/// comparison sort.
 #[test]
 fn epoch_span_beyond_the_bitmap_guard_matches_the_reference() {
     let model = LikelihoodModel::new(ReadRateTable::diagonal(3, 0.8, 1e-4));

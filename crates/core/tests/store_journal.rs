@@ -229,6 +229,51 @@ fn apply_journal_op(dirty: &mut DirtySet, reference: &mut JournalRef, op: &Journ
     assert_eq!(union, expected, "union over {tags:?} until {cutoff:?}");
 }
 
+/// `items` in an order drawn from `seed` (a Fisher–Yates shuffle).
+fn shuffle<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        out.swap(i, (seed % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+/// A store of `readings`, inserted in the given order, after each of
+/// `churn` was given a reading and removed again: the freed slots go to the
+/// tags that come next, so a tag that is both churned and read is removed
+/// and re-inserted.
+fn build_store(readings: &[RawReading], churn: &[TagId]) -> Observations {
+    let mut store = Observations::new();
+    for &t in churn {
+        store.insert(RawReading::new(Epoch(99), t, ReaderId(0)));
+    }
+    let mut removed = Vec::new();
+    for &t in churn {
+        store.remove_tag(t, &mut removed);
+    }
+    for r in readings {
+        store.insert(*r);
+    }
+    store
+}
+
+/// A journal of `records`, in the given order, after each of `churn` was
+/// recorded and the journal cleared.
+fn build_journal(records: &[(TagId, Epoch)], churn: &[TagId]) -> DirtySet {
+    let mut dirty = DirtySet::new();
+    for &t in churn {
+        dirty.record(t, Epoch(99));
+    }
+    dirty.clear();
+    for &(t, e) in records {
+        dirty.record(t, e);
+    }
+    dirty
+}
+
 proptest! {
     /// Any interleaving of single inserts, unsorted and duplicated runs,
     /// truncations and whole-tag removals leaves the store holding, and
@@ -281,5 +326,43 @@ proptest! {
         for op in &ops {
             apply_journal_op(&mut dirty, &mut reference, op);
         }
+    }
+
+    /// A store and a journal with the same contents compare equal, print
+    /// the same and walk their tags in ascending order, whatever order they
+    /// were built in and whichever slots their tags were given — including
+    /// slots freed by a removed tag (or a cleared journal) and reused, and a
+    /// tag removed and inserted again.
+    #[test]
+    fn equal_contents_are_equal_whatever_the_build_order(
+        records in prop::collection::vec((0u64..6, 0u32..30, 0u16..8), 1..60),
+        seed in any::<u64>(),
+        churn in prop::collection::vec(0u64..8, 0..6),
+    ) {
+        let shuffled = shuffle(&records, seed);
+        let readings = |v: &[(u64, u32, u16)]| -> Vec<RawReading> {
+            v.iter()
+                .map(|&(t, e, r)| RawReading::new(Epoch(e), tag(t), ReaderId(r)))
+                .collect()
+        };
+        let churn: Vec<TagId> = churn.into_iter().map(tag).collect();
+        let a = build_store(&readings(&records), &[]);
+        let b = build_store(&readings(&shuffled), &churn);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        prop_assert_eq!(flatten(&a), flatten(&b));
+        let tags: Vec<TagId> = b.tags().collect();
+        prop_assert!(tags.windows(2).all(|w| w[0] < w[1]), "{:?}", tags);
+        prop_assert_eq!(b.entries().map(|(t, _)| t).collect::<Vec<_>>(), tags);
+
+        let pairs = |v: &[(u64, u32, u16)]| -> Vec<(TagId, Epoch)> {
+            v.iter().map(|&(t, e, _)| (tag(t), Epoch(e))).collect()
+        };
+        let a = build_journal(&pairs(&records), &[]);
+        let b = build_journal(&pairs(&shuffled), &churn);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let tags: Vec<TagId> = b.entries().map(|(t, _)| t).collect();
+        prop_assert!(tags.windows(2).all(|w| w[0] < w[1]), "{:?}", tags);
     }
 }

@@ -217,6 +217,61 @@ fn checkpoint_round_trips_a_spilled_reader_set() {
     assert_eq!(codec.encode_checkpoint(&back), bytes);
 }
 
+/// A checkpoint's store and journal encode to the same bytes whatever
+/// order they were built in: tags inserted descending or ascending, a tag
+/// removed and inserted again (its slot freed and reused), a journal
+/// cleared and refilled. The codec walks both in ascending tag order, never
+/// in the order their slots were given.
+#[test]
+fn checkpoint_bytes_do_not_depend_on_the_build_order() {
+    let tags = [
+        TagId::pallet(2),
+        TagId::case(7),
+        TagId::item(40),
+        TagId::item(3),
+        TagId::case(1),
+    ];
+    let readings: Vec<RawReading> = (0..30u32)
+        .map(|k| {
+            let tag = tags[k as usize % tags.len()];
+            RawReading::new(Epoch(100 + k / 3), tag, ReaderId((k % 4) as u16))
+        })
+        .collect();
+    let build = |order: &[RawReading], churn: &[TagId]| {
+        let mut checkpoint = empty_checkpoint();
+        let (store, dirty) = (&mut checkpoint.engine.store, &mut checkpoint.engine.dirty);
+        let mut removed = Vec::new();
+        for &tag in churn {
+            store.insert(RawReading::new(Epoch(1), tag, ReaderId(9)));
+            dirty.record(tag, Epoch(1));
+        }
+        for &tag in churn {
+            store.remove_tag(tag, &mut removed);
+        }
+        dirty.clear();
+        for r in order {
+            store.insert(*r);
+            dirty.record(r.tag, r.time);
+        }
+        dirty.mark(TagId::item(99));
+        checkpoint
+    };
+    let reversed: Vec<RawReading> = readings.iter().rev().copied().collect();
+    let codec = codec();
+    let reference = build(&readings, &[]);
+    let bytes = codec.encode_checkpoint(&reference);
+    for (order, churn) in [
+        (&reversed, &[][..]),
+        (&readings, &tags[..]),
+        (&reversed, &[TagId::item(3), TagId::item(77)][..]),
+    ] {
+        let checkpoint = build(order, churn);
+        assert_eq!(checkpoint, reference);
+        assert_eq!(codec.encode_checkpoint(&checkpoint), bytes);
+    }
+    assert_eq!(codec.decode_checkpoint(&bytes).unwrap(), reference);
+}
+
 #[test]
 fn single_entry_and_empty_edge_cases() {
     let codec = codec();
