@@ -16,6 +16,10 @@
 //!   arenas aligned by candidate position (`cand_arena` / `weights`),
 //! * per-container needed-epoch lists and member lists live in shared arenas
 //!   sliced by a per-container `(start, len)`,
+//! * the observations are put in epoch order once, as two epoch-bucketed
+//!   event lists (containers, objects); co-location counts matches per
+//!   shared epoch off them, and a walk over both lists in epoch order sends
+//!   each event to its containers' slots, which keep each epoch once,
 //! * E-step posteriors are epoch-sorted slices walked with cursors — no
 //!   `BTreeMap<Epoch, Posterior>` anywhere,
 //! * every `(reader set, location)` log-likelihood is computed once per run
@@ -134,11 +138,11 @@ pub struct DenseScratch {
     /// Per-slot point count: the observations of every object naming the
     /// slot's container a candidate.
     points: Vec<u32>,
-    /// Objects naming each slot's container a candidate (tag indices),
-    /// sliced per slot.
-    contrib: Vec<u32>,
-    /// Per-slot offset into `contrib` (length `rel.len() + 1`).
-    contrib_start: Vec<u32>,
+    /// Each slot's needed epochs as `(slot, epoch)` pairs in epoch order,
+    /// before the counting sort by slot.
+    slot_epochs: Vec<(u32, Epoch)>,
+    /// Per slot, the last epoch it kept during the needed-epoch walk.
+    last_kept: Vec<Option<Epoch>>,
     /// Member arena (object tag indices), sliced per slot.
     member_arena: Vec<u32>,
     /// Per-slot offset into `member_arena` (length `rel.len() + 1`).
@@ -174,21 +178,13 @@ pub struct DenseScratch {
     /// Per observation of the M-step's current object, whether the dirty
     /// journal names its epoch; empty when the object has no dirty epoch.
     dirty_at: Vec<bool>,
-    /// Epoch-presence bitset of one slot's needed epochs, indexed by epoch
-    /// offset from the run's earliest epoch; all clear between slots.
-    seen: Vec<u64>,
-    /// Which words of `seen` the current slot set: bit `w % 64` of word
-    /// `w / 64` for word `w`; all clear between slots.
-    seen_words: Vec<u64>,
-    /// One slot's epochs before their dedup, above the bitset's span guard.
-    uniq: Vec<Epoch>,
     /// Per-epoch bucket offsets of the co-location counting sort.
     epoch_buckets: Vec<u32>,
 }
 
-/// Largest epoch span the epoch-indexed passes (the needed-epoch bitmap and
-/// the co-location buckets) index directly; a store spanning more falls back
-/// to comparison sorts. Spans are bounded by the retained history.
+/// Largest epoch span whose observations [`fill_by_epoch`] buckets by epoch
+/// offset; a store spanning more is comparison-sorted instead. Spans are
+/// bounded by the retained history.
 const EPOCH_SPAN_GUARD: usize = 1 << 24;
 
 /// A previous run's cached variant, its members re-interned into this run's
@@ -500,9 +496,10 @@ fn fill_colocation_matrix(
 /// Fill `events` with `(epoch, position in tags, reader-set id)` for every
 /// observation of `tags`, in epoch order: each event goes straight into its
 /// epoch's bucket (a counting sort) when the epoch span fits
-/// [`EPOCH_SPAN_GUARD`], and the list is comparison-sorted above it. The
-/// lockstep walk needs only the epoch order — match counts do not depend on
-/// the order within an epoch.
+/// [`EPOCH_SPAN_GUARD`], and the list is comparison-sorted above it. This
+/// is the solve's one epoch ordering: co-location's lockstep walk and the
+/// needed-epoch walk read these lists, and neither depends on the order
+/// within an epoch.
 fn fill_by_epoch(
     events: &mut Vec<(Epoch, u32, u32)>,
     tags: &[u32],
@@ -542,7 +539,7 @@ fn fill_by_epoch(
 
 /// The earliest epoch of `lists` (each epoch-sorted, so its ends bound it)
 /// and the number of epochs from it to the latest, or `None` when that span
-/// exceeds [`EPOCH_SPAN_GUARD`] and epoch-indexed arrays give way to sorts.
+/// exceeds [`EPOCH_SPAN_GUARD`] and the epoch buckets give way to a sort.
 /// No observation at all is a span of 0 from epoch 0.
 fn epoch_span<'a>(lists: impl Iterator<Item = &'a [ObsAt]>) -> Option<(Epoch, usize)> {
     let mut ends: Option<(Epoch, Epoch)> = None;
@@ -558,19 +555,6 @@ fn epoch_span<'a>(lists: impl Iterator<Item = &'a [ObsAt]>) -> Option<(Epoch, us
     };
     let span = last.since(first) as usize + 1;
     (span <= EPOCH_SPAN_GUARD).then_some((first, span))
-}
-
-/// Sort a slice range in place and return its deduplicated length.
-fn sort_dedup(slice: &mut [Epoch]) -> usize {
-    slice.sort_unstable();
-    let mut len = 0usize;
-    for i in 0..slice.len() {
-        if len == 0 || slice[len - 1] != slice[i] {
-            slice[len] = slice[i];
-            len += 1;
-        }
-    }
-    len
 }
 
 /// Intern every distinct reader set of `obs_of` (one observation list per
@@ -892,98 +876,67 @@ fn set_up<'o>(rf: &RfInfer<'o>, s: &mut DenseScratch) -> Vec<&'o [ObsAt]> {
 /// sliced by `epochs_start`, and its point count (the observations of
 /// those objects) into `points`.
 ///
-/// A counting sort of the (slot, object) candidate pairs lists each slot's
-/// contributing objects. Their observation lists are OR-ed into the
-/// epoch-presence bitset `seen`, whose set bits are read back ascending and
-/// cleared for the next slot: no duplicate is stored and nothing is sorted.
-/// A summary bitset marks the words a slot set, so the read-back costs the
-/// slot's set words plus one summary word per 4,096 epochs of its span,
-/// not a word per 64.
-/// A store spanning more than [`EPOCH_SPAN_GUARD`] epochs concatenates the
-/// lists and [`sort_dedup`]s them instead.
+/// The epochs come off the epoch-sorted event lists co-location built. The
+/// container and object events are walked together in epoch order; a
+/// container event goes to its own slot and an object event to the slots of
+/// its candidates, and a slot keeps an epoch only when it differs from the
+/// last one the slot kept. Each slot's epochs so arrive ascending and
+/// distinct, and one counting sort by slot lays them out.
 fn fill_needed_epochs(s: &mut DenseScratch, obs_of: &[&[ObsAt]]) {
     let num_rel = s.rel.len();
-    // Contributors per slot, ascending by object within a slot.
-    s.contrib_start.clear();
-    s.contrib_start.resize(num_rel + 1, 0);
-    for &ci in &s.cand_arena {
-        s.contrib_start[s.slot_of[ci as usize] as usize + 1] += 1;
+    let (cand_arena, cand_start) = (&s.cand_arena, &s.cand_start);
+    let candidates = |k: usize| &cand_arena[cand_start[k] as usize..cand_start[k + 1] as usize];
+    s.points.clear();
+    s.points.resize(num_rel, 0);
+    for (k, &oi) in s.objects.iter().enumerate() {
+        for &ci in candidates(k) {
+            s.points[s.slot_of[ci as usize] as usize] += obs_of[oi as usize].len() as u32;
+        }
     }
+
+    // Each slot's distinct epochs as `(slot, epoch)` pairs, in epoch order,
+    // counted per slot into the entry after the slot's own.
+    s.last_kept.clear();
+    s.last_kept.resize(num_rel, None);
+    s.slot_epochs.clear();
+    s.epochs_start.clear();
+    s.epochs_start.resize(num_rel + 1, 0);
+    let mut keep = |slot: u32, t: Epoch| {
+        let last = &mut s.last_kept[slot as usize];
+        if *last != Some(t) {
+            *last = Some(t);
+            s.slot_epochs.push((slot, t));
+            s.epochs_start[slot as usize + 1] += 1;
+        }
+    };
+    let (objs, conts) = (&s.colo_obj_events, &s.colo_cont_events);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < objs.len() || j < conts.len() {
+        if j == conts.len() || (i < objs.len() && objs[i].0 <= conts[j].0) {
+            let (t, k, _) = objs[i];
+            for &ci in candidates(k as usize) {
+                keep(s.slot_of[ci as usize], t);
+            }
+            i += 1;
+        } else {
+            let (t, cpos, _) = conts[j];
+            keep(s.slot_of[s.all_containers[cpos as usize] as usize], t);
+            j += 1;
+        }
+    }
+
     for slot in 0..num_rel {
-        s.contrib_start[slot + 1] += s.contrib_start[slot];
+        s.epochs_start[slot + 1] += s.epochs_start[slot];
     }
     s.slot_fill.clear();
-    s.slot_fill.extend_from_slice(&s.contrib_start[..num_rel]);
-    s.contrib.clear();
-    s.contrib.resize(s.cand_arena.len(), 0);
-    for (k, &oi) in s.objects.iter().enumerate() {
-        for flat in s.cand_start[k] as usize..s.cand_start[k + 1] as usize {
-            let slot = s.slot_of[s.cand_arena[flat] as usize] as usize;
-            s.contrib[s.slot_fill[slot] as usize] = oi;
-            s.slot_fill[slot] += 1;
-        }
-    }
-
-    let span = epoch_span(obs_of.iter().copied());
-    if let Some((_, span)) = span {
-        let words = span.div_ceil(64);
-        s.seen.clear();
-        s.seen.resize(words, 0);
-        s.seen_words.clear();
-        s.seen_words.resize(words.div_ceil(64), 0);
-    }
-
+    s.slot_fill.extend_from_slice(&s.epochs_start[..num_rel]);
     s.epochs_arena.clear();
-    s.epochs_start.clear();
-    s.points.clear();
-    for slot in 0..num_rel {
-        s.epochs_start.push(s.epochs_arena.len() as u32);
-        let contrib =
-            &s.contrib[s.contrib_start[slot] as usize..s.contrib_start[slot + 1] as usize];
-        let lists = || {
-            let own = obs_of[s.rel[slot] as usize];
-            std::iter::once(own).chain(contrib.iter().map(|&oi| obs_of[oi as usize]))
-        };
-        let points: usize = contrib.iter().map(|&oi| obs_of[oi as usize].len()).sum();
-        s.points.push(points as u32);
-        let Some((base, _)) = span else {
-            s.uniq.clear();
-            s.uniq.extend(lists().flatten().map(|o| o.epoch));
-            let len = sort_dedup(&mut s.uniq);
-            s.epochs_arena.extend_from_slice(&s.uniq[..len]);
-            continue;
-        };
-        // Set each epoch's bit and its word's bit in the summary, spanning
-        // the summary words `lo..=hi`.
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for list in lists() {
-            let (Some(first), Some(end)) = (list.first(), list.last()) else {
-                continue;
-            };
-            lo = lo.min(first.epoch.since(base) as usize / 4096);
-            hi = hi.max(end.epoch.since(base) as usize / 4096);
-            for o in list {
-                let off = o.epoch.since(base) as usize;
-                s.seen[off / 64] |= 1 << (off % 64);
-                s.seen_words[off / 4096] |= 1 << (off / 64 % 64);
-            }
-        }
-        // Read back only the set words, clearing both levels as they go.
-        for summary in lo..=hi {
-            let mut words = std::mem::take(&mut s.seen_words[summary]);
-            while words != 0 {
-                let word = summary * 64 + words.trailing_zeros() as usize;
-                let mut bits = std::mem::take(&mut s.seen[word]);
-                while bits != 0 {
-                    let off = word * 64 + bits.trailing_zeros() as usize;
-                    s.epochs_arena.push(base.plus(off as u32));
-                    bits &= bits - 1;
-                }
-                words &= words - 1;
-            }
-        }
+    s.epochs_arena.resize(s.slot_epochs.len(), Epoch(0));
+    for &(slot, t) in &s.slot_epochs {
+        let at = &mut s.slot_fill[slot as usize];
+        s.epochs_arena[*at as usize] = t;
+        *at += 1;
     }
-    s.epochs_start.push(s.epochs_arena.len() as u32);
 }
 
 /// Run the dense-interned EM. Control flow and floating-point summation
@@ -1578,12 +1531,14 @@ mod tests {
     /// come out in first-occurrence order. Every slot's needed epochs are the
     /// `BTreeSet` union of its container's list and the lists of the objects
     /// naming it a candidate, and its points are their observation count,
-    /// also when they lie thousands of epochs apart.
+    /// also when they lie thousands of epochs apart, when the container and a
+    /// contributor are read at the same epoch, and for an observed container
+    /// that no object names.
     #[test]
     fn set_up_rows_and_needed_epochs_match_their_definitions() {
         let nl = 16u16;
         let model = LikelihoodModel::new(ReadRateTable::diagonal(usize::from(nl), 0.8, 1e-4));
-        let (item, case) = (TagId::item, TagId::case);
+        let (item, case, pallet) = (TagId::item, TagId::case, TagId::pallet);
         let mut readings = Vec::new();
         for t in 0..40u32 {
             for i in 0..6u64 {
@@ -1602,9 +1557,10 @@ mod tests {
         }
         // One epoch heard by every reader: a spilled set.
         readings.extend((0..nl).map(|r| (50, case(0), r)));
-        // Sparse epochs far apart, so a slot's needed epochs span several
-        // summary words of the bitset and skip the empty ones.
+        // Sparse epochs far apart, and a pallet read where no object is.
         readings.extend([
+            (60, pallet(9), 9),
+            (61, pallet(9), 9),
             (9_000, item(0), 1),
             (20_000, item(0), 1),
             (20_001, case(0), 1),
@@ -1638,15 +1594,18 @@ mod tests {
         assert_eq!(s.table.len(), next as usize);
         assert_eq!(widths, BTreeSet::from([1, 2, ReaderSet::INLINE + 1]));
 
-        let mut contributed = 0;
+        let (mut contributed, mut shared) = (0, 0);
         for (slot, &ci) in s.rel.iter().enumerate() {
-            let mut union: BTreeSet<Epoch> = obs_of[ci as usize].iter().map(|o| o.epoch).collect();
+            let own: BTreeSet<Epoch> = obs_of[ci as usize].iter().map(|o| o.epoch).collect();
+            let mut union = own.clone();
             let mut points = 0;
             for (k, &oi) in s.objects.iter().enumerate() {
                 let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
                 if s.cand_arena[range].contains(&ci) {
-                    union.extend(obs_of[oi as usize].iter().map(|o| o.epoch));
-                    points += obs_of[oi as usize].len();
+                    let list = obs_of[oi as usize];
+                    shared += usize::from(list.iter().any(|o| own.contains(&o.epoch)));
+                    union.extend(list.iter().map(|o| o.epoch));
+                    points += list.len();
                     contributed += 1;
                 }
             }
@@ -1656,6 +1615,14 @@ mod tests {
             assert_eq!(s.points[slot] as usize, points);
         }
         assert!(contributed > s.rel.len(), "slots with several contributors");
+        assert!(shared > 0, "a container read with a contributor");
+        let lone = s.tags.binary_search(&pallet(9)).expect("the pallet");
+        let slot = s.slot_of[lone] as usize;
+        assert!(!s.cand_arena.contains(&(lone as u32)), "no object names it");
+        assert_eq!(
+            &s.epochs_arena[s.epochs_start[slot] as usize..s.epochs_start[slot + 1] as usize],
+            [Epoch(60), Epoch(61)]
+        );
         assert!(
             s.epochs_arena.contains(&Epoch(20_000)),
             "a far epoch is needed"

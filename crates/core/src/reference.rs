@@ -1,5 +1,11 @@
 //! The reference RFINFER solver: the EM of Section 3.2 / Appendix A.3 over
-//! `BTreeMap`-keyed state, exactly as it ran before dense interning existed.
+//! `BTreeMap`-keyed state. Candidates, assignment, weights, variants and
+//! point-evidence series are maps keyed by [`TagId`], and posteriors are
+//! per-epoch [`Posterior`] values. Only its boundary uses the product's
+//! types: it reads the previous run's [`EvidenceCache`] (each
+//! `CachedVariant` a flat posterior-row arena plus a `SeriesTable`) into
+//! those maps, writes its variants back in that layout, and fills the
+//! arena-backed [`InferenceOutcome`] with `push_object` / `push_locations`.
 //!
 //! Nothing in the product calls this module. It is the one ground truth the
 //! dense solver ([`crate::dense`]) is equivalence-tested against: tests pass
@@ -89,10 +95,12 @@ impl<'a> PrevSeries<'a> {
     }
 }
 
-/// The reference solver: the EM over `BTreeMap`-keyed state, exactly as
-/// it ran before dense interning existed. Kept verbatim (modulo the
-/// epoch-sorted posterior slices shared with the dense path) as the
-/// ground truth the dense solver is equivalence-tested against.
+/// The reference solver: the EM over `BTreeMap`-keyed state, the ground
+/// truth the dense solver is equivalence-tested against. With `incr`, the
+/// cache's `CachedVariant`s are read into per-epoch posteriors and
+/// evidence maps and refilled from this run's variants
+/// (`Variant::into_cached`); the result is an [`InferenceOutcome`] built row
+/// by row, and the [`InferenceStats`] count what the dense solver counts.
 pub fn run_tree(
     infer: &RfInfer<'_>,
     mut incr: Option<(&mut EvidenceCache, &DirtySet)>,

@@ -121,7 +121,7 @@ impl RetentionPlan {
         // Merge overlapping ranges per tag to keep the plan small.
         regions.sort_unstable();
         regions.dedup_by(|next, kept| {
-            let joins = next.0 == kept.0 && next.1 <= kept.2.plus(1);
+            let joins = next.0 == kept.0 && next.1.since(kept.2) <= 1;
             if joins {
                 kept.2 = kept.2.max(next.2);
             }
@@ -166,7 +166,7 @@ impl RetentionPlan {
 fn merge_ranges(ranges: &mut Vec<(Epoch, Epoch)>) {
     ranges.sort_unstable();
     ranges.dedup_by(|next, kept| {
-        let joins = next.0 <= kept.1.plus(1);
+        let joins = next.0.since(kept.1) <= 1;
         if joins {
             kept.1 = kept.1.max(next.1);
         }
@@ -431,5 +431,23 @@ mod tests {
             1,
             "overlapping regions merge: {case_ranges:?}"
         );
+    }
+
+    #[test]
+    fn ranges_ending_at_the_last_epoch_merge() {
+        let max = Epoch(u32::MAX);
+        let item = TagId::item(1);
+        let plan = RetentionPlan::new(
+            Epoch(0),
+            [(item, Epoch(5), max), (item, Epoch(7), Epoch(9))],
+        );
+        assert_eq!(plan.regions_of(item).collect::<Vec<_>>(), [(Epoch(5), max)]);
+        assert_eq!(plan.ranges_for(item, max), [(Epoch(0), max)]);
+        let plan = RetentionPlan::new(Epoch(3), [(item, Epoch(0), Epoch(1))]);
+        assert_eq!(
+            plan.ranges_for(item, max),
+            [(Epoch(0), Epoch(1)), (Epoch(3), max)]
+        );
+        assert_eq!(plan.ranges_for(item, Epoch(2)), [(Epoch(0), Epoch(2))]);
     }
 }

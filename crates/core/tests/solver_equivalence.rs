@@ -67,12 +67,11 @@ fn co_travel(epochs: impl Iterator<Item = u32>, reader: u16, decoy_reader: u16) 
         .collect()
 }
 
-/// Two observed epochs more than `1 << 24` apart push the needed-epoch union
-/// off its presence bitset (in `fill_needed_epochs`) onto the plain sort
-/// (`sort_dedup`), and the co-location pass off its epoch buckets onto a
-/// comparison sort.
+/// Two observed epochs more than `1 << 24` apart push the solve's epoch
+/// ordering (`fill_by_epoch`) off its epoch buckets onto a comparison sort;
+/// co-location and the needed epochs read the sorted lists.
 #[test]
-fn epoch_span_beyond_the_bitmap_guard_matches_the_reference() {
+fn epoch_span_beyond_the_bucket_guard_matches_the_reference() {
     let model = LikelihoodModel::new(ReadRateTable::diagonal(3, 0.8, 1e-4));
     let far = (1u32 << 24) + 100;
     assert_product_matches_reference(
